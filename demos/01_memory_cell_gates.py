@@ -9,6 +9,8 @@ survives at all. The new state is always a per-coordinate convex blend
 
 so a message can never fling the state outside the span of [old, candidate].
 This script pokes the cell with hand-built weights to make the gates visible.
+The cell updates every node of a graph at once, so it takes (n, d) row
+matrices; here each call passes a one-node graph.
 """
 
 import numpy as np
@@ -25,17 +27,24 @@ p = create_gru_params(store, "demo", d, seed=1)
 h = np.array([1.0, -1.0, 0.5, 0.0])
 x = np.array([0.8, 0.8, -0.3, 1.5])
 
+
+def cell(params, msg, state):
+    """One node through the cell: returns (new state, its one-row tape)."""
+    out, tape = gru_forward(params, msg[None, :], state[None, :])
+    return out[0], tape
+
+
 print("old state h      :", h)
 print("incoming message x:", x)
 
 # ---------------------------------------------------------------------------
 # 1. a neutral cell: random init keeps gates near 0.5, the state drifts
 
-h_next, cache = gru_forward(p, x, h)
+h_next, tape = cell(p, x, h)
 print("\nrandom-init cell")
-print("  reset gate r :", cache.r)
-print("  update gate z:", cache.z)
-print("  candidate    :", cache.h_tilde)
+print("  reset gate r :", tape.r[0])
+print("  update gate z:", tape.z[0])
+print("  candidate    :", tape.h_tilde[0])
 print("  new state    :", h_next)
 
 # ---------------------------------------------------------------------------
@@ -45,20 +54,20 @@ print("  new state    :", h_next)
 
 p.w_z.value[:] = 0.0
 p.w_z.value += 50.0 / (2 * d)      # crude all-ones direction, enough to saturate
-h_keep, cache_keep = gru_forward(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
+h_keep, tape_keep = cell(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
 print("\nupdate gate forced open (z ~ 1): state is copied through")
-print("  z        :", cache_keep.z)
+print("  z        :", tape_keep.z[0])
 print("  new state:", h_keep, " (old was", np.abs(h) + 1.0, ")")
 
 # ---------------------------------------------------------------------------
 # 3. slam it shut (z -> 0): the cell overwrites with the candidate
 
 p.w_z.value[:] = -50.0 / (2 * d)
-h_over, cache_over = gru_forward(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
+h_over, tape_over = cell(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
 print("\nupdate gate forced shut (z ~ 0): state is replaced by the candidate")
-print("  z        :", cache_over.z)
+print("  z        :", tape_over.z[0])
 print("  new state:", h_over)
-print("  candidate:", cache_over.h_tilde)
+print("  candidate:", tape_over.h_tilde[0])
 
 # ---------------------------------------------------------------------------
 # 4. the convex bound holds for any weights, message, or state
@@ -69,9 +78,9 @@ for trial in range(2000):
     q = create_gru_params(ParamStore(), "t", 3, seed=trial)
     hh = rng.normal(0, 3, size=3)
     xx = rng.normal(0, 3, size=3)
-    out, c = gru_forward(q, xx, hh)
-    lo = np.minimum(hh, c.h_tilde)
-    hi = np.maximum(hh, c.h_tilde)
+    out, c = cell(q, xx, hh)
+    lo = np.minimum(hh, c.h_tilde[0])
+    hi = np.maximum(hh, c.h_tilde[0])
     worst = max(worst, float(np.max(np.maximum(lo - out, out - hi))))
 print(f"\nconvex-combination bound over 2000 random cells: "
       f"max violation {worst:.2e} (exactly zero up to rounding)")

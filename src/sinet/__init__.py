@@ -14,8 +14,7 @@ from .numerics import (CheckpointError, Param, ParamStore, ShapeError,
                        derive_seed, grad_check, init_param, load_checkpoint,
                        save_checkpoint, seed_for)
 from .structure_inference import (SceneGraph, SinParams, compute_edges,
-                                  create_sin_params, edge_weight,
-                                  integrate_messages, relation_report,
+                                  create_sin_params, relation_report,
                                   sin_backward, sin_infer, sin_step)
 from .synth_data import (Category, CooccurRule, GtObject, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
@@ -38,12 +37,12 @@ __all__ = [
     "apply_deltas", "assign_targets", "average_precision", "clip_box",
     "compute_edges", "create_detector_params", "create_gru_params",
     "create_sin_params", "default_world", "derive_seed", "detect",
-    "edge_weight", "encode_deltas", "evaluate_detections",
-    "extract_node_feature", "extract_scene_feature", "forward", "fp_breakdown",
-    "generate", "grad_check", "gru_backward", "gru_forward", "init_param",
-    "integrate_messages", "iou", "load_checkpoint", "load_dataset", "main",
-    "map_at", "multi_task_loss", "nms", "pr_curve", "propose",
-    "relation_report", "run_ablation", "run_gradcheck", "sample_at",
-    "save_checkpoint", "save_dataset", "seed_for", "sin_backward", "sin_infer",
-    "sin_step", "spatial_relation", "train", "world_hash",
+    "encode_deltas", "evaluate_detections", "extract_node_feature",
+    "extract_scene_feature", "forward", "fp_breakdown", "generate",
+    "grad_check", "gru_backward", "gru_forward", "init_param", "iou",
+    "load_checkpoint", "load_dataset", "main", "map_at", "multi_task_loss",
+    "nms", "pr_curve", "propose", "relation_report", "run_ablation",
+    "run_gradcheck", "sample_at", "save_checkpoint", "save_dataset",
+    "seed_for", "sin_backward", "sin_infer", "sin_step", "spatial_relation",
+    "train", "world_hash",
 ]

@@ -370,7 +370,7 @@ class ForwardState:
     logits: np.ndarray = None   # (n, K+1)
     probs: np.ndarray = None    # (n, K+1) softmax rows
     deltas: np.ndarray = None   # (n, K, 4) per-class refinements
-    edges: np.ndarray = None    # (n, n) last-step edge matrix
+    edges: np.ndarray = None    # (n, n) last-step edge matrix; None when no step computed one
 
 
 def _softmax_rows(logits):
@@ -402,13 +402,8 @@ def forward(params, sample, cfg, boxes=None, mode="both", steps=None,
     feats = graph_out.node_features
     logits = feats @ params.cls_head.value.T
     deltas = (feats @ params.reg_head.value.T).reshape(n, params.num_categories, 4)
-    edges = None
-    for tape in reversed(tapes):
-        if tape.edge_cache is not None:
-            edges = tape.edge_cache.e
-            break
-    if edges is None:
-        edges = compute_edges(params.sin, graph_out)
+    edges = next((t.edge_cache.e for t in reversed(tapes) if t.edge_cache is not None),
+                 None)
     return ForwardState(boxes=boxes, node_avg=node_avg, features0=features0,
                         scene_avg=scene_avg, scene_feature0=scene0,
                         graph_out=graph_out, tapes=tapes, logits=logits,
@@ -660,7 +655,11 @@ class Detection:
 def detect(params, sample, cfg, score_thresh=0.05, arm="sin", return_state=False):
     """Final detections for one scene: per class, refine every ROI whose score
     clears the threshold, clip, and run NMS. Output order is deterministic and
-    independent of ROI input order (modulo exact score ties)."""
+    independent of ROI input order (modulo exact score ties).
+
+    With return_state the forward state comes back too, its `edges` always
+    filled: arms whose last step computed no edges get them from the final
+    node features."""
     mode, steps = arm_plan(arm, cfg)
     h, w = sample.grid.shape[:2]
     state = forward(params, sample, cfg, mode=mode, steps=steps, train=False)
@@ -678,5 +677,7 @@ def detect(params, sample, cfg, score_thresh=0.05, arm="sin", return_state=False
                                   score=float(scores[sel[k]]), roi_index=int(sel[k])))
     dets.sort(key=lambda d: (d.category, -d.score, d.box.cx, d.box.cy, d.box.w, d.box.h))
     if return_state:
+        if state.edges is None:
+            state.edges = compute_edges(params.sin, state.graph_out)
         return dets, state
     return dets

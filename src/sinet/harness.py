@@ -6,7 +6,8 @@ flags produces byte-identical outputs. The SIN_NUM_WORKERS environment
 variable caps evaluation parallelism; it defaults to 1.
 
 Exit codes: 0 success, 1 validation error (bad flags or config values),
-2 runtime failure (training divergence, unreadable or corrupt files).
+2 runtime failure (training divergence, unreadable or corrupt files, a
+non-finite value met inside a GRU cell, e.g. from a NaN in an input grid).
 """
 
 import argparse
@@ -557,7 +558,7 @@ def main(argv=None):
     except CheckpointError as e:
         print(f"sinet: error: {e}", file=sys.stderr)
         return 2
-    except (RunFailure, TrainingDiverged, OSError) as e:
+    except (RunFailure, TrainingDiverged, OSError, FloatingPointError) as e:
         print(f"sinet: error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -1,6 +1,8 @@
 """Gated recurrent memory cell, forward and hand-derived backward.
 
-The cell fuses one incoming message x into a node state h_t:
+The cell fuses an incoming message x into a node state h_t, for every node of
+a graph at once: x and h_t are (n, d) row matrices, one row per node, and
+each line below is applied row by row with the weights shared across rows:
 
     r      = sigmoid(W_r [x, h_t])
     z      = sigmoid(W_z [x, h_t])
@@ -9,14 +11,16 @@ The cell fuses one incoming message x into a node state h_t:
 
 [x, h_t] is concatenation with x first; there are no bias terms. x and h_t
 share the dimension d, so W_r and W_z are (d, 2d) while W and U are (d, d).
-The same cell drives both the scene bank and the edge bank.
+Each gate is one matrix product over all n rows. The same cell drives both the
+scene bank (every row of x is the scene feature) and the edge bank (row i of
+x is node i's pooled message).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, affine, init_param, seed_for, sigmoid, tanh
+from .numerics import ShapeError, init_param, seed_for, sigmoid, tanh
 
 PARAM_FIELDS = ("W_r", "W_z", "W", "U")
 
@@ -54,11 +58,10 @@ def gru_params_from_store(store, prefix):
 
 
 @dataclass
-class GruCache:
-    """Forward intermediates needed by the backward pass."""
+class GruTape:
+    """Forward intermediates of one bank call, all (n, .) row matrices."""
 
-    x: np.ndarray
-    h_t: np.ndarray
+    xh: np.ndarray        # (n, 2d) rows of [x, h_t]
     r: np.ndarray
     z: np.ndarray
     h_tilde: np.ndarray
@@ -66,38 +69,46 @@ class GruCache:
 
 def _check_dims(p, x, h_t):
     d = p.dim
-    if x.shape != (d,) or h_t.shape != (d,):
-        raise ShapeError(f"gru: expected x and h_t of dim {d}, got {x.shape} and {h_t.shape}")
+    if x.ndim != 2 or x.shape[1:] != (d,) or x.shape != h_t.shape or x.shape[0] < 1:
+        raise ShapeError(f"gru: expected x and h_t as (n, {d}) row matrices, "
+                         f"got {x.shape} and {h_t.shape}")
     if p.w_r.value.shape != (d, 2 * d) or p.w_z.value.shape != (d, 2 * d) \
             or p.u.value.shape != (d, d):
         raise ShapeError("gru: inconsistent parameter shapes")
 
 
 def gru_forward(p, x, h_t):
-    """One cell application. Returns (h_next, cache)."""
+    """One cell application to every row of x and h_t. Returns (h_next, tape)."""
     x = np.asarray(x, dtype=np.float64)
     h_t = np.asarray(h_t, dtype=np.float64)
     _check_dims(p, x, h_t)
-    xh = np.concatenate([x, h_t])
-    r = sigmoid(affine(p.w_r.value, xh))
-    z = sigmoid(affine(p.w_z.value, xh))
-    h_tilde = tanh(affine(p.w.value, x) + affine(p.u.value, r * h_t))
+    xh = np.concatenate([x, h_t], axis=1)
+    a_r = xh @ p.w_r.value.T
+    a_z = xh @ p.w_z.value.T
+    a_x = x @ p.w.value.T
+    r = sigmoid(a_r)
+    a_u = (r * h_t) @ p.u.value.T
+    if not (np.isfinite(a_r).all() and np.isfinite(a_z).all()
+            and np.isfinite(a_x).all() and np.isfinite(a_u).all()):
+        raise FloatingPointError("gru: NaN or inf in a gate pre-activation")
+    z = sigmoid(a_z)
+    h_tilde = tanh(a_x + a_u)
     h_next = z * h_t + (1.0 - z) * h_tilde
-    return h_next, GruCache(x=x, h_t=h_t, r=r, z=z, h_tilde=h_tilde)
+    return h_next, GruTape(xh=xh, r=r, z=z, h_tilde=h_tilde)
 
 
-def gru_backward(p, cache, dh_next):
-    """Exact gradients of h_next contracted with dh_next.
+def gru_backward(p, tape, dh_next):
+    """Exact gradients of h_next contracted with dh_next, row by row.
 
-    Parameter gradients are accumulated additively into the Param buffers;
-    returns (dx, dh_t).
+    Parameter gradients are summed over rows and accumulated additively into
+    the Param buffers; returns (dx, dh_t) as (n, d) row matrices.
     """
     dh_next = np.asarray(dh_next, dtype=np.float64)
     d = p.dim
-    if dh_next.shape != (d,):
-        raise ShapeError(f"gru_backward: dh_next has shape {dh_next.shape}, expected ({d},)")
-    x, h_t, r, z, h_tilde = cache.x, cache.h_t, cache.r, cache.z, cache.h_tilde
-    xh = np.concatenate([x, h_t])
+    xh, r, z, h_tilde = tape.xh, tape.r, tape.z, tape.h_tilde
+    if dh_next.shape != r.shape:
+        raise ShapeError(f"gru_backward: dh_next has shape {dh_next.shape}, expected {r.shape}")
+    x, h_t = xh[:, :d], xh[:, d:]
 
     dz = dh_next * (h_t - h_tilde)
     dh_t = dh_next * z
@@ -105,20 +116,20 @@ def gru_backward(p, cache, dh_next):
 
     # through tanh(W x + U (r*h_t))
     da_h = dh_tilde * (1.0 - h_tilde * h_tilde)
-    p.w.grad += np.outer(da_h, x)
-    dx = p.w.value.T @ da_h
-    drh = p.u.value.T @ da_h
-    p.u.grad += np.outer(da_h, r * h_t)
+    p.w.grad += da_h.T @ x
+    dx = da_h @ p.w.value
+    drh = da_h @ p.u.value
+    p.u.grad += da_h.T @ (r * h_t)
     dr = drh * h_t
-    dh_t = dh_t + drh * r
+    dh_t += drh * r
 
     # through the two sigmoid gates on [x, h_t]
     da_r = dr * r * (1.0 - r)
     da_z = dz * z * (1.0 - z)
-    p.w_r.grad += np.outer(da_r, xh)
-    p.w_z.grad += np.outer(da_z, xh)
-    dxh = p.w_r.value.T @ da_r + p.w_z.value.T @ da_z
+    p.w_r.grad += da_r.T @ xh
+    p.w_z.grad += da_z.T @ xh
+    dxh = da_r @ p.w_r.value + da_z @ p.w_z.value
 
-    dx = dx + dxh[:d]
-    dh_t = dh_t + dxh[d:]
+    dx += dxh[:, :d]
+    dh_t += dxh[:, d:]
     return dx, dh_t

@@ -1,6 +1,6 @@
-"""Dense float64 vector/matrix substrate: affine maps, activations, a named
-parameter store with gradient buffers, deterministic init, finite-difference
-gradient checking, and the binary checkpoint format.
+"""Dense float64 vector/matrix substrate: activations, a named parameter store
+with gradient buffers, deterministic init, finite-difference gradient
+checking, and the binary checkpoint format.
 
 Vectors are 1-D float64 ndarrays, matrices 2-D float64 ndarrays (row-major).
 Everything downstream computes on these.
@@ -21,33 +21,6 @@ class ShapeError(ValueError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is malformed."""
-
-
-def as_vec(x, name="vec"):
-    """Coerce to a 1-D float64 array, rejecting anything else."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ShapeError(f"{name}: expected a non-empty 1-D vector, got shape {a.shape}")
-    return a
-
-
-def as_mat(x, name="mat"):
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"{name}: expected a non-empty 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def affine(w, x):
-    """y = W x (no bias). W is (rows, cols), x is (cols,), result (rows,)."""
-    w = as_mat(w, "W")
-    x = as_vec(x, "x")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(f"affine: W has shape {w.shape} but x has dim {x.shape[0]}")
-    y = w @ x
-    if not np.all(np.isfinite(y)):
-        raise FloatingPointError("affine produced a non-finite entry")
-    return y
 
 
 def sigmoid(x):

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import spatial_relation
-from .memory_cell import create_gru_params, gru_backward, gru_forward, gru_params_from_store
-from .numerics import init_param, relu, seed_for, tanh
+from .memory_cell import (GruTape, create_gru_params, gru_backward, gru_forward,
+                          gru_params_from_store)
+from .numerics import init_param, seed_for
 
 POOLINGS = ("mean", "max", "concat")
 MODES = ("both", "scene", "edge")
@@ -72,7 +72,7 @@ def create_sin_params(store, d, seed, pooling="mean", prefix="sin"):
         raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
     scene = create_gru_params(store, f"{prefix}/scene_gru", d, seed)
     edge = create_gru_params(store, f"{prefix}/edge_gru", d, seed)
-    # The relu in edge_weight is a hard gate: if w_p . R starts negative for
+    # The relu in the edge weight is a hard gate: if w_p . R starts negative for
     # the bulk of box pairs, every edge is zero, no gradient reaches w_p, and
     # the relation path never recovers. Start it as a locality prior instead:
     # open for pairs within a couple of box widths (positive pull on receiver
@@ -104,20 +104,8 @@ def sin_params_from_store(store, prefix="sin"):
     )
 
 
-def edge_weight(p, box_i, box_j, f_i, f_j):
-    """Influence of sender j on receiver i: a single scalar.
-
-    relu gates the spatial term, tanh bounds the appearance term, so
-    |e| <= relu(w_p . R).
-    """
-    rel = spatial_relation(box_i, box_j)
-    spatial = relu(p.w_p.value @ rel)[0]
-    visual = tanh(p.w_v.value @ np.concatenate([f_i, f_j]))[0]
-    return float(spatial * visual)
-
-
 def _relation_tensor(boxes):
-    """All-pairs relation vectors, R[i, j] = spatial_relation(boxes[i], boxes[j])."""
+    """All-pairs relation vectors, R[i, j] = geometry.spatial_relation(boxes[i], boxes[j])."""
     n = len(boxes)
     cx = np.array([b.cx for b in boxes])
     cy = np.array([b.cy for b in boxes])
@@ -152,6 +140,8 @@ class EdgeCache:
 
 
 def _compute_edges(p, features, boxes):
+    """e[i, j] = relu(w_p . R(box_i, box_j)) * tanh(w_v . [f_i, f_j]) for every
+    ordered (receiver, sender) pair, so |e| <= relu(w_p . R); zero diagonal."""
     n = len(boxes)
     rel = _relation_tensor(boxes)
     lin_p = rel @ p.w_p.value[0]
@@ -190,21 +180,11 @@ def _edges_backward(p, cache, de, features):
     return np.outer(row, p.w_v.value[0, :d]) + np.outer(col, p.w_v.value[0, d:])
 
 
-def integrate_messages(g, e, i):
-    """Pooled incoming message for node i: per-coordinate max over the scaled
-    sender features e[i][j] * f_j, j != i. A single-node graph gets zeros."""
-    n = g.n
-    if n == 1:
-        return np.zeros(g.dim)
-    scaled = e[i][:, None] * g.node_features    # (n, d)
-    mask = np.ones(n, dtype=bool)
-    mask[i] = False
-    return scaled[mask].max(axis=0)
-
-
 def _integrate_all(features, e):
-    """Messages for every node at once; also returns the winning sender per
-    coordinate (ties to the lowest sender index) for the backward pass."""
+    """Pooled incoming message for every node: row i is the per-coordinate
+    max over senders j != i of e[i, j] * f_j (ties to the lowest sender
+    index), and a single-node graph gets a zero message. Also returns the
+    winning sender per coordinate for the backward pass."""
     n, d = features.shape
     if n == 1:
         return np.zeros((1, d)), np.full((1, d), -1, dtype=np.intp)
@@ -235,8 +215,8 @@ def _messages_backward(features, e, senders, dmsgs):
 class StepTape:
     features_in: np.ndarray
     scene_feature: np.ndarray
-    scene_caches: list = None
-    edge_caches: list = None
+    scene_tape: GruTape = None
+    edge_tape: GruTape = None
     edge_cache: EdgeCache = None
     msgs: np.ndarray = None
     senders: np.ndarray = None
@@ -265,26 +245,18 @@ def sin_step_tape(p, g, pooling="mean", mode="both"):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     feats = g.node_features
-    n, d = feats.shape
     tape = StepTape(features_in=feats, scene_feature=g.scene_feature,
                     pooling=pooling, mode=mode)
 
     h_scene = h_edge = None
     if mode in ("both", "scene"):
-        tape.scene_caches = []
-        h_scene = np.empty((n, d))
-        for i in range(n):
-            h_scene[i], cache = gru_forward(p.scene_gru, g.scene_feature, feats[i])
-            tape.scene_caches.append(cache)
+        h_scene, tape.scene_tape = gru_forward(
+            p.scene_gru, np.broadcast_to(g.scene_feature, feats.shape), feats)
         tape.h_scene = h_scene
     if mode in ("both", "edge"):
         tape.edge_cache = _compute_edges(p, feats, g.boxes)
         tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
-        tape.edge_caches = []
-        h_edge = np.empty((n, d))
-        for i in range(n):
-            h_edge[i], cache = gru_forward(p.edge_gru, tape.msgs[i], feats[i])
-            tape.edge_caches.append(cache)
+        h_edge, tape.edge_tape = gru_forward(p.edge_gru, tape.msgs, feats)
         tape.h_edge = h_edge
 
     if mode == "both":
@@ -356,16 +328,12 @@ def sin_backward(p, tapes, d_out_features):
 
         dfeat_in = np.zeros((n, d))
         if dh_scene is not None:
-            for i in range(n):
-                dx, dh = gru_backward(p.scene_gru, tape.scene_caches[i], dh_scene[i])
-                dscene += dx
-                dfeat_in[i] += dh
+            dx, dh = gru_backward(p.scene_gru, tape.scene_tape, dh_scene)
+            dscene += dx.sum(axis=0)
+            dfeat_in += dh
         if dh_edge is not None:
-            dmsgs = np.empty((n, d))
-            for i in range(n):
-                dm, dh = gru_backward(p.edge_gru, tape.edge_caches[i], dh_edge[i])
-                dmsgs[i] = dm
-                dfeat_in[i] += dh
+            dmsgs, dh = gru_backward(p.edge_gru, tape.edge_tape, dh_edge)
+            dfeat_in += dh
             de, dfeat_msg = _messages_backward(tape.features_in, tape.edge_cache.e,
                                                tape.senders, dmsgs)
             dfeat_in += dfeat_msg

@@ -25,8 +25,8 @@ from sinet.geometry import Box, iou, nms
 from sinet.harness import main, run_gradcheck
 from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
-from sinet.structure_inference import (SceneGraph, create_sin_params,
-                                       edge_weight, integrate_messages,
+from sinet.structure_inference import (SceneGraph, _compute_edges,
+                                       _integrate_all, create_sin_params,
                                        sin_step)
 from sinet.synth_data import (default_world, generate, load_dataset,
                               save_dataset, world_hash)
@@ -64,11 +64,13 @@ def _check_gru(rng, trials):
         d = int(rng.integers(1, 7))
         st = ParamStore()
         p = create_gru_params(st, "cell", d, int(rng.integers(1 << 30)))
-        x, h = rng.normal(0, 2, size=d), rng.normal(0, 2, size=d)
+        n = int(rng.integers(1, 17))
+        x, h = rng.normal(0, 2, size=(n, d)), rng.normal(0, 2, size=(n, d))
         got, _ = gru_forward(p, x, h)
-        want, _, _, _ = gru_forward_oracle(p.w_r.value, p.w_z.value,
-                                           p.w.value, p.u.value, x, h)
-        assert np.allclose(got, np.array(want), atol=1e-12)
+        for i in range(n):
+            want, _, _, _ = gru_forward_oracle(p.w_r.value, p.w_z.value,
+                                               p.w.value, p.u.value, x[i], h[i])
+            assert np.allclose(got[i], np.array(want), atol=1e-12)
 
 
 def _check_edge_weight(rng, trials):
@@ -79,9 +81,11 @@ def _check_edge_weight(rng, trials):
         p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        got = edge_weight(p, bi, bj, fi, fj)
-        want = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
-        assert got == pytest.approx(want, abs=1e-12)
+        e = _compute_edges(p, np.array([fi, fj]), [bi, bj]).e
+        want_ij = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
+        want_ji = edge_weight_oracle(p.w_p.value, p.w_v.value, bj, bi, fj, fi)
+        assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
+        assert e[1, 0] == pytest.approx(want_ji, abs=1e-12)
 
 
 def _check_integrate(rng, trials):
@@ -90,12 +94,10 @@ def _check_integrate(rng, trials):
         feats = rng.normal(size=(n, d))
         e = rng.normal(size=(n, n))
         np.fill_diagonal(e, 0.0)
-        g = SceneGraph(node_features=feats,
-                       boxes=[random_box(rng) for _ in range(n)],
-                       scene_feature=np.zeros(d))
-        i = int(rng.integers(0, n))
-        assert np.allclose(integrate_messages(g, e, i),
-                           integrate_messages_oracle(feats, e, i), atol=1e-12)
+        msgs, _ = _integrate_all(feats, e)
+        for i in range(n):
+            assert np.allclose(msgs[i], integrate_messages_oracle(feats, e, i),
+                               atol=1e-12)
 
 
 def _check_sin_step(rng, trials):
@@ -256,12 +258,12 @@ def _invariant_gate_ranges(rng):
         d = int(rng.integers(1, 7))
         st = ParamStore()
         p = create_gru_params(st, "cell", d, int(rng.integers(1 << 30)))
-        x, h = rng.normal(0, 3, size=d), rng.normal(0, 3, size=d)
-        h_next, cache = gru_forward(p, x, h)
-        assert np.all(cache.r > 0) and np.all(cache.r < 1)
-        assert np.all(cache.z > 0) and np.all(cache.z < 1)
-        lo = np.minimum(h, cache.h_tilde) - 1e-12
-        hi = np.maximum(h, cache.h_tilde) + 1e-12
+        x, h = rng.normal(0, 3, size=(1, d)), rng.normal(0, 3, size=(1, d))
+        h_next, tape = gru_forward(p, x, h)
+        assert np.all(tape.r > 0) and np.all(tape.r < 1)
+        assert np.all(tape.z > 0) and np.all(tape.z < 1)
+        lo = np.minimum(h, tape.h_tilde) - 1e-12
+        hi = np.maximum(h, tape.h_tilde) + 1e-12
         assert np.all(h_next >= lo) and np.all(h_next <= hi)
 
 

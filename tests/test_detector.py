@@ -12,6 +12,7 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH
                             validate_config)
 from sinet.geometry import Box, encode_deltas, iou
 from sinet.numerics import ParamStore
+from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, covered_cells, default_world
 
 from oracles import iou_oracle
@@ -294,6 +295,13 @@ def test_forward_edges_square_and_zero_diagonal():
     state = forward(params, sample, cfg)
     assert state.edges.shape == (5, 5)
     assert np.all(np.diag(state.edges) == 0.0)
+    # without a step that computes edges, forward leaves them to detect
+    assert forward(params, sample, cfg, steps=0).edges is None
+    assert forward(params, sample, cfg, mode="scene").edges is None
+    for arm in ("baseline", "scene"):
+        _, state = detect(params, sample, cfg, arm=arm, return_state=True)
+        assert np.array_equal(state.edges,
+                              compute_edges(params.sin, state.graph_out))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +426,22 @@ def test_train_is_deterministic():
     for pa, pb in zip(a.store.params(), b.store.params()):
         assert pa.name == pb.name
         assert np.array_equal(pa.value, pb.value)
+
+
+def test_single_roi_trains_and_detects_on_sin_arm():
+    # n = 1: every message is the zero message and each GRU bank runs one row
+    world = default_world()
+    cfg = validate_config(TrainConfig(iters=5, rois_per_image=1, seed=2))
+    result = train(world, cfg, arm="sin", n_train=5)
+    assert len(result.losses) == 5
+    assert all(np.isfinite(l) for l in result.losses)
+    sample = det_mod.sample_at(world, 11, 0)
+    dets, state = detect(result.params, sample, cfg, score_thresh=0.0, arm="sin",
+                         return_state=True)
+    assert len(state.tapes) == cfg.T
+    assert state.tapes[-1].edge_tape.xh.shape == (1, 2 * cfg.feat_dim)
+    assert state.edges.shape == (1, 1)
+    assert dets and all(d.roi_index == 0 for d in dets)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -12,7 +12,7 @@ from sinet.harness import (EvalConfig, RunConfig, RunFailure, build_parser,
                            run_config_to_dict, run_gradcheck, write_csv,
                            write_manifest)
 from sinet.numerics import ParamStore
-from sinet.synth_data import default_world, sample_at, world_to_dict
+from sinet.synth_data import default_world, sample_at, save_dataset, world_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,24 @@ def test_cli_eval_reads_dataset_files(tmp_path, capsys):
                  "--out", out_dir]) == 0
     assert os.path.exists(os.path.join(out_dir, "metrics.csv"))
     capsys.readouterr()
+
+
+def test_cli_eval_nan_grid_exits_2(tmp_path, capsys):
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--world", "default", "--arm", "sin", "--iters", "8",
+                 "--n-train", "4", "--out", run_dir]) == 0
+    world = default_world()
+    samples = [sample_at(world, 9, i) for i in range(3)]
+    samples[1].grid[2, 3, 0] = np.nan
+    data = str(tmp_path / "nan.jsonl")
+    save_dataset(data, samples, world)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                 "--data", data, "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_cli_ablate_writes_summary(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from sinet.memory_cell import (GruParams, create_gru_params, gru_backward,
                                gru_forward, gru_params_from_store)
@@ -33,17 +35,23 @@ def test_init_keyed_by_name_not_order():
     assert np.array_equal(a.w_r.value, b.w_r.value)
 
 
+def _oracle_rows(p, x, h):
+    return np.array([gru_forward_oracle(p.w_r.value, p.w_z.value, p.w.value,
+                                        p.u.value, xi, hi)[0]
+                     for xi, hi in zip(x, h)])
+
+
 def test_forward_matches_oracle_randomized():
     rng = np.random.default_rng(4)
-    for _ in range(100):
+    for trial in range(80):
+        n = (1, 16)[trial % 2]
         d = int(rng.integers(1, 7))
         _, p = make_params(d, seed=int(rng.integers(1 << 30)))
-        x = rng.normal(0, 2, size=d)
-        h = rng.normal(0, 2, size=d)
+        x = rng.normal(0, 2, size=(n, d))
+        h = rng.normal(0, 2, size=(n, d))
         got, _ = gru_forward(p, x, h)
-        want, _, _, _ = gru_forward_oracle(p.w_r.value, p.w_z.value,
-                                           p.w.value, p.u.value, x, h)
-        assert np.allclose(got, want, atol=1e-12)
+        assert got.shape == (n, d)
+        assert np.allclose(got, _oracle_rows(p, x, h), atol=1e-12)
 
 
 def test_gate_ranges_and_convex_bound():
@@ -55,8 +63,10 @@ def test_gate_ranges_and_convex_bound():
         h = rng.normal(0, 3, size=d)
         h_next, r, z, h_tilde = gru_forward_oracle(
             p.w_r.value, p.w_z.value, p.w.value, p.u.value, x, h)
-        lib, _ = gru_forward(p, x, h)
-        assert np.allclose(lib, h_next, atol=1e-12)
+        lib, tape = gru_forward(p, x[None, :], h[None, :])
+        assert np.allclose(lib[0], h_next, atol=1e-12)
+        assert np.allclose(tape.r[0], r, atol=1e-12)
+        assert np.allclose(tape.z[0], z, atol=1e-12)
         assert all(0.0 < v < 1.0 for v in r + z)
         # h_next is a convex blend of h and a tanh output
         for k in range(d):
@@ -68,45 +78,113 @@ def test_gate_ranges_and_convex_bound():
 def test_forward_shape_errors():
     _, p = make_params(3)
     with pytest.raises(ShapeError):
-        gru_forward(p, np.zeros(2), np.zeros(3))
+        gru_forward(p, np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ShapeError):
-        gru_backward(p, gru_forward(p, np.zeros(3), np.zeros(3))[1], np.zeros(4))
+        gru_forward(p, np.zeros(3), np.zeros(3))          # vectors, not rows
+    with pytest.raises(ShapeError):
+        gru_forward(p, np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(ShapeError):
+        gru_forward(p, np.zeros((0, 3)), np.zeros((0, 3)))
+    _, tape = gru_forward(p, np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        gru_backward(p, tape, np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        gru_backward(p, tape, np.zeros(3))
+
+
+def test_forward_non_finite_raises():
+    _, p = make_params(3)
+    h = np.zeros((4, 3))
+    x = np.ones((4, 3))
+    x[2, 1] = np.nan
+    with pytest.raises(FloatingPointError):
+        gru_forward(p, x, h)
+    p.u.value[0, 0] = np.inf
+    with pytest.raises(FloatingPointError):
+        gru_forward(p, np.ones((4, 3)), np.ones((4, 3)))
 
 
 def test_backward_against_finite_differences():
     st, p = make_params(4, seed=21)
     rng = np.random.default_rng(1)
-    x0 = rng.normal(size=4)
-    h0 = rng.normal(size=4)
-    w_out = rng.normal(size=4)  # fixed projection makes the loss scalar
+    x0 = rng.normal(size=(5, 4))
+    h0 = rng.normal(size=(5, 4))
+    w_out = rng.normal(size=(5, 4))  # fixed projection makes the loss scalar
 
     def loss_fn():
-        h_next, cache = gru_forward(p, x0, h0)
-        loss = float(w_out @ h_next)
-        gru_backward(p, cache, w_out)
+        h_next, tape = gru_forward(p, x0, h0)
+        loss = float(np.sum(w_out * h_next))
+        gru_backward(p, tape, w_out)
         return loss
 
     assert grad_check(loss_fn, st) < 1e-6
 
 
+def _numeric_grad(f, arr, eps=1e-6):
+    grad = np.zeros_like(arr)
+    flat, gflat = arr.reshape(-1), grad.reshape(-1)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + eps
+        up = f()
+        flat[k] = orig - eps
+        dn = f()
+        flat[k] = orig
+        gflat[k] = (up - dn) / (2 * eps)
+    return grad
+
+
 def test_backward_input_grads_against_finite_differences():
     _, p = make_params(3, seed=5)
     rng = np.random.default_rng(6)
-    x0 = rng.normal(size=3)
-    h0 = rng.normal(size=3)
-    w_out = rng.normal(size=3)
-    h_next, cache = gru_forward(p, x0, h0)
-    dx, dh = gru_backward(p, cache, w_out)
-    eps = 1e-6
-    for k in range(3):
-        for vec, grad in ((x0, dx), (h0, dh)):
-            orig = vec[k]
-            vec[k] = orig + eps
-            up = float(w_out @ gru_forward(p, x0, h0)[0])
-            vec[k] = orig - eps
-            dn = float(w_out @ gru_forward(p, x0, h0)[0])
-            vec[k] = orig
-            assert grad[k] == pytest.approx((up - dn) / (2 * eps), abs=1e-7)
+    x0 = rng.normal(size=(4, 3))
+    h0 = rng.normal(size=(4, 3))
+    w_out = rng.normal(size=(4, 3))
+    _, tape = gru_forward(p, x0, h0)
+    dx, dh = gru_backward(p, tape, w_out)
+
+    def f():
+        return float(np.sum(w_out * gru_forward(p, x0, h0)[0]))
+
+    assert np.allclose(dx, _numeric_grad(f, x0), atol=1e-7)
+    assert np.allclose(dh, _numeric_grad(f, h0), atol=1e-7)
+
+
+def test_backward_broadcast_x_sums_over_rows():
+    # scene bank: one vector broadcast to every row, its gradient is the
+    # row sum of dx
+    st, p = make_params(3, seed=7)
+    rng = np.random.default_rng(7)
+    scene = rng.normal(size=3)
+    h0 = rng.normal(size=(5, 3))
+    w_out = rng.normal(size=(5, 3))
+
+    def f():
+        return float(np.sum(w_out * gru_forward(p, np.broadcast_to(scene, h0.shape), h0)[0]))
+
+    def loss_fn():
+        h_next, tape = gru_forward(p, np.broadcast_to(scene, h0.shape), h0)
+        gru_backward(p, tape, w_out)
+        return float(np.sum(w_out * h_next))
+
+    assert grad_check(loss_fn, st) < 1e-6
+    _, tape = gru_forward(p, np.broadcast_to(scene, h0.shape), h0)
+    dx, dh = gru_backward(p, tape, w_out)
+    assert np.allclose(dx.sum(axis=0), _numeric_grad(f, scene), atol=1e-7)
+    assert np.allclose(dh, _numeric_grad(f, h0), atol=1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.integers(1, 16), d=hst.integers(1, 6), seed=hst.integers(0, 2**31 - 1))
+def test_forward_row_permutation_equivariance(n, d, seed):
+    rng = np.random.default_rng(seed)
+    _, p = make_params(d, seed=seed)
+    x = rng.normal(0, 2, size=(n, d))
+    h = rng.normal(0, 2, size=(n, d))
+    perm = rng.permutation(n)
+    out, _ = gru_forward(p, x, h)
+    out_p, _ = gru_forward(p, x[perm], h[perm])
+    assert np.allclose(out[perm], out_p, atol=1e-12)
 
 
 def test_entries_lists_all_four():

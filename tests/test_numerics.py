@@ -4,24 +4,10 @@ import numpy as np
 import pytest
 
 from sinet.numerics import (CHECKPOINT_MAGIC, CheckpointError, Param,
-                            ParamStore, ShapeError, activate, affine, as_mat,
-                            as_vec, derive_seed, grad_check, init_param,
+                            ParamStore, ShapeError, activate, derive_seed,
+                            grad_check, init_param,
                             load_checkpoint, relu, save_checkpoint, seed_for,
                             sigmoid, tanh)
-
-
-def test_as_vec_rejects_bad_rank():
-    with pytest.raises(ShapeError):
-        as_vec(np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        as_mat(np.zeros(3))
-
-
-def test_affine_matches_hand_product():
-    w = np.array([[1.0, 2.0], [3.0, -1.0]])
-    assert np.allclose(affine(w, [1.0, 1.0]), [3.0, 2.0])
-    with pytest.raises(ShapeError):
-        affine(w, [1.0, 2.0, 3.0])
 
 
 def test_activations_match_math_formulas():

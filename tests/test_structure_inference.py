@@ -3,9 +3,9 @@ import pytest
 
 from sinet.geometry import Box, spatial_relation
 from sinet.numerics import ParamStore, grad_check, relu
-from sinet.structure_inference import (SceneGraph, compute_edges,
-                                       create_sin_params, edge_weight,
-                                       integrate_messages, relation_report,
+from sinet.structure_inference import (SceneGraph, _compute_edges,
+                                       _integrate_all, compute_edges,
+                                       create_sin_params, relation_report,
                                        sin_backward, sin_infer,
                                        sin_infer_tapes, sin_params_from_store,
                                        sin_step)
@@ -48,9 +48,11 @@ def test_edge_weight_matches_oracle_randomized():
         p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        got = edge_weight(p, bi, bj, fi, fj)
-        want = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
-        assert got == pytest.approx(want, abs=1e-12)
+        e = _compute_edges(p, np.array([fi, fj]), [bi, bj]).e
+        want_ij = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
+        want_ji = edge_weight_oracle(p.w_p.value, p.w_v.value, bj, bi, fj, fi)
+        assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
+        assert e[1, 0] == pytest.approx(want_ji, abs=1e-12)
 
 
 def test_edge_weight_bounded_by_spatial_gate():
@@ -60,7 +62,7 @@ def test_edge_weight_bounded_by_spatial_gate():
         p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=3) * 5, rng.normal(size=3) * 5
-        e = edge_weight(p, bi, bj, fi, fj)
+        e = _compute_edges(p, np.array([fi, fj]), [bi, bj]).e[0, 1]
         gate = relu(p.w_p.value @ spatial_relation(bi, bj))[0]
         assert abs(e) <= gate + 1e-12
 
@@ -76,8 +78,9 @@ def test_compute_edges_matches_pairwise_loop():
     for i in range(5):
         for j in range(5):
             if i != j:
-                want = edge_weight(p, g.boxes[i], g.boxes[j],
-                                   g.node_features[i], g.node_features[j])
+                want = edge_weight_oracle(p.w_p.value, p.w_v.value,
+                                          g.boxes[i], g.boxes[j],
+                                          g.node_features[i], g.node_features[j])
                 assert e[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -89,28 +92,26 @@ def test_integrate_messages_matches_oracle():
         feats = rng.normal(size=(n, d))
         e = rng.normal(size=(n, n))
         np.fill_diagonal(e, 0.0)
-        g = SceneGraph(node_features=feats,
-                       boxes=[random_box(rng) for _ in range(n)],
-                       scene_feature=np.zeros(d))
+        msgs, _ = _integrate_all(feats, e)
+        assert msgs.shape == (n, d)
         for i in range(n):
-            got = integrate_messages(g, e, i)
-            assert np.allclose(got, integrate_messages_oracle(feats, e, i),
+            assert np.allclose(msgs[i], integrate_messages_oracle(feats, e, i),
                                atol=1e-12)
 
 
 def test_integrate_messages_single_node_is_zero():
-    g = SceneGraph(node_features=np.ones((1, 3)), boxes=[Box(1, 1, 1, 1)],
-                   scene_feature=np.zeros(3))
-    assert np.array_equal(integrate_messages(g, np.zeros((1, 1)), 0), np.zeros(3))
+    msgs, senders = _integrate_all(np.ones((1, 3)), np.zeros((1, 1)))
+    assert np.array_equal(msgs, np.zeros((1, 3)))
+    assert np.all(senders == -1)
 
 
 def test_integrate_messages_tie_goes_to_lowest_sender():
     # two senders produce the identical best product on every coordinate
     feats = np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
     e = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    g = SceneGraph(node_features=feats,
-                   boxes=[Box(1, 1, 1, 1)] * 3, scene_feature=np.zeros(2))
-    assert np.allclose(integrate_messages(g, e, 0), [1.0, 1.0])
+    msgs, senders = _integrate_all(feats, e)
+    assert np.allclose(msgs[0], [1.0, 1.0])
+    assert np.array_equal(senders[0], [1, 1])
 
 
 @pytest.mark.parametrize("pooling", ["mean", "max", "concat"])
