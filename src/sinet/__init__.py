@@ -8,7 +8,7 @@ hand-derived gradients; ships with metrics, gradient checking, and a
 four-arm ablation harness.
 """
 
-from .geometry import Box, apply_deltas, clip_box, encode_deltas, iou, nms, spatial_relation
+from .geometry import Box, apply_deltas, boxes_to_array, clip_box, encode_deltas, iou, nms
 from .memory_cell import GruParams, create_gru_params, gru_backward, gru_forward
 from .numerics import (CheckpointError, Param, ParamStore, ShapeError,
                        derive_seed, grad_check, init_param, load_checkpoint,
@@ -34,8 +34,8 @@ __all__ = [
     "DetectorParams", "EvalConfig", "EvalResult", "GruParams", "GtObject",
     "Param", "ParamStore", "RunConfig", "SceneGraph", "SceneSample",
     "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
-    "apply_deltas", "assign_targets", "average_precision", "clip_box",
-    "compute_edges", "create_detector_params", "create_gru_params",
+    "apply_deltas", "assign_targets", "average_precision", "boxes_to_array",
+    "clip_box", "compute_edges", "create_detector_params", "create_gru_params",
     "create_sin_params", "default_world", "derive_seed", "detect",
     "encode_deltas", "evaluate_detections", "extract_node_feature",
     "extract_scene_feature", "forward", "fp_breakdown", "generate",
@@ -43,6 +43,5 @@ __all__ = [
     "load_checkpoint", "load_dataset", "main", "map_at", "multi_task_loss",
     "nms", "pr_curve", "propose", "relation_report", "run_ablation",
     "run_gradcheck", "sample_at", "save_checkpoint", "save_dataset",
-    "seed_for", "sin_backward", "sin_infer", "sin_step", "spatial_relation",
-    "train", "world_hash",
+    "seed_for", "sin_backward", "sin_infer", "sin_step", "train", "world_hash",
 ]

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .geometry import Box, apply_deltas, boxes_to_array, clip_box, encode_deltas, nms
+from .geometry import (Box, apply_deltas, boxes_to_array, clip_box, encode_deltas, nms,
+                       pairwise_iou)
 from .memory_cell import create_gru_params
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
@@ -170,7 +171,8 @@ class AnchorSet:
     corners: np.ndarray      # (A, 4)
     cell_index: np.ndarray   # (A,) row-major cell of each anchor
     type_index: np.ndarray   # (A,) scale/ratio slot of each anchor
-    windows: list            # per type: covered-cell offsets (dr0, dr1, dc0, dc1)
+    pool_index: np.ndarray   # (4, A) integral-image rows of r1c1, r0c1, r1c0, r0c0
+    pool_count: np.ndarray   # (A, 1) cells in each clipped window
 
 
 def _span(side):
@@ -187,43 +189,32 @@ _ANCHOR_CACHE = {}
 
 def anchor_set(height, width, scales=ANCHOR_SCALES, ratios=ANCHOR_RATIOS):
     """All anchors for a grid, centered on cell centers, enumerated row-major
-    by cell then by (scale, ratio). Anchors may overhang the grid edges."""
+    by cell then by (scale, ratio). Anchors may overhang the grid edges.
+    Each anchor's covered-cell window, clipped to the grid, is cached as the
+    flat (height+1)*(width+1) integral-image rows of its four corners."""
     key = (height, width, tuple(scales), tuple(ratios))
     hit = _ANCHOR_CACHE.get(key)
     if hit is not None:
         return hit
-    boxes, cell_idx, type_idx, windows = [], [], [], []
-    for si, s in enumerate(scales):
-        for ri, ratio in enumerate(ratios):
-            aw, ah = s * math.sqrt(ratio), s / math.sqrt(ratio)
-            dc0, dc1 = _span(aw)
-            dr0, dr1 = _span(ah)
-            windows.append((dr0, dr1, dc0, dc1))
-    for r in range(height):
-        for c in range(width):
-            for si, s in enumerate(scales):
-                for ri, ratio in enumerate(ratios):
-                    boxes.append(Box(c + 0.5, r + 0.5,
-                                     s * math.sqrt(ratio), s / math.sqrt(ratio)))
-                    cell_idx.append(r * width + c)
-                    type_idx.append(si * len(ratios) + ri)
+    sizes = [(s * math.sqrt(ratio), s / math.sqrt(ratio)) for s in scales for ratio in ratios]
+    boxes = [Box(c + 0.5, r + 0.5, aw, ah)
+             for r in range(height) for c in range(width) for aw, ah in sizes]
+    dr0, dr1, dc0, dc1 = np.array([_span(ah) + _span(aw) for aw, ah in sizes]).T
+    rows = np.arange(height)[:, None, None]     # broadcast over (H, W, types)
+    cols = np.arange(width)[None, :, None]
+    r0 = np.clip(rows + dr0, 0, height - 1)
+    r1 = np.clip(rows + dr1, 0, height - 1) + 1
+    c0 = np.clip(cols + dc0, 0, width - 1)
+    c1 = np.clip(cols + dc1, 0, width - 1) + 1
+    stride = width + 1
     out = AnchorSet(boxes=boxes, corners=boxes_to_array(boxes),
-                    cell_index=np.array(cell_idx), type_index=np.array(type_idx),
-                    windows=windows)
+                    cell_index=np.repeat(np.arange(height * width), len(sizes)),
+                    type_index=np.tile(np.arange(len(sizes)), height * width),
+                    pool_index=np.stack([r1 * stride + c1, r0 * stride + c1,
+                                         r1 * stride + c0, r0 * stride + c0]).reshape(4, -1),
+                    pool_count=((r1 - r0) * (c1 - c0)).reshape(-1, 1))
     _ANCHOR_CACHE[key] = out
     return out
-
-
-def _pairwise_iou(corners_a, corners_b):
-    """(A, B) IoU matrix from two corner arrays."""
-    x1 = np.maximum(corners_a[:, None, 0], corners_b[None, :, 0])
-    y1 = np.maximum(corners_a[:, None, 1], corners_b[None, :, 1])
-    x2 = np.minimum(corners_a[:, None, 2], corners_b[None, :, 2])
-    y2 = np.minimum(corners_a[:, None, 3], corners_b[None, :, 3])
-    inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    area_a = (corners_a[:, 2] - corners_a[:, 0]) * (corners_a[:, 3] - corners_a[:, 1])
-    area_b = (corners_b[:, 2] - corners_b[:, 0]) * (corners_b[:, 3] - corners_b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
 def _anchor_features(sample, anchors):
@@ -233,53 +224,45 @@ def _anchor_features(sample, anchors):
     h, w, c = sample.grid.shape
     integral = np.zeros((h + 1, w + 1, c))
     integral[1:, 1:] = sample.grid.cumsum(axis=0).cumsum(axis=1)
-    rows = np.arange(h)[:, None]            # broadcast over (H, W)
-    cols = np.arange(w)[None, :]
-    feats = np.empty((len(anchors.boxes), c))
-    num_types = len(anchors.windows)
-    for k, (dr0, dr1, dc0, dc1) in enumerate(anchors.windows):
-        r0 = np.clip(rows + dr0, 0, h - 1)
-        r1 = np.clip(rows + dr1, 0, h - 1) + 1
-        c0 = np.clip(cols + dc0, 0, w - 1)
-        c1 = np.clip(cols + dc1, 0, w - 1) + 1
-        total = (integral[r1, c1] - integral[r0, c1]
-                 - integral[r1, c0] + integral[r0, c0])
-        count = ((r1 - r0) * (c1 - c0))[..., None]
-        feats[k::num_types] = (total / count).reshape(-1, c)
-    return feats
+    flat = integral.reshape(-1, c)
+    i11, i01, i10, i00 = anchors.pool_index
+    return (flat[i11] - flat[i01] - flat[i10] + flat[i00]) / anchors.pool_count
 
 
-def _anchor_scores(params, sample, anchors, feats=None):
-    if feats is None:
-        feats = _anchor_features(sample, anchors)
+def score_anchors(params, sample):
+    """The grid's anchor set, its (A, C) pooled features and its (A,)
+    objectness scores. Proposals and the objectness loss of one training
+    iteration share one call: both read the same grid and parameters."""
+    anchors = anchor_set(*sample.grid.shape[:2])
+    feats = _anchor_features(sample, anchors)
     per_type = feats @ params.objectness.value.T          # (A, num types)
-    return per_type[np.arange(len(feats)), anchors.type_index]
+    return anchors, feats, per_type[np.arange(len(feats)), anchors.type_index]
 
 
-def propose(params, sample, cfg, train=False, rng=None):
+def propose(params, sample, cfg, train=False, rng=None, scored=None):
     """Exactly cfg.rois_per_image proposal boxes.
 
-    Anchors are scored by the objectness map and pruned by NMS; in training
+    Anchors are scored by the objectness map (or `scored`, the result of
+    score_anchors for this sample and params) and pruned by NMS; in training
     mode the ground-truth boxes (jittered when an RNG is supplied) are
     prepended with scores above any anchor so they survive pruning. Too few
     survivors are padded by repeating the top kept boxes.
     """
-    h, w = sample.grid.shape[:2]
-    anchors = anchor_set(h, w)
-    scores = _anchor_scores(params, sample, anchors)
-    boxes = list(anchors.boxes)
-    all_scores = scores
+    anchors, _feats, scores = scored or score_anchors(params, sample)
+    injected = []
+    corners = anchors.corners
     if train and sample.gt:
-        injected = []
+        h, w = sample.grid.shape[:2]
         for obj in sample.gt:
             b = obj.box
             if rng is not None and GT_JITTER > 0:
                 b = clip_box(apply_deltas(b, rng.normal(0.0, GT_JITTER, size=4)), w, h)
             injected.append(b)
-        boxes = injected + boxes
-        all_scores = np.concatenate([np.full(len(injected), 1e9), scores])
-    keep = nms(boxes, all_scores, PROPOSAL_NMS_THRESH, max_keep=cfg.rois_per_image)
-    props = [boxes[i] for i in keep]
+        corners = np.concatenate([boxes_to_array(injected), corners])
+        scores = np.concatenate([np.full(len(injected), 1e9), scores])
+    keep = nms(corners, scores, PROPOSAL_NMS_THRESH, max_keep=cfg.rois_per_image)
+    n_inj = len(injected)
+    props = [injected[i] if i < n_inj else anchors.boxes[i - n_inj] for i in keep]
     short = cfg.rois_per_image - len(props)
     for j in range(short):
         props.append(props[j % len(keep)])
@@ -307,7 +290,7 @@ def assign_targets(props, gt, num_categories, iou_pos=IOU_POS, iou_neg=IOU_NEG):
         return [RoiTarget(background) for _ in props]
     pc = boxes_to_array(props)
     gc = boxes_to_array([o.box for o in gt])
-    ious = _pairwise_iou(pc, gc)                 # (P, G)
+    ious = pairwise_iou(pc, gc)                 # (P, G)
     best_gt = ious.argmax(axis=1)
     best_iou = ious[np.arange(len(props)), best_gt]
     assigned = np.full(len(props), -1, dtype=np.intp)
@@ -512,14 +495,6 @@ OBJ_LOSS_WEIGHT = 4.0
 # that noise is to slam the edge gate shut for good. Let the appearance
 # features settle first, then switch the graph on.
 GRAPH_WARMUP_FRAC = 0.25
-# the spatial gate stays frozen at its locality prior for this fraction of
-# training. Edges only pay off once the edge GRU has learned to read
-# messages, and that takes longer than SGD needs to discover that closing
-# the one gate direction silences early message noise; letting the gate
-# train late in the run just restarts that race (it either slams shut or
-# grows until the messages saturate the GRU), so the default keeps it fixed
-# for the whole run and w_v carries the learned part of the edge weight.
-GATE_FREEZE_FRAC = 1.0
 
 
 def _anchor_targets(anchors, gt):
@@ -530,7 +505,7 @@ def _anchor_targets(anchors, gt):
     a = len(anchors.boxes)
     if not gt:
         return np.zeros(a), np.ones(a, dtype=bool)
-    ious = _pairwise_iou(anchors.corners, boxes_to_array([o.box for o in gt]))
+    ious = pairwise_iou(anchors.corners, boxes_to_array([o.box for o in gt]))
     best = ious.max(axis=1)
     y = np.zeros(a)
     mask = np.ones(a, dtype=bool)
@@ -542,15 +517,13 @@ def _anchor_targets(anchors, gt):
     return y, mask
 
 
-def objectness_loss(params, sample, accumulate=True):
+def objectness_loss(params, sample, accumulate=True, scored=None):
     """Binary cross-entropy on anchor labels; the only supervision the
     proposal scores receive. Positive and negative anchors contribute half the
     loss each, otherwise the handful of positives would drown in ~1500
-    negatives."""
-    h, w = sample.grid.shape[:2]
-    anchors = anchor_set(h, w)
-    feats = _anchor_features(sample, anchors)
-    s = _anchor_scores(params, sample, anchors, feats)
+    negatives. `scored` is score_anchors' result for this sample and params,
+    computed here when not given."""
+    anchors, feats, s = scored or score_anchors(params, sample)
     y, mask = _anchor_targets(anchors, sample.gt)
     weights = np.zeros_like(s)
     for side in (0.0, 1.0):
@@ -562,7 +535,11 @@ def objectness_loss(params, sample, accumulate=True):
     loss = OBJ_LOSS_WEIGHT * float((weights * bce).sum())
     if accumulate:
         ds = OBJ_LOSS_WEIGHT * weights * (expit(s) - y)
-        np.add.at(params.objectness.grad, anchors.type_index, ds[:, None] * feats)
+        # types cycle fastest, so axis 0 of the (cells, types, C) view runs
+        # over one type's anchors; accumulate adds them one at a time, in order
+        grad = params.objectness.grad
+        per_cell = (ds[:, None] * feats).reshape(-1, *grad.shape)
+        grad[:] = np.add.accumulate(np.concatenate([grad[None], per_cell]))[-1]
     return loss
 
 
@@ -599,7 +576,15 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     params = create_detector_params(store, world.channels, world.num_categories,
                                     cfg.feat_dim, init_seed, cfg.pooling)
     active = [store[name] for name in active_param_names(params, arm)]
-    velocity = {p.name: np.zeros_like(p.value) for p in store.params()}
+    # the spatial gate w_p stays frozen at its locality prior for the whole
+    # run (its gradient is computed but never applied). Edges only pay off
+    # once the edge GRU has learned to read messages, and that takes longer
+    # than SGD needs to discover that closing the one gate direction silences
+    # early message noise; letting the gate train late in the run just
+    # restarts that race (it either slams shut or grows until the messages
+    # saturate the GRU), so w_v carries the learned part of the edge weight.
+    trained = [p for p in store.params() if p is not params.sin.w_p]
+    velocity = {p.name: np.zeros_like(p.value) for p in trained}
 
     cache = {}
     losses = []
@@ -615,22 +600,20 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
             sample = cache[idx] = sample_at(world, data_seed, idx)
 
         store.zero_grads()
-        props = propose(params, sample, cfg, train=True, rng=jitter_rng)
+        scored = score_anchors(params, sample)
+        props = propose(params, sample, cfg, train=True, rng=jitter_rng, scored=scored)
         targets = assign_targets(props, sample.gt, world.num_categories)
         state = forward(params, sample, cfg, boxes=props, mode=mode,
                         steps=steps if it >= warmup else 0)
         loss, grads = multi_task_loss(state, targets)
         detector_backward(params, state, grads)
-        loss += objectness_loss(params, sample)
+        loss += objectness_loss(params, sample, scored=scored)
         loss += apply_weight_decay(active, cfg.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDiverged(it)
 
         lr = cfg.lr * (0.1 if it >= drop_at else 1.0)
-        frozen = "sin/w_p" if it < GATE_FREEZE_FRAC * cfg.iters else None
-        for p in store.params():
-            if p.name == frozen:
-                continue
+        for p in trained:
             v = velocity[p.name]
             v *= cfg.momentum
             v -= lr * p.grad
@@ -671,7 +654,8 @@ def detect(params, sample, cfg, score_thresh=0.05, arm="sin", return_state=False
             continue
         refined = [clip_box(apply_deltas(state.boxes[r], state.deltas[r, cat]), w, h)
                    for r in sel]
-        keep = nms(refined, scores[sel], FINAL_NMS_THRESH, max_keep=sel.size)
+        keep = nms(boxes_to_array(refined), scores[sel], FINAL_NMS_THRESH,
+                   max_keep=sel.size)
         for k in keep:
             dets.append(Detection(box=refined[k], category=cat,
                                   score=float(scores[sel[k]]), roi_index=int(sel[k])))

@@ -1,5 +1,5 @@
-"""Axis-aligned box arithmetic in grid units: IoU, greedy NMS, delta-based
-refinement, and the 12-dimensional pairwise spatial relation vector."""
+"""Axis-aligned box arithmetic in grid units: IoU, greedy NMS over corner
+arrays, and delta-based refinement."""
 
 from dataclasses import dataclass
 
@@ -46,67 +46,59 @@ def boxes_to_array(boxes):
     return np.array([b.corners() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _iou_one_vs_many(corners, idx, others):
-    x1 = np.maximum(corners[idx, 0], corners[others, 0])
-    y1 = np.maximum(corners[idx, 1], corners[others, 1])
-    x2 = np.minimum(corners[idx, 2], corners[others, 2])
-    y2 = np.minimum(corners[idx, 3], corners[others, 3])
+def pairwise_iou(corners_a, corners_b):
+    """(A, B) IoU matrix from two corner arrays."""
+    x1 = np.maximum(corners_a[:, None, 0], corners_b[None, :, 0])
+    y1 = np.maximum(corners_a[:, None, 1], corners_b[None, :, 1])
+    x2 = np.minimum(corners_a[:, None, 2], corners_b[None, :, 2])
+    y2 = np.minimum(corners_a[:, None, 3], corners_b[None, :, 3])
     inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
-    return inter / (areas[idx] + areas[others] - inter)
+    area_a = (corners_a[:, 2] - corners_a[:, 0]) * (corners_a[:, 3] - corners_a[:, 1])
+    area_b = (corners_b[:, 2] - corners_b[:, 0]) * (corners_b[:, 3] - corners_b[:, 1])
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
 def nms(boxes, scores, iou_thresh, max_keep):
-    """Greedy non-maximum suppression.
+    """Greedy non-maximum suppression over a (k, 4) corner array, as made by
+    boxes_to_array.
 
     Repeatedly keeps the highest-scoring remaining box (score ties go to the
     lower index) and discards boxes whose IoU with it exceeds iou_thresh.
     Returns kept indices in descending-score order, at most max_keep of them.
     """
+    shape = np.shape(boxes)
+    if len(shape) != 2 or shape[1] != 4:
+        raise ValueError(f"nms: boxes must be a (k, 4) corner array, got shape {shape}")
     if len(boxes) != len(scores):
         raise ValueError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError(f"nms: iou_thresh must be in (0,1), got {iou_thresh}")
     if max_keep < 1:
         raise ValueError("nms: max_keep must be >= 1")
-    if not boxes:
-        return []
 
-    corners = boxes_to_array(boxes)
-    scores = np.asarray(scores, dtype=np.float64)
-    # stable sort on -score keeps the lower index first among ties
-    order = np.argsort(-scores, kind="stable")
-    keep = []
-    while order.size > 0 and len(keep) < max_keep:
-        i = int(order[0])
-        keep.append(i)
-        rest = order[1:]
-        if rest.size == 0:
-            break
-        overlaps = _iou_one_vs_many(corners, i, rest)
-        order = rest[overlaps <= iou_thresh]
-    return keep
-
-
-def spatial_relation(b_i, b_j):
-    """12-vector describing how box i sits relative to box j.
-
-    [w_i, h_i, s_i, w_j, h_j, s_j,
-     (x_i-x_j)/w_j, (y_i-y_j)/h_j, (x_i-x_j)^2/w_j^2, (y_i-y_j)^2/h_j^2,
-     log(w_i/w_j), log(h_i/h_j)]
-
-    The first argument is the receiver, the second the sender.
-    """
-    if not (b_j.w > 0 and b_j.h > 0):
-        raise ValueError("spatial_relation: reference box must have positive sides")
-    dx = (b_i.cx - b_j.cx) / b_j.w
-    dy = (b_i.cy - b_j.cy) / b_j.h
-    return np.array([
-        b_i.w, b_i.h, b_i.area,
-        b_j.w, b_j.h, b_j.area,
-        dx, dy, dx * dx, dy * dy,
-        np.log(b_i.w / b_j.w), np.log(b_i.h / b_j.h),
-    ], dtype=np.float64)
+    # stable sort on -score keeps the lower index first among ties. A box
+    # survives unless a kept box ahead of it in this order overlaps it, so
+    # only the prefix up to the max_keep-th survivor matters; it is scanned
+    # in blocks, each checked against the boxes kept so far and itself.
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    corners = np.asarray(boxes, dtype=np.float64)[order]
+    kept = []                    # positions in order
+    # twice max_keep usually holds every survivor; the cap bounds the matrix
+    start, block = 0, min(2 * max_keep, 256)
+    while start < len(order) and len(kept) < max_keep:
+        stop = min(start + block, len(order))
+        rows = np.concatenate([np.array(kept, dtype=np.intp), np.arange(start, stop)])
+        # not (iou <= thresh): a NaN overlap suppresses, as a failed keep test
+        over = ~(pairwise_iou(corners[rows], corners[start:stop]) <= iou_thresh)
+        dead = over[:len(kept)].any(axis=0)
+        for j, row in enumerate(over[len(kept):]):
+            if not dead[j]:
+                kept.append(start + j)
+                if len(kept) == max_keep:
+                    break
+                dead |= row
+        start = stop
+    return [int(order[i]) for i in kept]
 
 
 def apply_deltas(b, d):

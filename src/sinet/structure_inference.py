@@ -105,7 +105,9 @@ def sin_params_from_store(store, prefix="sin"):
 
 
 def _relation_tensor(boxes):
-    """All-pairs relation vectors, R[i, j] = geometry.spatial_relation(boxes[i], boxes[j])."""
+    """All-pairs relation vectors of receiver i to sender j, R[i, j] = [w_i, h_i, s_i,
+    w_j, h_j, s_j, (x_i-x_j)/w_j, (y_i-y_j)/h_j, (x_i-x_j)^2/w_j^2,
+    (y_i-y_j)^2/h_j^2, log(w_i/w_j), log(h_i/h_j)]."""
     n = len(boxes)
     cx = np.array([b.cx for b in boxes])
     cy = np.array([b.cy for b in boxes])

@@ -392,14 +392,32 @@ def load_dataset(path, expected_world_hash=None, allow_mismatch=False):
         if not allow_mismatch:
             raise ValueError(msg + " (pass the mismatch override to proceed)")
         warnings.warn(msg)
-    h, w, c = header["h"], header["w"], header["c"]
     samples = []
     for i, ln in enumerate(lines[1:], start=1):
-        rec = json.loads(ln)
-        grid = np.array(rec["grid"], dtype=np.float64)
-        if grid.size != h * w * c:
-            raise ValueError(f"{path}: line {i}: grid has {grid.size} values, expected {h * w * c}")
-        gt = [GtObject(Box(o["cx"], o["cy"], o["w"], o["h"]), int(o["cat"])) for o in rec["gt"]]
-        samples.append(SceneSample(grid=grid.reshape(h, w, c), scene_type=int(rec["scene_type"]),
-                                   gt=gt))
+        try:
+            samples.append(_parse_record(json.loads(ln), header))
+        except KeyError as e:
+            raise ValueError(f"{path}: line {i}: missing field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: line {i}: {e}") from None
     return samples, header
+
+
+def _parse_record(rec, header):
+    """One scene line as a SceneSample; raises KeyError for a missing field
+    and ValueError for a bad value."""
+    h, w, c, k = header["h"], header["w"], header["c"], header["num_categories"]
+    grid = np.array(rec["grid"], dtype=np.float64)
+    if grid.size != h * w * c:
+        raise ValueError(f"grid has {grid.size} values, expected {h * w * c}")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid has a NaN or inf cell")
+    gt = []
+    for o in rec["gt"]:
+        coords, cat = [float(o[f]) for f in ("cx", "cy", "w", "h")], int(o["cat"])
+        if not np.isfinite(coords).all():
+            raise ValueError(f"gt box {coords} is not finite")
+        if not 0 <= cat < k:
+            raise ValueError(f"gt category {cat} is outside [0, {k})")
+        gt.append(GtObject(Box(*coords), cat))
+    return SceneSample(grid=grid.reshape(h, w, c), scene_type=int(rec["scene_type"]), gt=gt)

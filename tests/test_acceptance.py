@@ -21,7 +21,7 @@ import pytest
 import conftest
 from sinet.detector import TrainConfig, create_detector_params
 from sinet.evaluation import average_precision, pr_curve, run_ablation
-from sinet.geometry import Box, iou, nms
+from sinet.geometry import Box, boxes_to_array, iou, nms
 from sinet.harness import main, run_gradcheck
 from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
@@ -125,7 +125,7 @@ def _check_nms(rng, trials):
         scores = np.round(rng.random(n), 1)     # coarse grid forces ties
         thresh = float(rng.uniform(0.2, 0.8))
         max_keep = int(rng.integers(1, n + 3))
-        got = nms(boxes, scores, thresh, max_keep)
+        got = nms(boxes_to_array(boxes), scores, thresh, max_keep)
         assert list(got) == nms_oracle(boxes, scores, thresh, max_keep)
 
 
@@ -292,7 +292,7 @@ def _invariant_nms_postconditions(rng):
         boxes = [random_box(rng, span=6.0) for _ in range(n)]
         scores = rng.random(n)
         thresh = float(rng.uniform(0.3, 0.7))
-        keep = nms(boxes, scores, thresh, max_keep=n)
+        keep = nms(boxes_to_array(boxes), scores, thresh, max_keep=n)
         kept_scores = [scores[i] for i in keep]
         assert kept_scores == sorted(kept_scores, reverse=True)
         for a in range(len(keep)):

@@ -3,19 +3,20 @@ import pytest
 
 from sinet import detector as det_mod
 from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH,
-                            IGNORE, IOU_NEG, IOU_POS, DetectorParams, RoiTarget,
+                            GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
+                            PROPOSAL_NMS_THRESH, DetectorParams, RoiTarget,
                             TrainConfig, TrainingDiverged, _anchor_features,
                             _anchor_targets, active_param_names, anchor_set,
                             arm_plan, assign_targets, create_detector_params,
                             detect, forward, multi_task_loss, objectness_loss,
-                            propose, smooth_l1, smooth_l1_grad, train,
-                            validate_config)
-from sinet.geometry import Box, encode_deltas, iou
+                            propose, score_anchors, smooth_l1, smooth_l1_grad,
+                            train, validate_config)
+from sinet.geometry import Box, apply_deltas, clip_box, encode_deltas, iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, covered_cells, default_world
 
-from oracles import iou_oracle
+from oracles import iou_oracle, nms_oracle
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -93,6 +94,32 @@ def test_propose_injects_ground_truth():
     props_eval = propose(params, sample, cfg, train=False)
     g = (gt[0].box.cx, gt[0].box.cy, gt[0].box.w, gt[0].box.h)
     assert all((p.cx, p.cy, p.w, p.h) != g for p in props_eval)
+
+
+def test_propose_matches_oracle_over_injected_and_anchors():
+    # propose runs NMS on corner arrays; the oracle scans Box objects, with
+    # the (jittered) gt boxes injected ahead of anchors.boxes in train mode
+    rng = np.random.default_rng(21)
+    store, params = make_params()
+    params.objectness.value[:] = rng.normal(0.0, 1.0, size=params.objectness.value.shape)
+    gt = [GtObject(Box(2.5, 2.5, 3.0, 2.0), 0), GtObject(Box(7.0, 7.0, 2.0, 2.8), 1)]
+    sample = make_sample(rng, gt=gt)
+    anchors, _feats, scores = score_anchors(params, sample)
+    for k in (16, 40):
+        cfg = validate_config(TrainConfig(rois_per_image=k, feat_dim=6))
+        for train_mode in (False, True):
+            props = propose(params, sample, cfg, train=train_mode,
+                            rng=np.random.default_rng(4))
+            injected = []
+            if train_mode:
+                replay = np.random.default_rng(4)
+                injected = [clip_box(apply_deltas(o.box, replay.normal(0.0, GT_JITTER, size=4)),
+                                     10, 10) for o in gt]
+            boxes = injected + anchors.boxes
+            keep = nms_oracle(boxes, [1e9] * len(injected) + list(scores),
+                              PROPOSAL_NMS_THRESH, k)
+            assert len(keep) == k
+            assert props == [boxes[i] for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +383,33 @@ def test_objectness_loss_gradient_matches_finite_differences():
         num = (up - dn) / (2 * eps)
         worst = max(worst, abs(num - grad[idx]) / max(1.0, abs(num)))
     assert worst < 1e-6
+
+
+def test_objectness_loss_with_shared_scores_matches_own():
+    rng = np.random.default_rng(52)
+    store, params = make_params(channels=4, k=2, d=4)
+    gt = [GtObject(Box(3.0, 3.0, 2.4, 2.4), 0), GtObject(Box(7.0, 6.0, 2.0, 2.8), 1)]
+    sample = make_sample(rng, h=9, w=9, c=4, gt=gt)
+    start = rng.normal(size=params.objectness.value.shape)
+
+    params.objectness.grad[:] = start
+    own = objectness_loss(params, sample)
+    own_grad = params.objectness.grad.copy()
+    scored = score_anchors(params, sample)
+    params.objectness.grad[:] = start
+    shared = objectness_loss(params, sample, scored=scored)
+    assert shared == own
+    assert np.array_equal(params.objectness.grad, own_grad)
+
+    # the scores are each anchor's pooled features through its type's row
+    anchors, feats, scores = scored
+    for a in range(len(anchors.boxes)):
+        want = feats[a] @ params.objectness.value[anchors.type_index[a]]
+        assert scores[a] == pytest.approx(want, abs=1e-12)
+    # the gradient accumulates onto what was there
+    store.zero_grads()
+    objectness_loss(params, sample, scored=scored)
+    assert np.allclose(own_grad, start + params.objectness.grad, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

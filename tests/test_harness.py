@@ -269,6 +269,60 @@ def test_cli_eval_nan_grid_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def baseline_run(tmp_path_factory):
+    """An 8-iteration baseline-arm run directory and a clean 3-scene dataset
+    file, as lists of JSON records."""
+    root = tmp_path_factory.mktemp("baseline")
+    run_dir = str(root / "run")
+    assert main(["train", "--world", "default", "--arm", "baseline", "--iters", "8",
+                 "--n-train", "4", "--out", run_dir]) == 0
+    world = default_world()
+    data = str(root / "clean.jsonl")
+    save_dataset(data, [sample_at(world, 9, i) for i in range(3)], world)
+    with open(data, encoding="utf-8") as f:
+        records = [json.loads(ln) for ln in f]
+    return run_dir, records
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ((), "grid", None, "missing field 'grid'"),
+    ((), "gt", None, "missing field 'gt'"),
+    ((), "scene_type", None, "missing field 'scene_type'"),
+    (("gt", 0), "w", None, "missing field 'w'"),
+    (("gt", 0), "cat", None, "missing field 'cat'"),
+    (("grid",), 5, float("nan"), "NaN or inf"),
+    (("grid",), 5, float("-inf"), "NaN or inf"),
+    (("gt", 0), "cat", -1, "outside [0, 6)"),
+    (("gt", 0), "cat", 6, "outside [0, 6)"),
+], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
+        "inf-cell", "cat-negative", "cat-too-large"])
+def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
+                                            where, key, value, message):
+    # the baseline arm runs no GRU, so only the loader can catch these; the
+    # defect goes into scene line 2, after the header and one clean scene
+    run_dir, records = baseline_run
+    records = json.loads(json.dumps(records))
+    target = records[2]
+    for step in where:
+        target = target[step]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    data = str(tmp_path / "bad.jsonl")
+    with open(data, "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(rec) + "\n" for rec in records)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                 "--data", data, "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert "line 2: " in err and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_cli_ablate_writes_summary(tmp_path, capsys):
     out_dir = str(tmp_path / "ab")
     assert main(["ablate", "--world", "default", "--iters", "8",

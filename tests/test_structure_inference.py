@@ -1,17 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from sinet.geometry import Box, spatial_relation
+from sinet.geometry import Box
 from sinet.numerics import ParamStore, grad_check, relu
 from sinet.structure_inference import (SceneGraph, _compute_edges,
-                                       _integrate_all, compute_edges,
+                                       _integrate_all, _relation_tensor,
+                                       compute_edges,
                                        create_sin_params, relation_report,
                                        sin_backward, sin_infer,
                                        sin_infer_tapes, sin_params_from_store,
                                        sin_step)
 
 from oracles import (edge_weight_oracle, integrate_messages_oracle,
-                     random_box, sin_step_oracle)
+                     random_box, sin_step_oracle, spatial_relation_oracle)
 
 
 def make_params(d, seed=0, pooling="mean"):
@@ -36,6 +39,44 @@ def test_param_layout():
     assert q.w_a is None
     with pytest.raises(ValueError):
         make_params(4, pooling="median")
+
+
+def test_relation_tensor_identical_boxes():
+    b = Box(4.4, 1.2, 2.0, 3.0)
+    got = _relation_tensor([b, b])
+    assert got.shape == (2, 2, 12)
+    for i in range(2):
+        for j in range(2):
+            assert np.allclose(got[i, j], [2, 3, 6, 2, 3, 6, 0, 0, 0, 0, 0, 0])
+
+
+def test_relation_tensor_unit_shift():
+    # receiver shifted right by exactly w_j: elements 6 and 8 become 1
+    bj = Box(3.0, 3.0, 2.0, 2.0)
+    bi = Box(5.0, 3.0, 2.0, 2.0)
+    got = _relation_tensor([bi, bj])[0, 1]
+    assert got[6] == pytest.approx(1.0)
+    assert got[8] == pytest.approx(1.0)
+    assert np.allclose(got[[7, 9, 10, 11]], 0.0)
+
+
+def test_relation_tensor_log_ratio():
+    bj = Box(3.0, 3.0, 2.0, 2.0)
+    bi = Box(3.0, 3.0, 4.0, 2.0)
+    rel = _relation_tensor([bi, bj])
+    assert rel[0, 1, 10] == pytest.approx(math.log(2.0))
+    assert rel[1, 0, 10] == pytest.approx(-math.log(2.0))
+
+
+def test_relation_tensor_matches_oracle_randomized():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        boxes = [random_box(rng) for _ in range(int(rng.integers(1, 7)))]
+        rel = _relation_tensor(boxes)
+        for i, bi in enumerate(boxes):
+            for j, bj in enumerate(boxes):
+                assert np.allclose(rel[i, j], spatial_relation_oracle(bi, bj),
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_edge_weight_matches_oracle_randomized():
@@ -63,7 +104,7 @@ def test_edge_weight_bounded_by_spatial_gate():
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=3) * 5, rng.normal(size=3) * 5
         e = _compute_edges(p, np.array([fi, fj]), [bi, bj]).e[0, 1]
-        gate = relu(p.w_p.value @ spatial_relation(bi, bj))[0]
+        gate = relu(p.w_p.value @ _relation_tensor([bi, bj])[0, 1])[0]
         assert abs(e) <= gate + 1e-12
 
 
