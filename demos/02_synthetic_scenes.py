@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from sinet.synth_data import covered_cells, default_world, generate
+from sinet.synth_data import cell_window, default_world, generate
 
 world = default_world()
 print("scene types :", ", ".join(world.scene_names))
@@ -38,10 +38,10 @@ def render(sample):
     h, w, _ = sample.grid.shape
     canvas = [["." for _ in range(w)] for _ in range(h)]
     for obj in sample.gt:
-        rows, cols = covered_cells(obj.box, h, w)
+        r0, r1, c0, c1 = cell_window(obj.box, h, w)   # half-open bounds
         proto = int(np.argmax(world.categories[obj.category].prototype))
-        for r in rows:
-            for c in cols:
+        for r in range(r0, r1):
+            for c in range(c0, c1):
                 canvas[r][c] = GLYPH[proto]
     return ["".join(row) for row in canvas]
 

@@ -21,8 +21,7 @@ from .synth_data import (Category, CooccurRule, GtObject, SceneSample,
                          sample_at, save_dataset, world_hash)
 from .detector import (ARMS, Detection, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
-                       detect, extract_node_feature, extract_scene_feature,
-                       forward, multi_task_loss, propose, train)
+                       detect, forward, multi_task_loss, propose, train)
 from .evaluation import (EvalResult, average_precision, evaluate_detections,
                          fp_breakdown, map_at, pr_curve, run_ablation)
 from .harness import EvalConfig, RunConfig, main, run_gradcheck
@@ -37,8 +36,7 @@ __all__ = [
     "apply_deltas", "assign_targets", "average_precision", "boxes_to_array",
     "clip_box", "compute_edges", "create_detector_params", "create_gru_params",
     "create_sin_params", "default_world", "derive_seed", "detect",
-    "encode_deltas", "evaluate_detections", "extract_node_feature",
-    "extract_scene_feature", "forward", "fp_breakdown", "generate",
+    "encode_deltas", "evaluate_detections", "forward", "fp_breakdown", "generate",
     "grad_check", "gru_backward", "gru_forward", "init_param", "iou",
     "load_checkpoint", "load_dataset", "main", "map_at", "multi_task_loss",
     "nms", "pr_curve", "propose", "relation_report", "run_ablation",

@@ -24,7 +24,7 @@ from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
                                   create_sin_params, sin_backward,
                                   sin_infer_tapes, sin_params_from_store)
-from .synth_data import covered_cells, sample_at
+from .synth_data import cell_window, sample_at
 
 IOU_POS = 0.5
 IOU_NEG = 0.3
@@ -219,8 +219,8 @@ def anchor_set(height, width, scales=ANCHOR_SCALES, ratios=ANCHOR_RATIOS):
 
 def _anchor_features(sample, anchors):
     """(A, C) average of the cells each anchor covers, clipped to the grid,
-    computed with an integral image. Matches extract_node_feature's pooling
-    for anchors that stay inside the grid."""
+    computed with an integral image. Matches forward's ROI pooling for
+    anchors that stay inside the grid."""
     h, w, c = sample.grid.shape
     integral = np.zeros((h + 1, w + 1, c))
     integral[1:, 1:] = sample.grid.cumsum(axis=0).cumsum(axis=1)
@@ -317,28 +317,15 @@ def assign_targets(props, gt, num_categories, iou_pos=IOU_POS, iou_neg=IOU_NEG):
 # features and the forward pass
 
 def _box_cells(sample, box):
-    """Cells pooled for a box: the covered cells, or the single nearest cell
-    center when the box covers none (ties go row-major first)."""
+    """Cell window pooled for a box: the covered cells, or the single nearest
+    cell center when the box covers none (ties go row-major first)."""
     h, w = sample.grid.shape[:2]
-    rows, cols = covered_cells(box, h, w)
-    if rows.size == 0 or cols.size == 0:
-        rows = np.array([np.argmin(np.abs(np.arange(h) + 0.5 - box.cy))])
-        cols = np.array([np.argmin(np.abs(np.arange(w) + 0.5 - box.cx))])
-    return rows, cols
-
-
-def extract_node_feature(params, sample, box):
-    """tanh-projected average of the cells the box covers. Pure: identical
-    boxes give identical features in any call order."""
-    rows, cols = _box_cells(sample, box)
-    avg = sample.grid[np.ix_(rows, cols)].mean(axis=(0, 1))
-    return np.tanh(params.feat_proj.value @ avg)
-
-
-def extract_scene_feature(params, sample):
-    """Whole-grid average through the same projection."""
-    avg = sample.grid.mean(axis=(0, 1))
-    return np.tanh(params.feat_proj.value @ avg)
+    r0, r1, c0, c1 = win = cell_window(box, h, w)
+    if r1 == r0 or c1 == c0:
+        r0 = int(np.argmin(np.abs(np.arange(h) + 0.5 - box.cy)))
+        c0 = int(np.argmin(np.abs(np.arange(w) + 0.5 - box.cx)))
+        return r0, r0 + 1, c0, c0 + 1
+    return win
 
 
 @dataclass
@@ -373,8 +360,8 @@ def forward(params, sample, cfg, boxes=None, mode="both", steps=None,
     n = len(boxes)
     node_avg = np.empty((n, params.channels))
     for i, b in enumerate(boxes):
-        rows, cols = _box_cells(sample, b)
-        node_avg[i] = sample.grid[np.ix_(rows, cols)].mean(axis=(0, 1))
+        r0, r1, c0, c1 = _box_cells(sample, b)
+        node_avg[i] = sample.grid[r0:r1, c0:c1].mean(axis=(0, 1))
     features0 = np.tanh(node_avg @ params.feat_proj.value.T)
     scene_avg = sample.grid.mean(axis=(0, 1))
     scene0 = np.tanh(params.feat_proj.value @ scene_avg)

@@ -358,7 +358,8 @@ def _cmd_eval(args):
     if args.data:
         try:
             samples, _header = load_dataset(args.data, expected_world_hash=manifest["world_hash"],
-                                            allow_mismatch=args.allow_world_mismatch)
+                                            allow_mismatch=args.allow_world_mismatch,
+                                            num_scene_types=world.num_scene_types)
         except ValueError as e:
             raise RunFailure(str(e))
     else:

@@ -229,6 +229,8 @@ def load_checkpoint(path):
         n_elem = int(np.prod(dims))
         chunk, off = take(8 * n_elem, off, f"data of {name!r}")
         value = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"entry {name!r}: NaN or inf value")
         store.create(name, value)
     if off != len(data):
         raise CheckpointError(f"trailing {len(data) - off} bytes after last entry at offset {off}")

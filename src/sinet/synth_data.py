@@ -10,6 +10,7 @@ they keep (co-occurrence partners).
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -110,21 +111,25 @@ def validate_world(world):
     return world
 
 
-def covered_cells(box, height, width):
-    """Row/column index arrays of the cells whose centers fall inside the box
-    (half-open on the high edges)."""
+def _centers_below(v, n):
+    """How many of the n cell centers i + 0.5 are < v (v not NaN). Between
+    the first and the last center, v - 0.5 is exact, so the ceiling is too."""
+    return 0 if v <= 0.5 else n if v > n - 0.5 else math.ceil(v - 0.5)
+
+
+def cell_window(box, height, width):
+    """(r0, r1, c0, c1): half-open row and column bounds of the cells whose
+    centers fall inside the box (center >= low edge, < high edge). The window
+    covers no cell when r1 == r0 or c1 == c0."""
     x1, y1, x2, y2 = box.corners()
-    cols = np.arange(width)[(np.arange(width) + 0.5 >= x1) & (np.arange(width) + 0.5 < x2)]
-    rows = np.arange(height)[(np.arange(height) + 0.5 >= y1) & (np.arange(height) + 0.5 < y2)]
-    return rows, cols
-
-
-def _cell_key_set(rows, cols, width):
-    return {int(r) * width + int(c) for r in rows for c in cols}
+    if not (x1 <= x2 and y1 <= y2):    # a NaN corner covers no cell
+        return 0, 0, 0, 0
+    return (_centers_below(y1, height), _centers_below(y2, height),
+            _centers_below(x1, width), _centers_below(x2, width))
 
 
 def _try_place(world, rng, cat_id, occupied, center=None):
-    """One placement attempt; returns (box, cells) or None."""
+    """One placement attempt; returns (box, cell window) or None."""
     cat = world.categories[cat_id]
     j = cat.size_jitter
     w = cat.size[0] * rng.uniform(1.0 - j, 1.0 + j)
@@ -140,17 +145,15 @@ def _try_place(world, rng, cat_id, occupied, center=None):
                 and h / 2.0 <= cy <= world.height - h / 2.0):
             return None
     box = Box(cx, cy, w, h)
-    rows, cols = covered_cells(box, world.height, world.width)
-    if rows.size == 0 or cols.size == 0:
+    r0, r1, c0, c1 = win = cell_window(box, world.height, world.width)
+    if r1 == r0 or c1 == c0 or occupied[r0:r1, c0:c1].any():
         return None
-    cells = _cell_key_set(rows, cols, world.width)
-    if cells & occupied:
-        return None
-    return box, cells
+    return box, win
 
 
 def _place_object(world, rng, cat_id, occupied, anchor=None, rule=None, tries=100):
-    """Rejection-sample a placement; None after `tries` failures (skip, never fail)."""
+    """Rejection-sample a placement and mark its cells in the (H, W) bool
+    `occupied`; (box, cell window), or None after `tries` failures (skip)."""
     for _ in range(tries):
         center = None
         if anchor is not None:
@@ -160,8 +163,9 @@ def _place_object(world, rng, cat_id, occupied, anchor=None, rule=None, tries=10
                       anchor.cy + sy * rule.offset[1] + rng.normal(0.0, rule.jitter))
         placed = _try_place(world, rng, cat_id, occupied, center)
         if placed is not None:
-            occupied |= placed[1]
-            return placed[0]
+            r0, r1, c0, c1 = placed[1]
+            occupied[r0:r1, c0:c1] = True
+            return placed
     if anchor is not None:
         # a partner that cannot fit near its trigger still has to exist
         # somewhere, or measured co-occurrence drifts below the rule's
@@ -181,18 +185,16 @@ def sample_scene(world, rng):
 
     lo, hi = world.objects_per_scene
     count = int(rng.integers(lo, hi + 1))
-    occupied = set()
-    gt = []
-    primaries = []
+    occupied = np.zeros((world.height, world.width), dtype=bool)
+    placed = []                                      # (box, category, cell window)
     for _ in range(count):
         cat_id = int(rng.choice(world.num_categories, p=weights))
-        box = _place_object(world, rng, cat_id, occupied)
-        if box is not None:
-            gt.append(GtObject(box=box, category=cat_id))
-            primaries.append((box, cat_id))
+        got = _place_object(world, rng, cat_id, occupied)
+        if got is not None:
+            placed.append((got[0], cat_id, got[1]))
     # partners trigger their own rules (a chained partner gets its partner),
     # capped at depth 2 so a rule set can never loop forever
-    pending = [(box, cat_id, 0) for box, cat_id in primaries]
+    pending = [(box, cat_id, 0) for box, cat_id, _ in placed]
     while pending:
         box, cat_id, depth = pending.pop(0)
         if depth >= 2:
@@ -202,18 +204,18 @@ def sample_scene(world, rng):
                 continue
             if rng.uniform() >= rule.prob:
                 continue
-            partner = _place_object(world, rng, rule.partner, occupied, anchor=box, rule=rule)
-            if partner is not None:
-                gt.append(GtObject(box=partner, category=rule.partner))
-                pending.append((partner, rule.partner, depth + 1))
+            got = _place_object(world, rng, rule.partner, occupied, anchor=box, rule=rule)
+            if got is not None:
+                placed.append((got[0], rule.partner, got[1]))
+                pending.append((got[0], rule.partner, depth + 1))
 
     grid = np.asarray(world.scene_bias)[scene_type] + \
         rng.normal(0.0, world.noise_sigma, size=(world.height, world.width, world.channels))
-    for obj in gt:
-        rows, cols = covered_cells(obj.box, world.height, world.width)
-        proto = np.asarray(world.categories[obj.category].prototype, dtype=np.float64)
-        noise = rng.normal(0.0, world.noise_sigma, size=(rows.size, cols.size, world.channels))
-        grid[np.ix_(rows, cols)] = proto + noise
+    for _, cat_id, (r0, r1, c0, c1) in placed:
+        proto = np.asarray(world.categories[cat_id].prototype, dtype=np.float64)
+        noise = rng.normal(0.0, world.noise_sigma, size=(r1 - r0, c1 - c0, world.channels))
+        grid[r0:r1, c0:c1] = proto + noise
+    gt = [GtObject(box=box, category=cat_id) for box, cat_id, _ in placed]
     return SceneSample(grid=grid, scene_type=scene_type, gt=gt)
 
 
@@ -372,11 +374,12 @@ def save_dataset(path, samples, world):
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_dataset(path, expected_world_hash=None, allow_mismatch=False):
+def load_dataset(path, expected_world_hash=None, allow_mismatch=False, num_scene_types=None):
     """Read a dataset back; returns (samples, header).
 
     A world-hash mismatch against `expected_world_hash` is fatal unless
-    allow_mismatch is set, in which case it only warns.
+    allow_mismatch is set, in which case it only warns. Given the world's
+    `num_scene_types`, a scene type outside [0, num_scene_types) is fatal.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
@@ -395,7 +398,7 @@ def load_dataset(path, expected_world_hash=None, allow_mismatch=False):
     samples = []
     for i, ln in enumerate(lines[1:], start=1):
         try:
-            samples.append(_parse_record(json.loads(ln), header))
+            samples.append(_parse_record(json.loads(ln), header, num_scene_types or math.inf))
         except KeyError as e:
             raise ValueError(f"{path}: line {i}: missing field {e}") from None
         except (TypeError, ValueError) as e:
@@ -403,7 +406,17 @@ def load_dataset(path, expected_world_hash=None, allow_mismatch=False):
     return samples, header
 
 
-def _parse_record(rec, header):
+def _index(v, what, n):
+    """A JSON integer in [0, n); a number with a fraction, a string or a bool
+    is a bad value."""
+    if type(v) is not int:
+        raise ValueError(f"{what} {v!r} is not an integer")
+    if not 0 <= v < n:
+        raise ValueError(f"{what} {v} is outside [0, {n})")
+    return v
+
+
+def _parse_record(rec, header, num_scene_types):
     """One scene line as a SceneSample; raises KeyError for a missing field
     and ValueError for a bad value."""
     h, w, c, k = header["h"], header["w"], header["c"], header["num_categories"]
@@ -414,10 +427,9 @@ def _parse_record(rec, header):
         raise ValueError("grid has a NaN or inf cell")
     gt = []
     for o in rec["gt"]:
-        coords, cat = [float(o[f]) for f in ("cx", "cy", "w", "h")], int(o["cat"])
+        coords = [float(o[f]) for f in ("cx", "cy", "w", "h")]
         if not np.isfinite(coords).all():
             raise ValueError(f"gt box {coords} is not finite")
-        if not 0 <= cat < k:
-            raise ValueError(f"gt category {cat} is outside [0, {k})")
-        gt.append(GtObject(Box(*coords), cat))
-    return SceneSample(grid=grid.reshape(h, w, c), scene_type=int(rec["scene_type"]), gt=gt)
+        gt.append(GtObject(Box(*coords), _index(o["cat"], "gt category", k)))
+    return SceneSample(grid=grid.reshape(h, w, c), gt=gt,
+                       scene_type=_index(rec["scene_type"], "scene type", num_scene_types))

@@ -132,6 +132,16 @@ def iou_oracle(a, b):
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
+def covered_cells_oracle(box, height, width):
+    """Row/column index arrays of the cells whose centers fall inside the box
+    (half-open on the high edges): one mask test per row and column, where
+    the library computes the bounds of the window directly."""
+    x1, y1, x2, y2 = box.corners()
+    cols = np.arange(width)[(np.arange(width) + 0.5 >= x1) & (np.arange(width) + 0.5 < x2)]
+    rows = np.arange(height)[(np.arange(height) + 0.5 >= y1) & (np.arange(height) + 0.5 < y2)]
+    return rows, cols
+
+
 def nms_oracle(boxes, scores, iou_thresh, max_keep):
     """Greedy suppression with explicit scanning; must reproduce the library's
     exact kept-index list (ties to the lower index, overlap kept while

@@ -14,9 +14,9 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH
 from sinet.geometry import Box, apply_deltas, clip_box, encode_deltas, iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
-from sinet.synth_data import GtObject, SceneSample, covered_cells, default_world
+from sinet.synth_data import GtObject, SceneSample, default_world
 
-from oracles import iou_oracle, nms_oracle
+from oracles import covered_cells_oracle, iou_oracle, nms_oracle
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -57,7 +57,7 @@ def test_anchor_features_match_covered_cell_pooling():
     feats = _anchor_features(sample, anchors)
     assert feats.shape == (len(anchors.boxes), c)
     for i, box in enumerate(anchors.boxes):
-        rows, cols = covered_cells(box, h, w)
+        rows, cols = covered_cells_oracle(box, h, w)
         want = grid[np.ix_(rows, cols)].mean(axis=(0, 1))
         assert np.allclose(feats[i], want, atol=1e-12), f"anchor {i}"
 
@@ -297,6 +297,35 @@ def test_forward_probs_are_softmax_rows():
     z = state.logits - state.logits.max(axis=1, keepdims=True)
     assert np.allclose(state.probs, np.exp(z) / np.exp(z).sum(axis=1, keepdims=True),
                        atol=1e-12)
+
+
+def test_forward_node_avg_is_gather_mean_over_covered_cells():
+    # ROI pooling slices each box's cell window; that must give exactly the
+    # mean of an index gather over the oracle's covered cells, or over the
+    # nearest cell center when the box covers none
+    rng = np.random.default_rng(42)
+    store, params = make_params()
+    sample = make_sample(rng)
+    h, w = sample.grid.shape[:2]
+    boxes = [Box(rng.uniform(1.5, 8.5), rng.uniform(1.5, 8.5), rng.uniform(0.5, 3.0),
+                 rng.uniform(0.5, 3.0)) for _ in range(12)]             # inside
+    boxes += [Box(rng.uniform(-2.0, 12.0), rng.uniform(-2.0, 12.0), rng.uniform(3.0, 8.0),
+                  rng.uniform(3.0, 8.0)) for _ in range(12)]            # overhanging
+    boxes += [Box(0.5, 9.5, 2.0, 2.0), Box(5.0, 5.0, 30.0, 30.0), Box(-1.0, 5.0, 3.0, 2.5)]
+    covers_none = [Box(0.2, 0.2, 0.1, 0.1), Box(4.9, 3.0, 0.05, 2.0), Box(3.0, 6.0, 2.0, 0.8),
+                   Box(12.0, -3.0, 1.0, 1.0), Box(5.0, 5.0, 0.9, 0.9)]   # last: a tie
+    boxes += covers_none
+    cfg = validate_config(TrainConfig(feat_dim=6))
+    state = forward(params, sample, cfg, boxes=boxes, steps=0)
+    for i, b in enumerate(boxes):
+        rows, cols = covered_cells_oracle(b, h, w)
+        if rows.size == 0 or cols.size == 0:
+            rows = [int(np.argmin(np.abs(np.arange(h) + 0.5 - b.cy)))]
+            cols = [int(np.argmin(np.abs(np.arange(w) + 0.5 - b.cx)))]
+        else:
+            assert b not in covers_none
+        want = sample.grid[np.ix_(rows, cols)].mean(axis=(0, 1))
+        assert np.array_equal(state.node_avg[i], want), f"box {i}: {b}"
 
 
 def test_forward_zero_steps_reads_heads_off_raw_features():

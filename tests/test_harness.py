@@ -11,7 +11,7 @@ from sinet.harness import (EvalConfig, RunConfig, RunFailure, build_parser,
                            read_manifest, resolve_world, run_config_from_dict,
                            run_config_to_dict, run_gradcheck, write_csv,
                            write_manifest)
-from sinet.numerics import ParamStore
+from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.synth_data import default_world, sample_at, save_dataset, world_to_dict
 
 
@@ -295,8 +295,18 @@ def baseline_run(tmp_path_factory):
     (("grid",), 5, float("-inf"), "NaN or inf"),
     (("gt", 0), "cat", -1, "outside [0, 6)"),
     (("gt", 0), "cat", 6, "outside [0, 6)"),
+    (("gt", 0), "cat", 1.7, "gt category 1.7 is not an integer"),
+    (("gt", 0), "cat", "1", "gt category '1' is not an integer"),
+    (("gt", 0), "cat", True, "gt category True is not an integer"),
+    ((), "scene_type", 1.7, "scene type 1.7 is not an integer"),
+    ((), "scene_type", "1", "scene type '1' is not an integer"),
+    ((), "scene_type", True, "scene type True is not an integer"),
+    ((), "scene_type", -1, "scene type -1 is outside [0, 2)"),
+    ((), "scene_type", 99, "scene type 99 is outside [0, 2)"),
 ], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
-        "inf-cell", "cat-negative", "cat-too-large"])
+        "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
+        "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
+        "scene-type-negative", "scene-type-too-large"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
@@ -319,6 +329,24 @@ def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("sinet: error: ")
     assert "line 2: " in err and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_eval_nan_checkpoint_exits_2(baseline_run, tmp_path, capsys):
+    # a NaN weight would otherwise evaluate to mAP 0.0 and exit 0
+    run_dir, _ = baseline_run
+    store = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
+    store["det/cls_head"].value[1, 2] = np.nan
+    ckpt = str(tmp_path / "checkpoint.bin")
+    save_checkpoint(ckpt, store)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--manifest",
+                 os.path.join(run_dir, "manifest.json"), "--n-test", "2",
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert "'det/cls_head'" in err and "NaN or inf" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 

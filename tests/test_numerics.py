@@ -120,3 +120,16 @@ def test_checkpoint_corruption_is_fatal(tmp_path):
         load_checkpoint(trailing)
 
     assert raw[:8] == CHECKPOINT_MAGIC
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_non_finite_value_is_fatal(tmp_path, bad):
+    st = ParamStore()
+    st.create("det/feat_proj", np.ones((2, 3)))
+    value = np.zeros((2, 2))
+    value[1, 0] = bad
+    st.create("det/cls_head", value)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, st)
+    with pytest.raises(CheckpointError, match=r"entry 'det/cls_head': NaN or inf"):
+        load_checkpoint(path)

@@ -1,15 +1,20 @@
+import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from sinet.synth_data import (BOAT, CAR, LAPTOP, MOUSE, Category, CooccurRule,
-                              WorldSpec, covered_cells, dataset_header,
+                              WorldSpec, cell_window, dataset_header,
                               default_world, generate, load_dataset,
                               sample_at, save_dataset, validate_world,
                               world_from_dict, world_hash, world_to_dict)
 from sinet.geometry import Box
+
+from oracles import covered_cells_oracle
 
 
 def tiny_world(noise=0.0, cooccur=(), n_objects=(1, 2)):
@@ -33,11 +38,52 @@ def tiny_world(noise=0.0, cooccur=(), n_objects=(1, 2)):
 
 
 def test_covered_cells_half_open_box():
-    rows, cols = covered_cells(Box(2.0, 2.0, 2.0, 2.0), 8, 8)
+    r0, r1, c0, c1 = cell_window(Box(2.0, 2.0, 2.0, 2.0), 8, 8)
     # box spans [1,3) x [1,3): cell centers 1.5 and 2.5
-    assert rows.tolist() == [1, 2] and cols.tolist() == [1, 2]
-    rows, cols = covered_cells(Box(0.2, 0.2, 0.1, 0.1), 8, 8)
-    assert rows.size == 0
+    assert list(range(r0, r1)) == [1, 2] and list(range(c0, c1)) == [1, 2]
+    r0, r1, c0, c1 = cell_window(Box(0.2, 0.2, 0.1, 0.1), 8, 8)
+    assert r1 == r0
+
+
+SCENE_DIGEST = "4afd55f6b49a0b4fb93bdf106b533ba2dfe5da92c534ff59361025de22ac9b17"
+
+# exact half-cell values, so box edges land on cell centers and cell borders
+_half = hst.integers(-6, 50).map(lambda k: k / 2.0)
+_side = hst.one_of(_half.filter(lambda v: v > 0),
+                   hst.floats(min_value=0.0, exclude_min=True, allow_infinity=True))
+_center = hst.one_of(hst.floats(allow_nan=True, allow_infinity=True), _half,
+                     hst.builds(lambda edge, side: edge + side / 2.0, _half, _half))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cx=_center, cy=_center, w=_side, h=_side,
+       height=hst.integers(1, 20), width=hst.integers(1, 20))
+def test_cell_window_matches_mask_oracle(cx, cy, w, h, height, width):
+    box = Box(cx, cy, w, h)
+    r0, r1, c0, c1 = cell_window(box, height, width)
+    assert 0 <= r0 <= r1 <= height and 0 <= c0 <= c1 <= width
+    rows, cols = covered_cells_oracle(box, height, width)
+    got = {(r, c) for r in range(r0, r1) for c in range(c0, c1)}
+    assert got == {(int(r), int(c)) for r in rows for c in cols}
+    if got:
+        assert list(range(r0, r1)) == rows.tolist() and list(range(c0, c1)) == cols.tolist()
+
+
+def test_scene_stream_is_pinned():
+    # a digest of the default world's first 200 scenes, recorded before the
+    # occupancy and painting code moved to cell windows. Scenes feed every
+    # loss, checkpoint and mAP, so generation code may only change this
+    # digest together with the world itself (which also changes world_hash).
+    world = default_world()
+    digest = hashlib.sha256()
+    for i in range(200):
+        s = sample_at(world, 0, i)
+        digest.update(s.grid.astype("<f8").tobytes())
+        digest.update(np.array([s.scene_type], dtype="<i8").tobytes())
+        for o in s.gt:
+            digest.update(np.array([o.box.cx, o.box.cy, o.box.w, o.box.h], dtype="<f8").tobytes())
+            digest.update(np.array([o.category], dtype="<i8").tobytes())
+    assert digest.hexdigest() == SCENE_DIGEST
 
 
 def test_sampling_is_deterministic_per_index():
@@ -66,10 +112,10 @@ def test_noise_free_rasterization_exact():
         s = sample_at(world, 3, i)
         covered = np.zeros((12, 12), dtype=bool)
         for o in s.gt:
-            rows, cols = covered_cells(o.box, 12, 12)
+            r0, r1, c0, c1 = cell_window(o.box, 12, 12)
             proto = world.categories[o.category].prototype
-            for r in rows:
-                for c in cols:
+            for r in range(r0, r1):
+                for c in range(c0, c1):
                     assert np.array_equal(s.grid[r, c], proto)
                     covered[r, c] = True
         bias = world.scene_bias[s.scene_type]
@@ -85,8 +131,8 @@ def test_objects_never_share_cells():
         s = sample_at(world, 9, i)
         seen = set()
         for o in s.gt:
-            rows, cols = covered_cells(o.box, 12, 12)
-            cells = {(r, c) for r in rows for c in cols}
+            r0, r1, c0, c1 = cell_window(o.box, 12, 12)
+            cells = {(r, c) for r in range(r0, r1) for c in range(c0, c1)}
             assert not (cells & seen)
             seen |= cells
 
@@ -148,8 +194,8 @@ def test_scene_signal_lives_only_in_background():
     assert bias.max() == pytest.approx(0.4)
     covered = np.zeros((16, 16), dtype=bool)
     for o in s.gt:
-        rows, cols = covered_cells(o.box, 16, 16)
-        covered[np.ix_(rows, cols)] = True
+        r0, r1, c0, c1 = cell_window(o.box, 16, 16)
+        covered[r0:r1, c0:c1] = True
     bg = s.grid[~covered]
     # background mean tracks the bias vector within noise
     assert np.allclose(bg.mean(axis=0), bias, atol=0.1)
