@@ -29,9 +29,10 @@ x = np.array([0.8, 0.8, -0.3, 1.5])
 
 
 def cell(params, msg, state):
-    """One node through the cell: returns (new state, its one-row tape)."""
-    out, tape = gru_forward(params, msg[None, :], state[None, :])
-    return out[0], tape
+    """One node through the cell, as a one-scene stack of one row: returns
+    (new state, its tape)."""
+    out, tape = gru_forward(params, msg[None, None, :], state[None, None, :])
+    return out[0, 0], tape
 
 
 print("old state h      :", h)
@@ -42,9 +43,9 @@ print("incoming message x:", x)
 
 h_next, tape = cell(p, x, h)
 print("\nrandom-init cell")
-print("  reset gate r :", tape.r[0])
-print("  update gate z:", tape.z[0])
-print("  candidate    :", tape.h_tilde[0])
+print("  reset gate r :", tape.r[0, 0])
+print("  update gate z:", tape.z[0, 0])
+print("  candidate    :", tape.h_tilde[0, 0])
 print("  new state    :", h_next)
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ p.w_z.value[:] = 0.0
 p.w_z.value += 50.0 / (2 * d)      # crude all-ones direction, enough to saturate
 h_keep, tape_keep = cell(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
 print("\nupdate gate forced open (z ~ 1): state is copied through")
-print("  z        :", tape_keep.z[0])
+print("  z        :", tape_keep.z[0, 0])
 print("  new state:", h_keep, " (old was", np.abs(h) + 1.0, ")")
 
 # ---------------------------------------------------------------------------
@@ -65,9 +66,9 @@ print("  new state:", h_keep, " (old was", np.abs(h) + 1.0, ")")
 p.w_z.value[:] = -50.0 / (2 * d)
 h_over, tape_over = cell(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
 print("\nupdate gate forced shut (z ~ 0): state is replaced by the candidate")
-print("  z        :", tape_over.z[0])
+print("  z        :", tape_over.z[0, 0])
 print("  new state:", h_over)
-print("  candidate:", tape_over.h_tilde[0])
+print("  candidate:", tape_over.h_tilde[0, 0])
 
 # ---------------------------------------------------------------------------
 # 4. the convex bound holds for any weights, message, or state

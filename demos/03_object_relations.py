@@ -43,10 +43,11 @@ for i in range(20):
     shown += 1
     print(f"scene {i} ({world.scene_names[sample.scene_type]}), "
           f"{len(sample.gt)} objects, {len(dets)} detections:")
-    report = relation_report(state.edges, dets)
+    boxes, edges = state.boxes[0], state.edges[0]     # the one-scene stack
+    report = relation_report(edges, dets)
     for det, (node, partner, weight) in zip(dets, report):
-        b = state.boxes[node]
-        pb = state.boxes[partner]
+        b = boxes[node]
+        pb = boxes[partner]
         dist = float(np.hypot(b.cx - pb.cx, b.cy - pb.cy))
         print(f"    node {node:<2} {names[det.category]:<7} score {det.score:.2f}"
               f"  <- strongest sender node {partner:<2}"
@@ -59,15 +60,16 @@ for i in range(20):
 sample = sample_at(world, 9090, 3)
 _, state = detect(tr.params, sample, cfg, score_thresh=0.3, arm="sin",
                   return_state=True)
-n = len(state.boxes)
+boxes, edges = state.boxes[0], state.edges[0]
+n = len(boxes)
 buckets = {}
 for i in range(n):
     for j in range(n):
         if i == j:
             continue
-        bi, bj = state.boxes[i], state.boxes[j]
+        bi, bj = boxes[i], boxes[j]
         dist = float(np.hypot(bi.cx - bj.cx, bi.cy - bj.cy))
-        buckets.setdefault(min(int(dist), 9), []).append(abs(state.edges[i, j]))
+        buckets.setdefault(min(int(dist), 9), []).append(abs(edges[i, j]))
 
 print("mean |edge| by center distance (one scene, all proposal pairs):")
 for k in sorted(buckets):

@@ -8,20 +8,22 @@ hand-derived gradients; ships with metrics, gradient checking, and a
 four-arm ablation harness.
 """
 
-from .geometry import Box, apply_deltas, boxes_to_array, clip_box, encode_deltas, iou, nms
+from .geometry import (Box, apply_deltas, boxes_to_array, boxes_to_centers,
+                       centers_to_corners, clip_box, encode_deltas, iou, nms)
 from .memory_cell import GruParams, create_gru_params, gru_backward, gru_forward
 from .numerics import (CheckpointError, Param, ParamStore, ShapeError,
                        derive_seed, grad_check, init_param, load_checkpoint,
                        save_checkpoint, seed_for)
 from .structure_inference import (SceneGraph, SinParams, compute_edges,
                                   create_sin_params, relation_report,
-                                  sin_backward, sin_infer, sin_step)
+                                  sin_backward, sin_infer_tapes, sin_step_tape)
 from .synth_data import (Category, CooccurRule, GtObject, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
                          sample_at, save_dataset, world_hash)
 from .detector import (ARMS, Detection, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
-                       detect, forward, multi_task_loss, propose, train)
+                       detect, detect_scenes, forward, forward_scenes,
+                       multi_task_loss, propose, train)
 from .evaluation import (EvalResult, average_precision, evaluate_detections,
                          fp_breakdown, map_at, pr_curve, run_ablation)
 from .harness import EvalConfig, RunConfig, main, run_gradcheck
@@ -34,12 +36,14 @@ __all__ = [
     "Param", "ParamStore", "RunConfig", "SceneGraph", "SceneSample",
     "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
     "apply_deltas", "assign_targets", "average_precision", "boxes_to_array",
-    "clip_box", "compute_edges", "create_detector_params", "create_gru_params",
-    "create_sin_params", "default_world", "derive_seed", "detect",
-    "encode_deltas", "evaluate_detections", "forward", "fp_breakdown", "generate",
-    "grad_check", "gru_backward", "gru_forward", "init_param", "iou",
-    "load_checkpoint", "load_dataset", "main", "map_at", "multi_task_loss",
-    "nms", "pr_curve", "propose", "relation_report", "run_ablation",
-    "run_gradcheck", "sample_at", "save_checkpoint", "save_dataset",
-    "seed_for", "sin_backward", "sin_infer", "sin_step", "train", "world_hash",
+    "boxes_to_centers", "centers_to_corners", "clip_box", "compute_edges",
+    "create_detector_params", "create_gru_params", "create_sin_params",
+    "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
+    "evaluate_detections", "forward", "forward_scenes", "fp_breakdown",
+    "generate", "grad_check", "gru_backward", "gru_forward", "init_param",
+    "iou", "load_checkpoint", "load_dataset", "main", "map_at",
+    "multi_task_loss", "nms", "pr_curve", "propose", "relation_report",
+    "run_ablation", "run_gradcheck", "sample_at", "save_checkpoint",
+    "save_dataset", "seed_for", "sin_backward", "sin_infer_tapes",
+    "sin_step_tape", "train", "world_hash",
 ]

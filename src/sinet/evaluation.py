@@ -216,9 +216,9 @@ SWEEP_GRID = (("mean", 1), ("mean", 2), ("mean", 3), ("max", 2), ("concat", 2))
 
 
 def _eval_arm(tr, test_samples, world, cfg, arm, score_thresh):
-    from .detector import detect
+    from .detector import detect_scenes
 
-    dets = [detect(tr.params, s, cfg, score_thresh, arm) for s in test_samples]
+    dets = detect_scenes(tr.params, test_samples, cfg, score_thresh, arm)
     gts = [s.gt for s in test_samples]
     ev = evaluate_detections(dets, gts, world.num_categories, world.ambiguous_pairs)
     return dets, ev

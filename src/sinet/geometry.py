@@ -1,5 +1,10 @@
 """Axis-aligned box arithmetic in grid units: IoU, greedy NMS over corner
-arrays, and delta-based refinement."""
+arrays, and delta-based refinement and clipping over center-size arrays.
+
+Box objects are the API edge. The array kernels take (k, 4) rows: corners
+(x1, y1, x2, y2) from boxes_to_array, or centers (cx, cy, w, h) from
+boxes_to_centers; each array kernel does the float operations of the
+matching Box arithmetic, so its results are bitwise the same."""
 
 from dataclasses import dataclass
 
@@ -44,6 +49,18 @@ def iou(a, b):
 def boxes_to_array(boxes):
     """Stack boxes as an (n, 4) corner array for vectorized overlap tests."""
     return np.array([b.corners() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def boxes_to_centers(boxes):
+    """Stack boxes as an (n, 4) array of (cx, cy, w, h) rows."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def centers_to_corners(centers):
+    """(k, 4) center-size rows to corner rows, as Box.corners computes them."""
+    centers = np.asarray(centers, dtype=np.float64)
+    half = centers[:, 2:] / 2.0
+    return np.concatenate([centers[:, :2] - half, centers[:, :2] + half], axis=1)
 
 
 def pairwise_iou(corners_a, corners_b):
@@ -101,12 +118,26 @@ def nms(boxes, scores, iou_thresh, max_keep):
     return [int(order[i]) for i in kept]
 
 
-def apply_deltas(b, d):
-    """Refine a box by (dx, dy, dw, dh): shift center by fractions of the
-    size, rescale sides by exp of the log-deltas."""
-    d = np.asarray(d, dtype=np.float64)
-    return Box(b.cx + d[0] * b.w, b.cy + d[1] * b.h,
-               b.w * np.exp(d[2]), b.h * np.exp(d[3]))
+def _check_rows(name, a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 4:
+        raise ValueError(f"{name}: expected a (k, 4) array, got shape {a.shape}")
+    return a
+
+
+def apply_deltas(boxes, deltas):
+    """Refine (k, 4) center-size rows by (k, 4) rows of (dx, dy, dw, dh):
+    shift each center by fractions of the size, rescale the sides by exp of
+    the log-deltas. An exp overflow gives an infinite side, which clip_box
+    brings back inside the grid."""
+    b = _check_rows("apply_deltas", boxes)
+    d = _check_rows("apply_deltas", deltas)
+    if len(b) != len(d):
+        raise ValueError(f"apply_deltas: {len(b)} boxes but {len(d)} delta rows")
+    out = np.empty_like(b)
+    out[:, :2] = b[:, :2] + d[:, :2] * b[:, 2:]
+    out[:, 2:] = b[:, 2:] * np.exp(d[:, 2:])
+    return out
 
 
 def encode_deltas(b, g):
@@ -120,12 +151,16 @@ def encode_deltas(b, g):
     ], dtype=np.float64)
 
 
-def clip_box(b, width, height, min_side=1e-6):
-    """Clamp a box's extents into [0, width] x [0, height], keeping sides
-    positive even when the box started fully outside."""
-    x1, y1, x2, y2 = b.corners()
-    x1, x2 = max(0.0, min(x1, width)), max(0.0, min(x2, width))
-    y1, y2 = max(0.0, min(y1, height)), max(0.0, min(y2, height))
-    w = max(x2 - x1, min_side)
-    h = max(y2 - y1, min_side)
-    return Box((x1 + x2) / 2.0, (y1 + y2) / 2.0, w, h)
+def clip_box(boxes, width, height, min_side=1e-6):
+    """Clamp the extents of (k, 4) center-size rows into [0, width] x
+    [0, height], keeping sides at least min_side even for a box that started
+    wholly outside the grid; returns center-size rows."""
+    corners = centers_to_corners(_check_rows("clip_box", boxes))
+    # max(0.0, min(v, hi)) per corner, picking the operands the builtins
+    # pick: -0.0 and NaN clamp to 0.0
+    hi = np.array([width, height, width, height], dtype=np.float64)
+    corners = np.where(hi < corners, hi, corners)
+    corners = np.where(corners > 0.0, corners, 0.0)
+    sides = corners[:, 2:] - corners[:, :2]
+    return np.concatenate([(corners[:, :2] + corners[:, 2:]) / 2.0,
+                           np.where(min_side > sides, min_side, sides)], axis=1)

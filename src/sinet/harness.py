@@ -3,7 +3,8 @@
 All randomness descends from one root seed through labelled streams (train
 data, test data, init, shuffle, gt jitter), so any command rerun with the same
 flags produces byte-identical outputs. The SIN_NUM_WORKERS environment
-variable caps evaluation parallelism; it defaults to 1.
+variable caps evaluation parallelism; it defaults to 1. Each worker process
+detects its share of the scenes in stacks, as a single process does.
 
 Exit codes: 0 success, 1 validation error (bad flags or config values),
 2 runtime failure (training divergence, unreadable or corrupt files, a
@@ -21,7 +22,8 @@ import numpy as np
 
 from .detector import (ARMS, TrainConfig, TrainingDiverged, arm_plan,
                        assign_targets, create_detector_params, detect,
-                       detector_backward, detector_params_from_store, forward,
+                       detect_scenes, detector_backward,
+                       detector_params_from_store, forward,
                        multi_task_loss, apply_weight_decay, train,
                        validate_config)
 from .evaluation import (FP_KINDS, evaluate_detections, mean_ap, run_ablation,
@@ -188,15 +190,15 @@ def _detect_chunk(payload):
         store.create(name, values[name])
     params = detector_params_from_store(store)
     cfg = TrainConfig(**cfg_dict)
-    return [detect(params, s, cfg, score_thresh, arm) for s in samples]
+    return detect_scenes(params, samples, cfg, score_thresh, arm)
 
 
 def detect_dataset(store, cfg, arm, samples, score_thresh, workers=1):
     """Detections per sample, identical for any worker count."""
     workers = min(workers, max(1, len(samples)))
     if workers <= 1:
-        params = detector_params_from_store(store)
-        return [detect(params, s, cfg, score_thresh, arm) for s in samples]
+        return detect_scenes(detector_params_from_store(store), samples, cfg,
+                             score_thresh, arm)
     values = store.clone_values()
     cfg_dict = asdict(cfg)
     bounds = np.linspace(0, len(samples), workers + 1).astype(int)
@@ -242,7 +244,7 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5, wd=1e-3)
     def loss_fn():
         store.zero_grads()
         state = forward(params, sample, cfg, boxes=boxes, mode="both", steps=steps)
-        loss, grads = multi_task_loss(state, targets)
+        loss, grads = multi_task_loss(state.probs[0], state.deltas[0], targets)
         detector_backward(params, state, grads)
         return loss + apply_weight_decay(decayed, wd)
 
@@ -359,7 +361,7 @@ def _cmd_eval(args):
         try:
             samples, _header = load_dataset(args.data, expected_world_hash=manifest["world_hash"],
                                             allow_mismatch=args.allow_world_mismatch,
-                                            num_scene_types=world.num_scene_types)
+                                            world=world)
         except ValueError as e:
             raise RunFailure(str(e))
     else:
@@ -448,7 +450,7 @@ def _cmd_relations(args):
     for i in range(args.n):
         sample = sample_at(world, args.seed, i)
         dets, state = detect(params, sample, cfg, score_thresh, arm, return_state=True)
-        for det, (node, partner, weight) in zip(dets, relation_report(state.edges, dets)):
+        for det, (node, partner, weight) in zip(dets, relation_report(state.edges[0], dets)):
             rows.append((i, node, det.category, det.score, partner, weight))
     write_csv(args.out, ("sample", "node", "category", "score", "partner",
                          "edge_weight"), rows)

@@ -1,8 +1,9 @@
 """Gated recurrent memory cell, forward and hand-derived backward.
 
 The cell fuses an incoming message x into a node state h_t, for every node of
-a graph at once: x and h_t are (n, d) row matrices, one row per node, and
-each line below is applied row by row with the weights shared across rows:
+a stack of graphs at once: x and h_t are (B, n, d) stacks, one (n, d) row
+matrix per scene and one row per node, and each line below is applied row by
+row with the weights shared across rows:
 
     r      = sigmoid(W_r [x, h_t])
     z      = sigmoid(W_z [x, h_t])
@@ -11,9 +12,10 @@ each line below is applied row by row with the weights shared across rows:
 
 [x, h_t] is concatenation with x first; there are no bias terms. x and h_t
 share the dimension d, so W_r and W_z are (d, 2d) while W and U are (d, d).
-Each gate is one matrix product over all n rows. The same cell drives both the
-scene bank (every row of x is the scene feature) and the edge bank (row i of
-x is node i's pooled message).
+Each gate is one stacked matrix product: numpy runs one (n, .) product per
+scene, so a scene's rows come out bitwise the same whatever else is stacked
+with it. The same cell drives both the scene bank (every row of x is the
+scene feature) and the edge bank (row i of x is node i's pooled message).
 """
 
 from dataclasses import dataclass
@@ -59,9 +61,9 @@ def gru_params_from_store(store, prefix):
 
 @dataclass
 class GruTape:
-    """Forward intermediates of one bank call, all (n, .) row matrices."""
+    """Forward intermediates of one bank call, all (B, n, .) stacks."""
 
-    xh: np.ndarray        # (n, 2d) rows of [x, h_t]
+    xh: np.ndarray        # (B, n, 2d) rows of [x, h_t]
     r: np.ndarray
     z: np.ndarray
     h_tilde: np.ndarray
@@ -69,8 +71,8 @@ class GruTape:
 
 def _check_dims(p, x, h_t):
     d = p.dim
-    if x.ndim != 2 or x.shape[1:] != (d,) or x.shape != h_t.shape or x.shape[0] < 1:
-        raise ShapeError(f"gru: expected x and h_t as (n, {d}) row matrices, "
+    if x.ndim != 3 or x.shape[2] != d or x.shape != h_t.shape or 0 in x.shape:
+        raise ShapeError(f"gru: expected x and h_t as (B, n, {d}) stacks, "
                          f"got {x.shape} and {h_t.shape}")
     if p.w_r.value.shape != (d, 2 * d) or p.w_z.value.shape != (d, 2 * d) \
             or p.u.value.shape != (d, d):
@@ -82,7 +84,7 @@ def gru_forward(p, x, h_t):
     x = np.asarray(x, dtype=np.float64)
     h_t = np.asarray(h_t, dtype=np.float64)
     _check_dims(p, x, h_t)
-    xh = np.concatenate([x, h_t], axis=1)
+    xh = np.concatenate([x, h_t], axis=2)
     a_r = xh @ p.w_r.value.T
     a_z = xh @ p.w_z.value.T
     a_x = x @ p.w.value.T
@@ -100,14 +102,18 @@ def gru_forward(p, x, h_t):
 def gru_backward(p, tape, dh_next):
     """Exact gradients of h_next contracted with dh_next, row by row.
 
-    Parameter gradients are summed over rows and accumulated additively into
-    the Param buffers; returns (dx, dh_t) as (n, d) row matrices.
+    The backward pass runs on all rows of all scenes as one (B * n, .)
+    matrix: parameter gradients are summed over every row and accumulated
+    additively into the Param buffers. Returns (dx, dh_t) as (B, n, d)
+    stacks.
     """
     dh_next = np.asarray(dh_next, dtype=np.float64)
     d = p.dim
-    xh, r, z, h_tilde = tape.xh, tape.r, tape.z, tape.h_tilde
-    if dh_next.shape != r.shape:
-        raise ShapeError(f"gru_backward: dh_next has shape {dh_next.shape}, expected {r.shape}")
+    shape = tape.r.shape
+    if dh_next.shape != shape:
+        raise ShapeError(f"gru_backward: dh_next has shape {dh_next.shape}, expected {shape}")
+    xh, r, z, h_tilde, dh_next = (a.reshape(-1, a.shape[-1]) for a in
+                                  (tape.xh, tape.r, tape.z, tape.h_tilde, dh_next))
     x, h_t = xh[:, :d], xh[:, d:]
 
     dz = dh_next * (h_t - h_tilde)
@@ -132,4 +138,4 @@ def gru_backward(p, tape, dh_next):
 
     dx += dxh[:, :d]
     dh_t += dxh[:, d:]
-    return dx, dh_t
+    return dx.reshape(shape), dh_t.reshape(shape)

@@ -36,18 +36,6 @@ def relu(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activate(kind, x):
-    """Apply a named activation ('sigmoid' | 'tanh' | 'relu') elementwise."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return fn(x)
-
-
 def init_param(shape, seed, scheme="uniform_fan"):
     """Deterministic fan-scaled uniform init: entries ~ U[-a, a], a = sqrt(6/(fan_in+fan_out)).
 

@@ -13,9 +13,16 @@ For node i with feature f_i, one step computes
 Edges are recomputed from the current features at every step; both banks take
 the fused node state of the previous step as their hidden state. Ablation
 arms drop one bank and use the remaining output alone.
+
+A step runs on a stack of B scenes with n nodes each: node features are
+(B, n, d), boxes (B, n, 4), edges (B, n, n), relations (B, n, n, 12) and
+scene features (B, d). Messages are pooled within each scene only. Every
+product keeps its per-scene shape (a stacked matmul runs one product per
+scene), so a scene's numbers are bitwise the same whatever it is stacked
+with; training runs stacks of one scene.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +38,24 @@ REL_DIM = 12
 
 @dataclass
 class SceneGraph:
-    """Per-image graph: aligned node features and boxes plus one scene vector."""
+    """A stack of B per-image graphs of n nodes each: node features, node
+    boxes as (cx, cy, w, h) rows (geometry.boxes_to_centers), and one scene
+    vector per image. The boxes' relation tensor is computed by the first
+    step that needs it and passed on to the graphs that step produces."""
 
-    node_features: np.ndarray      # (n, d)
-    boxes: list
-    scene_feature: np.ndarray      # (d,)
+    node_features: np.ndarray      # (B, n, d)
+    boxes: np.ndarray              # (B, n, 4)
+    scene_feature: np.ndarray      # (B, d)
+    relations: np.ndarray = None   # (B, n, n, 12), from _relation_tensor(boxes)
 
     def __post_init__(self):
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
+        self.boxes = np.asarray(self.boxes, dtype=np.float64)
         self.scene_feature = np.asarray(self.scene_feature, dtype=np.float64)
-        if self.node_features.ndim != 2 or self.node_features.shape[0] != len(self.boxes):
-            raise ValueError(
-                f"graph: {len(self.boxes)} boxes but features of shape {self.node_features.shape}")
-
-    @property
-    def n(self):
-        return self.node_features.shape[0]
-
-    @property
-    def dim(self):
-        return self.node_features.shape[1]
+        f, b, s = self.node_features.shape, self.boxes.shape, self.scene_feature.shape
+        if len(f) != 3 or b != f[:2] + (4,) or s != (f[0], f[2]):
+            raise ValueError(f"graph: node features {f}, boxes {b} and scene features {s} "
+                             f"are not a (B, n, d), (B, n, 4), (B, d) stack")
 
 
 @dataclass
@@ -105,118 +110,138 @@ def sin_params_from_store(store, prefix="sin"):
 
 
 def _relation_tensor(boxes):
-    """All-pairs relation vectors of receiver i to sender j, R[i, j] = [w_i, h_i, s_i,
-    w_j, h_j, s_j, (x_i-x_j)/w_j, (y_i-y_j)/h_j, (x_i-x_j)^2/w_j^2,
+    """All-pairs relation vectors of receiver i to sender j within each scene
+    of (..., n, 4) center-size rows, R[..., i, j, :] = [w_i, h_i, s_i, w_j,
+    h_j, s_j, (x_i-x_j)/w_j, (y_i-y_j)/h_j, (x_i-x_j)^2/w_j^2,
     (y_i-y_j)^2/h_j^2, log(w_i/w_j), log(h_i/h_j)]."""
-    n = len(boxes)
-    cx = np.array([b.cx for b in boxes])
-    cy = np.array([b.cy for b in boxes])
-    w = np.array([b.w for b in boxes])
-    h = np.array([b.h for b in boxes])
+    boxes = np.asarray(boxes, dtype=np.float64)
+    cx, cy, w, h = boxes.reshape(-1, 4).T.copy().reshape((4,) + boxes.shape[:-1])
     s = w * h
-    dx = (cx[:, None] - cx[None, :]) / w[None, :]
-    dy = (cy[:, None] - cy[None, :]) / h[None, :]
-    rel = np.empty((n, n, REL_DIM), dtype=np.float64)
-    rel[..., 0] = w[:, None]
-    rel[..., 1] = h[:, None]
-    rel[..., 2] = s[:, None]
-    rel[..., 3] = w[None, :]
-    rel[..., 4] = h[None, :]
-    rel[..., 5] = s[None, :]
+    recv, send = (..., slice(None), None), (..., None, slice(None))
+    dx = (cx[recv] - cx[send]) / w[send]
+    dy = (cy[recv] - cy[send]) / h[send]
+    rel = np.empty(dx.shape + (REL_DIM,), dtype=np.float64)
+    rel[..., 0] = w[recv]
+    rel[..., 1] = h[recv]
+    rel[..., 2] = s[recv]
+    rel[..., 3] = w[send]
+    rel[..., 4] = h[send]
+    rel[..., 5] = s[send]
     rel[..., 6] = dx
     rel[..., 7] = dy
     rel[..., 8] = dx * dx
     rel[..., 9] = dy * dy
-    rel[..., 10] = np.log(w[:, None] / w[None, :])
-    rel[..., 11] = np.log(h[:, None] / h[None, :])
+    rel[..., 10] = np.log(w[recv] / w[send])
+    rel[..., 11] = np.log(h[recv] / h[send])
     return rel
 
 
 @dataclass
 class EdgeCache:
-    rel: np.ndarray        # (n, n, 12)
-    spatial_pos: np.ndarray  # bool (n, n): relu pre-activation > 0
-    spatial: np.ndarray    # (n, n) relu output
-    visual: np.ndarray     # (n, n) tanh output
-    e: np.ndarray          # (n, n), zero diagonal
+    rel: np.ndarray        # (B, n, n, 12)
+    spatial_pos: np.ndarray  # bool (B, n, n): relu pre-activation > 0
+    spatial: np.ndarray    # (B, n, n) relu output
+    visual: np.ndarray     # (B, n, n) tanh output
+    e: np.ndarray          # (B, n, n), zero diagonal
 
 
-def _compute_edges(p, features, boxes):
-    """e[i, j] = relu(w_p . R(box_i, box_j)) * tanh(w_v . [f_i, f_j]) for every
-    ordered (receiver, sender) pair, so |e| <= relu(w_p . R); zero diagonal."""
-    n = len(boxes)
-    rel = _relation_tensor(boxes)
+def _diagonal(a, inner=0):
+    """Writable view of the receiver == sender entries of a contiguous array
+    whose (receiver, sender) axes are followed by `inner` more axes."""
+    lead = a.ndim - 2 - inner
+    n = a.shape[lead]
+    pairs = a.reshape(a.shape[:lead] + (n * n,) + a.shape[lead + 2:])
+    return pairs[(slice(None),) * lead + (slice(None, None, n + 1),)]
+
+
+def _compute_edges(p, features, rel):
+    """e[..., i, j] = relu(w_p . R(box_i, box_j)) * tanh(w_v . [f_i, f_j]) for
+    every ordered (receiver, sender) pair of each scene, so
+    |e| <= relu(w_p . R); zero diagonal. Features are (..., n, d) and rel
+    the (..., n, n, 12) relation tensor of the boxes."""
     lin_p = rel @ p.w_p.value[0]
     spatial = np.maximum(lin_p, 0.0)
-    d = features.shape[1]
+    d = features.shape[-1]
     vi = features @ p.w_v.value[0, :d]
     vj = features @ p.w_v.value[0, d:]
-    visual = np.tanh(vi[:, None] + vj[None, :])
+    visual = np.tanh(vi[..., :, None] + vj[..., None, :])
     e = spatial * visual
-    np.fill_diagonal(e, 0.0)
+    _diagonal(e)[...] = 0.0
     return EdgeCache(rel=rel, spatial_pos=lin_p > 0.0, spatial=spatial, visual=visual, e=e)
 
 
 def compute_edges(p, g):
-    """The full n x n edge matrix over ordered (receiver, sender) pairs.
+    """The (B, n, n) edge matrices over ordered (receiver, sender) pairs.
 
     The diagonal is never used downstream and is held at zero.
     """
-    return _compute_edges(p, g.node_features, g.boxes).e
+    return _compute_edges(p, g.node_features, _relations(g)).e
+
+
+def _relations(g):
+    if g.relations is None:
+        g.relations = _relation_tensor(g.boxes)
+    return g.relations
 
 
 def _edges_backward(p, cache, de, features):
-    """Push gradient of the edge matrix back to w_p, w_v and the features."""
+    """Push gradient of the (B, n, n) edge matrices back to w_p, w_v and the
+    (B, n, d) features."""
     de = np.array(de, dtype=np.float64)
-    np.fill_diagonal(de, 0.0)
+    _diagonal(de)[...] = 0.0
     d_spatial = de * cache.visual
     d_visual = de * cache.spatial
     dlin_p = d_spatial * cache.spatial_pos
-    p.w_p.grad[0] += np.tensordot(dlin_p, cache.rel, axes=([0, 1], [0, 1]))
+    p.w_p.grad[0] += np.tensordot(dlin_p, cache.rel, axes=([0, 1, 2], [0, 1, 2]))
     dlin_v = d_visual * (1.0 - cache.visual * cache.visual)
-    row = dlin_v.sum(axis=1)   # receiver-side sums
-    col = dlin_v.sum(axis=0)   # sender-side sums
-    d = features.shape[1]
-    p.w_v.grad[0, :d] += features.T @ row
-    p.w_v.grad[0, d:] += features.T @ col
-    return np.outer(row, p.w_v.value[0, :d]) + np.outer(col, p.w_v.value[0, d:])
+    row = dlin_v.sum(axis=2)   # receiver-side sums, (B, n)
+    col = dlin_v.sum(axis=1)   # sender-side sums
+    d = features.shape[2]
+    flat = features.reshape(-1, d)
+    p.w_v.grad[0, :d] += flat.T @ row.reshape(-1)
+    p.w_v.grad[0, d:] += flat.T @ col.reshape(-1)
+    return row[..., None] * p.w_v.value[0, :d] + col[..., None] * p.w_v.value[0, d:]
 
 
 def _integrate_all(features, e):
-    """Pooled incoming message for every node: row i is the per-coordinate
-    max over senders j != i of e[i, j] * f_j (ties to the lowest sender
-    index), and a single-node graph gets a zero message. Also returns the
-    winning sender per coordinate for the backward pass."""
-    n, d = features.shape
+    """Pooled incoming message for every node of every scene: row i of a
+    scene is the per-coordinate max over its senders j != i of
+    e[i, j] * f_j (ties to the lowest sender index), and a single-node graph
+    gets a zero message. Features are (..., n, d) and edges (..., n, n).
+    Also returns the winning sender per coordinate for the backward pass."""
+    n = features.shape[-2]
     if n == 1:
-        return np.zeros((1, d)), np.full((1, d), -1, dtype=np.intp)
-    scaled = e[:, :, None] * features[None, :, :]        # (n, n, d)
-    idx = np.arange(n)
-    scaled[idx, idx, :] = -np.inf
-    senders = scaled.argmax(axis=1)                      # (n, d)
-    msgs = np.take_along_axis(scaled, senders[:, None, :], axis=1)[:, 0, :]
+        return np.zeros(features.shape), np.full(features.shape, -1, dtype=np.intp)
+    scaled = e[..., :, :, None] * features[..., None, :, :]     # (..., n, n, d)
+    _diagonal(scaled, inner=1)[...] = -np.inf
+    senders = scaled.argmax(axis=-2)                              # (..., n, d)
+    msgs = np.take_along_axis(scaled, senders[..., None, :], axis=-2)[..., 0, :]
     return msgs, senders
 
 
 def _messages_backward(features, e, senders, dmsgs):
     """Subgradient of the per-coordinate max: everything routes to the
-    winning sender."""
-    n, d = features.shape
-    de = np.zeros((n, n))
-    dfeat = np.zeros((n, d))
+    winning sender of the same scene."""
+    b, n, d = features.shape
+    de = np.zeros((b, n, n))
+    dfeat = np.zeros((b, n, d))
     if n == 1:
         return de, dfeat
-    recv = np.repeat(np.arange(n)[:, None], d, axis=1)
-    coord = np.tile(np.arange(d), (n, 1))
-    np.add.at(de, (recv, senders), dmsgs * features[senders, coord])
-    np.add.at(dfeat, (senders, coord), dmsgs * e[recv, senders])
+    # flat indices of e[b, i, senders] and features[b, senders, k], taken
+    # and accumulated in (b, i, k) order
+    row = np.arange(b)[:, None, None] * n
+    at_e = ((row + np.arange(n)[:, None]) * n + senders).reshape(-1)
+    at_f = ((row + senders) * d + np.arange(d)).reshape(-1)
+    dm = dmsgs.reshape(-1)
+    np.add.at(de.reshape(-1), at_e, dm * features.reshape(-1)[at_f])
+    np.add.at(dfeat.reshape(-1), at_f, dm * e.reshape(-1)[at_e])
     return de, dfeat
 
 
 @dataclass
 class StepTape:
-    features_in: np.ndarray
-    scene_feature: np.ndarray
+    features_in: np.ndarray     # (B, n, d)
+    scene_feature: np.ndarray   # (B, d)
     scene_tape: GruTape = None
     edge_tape: GruTape = None
     edge_cache: EdgeCache = None
@@ -238,12 +263,13 @@ def _fuse(p, h_scene, h_edge, pooling):
     if pooling == "concat":
         if p.w_a is None:
             raise ValueError("concat fusion configured without a w_a projection")
-        return np.concatenate([h_scene, h_edge], axis=1) @ p.w_a.value.T
+        return np.concatenate([h_scene, h_edge], axis=2) @ p.w_a.value.T
     raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
 
 
 def sin_step_tape(p, g, pooling="mean", mode="both"):
-    """One inference step; returns the updated graph and the tape for backward."""
+    """One inference step over a stack of graphs; returns the updated stack
+    and the tape for backward."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     feats = g.node_features
@@ -253,10 +279,10 @@ def sin_step_tape(p, g, pooling="mean", mode="both"):
     h_scene = h_edge = None
     if mode in ("both", "scene"):
         h_scene, tape.scene_tape = gru_forward(
-            p.scene_gru, np.broadcast_to(g.scene_feature, feats.shape), feats)
+            p.scene_gru, np.broadcast_to(g.scene_feature[:, None, :], feats.shape), feats)
         tape.h_scene = h_scene
     if mode in ("both", "edge"):
-        tape.edge_cache = _compute_edges(p, feats, g.boxes)
+        tape.edge_cache = _compute_edges(p, feats, _relations(g))
         tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
         h_edge, tape.edge_tape = gru_forward(p.edge_gru, tape.msgs, feats)
         tape.h_edge = h_edge
@@ -268,22 +294,14 @@ def sin_step_tape(p, g, pooling="mean", mode="both"):
     else:
         fused = h_edge
     tape.fused = fused
-    out = SceneGraph(node_features=fused, boxes=g.boxes, scene_feature=g.scene_feature)
+    out = SceneGraph(node_features=fused, boxes=g.boxes, scene_feature=g.scene_feature,
+                     relations=g.relations)
     return out, tape
 
 
-def sin_step(p, g, pooling="mean", mode="both"):
-    out, _ = sin_step_tape(p, g, pooling, mode)
-    return out
-
-
-def sin_infer(p, g, steps=2, pooling="mean", mode="both"):
-    """Iterate sin_step `steps` times; steps=0 returns the graph unchanged."""
-    out, _ = sin_infer_tapes(p, g, steps, pooling, mode)
-    return out
-
-
 def sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both"):
+    """Iterate sin_step_tape `steps` times; returns the final stack and the
+    tapes. steps=0 returns the graph unchanged."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     tapes = []
@@ -296,8 +314,9 @@ def sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both"):
 def sin_backward(p, tapes, d_out_features):
     """Reverse-mode pass through all recorded steps.
 
-    Accumulates parameter gradients into the store and returns
-    (d_input_features, d_scene_feature).
+    Accumulates parameter gradients, summed over the scenes of the stack,
+    into the store and returns (d_input_features, d_scene_feature) as
+    (B, n, d) and (B, d).
     """
     dfeat = np.array(d_out_features, dtype=np.float64)
     if tapes and dfeat.shape != tapes[-1].fused.shape:
@@ -306,9 +325,9 @@ def sin_backward(p, tapes, d_out_features):
             f"final features {tapes[-1].fused.shape}")
     dscene = None
     for tape in reversed(tapes):
-        n, d = tape.features_in.shape
+        b, n, d = tape.features_in.shape
         if dscene is None:
-            dscene = np.zeros(d)
+            dscene = np.zeros((b, d))
 
         if tape.mode == "both":
             if tape.pooling == "mean":
@@ -319,19 +338,19 @@ def sin_backward(p, tapes, d_out_features):
                 dh_scene = dfeat * scene_won
                 dh_edge = dfeat * ~scene_won
             else:
-                cat = np.concatenate([tape.h_scene, tape.h_edge], axis=1)
-                p.w_a.grad += dfeat.T @ cat
+                cat = np.concatenate([tape.h_scene, tape.h_edge], axis=2)
+                p.w_a.grad += dfeat.reshape(-1, d).T @ cat.reshape(-1, 2 * d)
                 dcat = dfeat @ p.w_a.value
-                dh_scene, dh_edge = dcat[:, :d], dcat[:, d:]
+                dh_scene, dh_edge = dcat[..., :d], dcat[..., d:]
         elif tape.mode == "scene":
             dh_scene, dh_edge = dfeat, None
         else:
             dh_scene, dh_edge = None, dfeat
 
-        dfeat_in = np.zeros((n, d))
+        dfeat_in = np.zeros((b, n, d))
         if dh_scene is not None:
             dx, dh = gru_backward(p.scene_gru, tape.scene_tape, dh_scene)
-            dscene += dx.sum(axis=0)
+            dscene += dx.sum(axis=1)
             dfeat_in += dh
         if dh_edge is not None:
             dmsgs, dh = gru_backward(p.edge_gru, tape.edge_tape, dh_edge)
@@ -342,7 +361,8 @@ def sin_backward(p, tapes, d_out_features):
             dfeat_in += _edges_backward(p, tape.edge_cache, de, tape.features_in)
         dfeat = dfeat_in
     if dscene is None:
-        dscene = np.zeros(dfeat.shape[1] if dfeat.ndim == 2 else 0)
+        b, _n, d = dfeat.shape
+        dscene = np.zeros((b, d))
     return dfeat, dscene
 
 

@@ -374,12 +374,13 @@ def save_dataset(path, samples, world):
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_dataset(path, expected_world_hash=None, allow_mismatch=False, num_scene_types=None):
+def load_dataset(path, expected_world_hash=None, allow_mismatch=False, world=None):
     """Read a dataset back; returns (samples, header).
 
     A world-hash mismatch against `expected_world_hash` is fatal unless
-    allow_mismatch is set, in which case it only warns. Given the world's
-    `num_scene_types`, a scene type outside [0, num_scene_types) is fatal.
+    allow_mismatch is set, in which case it only warns. Given the `world`
+    the scenes are for, a header whose h, w, c or num_categories differs
+    from it is fatal, and so is a scene type outside [0, num_scene_types).
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
@@ -395,10 +396,17 @@ def load_dataset(path, expected_world_hash=None, allow_mismatch=False, num_scene
         if not allow_mismatch:
             raise ValueError(msg + " (pass the mismatch override to proceed)")
         warnings.warn(msg)
+    num_scene_types = math.inf
+    if world is not None:
+        for key, want in dataset_header(world).items():
+            if key != "world_hash" and header[key] != want:
+                raise ValueError(f"{path}: header {key} is {header[key]!r}, "
+                                 f"but the world has {want}")
+        num_scene_types = world.num_scene_types
     samples = []
     for i, ln in enumerate(lines[1:], start=1):
         try:
-            samples.append(_parse_record(json.loads(ln), header, num_scene_types or math.inf))
+            samples.append(_parse_record(json.loads(ln), header, num_scene_types))
         except KeyError as e:
             raise ValueError(f"{path}: line {i}: missing field {e}") from None
         except (TypeError, ValueError) as e:

@@ -132,6 +132,32 @@ def iou_oracle(a, b):
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
+def _exp_s(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def apply_deltas_oracle(b, d):
+    """Refine one Box by (dx, dy, dw, dh), one scalar at a time; an exp
+    overflow gives an infinite side."""
+    from sinet.geometry import Box
+    dx, dy, dw, dh = (float(v) for v in d)
+    return Box(b.cx + dx * b.w, b.cy + dy * b.h, b.w * _exp_s(dw), b.h * _exp_s(dh))
+
+
+def clip_box_oracle(b, width, height, min_side=1e-6):
+    """Clamp one Box's corners into [0, width] x [0, height] with the min and
+    max builtins, keeping sides at least min_side."""
+    from sinet.geometry import Box
+    x1, y1, x2, y2 = b.corners()
+    x1, x2 = max(0.0, min(x1, width)), max(0.0, min(x2, width))
+    y1, y2 = max(0.0, min(y1, height)), max(0.0, min(y2, height))
+    return Box((x1 + x2) / 2.0, (y1 + y2) / 2.0,
+               max(x2 - x1, min_side), max(y2 - y1, min_side))
+
+
 def covered_cells_oracle(box, height, width):
     """Row/column index arrays of the cells whose centers fall inside the box
     (half-open on the high edges): one mask test per row and column, where

@@ -21,13 +21,13 @@ import pytest
 import conftest
 from sinet.detector import TrainConfig, create_detector_params
 from sinet.evaluation import average_precision, pr_curve, run_ablation
-from sinet.geometry import Box, boxes_to_array, iou, nms
+from sinet.geometry import Box, boxes_to_array, boxes_to_centers, iou, nms
 from sinet.harness import main, run_gradcheck
 from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.structure_inference import (SceneGraph, _compute_edges,
-                                       _integrate_all, create_sin_params,
-                                       sin_step)
+                                       _integrate_all, _relation_tensor,
+                                       create_sin_params, sin_step_tape)
 from sinet.synth_data import (default_world, generate, load_dataset,
                               save_dataset, world_hash)
 
@@ -66,7 +66,7 @@ def _check_gru(rng, trials):
         p = create_gru_params(st, "cell", d, int(rng.integers(1 << 30)))
         n = int(rng.integers(1, 17))
         x, h = rng.normal(0, 2, size=(n, d)), rng.normal(0, 2, size=(n, d))
-        got, _ = gru_forward(p, x, h)
+        got = gru_forward(p, x[None], h[None])[0][0]
         for i in range(n):
             want, _, _, _ = gru_forward_oracle(p.w_r.value, p.w_z.value,
                                                p.w.value, p.u.value, x[i], h[i])
@@ -81,7 +81,8 @@ def _check_edge_weight(rng, trials):
         p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        e = _compute_edges(p, np.array([fi, fj]), [bi, bj]).e
+        rel = _relation_tensor(boxes_to_centers([bi, bj]))
+        e = _compute_edges(p, np.array([fi, fj]), rel).e
         want_ij = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
         want_ji = edge_weight_oracle(p.w_p.value, p.w_v.value, bj, bi, fj, fi)
         assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
@@ -109,13 +110,14 @@ def _check_sin_step(rng, trials):
         st = ParamStore()
         p = create_sin_params(st, d, int(rng.integers(1 << 30)), pooling)
         p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
-        g = SceneGraph(node_features=rng.normal(size=(n, d)),
-                       boxes=[random_box(rng, span=8.0) for _ in range(n)],
-                       scene_feature=rng.normal(size=d))
-        out = sin_step(p, g, pooling=pooling, mode=mode)
-        want = sin_step_oracle(p, g.node_features, g.boxes, g.scene_feature,
-                               pooling=pooling, mode=mode)
-        assert np.allclose(out.node_features, np.array(want), atol=1e-12)
+        feats = rng.normal(size=(n, d))
+        boxes = [random_box(rng, span=8.0) for _ in range(n)]
+        scene = rng.normal(size=d)
+        g = SceneGraph(node_features=feats[None], boxes=boxes_to_centers(boxes)[None],
+                       scene_feature=scene[None])
+        out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode)
+        want = sin_step_oracle(p, feats, boxes, scene, pooling=pooling, mode=mode)
+        assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
 
 
 def _check_nms(rng, trials):
@@ -258,7 +260,7 @@ def _invariant_gate_ranges(rng):
         d = int(rng.integers(1, 7))
         st = ParamStore()
         p = create_gru_params(st, "cell", d, int(rng.integers(1 << 30)))
-        x, h = rng.normal(0, 3, size=(1, d)), rng.normal(0, 3, size=(1, d))
+        x, h = rng.normal(0, 3, size=(1, 1, d)), rng.normal(0, 3, size=(1, 1, d))
         h_next, tape = gru_forward(p, x, h)
         assert np.all(tape.r > 0) and np.all(tape.r < 1)
         assert np.all(tape.z > 0) and np.all(tape.z < 1)
@@ -274,16 +276,16 @@ def _invariant_permutation_equivariance(rng):
         st = ParamStore()
         p = create_sin_params(st, d, trial, pooling)
         p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
-        g = SceneGraph(node_features=rng.normal(size=(n, d)),
-                       boxes=[random_box(rng, span=8.0) for _ in range(n)],
-                       scene_feature=rng.normal(size=d))
+        g = SceneGraph(node_features=rng.normal(size=(n, d))[None],
+                       boxes=boxes_to_centers([random_box(rng, span=8.0)
+                                               for _ in range(n)])[None],
+                       scene_feature=rng.normal(size=d)[None])
         perm = rng.permutation(n)
-        gp = SceneGraph(node_features=g.node_features[perm],
-                        boxes=[g.boxes[i] for i in perm],
+        gp = SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
                         scene_feature=g.scene_feature)
-        out = sin_step(p, g, pooling=pooling)
-        outp = sin_step(p, gp, pooling=pooling)
-        assert np.allclose(outp.node_features, out.node_features[perm], atol=1e-12)
+        out, _ = sin_step_tape(p, g, pooling=pooling)
+        outp, _ = sin_step_tape(p, gp, pooling=pooling)
+        assert np.allclose(outp.node_features, out.node_features[:, perm], atol=1e-12)
 
 
 def _invariant_nms_postconditions(rng):
@@ -335,7 +337,7 @@ def _invariant_round_trips(tmp_path):
     scenes = generate(world, 77, 3)
     data = os.path.join(tmp_path, "inv.jsonl")
     save_dataset(data, scenes, world)
-    got, header = load_dataset(data, expected_world_hash=world_hash(world))
+    got, header = load_dataset(data, expected_world_hash=world_hash(world), world=world)
     assert len(got) == 3
     for a, b in zip(scenes, got):
         assert np.array_equal(a.grid, b.grid)

@@ -1,5 +1,11 @@
+import functools
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from sinet import detector as det_mod
 from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH,
@@ -8,15 +14,16 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH
                             TrainConfig, TrainingDiverged, _anchor_features,
                             _anchor_targets, active_param_names, anchor_set,
                             arm_plan, assign_targets, create_detector_params,
-                            detect, forward, multi_task_loss, objectness_loss,
+                            detect, detect_scenes, forward, multi_task_loss, objectness_loss,
                             propose, score_anchors, smooth_l1, smooth_l1_grad,
                             train, validate_config)
-from sinet.geometry import Box, apply_deltas, clip_box, encode_deltas, iou
+from sinet.geometry import Box, encode_deltas, iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, default_world
 
-from oracles import covered_cells_oracle, iou_oracle, nms_oracle
+from oracles import (apply_deltas_oracle, clip_box_oracle, covered_cells_oracle,
+                     iou_oracle, nms_oracle)
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -113,8 +120,8 @@ def test_propose_matches_oracle_over_injected_and_anchors():
             injected = []
             if train_mode:
                 replay = np.random.default_rng(4)
-                injected = [clip_box(apply_deltas(o.box, replay.normal(0.0, GT_JITTER, size=4)),
-                                     10, 10) for o in gt]
+                injected = [clip_box_oracle(apply_deltas_oracle(
+                    o.box, replay.normal(0.0, GT_JITTER, size=4)), 10, 10) for o in gt]
             boxes = injected + anchors.boxes
             keep = nms_oracle(boxes, [1e9] * len(injected) + list(scores),
                               PROPOSAL_NMS_THRESH, k)
@@ -229,11 +236,7 @@ def _loss_inputs():
 def test_multi_task_loss_hand_value():
     logits, probs, deltas, targets = _loss_inputs()
 
-    class Out:
-        pass
-    out = Out()
-    out.probs, out.deltas = probs, deltas
-    loss, grads = multi_task_loss(out, targets, lam=2.0)
+    loss, grads = multi_task_loss(probs, deltas, targets, lam=2.0)
 
     cls = -(np.log(probs[0, 0]) + np.log(probs[1, 2])) / 2.0
     u = deltas[0, 0] - targets[0].deltas
@@ -248,24 +251,16 @@ def test_multi_task_loss_hand_value():
     assert np.all(grads.ddeltas[1] == 0.0)
 
     with pytest.raises(ValueError):
-        multi_task_loss(out, targets[:2])
+        multi_task_loss(probs, deltas, targets[:2])
 
 
 def test_multi_task_loss_gradients_match_finite_differences():
     logits, probs, deltas, targets = _loss_inputs()
 
     def loss_at(lg, dl):
-        class Out:
-            pass
-        o = Out()
-        o.probs, o.deltas = det_mod._softmax_rows(lg), dl
-        return multi_task_loss(o, targets, lam=2.0)[0]
+        return multi_task_loss(det_mod._softmax_rows(lg), dl, targets, lam=2.0)[0]
 
-    class Out:
-        pass
-    out = Out()
-    out.probs, out.deltas = probs, deltas
-    _, grads = multi_task_loss(out, targets, lam=2.0)
+    _, grads = multi_task_loss(probs, deltas, targets, lam=2.0)
 
     eps = 1e-6
     for idx in np.ndindex(logits.shape):
@@ -291,11 +286,12 @@ def test_forward_probs_are_softmax_rows():
     sample = make_sample(rng)
     cfg = validate_config(TrainConfig(rois_per_image=6, T=2, feat_dim=6))
     state = forward(params, sample, cfg)
-    assert state.probs.shape == (6, 4)
-    assert np.allclose(state.probs.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(state.probs > 0.0)
-    z = state.logits - state.logits.max(axis=1, keepdims=True)
-    assert np.allclose(state.probs, np.exp(z) / np.exp(z).sum(axis=1, keepdims=True),
+    assert state.probs.shape == (1, 6, 4)
+    probs, logits = state.probs[0], state.logits[0]
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(probs > 0.0)
+    z = logits - logits.max(axis=1, keepdims=True)
+    assert np.allclose(probs, np.exp(z) / np.exp(z).sum(axis=1, keepdims=True),
                        atol=1e-12)
 
 
@@ -325,7 +321,7 @@ def test_forward_node_avg_is_gather_mean_over_covered_cells():
         else:
             assert b not in covers_none
         want = sample.grid[np.ix_(rows, cols)].mean(axis=(0, 1))
-        assert np.array_equal(state.node_avg[i], want), f"box {i}: {b}"
+        assert np.array_equal(state.node_avg[0, i], want), f"box {i}: {b}"
 
 
 def test_forward_zero_steps_reads_heads_off_raw_features():
@@ -349,8 +345,8 @@ def test_forward_edges_square_and_zero_diagonal():
     sample = make_sample(rng)
     cfg = validate_config(TrainConfig(rois_per_image=5, T=1, feat_dim=6))
     state = forward(params, sample, cfg)
-    assert state.edges.shape == (5, 5)
-    assert np.all(np.diag(state.edges) == 0.0)
+    assert state.edges.shape == (1, 5, 5)
+    assert np.all(np.diag(state.edges[0]) == 0.0)
     # without a step that computes edges, forward leaves them to detect
     assert forward(params, sample, cfg, steps=0).edges is None
     assert forward(params, sample, cfg, mode="scene").edges is None
@@ -522,8 +518,8 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     dets, state = detect(result.params, sample, cfg, score_thresh=0.0, arm="sin",
                          return_state=True)
     assert len(state.tapes) == cfg.T
-    assert state.tapes[-1].edge_tape.xh.shape == (1, 2 * cfg.feat_dim)
-    assert state.edges.shape == (1, 1)
+    assert state.tapes[-1].edge_tape.xh.shape == (1, 1, 2 * cfg.feat_dim)
+    assert state.edges.shape == (1, 1, 1)
     assert dets and all(d.roi_index == 0 for d in dets)
 
 
@@ -561,7 +557,7 @@ def test_detect_output_contract():
     cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
     dets, state = detect(params, sample, cfg, score_thresh=0.05, arm="sin",
                          return_state=True)
-    assert state.probs.shape[0] == 8
+    assert state.probs.shape[:2] == (1, 8)
     keys = [(d.category, -d.score, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets]
     assert keys == sorted(keys)
     h, w = sample.grid.shape[:2]
@@ -591,7 +587,82 @@ def test_detect_arms_share_proposals():
     for arm in ARMS:
         mode, steps = arm_plan(arm, cfg)
         states[arm] = forward(params, sample, cfg, mode=mode, steps=steps)
-    ref = [(b.cx, b.cy, b.w, b.h) for b in states["baseline"].boxes]
+    ref = [(b.cx, b.cy, b.w, b.h) for b in states["baseline"].boxes[0]]
     for arm in ARMS[1:]:
-        got = [(b.cx, b.cy, b.w, b.h) for b in states[arm].boxes]
+        got = [(b.cx, b.cy, b.w, b.h) for b in states[arm].boxes[0]]
         assert got == ref
+
+
+# Digests of what `sinet eval` scores: the detections of a 60-iteration model
+# per arm on 40 held-out scenes, via harness.detect_dataset. Recorded before
+# detection ran over stacks of scenes; any change to a detection's category,
+# score or box bits moves them.
+PINNED_DETECTIONS = {
+    "baseline": "c4dac3a7cf9c4c99bd34d35743d57ee0eb10ff7d180de84ce5fdcf46ba4e02e1",
+    "scene": "78582bca9de733a3bbc568963f0eef845841ea88158921cb4a8564e7ac5b59ea",
+    "edge": "08daa946399b0fed99ab1b7657c43f3dcd86ecd4bbc12fb3c221a1bc492bb508",
+    "sin": "eac5fc00878e08556d5c95263b4a5cecc320d631cec277c91842b1c337fbf5af",
+}
+
+
+def _detection_digest(arm):
+    from sinet.harness import detect_dataset
+    world = default_world()
+    cfg = TrainConfig(iters=60, seed=1)
+    result = train(world, cfg, arm=arm, n_train=60)
+    samples = [det_mod.sample_at(world, 21, i) for i in range(40)]
+    digest = hashlib.sha256()
+    for i, dets in enumerate(detect_dataset(result.store, cfg, arm, samples, 0.05)):
+        digest.update(f"scene {i}\n".encode())
+        for d in dets:
+            key = (d.category, d.score.hex(), tuple(float(v).hex() for v in d.box.corners()))
+            digest.update(repr(key).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("arm", ARMS)
+def test_detections_are_pinned(arm):
+    assert _detection_digest(arm) == PINNED_DETECTIONS[arm]
+
+
+# (pooling, rois_per_image) of the models the stack-composition test detects
+# with; one ROI per scene gives single-node graphs, whose messages are zero
+COMPOSITION_MODELS = (("mean", 16), ("max", 16), ("concat", 16), ("mean", 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _composition_model(pooling, rois):
+    cfg = TrainConfig(iters=100, seed=2, pooling=pooling, rois_per_image=rois)
+    return train(default_world(), cfg, arm="sin", n_train=100).params, cfg
+
+
+@functools.lru_cache(maxsize=None)
+def _composition_scene(i):
+    return det_mod.sample_at(default_world(), 5, i)
+
+
+def _exact(dets):
+    return [(d.category, d.score.hex(), tuple(float(v).hex() for v in d.box.corners()),
+             d.roi_index) for d in dets]
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=hst.sampled_from(COMPOSITION_MODELS), arm=hst.sampled_from(ARMS),
+       first=hst.integers(0, 40), count=hst.integers(1, 40),
+       chunk=hst.sampled_from((1, 2, 3, 7, det_mod.DETECT_CHUNK)),
+       thresh=hst.sampled_from((0.05, 0.3, 0.4, 1.0)))
+@example(model=("mean", 1), arm="sin", first=0, count=40, chunk=7, thresh=0.3)
+@example(model=("concat", 16), arm="sin", first=3, count=37, chunk=32, thresh=0.4)
+@example(model=("max", 16), arm="edge", first=0, count=40, chunk=32, thresh=0.4)
+def test_detections_independent_of_stack_composition(model, arm, first, count, chunk,
+                                                     thresh):
+    # a scene's detections are bitwise the same alone, anywhere inside a
+    # stack, and on either side of a stack boundary; thresholds leave some
+    # scenes (or all, at 1.0) with no detection
+    params, cfg = _composition_model(*model)
+    samples = [_composition_scene(i) for i in range(first, first + count)]
+    with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
+        stacked = detect_scenes(params, samples, cfg, thresh, arm)
+    assert len(stacked) == count
+    for sample, dets in zip(samples, stacked):
+        assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, arm))

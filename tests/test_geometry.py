@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from sinet.geometry import (Box, apply_deltas, boxes_to_array, clip_box,
-                            encode_deltas, iou, nms, pairwise_iou)
+from sinet.geometry import (Box, apply_deltas, boxes_to_array, boxes_to_centers,
+                            centers_to_corners, clip_box, encode_deltas, iou, nms,
+                            pairwise_iou)
 
-from oracles import iou_oracle, nms_oracle, random_box
+from oracles import (apply_deltas_oracle, clip_box_oracle, iou_oracle, nms_oracle,
+                     random_box)
 
 
 def test_iou_known_cases():
@@ -40,21 +42,109 @@ def test_delta_round_trip():
     for _ in range(100):
         b, g = random_box(rng), random_box(rng)
         d = encode_deltas(b, g)
-        out = apply_deltas(b, d)
-        assert out.cx == pytest.approx(g.cx, abs=1e-12)
-        assert out.w == pytest.approx(g.w, rel=1e-12)
+        (cx, _cy, w, _h), = apply_deltas(boxes_to_centers([b]), d[None])
+        assert cx == pytest.approx(g.cx, abs=1e-12)
+        assert w == pytest.approx(g.w, rel=1e-12)
 
 
 def test_clip_box_stays_inside():
     # a box fully past an edge collapses to a min_side sliver at that edge
-    b = clip_box(Box(-1.0, 20.0, 5.0, 8.0), 16, 16)
+    (cx, cy, w, h), = clip_box(boxes_to_centers([Box(-1.0, 20.0, 5.0, 8.0)]), 16, 16)
     eps = 1e-6
-    assert b.cx - b.w / 2 >= -eps and b.cx + b.w / 2 <= 16 + eps
-    assert b.cy - b.h / 2 >= -eps and b.cy + b.h / 2 <= 16 + eps
-    assert b.w > 0 and b.h > 0
-    inside = Box(8, 8, 4, 4)
-    c = clip_box(inside, 16, 16)
-    assert (c.cx, c.cy, c.w, c.h) == (8, 8, 4, 4)
+    assert cx - w / 2 >= -eps and cx + w / 2 <= 16 + eps
+    assert cy - h / 2 >= -eps and cy + h / 2 <= 16 + eps
+    assert w > 0 and h > 0
+    inside = clip_box(boxes_to_centers([Box(8, 8, 4, 4)]), 16, 16)
+    assert inside.tolist() == [[8, 8, 4, 4]]
+
+
+def test_box_arrays_match_box_arithmetic():
+    rng = np.random.default_rng(3)
+    boxes = [random_box(rng) for _ in range(20)]
+    centers = boxes_to_centers(boxes)
+    assert centers.tolist() == [[b.cx, b.cy, b.w, b.h] for b in boxes]
+    assert np.array_equal(centers_to_corners(centers), boxes_to_array(boxes))
+    assert boxes_to_centers([]).shape == (0, 4)
+
+
+def test_box_array_kernels_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        apply_deltas(np.ones((3, 4)), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        apply_deltas(np.ones(4), np.zeros(4))
+    with pytest.raises(ValueError):
+        clip_box(np.ones((2, 3)), 16, 16)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_apply_deltas_and_clip_box_match_box_oracles():
+    # boxes inside, overhanging and wholly outside a 16 x 12 grid; deltas
+    # from small to exp-overflowing, so some sides are infinite, and clips
+    # that leave no area and fall back to min_side slivers
+    rng = np.random.default_rng(9)
+    width, height = 16, 12
+    infinite = slivers = 0
+    for trial in range(200):
+        k = int(rng.integers(0, 9))
+        boxes = [Box(float(rng.uniform(-40, 56)), float(rng.uniform(-40, 52)),
+                     float(rng.uniform(0.01, 30)), float(rng.uniform(0.01, 30)))
+                 for _ in range(k)]
+        scale = (0.5, 5.0, 400.0)[trial % 3]
+        deltas = rng.normal(0.0, scale, size=(k, 4))
+        deltas[:, 2:] = np.clip(deltas[:, 2:], -30.0, 720.0)     # no exp underflow to 0
+        refined = apply_deltas(boxes_to_centers(boxes), deltas)
+        assert refined.shape == (k, 4)
+        want = [apply_deltas_oracle(b, d) for b, d in zip(boxes, deltas)]
+        for got, w in zip(refined, want):
+            assert got[0] == w.cx and got[1] == w.cy
+            assert np.allclose(got[2:], [w.w, w.h], rtol=1e-15, atol=0.0)
+        clipped = clip_box(refined, width, height)
+        for got, row in zip(clipped, refined):
+            w = clip_box_oracle(Box(*row.tolist()), width, height)
+            assert got.tolist() == [w.cx, w.cy, w.w, w.h]
+            assert 1e-6 <= got[2] <= width and 1e-6 <= got[3] <= height
+        infinite += int(np.isinf(refined).sum())
+        slivers += int((clipped[:, 2:] == 1e-6).sum())
+    assert infinite > 20 and slivers > 20
+    # infinite centers and sides: a corner at inf - inf is NaN, which the
+    # builtins clamp to 0.0
+    rows = [(np.inf, 5.0, np.inf, 2.0), (-np.inf, 5.0, np.inf, np.inf),
+            (3.0, -np.inf, 1.0, np.inf), (np.inf, np.inf, 4.0, 4.0)]
+    for row, got in zip(rows, clip_box(np.array(rows), width, height)):
+        w = clip_box_oracle(Box(*row), width, height)
+        assert got.tolist() == [w.cx, w.cy, w.w, w.h]
+
+
+_coord = hst.floats(-60.0, 60.0, allow_nan=False)
+_side = hst.floats(0.01, 40.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=hst.tuples(_coord, _coord, _side, _side), g=hst.tuples(_coord, _coord, _side, _side))
+def test_apply_deltas_inverts_encode_deltas(b, g):
+    b, g = Box(*b), Box(*g)
+    (cx, cy, w, h), = apply_deltas(boxes_to_centers([b]), encode_deltas(b, g)[None])
+    assert cx == pytest.approx(g.cx, abs=1e-12 * (1.0 + abs(g.cx) + abs(b.cx)))
+    assert cy == pytest.approx(g.cy, abs=1e-12 * (1.0 + abs(g.cy) + abs(b.cy)))
+    assert w == pytest.approx(g.w, rel=1e-12)
+    assert h == pytest.approx(g.h, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=hst.lists(hst.tuples(hst.floats(-1e6, 1e6), hst.floats(-1e6, 1e6),
+                                 hst.floats(1e-9, 1e6) | hst.just(np.inf),
+                                 hst.floats(1e-9, 1e6) | hst.just(np.inf)),
+                      max_size=6),
+       width=hst.integers(1, 32), height=hst.integers(1, 32))
+def test_clip_box_stays_inside_grid(rows, width, height):
+    got = clip_box(np.array(rows, dtype=np.float64).reshape(-1, 4), width, height)
+    assert got.shape == (len(rows), 4)
+    x1, y1, x2, y2 = centers_to_corners(got).T
+    slack = 1e-6 / 2 + 1e-9
+    assert np.all(got[:, 2:] >= 1e-6)
+    assert np.all((x1 >= -slack) & (x2 <= width + slack))
+    assert np.all((y1 >= -slack) & (y2 <= height + slack))
 
 
 def test_pairwise_iou_matches_oracle():

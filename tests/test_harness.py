@@ -285,6 +285,9 @@ def baseline_run(tmp_path_factory):
     return run_dir, records
 
 
+HEADER = ("header",)
+
+
 @pytest.mark.parametrize("where, key, value, message", [
     ((), "grid", None, "missing field 'grid'"),
     ((), "gt", None, "missing field 'gt'"),
@@ -303,23 +306,38 @@ def baseline_run(tmp_path_factory):
     ((), "scene_type", True, "scene type True is not an integer"),
     ((), "scene_type", -1, "scene type -1 is outside [0, 2)"),
     ((), "scene_type", 99, "scene type 99 is outside [0, 2)"),
+    (HEADER, "num_categories", 99, "header num_categories is 99, but the world has 6"),
+    (HEADER, "c", 7, "header c is 7, but the world has 8"),
 ], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
         "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
         "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
-        "scene-type-negative", "scene-type-too-large"])
+        "scene-type-negative", "scene-type-too-large", "header-categories",
+        "header-channels"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
-    # defect goes into scene line 2, after the header and one clean scene
+    # defect goes into scene line 2, after the header and one clean scene.
+    # A header edit comes with the scene edits that make the file agree
+    # with its header: 99 categories with a gt of category 50, or every
+    # grid cut to the header's channel count.
     run_dir, records = baseline_run
     records = json.loads(json.dumps(records))
-    target = records[2]
-    for step in where:
-        target = target[step]
-    if value is None:
-        del target[key]
+    if where == HEADER:
+        header = records[0]
+        if key == "num_categories":
+            records[2]["gt"][0]["cat"] = 50
+        else:
+            for rec in records[1:]:
+                rec["grid"] = np.reshape(rec["grid"], (-1, header["c"]))[:, :value].ravel().tolist()
+        header[key] = value
     else:
-        target[key] = value
+        target = records[2]
+        for step in where:
+            target = target[step]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
     data = str(tmp_path / "bad.jsonl")
     with open(data, "w", encoding="utf-8") as f:
         f.writelines(json.dumps(rec) + "\n" for rec in records)
@@ -328,7 +346,7 @@ def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                  "--data", data, "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sinet: error: ")
-    assert "line 2: " in err and message in err
+    assert message in err and (where == HEADER or "line 2: " in err)
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 

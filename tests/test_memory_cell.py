@@ -36,22 +36,26 @@ def test_init_keyed_by_name_not_order():
 
 
 def _oracle_rows(p, x, h):
-    return np.array([gru_forward_oracle(p.w_r.value, p.w_z.value, p.w.value,
-                                        p.u.value, xi, hi)[0]
-                     for xi, hi in zip(x, h)])
+    """The oracle applied to every row of every scene of (B, n, d) stacks."""
+    return np.array([[gru_forward_oracle(p.w_r.value, p.w_z.value, p.w.value,
+                                         p.u.value, xi, hi)[0]
+                      for xi, hi in zip(xs, hs)] for xs, hs in zip(x, h)])
 
 
 def test_forward_matches_oracle_randomized():
     rng = np.random.default_rng(4)
     for trial in range(80):
-        n = (1, 16)[trial % 2]
+        b, n = 1 + trial % 3, (1, 16)[trial % 2]
         d = int(rng.integers(1, 7))
         _, p = make_params(d, seed=int(rng.integers(1 << 30)))
-        x = rng.normal(0, 2, size=(n, d))
-        h = rng.normal(0, 2, size=(n, d))
+        x = rng.normal(0, 2, size=(b, n, d))
+        h = rng.normal(0, 2, size=(b, n, d))
         got, _ = gru_forward(p, x, h)
-        assert got.shape == (n, d)
+        assert got.shape == (b, n, d)
         assert np.allclose(got, _oracle_rows(p, x, h), atol=1e-12)
+        # each scene's rows come out bitwise as they do on their own
+        for k in range(b):
+            assert np.array_equal(got[k], gru_forward(p, x[k:k + 1], h[k:k + 1])[0][0])
 
 
 def test_gate_ranges_and_convex_bound():
@@ -63,10 +67,10 @@ def test_gate_ranges_and_convex_bound():
         h = rng.normal(0, 3, size=d)
         h_next, r, z, h_tilde = gru_forward_oracle(
             p.w_r.value, p.w_z.value, p.w.value, p.u.value, x, h)
-        lib, tape = gru_forward(p, x[None, :], h[None, :])
-        assert np.allclose(lib[0], h_next, atol=1e-12)
-        assert np.allclose(tape.r[0], r, atol=1e-12)
-        assert np.allclose(tape.z[0], z, atol=1e-12)
+        lib, tape = gru_forward(p, x[None, None, :], h[None, None, :])
+        assert np.allclose(lib[0, 0], h_next, atol=1e-12)
+        assert np.allclose(tape.r[0, 0], r, atol=1e-12)
+        assert np.allclose(tape.z[0, 0], z, atol=1e-12)
         assert all(0.0 < v < 1.0 for v in r + z)
         # h_next is a convex blend of h and a tanh output
         for k in range(d):
@@ -78,38 +82,45 @@ def test_gate_ranges_and_convex_bound():
 def test_forward_shape_errors():
     _, p = make_params(3)
     with pytest.raises(ShapeError):
-        gru_forward(p, np.zeros((2, 2)), np.zeros((2, 3)))
+        gru_forward(p, np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
     with pytest.raises(ShapeError):
-        gru_forward(p, np.zeros(3), np.zeros(3))          # vectors, not rows
+        gru_forward(p, np.zeros(3), np.zeros(3))          # vectors, not stacks
     with pytest.raises(ShapeError):
-        gru_forward(p, np.zeros((2, 3)), np.zeros((3, 3)))
+        gru_forward(p, np.zeros((2, 3)), np.zeros((2, 3)))  # rows without a scene axis
     with pytest.raises(ShapeError):
-        gru_forward(p, np.zeros((0, 3)), np.zeros((0, 3)))
-    _, tape = gru_forward(p, np.zeros((2, 3)), np.zeros((2, 3)))
+        gru_forward(p, np.zeros((1, 2, 3)), np.zeros((1, 3, 3)))
     with pytest.raises(ShapeError):
-        gru_backward(p, tape, np.zeros((2, 4)))
+        gru_forward(p, np.zeros((2, 2, 3)), np.zeros((1, 2, 3)))
     with pytest.raises(ShapeError):
-        gru_backward(p, tape, np.zeros(3))
+        gru_forward(p, np.zeros((1, 0, 3)), np.zeros((1, 0, 3)))
+    with pytest.raises(ShapeError):
+        gru_forward(p, np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
+    _, tape = gru_forward(p, np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+    with pytest.raises(ShapeError):
+        gru_backward(p, tape, np.zeros((1, 2, 4)))
+    with pytest.raises(ShapeError):
+        gru_backward(p, tape, np.zeros((2, 3)))
 
 
 def test_forward_non_finite_raises():
     _, p = make_params(3)
-    h = np.zeros((4, 3))
-    x = np.ones((4, 3))
-    x[2, 1] = np.nan
+    h = np.zeros((2, 4, 3))
+    x = np.ones((2, 4, 3))
+    x[1, 2, 1] = np.nan
     with pytest.raises(FloatingPointError):
         gru_forward(p, x, h)
     p.u.value[0, 0] = np.inf
     with pytest.raises(FloatingPointError):
-        gru_forward(p, np.ones((4, 3)), np.ones((4, 3)))
+        gru_forward(p, np.ones((1, 4, 3)), np.ones((1, 4, 3)))
 
 
 def test_backward_against_finite_differences():
     st, p = make_params(4, seed=21)
     rng = np.random.default_rng(1)
-    x0 = rng.normal(size=(5, 4))
-    h0 = rng.normal(size=(5, 4))
-    w_out = rng.normal(size=(5, 4))  # fixed projection makes the loss scalar
+    # two scenes: parameter gradients sum over both
+    x0 = rng.normal(size=(2, 5, 4))
+    h0 = rng.normal(size=(2, 5, 4))
+    w_out = rng.normal(size=(2, 5, 4))  # fixed projection makes the loss scalar
 
     def loss_fn():
         h_next, tape = gru_forward(p, x0, h0)
@@ -137,9 +148,9 @@ def _numeric_grad(f, arr, eps=1e-6):
 def test_backward_input_grads_against_finite_differences():
     _, p = make_params(3, seed=5)
     rng = np.random.default_rng(6)
-    x0 = rng.normal(size=(4, 3))
-    h0 = rng.normal(size=(4, 3))
-    w_out = rng.normal(size=(4, 3))
+    x0 = rng.normal(size=(2, 4, 3))
+    h0 = rng.normal(size=(2, 4, 3))
+    w_out = rng.normal(size=(2, 4, 3))
     _, tape = gru_forward(p, x0, h0)
     dx, dh = gru_backward(p, tape, w_out)
 
@@ -151,40 +162,44 @@ def test_backward_input_grads_against_finite_differences():
 
 
 def test_backward_broadcast_x_sums_over_rows():
-    # scene bank: one vector broadcast to every row, its gradient is the
-    # row sum of dx
+    # scene bank: one vector per scene broadcast to every row of it, its
+    # gradient is the scene's row sum of dx
     st, p = make_params(3, seed=7)
     rng = np.random.default_rng(7)
-    scene = rng.normal(size=3)
-    h0 = rng.normal(size=(5, 3))
-    w_out = rng.normal(size=(5, 3))
+    scene = rng.normal(size=(2, 3))
+    h0 = rng.normal(size=(2, 5, 3))
+    w_out = rng.normal(size=(2, 5, 3))
+
+    def x():
+        return np.broadcast_to(scene[:, None, :], h0.shape)
 
     def f():
-        return float(np.sum(w_out * gru_forward(p, np.broadcast_to(scene, h0.shape), h0)[0]))
+        return float(np.sum(w_out * gru_forward(p, x(), h0)[0]))
 
     def loss_fn():
-        h_next, tape = gru_forward(p, np.broadcast_to(scene, h0.shape), h0)
+        h_next, tape = gru_forward(p, x(), h0)
         gru_backward(p, tape, w_out)
         return float(np.sum(w_out * h_next))
 
     assert grad_check(loss_fn, st) < 1e-6
-    _, tape = gru_forward(p, np.broadcast_to(scene, h0.shape), h0)
+    _, tape = gru_forward(p, x(), h0)
     dx, dh = gru_backward(p, tape, w_out)
-    assert np.allclose(dx.sum(axis=0), _numeric_grad(f, scene), atol=1e-7)
+    assert np.allclose(dx.sum(axis=1), _numeric_grad(f, scene), atol=1e-7)
     assert np.allclose(dh, _numeric_grad(f, h0), atol=1e-7)
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=hst.integers(1, 16), d=hst.integers(1, 6), seed=hst.integers(0, 2**31 - 1))
-def test_forward_row_permutation_equivariance(n, d, seed):
+@given(b=hst.integers(1, 3), n=hst.integers(1, 16), d=hst.integers(1, 6),
+       seed=hst.integers(0, 2**31 - 1))
+def test_forward_row_permutation_equivariance(b, n, d, seed):
     rng = np.random.default_rng(seed)
     _, p = make_params(d, seed=seed)
-    x = rng.normal(0, 2, size=(n, d))
-    h = rng.normal(0, 2, size=(n, d))
-    perm = rng.permutation(n)
+    x = rng.normal(0, 2, size=(b, n, d))
+    h = rng.normal(0, 2, size=(b, n, d))
+    perm, scenes = rng.permutation(n), rng.permutation(b)
     out, _ = gru_forward(p, x, h)
-    out_p, _ = gru_forward(p, x[perm], h[perm])
-    assert np.allclose(out[perm], out_p, atol=1e-12)
+    out_p, _ = gru_forward(p, x[scenes][:, perm], h[scenes][:, perm])
+    assert np.allclose(out[scenes][:, perm], out_p, atol=1e-12)
 
 
 def test_entries_lists_all_four():

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sinet.geometry import Box
+from sinet.geometry import Box, boxes_to_centers
 from sinet.numerics import ParamStore, grad_check, relu
 from sinet.structure_inference import (SceneGraph, _compute_edges,
                                        _integrate_all, _relation_tensor,
                                        compute_edges,
                                        create_sin_params, relation_report,
-                                       sin_backward, sin_infer,
-                                       sin_infer_tapes, sin_params_from_store,
-                                       sin_step)
+                                       sin_backward, sin_infer_tapes,
+                                       sin_params_from_store, sin_step_tape)
 
 from oracles import (edge_weight_oracle, integrate_messages_oracle,
                      random_box, sin_step_oracle, spatial_relation_oracle)
@@ -22,10 +21,22 @@ def make_params(d, seed=0, pooling="mean"):
     return st, create_sin_params(st, d, seed, pooling)
 
 
+def one_scene(features, boxes, scene_feature):
+    """A one-scene stack from (n, d) features, n Boxes and a (d,) scene vector."""
+    return SceneGraph(node_features=np.asarray(features)[None],
+                      boxes=boxes_to_centers(boxes)[None],
+                      scene_feature=np.asarray(scene_feature)[None])
+
+
 def random_graph(rng, n, d):
-    return SceneGraph(node_features=rng.normal(0, 1, size=(n, d)),
-                      boxes=[random_box(rng, span=8.0) for _ in range(n)],
-                      scene_feature=rng.normal(0, 1, size=d))
+    return one_scene(rng.normal(0, 1, size=(n, d)),
+                     [random_box(rng, span=8.0) for _ in range(n)],
+                     rng.normal(0, 1, size=d))
+
+
+def scene_boxes(g, k=0):
+    """Scene k's node boxes as Box objects."""
+    return [Box(*row) for row in g.boxes[k].tolist()]
 
 
 def test_param_layout():
@@ -43,7 +54,7 @@ def test_param_layout():
 
 def test_relation_tensor_identical_boxes():
     b = Box(4.4, 1.2, 2.0, 3.0)
-    got = _relation_tensor([b, b])
+    got = _relation_tensor(boxes_to_centers([b, b]))
     assert got.shape == (2, 2, 12)
     for i in range(2):
         for j in range(2):
@@ -54,7 +65,7 @@ def test_relation_tensor_unit_shift():
     # receiver shifted right by exactly w_j: elements 6 and 8 become 1
     bj = Box(3.0, 3.0, 2.0, 2.0)
     bi = Box(5.0, 3.0, 2.0, 2.0)
-    got = _relation_tensor([bi, bj])[0, 1]
+    got = _relation_tensor(boxes_to_centers([bi, bj]))[0, 1]
     assert got[6] == pytest.approx(1.0)
     assert got[8] == pytest.approx(1.0)
     assert np.allclose(got[[7, 9, 10, 11]], 0.0)
@@ -63,7 +74,7 @@ def test_relation_tensor_unit_shift():
 def test_relation_tensor_log_ratio():
     bj = Box(3.0, 3.0, 2.0, 2.0)
     bi = Box(3.0, 3.0, 4.0, 2.0)
-    rel = _relation_tensor([bi, bj])
+    rel = _relation_tensor(boxes_to_centers([bi, bj]))
     assert rel[0, 1, 10] == pytest.approx(math.log(2.0))
     assert rel[1, 0, 10] == pytest.approx(-math.log(2.0))
 
@@ -72,7 +83,7 @@ def test_relation_tensor_matches_oracle_randomized():
     rng = np.random.default_rng(5)
     for _ in range(20):
         boxes = [random_box(rng) for _ in range(int(rng.integers(1, 7)))]
-        rel = _relation_tensor(boxes)
+        rel = _relation_tensor(boxes_to_centers(boxes))
         for i, bi in enumerate(boxes):
             for j, bj in enumerate(boxes):
                 assert np.allclose(rel[i, j], spatial_relation_oracle(bi, bj),
@@ -89,7 +100,8 @@ def test_edge_weight_matches_oracle_randomized():
         p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        e = _compute_edges(p, np.array([fi, fj]), [bi, bj]).e
+        rel = _relation_tensor(boxes_to_centers([bi, bj]))
+        e = _compute_edges(p, np.array([fi, fj]), rel).e
         want_ij = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
         want_ji = edge_weight_oracle(p.w_p.value, p.w_v.value, bj, bi, fj, fi)
         assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
@@ -103,8 +115,9 @@ def test_edge_weight_bounded_by_spatial_gate():
         p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=3) * 5, rng.normal(size=3) * 5
-        e = _compute_edges(p, np.array([fi, fj]), [bi, bj]).e[0, 1]
-        gate = relu(p.w_p.value @ _relation_tensor([bi, bj])[0, 1])[0]
+        rel = _relation_tensor(boxes_to_centers([bi, bj]))
+        e = _compute_edges(p, np.array([fi, fj]), rel).e[0, 1]
+        gate = relu(p.w_p.value @ rel[0, 1])[0]
         assert abs(e) <= gate + 1e-12
 
 
@@ -114,14 +127,14 @@ def test_compute_edges_matches_pairwise_loop():
     p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
     g = random_graph(rng, 5, 4)
     e = compute_edges(p, g)
-    assert e.shape == (5, 5)
+    assert e.shape == (1, 5, 5)
+    e, boxes, feats = e[0], scene_boxes(g), g.node_features[0]
     assert np.all(np.diag(e) == 0.0)
     for i in range(5):
         for j in range(5):
             if i != j:
                 want = edge_weight_oracle(p.w_p.value, p.w_v.value,
-                                          g.boxes[i], g.boxes[j],
-                                          g.node_features[i], g.node_features[j])
+                                          boxes[i], boxes[j], feats[i], feats[j])
                 assert e[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -165,20 +178,20 @@ def test_sin_step_matches_composed_oracle(pooling, mode):
         _, p = make_params(d, seed=trial, pooling=pooling)
         p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
         g = random_graph(rng, n, d)
-        out = sin_step(p, g, pooling=pooling, mode=mode)
-        want = sin_step_oracle(p, g.node_features, g.boxes, g.scene_feature,
+        out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode)
+        want = sin_step_oracle(p, g.node_features[0], scene_boxes(g), g.scene_feature[0],
                                pooling=pooling, mode=mode)
-        assert np.allclose(out.node_features, np.array(want), atol=1e-12)
+        assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
 
 
 def test_sin_infer_t0_is_identity():
     rng = np.random.default_rng(36)
     _, p = make_params(3, seed=1)
     g = random_graph(rng, 4, 3)
-    out = sin_infer(p, g, steps=0)
-    assert np.array_equal(out.node_features, g.node_features)
+    out, tapes = sin_infer_tapes(p, g, steps=0)
+    assert np.array_equal(out.node_features, g.node_features) and tapes == []
     with pytest.raises(ValueError):
-        sin_infer(p, g, steps=-1)
+        sin_infer_tapes(p, g, steps=-1)
 
 
 def test_sin_infer_permutation_equivariance():
@@ -187,12 +200,11 @@ def test_sin_infer_permutation_equivariance():
     p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
     g = random_graph(rng, 5, 4)
     perm = rng.permutation(5)
-    gp = SceneGraph(node_features=g.node_features[perm],
-                    boxes=[g.boxes[i] for i in perm],
+    gp = SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
                     scene_feature=g.scene_feature)
-    out = sin_infer(p, g, steps=2)
-    out_p = sin_infer(p, gp, steps=2)
-    assert np.allclose(out.node_features[perm], out_p.node_features, atol=1e-12)
+    out, _ = sin_infer_tapes(p, g, steps=2)
+    out_p, _ = sin_infer_tapes(p, gp, steps=2)
+    assert np.allclose(out.node_features[:, perm], out_p.node_features, atol=1e-12)
 
 
 def test_max_pool_tie_resolves_to_scene():
@@ -202,10 +214,9 @@ def test_max_pool_tie_resolves_to_scene():
     st, p = make_params(3, seed=9, pooling="max")
     for a, b in zip(p.scene_gru.entries(), p.edge_gru.entries()):
         b.value[:] = a.value
-    g = SceneGraph(node_features=np.array([[0.3, -0.2, 0.8]]),
-                   boxes=[Box(2, 2, 2, 2)], scene_feature=np.zeros(3))
-    out = sin_step(p, g, pooling="max")
-    scene_only = sin_step(p, g, mode="scene")
+    g = one_scene([[0.3, -0.2, 0.8]], [Box(2, 2, 2, 2)], np.zeros(3))
+    out, _ = sin_step_tape(p, g, pooling="max")
+    scene_only, _ = sin_step_tape(p, g, mode="scene")
     assert np.array_equal(out.node_features, scene_only.node_features)
 
 
@@ -222,11 +233,10 @@ def test_sin_backward_against_finite_differences():
         w_out = rng.normal(size=(3, 3))
 
         def loss_fn():
-            g = SceneGraph(node_features=feats.copy(), boxes=boxes,
-                           scene_feature=scene.copy())
+            g = one_scene(feats.copy(), boxes, scene.copy())
             out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode)
-            loss = float(np.sum(w_out * out.node_features))
-            sin_backward(p, tapes, w_out)
+            loss = float(np.sum(w_out * out.node_features[0]))
+            sin_backward(p, tapes, w_out[None])
             return loss
 
         assert grad_check(loss_fn, st) < 1e-5, (pooling, mode)
@@ -242,12 +252,12 @@ def test_sin_backward_input_grads():
     w_out = rng.normal(size=(4, 3))
 
     def run(f, s):
-        g = SceneGraph(node_features=f, boxes=boxes, scene_feature=s)
-        out, tapes = sin_infer_tapes(p, g, steps=2)
-        return float(np.sum(w_out * out.node_features)), tapes
+        out, tapes = sin_infer_tapes(p, one_scene(f, boxes, s), steps=2)
+        return float(np.sum(w_out * out.node_features[0])), tapes
 
     base, tapes = run(feats, scene)
-    dfeat, dscene = sin_backward(p, tapes, w_out)
+    dfeat, dscene = sin_backward(p, tapes, w_out[None])
+    assert dfeat.shape == (1, 4, 3) and dscene.shape == (1, 3)
     eps = 1e-6
     for arr, grad in ((feats, dfeat), (scene, dscene)):
         flat, gflat = arr.reshape(-1), np.asarray(grad).reshape(-1)
@@ -259,6 +269,94 @@ def test_sin_backward_input_grads():
             dn, _ = run(feats, scene)
             flat[k] = orig
             assert gflat[k] == pytest.approx((up - dn) / (2 * eps), abs=2e-6)
+
+
+def _two_scene_stack(rng, n, d):
+    feats = rng.normal(size=(2, n, d))
+    boxes = np.stack([boxes_to_centers([random_box(rng) for _ in range(n)])
+                      for _ in range(2)])
+    return feats, boxes, rng.normal(size=(2, d))
+
+
+@pytest.mark.parametrize("pooling, mode", [("mean", "both"), ("max", "both"),
+                                           ("concat", "both"), ("mean", "scene"),
+                                           ("mean", "edge")])
+def test_sin_backward_two_scene_stack(pooling, mode):
+    # parameter gradients of a stack are the sum of its scenes' own, and
+    # every input gradient of both scenes matches central differences
+    st, p = make_params(3, seed=23, pooling=pooling)
+    rng = np.random.default_rng(24)
+    p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+    feats, boxes, scene = _two_scene_stack(rng, 3, 3)
+    w_out = rng.normal(size=(2, 3, 3))
+
+    def run(k):
+        g = SceneGraph(node_features=feats[k], boxes=boxes[k], scene_feature=scene[k])
+        out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode)
+        return float(np.sum(w_out[k] * out.node_features)), tapes
+
+    def loss_fn():
+        loss, tapes = run(slice(None))
+        sin_backward(p, tapes, w_out)
+        return loss
+
+    assert grad_check(loss_fn, st) < 1e-5
+    st.zero_grads()
+    loss_fn()
+    stacked = {name: q.grad.copy() for name, q in st.items()}
+    st.zero_grads()
+    for k in (slice(0, 1), slice(1, 2)):
+        sin_backward(p, run(k)[1], w_out[k])
+    for name, q in st.items():
+        assert np.allclose(stacked[name], q.grad, rtol=0.0, atol=1e-12), name
+
+    dfeat, dscene = sin_backward(p, run(slice(None))[1], w_out)
+    assert dfeat.shape == (2, 3, 3) and dscene.shape == (2, 3)
+    eps = 1e-6
+    for arr, grad in ((feats, dfeat), (scene, dscene)):
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + eps
+            up, _ = run(slice(None))
+            flat[k] = orig - eps
+            dn, _ = run(slice(None))
+            flat[k] = orig
+            assert gflat[k] == pytest.approx((up - dn) / (2 * eps), abs=2e-6)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "max", "concat"])
+def test_stacked_step_is_bitwise_per_scene(pooling):
+    # a scene's features, edges and messages do not depend on the scenes
+    # stacked with it, down to the last bit
+    rng = np.random.default_rng(25)
+    _, p = make_params(4, seed=26, pooling=pooling)
+    p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+    for n in (1, 2, 6):
+        feats = rng.normal(size=(5, n, 4))
+        boxes = np.stack([boxes_to_centers([random_box(rng) for _ in range(n)])
+                          for _ in range(5)])
+        scene = rng.normal(size=(5, 4))
+        out, tapes = sin_infer_tapes(p, SceneGraph(feats, boxes, scene), steps=2,
+                                     pooling=pooling)
+        for k in range(5):
+            alone, alone_tapes = sin_infer_tapes(
+                p, SceneGraph(feats[k:k + 1], boxes[k:k + 1], scene[k:k + 1]),
+                steps=2, pooling=pooling)
+            assert np.array_equal(out.node_features[k], alone.node_features[0])
+            for t, a in zip(tapes, alone_tapes):
+                assert np.array_equal(t.edge_cache.e[k], a.edge_cache.e[0])
+                assert np.array_equal(t.msgs[k], a.msgs[0])
+                assert np.array_equal(t.senders[k], a.senders[0])
+
+
+def test_scene_graph_rejects_unstacked_shapes():
+    with pytest.raises(ValueError):
+        SceneGraph(np.zeros((3, 2)), np.ones((3, 4)), np.zeros(2))
+    with pytest.raises(ValueError):
+        SceneGraph(np.zeros((2, 3, 2)), np.ones((1, 3, 4)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        SceneGraph(np.zeros((2, 3, 2)), np.ones((2, 3, 4)), np.zeros((2, 3)))
 
 
 def test_relation_report_contract():
