@@ -38,7 +38,7 @@ def render(sample):
     h, w, _ = sample.grid.shape
     canvas = [["." for _ in range(w)] for _ in range(h)]
     for obj in sample.gt:
-        r0, r1, c0, c1 = cell_window(obj.box, h, w)   # half-open bounds
+        r0, r1, c0, c1 = cell_window(obj.box.corners(), h, w)   # half-open bounds
         proto = int(np.argmax(world.categories[obj.category].prototype))
         for r in range(r0, r1):
             for c in range(c0, c1):

@@ -43,12 +43,10 @@ for i in range(20):
     shown += 1
     print(f"scene {i} ({world.scene_names[sample.scene_type]}), "
           f"{len(sample.gt)} objects, {len(dets)} detections:")
-    boxes, edges = state.boxes[0], state.edges[0]     # the one-scene stack
+    boxes, edges = state.graph_out.boxes[0], state.edges[0]   # the one-scene stack
     report = relation_report(edges, dets)
     for det, (node, partner, weight) in zip(dets, report):
-        b = boxes[node]
-        pb = boxes[partner]
-        dist = float(np.hypot(b.cx - pb.cx, b.cy - pb.cy))
+        dist = float(np.hypot(*(boxes[node, :2] - boxes[partner, :2])))
         print(f"    node {node:<2} {names[det.category]:<7} score {det.score:.2f}"
               f"  <- strongest sender node {partner:<2}"
               f" (distance {dist:4.1f}, edge {weight:+.3f})")
@@ -60,15 +58,14 @@ for i in range(20):
 sample = sample_at(world, 9090, 3)
 _, state = detect(tr.params, sample, cfg, score_thresh=0.3, arm="sin",
                   return_state=True)
-boxes, edges = state.boxes[0], state.edges[0]
+boxes, edges = state.graph_out.boxes[0], state.edges[0]   # (n, 4) rows of (cx, cy, w, h)
 n = len(boxes)
 buckets = {}
 for i in range(n):
     for j in range(n):
         if i == j:
             continue
-        bi, bj = boxes[i], boxes[j]
-        dist = float(np.hypot(bi.cx - bj.cx, bi.cy - bj.cy))
+        dist = float(np.hypot(*(boxes[i, :2] - boxes[j, :2])))
         buckets.setdefault(min(int(dist), 9), []).append(abs(edges[i, j]))
 
 print("mean |edge| by center distance (one scene, all proposal pairs):")

@@ -6,12 +6,15 @@ graph over the proposals (node features pooled from covered cells, one scene
 node pooled globally), runs the structure inference steps, and reads class
 probabilities and per-class box deltas off the final node states.
 
-Stage two runs on a stack of B scenes at once (forward_scenes): node
-features are (B, n, d) with n = rois_per_image, and each product keeps its
-per-scene shape, so a scene's numbers do not depend on what it is stacked
-with. Training and `forward` run stacks of one scene; detect_scenes runs the
-proposal stage per scene and stage two on chunks of DETECT_CHUNK scenes, then
-refines, clips and suppresses each scene's boxes on arrays.
+Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
+(cx, cy, w, h); Box objects appear only for ground truth and the kept
+Detections. Stage two runs on a stack of B scenes at once (forward_scenes,
+on a (B, n, 4) ROI array): node features are (B, n, d) with n =
+rois_per_image, and each product keeps its per-scene shape, so a scene's
+numbers do not depend on what it is stacked with. Training and `forward` run
+stacks of one scene; detect_scenes runs the proposal stage per scene and
+stage two on chunks of DETECT_CHUNK scenes, then refines, clips and
+suppresses each scene's boxes on arrays.
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -123,20 +126,12 @@ class DetectorParams:
     sin: object
 
     @property
-    def feat_dim(self):
-        return self.feat_proj.value.shape[0]
-
-    @property
     def channels(self):
         return self.feat_proj.value.shape[1]
 
     @property
     def num_categories(self):
         return self.cls_head.value.shape[0] - 1
-
-    @property
-    def background(self):
-        return self.num_categories
 
 
 def create_detector_params(store, channels, num_categories, d, seed, pooling="mean"):
@@ -186,21 +181,12 @@ def active_param_names(params, arm):
 
 @dataclass
 class AnchorSet:
-    boxes: list
-    corners: np.ndarray      # (A, 4)
+    centers: np.ndarray      # (A, 4) center-size rows
+    corners: np.ndarray      # (A, 4) the same anchors as corner rows
     cell_index: np.ndarray   # (A,) row-major cell of each anchor
     type_index: np.ndarray   # (A,) scale/ratio slot of each anchor
     pool_index: np.ndarray   # (4, A) integral-image rows of r1c1, r0c1, r1c0, r0c0
     pool_count: np.ndarray   # (A, 1) cells in each clipped window
-
-
-def _span(side):
-    """Cell offsets covered by a box side of this length centered on a cell
-    center: the offsets o with -side/2 <= o < side/2 (same covered-cell rule
-    as feature pooling)."""
-    offs = [o for o in range(-int(math.ceil(side)), int(math.ceil(side)) + 1)
-            if -side / 2.0 <= o < side / 2.0]
-    return offs[0], offs[-1]
 
 
 _ANCHOR_CACHE = {}
@@ -209,28 +195,25 @@ _ANCHOR_CACHE = {}
 def anchor_set(height, width, scales=ANCHOR_SCALES, ratios=ANCHOR_RATIOS):
     """All anchors for a grid, centered on cell centers, enumerated row-major
     by cell then by (scale, ratio). Anchors may overhang the grid edges.
-    Each anchor's covered-cell window, clipped to the grid, is cached as the
-    flat (height+1)*(width+1) integral-image rows of its four corners."""
+    Each anchor's covered-cell window (cell_window, the rule ROI pooling
+    uses) is cached as the flat (height+1)*(width+1) integral-image rows of
+    its four corners."""
     key = (height, width, tuple(scales), tuple(ratios))
     hit = _ANCHOR_CACHE.get(key)
     if hit is not None:
         return hit
     sizes = [(s * math.sqrt(ratio), s / math.sqrt(ratio)) for s in scales for ratio in ratios]
-    boxes = [Box(c + 0.5, r + 0.5, aw, ah)
-             for r in range(height) for c in range(width) for aw, ah in sizes]
-    dr0, dr1, dc0, dc1 = np.array([_span(ah) + _span(aw) for aw, ah in sizes]).T
-    rows = np.arange(height)[:, None, None]     # broadcast over (H, W, types)
-    cols = np.arange(width)[None, :, None]
-    r0 = np.clip(rows + dr0, 0, height - 1)
-    r1 = np.clip(rows + dr1, 0, height - 1) + 1
-    c0 = np.clip(cols + dc0, 0, width - 1)
-    c1 = np.clip(cols + dc1, 0, width - 1) + 1
+    centers = np.array([(c + 0.5, r + 0.5, aw, ah)
+                        for r in range(height) for c in range(width) for aw, ah in sizes])
+    corners = centers_to_corners(centers)
+    # each anchor covers at least its own cell center, so no window is empty
+    r0, r1, c0, c1 = np.array([cell_window(row, height, width) for row in corners.tolist()]).T
     stride = width + 1
-    out = AnchorSet(boxes=boxes, corners=boxes_to_array(boxes),
+    out = AnchorSet(centers=centers, corners=corners,
                     cell_index=np.repeat(np.arange(height * width), len(sizes)),
                     type_index=np.tile(np.arange(len(sizes)), height * width),
                     pool_index=np.stack([r1 * stride + c1, r0 * stride + c1,
-                                         r1 * stride + c0, r0 * stride + c0]).reshape(4, -1),
+                                         r1 * stride + c0, r0 * stride + c0]),
                     pool_count=((r1 - r0) * (c1 - c0)).reshape(-1, 1))
     _ANCHOR_CACHE[key] = out
     return out
@@ -259,104 +242,76 @@ def score_anchors(params, sample):
 
 
 def propose(params, sample, cfg, train=False, rng=None, scored=None):
-    """Exactly cfg.rois_per_image proposal boxes.
+    """Exactly cfg.rois_per_image proposals, as (n, 4) center-size rows.
 
     Anchors are scored by the objectness map (or `scored`, the result of
     score_anchors for this sample and params) and pruned by NMS; in training
     mode the ground-truth boxes (jittered when an RNG is supplied) are
     prepended with scores above any anchor so they survive pruning. Too few
-    survivors are padded by repeating the top kept boxes.
+    survivors are padded by cycling through the kept boxes in order.
     """
     anchors, _feats, scores = scored or score_anchors(params, sample)
-    injected = np.empty((0, 4))
-    corners = anchors.corners
+    centers, corners = anchors.centers, anchors.corners
     if train and sample.gt:
         h, w = sample.grid.shape[:2]
         injected = boxes_to_centers([obj.box for obj in sample.gt])
         if rng is not None and GT_JITTER > 0:
             jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
             injected = clip_box(apply_deltas(injected, jitter), w, h)
+        centers = np.concatenate([injected, centers])
         corners = np.concatenate([centers_to_corners(injected), corners])
         scores = np.concatenate([np.full(len(injected), 1e9), scores])
     keep = nms(corners, scores, PROPOSAL_NMS_THRESH, max_keep=cfg.rois_per_image)
-    n_inj = len(injected)
-    props = [Box(*injected[i].tolist()) if i < n_inj else anchors.boxes[i - n_inj]
-             for i in keep]
-    short = cfg.rois_per_image - len(props)
-    for j in range(short):
-        props.append(props[j % len(keep)])
-    return props
+    return centers[np.resize(keep, cfg.rois_per_image)]
 
 
 # ---------------------------------------------------------------------------
 # target assignment
 
-@dataclass
-class RoiTarget:
-    label: int               # category, background (= num categories), or IGNORE
-    deltas: np.ndarray = None
-
-
 def assign_targets(props, gt, num_categories, iou_pos=IOU_POS, iou_neg=IOU_NEG):
-    """Per-ROI class target plus regression deltas for positives.
+    """Per-ROI class targets and regression targets for the (n, 4) center-size
+    rows `props` against the GtObject list `gt`.
 
     IoU >= iou_pos against some gt makes a ROI positive for the best gt;
     IoU < iou_neg makes it background; in between it is ignored. Each gt also
     forces its best-overlapping ROI positive so no object goes unsupervised.
+    Returns (labels, deltas): an (n,) array of categories, background (= num
+    categories) or IGNORE, and the (n, 4) deltas onto each positive's gt,
+    zero on every other row.
     """
-    background = num_categories
+    n = len(props)
+    labels = np.full(n, num_categories, dtype=np.intp)
+    deltas = np.zeros((n, 4))
     if not gt:
-        return [RoiTarget(background) for _ in props]
-    pc = boxes_to_array(props)
-    gc = boxes_to_array([o.box for o in gt])
-    ious = pairwise_iou(pc, gc)                 # (P, G)
+        return labels, deltas
+    gc = boxes_to_centers([o.box for o in gt])
+    ious = pairwise_iou(centers_to_corners(props), centers_to_corners(gc))   # (P, G)
     best_gt = ious.argmax(axis=1)
-    best_iou = ious[np.arange(len(props)), best_gt]
-    assigned = np.full(len(props), -1, dtype=np.intp)
-    assigned[best_iou >= iou_pos] = best_gt[best_iou >= iou_pos]
-    neg = best_iou < iou_neg
+    best_iou = ious[np.arange(n), best_gt]
+    assigned = np.where(best_iou >= iou_pos, best_gt, -1)
+    labels[~(best_iou < iou_neg)] = IGNORE
     for g in range(len(gt)):                     # forced matches, ties to lowest ROI
         p = int(ious[:, g].argmax())
         if ious[p, g] > 0.0:
             assigned[p] = g
-            neg[p] = False
-    out = []
-    for i in range(len(props)):
-        if assigned[i] >= 0:
-            g = gt[assigned[i]]
-            out.append(RoiTarget(g.category, encode_deltas(props[i], g.box)))
-        elif neg[i]:
-            out.append(RoiTarget(background))
-        else:
-            out.append(RoiTarget(IGNORE))
-    return out
+    pos = assigned >= 0
+    labels[pos] = np.array([o.category for o in gt], dtype=np.intp)[assigned[pos]]
+    deltas[pos] = encode_deltas(props[pos], gc[assigned[pos]])
+    return labels, deltas
 
 
 # ---------------------------------------------------------------------------
 # features and the forward pass
 
-def _box_cells(sample, box):
-    """Cell window pooled for a box: the covered cells, or the single nearest
-    cell center when the box covers none (ties go row-major first)."""
-    h, w = sample.grid.shape[:2]
-    r0, r1, c0, c1 = win = cell_window(box, h, w)
-    if r1 == r0 or c1 == c0:
-        r0 = int(np.argmin(np.abs(np.arange(h) + 0.5 - box.cy)))
-        c0 = int(np.argmin(np.abs(np.arange(w) + 0.5 - box.cx)))
-        return r0, r0 + 1, c0, c0 + 1
-    return win
-
-
 @dataclass
 class ForwardState:
     """Stage two over a stack of B scenes of n ROIs each."""
 
-    boxes: list                 # B lists of n proposal Boxes
     node_avg: np.ndarray        # (B, n, C) pooled cell vectors
     features0: np.ndarray       # (B, n, d) initial node features
     scene_avg: np.ndarray       # (B, C)
     scene_feature0: np.ndarray  # (B, d)
-    graph_out: SceneGraph = None
+    graph_out: SceneGraph = None  # its boxes are the (B, n, 4) ROI rows
     tapes: list = field(default_factory=list)
     logits: np.ndarray = None   # (B, n, K+1)
     probs: np.ndarray = None    # (B, n, K+1) softmax rows
@@ -370,38 +325,51 @@ def _softmax_rows(logits):
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
+def _pool_rois(samples, boxes):
+    """(B, n, C) ROI features: for each center-size row of the (B, n, 4)
+    `boxes`, the mean of the cells of its scene that it covers, or of the
+    single nearest cell center when it covers none (ties go row-major
+    first)."""
+    corners = centers_to_corners(boxes.reshape(-1, 4)).reshape(boxes.shape)
+    node_avg = np.empty(boxes.shape[:2] + samples[0].grid.shape[2:])
+    for sample, rois, cs, avg in zip(samples, boxes.tolist(), corners.tolist(), node_avg):
+        h, w = sample.grid.shape[:2]
+        for i, (cx, cy, _, _) in enumerate(rois):
+            r0, r1, c0, c1 = cell_window(cs[i], h, w)
+            if r1 == r0 or c1 == c0:
+                r0 = int(np.argmin(np.abs(np.arange(h) + 0.5 - cy)))
+                c0 = int(np.argmin(np.abs(np.arange(w) + 0.5 - cx)))
+                r1, c1 = r0 + 1, c0 + 1
+            avg[i] = sample.grid[r0:r1, c0:c1].mean(axis=(0, 1))
+    return node_avg
+
+
 def forward_scenes(params, samples, boxes, cfg, mode="both", steps=None):
-    """Stage two over a stack of scenes: pool each scene's ROI boxes (boxes[b]
-    holds the n Boxes of samples[b]), run the inference steps and apply both
-    heads. Returns the full state needed for the backward pass."""
+    """Stage two over a stack of scenes: pool each scene's ROIs (boxes is a
+    (B, n, 4) array whose boxes[b] holds the center-size rows of samples[b]),
+    run the inference steps and apply both heads. Returns the full state
+    needed for the backward pass."""
     if steps is None:
         steps = cfg.T
-    n = len(boxes[0])
-    if len(boxes) != len(samples) or any(len(b) != n for b in boxes):
-        raise ValueError(f"forward_scenes: {len(samples)} scenes need as many ROI lists "
-                         f"of one length, got lengths {[len(b) for b in boxes]}")
-    node_avg = np.empty((len(samples), n, params.channels))
-    for sample, rois, avg in zip(samples, boxes, node_avg):
-        for i, b in enumerate(rois):
-            r0, r1, c0, c1 = _box_cells(sample, b)
-            avg[i] = sample.grid[r0:r1, c0:c1].mean(axis=(0, 1))
+    boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.ndim != 3 or boxes.shape[0] != len(samples) or boxes.shape[2] != 4:
+        raise ValueError(f"forward_scenes: {len(samples)} scenes need a ({len(samples)}, n, 4) "
+                         f"ROI array, got shape {boxes.shape}")
+    node_avg = _pool_rois(samples, boxes)
     features0 = np.tanh(node_avg @ params.feat_proj.value.T)
     scene_avg = np.array([sample.grid.mean(axis=(0, 1)) for sample in samples])
     # one (d, C) by (C,) product per scene, the same as for a lone scene
     scene0 = np.tanh(np.matmul(params.feat_proj.value, scene_avg[:, :, None])[:, :, 0])
 
-    graph = SceneGraph(node_features=features0,
-                       boxes=np.array([boxes_to_centers(b) for b in boxes]),
-                       scene_feature=scene0)
+    graph = SceneGraph(node_features=features0, boxes=boxes, scene_feature=scene0)
     graph_out, tapes = sin_infer_tapes(params.sin, graph, steps=steps,
                                        pooling=cfg.pooling, mode=mode)
     feats = graph_out.node_features
     logits = feats @ params.cls_head.value.T
-    deltas = (feats @ params.reg_head.value.T).reshape(len(samples), n,
-                                                        params.num_categories, 4)
+    deltas = (feats @ params.reg_head.value.T).reshape(*boxes.shape[:2], -1, 4)
     edges = next((t.edge_cache.e for t in reversed(tapes) if t.edge_cache is not None),
                  None)
-    return ForwardState(boxes=boxes, node_avg=node_avg, features0=features0,
+    return ForwardState(node_avg=node_avg, features0=features0,
                         scene_avg=scene_avg, scene_feature0=scene0,
                         graph_out=graph_out, tapes=tapes, logits=logits,
                         probs=_softmax_rows(logits), deltas=deltas, edges=edges)
@@ -409,24 +377,22 @@ def forward_scenes(params, samples, boxes, cfg, mode="both", steps=None):
 
 def forward(params, sample, cfg, boxes=None, mode="both", steps=None,
             train=False, rng=None):
-    """Propose (unless boxes are given) and run forward_scenes on the
-    one-scene stack of this sample."""
+    """Propose (unless the (n, 4) center-size rows `boxes` are given) and run
+    forward_scenes on the one-scene stack of this sample."""
     if boxes is None:
         boxes = propose(params, sample, cfg, train=train, rng=rng)
-    return forward_scenes(params, [sample], [boxes], cfg, mode, steps)
+    return forward_scenes(params, [sample], np.asarray(boxes)[None], cfg, mode, steps)
 
 
 # ---------------------------------------------------------------------------
 # loss
 
 def smooth_l1(u):
-    u = np.asarray(u, dtype=np.float64)
     a = np.abs(u)
     return np.where(a < SMOOTH_L1_THRESH, 0.5 * u * u, a - 0.5 * SMOOTH_L1_THRESH)
 
 
 def smooth_l1_grad(u):
-    u = np.asarray(u, dtype=np.float64)
     return np.where(np.abs(u) < SMOOTH_L1_THRESH, u, np.sign(u))
 
 
@@ -437,16 +403,17 @@ class LossGrads:
     parts: dict
 
 
-def multi_task_loss(probs, deltas, targets, lam=1.0):
+def multi_task_loss(probs, deltas, labels, target_deltas, lam=1.0):
     """Classification cross-entropy (mean over non-ignored ROIs) plus lam times
     smooth-L1 regression averaged over the 4 * positives components, for one
-    scene's (n, K+1) probs and (n, K, 4) deltas. Only the target class's
-    deltas receive gradient. Returns (loss, grads) with grads expressed
-    against the raw logits and the delta tensor."""
+    scene's (n, K+1) probs and (n, K, 4) deltas against assign_targets'
+    (n,) labels and (n, 4) target deltas. Only the target class's deltas
+    receive gradient. Returns (loss, grads) with grads expressed against the
+    raw logits and the delta tensor."""
     n, k1 = probs.shape
-    labels = np.array([t.label for t in targets], dtype=np.intp)
-    if len(labels) != n:
-        raise ValueError(f"{n} ROIs but {len(labels)} targets")
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (n,) or np.shape(target_deltas) != (n, 4):
+        raise ValueError(f"{n} ROIs but {labels.shape} labels and {np.shape(target_deltas)} deltas")
     valid = np.where(labels != IGNORE)[0]
     dlogits = np.zeros_like(probs)
     cls_loss = 0.0
@@ -459,14 +426,13 @@ def multi_task_loss(probs, deltas, targets, lam=1.0):
 
     ddeltas = np.zeros_like(deltas)
     reg_loss = 0.0
-    positives = [i for i in valid if labels[i] < k1 - 1 and targets[i].deltas is not None]
-    if positives:
-        denom = 4.0 * len(positives)
-        acc = 0.0
-        for i in positives:
-            u = deltas[i, labels[i]] - targets[i].deltas
-            acc += float(smooth_l1(u).sum())
-            ddeltas[i, labels[i]] = lam * smooth_l1_grad(u) / denom
+    pos = valid[labels[valid] < k1 - 1]
+    if pos.size:
+        denom = 4.0 * pos.size
+        u = deltas[pos, labels[pos]] - target_deltas[pos]          # (P, 4)
+        # each row's four-term sum, then the rows added one at a time, in order
+        acc = float(np.add.accumulate(smooth_l1(u).sum(axis=1))[-1])
+        ddeltas[pos, labels[pos]] = lam * smooth_l1_grad(u) / denom
         reg_loss = lam * acc / denom
 
     loss = cls_loss + reg_loss
@@ -528,7 +494,7 @@ def _anchor_targets(anchors, gt):
     between; every gt forces its best anchor positive. The band is looser than
     the ROI one: anchors sit on a unit-stride grid, so demanding 0.5 overlap
     would leave most objects with a single forced positive."""
-    a = len(anchors.boxes)
+    a = len(anchors.corners)
     if not gt:
         return np.zeros(a), np.ones(a, dtype=bool)
     ious = pairwise_iou(anchors.corners, boxes_to_array([o.box for o in gt]))
@@ -628,10 +594,10 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
         store.zero_grads()
         scored = score_anchors(params, sample)
         props = propose(params, sample, cfg, train=True, rng=jitter_rng, scored=scored)
-        targets = assign_targets(props, sample.gt, world.num_categories)
+        labels, target_deltas = assign_targets(props, sample.gt, world.num_categories)
         state = forward(params, sample, cfg, boxes=props, mode=mode,
                         steps=steps if it >= warmup else 0)
-        loss, grads = multi_task_loss(state.probs[0], state.deltas[0], targets)
+        loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
         detector_backward(params, state, grads)
         loss += objectness_loss(params, sample, scored=scored)
         loss += apply_weight_decay(active, cfg.weight_decay)
@@ -688,7 +654,7 @@ def _detect_stack(params, samples, cfg, score_thresh, arm):
     """Proposals per scene, then stage two once over the stack; returns the
     detections of each scene and the stack's forward state."""
     mode, steps = arm_plan(arm, cfg)
-    boxes = [propose(params, sample, cfg) for sample in samples]
+    boxes = np.array([propose(params, sample, cfg) for sample in samples])
     state = forward_scenes(params, samples, boxes, cfg, mode=mode, steps=steps)
     dets = [_scene_detections(state, b, sample.grid.shape[1], sample.grid.shape[0],
                               score_thresh)

@@ -1,10 +1,11 @@
 """Axis-aligned box arithmetic in grid units: IoU, greedy NMS over corner
-arrays, and delta-based refinement and clipping over center-size arrays.
+arrays, and delta encoding, refinement and clipping over center-size arrays.
 
-Box objects are the API edge. The array kernels take (k, 4) rows: corners
-(x1, y1, x2, y2) from boxes_to_array, or centers (cx, cy, w, h) from
-boxes_to_centers; each array kernel does the float operations of the
-matching Box arithmetic, so its results are bitwise the same."""
+Box objects are the API edge: ground truth (scene placement and dataset
+parsing), kept detections and the gradient-check fixture. The array kernels
+take (k, 4) rows of corners (x1, y1, x2, y2) or centers (cx, cy, w, h) and
+do the float operations of the matching Box arithmetic, so their results are
+bitwise the same."""
 
 from dataclasses import dataclass
 
@@ -118,11 +119,15 @@ def nms(boxes, scores, iou_thresh, max_keep):
     return [int(order[i]) for i in kept]
 
 
-def _check_rows(name, a):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != 4:
-        raise ValueError(f"{name}: expected a (k, 4) array, got shape {a.shape}")
-    return a
+def _check_rows(name, *arrays):
+    """The arrays as float64, each (k, 4) with the same k."""
+    out = [np.asarray(a, dtype=np.float64) for a in arrays]
+    for a in out:
+        if a.ndim != 2 or a.shape[1] != 4:
+            raise ValueError(f"{name}: expected a (k, 4) array, got shape {a.shape}")
+    if len({len(a) for a in out}) > 1:
+        raise ValueError(f"{name}: row counts differ: {[len(a) for a in out]}")
+    return out
 
 
 def apply_deltas(boxes, deltas):
@@ -130,32 +135,29 @@ def apply_deltas(boxes, deltas):
     shift each center by fractions of the size, rescale the sides by exp of
     the log-deltas. An exp overflow gives an infinite side, which clip_box
     brings back inside the grid."""
-    b = _check_rows("apply_deltas", boxes)
-    d = _check_rows("apply_deltas", deltas)
-    if len(b) != len(d):
-        raise ValueError(f"apply_deltas: {len(b)} boxes but {len(d)} delta rows")
+    b, d = _check_rows("apply_deltas", boxes, deltas)
     out = np.empty_like(b)
     out[:, :2] = b[:, :2] + d[:, :2] * b[:, 2:]
     out[:, 2:] = b[:, 2:] * np.exp(d[:, 2:])
     return out
 
 
-def encode_deltas(b, g):
-    """Exact inverse of apply_deltas in its second argument: the deltas that
-    map box b onto box g."""
-    return np.array([
-        (g.cx - b.cx) / b.w,
-        (g.cy - b.cy) / b.h,
-        np.log(g.w / b.w),
-        np.log(g.h / b.h),
-    ], dtype=np.float64)
+def encode_deltas(boxes, targets):
+    """Exact inverse of apply_deltas in its second argument: the (k, 4) delta
+    rows that map each center-size row of boxes onto the same row of
+    targets."""
+    b, g = _check_rows("encode_deltas", boxes, targets)
+    out = np.empty_like(b)
+    out[:, :2] = (g[:, :2] - b[:, :2]) / b[:, 2:]
+    out[:, 2:] = np.log(g[:, 2:] / b[:, 2:])
+    return out
 
 
 def clip_box(boxes, width, height, min_side=1e-6):
     """Clamp the extents of (k, 4) center-size rows into [0, width] x
     [0, height], keeping sides at least min_side even for a box that started
     wholly outside the grid; returns center-size rows."""
-    corners = centers_to_corners(_check_rows("clip_box", boxes))
+    corners = centers_to_corners(*_check_rows("clip_box", boxes))
     # max(0.0, min(v, hi)) per corner, picking the operands the builtins
     # pick: -0.0 and NaN clamp to 0.0
     hi = np.array([width, height, width, height], dtype=np.float64)

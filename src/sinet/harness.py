@@ -28,7 +28,7 @@ from .detector import (ARMS, TrainConfig, TrainingDiverged, arm_plan,
                        validate_config)
 from .evaluation import (FP_KINDS, evaluate_detections, mean_ap, run_ablation,
                          strip_objects)
-from .geometry import Box
+from .geometry import Box, boxes_to_centers
 from .numerics import (CheckpointError, ParamStore, derive_seed, grad_check,
                        load_checkpoint, save_checkpoint)
 from .structure_inference import relation_report
@@ -60,12 +60,31 @@ class RunConfig:
     output_dir: str = "runs/latest"
 
 
-def _dataclass_from_dict(cls, d, where):
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(d) - allowed)
+# the JSON values each scalar annotation accepts; a bool is not a number here
+_SCALAR_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _dataclass_from_dict(cls, d, where, validate=None):
+    """cls from a JSON object with known keys and scalar fields of their
+    annotated types, checked as a whole by `validate`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(types))
     if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
-    return cls(**d)
+        raise ValueError(f"{where}: unknown keys {unknown}; allowed: {sorted(types)}")
+    for key, value in d.items():
+        want = types[key]
+        if want in _SCALAR_TYPES and (isinstance(value, bool)
+                                      or not isinstance(value, _SCALAR_TYPES[want])):
+            raise ValueError(f"{where}.{key}: expected {want.__name__}, got {value!r}")
+    out = cls(**d)
+    if validate is not None:
+        try:
+            validate(out)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+    return out
 
 
 def run_config_from_dict(d):
@@ -75,11 +94,6 @@ def run_config_from_dict(d):
     if "eval" in d:
         d["eval"] = _dataclass_from_dict(EvalConfig, d["eval"], "config.eval")
     return _dataclass_from_dict(RunConfig, d, "config")
-
-
-def run_config_to_dict(config):
-    out = asdict(config)
-    return out
 
 
 def load_run_config(path):
@@ -231,20 +245,20 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5, wd=1e-3)
     while len(boxes) < n:
         boxes.append(Box(rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0),
                          rng.uniform(1.5, 3.0), rng.uniform(1.5, 3.0)))
-    boxes = boxes[:n]
+    boxes = boxes_to_centers(boxes[:n])
     cfg = TrainConfig(T=steps, pooling=pooling, rois_per_image=n, feat_dim=d)
     validate_config(cfg)
     store = ParamStore()
     params = create_detector_params(store, channels, 2, d,
                                     derive_seed(seed, "init"), pooling)
-    targets = assign_targets(boxes, gt, 2)
+    labels, target_deltas = assign_targets(boxes, gt, 2)
     names = [nm for nm in store.names() if nm != "det/objectness"]
     decayed = [store[nm] for nm in names]
 
     def loss_fn():
         store.zero_grads()
         state = forward(params, sample, cfg, boxes=boxes, mode="both", steps=steps)
-        loss, grads = multi_task_loss(state.probs[0], state.deltas[0], targets)
+        loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
         detector_backward(params, state, grads)
         return loss + apply_weight_decay(decayed, wd)
 
@@ -274,11 +288,15 @@ def _config_from_args(args):
     validate_config(config.train)
     if config.arm not in ARMS:
         raise ValueError(f"unknown arm {config.arm!r}; expected one of {ARMS}")
-    if config.eval.n_train < 1 or config.eval.n_test < 1:
-        raise ValueError("n_train and n_test must be >= 1")
-    if not (0.0 <= config.eval.score_thresh <= 1.0):
-        raise ValueError("score_thresh must be in [0, 1]")
+    _validate_eval(config.eval)
     return config
+
+
+def _validate_eval(ev):
+    if ev.n_train < 1 or ev.n_test < 1:
+        raise ValueError("n_train and n_test must be >= 1")
+    if not (0.0 <= ev.score_thresh <= 1.0):
+        raise ValueError("score_thresh must be in [0, 1]")
 
 
 def _manifest_payload(command, config, world):
@@ -336,25 +354,26 @@ def _load_trained(args):
     manifest = read_manifest(manifest_path)
     store = load_checkpoint(args.checkpoint)
     try:
-        params_check = detector_params_from_store(store)
+        detector_params_from_store(store)
     except KeyError as e:
         raise RunFailure(f"{args.checkpoint}: checkpoint lacks parameter {e}")
-    del params_check
     try:
-        cfg = _dataclass_from_dict(TrainConfig, manifest["train"], "manifest.train")
+        cfg = _dataclass_from_dict(TrainConfig, manifest["train"], "manifest.train",
+                                   validate_config)
+        ev_cfg = _dataclass_from_dict(EvalConfig, manifest.get("eval", {}), "manifest.eval",
+                                      _validate_eval)
         world = world_from_dict(manifest["world"])
     except (TypeError, ValueError, KeyError) as e:
         raise RunFailure(f"{manifest_path}: manifest does not match this build: {e}")
-    return manifest, store, cfg, world
+    if manifest["arm"] not in ARMS:
+        raise RunFailure(f"{manifest_path}: manifest names unknown arm {manifest['arm']!r}")
+    return manifest, store, cfg, ev_cfg, world
 
 
 def _cmd_eval(args):
     workers = eval_workers()
-    manifest, store, cfg, world = _load_trained(args)
+    manifest, store, cfg, ev_cfg, world = _load_trained(args)
     arm = manifest["arm"]
-    if arm not in ARMS:
-        raise RunFailure(f"manifest names unknown arm {arm!r}")
-    ev_cfg = _dataclass_from_dict(EvalConfig, manifest.get("eval", {}), "manifest.eval")
     n_test = args.n_test if args.n_test is not None else ev_cfg.n_test
     score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
     if args.data:
@@ -442,7 +461,7 @@ def _cmd_gradcheck(args):
 def _cmd_relations(args):
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    manifest, store, cfg, world = _load_trained(args)
+    manifest, store, cfg, _ev_cfg, world = _load_trained(args)
     arm = manifest["arm"]
     params = detector_params_from_store(store)
     score_thresh = args.score_thresh if args.score_thresh is not None else 0.05
@@ -558,10 +577,7 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except CheckpointError as e:
-        print(f"sinet: error: {e}", file=sys.stderr)
-        return 2
-    except (RunFailure, TrainingDiverged, OSError, FloatingPointError) as e:
+    except (CheckpointError, RunFailure, TrainingDiverged, OSError, FloatingPointError) as e:
         print(f"sinet: error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -205,7 +205,10 @@ def load_checkpoint(path):
         chunk, off = take(4, off, f"name length of entry {i}")
         (name_len,) = struct.unpack("<I", chunk)
         chunk, off = take(name_len, off, f"name of entry {i}")
-        name = chunk.decode("utf-8")
+        try:
+            name = chunk.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"name of entry {i} at offset {off - name_len} is not UTF-8: {e}")
         chunk, off = take(4, off, f"rank of {name!r}")
         (rank,) = struct.unpack("<I", chunk)
         if rank not in (1, 2):

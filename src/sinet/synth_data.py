@@ -117,11 +117,11 @@ def _centers_below(v, n):
     return 0 if v <= 0.5 else n if v > n - 0.5 else math.ceil(v - 0.5)
 
 
-def cell_window(box, height, width):
+def cell_window(corners, height, width):
     """(r0, r1, c0, c1): half-open row and column bounds of the cells whose
-    centers fall inside the box (center >= low edge, < high edge). The window
-    covers no cell when r1 == r0 or c1 == c0."""
-    x1, y1, x2, y2 = box.corners()
+    centers fall inside the box with corners (x1, y1, x2, y2) (center >= low
+    edge, < high edge). The window covers no cell when r1 == r0 or c1 == c0."""
+    x1, y1, x2, y2 = corners
     if not (x1 <= x2 and y1 <= y2):    # a NaN corner covers no cell
         return 0, 0, 0, 0
     return (_centers_below(y1, height), _centers_below(y2, height),
@@ -145,7 +145,7 @@ def _try_place(world, rng, cat_id, occupied, center=None):
                 and h / 2.0 <= cy <= world.height - h / 2.0):
             return None
     box = Box(cx, cy, w, h)
-    r0, r1, c0, c1 = win = cell_window(box, world.height, world.width)
+    r0, r1, c0, c1 = win = cell_window(box.corners(), world.height, world.width)
     if r1 == r0 or c1 == c0 or occupied[r0:r1, c0:c1].any():
         return None
     return box, win

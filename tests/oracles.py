@@ -147,6 +147,13 @@ def apply_deltas_oracle(b, d):
     return Box(b.cx + dx * b.w, b.cy + dy * b.h, b.w * _exp_s(dw), b.h * _exp_s(dh))
 
 
+def encode_deltas_oracle(b, g):
+    """The (dx, dy, dw, dh) that refine Box b onto Box g, one scalar at a
+    time: the inverse of apply_deltas_oracle."""
+    return [(g.cx - b.cx) / b.w, (g.cy - b.cy) / b.h,
+            math.log(g.w / b.w), math.log(g.h / b.h)]
+
+
 def clip_box_oracle(b, width, height, min_side=1e-6):
     """Clamp one Box's corners into [0, width] x [0, height] with the min and
     max builtins, keeping sides at least min_side."""

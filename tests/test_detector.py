@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,20 +11,20 @@ from hypothesis import strategies as hst
 from sinet import detector as det_mod
 from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
-                            PROPOSAL_NMS_THRESH, DetectorParams, RoiTarget,
-                            TrainConfig, TrainingDiverged, _anchor_features,
-                            _anchor_targets, active_param_names, anchor_set,
-                            arm_plan, assign_targets, create_detector_params,
-                            detect, detect_scenes, forward, multi_task_loss, objectness_loss,
-                            propose, score_anchors, smooth_l1, smooth_l1_grad,
-                            train, validate_config)
-from sinet.geometry import Box, encode_deltas, iou
+                            PROPOSAL_NMS_THRESH, TrainConfig,
+                            TrainingDiverged, _anchor_features, _anchor_targets,
+                            active_param_names, anchor_set, arm_plan, assign_targets,
+                            create_detector_params, detect, detect_scenes, forward,
+                            forward_scenes, multi_task_loss, objectness_loss, propose,
+                            score_anchors, smooth_l1, smooth_l1_grad, train,
+                            validate_config)
+from sinet.geometry import Box, boxes_to_array, boxes_to_centers, iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, default_world
 
 from oracles import (apply_deltas_oracle, clip_box_oracle, covered_cells_oracle,
-                     iou_oracle, nms_oracle)
+                     encode_deltas_oracle, iou_oracle, nms_oracle)
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -42,15 +43,20 @@ def make_sample(rng, h=10, w=10, c=5, gt=()):
 
 def test_anchor_set_enumeration():
     a = anchor_set(16, 16)
-    assert len(a.boxes) == 16 * 16 * len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
-    assert len(a.boxes) == 1536
+    assert len(a.centers) == 16 * 16 * len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
+    assert len(a.centers) == 1536
     assert a.corners.shape == (1536, 4)
     # row-major by cell, types cycling fastest
     num_types = len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
     assert a.type_index[:num_types].tolist() == list(range(num_types))
     assert a.cell_index[0] == 0 and a.cell_index[num_types] == 1
-    b0 = a.boxes[0]
-    assert (b0.cx, b0.cy) == (0.5, 0.5)
+    assert a.centers[0, :2].tolist() == [0.5, 0.5]
+    # the same rows, bit for bit, as Boxes enumerated one at a time
+    sizes = [(s * math.sqrt(r), s / math.sqrt(r)) for s in ANCHOR_SCALES for r in ANCHOR_RATIOS]
+    boxes = [Box(c + 0.5, r + 0.5, aw, ah)
+             for r in range(16) for c in range(16) for aw, ah in sizes]
+    assert a.centers.tolist() == boxes_to_centers(boxes).tolist()
+    assert np.array_equal(a.corners, boxes_to_array(boxes))
     # cached: same object back for the same grid
     assert anchor_set(16, 16) is a
 
@@ -62,8 +68,9 @@ def test_anchor_features_match_covered_cell_pooling():
     sample = SceneSample(grid=grid, scene_type=0, gt=[])
     anchors = anchor_set(h, w)
     feats = _anchor_features(sample, anchors)
-    assert feats.shape == (len(anchors.boxes), c)
-    for i, box in enumerate(anchors.boxes):
+    assert feats.shape == (len(anchors.centers), c)
+    for i, row in enumerate(anchors.centers.tolist()):
+        box = Box(*row)
         rows, cols = covered_cells_oracle(box, h, w)
         want = grid[np.ix_(rows, cols)].mean(axis=(0, 1))
         assert np.allclose(feats[i], want, atol=1e-12), f"anchor {i}"
@@ -79,8 +86,7 @@ def test_propose_exact_count():
     for k in (4, 16, 200):
         cfg = validate_config(TrainConfig(rois_per_image=k, feat_dim=6))
         props = propose(params, sample, cfg, train=False)
-        assert len(props) == k
-        assert all(isinstance(b, Box) for b in props)
+        assert props.shape == (k, 4)
 
 
 def test_propose_injects_ground_truth():
@@ -94,18 +100,18 @@ def test_propose_injects_ground_truth():
     props = propose(params, sample, cfg, train=True, rng=None)
     assert len(props) == 16
     for obj in gt:
-        best = max(iou(p, obj.box) for p in props)
+        best = max(iou(Box(*p), obj.box) for p in props.tolist())
         assert best >= 0.7
 
     # eval mode must not peek at the labels
     props_eval = propose(params, sample, cfg, train=False)
-    g = (gt[0].box.cx, gt[0].box.cy, gt[0].box.w, gt[0].box.h)
-    assert all((p.cx, p.cy, p.w, p.h) != g for p in props_eval)
+    g = [gt[0].box.cx, gt[0].box.cy, gt[0].box.w, gt[0].box.h]
+    assert all(p != g for p in props_eval.tolist())
 
 
 def test_propose_matches_oracle_over_injected_and_anchors():
     # propose runs NMS on corner arrays; the oracle scans Box objects, with
-    # the (jittered) gt boxes injected ahead of anchors.boxes in train mode
+    # the (jittered) gt boxes injected ahead of the anchors in train mode
     rng = np.random.default_rng(21)
     store, params = make_params()
     params.objectness.value[:] = rng.normal(0.0, 1.0, size=params.objectness.value.shape)
@@ -122,20 +128,48 @@ def test_propose_matches_oracle_over_injected_and_anchors():
                 replay = np.random.default_rng(4)
                 injected = [clip_box_oracle(apply_deltas_oracle(
                     o.box, replay.normal(0.0, GT_JITTER, size=4)), 10, 10) for o in gt]
-            boxes = injected + anchors.boxes
+            boxes = injected + [Box(*row) for row in anchors.centers.tolist()]
             keep = nms_oracle(boxes, [1e9] * len(injected) + list(scores),
                               PROPOSAL_NMS_THRESH, k)
             assert len(keep) == k
-            assert props == [boxes[i] for i in keep]
+            assert props.tolist() == [[boxes[i].cx, boxes[i].cy, boxes[i].w, boxes[i].h]
+                                      for i in keep]
+
+
+def test_propose_pads_by_cycling_the_kept_boxes():
+    # a one-cell grid has 6 anchors, so NMS keeps fewer than 16 boxes: the m
+    # survivors come first in the oracle's order, then props[j % m] fills
+    # each remaining slot j
+    rng = np.random.default_rng(22)
+    store, params = make_params()
+    params.objectness.value[:] = rng.normal(0.0, 1.0, size=params.objectness.value.shape)
+    gt = [GtObject(Box(0.5, 0.6, 1.2, 1.6), 0)]
+    sample = make_sample(rng, h=1, w=1, gt=gt)
+    anchors, _feats, scores = score_anchors(params, sample)
+    cfg = validate_config(TrainConfig(rois_per_image=16, feat_dim=6))
+    for train_mode in (False, True):
+        props = propose(params, sample, cfg, train=train_mode)
+        injected = [o.box for o in gt] if train_mode else []
+        boxes = injected + [Box(*row) for row in anchors.centers.tolist()]
+        keep = nms_oracle(boxes, [1e9] * len(injected) + list(scores),
+                          PROPOSAL_NMS_THRESH, 16)
+        m = len(keep)
+        assert 1 < m <= 7, m
+        assert props.shape == (16, 4)
+        assert props[:m].tolist() == [[boxes[i].cx, boxes[i].cy, boxes[i].w, boxes[i].h]
+                                      for i in keep]
+        for j in range(m, 16):
+            assert props[j].tolist() == props[j % m].tolist()
 
 
 # ---------------------------------------------------------------------------
 # target assignment
 
 def test_assign_targets_no_gt_is_all_background():
-    props = [Box(2, 2, 2, 2), Box(5, 5, 1, 1)]
-    out = assign_targets(props, [], num_categories=3)
-    assert [t.label for t in out] == [3, 3]
+    props = boxes_to_centers([Box(2, 2, 2, 2), Box(5, 5, 1, 1)])
+    labels, deltas = assign_targets(props, [], num_categories=3)
+    assert labels.tolist() == [3, 3]
+    assert deltas.shape == (2, 4) and not deltas.any()
 
 
 def test_assign_targets_trivial_cases():
@@ -145,13 +179,12 @@ def test_assign_targets_trivial_cases():
         Box(9.0, 9.0, 2.0, 2.0),    # disjoint
         Box(3.7, 3.0, 2.0, 2.0),    # IoU ~0.418: in the ignore band
     ]
-    out = assign_targets(props, [g], num_categories=4)
-    assert out[0].label == 1
-    assert np.allclose(out[0].deltas, encode_deltas(props[0], g.box))
-    assert np.allclose(out[0].deltas, 0.0)
-    assert out[1].label == 4
-    assert out[1].deltas is None
-    assert out[2].label == IGNORE
+    labels, deltas = assign_targets(boxes_to_centers(props), [g], num_categories=4)
+    assert labels.tolist() == [1, 4, IGNORE]
+    assert np.allclose(deltas[0], encode_deltas_oracle(props[0], g.box))
+    assert np.allclose(deltas[0], 0.0)
+    # rows that are not positive carry zero deltas
+    assert not deltas[1:].any()
 
 
 def test_assign_targets_forces_best_proposal():
@@ -159,9 +192,8 @@ def test_assign_targets_forces_best_proposal():
     g = GtObject(Box(3.0, 3.0, 2.0, 2.0), 2)
     props = [Box(4.4, 3.0, 2.0, 2.0), Box(8.0, 8.0, 2.0, 2.0)]
     assert iou(props[0], g.box) < IOU_POS
-    out = assign_targets(props, [g], num_categories=3)
-    assert out[0].label == 2
-    assert out[1].label == 3
+    labels, _deltas = assign_targets(boxes_to_centers(props), [g], num_categories=3)
+    assert labels.tolist() == [2, 3]
 
 
 def test_assign_targets_matches_brute_force():
@@ -174,7 +206,8 @@ def test_assign_targets_matches_brute_force():
                            rng.uniform(0.8, 3.0), rng.uniform(0.8, 3.0)),
                        int(rng.integers(0, 3)))
               for _ in range(int(rng.integers(1, 4)))]
-        out = assign_targets(props, gt, num_categories=3)
+        labels, deltas = assign_targets(boxes_to_centers(props), gt, num_categories=3)
+        assert labels.shape == (8,) and deltas.shape == (8, 4)
 
         ious = [[iou_oracle(p, o.box) for o in gt] for p in props]
         assigned = [-1] * len(props)
@@ -198,13 +231,15 @@ def test_assign_targets_matches_brute_force():
                 neg[best] = False
         for i in range(len(props)):
             if assigned[i] >= 0:
-                assert out[i].label == gt[assigned[i]].category, (trial, i)
-                want = encode_deltas(props[i], gt[assigned[i]].box)
-                assert np.allclose(out[i].deltas, want, atol=1e-12)
-            elif neg[i]:
-                assert out[i].label == 3
+                assert labels[i] == gt[assigned[i]].category, (trial, i)
+                want = encode_deltas_oracle(props[i], gt[assigned[i]].box)
+                assert np.allclose(deltas[i], want, atol=1e-12)
+                continue
+            assert not deltas[i].any()
+            if neg[i]:
+                assert labels[i] == 3
             else:
-                assert out[i].label == IGNORE
+                assert labels[i] == IGNORE
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +262,19 @@ def _loss_inputs():
     logits = rng.normal(size=(3, 3))
     probs = det_mod._softmax_rows(logits)
     deltas = rng.normal(size=(3, 2, 4))
-    targets = [RoiTarget(0, deltas=np.array([0.1, -0.2, 0.0, 0.3])),
-               RoiTarget(2),            # background (K = 2)
-               RoiTarget(IGNORE)]
-    return logits, probs, deltas, targets
+    labels = np.array([0, 2, IGNORE])   # a positive, background (K = 2), ignored
+    targets = np.zeros((3, 4))
+    targets[0] = [0.1, -0.2, 0.0, 0.3]
+    return logits, probs, deltas, labels, targets
 
 
 def test_multi_task_loss_hand_value():
-    logits, probs, deltas, targets = _loss_inputs()
+    logits, probs, deltas, labels, targets = _loss_inputs()
 
-    loss, grads = multi_task_loss(probs, deltas, targets, lam=2.0)
+    loss, grads = multi_task_loss(probs, deltas, labels, targets, lam=2.0)
 
     cls = -(np.log(probs[0, 0]) + np.log(probs[1, 2])) / 2.0
-    u = deltas[0, 0] - targets[0].deltas
+    u = deltas[0, 0] - targets[0]
     reg = 2.0 * float(smooth_l1(u).sum()) / 4.0
     assert loss == pytest.approx(cls + reg, abs=1e-12)
     assert grads.parts["cls"] == pytest.approx(cls)
@@ -251,16 +286,46 @@ def test_multi_task_loss_hand_value():
     assert np.all(grads.ddeltas[1] == 0.0)
 
     with pytest.raises(ValueError):
-        multi_task_loss(probs, deltas, targets[:2])
+        multi_task_loss(probs, deltas, labels[:2], targets)
+    with pytest.raises(ValueError):
+        multi_task_loss(probs, deltas, labels, targets[:2])
+
+
+def test_multi_task_loss_matches_per_roi_loop():
+    # the regression term gathers every positive at once; the reference
+    # visits them one at a time and adds each row's sum to a float, in order
+    rng = np.random.default_rng(34)
+    for trial in range(50):
+        n, k = int(rng.integers(1, 20)), int(rng.integers(1, 5))
+        probs = det_mod._softmax_rows(rng.normal(size=(n, k + 1)))
+        deltas = rng.normal(0.0, 2.0, size=(n, k, 4))
+        labels = rng.integers(-1, k + 1, size=n)
+        targets = np.where((labels >= 0) & (labels < k), 1.0, 0.0)[:, None] \
+            * rng.normal(0.0, 2.0, size=(n, 4))
+        loss, grads = multi_task_loss(probs, deltas, labels, targets, lam=1.5)
+
+        positives = [i for i in range(n) if 0 <= labels[i] < k]
+        reg, ddeltas = 0.0, np.zeros_like(deltas)
+        if positives:
+            denom = 4.0 * len(positives)
+            acc = 0.0
+            for i in positives:
+                u = deltas[i, labels[i]] - targets[i]
+                acc += float(smooth_l1(u).sum())
+                ddeltas[i, labels[i]] = 1.5 * smooth_l1_grad(u) / denom
+            reg = 1.5 * acc / denom
+        assert grads.parts["reg"] == reg, trial
+        assert loss == grads.parts["cls"] + reg
+        assert np.array_equal(grads.ddeltas, ddeltas), trial
 
 
 def test_multi_task_loss_gradients_match_finite_differences():
-    logits, probs, deltas, targets = _loss_inputs()
+    logits, probs, deltas, labels, targets = _loss_inputs()
 
     def loss_at(lg, dl):
-        return multi_task_loss(det_mod._softmax_rows(lg), dl, targets, lam=2.0)[0]
+        return multi_task_loss(det_mod._softmax_rows(lg), dl, labels, targets, lam=2.0)[0]
 
-    _, grads = multi_task_loss(probs, deltas, targets, lam=2.0)
+    _, grads = multi_task_loss(probs, deltas, labels, targets, lam=2.0)
 
     eps = 1e-6
     for idx in np.ndindex(logits.shape):
@@ -312,7 +377,7 @@ def test_forward_node_avg_is_gather_mean_over_covered_cells():
                    Box(12.0, -3.0, 1.0, 1.0), Box(5.0, 5.0, 0.9, 0.9)]   # last: a tie
     boxes += covers_none
     cfg = validate_config(TrainConfig(feat_dim=6))
-    state = forward(params, sample, cfg, boxes=boxes, steps=0)
+    state = forward(params, sample, cfg, boxes=boxes_to_centers(boxes), steps=0)
     for i, b in enumerate(boxes):
         rows, cols = covered_cells_oracle(b, h, w)
         if rows.size == 0 or cols.size == 0:
@@ -328,7 +393,7 @@ def test_forward_zero_steps_reads_heads_off_raw_features():
     rng = np.random.default_rng(43)
     store, params = make_params()
     sample = make_sample(rng)
-    boxes = [Box(3, 3, 2, 2), Box(6, 6, 2, 3), Box(8, 2, 1.5, 1.5)]
+    boxes = boxes_to_centers([Box(3, 3, 2, 2), Box(6, 6, 2, 3), Box(8, 2, 1.5, 1.5)])
     cfg = validate_config(TrainConfig(rois_per_image=3, T=3, feat_dim=6))
     state = forward(params, sample, cfg, boxes=boxes, steps=0)
     assert np.array_equal(state.graph_out.node_features, state.features0)
@@ -337,6 +402,20 @@ def test_forward_zero_steps_reads_heads_off_raw_features():
     # with steps > 0 the graph must actually move the features
     moved = forward(params, sample, cfg, boxes=boxes, steps=2)
     assert not np.allclose(moved.graph_out.node_features, state.features0)
+
+
+def test_forward_scenes_rejects_bad_roi_shapes():
+    rng = np.random.default_rng(45)
+    store, params = make_params()
+    samples = [make_sample(rng), make_sample(rng)]
+    cfg = validate_config(TrainConfig(rois_per_image=3, T=1, feat_dim=6))
+    rois = propose(params, samples[0], cfg)
+    for bad in (rois, rois[None], np.stack([rois, rois])[..., :3],
+                np.stack([rois, rois, rois])):
+        with pytest.raises(ValueError, match="forward_scenes"):
+            forward_scenes(params, samples, bad, cfg)
+    state = forward_scenes(params, samples, np.stack([rois, rois]), cfg)
+    assert state.probs.shape == (2, 3, 4)
 
 
 def test_forward_edges_square_and_zero_diagonal():
@@ -364,11 +443,10 @@ def test_anchor_targets_band_and_forced_positive():
     anchors = anchor_set(h, w)
     gt = [GtObject(Box(4.0, 4.0, 2.6, 2.6), 0)]
     y, mask = _anchor_targets(anchors, gt)
-    corners = anchors.corners
-    from sinet.geometry import Box as B
-    for i, box in enumerate(anchors.boxes):
+    boxes = [Box(*row) for row in anchors.centers.tolist()]
+    for i, box in enumerate(boxes):
         v = iou(box, gt[0].box)
-        forced = i == int(np.argmax([iou(b, gt[0].box) for b in anchors.boxes]))
+        forced = i == int(np.argmax([iou(b, gt[0].box) for b in boxes]))
         if forced:
             assert y[i] == 1.0 and mask[i]
         elif v >= det_mod.OBJ_IOU_POS:
@@ -428,7 +506,7 @@ def test_objectness_loss_with_shared_scores_matches_own():
 
     # the scores are each anchor's pooled features through its type's row
     anchors, feats, scores = scored
-    for a in range(len(anchors.boxes)):
+    for a in range(len(anchors.centers)):
         want = feats[a] @ params.objectness.value[anchors.type_index[a]]
         assert scores[a] == pytest.approx(want, abs=1e-12)
     # the gradient accumulates onto what was there
@@ -587,10 +665,10 @@ def test_detect_arms_share_proposals():
     for arm in ARMS:
         mode, steps = arm_plan(arm, cfg)
         states[arm] = forward(params, sample, cfg, mode=mode, steps=steps)
-    ref = [(b.cx, b.cy, b.w, b.h) for b in states["baseline"].boxes[0]]
+    ref = states["baseline"].graph_out.boxes
+    assert ref.shape == (1, 6, 4)
     for arm in ARMS[1:]:
-        got = [(b.cx, b.cy, b.w, b.h) for b in states[arm].boxes[0]]
-        assert got == ref
+        assert np.array_equal(states[arm].graph_out.boxes, ref)
 
 
 # Digests of what `sinet eval` scores: the detections of a 60-iteration model
@@ -623,6 +701,34 @@ def _detection_digest(arm):
 @pytest.mark.parametrize("arm", ARMS)
 def test_detections_are_pinned(arm):
     assert _detection_digest(arm) == PINNED_DETECTIONS[arm]
+
+
+# Digests of a 60-iteration training per (arm, pooling): every loss's hex
+# value, then every parameter's name and bytes. Recorded before proposals,
+# targets and the ROI loss ran on center-row arrays; any change to a loss or
+# parameter bit moves them.
+PINNED_TRAINING = {
+    "baseline": ("baseline", "mean",
+                 "4da27dec250e80e8b3fe5a1d2ab2bdf5762d50eaf570a0e6a74b9e6c87a3536d"),
+    "sin-mean": ("sin", "mean",
+                 "8edf8bda2b4e432b67219b84a9cf0adc97244eca8123abc0c529133d4923f8a2"),
+    "sin-concat": ("sin", "concat",
+                   "ccb83917f8057fe965fd9254d4b7ba66e2ef5913060020651d920e6277e4ff1d"),
+}
+
+
+@pytest.mark.parametrize("arm", PINNED_TRAINING)
+def test_training_is_pinned(arm):
+    model_arm, pooling, want = PINNED_TRAINING[arm]
+    cfg = TrainConfig(iters=60, seed=4, pooling=pooling)
+    result = train(default_world(), cfg, arm=model_arm, n_train=60)
+    digest = hashlib.sha256()
+    for loss in result.losses:
+        digest.update(float(loss).hex().encode())
+    for p in result.store.params():
+        digest.update(p.name.encode())
+        digest.update(p.value.tobytes())
+    assert digest.hexdigest() == want
 
 
 # (pooling, rois_per_image) of the models the stack-composition test detects

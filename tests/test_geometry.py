@@ -7,8 +7,8 @@ from sinet.geometry import (Box, apply_deltas, boxes_to_array, boxes_to_centers,
                             centers_to_corners, clip_box, encode_deltas, iou, nms,
                             pairwise_iou)
 
-from oracles import (apply_deltas_oracle, clip_box_oracle, iou_oracle, nms_oracle,
-                     random_box)
+from oracles import (apply_deltas_oracle, clip_box_oracle, encode_deltas_oracle,
+                     iou_oracle, nms_oracle, random_box)
 
 
 def test_iou_known_cases():
@@ -40,9 +40,9 @@ def test_box_invariants():
 def test_delta_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        b, g = random_box(rng), random_box(rng)
-        d = encode_deltas(b, g)
-        (cx, _cy, w, _h), = apply_deltas(boxes_to_centers([b]), d[None])
+        b, g = boxes_to_centers([random_box(rng)]), boxes_to_centers([random_box(rng)])
+        (cx, _cy, w, _h), = apply_deltas(b, encode_deltas(b, g))
+        g = Box(*g[0])
         assert cx == pytest.approx(g.cx, abs=1e-12)
         assert w == pytest.approx(g.w, rel=1e-12)
 
@@ -73,7 +73,25 @@ def test_box_array_kernels_reject_bad_shapes():
     with pytest.raises(ValueError):
         apply_deltas(np.ones(4), np.zeros(4))
     with pytest.raises(ValueError):
+        encode_deltas(np.ones((3, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        encode_deltas(np.ones((1, 4)), np.ones(4))
+    with pytest.raises(ValueError):
         clip_box(np.ones((2, 3)), 16, 16)
+
+
+def test_encode_deltas_matches_box_oracle():
+    # the shifts are the oracle's bits; the log sides agree to the last ulp
+    rng = np.random.default_rng(8)
+    for k in (0, 1, 5, 40):
+        boxes = [random_box(rng, span=30.0) for _ in range(k)]
+        targets = [random_box(rng, span=30.0) for _ in range(k)]
+        got = encode_deltas(boxes_to_centers(boxes), boxes_to_centers(targets))
+        assert got.shape == (k, 4)
+        for row, b, g in zip(got, boxes, targets):
+            want = encode_deltas_oracle(b, g)
+            assert row[:2].tolist() == want[:2]
+            assert np.allclose(row[2:], want[2:], rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
@@ -123,8 +141,9 @@ _side = hst.floats(0.01, 40.0, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 @given(b=hst.tuples(_coord, _coord, _side, _side), g=hst.tuples(_coord, _coord, _side, _side))
 def test_apply_deltas_inverts_encode_deltas(b, g):
+    bc, gc = np.array([b]), np.array([g])
+    (cx, cy, w, h), = apply_deltas(bc, encode_deltas(bc, gc))
     b, g = Box(*b), Box(*g)
-    (cx, cy, w, h), = apply_deltas(boxes_to_centers([b]), encode_deltas(b, g)[None])
     assert cx == pytest.approx(g.cx, abs=1e-12 * (1.0 + abs(g.cx) + abs(b.cx)))
     assert cy == pytest.approx(g.cy, abs=1e-12 * (1.0 + abs(g.cy) + abs(b.cy)))
     assert w == pytest.approx(g.w, rel=1e-12)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from sinet.harness import (EvalConfig, RunConfig, RunFailure, build_parser,
                            detect_dataset, eval_workers, fp_rows,
                            load_run_config, main, metrics_rows, pr_rows,
                            read_manifest, resolve_world, run_config_from_dict,
-                           run_config_to_dict, run_gradcheck, write_csv,
-                           write_manifest)
+                           run_gradcheck, write_csv, write_manifest)
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.synth_data import default_world, sample_at, save_dataset, world_to_dict
 
@@ -23,7 +23,7 @@ def test_run_config_round_trip():
                     train=TrainConfig(lr=0.01, iters=50, T=3, pooling="max"),
                     eval=EvalConfig(split_seed=4, n_train=10, n_test=5),
                     output_dir="runs/x")
-    back = run_config_from_dict(run_config_to_dict(cfg))
+    back = run_config_from_dict(asdict(cfg))
     assert back == cfg
 
 
@@ -34,6 +34,25 @@ def test_run_config_rejects_unknown_keys():
         run_config_from_dict({"train": {"lr": 0.1, "warmup": 5}})
     with pytest.raises(ValueError, match="config.eval"):
         run_config_from_dict({"eval": {"n_trian": 10}})
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("train", "T", "2"), ("train", "iters", 2.0), ("train", "feat_dim", True),
+    ("train", "lr", "0.1"), ("train", "pooling", 3), ("eval", "n_test", "5"),
+    ("eval", "score_thresh", None), ("eval", "split_seed", False),
+])
+def test_run_config_rejects_mistyped_fields(block, key, value):
+    # ints take no float or bool, floats take ints, strs take only strs
+    with pytest.raises(ValueError, match=rf"config\.{block}\.{key}: expected"):
+        run_config_from_dict({block: {key: value}})
+
+
+def test_run_config_checks_blocks_and_scalars():
+    with pytest.raises(ValueError, match="config.arm: expected str"):
+        run_config_from_dict({"arm": 1})
+    with pytest.raises(ValueError, match="config.train: expected a JSON object"):
+        run_config_from_dict({"train": [1]})
+    assert run_config_from_dict({"train": {"lr": 1}}).train.lr == 1
 
 
 def test_load_run_config(tmp_path):
@@ -367,6 +386,93 @@ def test_cli_eval_nan_checkpoint_exits_2(baseline_run, tmp_path, capsys):
     assert "'det/cls_head'" in err and "NaN or inf" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_cli_eval_non_utf8_checkpoint_name_exits_2(baseline_run, tmp_path, capsys):
+    # byte 16 is the first byte of the first entry's name, after the 8-byte
+    # magic, the entry count and the name length
+    run_dir, _ = baseline_run
+    data = bytearray(open(os.path.join(run_dir, "checkpoint.bin"), "rb").read())
+    data[16] = 0xFF
+    ckpt = str(tmp_path / "checkpoint.bin")
+    with open(ckpt, "wb") as f:
+        f.write(data)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--manifest",
+                 os.path.join(run_dir, "manifest.json"), "--n-test", "2",
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert "name of entry 0 at offset 16 is not UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def sin_run(tmp_path_factory):
+    """An 8-iteration sin-arm run directory and its manifest."""
+    run_dir = str(tmp_path_factory.mktemp("sin") / "run")
+    assert main(["train", "--world", "default", "--arm", "sin", "--iters", "8",
+                 "--n-train", "4", "--out", run_dir]) == 0
+    with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as f:
+        return run_dir, json.load(f)
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("train", "T", "2", "manifest.train.T: expected int, got '2'"),
+    ("train", "rois_per_image", 0, "manifest.train: rois_per_image must be >= 1"),
+    ("train", "pooling", "bogus", "manifest.train: unknown pooling 'bogus'"),
+    ("train", "lr", -1, "manifest.train: lr must be positive"),
+    ("train", "feat_dim", True, "manifest.train.feat_dim: expected int, got True"),
+    ("eval", "n_test", "5", "manifest.eval.n_test: expected int, got '5'"),
+    ("eval", "score_thresh", "x", "manifest.eval.score_thresh: expected float, got 'x'"),
+    ("eval", "score_thresh", 2.0, "manifest.eval: score_thresh must be in [0, 1]"),
+], ids=["T-string", "rois-zero", "pooling-bogus", "lr-negative", "feat-dim-bool",
+        "n-test-string", "thresh-string", "thresh-above-one"])
+def test_cli_eval_bad_manifest_exits_2(sin_run, tmp_path, capsys, block, key, value,
+                                       message):
+    run_dir, manifest = sin_run
+    manifest = json.loads(json.dumps(manifest))
+    manifest[block][key] = value
+    path = str(tmp_path / "manifest.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                 "--manifest", path, "--n-test", "2", "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "relations"])
+def test_cli_unknown_manifest_arm_exits_2(sin_run, tmp_path, capsys, command):
+    run_dir, manifest = sin_run
+    path = str(tmp_path / "manifest.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(dict(manifest, arm="warp"), f)
+    out = str(tmp_path / ("eval" if command == "eval" else "relations.csv"))
+    capsys.readouterr()
+    assert main([command, "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                 "--manifest", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ") and "unknown arm 'warp'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("train_block", [{"T": "2"}, {"rois_per_image": 0},
+                                         {"pooling": "bogus"}, {"lr": -1}])
+def test_cli_train_bad_config_exits_1(tmp_path, capsys, train_block):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"train": dict(train_block, iters=2)}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not os.path.exists(tmp_path / "run" / "checkpoint.bin")
 
 
 def test_cli_ablate_writes_summary(tmp_path, capsys):

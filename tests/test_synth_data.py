@@ -38,10 +38,10 @@ def tiny_world(noise=0.0, cooccur=(), n_objects=(1, 2)):
 
 
 def test_covered_cells_half_open_box():
-    r0, r1, c0, c1 = cell_window(Box(2.0, 2.0, 2.0, 2.0), 8, 8)
+    r0, r1, c0, c1 = cell_window(Box(2.0, 2.0, 2.0, 2.0).corners(), 8, 8)
     # box spans [1,3) x [1,3): cell centers 1.5 and 2.5
     assert list(range(r0, r1)) == [1, 2] and list(range(c0, c1)) == [1, 2]
-    r0, r1, c0, c1 = cell_window(Box(0.2, 0.2, 0.1, 0.1), 8, 8)
+    r0, r1, c0, c1 = cell_window(Box(0.2, 0.2, 0.1, 0.1).corners(), 8, 8)
     assert r1 == r0
 
 
@@ -60,7 +60,7 @@ _center = hst.one_of(hst.floats(allow_nan=True, allow_infinity=True), _half,
        height=hst.integers(1, 20), width=hst.integers(1, 20))
 def test_cell_window_matches_mask_oracle(cx, cy, w, h, height, width):
     box = Box(cx, cy, w, h)
-    r0, r1, c0, c1 = cell_window(box, height, width)
+    r0, r1, c0, c1 = cell_window(box.corners(), height, width)
     assert 0 <= r0 <= r1 <= height and 0 <= c0 <= c1 <= width
     rows, cols = covered_cells_oracle(box, height, width)
     got = {(r, c) for r in range(r0, r1) for c in range(c0, c1)}
@@ -112,7 +112,7 @@ def test_noise_free_rasterization_exact():
         s = sample_at(world, 3, i)
         covered = np.zeros((12, 12), dtype=bool)
         for o in s.gt:
-            r0, r1, c0, c1 = cell_window(o.box, 12, 12)
+            r0, r1, c0, c1 = cell_window(o.box.corners(), 12, 12)
             proto = world.categories[o.category].prototype
             for r in range(r0, r1):
                 for c in range(c0, c1):
@@ -131,7 +131,7 @@ def test_objects_never_share_cells():
         s = sample_at(world, 9, i)
         seen = set()
         for o in s.gt:
-            r0, r1, c0, c1 = cell_window(o.box, 12, 12)
+            r0, r1, c0, c1 = cell_window(o.box.corners(), 12, 12)
             cells = {(r, c) for r in range(r0, r1) for c in range(c0, c1)}
             assert not (cells & seen)
             seen |= cells
@@ -194,7 +194,7 @@ def test_scene_signal_lives_only_in_background():
     assert bias.max() == pytest.approx(0.4)
     covered = np.zeros((16, 16), dtype=bool)
     for o in s.gt:
-        r0, r1, c0, c1 = cell_window(o.box, 16, 16)
+        r0, r1, c0, c1 = cell_window(o.box.corners(), 16, 16)
         covered[r0:r1, c0:c1] = True
     bg = s.grid[~covered]
     # background mean tracks the bias vector within noise
