@@ -24,7 +24,7 @@ from .detector import (ARMS, Detection, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
                        detect, detect_scenes, forward, forward_scenes,
                        multi_task_loss, propose, train)
-from .evaluation import (EvalResult, average_precision, evaluate_detections,
+from .evaluation import (EvalResult, ap_by_category, evaluate_detections,
                          fp_breakdown, map_at, pr_curve, run_ablation)
 from .harness import EvalConfig, RunConfig, main, run_gradcheck
 
@@ -35,7 +35,7 @@ __all__ = [
     "DetectorParams", "EvalConfig", "EvalResult", "GruParams", "GtObject",
     "Param", "ParamStore", "RunConfig", "SceneGraph", "SceneSample",
     "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
-    "apply_deltas", "assign_targets", "average_precision", "boxes_to_array",
+    "ap_by_category", "apply_deltas", "assign_targets", "boxes_to_array",
     "boxes_to_centers", "centers_to_corners", "clip_box", "compute_edges",
     "create_detector_params", "create_gru_params", "create_sin_params",
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",

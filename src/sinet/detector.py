@@ -13,8 +13,9 @@ on a (B, n, 4) ROI array): node features are (B, n, d) with n =
 rois_per_image, and each product keeps its per-scene shape, so a scene's
 numbers do not depend on what it is stacked with. Training and `forward` run
 stacks of one scene; detect_scenes runs the proposal stage per scene and
-stage two on chunks of DETECT_CHUNK scenes, then refines, clips and
-suppresses each scene's boxes on arrays.
+stage two on chunks of DETECT_CHUNK scenes. Its tail thresholds the whole
+chunk's (B, n, K) probabilities at once, refines and clips every candidate
+in one call, and suppresses each scene's with one NMS grouped by class.
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -22,14 +23,13 @@ practice) and the objectness map learns from its own binary target instead.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from .geometry import (Box, apply_deltas, boxes_to_array, boxes_to_centers,
                        centers_to_corners, clip_box, encode_deltas, nms, pairwise_iou)
-from .memory_cell import create_gru_params
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
                                   create_sin_params, sin_backward,
@@ -627,38 +627,42 @@ class Detection:
     roi_index: int
 
 
-def _scene_detections(state, b, width, height, score_thresh):
-    """Final detections of scene b of a stack: per class, refine every ROI
-    whose score clears the threshold, clip, and run NMS. Output order is
-    deterministic and independent of ROI input order (modulo exact score
-    ties)."""
-    k = state.deltas.shape[2]
-    probs = state.probs[b, :, :k]
-    cats, rois = np.nonzero(probs.T >= score_thresh)      # by class, then ROI
-    scores = probs[rois, cats]
-    refined = clip_box(apply_deltas(state.graph_out.boxes[b, rois],
-                                    state.deltas[b, rois, cats]), width, height)
-    corners = centers_to_corners(refined)
-    dets = []
-    starts = np.flatnonzero(np.diff(cats, prepend=-1))
-    for lo, hi in zip(starts, np.append(starts[1:], len(cats))):
-        keep = nms(corners[lo:hi], scores[lo:hi], FINAL_NMS_THRESH, max_keep=hi - lo)
-        for i in keep:
-            dets.append(Detection(box=Box(*refined[lo + i].tolist()), category=int(cats[lo]),
-                                  score=float(scores[lo + i]), roi_index=int(rois[lo + i])))
-    dets.sort(key=lambda d: (d.category, -d.score, d.box.cx, d.box.cy, d.box.w, d.box.h))
-    return dets
-
-
 def _detect_stack(params, samples, cfg, score_thresh, arm):
-    """Proposals per scene, then stage two once over the stack; returns the
-    detections of each scene and the stack's forward state."""
+    """Proposals per scene, stage two once over the stack, then the tail on
+    the whole stack: every (scene, class, ROI) score that clears the
+    threshold is refined and clipped to its scene's grid, and each scene's
+    candidates go through one NMS grouped by class. Returns the detections
+    of each scene, sorted by class, then score descending, then box, and
+    the stack's forward state. A scene's detections do not depend on its
+    stack or on ROI order (modulo exact score ties)."""
     mode, steps = arm_plan(arm, cfg)
     boxes = np.array([propose(params, sample, cfg) for sample in samples])
     state = forward_scenes(params, samples, boxes, cfg, mode=mode, steps=steps)
-    dets = [_scene_detections(state, b, sample.grid.shape[1], sample.grid.shape[0],
-                              score_thresh)
-            for b, sample in enumerate(samples)]
+    k = state.deltas.shape[2]
+    # by scene, then class, then ROI
+    scene, cats, rois = np.nonzero(state.probs[:, :, :k].transpose(0, 2, 1) >= score_thresh)
+    scores = state.probs[scene, rois, cats]
+    hw = np.array([sample.grid.shape[:2] for sample in samples], dtype=np.float64)[scene]
+    refined = clip_box(apply_deltas(boxes[scene, rois], state.deltas[scene, rois, cats]),
+                       hw[:, 1], hw[:, 0])
+    corners = centers_to_corners(refined)
+    # one NMS per scene: measured faster than one over the stack grouped by
+    # (scene, class), whose blocks compare every pair across scenes
+    keep = []
+    bounds = np.searchsorted(scene, np.arange(len(samples) + 1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            keep += [lo + i for i in nms(corners[lo:hi], scores[lo:hi], FINAL_NMS_THRESH,
+                                         max_keep=hi - lo, groups=cats[lo:hi])]
+    keep = np.array(keep, dtype=np.intp)
+    r = refined[keep]
+    keep = keep[np.lexsort((r[:, 3], r[:, 2], r[:, 1], r[:, 0], -scores[keep], cats[keep],
+                            scene[keep]))]
+    dets = [[] for _ in samples]
+    for b, box, c, score, roi in zip(scene[keep].tolist(), refined[keep].tolist(),
+                                     cats[keep].tolist(), scores[keep].tolist(),
+                                     rois[keep].tolist()):
+        dets[b].append(Detection(box=Box(*box), category=c, score=score, roi_index=roi))
     return dets, state
 
 

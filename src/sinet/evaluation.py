@@ -5,12 +5,18 @@ precision envelope). Precision/recall curves pool every category and image at
 a fixed IoU of 0.5. The false-positive breakdown follows the usual diagnosis
 buckets: correct, localization, similar-class confusion, other-class
 confusion, background.
+
+All of them read one matching pass (_Matching): the IoU of every same-image
+(detection, gt) pair on flat arrays, and one greedy match per IoU threshold
+over the global score ranking.
 """
 
 import time
 from dataclasses import dataclass, replace
 
-from .geometry import iou
+import numpy as np
+
+from .geometry import boxes_to_centers, iou
 from .numerics import derive_seed
 from .synth_data import sample_at, world_hash
 
@@ -18,73 +24,115 @@ FP_KINDS = ("Cor", "Loc", "Sim", "Oth", "BG")
 PR_THRESHOLDS = tuple(i / 10.0 for i in range(10))
 FP_IOU_LOC = 0.1
 FP_IOU_COR = 0.5
+# (detection, gt) pairs per IoU call: bounds the call's (k, 4) temporaries
+# near 1 MB; one call over the ~27k pairs of 500 default-world scenes peaked
+# 5 MB higher
+PAIR_CHUNK = 4096
 
 
 def _voc_ap(recall, precision):
-    """Area under the monotone precision envelope (all-point interpolation)."""
-    mrec = [0.0] + list(recall) + [1.0]
-    mpre = [0.0] + list(precision) + [0.0]
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    ap = 0.0
-    for i in range(len(mrec) - 1):
-        if mrec[i + 1] != mrec[i]:
-            ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
-    return ap
+    """Area under the monotone precision envelope (all-point interpolation),
+    summed left to right."""
+    mrec = np.concatenate([[0.0], recall, [1.0]])
+    mpre = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
+    return float(np.add.accumulate(np.diff(mrec) * mpre[1:])[-1])
 
 
-def average_precision(dets, gts, iou_thresh=0.5):
-    """AP for one category.
+class _Matching:
+    """Detections and ground truth of every image as flat arrays, and the
+    greedy one-to-one match at each requested IoU threshold.
 
-    dets: (image_id, box, score) triples in any order; ranking is by score
-    descending with ties kept in input order. gts: mapping image_id -> list of
-    gt boxes for the category. Greedy one-to-one matching at iou_thresh, best
-    IoU first, gt ties to the lowest index. Returns None when no gt exists
-    (the category is then excluded from means).
-    """
-    npos = sum(len(v) for v in gts.values())
-    if npos == 0:
-        return None
-    order = sorted(range(len(dets)), key=lambda k: -dets[k][2])
-    used = set()
-    tp = fp = 0
-    recall, precision = [], []
-    for k in order:
-        img, box, _score = dets[k]
-        best_iou, best_g = 0.0, -1
-        for gi, g in enumerate(gts.get(img, [])):
-            if (img, gi) in used:
-                continue
-            v = iou(box, g)
-            if v >= iou_thresh and v > best_iou:
-                best_iou, best_g = v, gi
-        if best_g >= 0:
-            used.add((img, best_g))
-            tp += 1
-        else:
-            fp += 1
-        recall.append(tp / npos)
-        precision.append(tp / (tp + fp))
-    return _voc_ap(recall, precision)
+    Detections are held in rank order: score descending, ties kept in
+    image-then-list order. In that order, a detection takes the still-free
+    gt of its image and category with the highest IoU at or above the
+    threshold (and above 0), ties to the lowest gt index."""
 
+    def __init__(self, dets_by_image, gts_by_image, iou_threshs):
+        if len(dets_by_image) != len(gts_by_image):
+            raise ValueError(f"{len(dets_by_image)} detection lists vs "
+                             f"{len(gts_by_image)} ground-truth lists")
+        dets = [d for dd in dets_by_image for d in dd]
+        rank = np.argsort([-d.score for d in dets], kind="stable")
+        dets = [dets[i] for i in rank]
+        det_img = np.repeat(np.arange(len(dets_by_image)), [len(dd) for dd in dets_by_image])[rank]
+        self.score = np.array([d.score for d in dets], dtype=np.float64)
+        self.det_cat = np.array([d.category for d in dets], dtype=np.intp)
+        gts = [g for gg in gts_by_image for g in gg]
+        self.gt_cat = np.array([g.category for g in gts], dtype=np.intp)
+        # every same-image pair, by detection and then gt index: pair p of
+        # detection d is gt p - shift[d], counted over all images
+        n_gt = np.array([len(gg) for gg in gts_by_image], dtype=np.intp)
+        per_det = n_gt[det_img]
+        self.pair_det = np.repeat(np.arange(len(dets)), per_det)
+        shift = np.cumsum(per_det) - per_det - (np.cumsum(n_gt) - n_gt)[det_img]
+        self.pair_gt = np.arange(len(self.pair_det)) - np.repeat(shift, per_det)
+        self.same = self.det_cat[self.pair_det] == self.gt_cat[self.pair_gt]
+        det_box = boxes_to_centers([d.box for d in dets])
+        gt_box = boxes_to_centers([g.box for g in gts])
+        self.pair_iou = np.empty(len(self.pair_det))
+        for lo in range(0, len(self.pair_det), PAIR_CHUNK):
+            at = slice(lo, lo + PAIR_CHUNK)
+            self.pair_iou[at] = iou(det_box[self.pair_det[at]], gt_box[self.pair_gt[at]])
+        self.matched = {t: self._match(t) for t in set(iou_threshs)}
 
-def _category_slices(dets_by_image, gts_by_image, category):
-    dets = [(img, d.box, d.score)
-            for img, dd in enumerate(dets_by_image) for d in dd if d.category == category]
-    gts = {}
-    for img, gg in enumerate(gts_by_image):
-        boxes = [o.box for o in gg if o.category == category]
-        if boxes:
-            gts[img] = boxes
-    return dets, gts
+    def _match(self, thresh):
+        """(D,) flags of the detections matched at IoU thresh."""
+        v = self.pair_iou
+        cand = np.flatnonzero(self.same & (v >= thresh) & (v > 0.0))
+        matched = np.zeros(len(self.score), dtype=bool)
+        used = set()
+        cur, best, best_v = -1, -1, 0.0
+        # a detection's candidates are consecutive; the sentinel closes the last
+        for d, g, x in [*zip(self.pair_det[cand].tolist(), self.pair_gt[cand].tolist(),
+                             v[cand].tolist()), (-1, -1, 0.0)]:
+            if d != cur:
+                if best >= 0:
+                    matched[cur] = True
+                    used.add(best)
+                cur, best, best_v = d, -1, 0.0
+            if x > best_v and g not in used:
+                best, best_v = g, x
+        return matched
+
+    def ap_by_category(self, num_categories, iou_thresh):
+        """{category: AP}; None for a category without gt."""
+        npos = np.bincount(self.gt_cat, minlength=num_categories)
+        out = {}
+        for cat in range(num_categories):
+            tp = np.cumsum(self.matched[iou_thresh][self.det_cat == cat])
+            out[cat] = (_voc_ap(tp / npos[cat], tp / np.arange(1, len(tp) + 1))
+                        if npos[cat] else None)
+        return out
+
+    def pr_curve(self, thresholds, iou_thresh):
+        total_gt, points = len(self.gt_cat), []
+        for thr in thresholds:
+            kept = self.score >= thr
+            n, tp = int(kept.sum()), int(self.matched[iou_thresh][kept].sum())
+            points.append((thr, tp / n if n else 1.0, tp / total_gt if total_gt else 0.0))
+        return points
+
+    def fp_breakdown(self, similar_pairs):
+        dc, gc, same = self.det_cat[self.pair_det], self.gt_cat[self.pair_gt], self.same
+        sim = np.zeros(len(same), dtype=bool)
+        for a, b in similar_pairs:
+            sim |= ((dc == a) & (gc == b)) | ((dc == b) & (gc == a))
+        near = self.pair_iou >= FP_IOU_LOC
+        left = ~self.matched[FP_IOU_COR]
+        counts = {"Cor": int((~left).sum())}
+        for name, kind in (("Loc", same), ("Sim", ~same & sim), ("Oth", ~same & ~sim)):
+            hit = np.bincount(self.pair_det[near & kind], minlength=len(left)) > 0
+            counts[name] = int((left & hit).sum())
+            left &= ~hit
+        counts["BG"] = int(left.sum())
+        return counts
 
 
 def ap_by_category(dets_by_image, gts_by_image, num_categories, iou_thresh=0.5):
-    out = {}
-    for cat in range(num_categories):
-        dets, gts = _category_slices(dets_by_image, gts_by_image, cat)
-        out[cat] = average_precision(dets, gts, iou_thresh)
-    return out
+    """AP per category at iou_thresh, None for a category without gt (it is
+    then excluded from means)."""
+    return (_Matching(dets_by_image, gts_by_image, [iou_thresh])
+            .ap_by_category(num_categories, iou_thresh))
 
 
 def mean_ap(per_category):
@@ -97,41 +145,13 @@ def map_at(dets_by_image, gts_by_image, num_categories, iou_list):
     iou_list = list(iou_list)
     if not iou_list:
         raise ValueError("map_at: need at least one IoU threshold")
+    m = _Matching(dets_by_image, gts_by_image, iou_list)
     per_iou = {}
     for t in iou_list:
-        per_cat = ap_by_category(dets_by_image, gts_by_image, num_categories, t)
+        per_cat = m.ap_by_category(num_categories, t)
         per_iou[t] = {"per_category": per_cat, "map": mean_ap(per_cat)}
     overall = sum(per_iou[t]["map"] for t in iou_list) / len(iou_list)
     return {"map": overall, "per_iou": per_iou}
-
-
-def _match_all(dets_by_image, gts_by_image, iou_thresh):
-    """Greedy category-aware matching over the global score ranking.
-
-    Returns (ranked, matched) where ranked is a list of (image_id, det) in
-    descending score order and matched a parallel list of booleans.
-    """
-    ranked_idx = []
-    for img, dd in enumerate(dets_by_image):
-        for d in dd:
-            ranked_idx.append((img, d))
-    ranked_idx.sort(key=lambda t: -t[1].score)
-    used = set()
-    matched = []
-    for img, d in ranked_idx:
-        best_iou, best_g = 0.0, -1
-        for gi, g in enumerate(gts_by_image[img]):
-            if g.category != d.category or (img, gi) in used:
-                continue
-            v = iou(d.box, g.box)
-            if v >= iou_thresh and v > best_iou:
-                best_iou, best_g = v, gi
-        if best_g >= 0:
-            used.add((img, best_g))
-            matched.append(True)
-        else:
-            matched.append(False)
-    return ranked_idx, matched
 
 
 def pr_curve(dets_by_image, gts_by_image, thresholds=PR_THRESHOLDS, iou_thresh=0.5):
@@ -141,16 +161,7 @@ def pr_curve(dets_by_image, gts_by_image, thresholds=PR_THRESHOLDS, iou_thresh=0
     with score >= thr. No detections means precision 1.0 and recall 0.0 by
     convention.
     """
-    ranked, matched = _match_all(dets_by_image, gts_by_image, iou_thresh)
-    total_gt = sum(len(g) for g in gts_by_image)
-    points = []
-    for thr in thresholds:
-        kept = [m for (img, d), m in zip(ranked, matched) if d.score >= thr]
-        tp = sum(kept)
-        precision = tp / len(kept) if kept else 1.0
-        recall = tp / total_gt if total_gt else 0.0
-        points.append((thr, precision, recall))
-    return points
+    return _Matching(dets_by_image, gts_by_image, [iou_thresh]).pr_curve(thresholds, iou_thresh)
 
 
 def fp_breakdown(dets_by_image, gts_by_image, similar_pairs=()):
@@ -158,34 +169,7 @@ def fp_breakdown(dets_by_image, gts_by_image, similar_pairs=()):
     a same-class gt at 0.1 or better (this includes duplicates of an already
     matched gt), Sim / Oth for confusion with a similar / any other class, BG
     when it touches nothing."""
-    sim = set()
-    for a, b in similar_pairs:
-        sim.add((a, b))
-        sim.add((b, a))
-    ranked, matched = _match_all(dets_by_image, gts_by_image, FP_IOU_COR)
-    counts = {k: 0 for k in FP_KINDS}
-    for (img, d), m in zip(ranked, matched):
-        if m:
-            counts["Cor"] += 1
-            continue
-        best_same = best_sim = best_other = 0.0
-        for g in gts_by_image[img]:
-            v = iou(d.box, g.box)
-            if g.category == d.category:
-                best_same = max(best_same, v)
-            elif (d.category, g.category) in sim:
-                best_sim = max(best_sim, v)
-            else:
-                best_other = max(best_other, v)
-        if best_same >= FP_IOU_LOC:
-            counts["Loc"] += 1
-        elif best_sim >= FP_IOU_LOC:
-            counts["Sim"] += 1
-        elif best_other >= FP_IOU_LOC:
-            counts["Oth"] += 1
-        else:
-            counts["BG"] += 1
-    return counts
+    return _Matching(dets_by_image, gts_by_image, [FP_IOU_COR]).fp_breakdown(similar_pairs)
 
 
 @dataclass
@@ -199,13 +183,11 @@ class EvalResult:
 
 def evaluate_detections(dets_by_image, gts_by_image, num_categories,
                         similar_pairs=(), iou_thresh=0.5):
-    if len(dets_by_image) != len(gts_by_image):
-        raise ValueError(f"{len(dets_by_image)} detection lists vs "
-                         f"{len(gts_by_image)} ground-truth lists")
-    per_cat = ap_by_category(dets_by_image, gts_by_image, num_categories, iou_thresh)
+    m = _Matching(dets_by_image, gts_by_image, [iou_thresh, FP_IOU_COR])
+    per_cat = m.ap_by_category(num_categories, iou_thresh)
     return EvalResult(per_category_ap=per_cat, map=mean_ap(per_cat),
-                      pr=pr_curve(dets_by_image, gts_by_image, iou_thresh=iou_thresh),
-                      fp=fp_breakdown(dets_by_image, gts_by_image, similar_pairs),
+                      pr=m.pr_curve(PR_THRESHOLDS, iou_thresh),
+                      fp=m.fp_breakdown(similar_pairs),
                       num_images=len(dets_by_image))
 
 

@@ -1,5 +1,6 @@
-"""Axis-aligned box arithmetic in grid units: IoU, greedy NMS over corner
-arrays, and delta encoding, refinement and clipping over center-size arrays.
+"""Axis-aligned box arithmetic in grid units: greedy NMS over corner arrays
+(optionally within groups), and paired IoU, delta encoding, refinement and
+clipping over center-size arrays.
 
 Box objects are the API edge: ground truth (scene placement and dataset
 parsing), kept detections and the gradient-check fixture. The array kernels
@@ -35,18 +36,6 @@ class Box:
                 self.cx + self.w / 2.0, self.cy + self.h / 2.0)
 
 
-def iou(a, b):
-    """Intersection area over union area; 0 for disjoint boxes."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
 def boxes_to_array(boxes):
     """Stack boxes as an (n, 4) corner array for vectorized overlap tests."""
     return np.array([b.corners() for b in boxes], dtype=np.float64).reshape(-1, 4)
@@ -76,19 +65,23 @@ def pairwise_iou(corners_a, corners_b):
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def nms(boxes, scores, iou_thresh, max_keep):
+def nms(boxes, scores, iou_thresh, max_keep, groups=None):
     """Greedy non-maximum suppression over a (k, 4) corner array, as made by
     boxes_to_array.
 
     Repeatedly keeps the highest-scoring remaining box (score ties go to the
     lower index) and discards boxes whose IoU with it exceeds iou_thresh.
-    Returns kept indices in descending-score order, at most max_keep of them.
+    With a (k,) `groups` array, boxes suppress only boxes of their own group:
+    each group keeps what NMS over that group alone keeps. Returns kept
+    indices in descending-score order, at most max_keep of them.
     """
     shape = np.shape(boxes)
     if len(shape) != 2 or shape[1] != 4:
         raise ValueError(f"nms: boxes must be a (k, 4) corner array, got shape {shape}")
     if len(boxes) != len(scores):
         raise ValueError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
+    if groups is not None and np.shape(groups) != (len(boxes),):
+        raise ValueError(f"nms: {len(boxes)} boxes but groups of shape {np.shape(groups)}")
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError(f"nms: iou_thresh must be in (0,1), got {iou_thresh}")
     if max_keep < 1:
@@ -100,6 +93,8 @@ def nms(boxes, scores, iou_thresh, max_keep):
     # in blocks, each checked against the boxes kept so far and itself.
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     corners = np.asarray(boxes, dtype=np.float64)[order]
+    if groups is not None:
+        groups = np.asarray(groups)[order]
     kept = []                    # positions in order
     # twice max_keep usually holds every survivor; the cap bounds the matrix
     start, block = 0, min(2 * max_keep, 256)
@@ -108,6 +103,8 @@ def nms(boxes, scores, iou_thresh, max_keep):
         rows = np.concatenate([np.array(kept, dtype=np.intp), np.arange(start, stop)])
         # not (iou <= thresh): a NaN overlap suppresses, as a failed keep test
         over = ~(pairwise_iou(corners[rows], corners[start:stop]) <= iou_thresh)
+        if groups is not None:
+            over &= groups[rows][:, None] == groups[start:stop]
         dead = over[:len(kept)].any(axis=0)
         for j, row in enumerate(over[len(kept):]):
             if not dead[j]:
@@ -128,6 +125,21 @@ def _check_rows(name, *arrays):
     if len({len(a) for a in out}) > 1:
         raise ValueError(f"{name}: row counts differ: {[len(a) for a in out]}")
     return out
+
+
+def iou(a, b):
+    """(k,) IoU of paired (k, 4) center-size rows, row i of a against row i
+    of b; 0 where the boxes do not overlap. Areas are w * h, as Box.area
+    computes them, so for finite boxes a pair's IoU is bitwise the scalar
+    formula's on its two Boxes."""
+    a, b = _check_rows("iou", a, b)
+    ca, cb = centers_to_corners(a), centers_to_corners(b)
+    iw = np.minimum(ca[:, 2], cb[:, 2]) - np.maximum(ca[:, 0], cb[:, 0])
+    ih = np.minimum(ca[:, 3], cb[:, 3]) - np.maximum(ca[:, 1], cb[:, 1])
+    inter = iw * ih
+    # divides unless iw <= 0 or ih <= 0, as the scalar test reads
+    return np.divide(inter, a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter,
+                     out=np.zeros_like(inter), where=~((iw <= 0) | (ih <= 0)))
 
 
 def apply_deltas(boxes, deltas):
@@ -156,11 +168,12 @@ def encode_deltas(boxes, targets):
 def clip_box(boxes, width, height, min_side=1e-6):
     """Clamp the extents of (k, 4) center-size rows into [0, width] x
     [0, height], keeping sides at least min_side even for a box that started
-    wholly outside the grid; returns center-size rows."""
+    wholly outside the grid; returns center-size rows. width and height are
+    both numbers or both (k,) arrays of per-row bounds."""
     corners = centers_to_corners(*_check_rows("clip_box", boxes))
     # max(0.0, min(v, hi)) per corner, picking the operands the builtins
     # pick: -0.0 and NaN clamp to 0.0
-    hi = np.array([width, height, width, height], dtype=np.float64)
+    hi = np.array([width, height, width, height], dtype=np.float64).T
     corners = np.where(hi < corners, hi, corners)
     corners = np.where(corners > 0.0, corners, 0.0)
     sides = corners[:, 2:] - corners[:, :2]

@@ -16,14 +16,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .detector import (ARMS, TrainConfig, TrainingDiverged, arm_plan,
-                       assign_targets, create_detector_params, detect,
-                       detect_scenes, detector_backward,
-                       detector_params_from_store, forward,
+from .detector import (ARMS, TrainConfig, TrainingDiverged, assign_targets,
+                       create_detector_params, detect, detect_scenes,
+                       detector_backward, detector_params_from_store, forward,
                        multi_task_loss, apply_weight_decay, train,
                        validate_config)
 from .evaluation import (FP_KINDS, evaluate_detections, mean_ap, run_ablation,
@@ -376,6 +375,7 @@ def _cmd_eval(args):
     arm = manifest["arm"]
     n_test = args.n_test if args.n_test is not None else ev_cfg.n_test
     score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
+    _validate_eval(replace(ev_cfg, n_test=n_test, score_thresh=score_thresh))
     if args.data:
         try:
             samples, _header = load_dataset(args.data, expected_world_hash=manifest["world_hash"],
@@ -461,10 +461,11 @@ def _cmd_gradcheck(args):
 def _cmd_relations(args):
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    manifest, store, cfg, _ev_cfg, world = _load_trained(args)
+    manifest, store, cfg, ev_cfg, world = _load_trained(args)
     arm = manifest["arm"]
     params = detector_params_from_store(store)
     score_thresh = args.score_thresh if args.score_thresh is not None else 0.05
+    _validate_eval(replace(ev_cfg, score_thresh=score_thresh))
     rows = []
     for i in range(args.n):
         sample = sample_at(world, args.seed, i)

@@ -235,6 +235,125 @@ def average_precision_oracle(dets, gts, iou_thresh=0.5):
     return ap
 
 
+# Pooled matching, PR points and FP buckets as the library computed them
+# before matching ran on arrays: one scalar iou per (detection, gt) pair.
+
+PR_THRESHOLDS = tuple(i / 10.0 for i in range(10))
+FP_KINDS = ("Cor", "Loc", "Sim", "Oth", "BG")
+FP_IOU_LOC = 0.1
+FP_IOU_COR = 0.5
+
+
+def category_slices_oracle(dets_by_image, gts_by_image, category):
+    """One category's detections as (image_id, box, score) triples in image
+    order, and its gt as {image_id: [box]}: average_precision_oracle's
+    inputs."""
+    dets = [(img, d.box, d.score)
+            for img, dd in enumerate(dets_by_image) for d in dd if d.category == category]
+    gts = {}
+    for img, gg in enumerate(gts_by_image):
+        boxes = [o.box for o in gg if o.category == category]
+        if boxes:
+            gts[img] = boxes
+    return dets, gts
+
+
+def per_image_lists(dets, gts):
+    """The inverse of category_slices_oracle for category 0: (image_id, box,
+    score) triples and {image_id: [box]} as per-image Detection and
+    GtObject lists, one per image from 0 to the largest id."""
+    from sinet.detector import Detection
+    from sinet.synth_data import GtObject
+    n_img = 1 + max([img for img, _, _ in dets] + list(gts), default=-1)
+    dets_by_image = [[] for _ in range(n_img)]
+    for img, box, score in dets:
+        dets_by_image[img].append(Detection(box=box, category=0, score=score, roi_index=0))
+    gts_by_image = [[GtObject(b, 0) for b in gts.get(img, [])] for img in range(n_img)]
+    return dets_by_image, gts_by_image
+
+def match_all_oracle(dets_by_image, gts_by_image, iou_thresh):
+    """Greedy category-aware matching over the global score ranking.
+
+    Returns (ranked, matched) where ranked is a list of (image_id, det) in
+    descending score order and matched a parallel list of booleans.
+    """
+    ranked_idx = []
+    for img, dd in enumerate(dets_by_image):
+        for d in dd:
+            ranked_idx.append((img, d))
+    ranked_idx.sort(key=lambda t: -t[1].score)
+    used = set()
+    matched = []
+    for img, d in ranked_idx:
+        best_iou, best_g = 0.0, -1
+        for gi, g in enumerate(gts_by_image[img]):
+            if g.category != d.category or (img, gi) in used:
+                continue
+            v = iou_oracle(d.box, g.box)
+            if v >= iou_thresh and v > best_iou:
+                best_iou, best_g = v, gi
+        if best_g >= 0:
+            used.add((img, best_g))
+            matched.append(True)
+        else:
+            matched.append(False)
+    return ranked_idx, matched
+
+
+def pr_curve_oracle(dets_by_image, gts_by_image, thresholds=PR_THRESHOLDS, iou_thresh=0.5):
+    """Pooled precision/recall at each score threshold.
+
+    All categories and images share one pool; a threshold keeps detections
+    with score >= thr. No detections means precision 1.0 and recall 0.0 by
+    convention.
+    """
+    ranked, matched = match_all_oracle(dets_by_image, gts_by_image, iou_thresh)
+    total_gt = sum(len(g) for g in gts_by_image)
+    points = []
+    for thr in thresholds:
+        kept = [m for (img, d), m in zip(ranked, matched) if d.score >= thr]
+        tp = sum(kept)
+        precision = tp / len(kept) if kept else 1.0
+        recall = tp / total_gt if total_gt else 0.0
+        points.append((thr, precision, recall))
+    return points
+
+
+def fp_breakdown_oracle(dets_by_image, gts_by_image, similar_pairs=()):
+    """Bucket every detection: Cor (matched at 0.5), else Loc when it overlaps
+    a same-class gt at 0.1 or better (this includes duplicates of an already
+    matched gt), Sim / Oth for confusion with a similar / any other class, BG
+    when it touches nothing."""
+    sim = set()
+    for a, b in similar_pairs:
+        sim.add((a, b))
+        sim.add((b, a))
+    ranked, matched = match_all_oracle(dets_by_image, gts_by_image, FP_IOU_COR)
+    counts = {k: 0 for k in FP_KINDS}
+    for (img, d), m in zip(ranked, matched):
+        if m:
+            counts["Cor"] += 1
+            continue
+        best_same = best_sim = best_other = 0.0
+        for g in gts_by_image[img]:
+            v = iou_oracle(d.box, g.box)
+            if g.category == d.category:
+                best_same = max(best_same, v)
+            elif (d.category, g.category) in sim:
+                best_sim = max(best_sim, v)
+            else:
+                best_other = max(best_other, v)
+        if best_same >= FP_IOU_LOC:
+            counts["Loc"] += 1
+        elif best_sim >= FP_IOU_LOC:
+            counts["Sim"] += 1
+        elif best_other >= FP_IOU_LOC:
+            counts["Oth"] += 1
+        else:
+            counts["BG"] += 1
+    return counts
+
+
 def softmax_oracle(row):
     m = max(float(v) for v in row)
     ex = [math.exp(float(v) - m) for v in row]

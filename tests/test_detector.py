@@ -18,7 +18,7 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH
                             forward_scenes, multi_task_loss, objectness_loss, propose,
                             score_anchors, smooth_l1, smooth_l1_grad, train,
                             validate_config)
-from sinet.geometry import Box, boxes_to_array, boxes_to_centers, iou
+from sinet.geometry import Box, boxes_to_array, boxes_to_centers
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, default_world
@@ -100,7 +100,7 @@ def test_propose_injects_ground_truth():
     props = propose(params, sample, cfg, train=True, rng=None)
     assert len(props) == 16
     for obj in gt:
-        best = max(iou(Box(*p), obj.box) for p in props.tolist())
+        best = max(iou_oracle(Box(*p), obj.box) for p in props.tolist())
         assert best >= 0.7
 
     # eval mode must not peek at the labels
@@ -191,7 +191,7 @@ def test_assign_targets_forces_best_proposal():
     # sole gt overlaps nothing above iou_pos; its best proposal is still positive
     g = GtObject(Box(3.0, 3.0, 2.0, 2.0), 2)
     props = [Box(4.4, 3.0, 2.0, 2.0), Box(8.0, 8.0, 2.0, 2.0)]
-    assert iou(props[0], g.box) < IOU_POS
+    assert iou_oracle(props[0], g.box) < IOU_POS
     labels, _deltas = assign_targets(boxes_to_centers(props), [g], num_categories=3)
     assert labels.tolist() == [2, 3]
 
@@ -445,8 +445,8 @@ def test_anchor_targets_band_and_forced_positive():
     y, mask = _anchor_targets(anchors, gt)
     boxes = [Box(*row) for row in anchors.centers.tolist()]
     for i, box in enumerate(boxes):
-        v = iou(box, gt[0].box)
-        forced = i == int(np.argmax([iou(b, gt[0].box) for b in boxes]))
+        v = iou_oracle(box, gt[0].box)
+        forced = i == int(np.argmax([iou_oracle(b, gt[0].box) for b in boxes]))
         if forced:
             assert y[i] == 1.0 and mask[i]
         elif v >= det_mod.OBJ_IOU_POS:
@@ -651,7 +651,22 @@ def test_detect_output_contract():
         mine = [d.box for d in dets if d.category == cat]
         for i in range(len(mine)):
             for j in range(i + 1, len(mine)):
-                assert iou(mine[i], mine[j]) <= FINAL_NMS_THRESH
+                assert iou_oracle(mine[i], mine[j]) <= FINAL_NMS_THRESH
+
+
+def test_detect_orders_score_ties_by_box():
+    # zero heads: every class scores 1/(K+1) on every ROI and no box moves,
+    # so within a class the order comes from the boxes alone
+    rng = np.random.default_rng(61)
+    store, params = make_params(channels=5, k=3, d=6)
+    params.cls_head.value[:] = 0.0
+    params.reg_head.value[:] = 0.0
+    cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
+    dets = detect(params, make_sample(rng), cfg, score_thresh=0.05, arm="sin")
+    assert {d.score for d in dets} == {0.25}
+    for cat in range(3):
+        boxes = [(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets if d.category == cat]
+        assert len(boxes) >= 2 and boxes == sorted(boxes)
 
 
 def test_detect_arms_share_proposals():
@@ -772,3 +787,22 @@ def test_detections_independent_of_stack_composition(model, arm, first, count, c
     assert len(stacked) == count
     for sample, dets in zip(samples, stacked):
         assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, arm))
+
+
+def test_detect_scenes_clips_each_scene_to_its_own_grid():
+    # one stack mixing grid shapes (tall, wide, the world's own): each scene's
+    # boxes are clipped to its own width and height, as when detected alone
+    params, cfg = _composition_model("mean", 16)
+    samples = []
+    for i, (h, w) in enumerate(((16, 16), (9, 14), (13, 6), (16, 16), (7, 7))):
+        s = _composition_scene(i)
+        samples.append(SceneSample(grid=s.grid[:h, :w], scene_type=s.scene_type, gt=s.gt))
+    for thresh in (0.0, 0.05):
+        stacked = detect_scenes(params, samples, cfg, thresh, "sin")
+        for sample, dets in zip(samples, stacked):
+            assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, "sin"))
+            h, w = sample.grid.shape[:2]
+            for d in dets:
+                x1, y1, x2, y2 = d.box.corners()
+                assert -1e-9 <= x1 and x2 <= w + 1e-9 and -1e-9 <= y1 and y2 <= h + 1e-9
+        assert sum(map(len, stacked)) > 0

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from sinet.detector import Detection, TrainConfig
 from sinet.evaluation import (FP_KINDS, PR_THRESHOLDS, SWEEP_GRID, _voc_ap,
-                              ap_by_category, average_precision,
-                              evaluate_detections, fp_breakdown, map_at,
-                              mean_ap, pr_curve, run_ablation, strip_objects)
+                              ap_by_category, evaluate_detections, fp_breakdown,
+                              map_at, mean_ap, pr_curve, run_ablation, strip_objects)
 from sinet.geometry import Box
 from sinet.synth_data import GtObject, default_world
 
-from oracles import average_precision_oracle, random_box
+from oracles import (average_precision_oracle, category_slices_oracle,
+                     fp_breakdown_oracle, per_image_lists, pr_curve_oracle, random_box)
+
+
+def category_ap(dets, gts):
+    """AP of one category's (image_id, box, score) triples against its
+    {image_id: [box]} gt, through ap_by_category."""
+    return ap_by_category(*per_image_lists(dets, gts), num_categories=1)[0]
 
 
 def det(img_or_box, box=None, cat=0, score=0.9):
@@ -33,32 +41,32 @@ def test_voc_ap_hand_cases():
 def test_average_precision_hand_cases():
     g = Box(3, 3, 2, 2)
     # single matching detection
-    assert average_precision([(0, g, 0.9)], {0: [g]}) == pytest.approx(1.0)
+    assert category_ap([(0, g, 0.9)], {0: [g]}) == pytest.approx(1.0)
     # high-scored miss ahead of the hit halves the area
     miss = Box(8, 8, 2, 2)
-    ap = average_precision([(0, miss, 0.9), (0, g, 0.5)], {0: [g]})
+    ap = category_ap([(0, miss, 0.9), (0, g, 0.5)], {0: [g]})
     assert ap == pytest.approx(0.5)
     # detection in an image with no gt for the class is a plain fp
-    ap = average_precision([(1, g, 0.9), (0, g, 0.5)], {0: [g]})
+    ap = category_ap([(1, g, 0.9), (0, g, 0.5)], {0: [g]})
     assert ap == pytest.approx(0.5)
     # duplicate hits: the gt is consumed once, the second becomes fp
-    ap = average_precision([(0, g, 0.9), (0, g, 0.8)], {0: [g]})
+    ap = category_ap([(0, g, 0.9), (0, g, 0.8)], {0: [g]})
     assert ap == pytest.approx(1.0)
 
 
 def test_average_precision_score_ties_keep_input_order():
     g = Box(3, 3, 2, 2)
     miss = Box(8, 8, 2, 2)
-    hit_first = average_precision([(0, g, 0.7), (0, miss, 0.7)], {0: [g]})
-    miss_first = average_precision([(0, miss, 0.7), (0, g, 0.7)], {0: [g]})
+    hit_first = category_ap([(0, g, 0.7), (0, miss, 0.7)], {0: [g]})
+    miss_first = category_ap([(0, miss, 0.7), (0, g, 0.7)], {0: [g]})
     assert hit_first == pytest.approx(1.0)
     assert miss_first == pytest.approx(0.5)
 
 
 def test_average_precision_none_without_ground_truth():
-    assert average_precision([], {}) is None
-    assert average_precision([(0, Box(2, 2, 1, 1), 0.9)], {}) is None
-    assert average_precision([(0, Box(2, 2, 1, 1), 0.9)], {0: []}) is None
+    assert category_ap([], {}) is None
+    assert category_ap([(0, Box(2, 2, 1, 1), 0.9)], {}) is None
+    assert category_ap([(0, Box(2, 2, 1, 1), 0.9)], {0: []}) is None
 
 
 def test_average_precision_matches_oracle_randomized():
@@ -81,7 +89,7 @@ def test_average_precision_matches_oracle_randomized():
                     b = random_box(rng)
                 score = round(float(rng.random()), 2)   # force some ties
                 dets.append((img, b, score))
-        got = average_precision(dets, gts)
+        got = category_ap(dets, gts)
         want = average_precision_oracle(dets, gts)
         if want is None:
             assert got is None
@@ -178,6 +186,48 @@ def test_evaluate_detections_contract():
 
     with pytest.raises(ValueError):
         evaluate_detections(dets, gts[:1], num_categories=2)
+
+
+# Quarter-cell boxes make exact IoU ties and coinciding boxes common; four
+# score levels make score ties common. A detection either copies a gt box of
+# its image (src indexes the image's gt) or brings its own.
+_quarter = hst.integers(0, 40).map(lambda v: v / 4.0)
+_qside = hst.integers(1, 16).map(lambda v: v / 4.0)
+_qbox = hst.builds(Box, _quarter, _quarter, _qside, _qside)
+_image = hst.tuples(
+    hst.lists(hst.tuples(_qbox, hst.integers(0, 2)), max_size=4),
+    hst.lists(hst.tuples(hst.integers(-1, 3), _qbox, hst.integers(0, 2), hst.integers(0, 3)),
+              max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(images=hst.lists(_image, max_size=5))
+# the first detection overlaps both gts at IoU 1/3 and must take gt 0, which
+# leaves the second detection, on gt 0, unmatched at IoU 0.3
+@example(images=[([(Box(2, 2, 2, 2), 0), (Box(4, 2, 2, 2), 0)],
+                  [(-1, Box(3, 2, 2, 2), 0, 3), (0, Box(1, 1, 1, 1), 0, 2)])])
+def test_matching_core_equals_scalar_oracles(images):
+    # images may be empty, lack gt, or hold detections but no gt
+    gts = [[GtObject(box, cat) for box, cat in gg] for gg, _ in images]
+    dets = [[det(gt[src % len(gt)].box if src >= 0 and gt else box, cat=cat,
+                 score=level / 4.0)
+             for src, box, cat, level in dd]
+            for gt, (_, dd) in zip(gts, images)]
+    similar = ((0, 1),)
+    for t in (0.1, 0.3, 0.5, 0.7):
+        want_ap = {c: average_precision_oracle(*category_slices_oracle(dets, gts, c), t)
+                   for c in range(3)}
+        assert ap_by_category(dets, gts, 3, t) == want_ap
+        assert pr_curve(dets, gts, iou_thresh=t) == pr_curve_oracle(dets, gts, iou_thresh=t)
+        ev = evaluate_detections(dets, gts, 3, similar, iou_thresh=t)
+        assert (ev.per_category_ap, ev.map, ev.num_images) == (want_ap, mean_ap(want_ap),
+                                                               len(images))
+        assert ev.pr == pr_curve_oracle(dets, gts, iou_thresh=t)
+        assert ev.fp == fp_breakdown_oracle(dets, gts, similar)
+        per_iou = map_at(dets, gts, 3, [0.5, t])["per_iou"]
+        assert per_iou[t]["per_category"] == want_ap
+    assert fp_breakdown(dets, gts) == fp_breakdown_oracle(dets, gts)
+    assert fp_breakdown(dets, gts, similar) == fp_breakdown_oracle(dets, gts, similar)
 
 
 # ---------------------------------------------------------------------------

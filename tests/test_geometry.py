@@ -11,21 +11,26 @@ from oracles import (apply_deltas_oracle, clip_box_oracle, encode_deltas_oracle,
                      iou_oracle, nms_oracle, random_box)
 
 
+def _iou1(a, b):
+    """iou of one Box pair, through the paired-row kernel."""
+    return float(iou(boxes_to_centers([a]), boxes_to_centers([b]))[0])
+
+
 def test_iou_known_cases():
     a = Box(2, 2, 2, 2)
-    assert iou(a, Box(2, 2, 2, 2)) == 1.0
-    assert iou(a, Box(10, 10, 2, 2)) == 0.0
+    assert _iou1(a, Box(2, 2, 2, 2)) == 1.0
+    assert _iou1(a, Box(10, 10, 2, 2)) == 0.0
     # half-width shift: inter 2, union 6
-    assert iou(a, Box(3, 2, 2, 2)) == pytest.approx(1.0 / 3.0)
+    assert _iou1(a, Box(3, 2, 2, 2)) == pytest.approx(1.0 / 3.0)
     # touching edges only
-    assert iou(a, Box(4, 2, 2, 2)) == 0.0
+    assert _iou1(a, Box(4, 2, 2, 2)) == 0.0
 
 
 def test_iou_matches_oracle_randomized():
     rng = np.random.default_rng(11)
     for _ in range(200):
         a, b = random_box(rng), random_box(rng)
-        assert iou(a, b) == pytest.approx(iou_oracle(a, b), abs=1e-12)
+        assert _iou1(a, b) == pytest.approx(iou_oracle(a, b), abs=1e-12)
 
 
 def test_box_invariants():
@@ -225,13 +230,13 @@ def test_nms_postconditions_randomized():
         # survivors never overlap beyond the threshold
         for a in range(len(keep)):
             for b in range(a + 1, len(keep)):
-                assert iou(boxes[keep[a]], boxes[keep[b]]) <= 0.5
+                assert iou_oracle(boxes[keep[a]], boxes[keep[b]]) <= 0.5
         # kept list is sorted by descending score
         kept_scores = [scores[i] for i in keep]
         assert kept_scores == sorted(kept_scores, reverse=True)
         # every suppressed box overlaps some kept box with >= its own score
         for i in set(range(n)) - set(keep):
-            assert any(iou(boxes[i], boxes[j]) > 0.5 and scores[j] >= scores[i]
+            assert any(iou_oracle(boxes[i], boxes[j]) > 0.5 and scores[j] >= scores[i]
                        for j in keep)
 
 
@@ -260,3 +265,66 @@ def test_nms_property_duplicates_and_ties(distinct, picks, levels, thresh, max_k
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
             assert iou_oracle(boxes[keep[a]], boxes[keep[b]]) <= thresh
+
+
+_free_box = hst.tuples(_coord, _coord, hst.floats(0.01, 40.0), hst.floats(0.01, 40.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=hst.lists(hst.tuples(_free_box, _free_box), max_size=8),
+       quarter=hst.lists(hst.tuples(_box, _box), max_size=8))
+def test_iou_is_bitwise_the_scalar_formula(pairs, quarter):
+    # free floats, plus quarter-cell boxes that touch, nest and coincide
+    a = [Box(*p) for p, _ in pairs] + [p for p, _ in quarter]
+    b = [Box(*q) for _, q in pairs] + [q for _, q in quarter]
+    got = iou(boxes_to_centers(a), boxes_to_centers(b))
+    assert got.shape == (len(a),)
+    assert got.tolist() == [iou_oracle(x, y) for x, y in zip(a, b)]
+
+
+def test_iou_rejects_unpaired_rows():
+    with pytest.raises(ValueError, match="row counts differ"):
+        iou(np.ones((3, 4)), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        iou(np.ones(4), np.ones(4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(distinct=hst.lists(_box, min_size=1, max_size=8),
+       picks=hst.lists(hst.tuples(hst.integers(0, 7), hst.integers(0, 3), hst.integers(0, 5)),
+                       min_size=1, max_size=60),
+       thresh=hst.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 0.9]))
+def test_grouped_nms_is_nms_per_group(distinct, picks, thresh):
+    # duplicates, tied scores within and across groups, single-box groups
+    boxes = [distinct[p % len(distinct)] for p, _, _ in picks]
+    scores = [float(level) for _, level, _ in picks]
+    groups = np.array([g for _, _, g in picks])
+    keep = nms(boxes_to_array(boxes), scores, thresh, len(boxes), groups=groups)
+    want = []
+    for g in np.unique(groups).tolist():
+        members = np.flatnonzero(groups == g).tolist()
+        want += [members[i] for i in nms_oracle([boxes[m] for m in members],
+                                                [scores[m] for m in members],
+                                                thresh, len(members))]
+    assert keep == sorted(want, key=lambda i: (-scores[i], i))
+
+
+def test_nms_groups_validation_and_proposal_default():
+    boxes = boxes_to_array([Box(2, 2, 2, 2), Box(2.1, 2, 2, 2)])
+    with pytest.raises(ValueError, match="groups"):
+        nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0])
+    with pytest.raises(ValueError, match="groups"):
+        nms(boxes, [0.9, 0.8], 0.5, 4, groups=np.zeros((2, 1)))
+    assert nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0, 0]) == nms(boxes, [0.9, 0.8], 0.5, 4) == [0]
+    assert nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0, 1]) == [0, 1]
+
+
+def test_clip_box_per_row_bounds_match_one_grid_at_a_time():
+    rng = np.random.default_rng(29)
+    rows = np.column_stack([rng.uniform(-10, 30, 40), rng.uniform(-10, 30, 40),
+                            rng.uniform(0.1, 25, 40), rng.uniform(0.1, 25, 40)])
+    widths = rng.integers(1, 24, 40).astype(float)
+    heights = rng.integers(1, 24, 40).astype(float)
+    got = clip_box(rows, widths, heights)
+    for i in range(40):
+        assert got[i].tolist() == clip_box(rows[i:i + 1], widths[i], heights[i])[0].tolist()

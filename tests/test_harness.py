@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import asdict
@@ -487,3 +488,48 @@ def test_cli_ablate_writes_summary(tmp_path, capsys):
     assert set(summary["arms"]) == {"baseline", "sin"}
     assert not any(k.startswith("_") for k in summary["arms"]["sin"])
     capsys.readouterr()
+
+
+# SHA-256 over the metrics.csv, pr.csv and fp.csv bytes that `sinet eval`
+# writes for a 60-iteration sin training on 100 held-out scenes. Recorded
+# before the detection tail and AP/PR/FP matching ran on arrays; any change
+# to a detection, an AP, a PR point or an FP count moves it.
+PINNED_EVALUATION = "a3c5ce465a97bcf671b36fa70344101a57e5b41f85c5e4d9826ef5ae41974df1"
+
+
+def test_evaluation_is_pinned(tmp_path, capsys):
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--world", "default", "--arm", "sin", "--iters", "60",
+                 "--n-train", "60", "--out", run_dir]) == 0
+    eval_dir = str(tmp_path / "eval")
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                 "--n-test", "100", "--out", eval_dir]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for name in ("metrics.csv", "pr.csv", "fp.csv"):
+        with open(os.path.join(eval_dir, name), "rb") as f:
+            digest.update(f.read())
+    assert digest.hexdigest() == PINNED_EVALUATION
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--n-test", "0"),
+    ("eval", "--n-test", "-1"),
+    ("eval", "--score-thresh", "7"),
+    ("relations", "--score-thresh", "-3"),
+    ("eval", "--score-thresh", "nan"),
+    ("relations", "--score-thresh", "nan"),
+], ids=["eval-n-test-0", "eval-n-test-neg", "eval-thresh-7", "relations-thresh-neg",
+        "eval-thresh-nan", "relations-thresh-nan"])
+def test_cli_bad_eval_flags_exit_1(sin_run, tmp_path, capsys, command, flag, value):
+    # the flags are checked after they override the manifest's eval block,
+    # as the same values in a config are
+    run_dir, _manifest = sin_run
+    out = str(tmp_path / ("eval" if command == "eval" else "relations.csv"))
+    capsys.readouterr()
+    assert main([command, "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                 flag, value, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not os.path.exists(out)
