@@ -15,7 +15,7 @@ from sinet.detector import TrainConfig, train
 from sinet.evaluation import evaluate_detections
 from sinet.harness import detect_dataset
 from sinet.numerics import load_checkpoint, save_checkpoint
-from sinet.synth_data import default_world, sample_at
+from sinet.synth_data import default_world, generate
 
 world = default_world()
 cfg = TrainConfig(iters=500, seed=2)
@@ -39,7 +39,7 @@ print("loss curve:", sparkline(tr.losses))
 print()
 
 # quick held-out evaluation
-test = [sample_at(world, 31337, i) for i in range(120)]
+test = generate(world, 31337, 120)
 dets = detect_dataset(tr.store, cfg, "baseline", test, score_thresh=0.05)
 ev = evaluate_detections(dets, [s.gt for s in test], world.num_categories,
                          world.ambiguous_pairs)

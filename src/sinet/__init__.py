@@ -24,8 +24,7 @@ from .detector import (ARMS, Detection, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
                        detect, detect_scenes, forward, forward_scenes,
                        multi_task_loss, propose, train)
-from .evaluation import (EvalResult, ap_by_category, evaluate_detections,
-                         fp_breakdown, map_at, pr_curve, run_ablation)
+from .evaluation import EvalResult, evaluate_detections, run_ablation
 from .harness import EvalConfig, RunConfig, main, run_gradcheck
 
 __version__ = "0.1.0"
@@ -35,15 +34,14 @@ __all__ = [
     "DetectorParams", "EvalConfig", "EvalResult", "GruParams", "GtObject",
     "Param", "ParamStore", "RunConfig", "SceneGraph", "SceneSample",
     "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
-    "ap_by_category", "apply_deltas", "assign_targets", "boxes_to_array",
-    "boxes_to_centers", "centers_to_corners", "clip_box", "compute_edges",
+    "apply_deltas", "assign_targets", "boxes_to_array", "boxes_to_centers",
+    "centers_to_corners", "clip_box", "compute_edges",
     "create_detector_params", "create_gru_params", "create_sin_params",
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
-    "evaluate_detections", "forward", "forward_scenes", "fp_breakdown",
-    "generate", "grad_check", "gru_backward", "gru_forward", "init_param",
-    "iou", "load_checkpoint", "load_dataset", "main", "map_at",
-    "multi_task_loss", "nms", "pr_curve", "propose", "relation_report",
-    "run_ablation", "run_gradcheck", "sample_at", "save_checkpoint",
-    "save_dataset", "seed_for", "sin_backward", "sin_infer_tapes",
-    "sin_step_tape", "train", "world_hash",
+    "evaluate_detections", "forward", "forward_scenes", "generate",
+    "grad_check", "gru_backward", "gru_forward", "init_param", "iou",
+    "load_checkpoint", "load_dataset", "main", "multi_task_loss", "nms",
+    "propose", "relation_report", "run_ablation", "run_gradcheck", "sample_at",
+    "save_checkpoint", "save_dataset", "seed_for", "sin_backward",
+    "sin_infer_tapes", "sin_step_tape", "train", "world_hash",
 ]

@@ -63,9 +63,9 @@ DETECT_CHUNK = 16
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, iteration, message=None):
+    def __init__(self, iteration):
         self.iteration = iteration
-        super().__init__(message or f"loss became non-finite at iteration {iteration}")
+        super().__init__(f"loss became non-finite at iteration {iteration}")
 
 
 @dataclass
@@ -192,17 +192,17 @@ class AnchorSet:
 _ANCHOR_CACHE = {}
 
 
-def anchor_set(height, width, scales=ANCHOR_SCALES, ratios=ANCHOR_RATIOS):
+def anchor_set(height, width):
     """All anchors for a grid, centered on cell centers, enumerated row-major
     by cell then by (scale, ratio). Anchors may overhang the grid edges.
     Each anchor's covered-cell window (cell_window, the rule ROI pooling
     uses) is cached as the flat (height+1)*(width+1) integral-image rows of
     its four corners."""
-    key = (height, width, tuple(scales), tuple(ratios))
-    hit = _ANCHOR_CACHE.get(key)
+    hit = _ANCHOR_CACHE.get((height, width))
     if hit is not None:
         return hit
-    sizes = [(s * math.sqrt(ratio), s / math.sqrt(ratio)) for s in scales for ratio in ratios]
+    sizes = [(s * math.sqrt(ratio), s / math.sqrt(ratio))
+             for s in ANCHOR_SCALES for ratio in ANCHOR_RATIOS]
     centers = np.array([(c + 0.5, r + 0.5, aw, ah)
                         for r in range(height) for c in range(width) for aw, ah in sizes])
     corners = centers_to_corners(centers)
@@ -215,7 +215,7 @@ def anchor_set(height, width, scales=ANCHOR_SCALES, ratios=ANCHOR_RATIOS):
                     pool_index=np.stack([r1 * stride + c1, r0 * stride + c1,
                                          r1 * stride + c0, r0 * stride + c0]),
                     pool_count=((r1 - r0) * (c1 - c0)).reshape(-1, 1))
-    _ANCHOR_CACHE[key] = out
+    _ANCHOR_CACHE[height, width] = out
     return out
 
 
@@ -268,12 +268,12 @@ def propose(params, sample, cfg, train=False, rng=None, scored=None):
 # ---------------------------------------------------------------------------
 # target assignment
 
-def assign_targets(props, gt, num_categories, iou_pos=IOU_POS, iou_neg=IOU_NEG):
+def assign_targets(props, gt, num_categories):
     """Per-ROI class targets and regression targets for the (n, 4) center-size
     rows `props` against the GtObject list `gt`.
 
-    IoU >= iou_pos against some gt makes a ROI positive for the best gt;
-    IoU < iou_neg makes it background; in between it is ignored. Each gt also
+    IoU >= IOU_POS against some gt makes a ROI positive for the best gt;
+    IoU < IOU_NEG makes it background; in between it is ignored. Each gt also
     forces its best-overlapping ROI positive so no object goes unsupervised.
     Returns (labels, deltas): an (n,) array of categories, background (= num
     categories) or IGNORE, and the (n, 4) deltas onto each positive's gt,
@@ -288,8 +288,8 @@ def assign_targets(props, gt, num_categories, iou_pos=IOU_POS, iou_neg=IOU_NEG):
     ious = pairwise_iou(centers_to_corners(props), centers_to_corners(gc))   # (P, G)
     best_gt = ious.argmax(axis=1)
     best_iou = ious[np.arange(n), best_gt]
-    assigned = np.where(best_iou >= iou_pos, best_gt, -1)
-    labels[~(best_iou < iou_neg)] = IGNORE
+    assigned = np.where(best_iou >= IOU_POS, best_gt, -1)
+    labels[~(best_iou < IOU_NEG)] = IGNORE
     for g in range(len(gt)):                     # forced matches, ties to lowest ROI
         p = int(ious[:, g].argmax())
         if ious[p, g] > 0.0:
@@ -375,12 +375,9 @@ def forward_scenes(params, samples, boxes, cfg, mode="both", steps=None):
                         probs=_softmax_rows(logits), deltas=deltas, edges=edges)
 
 
-def forward(params, sample, cfg, boxes=None, mode="both", steps=None,
-            train=False, rng=None):
-    """Propose (unless the (n, 4) center-size rows `boxes` are given) and run
-    forward_scenes on the one-scene stack of this sample."""
-    if boxes is None:
-        boxes = propose(params, sample, cfg, train=train, rng=rng)
+def forward(params, sample, cfg, boxes, mode="both", steps=None):
+    """forward_scenes on the one-scene stack of this sample and its (n, 4)
+    center-size ROI rows `boxes`."""
     return forward_scenes(params, [sample], np.asarray(boxes)[None], cfg, mode, steps)
 
 
@@ -403,8 +400,8 @@ class LossGrads:
     parts: dict
 
 
-def multi_task_loss(probs, deltas, labels, target_deltas, lam=1.0):
-    """Classification cross-entropy (mean over non-ignored ROIs) plus lam times
+def multi_task_loss(probs, deltas, labels, target_deltas):
+    """Classification cross-entropy (mean over non-ignored ROIs) plus
     smooth-L1 regression averaged over the 4 * positives components, for one
     scene's (n, K+1) probs and (n, K, 4) deltas against assign_targets'
     (n,) labels and (n, 4) target deltas. Only the target class's deltas
@@ -432,8 +429,8 @@ def multi_task_loss(probs, deltas, labels, target_deltas, lam=1.0):
         u = deltas[pos, labels[pos]] - target_deltas[pos]          # (P, 4)
         # each row's four-term sum, then the rows added one at a time, in order
         acc = float(np.add.accumulate(smooth_l1(u).sum(axis=1))[-1])
-        ddeltas[pos, labels[pos]] = lam * smooth_l1_grad(u) / denom
-        reg_loss = lam * acc / denom
+        ddeltas[pos, labels[pos]] = smooth_l1_grad(u) / denom
+        reg_loss = acc / denom
 
     loss = cls_loss + reg_loss
     return loss, LossGrads(dlogits=dlogits, ddeltas=ddeltas,
@@ -509,12 +506,13 @@ def _anchor_targets(anchors, gt):
     return y, mask
 
 
-def objectness_loss(params, sample, accumulate=True, scored=None):
-    """Binary cross-entropy on anchor labels; the only supervision the
-    proposal scores receive. Positive and negative anchors contribute half the
-    loss each, otherwise the handful of positives would drown in ~1500
-    negatives. `scored` is score_anchors' result for this sample and params,
-    computed here when not given."""
+def objectness_loss(params, sample, scored=None):
+    """Binary cross-entropy on anchor labels, its gradient accumulated into
+    the objectness map; the only supervision the proposal scores receive.
+    Positive and negative anchors contribute half the loss each, otherwise
+    the handful of positives would drown in ~1500 negatives. `scored` is
+    score_anchors' result for this sample and params, computed here when not
+    given."""
     anchors, feats, s = scored or score_anchors(params, sample)
     y, mask = _anchor_targets(anchors, sample.gt)
     weights = np.zeros_like(s)
@@ -524,15 +522,13 @@ def objectness_loss(params, sample, accumulate=True, scored=None):
         if n:
             weights[pick] = 0.5 / n
     bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    loss = OBJ_LOSS_WEIGHT * float((weights * bce).sum())
-    if accumulate:
-        ds = OBJ_LOSS_WEIGHT * weights * (expit(s) - y)
-        # types cycle fastest, so axis 0 of the (cells, types, C) view runs
-        # over one type's anchors; accumulate adds them one at a time, in order
-        grad = params.objectness.grad
-        per_cell = (ds[:, None] * feats).reshape(-1, *grad.shape)
-        grad[:] = np.add.accumulate(np.concatenate([grad[None], per_cell]))[-1]
-    return loss
+    ds = OBJ_LOSS_WEIGHT * weights * (expit(s) - y)
+    # types cycle fastest, so axis 0 of the (cells, types, C) view runs over
+    # one type's anchors; accumulate adds them one at a time, in order
+    grad = params.objectness.grad
+    per_cell = (ds[:, None] * feats).reshape(-1, *grad.shape)
+    grad[:] = np.add.accumulate(np.concatenate([grad[None], per_cell]))[-1]
+    return OBJ_LOSS_WEIGHT * float((weights * bce).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +673,11 @@ def detect_scenes(params, samples, cfg, score_thresh=0.05, arm="sin"):
     return dets
 
 
-def detect(params, sample, cfg, score_thresh=0.05, arm="sin", return_state=False):
-    """Final detections for one scene: detect_scenes(params, [sample], ...)[0].
-
-    With return_state the one-scene forward state comes back too, its
-    `edges` always filled: arms whose last step computed no edges get them
-    from the final node features."""
+def detect(params, sample, cfg, score_thresh=0.05, arm="sin"):
+    """Final detections for one scene, detect_scenes(params, [sample], ...)[0],
+    and its one-scene forward state, with `edges` always filled: arms whose
+    last step computed no edges get them from the final node features."""
     (dets,), state = _detect_stack(params, [sample], cfg, score_thresh, arm)
-    if return_state:
-        if state.edges is None:
-            state.edges = compute_edges(params.sin, state.graph_out)
-        return dets, state
-    return dets
+    if state.edges is None:
+        state.edges = compute_edges(params.sin, state.graph_out)
+    return dets, state

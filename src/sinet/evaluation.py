@@ -7,7 +7,7 @@ buckets: correct, localization, similar-class confusion, other-class
 confusion, background.
 
 All of them read one matching pass (_Matching): the IoU of every same-image
-(detection, gt) pair on flat arrays, and one greedy match per IoU threshold
+(detection, gt) pair on flat arrays, and the greedy match once, at IoU 0.5,
 over the global score ranking.
 """
 
@@ -18,12 +18,13 @@ import numpy as np
 
 from .geometry import boxes_to_centers, iou
 from .numerics import derive_seed
-from .synth_data import sample_at, world_hash
+from .synth_data import generate, world_hash
 
 FP_KINDS = ("Cor", "Loc", "Sim", "Oth", "BG")
 PR_THRESHOLDS = tuple(i / 10.0 for i in range(10))
 FP_IOU_LOC = 0.1
-FP_IOU_COR = 0.5
+# the one matching threshold: AP, PR and the Cor bucket all read it
+MATCH_IOU = 0.5
 # (detection, gt) pairs per IoU call: bounds the call's (k, 4) temporaries
 # near 1 MB; one call over the ~27k pairs of 500 default-world scenes peaked
 # 5 MB higher
@@ -40,14 +41,14 @@ def _voc_ap(recall, precision):
 
 class _Matching:
     """Detections and ground truth of every image as flat arrays, and the
-    greedy one-to-one match at each requested IoU threshold.
+    greedy one-to-one match at IoU MATCH_IOU.
 
     Detections are held in rank order: score descending, ties kept in
     image-then-list order. In that order, a detection takes the still-free
     gt of its image and category with the highest IoU at or above the
     threshold (and above 0), ties to the lowest gt index."""
 
-    def __init__(self, dets_by_image, gts_by_image, iou_threshs):
+    def __init__(self, dets_by_image, gts_by_image):
         if len(dets_by_image) != len(gts_by_image):
             raise ValueError(f"{len(dets_by_image)} detection lists vs "
                              f"{len(gts_by_image)} ground-truth lists")
@@ -73,12 +74,12 @@ class _Matching:
         for lo in range(0, len(self.pair_det), PAIR_CHUNK):
             at = slice(lo, lo + PAIR_CHUNK)
             self.pair_iou[at] = iou(det_box[self.pair_det[at]], gt_box[self.pair_gt[at]])
-        self.matched = {t: self._match(t) for t in set(iou_threshs)}
+        self.matched = self._match()
 
-    def _match(self, thresh):
-        """(D,) flags of the detections matched at IoU thresh."""
+    def _match(self):
+        """(D,) flags of the detections matched at IoU MATCH_IOU."""
         v = self.pair_iou
-        cand = np.flatnonzero(self.same & (v >= thresh) & (v > 0.0))
+        cand = np.flatnonzero(self.same & (v >= MATCH_IOU) & (v > 0.0))
         matched = np.zeros(len(self.score), dtype=bool)
         used = set()
         cur, best, best_v = -1, -1, 0.0
@@ -94,31 +95,42 @@ class _Matching:
                 best, best_v = g, x
         return matched
 
-    def ap_by_category(self, num_categories, iou_thresh):
-        """{category: AP}; None for a category without gt."""
+    def ap_by_category(self, num_categories):
+        """{category: AP}; None for a category without gt (it is then
+        excluded from means)."""
         npos = np.bincount(self.gt_cat, minlength=num_categories)
         out = {}
         for cat in range(num_categories):
-            tp = np.cumsum(self.matched[iou_thresh][self.det_cat == cat])
+            tp = np.cumsum(self.matched[self.det_cat == cat])
             out[cat] = (_voc_ap(tp / npos[cat], tp / np.arange(1, len(tp) + 1))
                         if npos[cat] else None)
         return out
 
-    def pr_curve(self, thresholds, iou_thresh):
+    def pr_curve(self):
+        """Pooled precision/recall at each of PR_THRESHOLDS.
+
+        All categories and images share one pool; a threshold keeps
+        detections with score >= thr. No detections means precision 1.0 and
+        recall 0.0 by convention.
+        """
         total_gt, points = len(self.gt_cat), []
-        for thr in thresholds:
+        for thr in PR_THRESHOLDS:
             kept = self.score >= thr
-            n, tp = int(kept.sum()), int(self.matched[iou_thresh][kept].sum())
+            n, tp = int(kept.sum()), int(self.matched[kept].sum())
             points.append((thr, tp / n if n else 1.0, tp / total_gt if total_gt else 0.0))
         return points
 
     def fp_breakdown(self, similar_pairs):
+        """Bucket every detection: Cor (matched), else Loc when it overlaps a
+        same-class gt at FP_IOU_LOC or better (this includes duplicates of an
+        already matched gt), Sim / Oth for confusion with a similar / any
+        other class, BG when it touches nothing."""
         dc, gc, same = self.det_cat[self.pair_det], self.gt_cat[self.pair_gt], self.same
         sim = np.zeros(len(same), dtype=bool)
         for a, b in similar_pairs:
             sim |= ((dc == a) & (gc == b)) | ((dc == b) & (gc == a))
         near = self.pair_iou >= FP_IOU_LOC
-        left = ~self.matched[FP_IOU_COR]
+        left = ~self.matched
         counts = {"Cor": int((~left).sum())}
         for name, kind in (("Loc", same), ("Sim", ~same & sim), ("Oth", ~same & ~sim)):
             hit = np.bincount(self.pair_det[near & kind], minlength=len(left)) > 0
@@ -128,48 +140,9 @@ class _Matching:
         return counts
 
 
-def ap_by_category(dets_by_image, gts_by_image, num_categories, iou_thresh=0.5):
-    """AP per category at iou_thresh, None for a category without gt (it is
-    then excluded from means)."""
-    return (_Matching(dets_by_image, gts_by_image, [iou_thresh])
-            .ap_by_category(num_categories, iou_thresh))
-
-
 def mean_ap(per_category):
     vals = [v for v in per_category.values() if v is not None]
     return sum(vals) / len(vals) if vals else 0.0
-
-
-def map_at(dets_by_image, gts_by_image, num_categories, iou_list):
-    """mAP averaged over IoU thresholds, with the per-threshold breakdown."""
-    iou_list = list(iou_list)
-    if not iou_list:
-        raise ValueError("map_at: need at least one IoU threshold")
-    m = _Matching(dets_by_image, gts_by_image, iou_list)
-    per_iou = {}
-    for t in iou_list:
-        per_cat = m.ap_by_category(num_categories, t)
-        per_iou[t] = {"per_category": per_cat, "map": mean_ap(per_cat)}
-    overall = sum(per_iou[t]["map"] for t in iou_list) / len(iou_list)
-    return {"map": overall, "per_iou": per_iou}
-
-
-def pr_curve(dets_by_image, gts_by_image, thresholds=PR_THRESHOLDS, iou_thresh=0.5):
-    """Pooled precision/recall at each score threshold.
-
-    All categories and images share one pool; a threshold keeps detections
-    with score >= thr. No detections means precision 1.0 and recall 0.0 by
-    convention.
-    """
-    return _Matching(dets_by_image, gts_by_image, [iou_thresh]).pr_curve(thresholds, iou_thresh)
-
-
-def fp_breakdown(dets_by_image, gts_by_image, similar_pairs=()):
-    """Bucket every detection: Cor (matched at 0.5), else Loc when it overlaps
-    a same-class gt at 0.1 or better (this includes duplicates of an already
-    matched gt), Sim / Oth for confusion with a similar / any other class, BG
-    when it touches nothing."""
-    return _Matching(dets_by_image, gts_by_image, [FP_IOU_COR]).fp_breakdown(similar_pairs)
 
 
 @dataclass
@@ -181,14 +154,13 @@ class EvalResult:
     num_images: int
 
 
-def evaluate_detections(dets_by_image, gts_by_image, num_categories,
-                        similar_pairs=(), iou_thresh=0.5):
-    m = _Matching(dets_by_image, gts_by_image, [iou_thresh, FP_IOU_COR])
-    per_cat = m.ap_by_category(num_categories, iou_thresh)
-    return EvalResult(per_category_ap=per_cat, map=mean_ap(per_cat),
-                      pr=m.pr_curve(PR_THRESHOLDS, iou_thresh),
-                      fp=m.fp_breakdown(similar_pairs),
-                      num_images=len(dets_by_image))
+def evaluate_detections(dets_by_image, gts_by_image, num_categories, similar_pairs=()):
+    """AP per category, mAP, the pooled PR curve and the FP buckets, all at
+    IoU MATCH_IOU."""
+    m = _Matching(dets_by_image, gts_by_image)
+    per_cat = m.ap_by_category(num_categories)
+    return EvalResult(per_category_ap=per_cat, map=mean_ap(per_cat), pr=m.pr_curve(),
+                      fp=m.fp_breakdown(similar_pairs), num_images=len(dets_by_image))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +194,7 @@ def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
     say = progress if progress is not None else (lambda msg: None)
     train_seed = derive_seed(split_seed if split_seed is not None else cfg.seed, "train-data")
     test_seed = derive_seed(split_seed if split_seed is not None else cfg.seed, "test-data")
-    test_samples = [sample_at(world, test_seed, i) for i in range(n_test)]
+    test_samples = generate(world, test_seed, n_test)
 
     results = {
         "world_hash": world_hash(world),

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the least side clip_box leaves a box, even one wholly outside the grid
+MIN_SIDE = 1e-6
+
 
 @dataclass(frozen=True)
 class Box:
@@ -165,9 +168,9 @@ def encode_deltas(boxes, targets):
     return out
 
 
-def clip_box(boxes, width, height, min_side=1e-6):
+def clip_box(boxes, width, height):
     """Clamp the extents of (k, 4) center-size rows into [0, width] x
-    [0, height], keeping sides at least min_side even for a box that started
+    [0, height], keeping sides at least MIN_SIDE even for a box that started
     wholly outside the grid; returns center-size rows. width and height are
     both numbers or both (k,) arrays of per-row bounds."""
     corners = centers_to_corners(*_check_rows("clip_box", boxes))
@@ -178,4 +181,4 @@ def clip_box(boxes, width, height, min_side=1e-6):
     corners = np.where(corners > 0.0, corners, 0.0)
     sides = corners[:, 2:] - corners[:, :2]
     return np.concatenate([(corners[:, :2] + corners[:, 2:]) / 2.0,
-                           np.where(min_side > sides, min_side, sides)], axis=1)
+                           np.where(MIN_SIDE > sides, MIN_SIDE, sides)], axis=1)

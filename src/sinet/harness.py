@@ -25,17 +25,19 @@ from .detector import (ARMS, TrainConfig, TrainingDiverged, assign_targets,
                        detector_backward, detector_params_from_store, forward,
                        multi_task_loss, apply_weight_decay, train,
                        validate_config)
-from .evaluation import (FP_KINDS, evaluate_detections, mean_ap, run_ablation,
-                         strip_objects)
+from .evaluation import (FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap,
+                         run_ablation, strip_objects)
 from .geometry import Box, boxes_to_centers
 from .numerics import (CheckpointError, ParamStore, derive_seed, grad_check,
                        load_checkpoint, save_checkpoint)
 from .structure_inference import relation_report
-from .synth_data import (WORLD_FIXTURES, GtObject, SceneSample, load_dataset,
-                         sample_at, save_dataset, validate_world,
+from .synth_data import (WORLD_FIXTURES, GtObject, SceneSample, generate,
+                         load_dataset, sample_at, save_dataset, validate_world,
                          world_from_dict, world_hash, world_to_dict)
 
 GRADCHECK_TOL = 1e-4
+# weight decay in the gradient-check loss, so its term is checked too
+GRADCHECK_WD = 1e-3
 
 
 class RunFailure(RuntimeError):
@@ -145,10 +147,10 @@ def write_csv(path, header, rows):
             f.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
-def metrics_rows(arm_name, per_category_ap, cat_names, iou_thresh=0.5):
-    rows = [(arm_name, cat_names[c], iou_thresh, ap)
+def metrics_rows(arm_name, per_category_ap, cat_names):
+    rows = [(arm_name, cat_names[c], MATCH_IOU, ap)
             for c, ap in sorted(per_category_ap.items())]
-    rows.append((arm_name, "mean", iou_thresh, mean_ap(per_category_ap)))
+    rows.append((arm_name, "mean", MATCH_IOU, mean_ap(per_category_ap)))
     return rows
 
 
@@ -176,6 +178,8 @@ def read_manifest(path):
         raise RunFailure(f"cannot read manifest {path}: {e}")
     except json.JSONDecodeError as e:
         raise RunFailure(f"{path}: invalid manifest JSON: {e}")
+    if not isinstance(data, dict):
+        raise RunFailure(f"{path}: manifest must be a JSON object, got {json.dumps(data)}")
     for key in ("arm", "train", "world", "world_hash"):
         if key not in data:
             raise RunFailure(f"{path}: manifest is missing {key!r}")
@@ -227,7 +231,7 @@ def detect_dataset(store, cfg, arm, samples, score_thresh, workers=1):
 # ---------------------------------------------------------------------------
 # gradient checking fixture
 
-def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5, wd=1e-3):
+def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
     """Central-difference check of the full detector loss on a small fixed
     scene: n ROIs, feature width d, `steps` inference iterations. Proposal
     boxes are fixed inputs, so the objectness map is outside the check.
@@ -259,7 +263,7 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5, wd=1e-3)
         state = forward(params, sample, cfg, boxes=boxes, mode="both", steps=steps)
         loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
         detector_backward(params, state, grads)
-        return loss + apply_weight_decay(decayed, wd)
+        return loss + apply_weight_decay(decayed, GRADCHECK_WD)
 
     return grad_check(loss_fn, store, eps=eps, names=names)
 
@@ -310,10 +314,8 @@ def _manifest_payload(command, config, world):
 
 
 def _cmd_gen_data(args):
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     world = resolve_world(args.world)
-    samples = [sample_at(world, args.seed, i) for i in range(args.n)]
+    samples = generate(world, args.seed, args.n)
     save_dataset(args.out, samples, world)
     print(f"wrote {args.n} scenes to {args.out} (world {world_hash(world)})")
     return 0
@@ -385,7 +387,7 @@ def _cmd_eval(args):
             raise RunFailure(str(e))
     else:
         test_seed = derive_seed(ev_cfg.split_seed, "test-data")
-        samples = [sample_at(world, test_seed, i) for i in range(n_test)]
+        samples = generate(world, test_seed, n_test)
     dets = detect_dataset(store, cfg, arm, samples, score_thresh, workers)
     ev = evaluate_detections(dets, [s.gt for s in samples], world.num_categories,
                              world.ambiguous_pairs)
@@ -450,6 +452,9 @@ def _cmd_ablate(args):
 
 
 def _cmd_gradcheck(args):
+    for flag, v in (("--eps", args.eps), ("--tol", args.tol)):
+        if not (np.isfinite(v) and v > 0.0):
+            raise ValueError(f"{flag} must be positive and finite, got {v}")
     err = run_gradcheck(d=args.d, n=args.n, steps=args.T, seed=args.seed,
                         pooling=args.pooling, eps=args.eps)
     ok = err < args.tol
@@ -469,7 +474,7 @@ def _cmd_relations(args):
     rows = []
     for i in range(args.n):
         sample = sample_at(world, args.seed, i)
-        dets, state = detect(params, sample, cfg, score_thresh, arm, return_state=True)
+        dets, state = detect(params, sample, cfg, score_thresh, arm)
         for det, (node, partner, weight) in zip(dets, relation_report(state.edges[0], dets)):
             rows.append((i, node, det.category, det.score, partner, weight))
     write_csv(args.out, ("sample", "node", "category", "score", "partner",

@@ -21,8 +21,9 @@ scene feature) and the edge bank (row i of x is node i's pooled message).
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .numerics import ShapeError, init_param, seed_for, sigmoid, tanh
+from .numerics import ShapeError, init_param, seed_for
 
 PARAM_FIELDS = ("W_r", "W_z", "W", "U")
 
@@ -88,13 +89,13 @@ def gru_forward(p, x, h_t):
     a_r = xh @ p.w_r.value.T
     a_z = xh @ p.w_z.value.T
     a_x = x @ p.w.value.T
-    r = sigmoid(a_r)
+    r = expit(a_r)
     a_u = (r * h_t) @ p.u.value.T
     if not (np.isfinite(a_r).all() and np.isfinite(a_z).all()
             and np.isfinite(a_x).all() and np.isfinite(a_u).all()):
         raise FloatingPointError("gru: NaN or inf in a gate pre-activation")
-    z = sigmoid(a_z)
-    h_tilde = tanh(a_x + a_u)
+    z = expit(a_z)
+    h_tilde = np.tanh(a_x + a_u)
     h_next = z * h_t + (1.0 - z) * h_tilde
     return h_next, GruTape(xh=xh, r=r, z=z, h_tilde=h_tilde)
 

@@ -1,16 +1,16 @@
-"""Dense float64 vector/matrix substrate: activations, a named parameter store
-with gradient buffers, deterministic init, finite-difference gradient
-checking, and the binary checkpoint format.
+"""Dense float64 vector/matrix substrate: a named parameter store with
+gradient buffers, deterministic init, finite-difference gradient checking,
+and the binary checkpoint format.
 
 Vectors are 1-D float64 ndarrays, matrices 2-D float64 ndarrays (row-major).
 Everything downstream computes on these.
 """
 
+import math
 import struct
 import zlib
 
 import numpy as np
-from scipy.special import expit
 
 CHECKPOINT_MAGIC = b"SINCKPT1"
 
@@ -23,27 +23,12 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed."""
 
 
-def sigmoid(x):
-    """Logistic sigmoid, 1 / (1 + exp(-t)), elementwise."""
-    return expit(np.asarray(x, dtype=np.float64))
-
-
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def init_param(shape, seed, scheme="uniform_fan"):
+def init_param(shape, seed):
     """Deterministic fan-scaled uniform init: entries ~ U[-a, a], a = sqrt(6/(fan_in+fan_out)).
 
     For matrices fan_in = cols, fan_out = rows; for vectors both equal the dim.
-    Same (shape, seed, scheme) always yields bit-identical values.
+    Same (shape, seed) always yields bit-identical values.
     """
-    if scheme != "uniform_fan":
-        raise ValueError(f"unknown init scheme {scheme!r}")
     shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
     if any(s <= 0 for s in shape) or len(shape) not in (1, 2):
         raise ShapeError(f"init_param: invalid shape {shape}")
@@ -217,7 +202,8 @@ def load_checkpoint(path):
         for _ in range(rank):
             chunk, off = take(4, off, f"dims of {name!r}")
             dims.append(struct.unpack("<I", chunk)[0])
-        n_elem = int(np.prod(dims))
+        # exact: dims up to 2**32 - 1 each overflow an int64 product
+        n_elem = math.prod(dims)
         chunk, off = take(8 * n_elem, off, f"data of {name!r}")
         value = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
         if not np.isfinite(value).all():

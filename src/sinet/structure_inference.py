@@ -71,12 +71,12 @@ class SinParams:
         return self.scene_gru.dim
 
 
-def create_sin_params(store, d, seed, pooling="mean", prefix="sin"):
-    """Register all inference-net weights under `prefix/` and return the view."""
+def create_sin_params(store, d, seed, pooling="mean"):
+    """Register all inference-net weights under `sin/` and return the view."""
     if pooling not in POOLINGS:
         raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
-    scene = create_gru_params(store, f"{prefix}/scene_gru", d, seed)
-    edge = create_gru_params(store, f"{prefix}/edge_gru", d, seed)
+    scene = create_gru_params(store, "sin/scene_gru", d, seed)
+    edge = create_gru_params(store, "sin/edge_gru", d, seed)
     # The relu in the edge weight is a hard gate: if w_p . R starts negative for
     # the bulk of box pairs, every edge is zero, no gradient reaches w_p, and
     # the relation path never recovers. Start it as a locality prior instead:
@@ -87,25 +87,23 @@ def create_sin_params(store, d, seed, pooling="mean", prefix="sin"):
     w_p_init[0, 0] = 0.5
     w_p_init[0, 8] = -0.4
     w_p_init[0, 9] = -0.4
-    w_p = store.create(f"{prefix}/w_p", w_p_init)
+    w_p = store.create("sin/w_p", w_p_init)
     # Soft start for the appearance term as well: early messages are noise,
     # and large ones teach the rest of the net to slam the gate shut.
-    w_v = store.create(f"{prefix}/w_v",
-                       0.25 * init_param((1, 2 * d), seed_for(seed, f"{prefix}/w_v")))
+    w_v = store.create("sin/w_v", 0.25 * init_param((1, 2 * d), seed_for(seed, "sin/w_v")))
     w_a = None
     if pooling == "concat":
-        w_a = store.create(f"{prefix}/w_a", init_param((d, 2 * d), seed_for(seed, f"{prefix}/w_a")))
+        w_a = store.create("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a")))
     return SinParams(scene_gru=scene, edge_gru=edge, w_p=w_p, w_v=w_v, w_a=w_a)
 
 
-def sin_params_from_store(store, prefix="sin"):
-    w_a = store[f"{prefix}/w_a"] if f"{prefix}/w_a" in store else None
+def sin_params_from_store(store):
     return SinParams(
-        scene_gru=gru_params_from_store(store, f"{prefix}/scene_gru"),
-        edge_gru=gru_params_from_store(store, f"{prefix}/edge_gru"),
-        w_p=store[f"{prefix}/w_p"],
-        w_v=store[f"{prefix}/w_v"],
-        w_a=w_a,
+        scene_gru=gru_params_from_store(store, "sin/scene_gru"),
+        edge_gru=gru_params_from_store(store, "sin/edge_gru"),
+        w_p=store["sin/w_p"],
+        w_v=store["sin/w_v"],
+        w_a=store["sin/w_a"] if "sin/w_a" in store else None,
     )
 
 

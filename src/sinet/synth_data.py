@@ -18,6 +18,9 @@ import numpy as np
 
 from .geometry import Box
 
+# placement attempts per object before it is skipped
+PLACE_TRIES = 100
+
 
 @dataclass
 class Category:
@@ -151,10 +154,11 @@ def _try_place(world, rng, cat_id, occupied, center=None):
     return box, win
 
 
-def _place_object(world, rng, cat_id, occupied, anchor=None, rule=None, tries=100):
+def _place_object(world, rng, cat_id, occupied, anchor=None, rule=None):
     """Rejection-sample a placement and mark its cells in the (H, W) bool
-    `occupied`; (box, cell window), or None after `tries` failures (skip)."""
-    for _ in range(tries):
+    `occupied`; (box, cell window), or None after PLACE_TRIES failures
+    (skip)."""
+    for _ in range(PLACE_TRIES):
         center = None
         if anchor is not None:
             sx = 1.0 if rng.uniform() < 0.5 else -1.0
@@ -170,7 +174,7 @@ def _place_object(world, rng, cat_id, occupied, anchor=None, rule=None, tries=10
         # a partner that cannot fit near its trigger still has to exist
         # somewhere, or measured co-occurrence drifts below the rule's
         # probability; drop the offset and take any free spot
-        return _place_object(world, rng, cat_id, occupied, tries=tries)
+        return _place_object(world, rng, cat_id, occupied)
     return None
 
 
@@ -387,6 +391,8 @@ def load_dataset(path, expected_world_hash=None, allow_mismatch=False, world=Non
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header must be a JSON object, got {lines[0].strip()}")
     for key in ("world_hash", "h", "w", "c", "num_categories"):
         if key not in header:
             raise ValueError(f"{path}: header is missing {key!r}")

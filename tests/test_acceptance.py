@@ -20,7 +20,7 @@ import pytest
 
 import conftest
 from sinet.detector import TrainConfig, create_detector_params
-from sinet.evaluation import ap_by_category, pr_curve, run_ablation
+from sinet.evaluation import evaluate_detections, run_ablation
 from sinet.geometry import Box, boxes_to_array, boxes_to_centers, nms
 from sinet.harness import main, run_gradcheck
 from sinet.memory_cell import create_gru_params, gru_forward
@@ -149,7 +149,7 @@ def _check_ap(rng, trials):
                 else:
                     b = random_box(rng)
                 dets.append((img, b, round(float(rng.random()), 2)))
-        got = ap_by_category(*per_image_lists(dets, gts), 1)[0]
+        got = evaluate_detections(*per_image_lists(dets, gts), 1).per_category_ap[0]
         want = average_precision_oracle(dets, gts)
         if want is None:
             assert got is None
@@ -313,13 +313,13 @@ def _invariant_ap_range_and_monotone_recall(rng):
         gts = {0: [random_box(rng) for _ in range(int(rng.integers(1, 4)))]}
         dets = [(0, random_box(rng), float(rng.random()))
                 for _ in range(int(rng.integers(1, 8)))]
-        ap = ap_by_category(*per_image_lists(dets, gts), 1)[0]
+        ap = evaluate_detections(*per_image_lists(dets, gts), 1).per_category_ap[0]
         assert 0.0 <= ap <= 1.0
         # pooled recall can only fall as the score threshold rises
         dd = [[Detection(box=b, category=0, score=s, roi_index=0)
                for _, b, s in dets]]
         gg = [[GtObject(b, 0) for b in gts[0]]]
-        recalls = [r for _, _, r in pr_curve(dd, gg)]
+        recalls = [r for _, _, r in evaluate_detections(dd, gg, 1).pr]
         assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:]))
 
 

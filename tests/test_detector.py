@@ -271,11 +271,11 @@ def _loss_inputs():
 def test_multi_task_loss_hand_value():
     logits, probs, deltas, labels, targets = _loss_inputs()
 
-    loss, grads = multi_task_loss(probs, deltas, labels, targets, lam=2.0)
+    loss, grads = multi_task_loss(probs, deltas, labels, targets)
 
     cls = -(np.log(probs[0, 0]) + np.log(probs[1, 2])) / 2.0
     u = deltas[0, 0] - targets[0]
-    reg = 2.0 * float(smooth_l1(u).sum()) / 4.0
+    reg = float(smooth_l1(u).sum()) / 4.0
     assert loss == pytest.approx(cls + reg, abs=1e-12)
     assert grads.parts["cls"] == pytest.approx(cls)
     assert grads.parts["reg"] == pytest.approx(reg)
@@ -302,7 +302,7 @@ def test_multi_task_loss_matches_per_roi_loop():
         labels = rng.integers(-1, k + 1, size=n)
         targets = np.where((labels >= 0) & (labels < k), 1.0, 0.0)[:, None] \
             * rng.normal(0.0, 2.0, size=(n, 4))
-        loss, grads = multi_task_loss(probs, deltas, labels, targets, lam=1.5)
+        loss, grads = multi_task_loss(probs, deltas, labels, targets)
 
         positives = [i for i in range(n) if 0 <= labels[i] < k]
         reg, ddeltas = 0.0, np.zeros_like(deltas)
@@ -312,8 +312,8 @@ def test_multi_task_loss_matches_per_roi_loop():
             for i in positives:
                 u = deltas[i, labels[i]] - targets[i]
                 acc += float(smooth_l1(u).sum())
-                ddeltas[i, labels[i]] = 1.5 * smooth_l1_grad(u) / denom
-            reg = 1.5 * acc / denom
+                ddeltas[i, labels[i]] = smooth_l1_grad(u) / denom
+            reg = acc / denom
         assert grads.parts["reg"] == reg, trial
         assert loss == grads.parts["cls"] + reg
         assert np.array_equal(grads.ddeltas, ddeltas), trial
@@ -323,9 +323,9 @@ def test_multi_task_loss_gradients_match_finite_differences():
     logits, probs, deltas, labels, targets = _loss_inputs()
 
     def loss_at(lg, dl):
-        return multi_task_loss(det_mod._softmax_rows(lg), dl, labels, targets, lam=2.0)[0]
+        return multi_task_loss(det_mod._softmax_rows(lg), dl, labels, targets)[0]
 
-    _, grads = multi_task_loss(probs, deltas, labels, targets, lam=2.0)
+    _, grads = multi_task_loss(probs, deltas, labels, targets)
 
     eps = 1e-6
     for idx in np.ndindex(logits.shape):
@@ -350,7 +350,7 @@ def test_forward_probs_are_softmax_rows():
     store, params = make_params()
     sample = make_sample(rng)
     cfg = validate_config(TrainConfig(rois_per_image=6, T=2, feat_dim=6))
-    state = forward(params, sample, cfg)
+    state = forward(params, sample, cfg, propose(params, sample, cfg))
     assert state.probs.shape == (1, 6, 4)
     probs, logits = state.probs[0], state.logits[0]
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -423,14 +423,15 @@ def test_forward_edges_square_and_zero_diagonal():
     store, params = make_params()
     sample = make_sample(rng)
     cfg = validate_config(TrainConfig(rois_per_image=5, T=1, feat_dim=6))
-    state = forward(params, sample, cfg)
+    props = propose(params, sample, cfg)
+    state = forward(params, sample, cfg, props)
     assert state.edges.shape == (1, 5, 5)
     assert np.all(np.diag(state.edges[0]) == 0.0)
     # without a step that computes edges, forward leaves them to detect
-    assert forward(params, sample, cfg, steps=0).edges is None
-    assert forward(params, sample, cfg, mode="scene").edges is None
+    assert forward(params, sample, cfg, props, steps=0).edges is None
+    assert forward(params, sample, cfg, props, mode="scene").edges is None
     for arm in ("baseline", "scene"):
-        _, state = detect(params, sample, cfg, arm=arm, return_state=True)
+        _, state = detect(params, sample, cfg, arm=arm)
         assert np.array_equal(state.edges,
                               compute_edges(params.sin, state.graph_out))
 
@@ -471,7 +472,7 @@ def test_objectness_loss_gradient_matches_finite_differences():
     sample = make_sample(rng, h=9, w=9, c=4, gt=gt)
 
     store.zero_grads()
-    base = objectness_loss(params, sample, accumulate=True)
+    base = objectness_loss(params, sample)
     assert np.isfinite(base)
     grad = params.objectness.grad.copy()
     eps = 1e-6
@@ -479,9 +480,9 @@ def test_objectness_loss_gradient_matches_finite_differences():
     for idx in np.ndindex(params.objectness.value.shape):
         orig = params.objectness.value[idx]
         params.objectness.value[idx] = orig + eps
-        up = objectness_loss(params, sample, accumulate=False)
+        up = objectness_loss(params, sample)
         params.objectness.value[idx] = orig - eps
-        dn = objectness_loss(params, sample, accumulate=False)
+        dn = objectness_loss(params, sample)
         params.objectness.value[idx] = orig
         num = (up - dn) / (2 * eps)
         worst = max(worst, abs(num - grad[idx]) / max(1.0, abs(num)))
@@ -593,8 +594,7 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     assert len(result.losses) == 5
     assert all(np.isfinite(l) for l in result.losses)
     sample = det_mod.sample_at(world, 11, 0)
-    dets, state = detect(result.params, sample, cfg, score_thresh=0.0, arm="sin",
-                         return_state=True)
+    dets, state = detect(result.params, sample, cfg, score_thresh=0.0, arm="sin")
     assert len(state.tapes) == cfg.T
     assert state.tapes[-1].edge_tape.xh.shape == (1, 1, 2 * cfg.feat_dim)
     assert state.edges.shape == (1, 1, 1)
@@ -633,8 +633,7 @@ def test_detect_output_contract():
     store, params = make_params(channels=5, k=3, d=6)
     sample = make_sample(rng)
     cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
-    dets, state = detect(params, sample, cfg, score_thresh=0.05, arm="sin",
-                         return_state=True)
+    dets, state = detect(params, sample, cfg, score_thresh=0.05, arm="sin")
     assert state.probs.shape[:2] == (1, 8)
     keys = [(d.category, -d.score, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets]
     assert keys == sorted(keys)
@@ -662,7 +661,7 @@ def test_detect_orders_score_ties_by_box():
     params.cls_head.value[:] = 0.0
     params.reg_head.value[:] = 0.0
     cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
-    dets = detect(params, make_sample(rng), cfg, score_thresh=0.05, arm="sin")
+    dets, _ = detect(params, make_sample(rng), cfg, score_thresh=0.05, arm="sin")
     assert {d.score for d in dets} == {0.25}
     for cat in range(3):
         boxes = [(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets if d.category == cat]
@@ -679,7 +678,7 @@ def test_detect_arms_share_proposals():
     states = {}
     for arm in ARMS:
         mode, steps = arm_plan(arm, cfg)
-        states[arm] = forward(params, sample, cfg, mode=mode, steps=steps)
+        states[arm] = forward(params, sample, cfg, propose(params, sample, cfg), mode, steps)
     ref = states["baseline"].graph_out.boxes
     assert ref.shape == (1, 6, 4)
     for arm in ARMS[1:]:
@@ -786,7 +785,7 @@ def test_detections_independent_of_stack_composition(model, arm, first, count, c
         stacked = detect_scenes(params, samples, cfg, thresh, arm)
     assert len(stacked) == count
     for sample, dets in zip(samples, stacked):
-        assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, arm))
+        assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, arm)[0])
 
 
 def test_detect_scenes_clips_each_scene_to_its_own_grid():
@@ -800,7 +799,7 @@ def test_detect_scenes_clips_each_scene_to_its_own_grid():
     for thresh in (0.0, 0.05):
         stacked = detect_scenes(params, samples, cfg, thresh, "sin")
         for sample, dets in zip(samples, stacked):
-            assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, "sin"))
+            assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, "sin")[0])
             h, w = sample.grid.shape[:2]
             for d in dets:
                 x1, y1, x2, y2 = d.box.corners()

@@ -5,8 +5,7 @@ from hypothesis import strategies as hst
 
 from sinet.detector import Detection, TrainConfig
 from sinet.evaluation import (FP_KINDS, PR_THRESHOLDS, SWEEP_GRID, _voc_ap,
-                              ap_by_category, evaluate_detections, fp_breakdown,
-                              map_at, mean_ap, pr_curve, run_ablation, strip_objects)
+                              evaluate_detections, mean_ap, run_ablation, strip_objects)
 from sinet.geometry import Box
 from sinet.synth_data import GtObject, default_world
 
@@ -16,8 +15,8 @@ from oracles import (average_precision_oracle, category_slices_oracle,
 
 def category_ap(dets, gts):
     """AP of one category's (image_id, box, score) triples against its
-    {image_id: [box]} gt, through ap_by_category."""
-    return ap_by_category(*per_image_lists(dets, gts), num_categories=1)[0]
+    {image_id: [box]} gt, through evaluate_detections."""
+    return evaluate_detections(*per_image_lists(dets, gts), num_categories=1).per_category_ap[0]
 
 
 def det(img_or_box, box=None, cat=0, score=0.9):
@@ -103,30 +102,26 @@ def test_mean_ap_skips_absent_categories():
     assert mean_ap({}) == 0.0
 
 
-def test_map_at_multiple_thresholds():
+def test_matching_threshold_is_one_half():
     g = Box(3, 3, 2, 2)
-    near = Box(3.8, 3, 2, 2)       # IoU 1.2/2.8: hits at 0.3, misses at 0.5
-    dets = [[det(near, cat=0, score=0.9)]]
+    near = Box(3.8, 3, 2, 2)       # IoU 1.2/2.8: misses at 0.5
+    half = Box(3, 3, 2, 1)         # inside g at half its area: IoU exactly 0.5
     gts = [[GtObject(g, 0)]]
-    out = map_at(dets, gts, num_categories=1, iou_list=[0.3, 0.5])
-    assert out["per_iou"][0.3]["map"] == pytest.approx(1.0)
-    assert out["per_iou"][0.5]["map"] == pytest.approx(0.0)
-    assert out["map"] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        map_at(dets, gts, 1, [])
+    assert evaluate_detections([[det(near, cat=0, score=0.9)]], gts, 1).map == 0.0
+    assert evaluate_detections([[det(half, cat=0, score=0.9)]], gts, 1).map == 1.0
 
 
 # ---------------------------------------------------------------------------
 # pr curve and fp buckets
 
 def test_pr_curve_empty_conventions():
-    pts = pr_curve([[]], [[GtObject(Box(3, 3, 2, 2), 0)]])
+    pts = evaluate_detections([[]], [[GtObject(Box(3, 3, 2, 2), 0)]], 1).pr
     assert len(pts) == len(PR_THRESHOLDS)
     for thr, precision, recall in pts:
         assert precision == 1.0
         assert recall == 0.0
     # no gt anywhere: recall pinned to zero, precision from the pool
-    pts = pr_curve([[det(Box(3, 3, 2, 2), score=0.9)]], [[]])
+    pts = evaluate_detections([[det(Box(3, 3, 2, 2), score=0.9)]], [[]], 1).pr
     assert all(r == 0.0 for _, _, r in pts)
 
 
@@ -135,7 +130,7 @@ def test_pr_curve_threshold_semantics_and_monotone_recall():
     dets = [[det(g1, cat=0, score=0.8), det(g2, cat=0, score=0.4),
              det(Box(5, 2, 2, 2), cat=0, score=0.6)]]
     gts = [[GtObject(g1, 0), GtObject(g2, 0)]]
-    pts = pr_curve(dets, gts)
+    pts = evaluate_detections(dets, gts, 1).pr
     by_thr = {thr: (p, r) for thr, p, r in pts}
     # score >= threshold is kept: at 0.4 everything, at 0.8 only the first
     assert by_thr[0.4] == (pytest.approx(2 / 3), pytest.approx(1.0))
@@ -155,20 +150,20 @@ def test_fp_breakdown_buckets():
         det(Box(12.4, 3, 2, 2), cat=0, score=0.6),    # Oth: class 0 on a class-2 gt
         det(Box(8, 8, 2, 2), cat=0, score=0.5),       # BG: overlaps nothing
     ]]
-    counts = fp_breakdown(dets, gts, similar_pairs=((0, 1),))
+    counts = evaluate_detections(dets, gts, 3, similar_pairs=((0, 1),)).fp
     assert counts == {"Cor": 1, "Loc": 1, "Sim": 1, "Oth": 1, "BG": 1}
     assert tuple(counts) == FP_KINDS
 
     # without the similar pair, the class-1 confusion lands in Oth
-    counts2 = fp_breakdown(dets, gts)
+    counts2 = evaluate_detections(dets, gts, 3).fp
     assert counts2["Sim"] == 0 and counts2["Oth"] == 2
 
 
 def test_fp_breakdown_similar_pairs_are_symmetric():
     gts = [[GtObject(Box(3, 3, 2, 2), 1)]]
     dets = [[det(Box(3.2, 3, 2, 2), cat=0, score=0.9)]]
-    a = fp_breakdown(dets, gts, similar_pairs=((0, 1),))
-    b = fp_breakdown(dets, gts, similar_pairs=((1, 0),))
+    a = evaluate_detections(dets, gts, 2, similar_pairs=((0, 1),)).fp
+    b = evaluate_detections(dets, gts, 2, similar_pairs=((1, 0),)).fp
     assert a["Sim"] == 1 and b["Sim"] == 1
 
 
@@ -202,10 +197,10 @@ _image = hst.tuples(
 
 @settings(max_examples=200, deadline=None)
 @given(images=hst.lists(_image, max_size=5))
-# the first detection overlaps both gts at IoU 1/3 and must take gt 0, which
-# leaves the second detection, on gt 0, unmatched at IoU 0.3
-@example(images=[([(Box(2, 2, 2, 2), 0), (Box(4, 2, 2, 2), 0)],
-                  [(-1, Box(3, 2, 2, 2), 0, 3), (0, Box(1, 1, 1, 1), 0, 2)])])
+# the first detection overlaps both gts at IoU 7/9 and must take gt 0, which
+# leaves the second detection, at IoU 0.6 with gt 0 and 1/3 with gt 1, unmatched
+@example(images=[([(Box(2, 2, 2, 2), 0), (Box(2.5, 2, 2, 2), 0)],
+                  [(-1, Box(2.25, 2, 2, 2), 0, 3), (-1, Box(1.5, 2, 2, 2), 0, 2)])])
 def test_matching_core_equals_scalar_oracles(images):
     # images may be empty, lack gt, or hold detections but no gt
     gts = [[GtObject(box, cat) for box, cat in gg] for gg, _ in images]
@@ -214,20 +209,14 @@ def test_matching_core_equals_scalar_oracles(images):
              for src, box, cat, level in dd]
             for gt, (_, dd) in zip(gts, images)]
     similar = ((0, 1),)
-    for t in (0.1, 0.3, 0.5, 0.7):
-        want_ap = {c: average_precision_oracle(*category_slices_oracle(dets, gts, c), t)
-                   for c in range(3)}
-        assert ap_by_category(dets, gts, 3, t) == want_ap
-        assert pr_curve(dets, gts, iou_thresh=t) == pr_curve_oracle(dets, gts, iou_thresh=t)
-        ev = evaluate_detections(dets, gts, 3, similar, iou_thresh=t)
-        assert (ev.per_category_ap, ev.map, ev.num_images) == (want_ap, mean_ap(want_ap),
-                                                               len(images))
-        assert ev.pr == pr_curve_oracle(dets, gts, iou_thresh=t)
-        assert ev.fp == fp_breakdown_oracle(dets, gts, similar)
-        per_iou = map_at(dets, gts, 3, [0.5, t])["per_iou"]
-        assert per_iou[t]["per_category"] == want_ap
-    assert fp_breakdown(dets, gts) == fp_breakdown_oracle(dets, gts)
-    assert fp_breakdown(dets, gts, similar) == fp_breakdown_oracle(dets, gts, similar)
+    want_ap = {c: average_precision_oracle(*category_slices_oracle(dets, gts, c))
+               for c in range(3)}
+    ev = evaluate_detections(dets, gts, 3, similar)
+    assert (ev.per_category_ap, ev.map, ev.num_images) == (want_ap, mean_ap(want_ap),
+                                                           len(images))
+    assert ev.pr == pr_curve_oracle(dets, gts)
+    assert ev.fp == fp_breakdown_oracle(dets, gts, similar)
+    assert evaluate_detections(dets, gts, 3).fp == fp_breakdown_oracle(dets, gts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,7 @@ from sinet.harness import (EvalConfig, RunConfig, RunFailure, build_parser,
                            load_run_config, main, metrics_rows, pr_rows,
                            read_manifest, resolve_world, run_config_from_dict,
                            run_gradcheck, write_csv, write_manifest)
-from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
+from sinet.numerics import CHECKPOINT_MAGIC, ParamStore, load_checkpoint, save_checkpoint
 from sinet.synth_data import default_world, sample_at, save_dataset, world_to_dict
 
 
@@ -217,6 +218,19 @@ def test_cli_gradcheck_flags(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "0"), ("--eps", "-0.001"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
+])
+def test_cli_gradcheck_bad_flags_exit_1(capsys, flag, value):
+    # rejected before the check runs, as a bad flag, not as a failed check
+    assert main(["gradcheck", "--d", "2", "--n", "2", "--t", "1", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sinet: error: {flag} must be positive and finite")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_gen_data_is_deterministic(tmp_path, capsys):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert main(["gen-data", "--world", "default", "--seed", "3", "--n", "4",
@@ -407,6 +421,50 @@ def test_cli_eval_non_utf8_checkpoint_name_exits_2(baseline_run, tmp_path, capsy
     assert "name of entry 0 at offset 16 is not UTF-8" in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_cli_eval_overflowing_checkpoint_dims_exit_2(baseline_run, tmp_path, capsys):
+    # one rank-2 entry of (2**32 - 1) x (2**32 - 1) values: the element count
+    # overflows an int64, and exactly it needs far more bytes than the file has
+    run_dir, _ = baseline_run
+    name = b"det/cls_head"
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(name)) + name
+                     + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1) + bytes(16))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest",
+                 os.path.join(run_dir, "manifest.json"), "--n-test", "2",
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: truncated checkpoint")
+    assert "data of 'det/cls_head'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("where, text", [
+    ("data", "5"), ("data", "null"), ("data", "true"), ("data", "1.5"),
+    ("manifest", "7"), ("manifest", "null"),
+], ids=["header-int", "header-null", "header-bool", "header-float", "manifest-int",
+        "manifest-null"])
+def test_cli_eval_non_object_json_exits_2(baseline_run, tmp_path, capsys, where, text):
+    # a dataset header line or a manifest that is valid JSON but no object
+    run_dir, records = baseline_run
+    args = ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+            "--out", str(tmp_path / "eval")]
+    path = tmp_path / ("bad.jsonl" if where == "data" else "manifest.json")
+    if where == "data":
+        path.write_text(text + "\n" + "".join(json.dumps(rec) + "\n" for rec in records[1:]))
+        args += ["--data", str(path)]
+    else:
+        path.write_text(text + "\n")
+        args += ["--manifest", str(path)]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert f"must be a JSON object, got {text}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not os.path.exists(tmp_path / "eval")
 
 
 @pytest.fixture(scope="module")

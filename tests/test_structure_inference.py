@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sinet.geometry import Box, boxes_to_centers
-from sinet.numerics import ParamStore, grad_check, relu
+from sinet.numerics import ParamStore, grad_check
 from sinet.structure_inference import (SceneGraph, _compute_edges,
                                        _integrate_all, _relation_tensor,
                                        compute_edges,
@@ -117,7 +117,7 @@ def test_edge_weight_bounded_by_spatial_gate():
         fi, fj = rng.normal(size=3) * 5, rng.normal(size=3) * 5
         rel = _relation_tensor(boxes_to_centers([bi, bj]))
         e = _compute_edges(p, np.array([fi, fj]), rel).e[0, 1]
-        gate = relu(p.w_p.value @ rel[0, 1])[0]
+        gate = max(float(p.w_p.value[0] @ rel[0, 1]), 0.0)
         assert abs(e) <= gate + 1e-12
 
 
