@@ -32,8 +32,8 @@ from .numerics import (CheckpointError, ParamStore, derive_seed, grad_check,
                        load_checkpoint, save_checkpoint)
 from .structure_inference import relation_report
 from .synth_data import (WORLD_FIXTURES, GtObject, SceneSample, generate,
-                         load_dataset, sample_at, save_dataset, validate_world,
-                         world_from_dict, world_hash, world_to_dict)
+                         load_dataset, sample_at, save_dataset, world_from_dict,
+                         world_hash, world_to_dict)
 
 GRADCHECK_TOL = 1e-4
 # weight decay in the gradient-check loss, so its term is checked too
@@ -119,9 +119,7 @@ def resolve_world(spec):
             raise ValueError(f"unknown world fixture {spec!r}; "
                              f"known: {sorted(WORLD_FIXTURES)}")
         return WORLD_FIXTURES[spec]()
-    if isinstance(spec, dict):
-        return world_from_dict(spec)
-    return validate_world(spec)
+    return world_from_dict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +378,8 @@ def _cmd_eval(args):
     _validate_eval(replace(ev_cfg, n_test=n_test, score_thresh=score_thresh))
     if args.data:
         try:
-            samples, _header = load_dataset(args.data, expected_world_hash=manifest["world_hash"],
-                                            allow_mismatch=args.allow_world_mismatch,
-                                            world=world)
+            samples, _header = load_dataset(args.data, world, manifest["world_hash"],
+                                            allow_mismatch=args.allow_world_mismatch)
         except ValueError as e:
             raise RunFailure(str(e))
     else:

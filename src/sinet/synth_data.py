@@ -8,9 +8,11 @@ prototype: telling them apart requires either the scene signal or the company
 they keep (co-occurrence partners).
 """
 
+import bisect
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -78,30 +80,71 @@ class SceneSample:
     gt: list               # of GtObject
 
 
+def _number(v, what, integer=False):
+    """v when it is a real (with `integer`, an integral) number and no bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {v!r}")
+    return v
+
+
+def _pair(v, what, integer=False):
+    """The two entries of a finite (low, high)-style pair."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"{what} must have exactly 2 entries, got {v!r}")
+    if not all(math.isfinite(_number(x, what, integer)) for x in v):
+        raise ValueError(f"{what} must be finite, got {v!r}")
+    return v
+
+
 def validate_world(world):
-    """Enforce the structural invariants; raises ValueError on violation."""
+    """Enforce the structural invariants, so that no malformed world fails
+    only while its scenes are drawn; raises ValueError on violation."""
+    for key in ("height", "width", "channels"):
+        _number(getattr(world, key), key, integer=True)
     if world.height < 4 or world.width < 4:
         raise ValueError("grid must be at least 4x4")
     if world.channels < 2:
         raise ValueError("need at least 2 channels")
     if world.num_scene_types < 1:
         raise ValueError("need at least one scene type")
+    if not all(isinstance(n, str) for n in world.scene_names):
+        raise ValueError(f"scene names must be strings, got {world.scene_names!r}")
+    if not 0.0 <= _number(world.noise_sigma, "noise_sigma") < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {world.noise_sigma!r}")
+    lo, hi = _pair(world.objects_per_scene, "objects_per_scene", integer=True)
+    if not 0 <= lo <= hi:
+        raise ValueError(f"objects_per_scene must have 0 <= low <= high, got {(lo, hi)}")
     for cat in world.categories:
+        if not isinstance(cat.name, str):
+            raise ValueError(f"category names must be strings, got {cat.name!r}")
         proto = np.asarray(cat.prototype, dtype=np.float64)
-        if proto.shape != (world.channels,):
-            raise ValueError(f"{cat.name}: prototype must have {world.channels} channels")
+        if proto.shape != (world.channels,) or not np.isfinite(proto).all():
+            raise ValueError(f"{cat.name}: prototype must have {world.channels} finite channels")
         aff = np.asarray(cat.scene_affinity, dtype=np.float64)
-        if aff.shape != (world.num_scene_types,) or np.any(aff < 0) or np.any(aff > 1):
+        if aff.shape != (world.num_scene_types,) or not np.all((aff >= 0) & (aff <= 1)):
             raise ValueError(f"{cat.name}: scene_affinity must be per-scene-type probabilities")
-        if cat.size[0] <= 0 or cat.size[1] <= 0:
+        if min(_pair(cat.size, f"{cat.name}: size")) <= 0:
             raise ValueError(f"{cat.name}: sizes must be positive")
+        if not 0.0 <= _number(cat.size_jitter, f"{cat.name}: size_jitter") < 1.0:
+            raise ValueError(f"{cat.name}: size_jitter must be in [0, 1), got {cat.size_jitter!r}")
+    empty = [name for s, name in enumerate(world.scene_names)
+             if not any(c.scene_affinity[s] > 0 for c in world.categories)]
+    if empty:
+        raise ValueError(f"scene types {empty} have no placeable category")
     for rule in world.cooccur:
-        if not (0.0 <= rule.prob <= 1.0):
-            raise ValueError("cooccur probability out of [0,1]")
-        if not (0 <= rule.trigger < world.num_categories
-                and 0 <= rule.partner < world.num_categories):
+        if not (0 <= _number(rule.trigger, "cooccur trigger", integer=True) < world.num_categories
+                and 0 <= _number(rule.partner, "cooccur partner", integer=True)
+                < world.num_categories):
             raise ValueError("cooccur rule references an unknown category")
-    for a, b in world.ambiguous_pairs:
+        if not (0.0 <= _number(rule.prob, "cooccur prob") <= 1.0):
+            raise ValueError("cooccur probability out of [0,1]")
+        _pair(rule.offset, "cooccur offset")
+        if not 0.0 <= _number(rule.jitter, "cooccur jitter") < math.inf:
+            raise ValueError(f"cooccur jitter must be finite and >= 0, got {rule.jitter!r}")
+    for pair in world.ambiguous_pairs:
+        a, b = _pair(pair, "ambiguous pair", integer=True)
+        if not (0 <= a < world.num_categories and 0 <= b < world.num_categories):
+            raise ValueError(f"ambiguous pair {pair!r} references an unknown category")
         pa = np.asarray(world.categories[a].prototype)
         pb = np.asarray(world.categories[b].prototype)
         if not np.array_equal(pa, pb):
@@ -109,8 +152,8 @@ def validate_world(world):
                 f"ambiguous pair ({world.categories[a].name}, {world.categories[b].name}) "
                 "must share one appearance prototype")
     bias = np.asarray(world.scene_bias, dtype=np.float64)
-    if bias.shape != (world.num_scene_types, world.channels):
-        raise ValueError("scene_bias must be (num_scene_types, channels)")
+    if bias.shape != (world.num_scene_types, world.channels) or not np.isfinite(bias).all():
+        raise ValueError("scene_bias must be a finite (num_scene_types, channels) array")
     return world
 
 
@@ -131,45 +174,38 @@ def cell_window(corners, height, width):
             _centers_below(x1, width), _centers_below(x2, width))
 
 
-def _try_place(world, rng, cat_id, occupied, center=None):
-    """One placement attempt; returns (box, cell window) or None."""
-    cat = world.categories[cat_id]
-    j = cat.size_jitter
-    w = cat.size[0] * rng.uniform(1.0 - j, 1.0 + j)
-    h = cat.size[1] * rng.uniform(1.0 - j, 1.0 + j)
-    if w / 2.0 > world.width / 2.0 or h / 2.0 > world.height / 2.0:
-        return None
-    if center is None:
-        cx = rng.uniform(w / 2.0, world.width - w / 2.0)
-        cy = rng.uniform(h / 2.0, world.height - h / 2.0)
-    else:
-        cx, cy = center
-        if not (w / 2.0 <= cx <= world.width - w / 2.0
-                and h / 2.0 <= cy <= world.height - h / 2.0):
-            return None
-    box = Box(cx, cy, w, h)
-    r0, r1, c0, c1 = win = cell_window(box.corners(), world.height, world.width)
-    if r1 == r0 or c1 == c0 or occupied[r0:r1, c0:c1].any():
-        return None
-    return box, win
-
-
 def _place_object(world, rng, cat_id, occupied, anchor=None, rule=None):
-    """Rejection-sample a placement and mark its cells in the (H, W) bool
-    `occupied`; (box, cell window), or None after PLACE_TRIES failures
-    (skip)."""
+    """Rejection-sample a placement of category `cat_id`, near the placed
+    `anchor` (cx, cy, ...) when given, and mark its cells in `occupied`, one
+    int bitmask of columns per row; (cx, cy, w, h, cell window), or None after
+    PLACE_TRIES failures (skip). Runs on floats: each uniform draw is
+    lo + (hi - lo) * rng.random(), the float operations of Generator.uniform."""
+    cat = world.categories[cat_id]
+    lo, span = 1.0 - cat.size_jitter, (1.0 + cat.size_jitter) - (1.0 - cat.size_jitter)
     for _ in range(PLACE_TRIES):
-        center = None
         if anchor is not None:
-            sx = 1.0 if rng.uniform() < 0.5 else -1.0
-            sy = 1.0 if rng.uniform() < 0.5 else -1.0
-            center = (anchor.cx + sx * rule.offset[0] + rng.normal(0.0, rule.jitter),
-                      anchor.cy + sy * rule.offset[1] + rng.normal(0.0, rule.jitter))
-        placed = _try_place(world, rng, cat_id, occupied, center)
-        if placed is not None:
-            r0, r1, c0, c1 = placed[1]
-            occupied[r0:r1, c0:c1] = True
-            return placed
+            sx = 1.0 if rng.random() < 0.5 else -1.0
+            sy = 1.0 if rng.random() < 0.5 else -1.0
+            cx = anchor[0] + sx * rule.offset[0] + rng.normal(0.0, rule.jitter)
+            cy = anchor[1] + sy * rule.offset[1] + rng.normal(0.0, rule.jitter)
+        w = cat.size[0] * (lo + span * rng.random())
+        h = cat.size[1] * (lo + span * rng.random())
+        half_w, half_h = w / 2.0, h / 2.0
+        if half_w > world.width / 2.0 or half_h > world.height / 2.0:
+            continue
+        if anchor is None:
+            cx = half_w + ((world.width - half_w) - half_w) * rng.random()
+            cy = half_h + ((world.height - half_h) - half_h) * rng.random()
+        elif not (half_w <= cx <= world.width - half_w
+                  and half_h <= cy <= world.height - half_h):
+            continue
+        r0, r1, c0, c1 = win = cell_window((cx - half_w, cy - half_h, cx + half_w, cy + half_h),
+                                           world.height, world.width)
+        cols = (1 << c1) - (1 << c0)
+        if cols and r1 > r0 and not any(occupied[r] & cols for r in range(r0, r1)):
+            for r in range(r0, r1):
+                occupied[r] |= cols
+            return cx, cy, w, h, win
     if anchor is not None:
         # a partner that cannot fit near its trigger still has to exist
         # somewhere, or measured co-occurrence drifts below the rule's
@@ -185,41 +221,47 @@ def sample_scene(world, rng):
     total = weights.sum()
     if total <= 0:
         raise ValueError(f"scene type {scene_type} has no placeable category")
-    weights = weights / total
+    # a category as Generator.choice(K, p=weights / total) draws it: one
+    # rng.random() searched (side right) in the cumsum divided by its last
+    cdf = (weights / total).cumsum()
+    cdf = (cdf / cdf[-1]).tolist()
 
     lo, hi = world.objects_per_scene
     count = int(rng.integers(lo, hi + 1))
-    occupied = np.zeros((world.height, world.width), dtype=bool)
-    placed = []                                      # (box, category, cell window)
+    occupied = [0] * world.height
+    placed = []                             # ((cx, cy, w, h, cell window), category)
     for _ in range(count):
-        cat_id = int(rng.choice(world.num_categories, p=weights))
+        cat_id = bisect.bisect_right(cdf, rng.random())
         got = _place_object(world, rng, cat_id, occupied)
         if got is not None:
-            placed.append((got[0], cat_id, got[1]))
+            placed.append((got, cat_id))
     # partners trigger their own rules (a chained partner gets its partner),
     # capped at depth 2 so a rule set can never loop forever
-    pending = [(box, cat_id, 0) for box, cat_id, _ in placed]
+    pending = [(got, cat_id, 0) for got, cat_id in placed]
     while pending:
-        box, cat_id, depth = pending.pop(0)
+        anchor, cat_id, depth = pending.pop(0)
         if depth >= 2:
             continue
         for rule in world.cooccur:
-            if rule.trigger != cat_id:
+            if rule.trigger != cat_id or rng.random() >= rule.prob:
                 continue
-            if rng.uniform() >= rule.prob:
-                continue
-            got = _place_object(world, rng, rule.partner, occupied, anchor=box, rule=rule)
+            got = _place_object(world, rng, rule.partner, occupied, anchor=anchor, rule=rule)
             if got is not None:
-                placed.append((got[0], rule.partner, got[1]))
-                pending.append((got[0], rule.partner, depth + 1))
+                placed.append((got, rule.partner))
+                pending.append((got, rule.partner, depth + 1))
 
-    grid = np.asarray(world.scene_bias)[scene_type] + \
-        rng.normal(0.0, world.noise_sigma, size=(world.height, world.width, world.channels))
-    for _, cat_id, (r0, r1, c0, c1) in placed:
+    # one normal draw, split in painting order: the background, then each object
+    shape = (world.height, world.width, world.channels)
+    windows = [got[4] for got, _ in placed]
+    sizes = [(r1 - r0) * (c1 - c0) * shape[2] for r0, r1, c0, c1 in windows]
+    at = math.prod(shape)
+    noise = rng.normal(0.0, world.noise_sigma, size=at + sum(sizes))
+    grid = np.asarray(world.scene_bias)[scene_type] + noise[:at].reshape(shape)
+    for (r0, r1, c0, c1), (_, cat_id), size in zip(windows, placed, sizes):
         proto = np.asarray(world.categories[cat_id].prototype, dtype=np.float64)
-        noise = rng.normal(0.0, world.noise_sigma, size=(r1 - r0, c1 - c0, world.channels))
-        grid[r0:r1, c0:c1] = proto + noise
-    gt = [GtObject(box=box, category=cat_id) for box, cat_id, _ in placed]
+        grid[r0:r1, c0:c1] = proto + noise[at:at + size].reshape(r1 - r0, c1 - c0, shape[2])
+        at += size
+    gt = [GtObject(box=Box(*got[:4]), category=cat_id) for got, cat_id in placed]
     return SceneSample(grid=grid, scene_type=scene_type, gt=gt)
 
 
@@ -320,27 +362,59 @@ def world_to_dict(world):
     }
 
 
+def _json_object(d, what, required):
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{what} is missing {key!r}")
+    return d
+
+
+def _json_array(v, what):
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array, got {v!r}")
+    return v
+
+
+def _float_array(v, what):
+    try:
+        return np.array(v, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an array of numbers, got {v!r}") from None
+
+
 def world_from_dict(d):
+    """The validated WorldSpec of a JSON world; ValueError names the first
+    missing key or mistyped value."""
+    _json_object(d, "world", ("scene_names", "categories", "height", "width", "channels",
+                              "noise_sigma", "scene_bias"))
+    cats = [_json_object(c, "world category", ("name", "prototype", "scene_affinity"))
+            for c in _json_array(d["categories"], "world categories")]
+    rules = [_json_object(r, "world cooccur rule", ("trigger", "partner", "prob"))
+             for r in _json_array(d.get("cooccur", []), "world cooccur")]
     world = WorldSpec(
-        scene_names=list(d["scene_names"]),
+        scene_names=list(_json_array(d["scene_names"], "world scene_names")),
         categories=[
-            Category(c["name"], np.array(c["prototype"], dtype=np.float64),
-                     np.array(c["scene_affinity"], dtype=np.float64),
-                     size=tuple(c.get("size", (2.0, 2.0))),
+            Category(c["name"], _float_array(c["prototype"], f"{c['name']}: prototype"),
+                     _float_array(c["scene_affinity"], f"{c['name']}: scene_affinity"),
+                     size=tuple(_json_array(c.get("size", (2.0, 2.0)), f"{c['name']}: size")),
                      size_jitter=c.get("size_jitter", 0.15))
-            for c in d["categories"]
+            for c in cats
         ],
         cooccur=[
             CooccurRule(r["trigger"], r["partner"], r["prob"],
-                        offset=tuple(r.get("offset", (2.5, 0.0))),
+                        offset=tuple(_json_array(r.get("offset", (2.5, 0.0)), "cooccur offset")),
                         jitter=r.get("jitter", 0.75))
-            for r in d.get("cooccur", [])
+            for r in rules
         ],
-        ambiguous_pairs=[tuple(p) for p in d.get("ambiguous_pairs", [])],
+        ambiguous_pairs=[tuple(_json_array(p, "ambiguous pair"))
+                         for p in _json_array(d.get("ambiguous_pairs", []), "ambiguous_pairs")],
         height=d["height"], width=d["width"], channels=d["channels"],
         noise_sigma=d["noise_sigma"],
-        scene_bias=np.array(d["scene_bias"], dtype=np.float64),
-        objects_per_scene=tuple(d.get("objects_per_scene", (2, 5))),
+        scene_bias=_float_array(d["scene_bias"], "world scene_bias"),
+        objects_per_scene=tuple(_json_array(d.get("objects_per_scene", (2, 5)),
+                                            "objects_per_scene")),
     )
     return validate_world(world)
 
@@ -378,13 +452,13 @@ def save_dataset(path, samples, world):
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_dataset(path, expected_world_hash=None, allow_mismatch=False, world=None):
-    """Read a dataset back; returns (samples, header).
+def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
+    """Read back a dataset of scenes for `world`; returns (samples, header).
 
     A world-hash mismatch against `expected_world_hash` is fatal unless
-    allow_mismatch is set, in which case it only warns. Given the `world`
-    the scenes are for, a header whose h, w, c or num_categories differs
-    from it is fatal, and so is a scene type outside [0, num_scene_types).
+    allow_mismatch is set, in which case it only warns. A header whose h, w,
+    c or num_categories differs from the world's is fatal, and so is a scene
+    type outside [0, num_scene_types).
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
@@ -396,23 +470,20 @@ def load_dataset(path, expected_world_hash=None, allow_mismatch=False, world=Non
     for key in ("world_hash", "h", "w", "c", "num_categories"):
         if key not in header:
             raise ValueError(f"{path}: header is missing {key!r}")
-    if expected_world_hash is not None and header["world_hash"] != expected_world_hash:
+    if header["world_hash"] != expected_world_hash:
         msg = (f"{path}: dataset world hash {header['world_hash']} does not match "
                f"the configured world {expected_world_hash}")
         if not allow_mismatch:
             raise ValueError(msg + " (pass the mismatch override to proceed)")
         warnings.warn(msg)
-    num_scene_types = math.inf
-    if world is not None:
-        for key, want in dataset_header(world).items():
-            if key != "world_hash" and header[key] != want:
-                raise ValueError(f"{path}: header {key} is {header[key]!r}, "
-                                 f"but the world has {want}")
-        num_scene_types = world.num_scene_types
+    for key, want in dataset_header(world).items():
+        if key != "world_hash" and header[key] != want:
+            raise ValueError(f"{path}: header {key} is {header[key]!r}, "
+                             f"but the world has {want}")
     samples = []
     for i, ln in enumerate(lines[1:], start=1):
         try:
-            samples.append(_parse_record(json.loads(ln), header, num_scene_types))
+            samples.append(_parse_record(json.loads(ln), header, world.num_scene_types))
         except KeyError as e:
             raise ValueError(f"{path}: line {i}: missing field {e}") from None
         except (TypeError, ValueError) as e:

@@ -175,6 +175,89 @@ def covered_cells_oracle(box, height, width):
     return rows, cols
 
 
+def sample_scene_oracle(world, seed, index, events=None):
+    """Scene `index` of the stream keyed by `seed`, drawn the direct way:
+    rng.uniform for sizes, centers and coins, rng.choice for categories,
+    Box objects on every attempt, a (H, W) bool occupancy mask with cells from
+    covered_cells_oracle, and one normal draw per painted region. Returns
+    (grid, scene_type, [(cx, cy, w, h, category), ...]); counts "skipped"
+    objects and partner "fallback"s into the `events` dict when given."""
+    from sinet.geometry import Box
+    events = {} if events is None else events
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
+
+    def try_place(cat_id, occupied, center):
+        cat = world.categories[cat_id]
+        j = cat.size_jitter
+        w = cat.size[0] * rng.uniform(1.0 - j, 1.0 + j)
+        h = cat.size[1] * rng.uniform(1.0 - j, 1.0 + j)
+        if w / 2.0 > world.width / 2.0 or h / 2.0 > world.height / 2.0:
+            return None
+        if center is None:
+            cx = rng.uniform(w / 2.0, world.width - w / 2.0)
+            cy = rng.uniform(h / 2.0, world.height - h / 2.0)
+        else:
+            cx, cy = center
+            if not (w / 2.0 <= cx <= world.width - w / 2.0
+                    and h / 2.0 <= cy <= world.height - h / 2.0):
+                return None
+        box = Box(cx, cy, w, h)
+        rows, cols = covered_cells_oracle(box, world.height, world.width)
+        if len(rows) == 0 or len(cols) == 0 or occupied[np.ix_(rows, cols)].any():
+            return None
+        return box, rows, cols
+
+    def place(cat_id, occupied, anchor=None, rule=None):
+        for _ in range(100):
+            center = None
+            if anchor is not None:
+                sx = 1.0 if rng.uniform() < 0.5 else -1.0
+                sy = 1.0 if rng.uniform() < 0.5 else -1.0
+                center = (anchor.cx + sx * rule.offset[0] + rng.normal(0.0, rule.jitter),
+                          anchor.cy + sy * rule.offset[1] + rng.normal(0.0, rule.jitter))
+            got = try_place(cat_id, occupied, center)
+            if got is not None:
+                occupied[np.ix_(got[1], got[2])] = True
+                return got
+        if anchor is not None:
+            events["fallback"] = events.get("fallback", 0) + 1
+            return place(cat_id, occupied)
+        events["skipped"] = events.get("skipped", 0) + 1
+        return None
+
+    scene_type = int(rng.integers(world.num_scene_types))
+    weights = np.array([c.scene_affinity[scene_type] for c in world.categories], dtype=np.float64)
+    if weights.sum() <= 0:
+        raise ValueError(f"scene type {scene_type} has no placeable category")
+    weights = weights / weights.sum()
+    lo, hi = world.objects_per_scene
+    occupied = np.zeros((world.height, world.width), dtype=bool)
+    placed = []
+    for _ in range(int(rng.integers(lo, hi + 1))):
+        cat_id = int(rng.choice(world.num_categories, p=weights))
+        got = place(cat_id, occupied)
+        if got is not None:
+            placed.append((got, cat_id))
+    pending = [(got[0], cat_id, 0) for got, cat_id in placed]
+    while pending:
+        box, cat_id, depth = pending.pop(0)
+        if depth >= 2:
+            continue
+        for rule in world.cooccur:
+            if rule.trigger == cat_id and rng.uniform() < rule.prob:
+                got = place(rule.partner, occupied, anchor=box, rule=rule)
+                if got is not None:
+                    placed.append((got, rule.partner))
+                    pending.append((got[0], rule.partner, depth + 1))
+
+    grid = np.asarray(world.scene_bias)[scene_type] + rng.normal(
+        0.0, world.noise_sigma, size=(world.height, world.width, world.channels))
+    for (box, rows, cols), cat_id in placed:
+        noise = rng.normal(0.0, world.noise_sigma, size=(len(rows), len(cols), world.channels))
+        grid[np.ix_(rows, cols)] = np.asarray(world.categories[cat_id].prototype) + noise
+    return grid, scene_type, [(b.cx, b.cy, b.w, b.h, cat_id) for (b, _, _), cat_id in placed]
+
+
 def nms_oracle(boxes, scores, iou_thresh, max_keep):
     """Greedy suppression with explicit scanning; must reproduce the library's
     exact kept-index list (ties to the lower index, overlap kept while

@@ -337,7 +337,7 @@ def _invariant_round_trips(tmp_path):
     scenes = generate(world, 77, 3)
     data = os.path.join(tmp_path, "inv.jsonl")
     save_dataset(data, scenes, world)
-    got, header = load_dataset(data, expected_world_hash=world_hash(world), world=world)
+    got, header = load_dataset(data, world, world_hash(world))
     assert len(got) == 3
     for a, b in zip(scenes, got):
         assert np.array_equal(a.grid, b.grid)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import asdict
 
@@ -83,8 +84,10 @@ def test_resolve_world():
     # inline dict form round-trips through the serializer
     w2 = resolve_world(world_to_dict(w))
     assert w2.scene_names == w.scene_names
-    # a WorldSpec passes through (validated)
-    assert resolve_world(w) is w
+    # anything else is neither
+    for spec in (5, None, ["default"], w):
+        with pytest.raises(ValueError, match="world must be a JSON object"):
+            resolve_world(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -342,24 +345,27 @@ HEADER = ("header",)
     ((), "scene_type", 99, "scene type 99 is outside [0, 2)"),
     (HEADER, "num_categories", 99, "header num_categories is 99, but the world has 6"),
     (HEADER, "c", 7, "header c is 7, but the world has 8"),
+    (HEADER, "h", 8, "header h is 8, but the world has 16"),
 ], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
         "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
         "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
         "scene-type-negative", "scene-type-too-large", "header-categories",
-        "header-channels"])
+        "header-channels", "header-height"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
     # defect goes into scene line 2, after the header and one clean scene.
     # A header edit comes with the scene edits that make the file agree
     # with its header: 99 categories with a gt of category 50, or every
-    # grid cut to the header's channel count.
+    # grid cut to the header's channel count, or an 8x32 grid of as many cells.
     run_dir, records = baseline_run
     records = json.loads(json.dumps(records))
     if where == HEADER:
         header = records[0]
         if key == "num_categories":
             records[2]["gt"][0]["cat"] = 50
+        elif key == "h":
+            header["w"] = 32
         else:
             for rec in records[1:]:
                 rec["grid"] = np.reshape(rec["grid"], (-1, header["c"]))[:, :value].ravel().tolist()
@@ -532,6 +538,40 @@ def test_cli_train_bad_config_exits_1(tmp_path, capsys, train_block):
     assert err.startswith("sinet: error: ")
     assert len(err.strip().splitlines()) == 1
     assert not os.path.exists(tmp_path / "run" / "checkpoint.bin")
+
+
+def _world_edit(edit):
+    world = world_to_dict(default_world())
+    edit(world)
+    return world
+
+
+@pytest.mark.parametrize("world, message", [
+    (5, "world must be a JSON object, got 5"),
+    (_world_edit(lambda w: w.pop("scene_names")), "world is missing 'scene_names'"),
+    (_world_edit(lambda w: w["categories"][0].update(size=[3.0])),
+     "boat: size must have exactly 2 entries"),
+    (_world_edit(lambda w: w["categories"][0].update(size_jitter="x")),
+     "boat: size_jitter must be a number"),
+    (_world_edit(lambda w: w["categories"][0].update(size_jitter=-0.1)),
+     r"boat: size_jitter must be in \[0, 1\)"),
+    (_world_edit(lambda w: w["categories"][1].update(scene_affinity=[float("nan"), 0.9])),
+     "car: scene_affinity must be per-scene-type probabilities"),
+    (_world_edit(lambda w: w["cooccur"][0].update(jitter=-0.5)),
+     "cooccur jitter must be finite and >= 0"),
+    (_world_edit(lambda w: w.update(objects_per_scene=[5, 2])),
+     "objects_per_scene must have 0 <= low <= high"),
+], ids=["not-an-object", "no-scene-names", "one-size", "string-jitter", "negative-jitter",
+        "nan-affinity", "negative-cooccur-jitter", "low-above-high"])
+def test_cli_train_malformed_world_exits_1(tmp_path, capsys, world, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"world": world, "train": {"iters": 2}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ") and len(err.strip().splitlines()) == 1
+    assert re.search(message, err)
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_cli_ablate_writes_summary(tmp_path, capsys):

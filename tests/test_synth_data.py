@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
 from sinet.synth_data import (BOAT, CAR, LAPTOP, MOUSE, Category, CooccurRule,
@@ -14,7 +14,7 @@ from sinet.synth_data import (BOAT, CAR, LAPTOP, MOUSE, Category, CooccurRule,
                               world_from_dict, world_hash, world_to_dict)
 from sinet.geometry import Box
 
-from oracles import covered_cells_oracle
+from oracles import covered_cells_oracle, sample_scene_oracle
 
 
 def tiny_world(noise=0.0, cooccur=(), n_objects=(1, 2)):
@@ -45,7 +45,42 @@ def test_covered_cells_half_open_box():
     assert r1 == r0
 
 
+def crowded_world():
+    """A 7x6 grid asked for 3-8 objects, with chained partner rules (two
+    with prob 1, one with jitter 0 and one near 1): objects are skipped and
+    partners fall back to free spots in most scenes."""
+    c = 3
+    protos = np.eye(c)
+    cats = [Category("a", protos[0], np.array([1.0, 0.2]), size=(2.0, 1.5), size_jitter=0.3),
+            Category("b", protos[1], np.array([0.5, 1.0]), size=(1.2, 2.5), size_jitter=0.0),
+            Category("c", protos[2], np.array([0.0, 0.7]), size=(3.0, 3.0), size_jitter=0.9)]
+    rules = [CooccurRule(0, 1, 1.0, offset=(2.0, 0.5), jitter=0.0),
+             CooccurRule(1, 2, 1.0, offset=(1.5, 1.5), jitter=0.99),
+             CooccurRule(2, 0, 0.6, offset=(3.0, 0.0), jitter=0.4)]
+    bias = np.array([[0.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+    return validate_world(WorldSpec(scene_names=["s0", "s1"], categories=cats, cooccur=rules,
+                                     height=7, width=6, channels=c, noise_sigma=0.5,
+                                     scene_bias=bias, objects_per_scene=(3, 9)))
+
+
+def stream_digest(world, seed, n):
+    """sha256 over the grid bytes, scene type, boxes and categories of the
+    first n scenes of the stream keyed by seed."""
+    digest = hashlib.sha256()
+    for i in range(n):
+        s = sample_at(world, seed, i)
+        digest.update(s.grid.astype("<f8").tobytes())
+        digest.update(np.array([s.scene_type], dtype="<i8").tobytes())
+        for o in s.gt:
+            digest.update(np.array([o.box.cx, o.box.cy, o.box.w, o.box.h], dtype="<f8").tobytes())
+            digest.update(np.array([o.category], dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
 SCENE_DIGEST = "4afd55f6b49a0b4fb93bdf106b533ba2dfe5da92c534ff59361025de22ac9b17"
+# the crowded world's first 100 scenes of seed 3, recorded with the sampler
+# that drew through rng.uniform and rng.choice and built a Box per attempt
+CROWDED_DIGEST = "8108e9d18a3f1cedaa9fde3fae6cc86e1cc2cc79462b345365e77efac6edb600"
 
 # exact half-cell values, so box edges land on cell centers and cell borders
 _half = hst.integers(-6, 50).map(lambda k: k / 2.0)
@@ -74,16 +109,83 @@ def test_scene_stream_is_pinned():
     # occupancy and painting code moved to cell windows. Scenes feed every
     # loss, checkpoint and mAP, so generation code may only change this
     # digest together with the world itself (which also changes world_hash).
-    world = default_world()
-    digest = hashlib.sha256()
-    for i in range(200):
-        s = sample_at(world, 0, i)
-        digest.update(s.grid.astype("<f8").tobytes())
-        digest.update(np.array([s.scene_type], dtype="<i8").tobytes())
-        for o in s.gt:
-            digest.update(np.array([o.box.cx, o.box.cy, o.box.w, o.box.h], dtype="<f8").tobytes())
-            digest.update(np.array([o.category], dtype="<i8").tobytes())
-    assert digest.hexdigest() == SCENE_DIGEST
+    assert stream_digest(default_world(), 0, 200) == SCENE_DIGEST
+
+
+def test_crowded_scene_stream_is_pinned():
+    # skipped objects, partner fallbacks and chained rules, pinned the same way
+    assert stream_digest(crowded_world(), 3, 100) == CROWDED_DIGEST
+
+
+@hst.composite
+def small_worlds(draw):
+    """Validated worlds on 4-8 cell grids: crowded object counts, jitter from
+    0 to near 1, and rules chained category to category (prob 1 often)."""
+    height, width, channels = draw(hst.integers(4, 8)), draw(hst.integers(4, 8)), 2
+    n_scenes, k = draw(hst.integers(1, 2)), draw(hst.integers(1, 4))
+    unit = hst.floats(0.0, 1.0)
+    jitter = hst.sampled_from([0.0, 0.5, 0.999]) | hst.floats(0.0, 0.999)
+    side = hst.floats(0.3, 5.0) | hst.integers(1, 8).map(float)    # whole sides can fill the grid
+    cats = [Category(f"c{i}", np.array([float(i), 1.0]),
+                     np.array(draw(hst.lists(unit, min_size=n_scenes, max_size=n_scenes))),
+                     size=(draw(side), draw(side)),
+                     size_jitter=draw(jitter))
+            for i in range(k)]
+    for s in range(n_scenes):
+        if not any(c.scene_affinity[s] > 0 for c in cats):
+            cats[0].scene_affinity[s] = 1.0
+    offset = hst.floats(-3.0, 3.0)
+    rules = [CooccurRule(r % k, (r + 1) % k, draw(hst.sampled_from([1.0]) | unit),
+                         offset=(draw(offset), draw(offset)),
+                         jitter=draw(hst.sampled_from([0.0, 0.99]) | unit))
+             for r in range(draw(hst.integers(0, k + 1)))]
+    lo = draw(hst.integers(0, 4))
+    return validate_world(WorldSpec(
+        scene_names=[f"s{i}" for i in range(n_scenes)], categories=cats, cooccur=rules,
+        height=height, width=width, channels=channels,
+        noise_sigma=draw(hst.sampled_from([0.0, 0.3])),
+        scene_bias=np.arange(n_scenes * channels, dtype=np.float64).reshape(n_scenes, channels),
+        objects_per_scene=(lo, lo + draw(hst.integers(0, 8)))))
+
+
+def assert_scene_matches_oracle(world, seed, index, events):
+    s = sample_at(world, seed, index)
+    grid, scene_type, objects = sample_scene_oracle(world, seed, index, events)
+    assert s.grid.dtype == grid.dtype and s.grid.shape == grid.shape
+    assert s.grid.tobytes() == grid.tobytes()
+    assert s.scene_type == scene_type
+    assert [o.category for o in s.gt] == [obj[4] for obj in objects]
+    got = np.array([[o.box.cx, o.box.cy, o.box.w, o.box.h] for o in s.gt]).reshape(-1, 4)
+    assert got.tobytes() == np.array([obj[:4] for obj in objects]).reshape(-1, 4).tobytes()
+
+
+def grid_wide_world():
+    # one category exactly as wide as the 4x4 grid: it fits, at cx = 2.0 only
+    cat = Category("wide", np.array([1.0, 0.0]), np.array([1.0]), size=(4.0, 2.0),
+                   size_jitter=0.0)
+    return validate_world(WorldSpec(scene_names=["s"], categories=[cat], height=4, width=4,
+                                    channels=2, noise_sigma=0.3, scene_bias=np.zeros((1, 2)),
+                                    objects_per_scene=(1, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(world=small_worlds(), seed=hst.integers(0, 2**32 - 1), index=hst.integers(0, 2**20))
+@example(world=grid_wide_world(), seed=0, index=0)
+def test_sample_at_matches_scalar_oracle(world, seed, index):
+    # bit for bit: grid bytes, scene type, boxes and categories
+    events = {}
+    for i in range(index, index + 3):
+        assert_scene_matches_oracle(world, seed, i, events)
+    for name in events:
+        event(name)
+
+
+def test_oracle_comparison_meets_skips_and_fallbacks():
+    world = crowded_world()
+    events = {}
+    for i in range(30):
+        assert_scene_matches_oracle(world, 3, i, events)
+    assert events.get("skipped", 0) > 0 and events.get("fallback", 0) > 0
 
 
 def test_sampling_is_deterministic_per_index():
@@ -216,6 +318,78 @@ def test_validate_world_rejects_bad_specs():
         validate_world(w3)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("categories", 0, "size_jitter"), -0.1, r"boat: size_jitter must be in \[0, 1\)"),
+    (("categories", 0, "size_jitter"), 1.0, r"boat: size_jitter must be in \[0, 1\)"),
+    (("categories", 0, "size_jitter"), NAN, r"boat: size_jitter must be in \[0, 1\)"),
+    (("categories", 0, "size_jitter"), "x", "boat: size_jitter must be a number"),
+    (("categories", 1, "size"), [3.0], "car: size must have exactly 2 entries"),
+    (("categories", 1, "size"), [3.0, 2.0, 1.0], "car: size must have exactly 2 entries"),
+    (("categories", 1, "size"), 3.0, "car: size must be a JSON array"),
+    (("categories", 1, "size"), [3.0, 0.0], "car: sizes must be positive"),
+    (("categories", 1, "size"), [INF, 2.0], "car: size must be finite"),
+    (("categories", 1, "size"), [NAN, 2.0], "car: size must be finite"),
+    (("categories", 1, "size"), [True, 2.0], "car: size must be a number"),
+    (("categories", 2, "scene_affinity"), [NAN, 0.5], "laptop: scene_affinity"),
+    (("categories", 2, "prototype"), {"x": 1}, "laptop: prototype must be an array of numbers"),
+    (("categories", 2, "prototype"), ["x"] * 8, "laptop: prototype must be an array of numbers"),
+    (("categories", 2, "prototype"), [INF] * 8, "laptop: prototype must have 8 finite"),
+    (("categories", 2, "name"), 7, "category names must be strings"),
+    (("noise_sigma",), -0.25, "noise_sigma must be finite and >= 0"),
+    (("noise_sigma",), INF, "noise_sigma must be finite and >= 0"),
+    (("noise_sigma",), NAN, "noise_sigma must be finite and >= 0"),
+    (("noise_sigma",), None, "noise_sigma must be a number"),
+    (("cooccur", 0, "jitter"), -0.5, "cooccur jitter must be finite and >= 0"),
+    (("cooccur", 0, "jitter"), NAN, "cooccur jitter must be finite and >= 0"),
+    (("cooccur", 0, "offset"), [2.5], "cooccur offset must have exactly 2 entries"),
+    (("cooccur", 0, "trigger"), 1.0, "cooccur trigger must be an integer"),
+    (("cooccur", 0, "prob"), NAN, r"cooccur probability out of \[0,1\]"),
+    (("objects_per_scene",), [-1, 3], "objects_per_scene must have 0 <= low <= high"),
+    (("objects_per_scene",), [4, 3], "objects_per_scene must have 0 <= low <= high"),
+    (("objects_per_scene",), [2.0, 5], "objects_per_scene must be an integer"),
+    (("height",), 16.0, "height must be an integer"),
+    (("scene_names",), "ab", "world scene_names must be a JSON array"),
+    (("scene_bias",), [[0.0] * 8, [NAN] * 8], "scene_bias must be a finite"),
+    (("ambiguous_pairs",), [[0, 9]], "references an unknown category"),
+    (("ambiguous_pairs",), [[0]], "ambiguous pair must have exactly 2 entries"),
+    (("categories",), 5, "world categories must be a JSON array"),
+    (("categories", 0), [1], "world category must be a JSON object"),
+])
+def test_world_from_dict_rejects_malformed_worlds(path, value, message):
+    # each of these used to fail only while scenes were drawn, or with a
+    # TypeError, IndexError or AttributeError instead of a ValueError
+    d = world_to_dict(default_world())
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        world_from_dict(d)
+
+
+@pytest.mark.parametrize("path", [("scene_names",), ("categories", 0, "prototype"),
+                                  ("cooccur", 1, "prob")])
+def test_world_from_dict_names_a_missing_key(path):
+    d = world_to_dict(default_world())
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    with pytest.raises(ValueError, match=f"is missing '{path[-1]}'"):
+        world_from_dict(d)
+
+
+def test_validate_world_rejects_a_scene_type_without_categories():
+    world = tiny_world()
+    for cat in world.categories:
+        cat.scene_affinity = np.array([0.0, 0.5])
+    with pytest.raises(ValueError, match=r"scene types \['s0'\] have no placeable category"):
+        validate_world(world)
+
+
 def test_world_dict_round_trip_and_hash():
     world = default_world()
     d = world_to_dict(world)
@@ -233,7 +407,7 @@ def test_dataset_round_trip(tmp_path):
     scenes = generate(world, 11, 6)
     path = tmp_path / "d.jsonl"
     save_dataset(path, scenes, world)
-    back, header = load_dataset(path, expected_world_hash=world_hash(world))
+    back, header = load_dataset(path, world, world_hash(world))
     assert len(back) == 6
     for a, b in zip(scenes, back):
         assert np.allclose(a.grid, b.grid, atol=1e-12)
@@ -252,10 +426,9 @@ def test_dataset_hash_mismatch_handling(tmp_path):
     path = tmp_path / "d.jsonl"
     save_dataset(path, generate(world, 1, 2), world)
     with pytest.raises(ValueError):
-        load_dataset(path, expected_world_hash=world_hash(other))
+        load_dataset(path, world, world_hash(other))
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        out, _ = load_dataset(path, expected_world_hash=world_hash(other),
-                              allow_mismatch=True)
+        out, _ = load_dataset(path, world, world_hash(other), allow_mismatch=True)
     assert len(out) == 2
     assert any("hash" in str(w.message).lower() for w in rec)
