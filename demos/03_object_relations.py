@@ -2,13 +2,15 @@
 
 Every ordered pair of proposal boxes gets a scalar edge weight
 
-    e_ji = relu(w_p . R_ji) * tanh(w_v . [f_i, f_j])
+    e_ji = relu(W_P . R_ji) * tanh(w_v . [f_i, f_j])
 
 where R is a 12-number spatial relation (sizes, offsets, squared offsets,
 log size ratios) and f are the node features. The relu factor is a spatial
-gate: it opens for nearby pairs and zeroes far ones, so messages only travel
-between neighbors. The tanh factor is the learned part: how much the sender
-should sway the receiver, and in which direction.
+gate with fixed weights W_P, a locality prior: it opens for nearby pairs and
+zeroes far ones, so messages only travel between neighbors, and it is
+computed once per stack of scenes from the boxes alone. The tanh factor is
+the learned part: how much the sender should sway the receiver, and in
+which direction.
 
 We train a small model, then dump the strongest incoming edge for each
 detection and the pair distances, to see the gate's locality at work.
@@ -72,4 +74,4 @@ for k in sorted(buckets):
     bar = "#" * int(50 * np.mean(vals))
     print(f"    {k:>2}..{k + 1:<2} cells  {np.mean(vals):.4f}  {bar}")
 print("\nthe gate keeps influence local: beyond a few cells the edges vanish,")
-print("which is exactly the prior frozen into w_p at initialization.")
+print("which is exactly the fixed locality prior W_P.")

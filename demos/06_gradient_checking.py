@@ -65,6 +65,6 @@ def stale_entry():
 print()
 for name, fn in (("honest", honest), ("sign flip", sign_flip),
                  ("off by 2x", off_by_factor), ("stale entry", stale_entry)):
-    err = grad_check(fn, store)
+    err = grad_check(fn, store, store.names())
     verdict = "ok" if err < 1e-6 else "CAUGHT"
     print(f"{name:<12} max relative error {err:.2e}   {verdict}")

@@ -55,10 +55,10 @@ ARMS = ("baseline", "scene", "edge", "sin")
 # time, 0.49 in stacks of 4, 0.42-0.43 in stacks of 8 to 128 and 0.50 with
 # all 500 in one stack, whose temporaries outgrow the caches. Whole
 # detect_scenes runs, interleaved, took 1.48 / 1.51 / 1.56 ms per scene
-# (median CPU time) in stacks of 16 / 32 / 64. Numpy allocations peak at
-# 2.3 MB for a stack of 16 (tapes, relations and the (B, n, n, d) message
-# products), 4.6 MB for 32 and 72 MB for 500, so 16 is as fast as any and
-# holds half the memory of 32.
+# (median CPU time) in stacks of 16 / 32 / 64. Numpy allocations of
+# forward_scenes peak at 2.0 MB for a stack of 16 (tapes, the spatial gate
+# and the (B, n, n, d) message products), 4.0 MB for 32 and 62 MB for 500
+# (tracemalloc), so 16 is as fast as any and holds half the memory of 32.
 DETECT_CHUNK = 16
 
 
@@ -170,7 +170,7 @@ def active_param_names(params, arm):
         names += [e.name for e in params.sin.scene_gru.entries()]
     if mode in ("edge", "both"):
         names += [e.name for e in params.sin.edge_gru.entries()]
-        names += [params.sin.w_p.name, params.sin.w_v.name]
+        names.append(params.sin.w_v.name)
     if mode == "both" and params.sin.w_a is not None:
         names.append(params.sin.w_a.name)
     return sorted(names)
@@ -241,23 +241,22 @@ def score_anchors(params, sample):
     return anchors, feats, per_type[np.arange(len(feats)), anchors.type_index]
 
 
-def propose(params, sample, cfg, train=False, rng=None, scored=None):
+def propose(params, sample, cfg, rng=None, scored=None):
     """Exactly cfg.rois_per_image proposals, as (n, 4) center-size rows.
 
     Anchors are scored by the objectness map (or `scored`, the result of
-    score_anchors for this sample and params) and pruned by NMS; in training
-    mode the ground-truth boxes (jittered when an RNG is supplied) are
-    prepended with scores above any anchor so they survive pruning. Too few
-    survivors are padded by cycling through the kept boxes in order.
+    score_anchors for this sample and params) and pruned by NMS. In training,
+    when `rng` is given, the ground-truth boxes, jittered with draws from it,
+    are prepended with scores above any anchor so they survive pruning. Too
+    few survivors are padded by cycling through the kept boxes in order.
     """
     anchors, _feats, scores = scored or score_anchors(params, sample)
     centers, corners = anchors.centers, anchors.corners
-    if train and sample.gt:
+    if rng is not None and sample.gt:
         h, w = sample.grid.shape[:2]
         injected = boxes_to_centers([obj.box for obj in sample.gt])
-        if rng is not None and GT_JITTER > 0:
-            jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
-            injected = clip_box(apply_deltas(injected, jitter), w, h)
+        jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
+        injected = clip_box(apply_deltas(injected, jitter), w, h)
         centers = np.concatenate([injected, centers])
         corners = np.concatenate([centers_to_corners(injected), corners])
         scores = np.concatenate([np.full(len(injected), 1e9), scores])
@@ -344,13 +343,11 @@ def _pool_rois(samples, boxes):
     return node_avg
 
 
-def forward_scenes(params, samples, boxes, cfg, mode="both", steps=None):
+def forward_scenes(params, samples, boxes, cfg, mode, steps):
     """Stage two over a stack of scenes: pool each scene's ROIs (boxes is a
     (B, n, 4) array whose boxes[b] holds the center-size rows of samples[b]),
-    run the inference steps and apply both heads. Returns the full state
-    needed for the backward pass."""
-    if steps is None:
-        steps = cfg.T
+    run `steps` inference steps in `mode` and apply both heads. Returns the
+    full state needed for the backward pass."""
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 3 or boxes.shape[0] != len(samples) or boxes.shape[2] != 4:
         raise ValueError(f"forward_scenes: {len(samples)} scenes need a ({len(samples)}, n, 4) "
@@ -375,7 +372,7 @@ def forward_scenes(params, samples, boxes, cfg, mode="both", steps=None):
                         probs=_softmax_rows(logits), deltas=deltas, edges=edges)
 
 
-def forward(params, sample, cfg, boxes, mode="both", steps=None):
+def forward(params, sample, cfg, boxes, mode, steps):
     """forward_scenes on the one-scene stack of this sample and its (n, 4)
     center-size ROI rows `boxes`."""
     return forward_scenes(params, [sample], np.asarray(boxes)[None], cfg, mode, steps)
@@ -506,14 +503,13 @@ def _anchor_targets(anchors, gt):
     return y, mask
 
 
-def objectness_loss(params, sample, scored=None):
+def objectness_loss(params, sample, scored):
     """Binary cross-entropy on anchor labels, its gradient accumulated into
     the objectness map; the only supervision the proposal scores receive.
     Positive and negative anchors contribute half the loss each, otherwise
     the handful of positives would drown in ~1500 negatives. `scored` is
-    score_anchors' result for this sample and params, computed here when not
-    given."""
-    anchors, feats, s = scored or score_anchors(params, sample)
+    score_anchors' result for this sample and params."""
+    anchors, feats, s = scored
     y, mask = _anchor_targets(anchors, sample.gt)
     weights = np.zeros_like(s)
     for side in (0.0, 1.0):
@@ -564,15 +560,7 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     params = create_detector_params(store, world.channels, world.num_categories,
                                     cfg.feat_dim, init_seed, cfg.pooling)
     active = [store[name] for name in active_param_names(params, arm)]
-    # the spatial gate w_p stays frozen at its locality prior for the whole
-    # run (its gradient is computed but never applied). Edges only pay off
-    # once the edge GRU has learned to read messages, and that takes longer
-    # than SGD needs to discover that closing the one gate direction silences
-    # early message noise; letting the gate train late in the run just
-    # restarts that race (it either slams shut or grows until the messages
-    # saturate the GRU), so w_v carries the learned part of the edge weight.
-    trained = [p for p in store.params() if p is not params.sin.w_p]
-    velocity = {p.name: np.zeros_like(p.value) for p in trained}
+    velocity = {p.name: np.zeros_like(p.value) for p in store.params()}
 
     cache = {}
     losses = []
@@ -589,7 +577,7 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
 
         store.zero_grads()
         scored = score_anchors(params, sample)
-        props = propose(params, sample, cfg, train=True, rng=jitter_rng, scored=scored)
+        props = propose(params, sample, cfg, rng=jitter_rng, scored=scored)
         labels, target_deltas = assign_targets(props, sample.gt, world.num_categories)
         state = forward(params, sample, cfg, boxes=props, mode=mode,
                         steps=steps if it >= warmup else 0)
@@ -601,7 +589,7 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
             raise TrainingDiverged(it)
 
         lr = cfg.lr * (0.1 if it >= drop_at else 1.0)
-        for p in trained:
+        for p in store.params():
             v = velocity[p.name]
             v *= cfg.momentum
             v -= lr * p.grad

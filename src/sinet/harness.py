@@ -263,7 +263,7 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
         detector_backward(params, state, grads)
         return loss + apply_weight_decay(decayed, GRADCHECK_WD)
 
-    return grad_check(loss_fn, store, eps=eps, names=names)
+    return grad_check(loss_fn, store, names, eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,13 @@ class ParamStore:
         return {name: p.value.copy() for name, p in self.items()}
 
 
-def grad_check(loss_fn, store, eps=1e-5, names=None):
+def grad_check(loss_fn, store, names, eps=1e-5):
     """Compare analytic gradients against central differences.
 
     loss_fn is a zero-argument closure over `store` that returns a scalar loss
     and accumulates analytic gradients into the store's grad buffers. Returns
-    the max over all checked entries of |analytic - numeric| / max(1e-8,
-    |analytic| + |numeric|).
+    the max over the entries of the parameters `names` of |analytic -
+    numeric| / max(1e-8, |analytic| + |numeric|).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -129,9 +129,8 @@ def grad_check(loss_fn, store, eps=1e-5, names=None):
         raise FloatingPointError("grad_check: loss is non-finite at the base point")
     analytic = {name: p.grad.copy() for name, p in store.items()}
 
-    check = store.names() if names is None else list(names)
     max_rel = 0.0
-    for name in check:
+    for name in names:
         p = store[name]
         flat = p.value.reshape(-1)
         a_flat = analytic[name].reshape(-1)

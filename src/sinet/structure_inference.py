@@ -4,18 +4,21 @@ node and iterated for T time steps.
 
 For node i with feature f_i, one step computes
 
-    e[i][j]  = relu(w_p . R(box_i, box_j)) * tanh(w_v . [f_i, f_j])   (j != i)
+    e[i][j]  = relu(W_P . R(box_i, box_j)) * tanh(w_v . [f_i, f_j])   (j != i)
     m_i      = elementwise-max over j != i of e[i][j] * f_j
     h_s_i    = gru(scene_gru, x=scene_feature, h=f_i)
     h_e_i    = gru(edge_gru,  x=m_i,           h=f_i)
     f_i'     = fuse(h_s_i, h_e_i)        # mean (default), max, or concat
 
-Edges are recomputed from the current features at every step; both banks take
-the fused node state of the previous step as their hidden state. Ablation
-arms drop one bank and use the remaining output alone.
+W_P is a fixed locality prior, not a learned weight, so the spatial gate
+relu(W_P . R) depends on the boxes alone: it is computed once per stack, by
+the first step that needs it. The appearance factor, and with it the edges,
+is recomputed from the current features at every step; both banks take the
+fused node state of the previous step as their hidden state. Ablation arms
+drop one bank and use the remaining output alone.
 
 A step runs on a stack of B scenes with n nodes each: node features are
-(B, n, d), boxes (B, n, 4), edges (B, n, n), relations (B, n, n, 12) and
+(B, n, d), boxes (B, n, 4), the spatial gate and the edges (B, n, n) and
 scene features (B, d). Messages are pooled within each scene only. Every
 product keeps its per-scene shape (a stacked matmul runs one product per
 scene), so a scene's numbers are bitwise the same whatever it is stacked
@@ -35,18 +38,31 @@ MODES = ("both", "scene", "edge")
 
 REL_DIM = 12
 
+# The spatial gate's weights over the 12 relation features (_relation_tensor).
+# The relu in the edge weight is a hard gate: if W_P . R were negative for the
+# bulk of box pairs, every edge would be zero. W_P is a locality prior instead:
+# open for pairs within a couple of box widths (positive pull on receiver
+# width), closed at long range (negative pull on squared offsets). It stays
+# fixed. Edges only pay off once the edge GRU has learned to read messages,
+# and that takes longer than SGD needs to discover that closing the gate
+# silences early message noise; a gate that trains, even late in the run,
+# either slams shut or grows until the messages saturate the GRU. So w_v
+# carries the learned part of the edge weight.
+W_P = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.4, -0.4, 0.0, 0.0])
+W_P.flags.writeable = False
+
 
 @dataclass
 class SceneGraph:
     """A stack of B per-image graphs of n nodes each: node features, node
     boxes as (cx, cy, w, h) rows (geometry.boxes_to_centers), and one scene
-    vector per image. The boxes' relation tensor is computed by the first
-    step that needs it and passed on to the graphs that step produces."""
+    vector per image. The boxes' spatial gate is computed by the first step
+    that needs it and passed on to the graphs that step produces."""
 
     node_features: np.ndarray      # (B, n, d)
     boxes: np.ndarray              # (B, n, 4)
     scene_feature: np.ndarray      # (B, d)
-    relations: np.ndarray = None   # (B, n, n, 12), from _relation_tensor(boxes)
+    gate: np.ndarray = None        # (B, n, n) relu(_relation_tensor(boxes) @ W_P)
 
     def __post_init__(self):
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
@@ -62,7 +78,6 @@ class SceneGraph:
 class SinParams:
     scene_gru: object
     edge_gru: object
-    w_p: object                 # (1, 12)
     w_v: object                 # (1, 2d)
     w_a: object = None          # (d, 2d), only under concat fusion
 
@@ -77,31 +92,19 @@ def create_sin_params(store, d, seed, pooling="mean"):
         raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
     scene = create_gru_params(store, "sin/scene_gru", d, seed)
     edge = create_gru_params(store, "sin/edge_gru", d, seed)
-    # The relu in the edge weight is a hard gate: if w_p . R starts negative for
-    # the bulk of box pairs, every edge is zero, no gradient reaches w_p, and
-    # the relation path never recovers. Start it as a locality prior instead:
-    # open for pairs within a couple of box widths (positive pull on receiver
-    # width), closed at long range (negative pull on squared offsets), and let
-    # training reshape it from there.
-    w_p_init = np.zeros((1, REL_DIM))
-    w_p_init[0, 0] = 0.5
-    w_p_init[0, 8] = -0.4
-    w_p_init[0, 9] = -0.4
-    w_p = store.create("sin/w_p", w_p_init)
-    # Soft start for the appearance term as well: early messages are noise,
-    # and large ones teach the rest of the net to slam the gate shut.
+    # Soft start for the appearance term: early messages are noise,
+    # and large ones teach the rest of the net to shut the edges off.
     w_v = store.create("sin/w_v", 0.25 * init_param((1, 2 * d), seed_for(seed, "sin/w_v")))
     w_a = None
     if pooling == "concat":
         w_a = store.create("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a")))
-    return SinParams(scene_gru=scene, edge_gru=edge, w_p=w_p, w_v=w_v, w_a=w_a)
+    return SinParams(scene_gru=scene, edge_gru=edge, w_v=w_v, w_a=w_a)
 
 
 def sin_params_from_store(store):
     return SinParams(
         scene_gru=gru_params_from_store(store, "sin/scene_gru"),
         edge_gru=gru_params_from_store(store, "sin/edge_gru"),
-        w_p=store["sin/w_p"],
         w_v=store["sin/w_v"],
         w_a=store["sin/w_a"] if "sin/w_a" in store else None,
     )
@@ -136,9 +139,7 @@ def _relation_tensor(boxes):
 
 @dataclass
 class EdgeCache:
-    rel: np.ndarray        # (B, n, n, 12)
-    spatial_pos: np.ndarray  # bool (B, n, n): relu pre-activation > 0
-    spatial: np.ndarray    # (B, n, n) relu output
+    spatial: np.ndarray    # (B, n, n) the stack's spatial gate, shared by its steps
     visual: np.ndarray     # (B, n, n) tanh output
     e: np.ndarray          # (B, n, n), zero diagonal
 
@@ -152,20 +153,18 @@ def _diagonal(a, inner=0):
     return pairs[(slice(None),) * lead + (slice(None, None, n + 1),)]
 
 
-def _compute_edges(p, features, rel):
-    """e[..., i, j] = relu(w_p . R(box_i, box_j)) * tanh(w_v . [f_i, f_j]) for
-    every ordered (receiver, sender) pair of each scene, so
-    |e| <= relu(w_p . R); zero diagonal. Features are (..., n, d) and rel
-    the (..., n, n, 12) relation tensor of the boxes."""
-    lin_p = rel @ p.w_p.value[0]
-    spatial = np.maximum(lin_p, 0.0)
+def _compute_edges(p, features, gate):
+    """e[..., i, j] = gate[..., i, j] * tanh(w_v . [f_i, f_j]) for every
+    ordered (receiver, sender) pair of each scene, so |e| <= gate; zero
+    diagonal. Features are (..., n, d) and gate the (..., n, n) spatial gate
+    relu(W_P . R(box_i, box_j)) of the boxes (_gate)."""
     d = features.shape[-1]
     vi = features @ p.w_v.value[0, :d]
     vj = features @ p.w_v.value[0, d:]
     visual = np.tanh(vi[..., :, None] + vj[..., None, :])
-    e = spatial * visual
+    e = gate * visual
     _diagonal(e)[...] = 0.0
-    return EdgeCache(rel=rel, spatial_pos=lin_p > 0.0, spatial=spatial, visual=visual, e=e)
+    return EdgeCache(spatial=gate, visual=visual, e=e)
 
 
 def compute_edges(p, g):
@@ -173,25 +172,22 @@ def compute_edges(p, g):
 
     The diagonal is never used downstream and is held at zero.
     """
-    return _compute_edges(p, g.node_features, _relations(g)).e
+    return _compute_edges(p, g.node_features, _gate(g)).e
 
 
-def _relations(g):
-    if g.relations is None:
-        g.relations = _relation_tensor(g.boxes)
-    return g.relations
+def _gate(g):
+    if g.gate is None:
+        g.gate = np.maximum(_relation_tensor(g.boxes) @ W_P, 0.0)
+    return g.gate
 
 
 def _edges_backward(p, cache, de, features):
-    """Push gradient of the (B, n, n) edge matrices back to w_p, w_v and the
-    (B, n, d) features."""
+    """Push gradient of the (B, n, n) edge matrices back to w_v and the
+    (B, n, d) features. The spatial gate is a constant of the boxes, so no
+    gradient flows into it."""
     de = np.array(de, dtype=np.float64)
     _diagonal(de)[...] = 0.0
-    d_spatial = de * cache.visual
-    d_visual = de * cache.spatial
-    dlin_p = d_spatial * cache.spatial_pos
-    p.w_p.grad[0] += np.tensordot(dlin_p, cache.rel, axes=([0, 1, 2], [0, 1, 2]))
-    dlin_v = d_visual * (1.0 - cache.visual * cache.visual)
+    dlin_v = de * cache.spatial * (1.0 - cache.visual * cache.visual)
     row = dlin_v.sum(axis=2)   # receiver-side sums, (B, n)
     col = dlin_v.sum(axis=1)   # sender-side sums
     d = features.shape[2]
@@ -240,6 +236,8 @@ def _messages_backward(features, e, senders, dmsgs):
 class StepTape:
     features_in: np.ndarray     # (B, n, d)
     scene_feature: np.ndarray   # (B, d)
+    pooling: str
+    mode: str
     scene_tape: GruTape = None
     edge_tape: GruTape = None
     edge_cache: EdgeCache = None
@@ -248,8 +246,6 @@ class StepTape:
     h_scene: np.ndarray = None
     h_edge: np.ndarray = None
     fused: np.ndarray = None
-    pooling: str = "mean"
-    mode: str = "both"
 
 
 def _fuse(p, h_scene, h_edge, pooling):
@@ -265,7 +261,7 @@ def _fuse(p, h_scene, h_edge, pooling):
     raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
 
 
-def sin_step_tape(p, g, pooling="mean", mode="both"):
+def sin_step_tape(p, g, pooling, mode):
     """One inference step over a stack of graphs; returns the updated stack
     and the tape for backward."""
     if mode not in MODES:
@@ -280,7 +276,7 @@ def sin_step_tape(p, g, pooling="mean", mode="both"):
             p.scene_gru, np.broadcast_to(g.scene_feature[:, None, :], feats.shape), feats)
         tape.h_scene = h_scene
     if mode in ("both", "edge"):
-        tape.edge_cache = _compute_edges(p, feats, _relations(g))
+        tape.edge_cache = _compute_edges(p, feats, _gate(g))
         tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
         h_edge, tape.edge_tape = gru_forward(p.edge_gru, tape.msgs, feats)
         tape.h_edge = h_edge
@@ -293,11 +289,11 @@ def sin_step_tape(p, g, pooling="mean", mode="both"):
         fused = h_edge
     tape.fused = fused
     out = SceneGraph(node_features=fused, boxes=g.boxes, scene_feature=g.scene_feature,
-                     relations=g.relations)
+                     gate=g.gate)
     return out, tape
 
 
-def sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both"):
+def sin_infer_tapes(p, g, steps, pooling, mode):
     """Iterate sin_step_tape `steps` times; returns the final stack and the
     tapes. steps=0 returns the graph unchanged."""
     if steps < 0:

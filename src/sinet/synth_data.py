@@ -342,32 +342,36 @@ def world_to_dict(world):
                 "name": c.name,
                 "prototype": np.asarray(c.prototype).tolist(),
                 "scene_affinity": np.asarray(c.scene_affinity).tolist(),
-                "size": list(c.size),
-                "size_jitter": c.size_jitter,
+                "size": [float(v) for v in c.size],
+                "size_jitter": float(c.size_jitter),
             }
             for c in world.categories
         ],
         "cooccur": [
-            {"trigger": r.trigger, "partner": r.partner, "prob": r.prob,
-             "offset": list(r.offset), "jitter": r.jitter}
+            {"trigger": r.trigger, "partner": r.partner, "prob": float(r.prob),
+             "offset": [float(v) for v in r.offset], "jitter": float(r.jitter)}
             for r in world.cooccur
         ],
         "ambiguous_pairs": [list(p) for p in world.ambiguous_pairs],
         "height": world.height,
         "width": world.width,
         "channels": world.channels,
-        "noise_sigma": world.noise_sigma,
+        "noise_sigma": float(world.noise_sigma),
         "scene_bias": np.asarray(world.scene_bias).tolist(),
         "objects_per_scene": list(world.objects_per_scene),
     }
 
 
-def _json_object(d, what, required):
+def _json_object(d, what, required, optional):
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     for key in required:
         if key not in d:
             raise ValueError(f"{what} is missing {key!r}")
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; "
+                         f"allowed: {sorted(required + optional)}")
     return d
 
 
@@ -386,12 +390,15 @@ def _float_array(v, what):
 
 def world_from_dict(d):
     """The validated WorldSpec of a JSON world; ValueError names the first
-    missing key or mistyped value."""
+    missing, unknown or mistyped key."""
     _json_object(d, "world", ("scene_names", "categories", "height", "width", "channels",
-                              "noise_sigma", "scene_bias"))
-    cats = [_json_object(c, "world category", ("name", "prototype", "scene_affinity"))
+                              "noise_sigma", "scene_bias"),
+                 ("cooccur", "ambiguous_pairs", "objects_per_scene"))
+    cats = [_json_object(c, "world category", ("name", "prototype", "scene_affinity"),
+                         ("size", "size_jitter"))
             for c in _json_array(d["categories"], "world categories")]
-    rules = [_json_object(r, "world cooccur rule", ("trigger", "partner", "prob"))
+    rules = [_json_object(r, "world cooccur rule", ("trigger", "partner", "prob"),
+                          ("offset", "jitter"))
              for r in _json_array(d.get("cooccur", []), "world cooccur")]
     world = WorldSpec(
         scene_names=list(_json_array(d["scene_names"], "world scene_names")),

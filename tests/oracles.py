@@ -49,13 +49,17 @@ def spatial_relation_oracle(bi, bj):
             math.log(bi.w / bj.w), math.log(bi.h / bj.h)]
 
 
-def edge_weight_oracle(w_p, w_v, box_i, box_j, f_i, f_j):
-    rel = spatial_relation_oracle(box_i, box_j)
-    spatial = dot_s(w_p[0], rel)
+def spatial_gate_oracle(w_p, box_i, box_j):
+    """relu(w_p . R(box_i, box_j)) for (1, 12) gate weights w_p."""
+    spatial = dot_s(w_p[0], spatial_relation_oracle(box_i, box_j))
     if spatial < 0.0:
         spatial = 0.0
+    return spatial
+
+
+def edge_weight_oracle(w_p, w_v, box_i, box_j, f_i, f_j):
     visual = math.tanh(dot_s(w_v[0], list(f_i) + list(f_j)))
-    return spatial * visual
+    return spatial_gate_oracle(w_p, box_i, box_j) * visual
 
 
 def integrate_messages_oracle(features, e, i):
@@ -79,8 +83,9 @@ def integrate_messages_oracle(features, e, i):
     return msg
 
 
-def sin_step_oracle(p, features, boxes, scene_feature, pooling="mean", mode="both"):
-    """One inference step composed purely from the oracles above."""
+def sin_step_oracle(p, w_p, features, boxes, scene_feature, pooling="mean", mode="both"):
+    """One inference step composed purely from the oracles above, with the
+    (1, 12) spatial gate weights w_p."""
     n = len(features)
     d = len(features[0])
     w_r_s, w_z_s, w_s, u_s = (p.scene_gru.w_r.value, p.scene_gru.w_z.value,
@@ -96,7 +101,7 @@ def sin_step_oracle(p, features, boxes, scene_feature, pooling="mean", mode="bot
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    e[i][j] = edge_weight_oracle(p.w_p.value, p.w_v.value,
+                    e[i][j] = edge_weight_oracle(w_p, p.w_v.value,
                                                  boxes[i], boxes[j],
                                                  features[i], features[j])
         h_edge = []

@@ -73,18 +73,23 @@ def _check_gru(rng, trials):
             assert np.allclose(got[i], np.array(want), atol=1e-12)
 
 
+def _gate_of(boxes, w_p):
+    """The spatial gate of (..., n, 4) center rows under random (1, 12) gate
+    weights w_p in place of the shipped W_P."""
+    return np.maximum(_relation_tensor(boxes) @ w_p[0], 0.0)
+
+
 def _check_edge_weight(rng, trials):
     for _ in range(trials):
         d = int(rng.integers(1, 6))
         st = ParamStore()
         p = create_sin_params(st, d, int(rng.integers(1 << 30)))
-        p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
+        w_p = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        rel = _relation_tensor(boxes_to_centers([bi, bj]))
-        e = _compute_edges(p, np.array([fi, fj]), rel).e
-        want_ij = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
-        want_ji = edge_weight_oracle(p.w_p.value, p.w_v.value, bj, bi, fj, fi)
+        e = _compute_edges(p, np.array([fi, fj]), _gate_of(boxes_to_centers([bi, bj]), w_p)).e
+        want_ij = edge_weight_oracle(w_p, p.w_v.value, bi, bj, fi, fj)
+        want_ji = edge_weight_oracle(w_p, p.w_v.value, bj, bi, fj, fi)
         assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
         assert e[1, 0] == pytest.approx(want_ji, abs=1e-12)
 
@@ -109,14 +114,15 @@ def _check_sin_step(rng, trials):
         n, d = int(rng.integers(1, 6)), int(rng.integers(2, 6))
         st = ParamStore()
         p = create_sin_params(st, d, int(rng.integers(1 << 30)), pooling)
-        p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+        w_p = rng.normal(0, 0.4, size=(1, 12))
         feats = rng.normal(size=(n, d))
         boxes = [random_box(rng, span=8.0) for _ in range(n)]
         scene = rng.normal(size=d)
-        g = SceneGraph(node_features=feats[None], boxes=boxes_to_centers(boxes)[None],
-                       scene_feature=scene[None])
+        centers = boxes_to_centers(boxes)[None]
+        g = SceneGraph(node_features=feats[None], boxes=centers, scene_feature=scene[None],
+                       gate=_gate_of(centers, w_p))
         out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode)
-        want = sin_step_oracle(p, feats, boxes, scene, pooling=pooling, mode=mode)
+        want = sin_step_oracle(p, w_p, feats, boxes, scene, pooling=pooling, mode=mode)
         assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
 
 
@@ -275,16 +281,17 @@ def _invariant_permutation_equivariance(rng):
         pooling = ("mean", "max", "concat")[trial % 3]
         st = ParamStore()
         p = create_sin_params(st, d, trial, pooling)
-        p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+        w_p = rng.normal(0, 0.4, size=(1, 12))
         g = SceneGraph(node_features=rng.normal(size=(n, d))[None],
                        boxes=boxes_to_centers([random_box(rng, span=8.0)
                                                for _ in range(n)])[None],
                        scene_feature=rng.normal(size=d)[None])
+        g.gate = _gate_of(g.boxes, w_p)
         perm = rng.permutation(n)
         gp = SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
-                        scene_feature=g.scene_feature)
-        out, _ = sin_step_tape(p, g, pooling=pooling)
-        outp, _ = sin_step_tape(p, gp, pooling=pooling)
+                        scene_feature=g.scene_feature, gate=_gate_of(g.boxes[:, perm], w_p))
+        out, _ = sin_step_tape(p, g, pooling=pooling, mode="both")
+        outp, _ = sin_step_tape(p, gp, pooling=pooling, mode="both")
         assert np.allclose(outp.node_features, out.node_features[:, perm], atol=1e-12)
 
 

@@ -561,8 +561,10 @@ def _world_edit(edit):
      "cooccur jitter must be finite and >= 0"),
     (_world_edit(lambda w: w.update(objects_per_scene=[5, 2])),
      "objects_per_scene must have 0 <= low <= high"),
+    (_world_edit(lambda w: w["categories"][0].update(size_jiter=0.5)),
+     r"world category has unknown keys \['size_jiter'\]"),
 ], ids=["not-an-object", "no-scene-names", "one-size", "string-jitter", "negative-jitter",
-        "nan-affinity", "negative-cooccur-jitter", "low-above-high"])
+        "nan-affinity", "negative-cooccur-jitter", "low-above-high", "unknown-category-key"])
 def test_cli_train_malformed_world_exits_1(tmp_path, capsys, world, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"world": world, "train": {"iters": 2}}))

@@ -128,7 +128,7 @@ def test_backward_against_finite_differences():
         gru_backward(p, tape, w_out)
         return loss
 
-    assert grad_check(loss_fn, st) < 1e-6
+    assert grad_check(loss_fn, st, st.names()) < 1e-6
 
 
 def _numeric_grad(f, arr, eps=1e-6):
@@ -181,7 +181,7 @@ def test_backward_broadcast_x_sums_over_rows():
         gru_backward(p, tape, w_out)
         return float(np.sum(w_out * h_next))
 
-    assert grad_check(loss_fn, st) < 1e-6
+    assert grad_check(loss_fn, st, st.names()) < 1e-6
     _, tape = gru_forward(p, x(), h0)
     dx, dh = gru_backward(p, tape, w_out)
     assert np.allclose(dx.sum(axis=1), _numeric_grad(f, scene), atol=1e-7)

@@ -56,21 +56,21 @@ def test_grad_check_validates_a_known_gradient():
         p.grad += 2.0 * p.value
         return loss
 
-    assert grad_check(good, st) < 1e-9
+    assert grad_check(good, st, ["v"]) < 1e-9
 
     def bad():
         loss = float(np.sum(p.value ** 2))
         p.grad += 1.5 * p.value
         return loss
 
-    assert grad_check(bad, st) > 1e-2
+    assert grad_check(bad, st, ["v"]) > 1e-2
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     st = ParamStore()
     rng = np.random.default_rng(3)
     st.create("det/feat_proj", rng.normal(size=(4, 6)))
-    st.create("sin/w_p", rng.normal(size=(1, 12)))
+    st.create("sin/w_v", rng.normal(size=(1, 12)))
     st.create("vec", rng.normal(size=5))
     path = tmp_path / "ck.bin"
     save_checkpoint(path, st)

@@ -5,15 +5,15 @@ import pytest
 
 from sinet.geometry import Box, boxes_to_centers
 from sinet.numerics import ParamStore, grad_check
-from sinet.structure_inference import (SceneGraph, _compute_edges,
+from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
                                        _integrate_all, _relation_tensor,
                                        compute_edges,
                                        create_sin_params, relation_report,
                                        sin_backward, sin_infer_tapes,
                                        sin_params_from_store, sin_step_tape)
 
-from oracles import (edge_weight_oracle, integrate_messages_oracle,
-                     random_box, sin_step_oracle, spatial_relation_oracle)
+from oracles import (edge_weight_oracle, integrate_messages_oracle, random_box,
+                     sin_step_oracle, spatial_gate_oracle, spatial_relation_oracle)
 
 
 def make_params(d, seed=0, pooling="mean"):
@@ -34,6 +34,19 @@ def random_graph(rng, n, d):
                      rng.normal(0, 1, size=d))
 
 
+def gate_of(boxes, w_p):
+    """The spatial gate of (..., n, 4) center rows under the (1, 12) gate
+    weights w_p in place of W_P. Random-valued weights exercise the gate
+    where the shipped locality prior would leave half the random pairs at
+    exactly zero."""
+    return np.maximum(_relation_tensor(boxes) @ w_p[0], 0.0)
+
+
+def gated(g, w_p):
+    g.gate = gate_of(g.boxes, w_p)
+    return g
+
+
 def scene_boxes(g, k=0):
     """Scene k's node boxes as Box objects."""
     return [Box(*row) for row in g.boxes[k].tolist()]
@@ -41,7 +54,7 @@ def scene_boxes(g, k=0):
 
 def test_param_layout():
     st, p = make_params(4, pooling="concat")
-    assert p.w_p.value.shape == (1, 12)
+    assert "sin/w_p" not in st
     assert p.w_v.value.shape == (1, 8)
     assert p.w_a.value.shape == (4, 8)
     view = sin_params_from_store(st)
@@ -95,15 +108,12 @@ def test_edge_weight_matches_oracle_randomized():
     for _ in range(100):
         d = int(rng.integers(1, 6))
         _, p = make_params(d, seed=int(rng.integers(1 << 30)))
-        # random-valued gate weights; the shipped locality init would leave
-        # half the random pairs at exactly zero
-        p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
+        w_p = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        rel = _relation_tensor(boxes_to_centers([bi, bj]))
-        e = _compute_edges(p, np.array([fi, fj]), rel).e
-        want_ij = edge_weight_oracle(p.w_p.value, p.w_v.value, bi, bj, fi, fj)
-        want_ji = edge_weight_oracle(p.w_p.value, p.w_v.value, bj, bi, fj, fi)
+        e = _compute_edges(p, np.array([fi, fj]), gate_of(boxes_to_centers([bi, bj]), w_p)).e
+        want_ij = edge_weight_oracle(w_p, p.w_v.value, bi, bj, fi, fj)
+        want_ji = edge_weight_oracle(w_p, p.w_v.value, bj, bi, fj, fi)
         assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
         assert e[1, 0] == pytest.approx(want_ji, abs=1e-12)
 
@@ -112,20 +122,18 @@ def test_edge_weight_bounded_by_spatial_gate():
     rng = np.random.default_rng(32)
     for _ in range(50):
         _, p = make_params(3, seed=int(rng.integers(1 << 30)))
-        p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
+        w_p = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=3) * 5, rng.normal(size=3) * 5
-        rel = _relation_tensor(boxes_to_centers([bi, bj]))
-        e = _compute_edges(p, np.array([fi, fj]), rel).e[0, 1]
-        gate = max(float(p.w_p.value[0] @ rel[0, 1]), 0.0)
-        assert abs(e) <= gate + 1e-12
+        e = _compute_edges(p, np.array([fi, fj]), gate_of(boxes_to_centers([bi, bj]), w_p))
+        assert abs(e.e[0, 1]) <= spatial_gate_oracle(w_p, bi, bj) + 1e-12
 
 
 def test_compute_edges_matches_pairwise_loop():
     rng = np.random.default_rng(33)
     _, p = make_params(4, seed=2)
-    p.w_p.value[:] = rng.normal(0, 0.5, size=(1, 12))
-    g = random_graph(rng, 5, 4)
+    w_p = rng.normal(0, 0.5, size=(1, 12))
+    g = gated(random_graph(rng, 5, 4), w_p)
     e = compute_edges(p, g)
     assert e.shape == (1, 5, 5)
     e, boxes, feats = e[0], scene_boxes(g), g.node_features[0]
@@ -133,9 +141,26 @@ def test_compute_edges_matches_pairwise_loop():
     for i in range(5):
         for j in range(5):
             if i != j:
-                want = edge_weight_oracle(p.w_p.value, p.w_v.value,
+                want = edge_weight_oracle(w_p, p.w_v.value,
                                           boxes[i], boxes[j], feats[i], feats[j])
                 assert e[i, j] == pytest.approx(want, abs=1e-12)
+
+
+def test_shipped_gate_is_the_locality_prior_once_per_stack():
+    # every step's gate is relu(W_P . R) of the boxes, computed by the first
+    # step that needs it and shared by the steps after it
+    rng = np.random.default_rng(38)
+    _, p = make_params(3, seed=4)
+    g = random_graph(rng, 6, 3)
+    out, tapes = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both")
+    boxes = scene_boxes(g)
+    want = np.array([[spatial_gate_oracle(W_P[None], bi, bj) for bj in boxes]
+                     for bi in boxes])
+    assert 0 < np.count_nonzero(want) < want.size    # open and closed pairs
+    assert g.gate.shape == (1, 6, 6)
+    assert np.allclose(g.gate[0], want, rtol=0.0, atol=1e-12)
+    assert all(t.edge_cache.spatial is g.gate for t in tapes) and out.gate is g.gate
+    assert not W_P.flags.writeable
 
 
 def test_integrate_messages_matches_oracle():
@@ -176,10 +201,10 @@ def test_sin_step_matches_composed_oracle(pooling, mode):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(2, 6))
         _, p = make_params(d, seed=trial, pooling=pooling)
-        p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
-        g = random_graph(rng, n, d)
+        w_p = rng.normal(0, 0.4, size=(1, 12))
+        g = gated(random_graph(rng, n, d), w_p)
         out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode)
-        want = sin_step_oracle(p, g.node_features[0], scene_boxes(g), g.scene_feature[0],
+        want = sin_step_oracle(p, w_p, g.node_features[0], scene_boxes(g), g.scene_feature[0],
                                pooling=pooling, mode=mode)
         assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
 
@@ -188,22 +213,22 @@ def test_sin_infer_t0_is_identity():
     rng = np.random.default_rng(36)
     _, p = make_params(3, seed=1)
     g = random_graph(rng, 4, 3)
-    out, tapes = sin_infer_tapes(p, g, steps=0)
+    out, tapes = sin_infer_tapes(p, g, steps=0, pooling="mean", mode="both")
     assert np.array_equal(out.node_features, g.node_features) and tapes == []
     with pytest.raises(ValueError):
-        sin_infer_tapes(p, g, steps=-1)
+        sin_infer_tapes(p, g, steps=-1, pooling="mean", mode="both")
 
 
 def test_sin_infer_permutation_equivariance():
     rng = np.random.default_rng(37)
     _, p = make_params(4, seed=3)
-    p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
-    g = random_graph(rng, 5, 4)
+    w_p = rng.normal(0, 0.4, size=(1, 12))
+    g = gated(random_graph(rng, 5, 4), w_p)
     perm = rng.permutation(5)
-    gp = SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
-                    scene_feature=g.scene_feature)
-    out, _ = sin_infer_tapes(p, g, steps=2)
-    out_p, _ = sin_infer_tapes(p, gp, steps=2)
+    gp = gated(SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
+                          scene_feature=g.scene_feature), w_p)
+    out, _ = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both")
+    out_p, _ = sin_infer_tapes(p, gp, steps=2, pooling="mean", mode="both")
     assert np.allclose(out.node_features[:, perm], out_p.node_features, atol=1e-12)
 
 
@@ -215,8 +240,8 @@ def test_max_pool_tie_resolves_to_scene():
     for a, b in zip(p.scene_gru.entries(), p.edge_gru.entries()):
         b.value[:] = a.value
     g = one_scene([[0.3, -0.2, 0.8]], [Box(2, 2, 2, 2)], np.zeros(3))
-    out, _ = sin_step_tape(p, g, pooling="max")
-    scene_only, _ = sin_step_tape(p, g, mode="scene")
+    out, _ = sin_step_tape(p, g, pooling="max", mode="both")
+    scene_only, _ = sin_step_tape(p, g, pooling="mean", mode="scene")
     assert np.array_equal(out.node_features, scene_only.node_features)
 
 
@@ -226,33 +251,34 @@ def test_sin_backward_against_finite_differences():
                           ("mean", "edge")):
         st, p = make_params(3, seed=13, pooling=pooling)
         rng = np.random.default_rng(14)
-        p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+        w_p = rng.normal(0, 0.4, size=(1, 12))
         feats = rng.normal(size=(3, 3))
         boxes = [random_box(rng) for _ in range(3)]
         scene = rng.normal(size=3)
         w_out = rng.normal(size=(3, 3))
 
         def loss_fn():
-            g = one_scene(feats.copy(), boxes, scene.copy())
+            g = gated(one_scene(feats.copy(), boxes, scene.copy()), w_p)
             out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode)
             loss = float(np.sum(w_out * out.node_features[0]))
             sin_backward(p, tapes, w_out[None])
             return loss
 
-        assert grad_check(loss_fn, st) < 1e-5, (pooling, mode)
+        assert grad_check(loss_fn, st, st.names()) < 1e-5, (pooling, mode)
 
 
 def test_sin_backward_input_grads():
     st, p = make_params(3, seed=19)
     rng = np.random.default_rng(20)
-    p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+    w_p = rng.normal(0, 0.4, size=(1, 12))
     feats = rng.normal(size=(4, 3))
     boxes = [random_box(rng) for _ in range(4)]
     scene = rng.normal(size=3)
     w_out = rng.normal(size=(4, 3))
 
     def run(f, s):
-        out, tapes = sin_infer_tapes(p, one_scene(f, boxes, s), steps=2)
+        out, tapes = sin_infer_tapes(p, gated(one_scene(f, boxes, s), w_p), steps=2,
+                                     pooling="mean", mode="both")
         return float(np.sum(w_out * out.node_features[0])), tapes
 
     base, tapes = run(feats, scene)
@@ -286,12 +312,14 @@ def test_sin_backward_two_scene_stack(pooling, mode):
     # every input gradient of both scenes matches central differences
     st, p = make_params(3, seed=23, pooling=pooling)
     rng = np.random.default_rng(24)
-    p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+    w_p = rng.normal(0, 0.4, size=(1, 12))
     feats, boxes, scene = _two_scene_stack(rng, 3, 3)
+    gate = gate_of(boxes, w_p)
     w_out = rng.normal(size=(2, 3, 3))
 
     def run(k):
-        g = SceneGraph(node_features=feats[k], boxes=boxes[k], scene_feature=scene[k])
+        g = SceneGraph(node_features=feats[k], boxes=boxes[k], scene_feature=scene[k],
+                       gate=gate[k])
         out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode)
         return float(np.sum(w_out[k] * out.node_features)), tapes
 
@@ -300,7 +328,7 @@ def test_sin_backward_two_scene_stack(pooling, mode):
         sin_backward(p, tapes, w_out)
         return loss
 
-    assert grad_check(loss_fn, st) < 1e-5
+    assert grad_check(loss_fn, st, st.names()) < 1e-5
     st.zero_grads()
     loss_fn()
     stacked = {name: q.grad.copy() for name, q in st.items()}
@@ -331,18 +359,19 @@ def test_stacked_step_is_bitwise_per_scene(pooling):
     # stacked with it, down to the last bit
     rng = np.random.default_rng(25)
     _, p = make_params(4, seed=26, pooling=pooling)
-    p.w_p.value[:] = rng.normal(0, 0.4, size=(1, 12))
+    w_p = rng.normal(0, 0.4, size=(1, 12))
     for n in (1, 2, 6):
         feats = rng.normal(size=(5, n, 4))
         boxes = np.stack([boxes_to_centers([random_box(rng) for _ in range(n)])
                           for _ in range(5)])
         scene = rng.normal(size=(5, 4))
-        out, tapes = sin_infer_tapes(p, SceneGraph(feats, boxes, scene), steps=2,
-                                     pooling=pooling)
+        out, tapes = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),
+                                     steps=2, pooling=pooling, mode="both")
         for k in range(5):
             alone, alone_tapes = sin_infer_tapes(
-                p, SceneGraph(feats[k:k + 1], boxes[k:k + 1], scene[k:k + 1]),
-                steps=2, pooling=pooling)
+                p, SceneGraph(feats[k:k + 1], boxes[k:k + 1], scene[k:k + 1],
+                              gate_of(boxes[k:k + 1], w_p)),
+                steps=2, pooling=pooling, mode="both")
             assert np.array_equal(out.node_features[k], alone.node_features[0])
             for t, a in zip(tapes, alone_tapes):
                 assert np.array_equal(t.edge_cache.e[k], a.edge_cache.e[0])

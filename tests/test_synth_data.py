@@ -357,6 +357,9 @@ NAN, INF = float("nan"), float("inf")
     (("ambiguous_pairs",), [[0]], "ambiguous pair must have exactly 2 entries"),
     (("categories",), 5, "world categories must be a JSON array"),
     (("categories", 0), [1], "world category must be a JSON object"),
+    (("noise_sigms",), 0.3, r"world has unknown keys \['noise_sigms'\]"),
+    (("categories", 0, "size_jiter"), 0.5, r"world category has unknown keys \['size_jiter'\]"),
+    (("cooccur", 1, "ofset"), [1.0, 0.0], r"world cooccur rule has unknown keys \['ofset'\]"),
 ])
 def test_world_from_dict_rejects_malformed_worlds(path, value, message):
     # each of these used to fail only while scenes were drawn, or with a
@@ -400,6 +403,35 @@ def test_world_dict_round_trip_and_hash():
     d2 = world_to_dict(world)
     d2["noise_sigma"] = 0.3
     assert world_hash(world_from_dict(d2)) != world_hash(world)
+
+
+def test_default_world_hash_is_pinned():
+    # datasets carry the hash of their world; if the default world's hash
+    # moved, every existing default-world dataset would need
+    # --allow-world-mismatch
+    assert world_hash(default_world()) == "cfb4c02e010c77d0"
+
+
+@pytest.mark.parametrize("path, spellings", [
+    (("categories", 0, "size"), ([2, 3], [2.0, 3.0])),
+    (("categories", 0, "size_jitter"), (0, 0.0)),
+    (("cooccur", 0, "prob"), (1, 1.0)),
+    (("cooccur", 0, "offset"), ([3, 0], [3.0, 0.0])),
+    (("cooccur", 0, "jitter"), (0, 0.0)),
+    (("noise_sigma",), (0, 0.0)),
+])
+def test_world_hash_ignores_float_spelling(path, spellings):
+    # one world, one hash: an integer spelling of a float field is the same
+    # world as its float spelling
+    hashes = set()
+    for value in spellings:
+        d = world_to_dict(default_world())
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        hashes.add(world_hash(world_from_dict(d)))
+    assert len(hashes) == 1
 
 
 def test_dataset_round_trip(tmp_path):
