@@ -183,6 +183,9 @@ def active_param_names(params, arm):
 class AnchorSet:
     centers: np.ndarray      # (A, 4) center-size rows
     corners: np.ndarray      # (A, 4) the same anchors as corner rows
+    area: np.ndarray         # (A,) (x2 - x1) * (y2 - y1) of each corner row
+    x_extent: np.ndarray     # (W, T, 2) x1, x2 of the anchors of each column and type
+    y_extent: np.ndarray     # (H, T, 2) y1, y2 of the anchors of each row and type
     cell_index: np.ndarray   # (A,) row-major cell of each anchor
     type_index: np.ndarray   # (A,) scale/ratio slot of each anchor
     pool_index: np.ndarray   # (4, A) integral-image rows of r1c1, r0c1, r1c0, r0c0
@@ -197,7 +200,9 @@ def anchor_set(height, width):
     by cell then by (scale, ratio). Anchors may overhang the grid edges.
     Each anchor's covered-cell window (cell_window, the rule ROI pooling
     uses) is cached as the flat (height+1)*(width+1) integral-image rows of
-    its four corners."""
+    its four corners. An anchor's x-extent depends only on its column and
+    type, its y-extent only on its row and type; both are cached per axis.
+    The cached arrays are shared by every caller, so they are read-only."""
     hit = _ANCHOR_CACHE.get((height, width))
     if hit is not None:
         return hit
@@ -206,15 +211,20 @@ def anchor_set(height, width):
     centers = np.array([(c + 0.5, r + 0.5, aw, ah)
                         for r in range(height) for c in range(width) for aw, ah in sizes])
     corners = centers_to_corners(centers)
+    grid = corners.reshape(height, width, len(sizes), 4)
     # each anchor covers at least its own cell center, so no window is empty
     r0, r1, c0, c1 = np.array([cell_window(row, height, width) for row in corners.tolist()]).T
     stride = width + 1
     out = AnchorSet(centers=centers, corners=corners,
+                    area=(corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1]),
+                    x_extent=grid[0, :, :, 0::2].copy(), y_extent=grid[:, 0, :, 1::2].copy(),
                     cell_index=np.repeat(np.arange(height * width), len(sizes)),
                     type_index=np.tile(np.arange(len(sizes)), height * width),
                     pool_index=np.stack([r1 * stride + c1, r0 * stride + c1,
                                          r1 * stride + c0, r0 * stride + c0]),
                     pool_count=((r1 - r0) * (c1 - c0)).reshape(-1, 1))
+    for arr in vars(out).values():
+        arr.flags.writeable = False
     _ANCHOR_CACHE[height, width] = out
     return out
 
@@ -485,19 +495,31 @@ GRAPH_WARMUP_FRAC = 0.25
 
 def _anchor_targets(anchors, gt):
     """Binary anchor labels: 1 over OBJ_IOU_POS, 0 under OBJ_IOU_NEG, ignore
-    between; every gt forces its best anchor positive. The band is looser than
-    the ROI one: anchors sit on a unit-stride grid, so demanding 0.5 overlap
-    would leave most objects with a single forced positive."""
+    between; every gt forces its best anchor positive (ties to the lowest
+    anchor index, anchor 0 for a gt that meets none). The band is looser
+    than the ROI one: anchors sit on a unit-stride grid, so demanding 0.5
+    overlap would leave most objects with a single forced positive.
+
+    The (G, A) IoUs come from per-axis overlaps: (G, W, T) along x times
+    (G, H, T) along y, then pairwise_iou's division, so each is bitwise
+    pairwise_iou's for its (anchor, gt) pair."""
     a = len(anchors.corners)
     if not gt:
         return np.zeros(a), np.ones(a, dtype=bool)
-    ious = pairwise_iou(anchors.corners, boxes_to_array([o.box for o in gt]))
-    best = ious.max(axis=1)
+    gc = boxes_to_array([o.box for o in gt])
+    g = gc[:, None, None]                  # (G, 1, 1, 4) against (W or H, T) extents
+    xe, ye = anchors.x_extent, anchors.y_extent
+    ix = np.maximum(0.0, np.minimum(xe[..., 1], g[..., 2]) - np.maximum(xe[..., 0], g[..., 0]))
+    iy = np.maximum(0.0, np.minimum(ye[..., 1], g[..., 3]) - np.maximum(ye[..., 0], g[..., 1]))
+    inter = (ix[:, None] * iy[:, :, None]).reshape(len(gc), a)           # (G, H, W, T) flat
+    area_g = (gc[:, 2] - gc[:, 0]) * (gc[:, 3] - gc[:, 1])
+    ious = inter / (area_g[:, None] + anchors.area - inter)              # (G, A)
+    best = ious.max(axis=0)
     y = np.zeros(a)
     mask = np.ones(a, dtype=bool)
     mask[(best >= OBJ_IOU_NEG) & (best < OBJ_IOU_POS)] = False
     y[best >= OBJ_IOU_POS] = 1.0
-    forced = ious.argmax(axis=0)
+    forced = ious.argmax(axis=1)
     y[forced] = 1.0
     mask[forced] = True
     return y, mask
@@ -520,10 +542,13 @@ def objectness_loss(params, sample, scored):
     bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     ds = OBJ_LOSS_WEIGHT * weights * (expit(s) - y)
     # types cycle fastest, so axis 0 of the (cells, types, C) view runs over
-    # one type's anchors; accumulate adds them one at a time, in order
+    # one type's anchors; accumulate adds them one at a time, in order, to
+    # the gradient so far. grad + row 0 == row 0 + grad exactly, so adding
+    # grad into row 0 first gives the same bits without a concatenated copy
     grad = params.objectness.grad
     per_cell = (ds[:, None] * feats).reshape(-1, *grad.shape)
-    grad[:] = np.add.accumulate(np.concatenate([grad[None], per_cell]))[-1]
+    per_cell[0] += grad
+    grad[:] = np.add.accumulate(per_cell, out=per_cell)[-1]
     return OBJ_LOSS_WEIGHT * float((weights * bce).sum())
 
 
@@ -559,8 +584,10 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     store = ParamStore()
     params = create_detector_params(store, world.channels, world.num_categories,
                                     cfg.feat_dim, init_seed, cfg.pooling)
+    # only the active parameters see gradient, so only they are updated; the
+    # rest keep zero gradient and velocity and stay bitwise at their init
     active = [store[name] for name in active_param_names(params, arm)]
-    velocity = {p.name: np.zeros_like(p.value) for p in store.params()}
+    velocity = {p.name: np.zeros_like(p.value) for p in active}
 
     cache = {}
     losses = []
@@ -575,7 +602,8 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
         if sample is None:
             sample = cache[idx] = sample_at(world, data_seed, idx)
 
-        store.zero_grads()
+        for p in active:
+            p.grad[...] = 0.0
         scored = score_anchors(params, sample)
         props = propose(params, sample, cfg, rng=jitter_rng, scored=scored)
         labels, target_deltas = assign_targets(props, sample.gt, world.num_categories)
@@ -589,7 +617,7 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
             raise TrainingDiverged(it)
 
         lr = cfg.lr * (0.1 if it >= drop_at else 1.0)
-        for p in store.params():
+        for p in active:
             v = velocity[p.name]
             v *= cfg.momentum
             v -= lr * p.grad

@@ -25,10 +25,11 @@ PR_THRESHOLDS = tuple(i / 10.0 for i in range(10))
 FP_IOU_LOC = 0.1
 # the one matching threshold: AP, PR and the Cor bucket all read it
 MATCH_IOU = 0.5
-# (detection, gt) pairs per IoU call: bounds the call's (k, 4) temporaries
-# near 1 MB; one call over the ~27k pairs of 500 default-world scenes peaked
-# 5 MB higher
-PAIR_CHUNK = 4096
+# (detection, gt) pairs per IoU call, which bounds the call's (k, 4)
+# temporaries. On the 32k pairs of 500 default-world scenes (5.3k detections)
+# the tracemalloc peak of evaluate_detections was 1.7 MB with 4096 and 1.1 MB
+# with 1024, at the same speed; one call over all pairs peaked 5 MB higher
+PAIR_CHUNK = 1024
 
 
 def _voc_ap(recall, precision):
@@ -46,7 +47,12 @@ class _Matching:
     Detections are held in rank order: score descending, ties kept in
     image-then-list order. In that order, a detection takes the still-free
     gt of its image and category with the highest IoU at or above the
-    threshold (and above 0), ties to the lowest gt index."""
+    threshold (and above 0), ties to the lowest gt index.
+
+    Of the same-image (detection, gt) pairs only those at IoU FP_IOU_LOC or
+    more are kept, by detection and then gt index: every match candidate is
+    one of them (MATCH_IOU >= FP_IOU_LOC), and the FP buckets read no other
+    pair. Their IoUs are dropped once the match is made."""
 
     def __init__(self, dets_by_image, gts_by_image):
         if len(dets_by_image) != len(gts_by_image):
@@ -60,31 +66,40 @@ class _Matching:
         self.det_cat = np.array([d.category for d in dets], dtype=np.intp)
         gts = [g for gg in gts_by_image for g in gg]
         self.gt_cat = np.array([g.category for g in gts], dtype=np.intp)
-        # every same-image pair, by detection and then gt index: pair p of
-        # detection d is gt p - shift[d], counted over all images
+        # pair p of detection d is gt p - shift[d], counted over all images;
+        # detections go in runs of about PAIR_CHUNK pairs
         n_gt = np.array([len(gg) for gg in gts_by_image], dtype=np.intp)
         per_det = n_gt[det_img]
-        self.pair_det = np.repeat(np.arange(len(dets)), per_det)
-        shift = np.cumsum(per_det) - per_det - (np.cumsum(n_gt) - n_gt)[det_img]
-        self.pair_gt = np.arange(len(self.pair_det)) - np.repeat(shift, per_det)
-        self.same = self.det_cat[self.pair_det] == self.gt_cat[self.pair_gt]
+        first = np.cumsum(per_det) - per_det
+        shift = first - (np.cumsum(n_gt) - n_gt)[det_img]
+        bounds = np.unique(np.append(
+            np.searchsorted(first, np.arange(0, per_det.sum(), PAIR_CHUNK)), len(dets))).tolist()
         det_box = boxes_to_centers([d.box for d in dets])
         gt_box = boxes_to_centers([g.box for g in gts])
-        self.pair_iou = np.empty(len(self.pair_det))
-        for lo in range(0, len(self.pair_det), PAIR_CHUNK):
-            at = slice(lo, lo + PAIR_CHUNK)
-            self.pair_iou[at] = iou(det_box[self.pair_det[at]], gt_box[self.pair_gt[at]])
-        self.matched = self._match()
+        near_det, near_gt, near_iou = [], [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            pair_det = np.repeat(np.arange(lo, hi), per_det[lo:hi])
+            pair_gt = np.arange(first[lo], first[lo] + len(pair_det)) - shift[pair_det]
+            v = iou(det_box[pair_det], gt_box[pair_gt])
+            near = v >= FP_IOU_LOC
+            near_det.append(pair_det[near])
+            near_gt.append(pair_gt[near])
+            near_iou.append(v[near])
+        small = np.min_scalar_type(max(len(dets), len(gts)))
+        self.near_det = np.concatenate(near_det or [[]]).astype(small)
+        self.near_gt = np.concatenate(near_gt or [[]]).astype(small)
+        self.matched = self._match(np.concatenate(near_iou or [[]]))
 
-    def _match(self):
-        """(D,) flags of the detections matched at IoU MATCH_IOU."""
-        v = self.pair_iou
-        cand = np.flatnonzero(self.same & (v >= MATCH_IOU) & (v > 0.0))
+    def _match(self, v):
+        """(D,) flags of the detections matched at IoU MATCH_IOU, from the
+        (near,) IoUs of the kept pairs."""
+        same = self.det_cat[self.near_det] == self.gt_cat[self.near_gt]
+        cand = np.flatnonzero(same & (v >= MATCH_IOU) & (v > 0.0))
         matched = np.zeros(len(self.score), dtype=bool)
         used = set()
         cur, best, best_v = -1, -1, 0.0
         # a detection's candidates are consecutive; the sentinel closes the last
-        for d, g, x in [*zip(self.pair_det[cand].tolist(), self.pair_gt[cand].tolist(),
+        for d, g, x in [*zip(self.near_det[cand].tolist(), self.near_gt[cand].tolist(),
                              v[cand].tolist()), (-1, -1, 0.0)]:
             if d != cur:
                 if best >= 0:
@@ -125,15 +140,15 @@ class _Matching:
         same-class gt at FP_IOU_LOC or better (this includes duplicates of an
         already matched gt), Sim / Oth for confusion with a similar / any
         other class, BG when it touches nothing."""
-        dc, gc, same = self.det_cat[self.pair_det], self.gt_cat[self.pair_gt], self.same
+        dc, gc = self.det_cat[self.near_det], self.gt_cat[self.near_gt]
+        same = dc == gc
         sim = np.zeros(len(same), dtype=bool)
         for a, b in similar_pairs:
             sim |= ((dc == a) & (gc == b)) | ((dc == b) & (gc == a))
-        near = self.pair_iou >= FP_IOU_LOC
         left = ~self.matched
         counts = {"Cor": int((~left).sum())}
         for name, kind in (("Loc", same), ("Sim", ~same & sim), ("Oth", ~same & ~sim)):
-            hit = np.bincount(self.pair_det[near & kind], minlength=len(left)) > 0
+            hit = np.bincount(self.near_det[kind], minlength=len(left)) > 0
             counts[name] = int((left & hit).sum())
             left &= ~hit
         counts["BG"] = int(left.sum())

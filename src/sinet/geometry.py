@@ -45,8 +45,10 @@ def boxes_to_array(boxes):
 
 
 def boxes_to_centers(boxes):
-    """Stack boxes as an (n, 4) array of (cx, cy, w, h) rows."""
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    """Stack boxes as an (n, 4) array of (cx, cy, w, h) rows, without an
+    intermediate list of tuples."""
+    return np.fromiter((v for b in boxes for v in (b.cx, b.cy, b.w, b.h)),
+                       dtype=np.float64).reshape(-1, 4)
 
 
 def centers_to_corners(centers):
@@ -77,6 +79,11 @@ def nms(boxes, scores, iou_thresh, max_keep, groups=None):
     With a (k,) `groups` array, boxes suppress only boxes of their own group:
     each group keeps what NMS over that group alone keeps. Returns kept
     indices in descending-score order, at most max_keep of them.
+
+    Only the top prefix of the score order that the scan reads is sorted
+    (_sorted_prefix); a scan that runs past it sorts all k scores, as does
+    a NaN at the cut. Both orders agree on the prefix, so the result is
+    the full sort's.
     """
     shape = np.shape(boxes)
     if len(shape) != 2 or shape[1] != 4:
@@ -94,20 +101,23 @@ def nms(boxes, scores, iou_thresh, max_keep, groups=None):
     # survives unless a kept box ahead of it in this order overlaps it, so
     # only the prefix up to the max_keep-th survivor matters; it is scanned
     # in blocks, each checked against the boxes kept so far and itself.
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    corners = np.asarray(boxes, dtype=np.float64)[order]
-    if groups is not None:
-        groups = np.asarray(groups)[order]
-    kept = []                    # positions in order
+    neg = -np.asarray(scores, dtype=np.float64)
+    boxes = np.asarray(boxes, dtype=np.float64)
     # twice max_keep usually holds every survivor; the cap bounds the matrix
-    start, block = 0, min(2 * max_keep, 256)
-    while start < len(order) and len(kept) < max_keep:
-        stop = min(start + block, len(order))
-        rows = np.concatenate([np.array(kept, dtype=np.intp), np.arange(start, stop)])
+    block = min(2 * max_keep, 256)
+    order = _sorted_prefix(neg, block)
+    kept = []                    # positions in order
+    start = 0
+    while start < len(neg) and len(kept) < max_keep:
+        stop = min(start + block, len(neg))
+        if stop > len(order):    # past the prefix: the full order keeps its positions
+            order = np.argsort(neg, kind="stable")
+        at = order[np.concatenate([np.array(kept, dtype=np.intp), np.arange(start, stop)])]
         # not (iou <= thresh): a NaN overlap suppresses, as a failed keep test
-        over = ~(pairwise_iou(corners[rows], corners[start:stop]) <= iou_thresh)
+        over = ~(pairwise_iou(boxes[at], boxes[at[len(kept):]]) <= iou_thresh)
         if groups is not None:
-            over &= groups[rows][:, None] == groups[start:stop]
+            grp = np.asarray(groups)[at]
+            over &= grp[:, None] == grp[len(kept):]
         dead = over[:len(kept)].any(axis=0)
         for j, row in enumerate(over[len(kept):]):
             if not dead[j]:
@@ -117,6 +127,20 @@ def nms(boxes, scores, iou_thresh, max_keep, groups=None):
                 dead |= row
         start = stop
     return [int(order[i]) for i in kept]
+
+
+def _sorted_prefix(neg, m):
+    """The first m or more positions of np.argsort(neg, kind="stable"): the
+    m-th smallest value is found with np.partition, and every index at or
+    below it is stable-sorted, so ties at the cut keep the lower index
+    first. Falls back to the full sort when there are at most m values or
+    the cut is NaN (fewer than m non-NaN values, which argsort puts last)."""
+    if m < len(neg):
+        cut = np.partition(neg, m - 1)[m - 1]
+        if not np.isnan(cut):
+            head = np.flatnonzero(neg <= cut)
+            return head[np.argsort(neg[head], kind="stable")]
+    return np.argsort(neg, kind="stable")
 
 
 def _check_rows(name, *arrays):

@@ -263,21 +263,49 @@ def sample_scene_oracle(world, seed, index, events=None):
     return grid, scene_type, [(b.cx, b.cy, b.w, b.h, cat_id) for (b, _, _), cat_id in placed]
 
 
+def _ranks_ahead(a, b):
+    """Score a goes before score b in descending order: NaN goes after every
+    number, as np.argsort puts it last."""
+    return not math.isnan(a) and (math.isnan(b) or a > b)
+
+
 def nms_oracle(boxes, scores, iou_thresh, max_keep):
     """Greedy suppression with explicit scanning; must reproduce the library's
-    exact kept-index list (ties to the lower index, overlap kept while
-    iou <= thresh)."""
+    exact kept-index list (ties, and NaN scores among themselves, to the lower
+    index; NaN scores after all others; overlap kept while iou <= thresh)."""
     alive = list(range(len(boxes)))
     keep = []
     while alive and len(keep) < max_keep:
         best = alive[0]
         for i in alive[1:]:
-            if scores[i] > scores[best]:
+            if _ranks_ahead(scores[i], scores[best]):
                 best = i
         keep.append(best)
         alive = [i for i in alive
                  if i != best and iou_oracle(boxes[best], boxes[i]) <= iou_thresh]
     return keep
+
+
+def anchor_targets_oracle(anchors, gt):
+    """Binary anchor labels (y, mask) from the dense (A, G) pairwise_iou of
+    every anchor against every gt: 1 at or over OBJ_IOU_POS, ignored
+    (mask False) in [OBJ_IOU_NEG, OBJ_IOU_POS), 0 under it, and each gt's
+    best anchor (ties to the lowest index) forced positive."""
+    from sinet.detector import OBJ_IOU_NEG, OBJ_IOU_POS
+    from sinet.geometry import boxes_to_array, pairwise_iou
+    a = len(anchors.corners)
+    if not gt:
+        return np.zeros(a), np.ones(a, dtype=bool)
+    ious = pairwise_iou(anchors.corners, boxes_to_array([o.box for o in gt]))
+    best = ious.max(axis=1)
+    y = np.zeros(a)
+    mask = np.ones(a, dtype=bool)
+    mask[(best >= OBJ_IOU_NEG) & (best < OBJ_IOU_POS)] = False
+    y[best >= OBJ_IOU_POS] = 1.0
+    forced = ious.argmax(axis=0)
+    y[forced] = 1.0
+    mask[forced] = True
+    return y, mask
 
 
 def average_precision_oracle(dets, gts, iou_thresh=0.5):

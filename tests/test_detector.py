@@ -23,8 +23,8 @@ from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, default_world
 
-from oracles import (apply_deltas_oracle, clip_box_oracle, covered_cells_oracle,
-                     encode_deltas_oracle, iou_oracle, nms_oracle)
+from oracles import (anchor_targets_oracle, apply_deltas_oracle, clip_box_oracle,
+                     covered_cells_oracle, encode_deltas_oracle, iou_oracle, nms_oracle)
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -472,6 +472,48 @@ def test_anchor_targets_empty_gt():
     assert mask.all()
 
 
+# quarter-cell boxes tie and coincide exactly; free floats land anywhere.
+# Both reach past every edge of a grid of up to 9 cells, and wholly off it.
+_gt_quarter = hst.builds(Box, hst.integers(-24, 60).map(lambda v: v / 4.0),
+                         hst.integers(-24, 60).map(lambda v: v / 4.0),
+                         hst.integers(1, 24).map(lambda v: v / 4.0),
+                         hst.integers(1, 24).map(lambda v: v / 4.0))
+_gt_free = hst.builds(Box, hst.floats(-8.0, 16.0), hst.floats(-8.0, 16.0),
+                      hst.floats(0.01, 12.0), hst.floats(0.01, 12.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=hst.integers(1, 9), w=hst.integers(1, 9),
+       distinct=hst.lists(hst.one_of(_gt_quarter, _gt_free), min_size=1, max_size=5),
+       picks=hst.lists(hst.integers(0, 4), min_size=1, max_size=8))
+def test_anchor_targets_match_dense_oracle(h, w, distinct, picks):
+    gt = [GtObject(distinct[p % len(distinct)], p % 3) for p in picks]
+    anchors = anchor_set(h, w)
+    y, mask = _anchor_targets(anchors, gt)
+    want_y, want_mask = anchor_targets_oracle(anchors, gt)
+    assert y.tobytes() == want_y.tobytes()
+    assert mask.tobytes() == want_mask.tobytes()
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (3, 7), (16, 16), (9, 4)])
+def test_anchor_extents_and_areas_are_the_corners(h, w):
+    anchors = anchor_set(h, w)
+    grid = anchors.corners.reshape(h, w, -1, 4)
+    assert np.array_equal(grid[..., 0::2], np.broadcast_to(anchors.x_extent, grid[..., 0::2].shape))
+    assert np.array_equal(grid[..., 1::2],
+                          np.broadcast_to(anchors.y_extent[:, None], grid[..., 1::2].shape))
+    c = anchors.corners
+    assert anchors.area.tolist() == ((c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])).tolist()
+
+
+def test_anchor_cache_is_read_only():
+    anchors = anchor_set(5, 6)
+    for name, arr in vars(anchors).items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+        assert not arr.flags.writeable, name
+
+
 def test_objectness_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(51)
     store, params = make_params(channels=4, k=2, d=4)
@@ -626,20 +668,21 @@ def test_train_divergence_is_reported():
 
 
 def test_train_inactive_params_untouched():
-    # the baseline arm must leave every graph parameter at its initial value
+    # an arm must leave every parameter it does not exercise (on the baseline
+    # arm, every graph parameter) bitwise at its initial value
     world = default_world()
     cfg = TrainConfig(iters=10, rois_per_image=6, T=2, feat_dim=8, seed=5)
-    result = train(world, cfg, arm="baseline", n_train=5)
-
     fresh = ParamStore()
     create_detector_params(fresh, world.channels, world.num_categories,
                            cfg.feat_dim, det_mod.derive_seed(cfg.seed, "init"),
                            cfg.pooling)
-    active = set(active_param_names(result.params, "baseline"))
-    for p in result.store.params():
-        if p.name in active:
-            continue
-        assert np.array_equal(p.value, fresh[p.name].value), p.name
+    for arm in ("baseline", "scene", "edge"):
+        result = train(world, cfg, arm=arm, n_train=5)
+        active = set(active_param_names(result.params, arm))
+        assert len(active) < len(fresh.names())
+        for p in result.store.params():
+            if p.name not in active:
+                assert p.value.tobytes() == fresh[p.name].value.tobytes(), (arm, p.name)
 
 
 def test_train_active_params_all_move():

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from sinet import evaluation
 from sinet.detector import Detection, TrainConfig
 from sinet.evaluation import (FP_KINDS, PR_THRESHOLDS, SWEEP_GRID, _voc_ap,
                               evaluate_detections, mean_ap, run_ablation, strip_objects)
@@ -196,13 +199,15 @@ _image = hst.tuples(
 
 
 @settings(max_examples=200, deadline=None)
-@given(images=hst.lists(_image, max_size=5))
+@given(images=hst.lists(_image, max_size=5), chunk=hst.sampled_from([1, 3, 1024]))
 # the first detection overlaps both gts at IoU 7/9 and must take gt 0, which
 # leaves the second detection, at IoU 0.6 with gt 0 and 1/3 with gt 1, unmatched
 @example(images=[([(Box(2, 2, 2, 2), 0), (Box(2.5, 2, 2, 2), 0)],
-                  [(-1, Box(2.25, 2, 2, 2), 0, 3), (-1, Box(1.5, 2, 2, 2), 0, 2)])])
-def test_matching_core_equals_scalar_oracles(images):
-    # images may be empty, lack gt, or hold detections but no gt
+                  [(-1, Box(2.25, 2, 2, 2), 0, 3), (-1, Box(1.5, 2, 2, 2), 0, 2)])],
+         chunk=1024)
+def test_matching_core_equals_scalar_oracles(images, chunk):
+    # images may be empty, lack gt, or hold detections but no gt; small
+    # chunks split the pairs between detections and leave pairless ones
     gts = [[GtObject(box, cat) for box, cat in gg] for gg, _ in images]
     dets = [[det(gt[src % len(gt)].box if src >= 0 and gt else box, cat=cat,
                  score=level / 4.0)
@@ -211,7 +216,8 @@ def test_matching_core_equals_scalar_oracles(images):
     similar = ((0, 1),)
     want_ap = {c: average_precision_oracle(*category_slices_oracle(dets, gts, c))
                for c in range(3)}
-    ev = evaluate_detections(dets, gts, 3, similar)
+    with mock.patch.object(evaluation, "PAIR_CHUNK", chunk):
+        ev = evaluate_detections(dets, gts, 3, similar)
     assert (ev.per_category_ap, ev.map, ev.num_images) == (want_ap, mean_ap(want_ap),
                                                            len(images))
     assert ev.pr == pr_curve_oracle(dets, gts)

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from sinet.geometry import (Box, apply_deltas, boxes_to_array, boxes_to_centers,
-                            centers_to_corners, clip_box, encode_deltas, iou, nms,
-                            pairwise_iou)
+from sinet import geometry
+from sinet.geometry import (Box, _sorted_prefix, apply_deltas, boxes_to_array,
+                            boxes_to_centers, centers_to_corners, clip_box, encode_deltas,
+                            iou, nms, pairwise_iou)
 
 from oracles import (apply_deltas_oracle, clip_box_oracle, encode_deltas_oracle,
                      iou_oracle, nms_oracle, random_box)
@@ -307,6 +310,87 @@ def test_grouped_nms_is_nms_per_group(distinct, picks, thresh):
                                                 [scores[m] for m in members],
                                                 thresh, len(members))]
     assert keep == sorted(want, key=lambda i: (-scores[i], i))
+
+
+# integer levels tie often, also across the cut; signed zeros and
+# infinities rank as np.argsort ranks them
+_level = hst.one_of(hst.integers(-2, 2).map(float),
+                    hst.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+
+def _with_nans(data, values):
+    """values with a drawn number of them, from none to all, set to NaN."""
+    for i in data.draw(hst.permutations(range(len(values))))[:data.draw(
+            hst.integers(0, len(values)))]:
+        values[i] = math.nan
+    return values
+
+
+def _rank(scores):
+    """Indices in descending-score order, ties to the lower index, NaN last."""
+    return sorted(range(len(scores)), key=lambda i: (math.isnan(scores[i]),
+                                                     0.0 if math.isnan(scores[i]) else -scores[i],
+                                                     i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data(), m=hst.integers(1, 40))
+def test_sorted_prefix_is_the_full_sort_prefix(data, m):
+    neg = np.array(_with_nans(data, data.draw(hst.lists(_level, max_size=50))))
+    head = _sorted_prefix(neg, m)
+    assert len(head) >= min(m, len(neg))
+    assert head.tolist() == np.argsort(neg, kind="stable")[:len(head)].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data(), distinct=hst.lists(_box, min_size=1, max_size=8),
+       max_keep=hst.integers(1, 12), extra=hst.integers(1, 40),
+       thresh=hst.sampled_from([0.1, 0.3, 0.5, 0.7]), grouped=hst.booleans())
+def test_nms_over_a_top_prefix_matches_oracle(data, distinct, max_keep, extra, thresh, grouped):
+    # k > 2 * max_keep, so nms sorts only a top prefix unless the scan runs
+    # past it or NaN reaches the cut; duplicate boxes make long scans
+    k = 2 * max_keep + extra
+    picks = data.draw(hst.lists(hst.integers(0, len(distinct) - 1), min_size=k, max_size=k))
+    boxes = [distinct[p] for p in picks]
+    scores = _with_nans(data, data.draw(hst.lists(_level, min_size=k, max_size=k)))
+    if not grouped:
+        keep = nms(boxes_to_array(boxes), scores, thresh, max_keep)
+        assert keep == nms_oracle(boxes, scores, thresh, max_keep)
+        return
+    groups = data.draw(hst.lists(hst.integers(0, 2), min_size=k, max_size=k))
+    keep = nms(boxes_to_array(boxes), scores, thresh, max_keep, groups=np.array(groups))
+    # each group's survivors, merged in score order, up to max_keep in all
+    survivors = set()
+    for g in set(groups):
+        members = [i for i in range(k) if groups[i] == g]
+        survivors.update(members[i] for i in nms_oracle(
+            [boxes[m] for m in members], [scores[m] for m in members], thresh, len(members)))
+    assert keep == [i for i in _rank(scores) if i in survivors][:max_keep]
+
+
+def test_nms_prefix_and_its_fallbacks(monkeypatch):
+    # 40 boxes and max_keep 4 give an 8-wide first block; levels tie at the
+    # cut (the 8th largest score, 2.0, is held by indices 5 to 12)
+    lengths = []
+
+    def spy(neg, m):
+        head = _sorted_prefix(neg, m)
+        lengths.append(len(head))
+        return head
+
+    monkeypatch.setattr(geometry, "_sorted_prefix", spy)
+    scores = [3.0] * 5 + [2.0] * 8 + [1.0] * 27
+    apart = [Box(3.0 * i + 1.0, 1.0, 1.0, 1.0) for i in range(40)]
+    same = [Box(1.0, 1.0, 1.0, 1.0)] * 40
+    # disjoint boxes: the scan stays inside the 13-wide prefix
+    assert nms(boxes_to_array(apart), scores, 0.5, 4) == nms_oracle(apart, scores, 0.5, 4)
+    # one box repeated: one survivor, and the scan runs past the prefix
+    assert nms(boxes_to_array(same), scores, 0.5, 4) == [0] == nms_oracle(same, scores, 0.5, 4)
+    # 35 NaN scores leave 5 numbers, fewer than the block: the cut is NaN
+    nan_scores = [math.nan] * 35 + [0.5, 0.0, -0.0, 2.0, 0.5]
+    assert nms(boxes_to_array(apart), nan_scores, 0.5, 4) == [38, 35, 39, 36]
+    assert nms_oracle(apart, nan_scores, 0.5, 4) == [38, 35, 39, 36]
+    assert lengths == [13, 13, 40]
 
 
 def test_nms_groups_validation_and_proposal_default():
