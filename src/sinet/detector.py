@@ -49,16 +49,16 @@ ANCHOR_RATIOS = (1.0, 1.5)
 
 ARMS = ("baseline", "scene", "edge", "sin")
 
-# Scenes per detection stack, chosen by measurement on 500 default-world
-# scenes with one BLAS thread on a shared 2-core x86 host. forward_scenes
-# (ROI pooling, two sin steps and the heads) took 0.84 ms per scene one at a
-# time, 0.49 in stacks of 4, 0.42-0.43 in stacks of 8 to 128 and 0.50 with
-# all 500 in one stack, whose temporaries outgrow the caches. Whole
-# detect_scenes runs, interleaved, took 1.48 / 1.51 / 1.56 ms per scene
-# (median CPU time) in stacks of 16 / 32 / 64. Numpy allocations of
-# forward_scenes peak at 2.0 MB for a stack of 16 (tapes, the spatial gate
-# and the (B, n, n, d) message products), 4.0 MB for 32 and 62 MB for 500
-# (tracemalloc), so 16 is as fast as any and holds half the memory of 32.
+# Scenes per detection stack, chosen by measurement on 512 default-world
+# held-out scenes (a 400-iteration sin model) with one BLAS thread on a
+# shared 2-core x86 host, stack sizes interleaved, median CPU time of 7
+# rounds in two runs. forward_scenes (ROI pooling, two sin steps and the
+# heads) took 0.24-0.25 / 0.20-0.21 / 0.18-0.20 / 0.23-0.24 ms per scene in
+# stacks of 8 / 16 / 32 / 64, and whole detect_scenes runs 0.72-0.73 /
+# 0.65 / 0.63-0.66 / 0.70-0.71. Numpy allocations of forward_scenes peak at
+# 1.0 / 2.0 / 4.0 / 8.0 MB (tracemalloc; tapes, the spatial gate and the
+# (B, n, n, d) message products), so 16 is as fast as any and holds half the
+# memory of 32.
 DETECT_CHUNK = 16
 
 
@@ -186,10 +186,9 @@ class AnchorSet:
     area: np.ndarray         # (A,) (x2 - x1) * (y2 - y1) of each corner row
     x_extent: np.ndarray     # (W, T, 2) x1, x2 of the anchors of each column and type
     y_extent: np.ndarray     # (H, T, 2) y1, y2 of the anchors of each row and type
-    cell_index: np.ndarray   # (A,) row-major cell of each anchor
-    type_index: np.ndarray   # (A,) scale/ratio slot of each anchor
+    type_pick: np.ndarray    # (A,) flat index of each anchor's own type in an (A, T) array
     pool_index: np.ndarray   # (4, A) integral-image rows of r1c1, r0c1, r1c0, r0c0
-    pool_count: np.ndarray   # (A, 1) cells in each clipped window
+    pool_count: np.ndarray   # (A, 1) cells in each clipped window, as floats
 
 
 _ANCHOR_CACHE = {}
@@ -202,7 +201,9 @@ def anchor_set(height, width):
     uses) is cached as the flat (height+1)*(width+1) integral-image rows of
     its four corners. An anchor's x-extent depends only on its column and
     type, its y-extent only on its row and type; both are cached per axis.
-    The cached arrays are shared by every caller, so they are read-only."""
+    type_pick picks each anchor's score out of the flattened (A, T) scores of
+    every type. The cached arrays are shared by every caller, so they are
+    read-only."""
     hit = _ANCHOR_CACHE.get((height, width))
     if hit is not None:
         return hit
@@ -218,11 +219,11 @@ def anchor_set(height, width):
     out = AnchorSet(centers=centers, corners=corners,
                     area=(corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1]),
                     x_extent=grid[0, :, :, 0::2].copy(), y_extent=grid[:, 0, :, 1::2].copy(),
-                    cell_index=np.repeat(np.arange(height * width), len(sizes)),
-                    type_index=np.tile(np.arange(len(sizes)), height * width),
+                    type_pick=np.arange(len(centers)) * len(sizes)
+                    + np.tile(np.arange(len(sizes)), height * width),
                     pool_index=np.stack([r1 * stride + c1, r0 * stride + c1,
                                          r1 * stride + c0, r0 * stride + c0]),
-                    pool_count=((r1 - r0) * (c1 - c0)).reshape(-1, 1))
+                    pool_count=((r1 - r0) * (c1 - c0)).reshape(-1, 1).astype(np.float64))
     for arr in vars(out).values():
         arr.flags.writeable = False
     _ANCHOR_CACHE[height, width] = out
@@ -231,14 +232,21 @@ def anchor_set(height, width):
 
 def _anchor_features(sample, anchors):
     """(A, C) average of the cells each anchor covers, clipped to the grid,
-    computed with an integral image. Matches forward's ROI pooling for
-    anchors that stay inside the grid."""
+    computed with an integral image: the r1c1 corner minus r0c1, minus r1c0,
+    plus r0c0, over the cell count. Each corner is a `take` of integral-image
+    rows and the sum runs in place, in that order. Matches forward's ROI
+    pooling for anchors that stay inside the grid up to rounding."""
     h, w, c = sample.grid.shape
     integral = np.zeros((h + 1, w + 1, c))
     integral[1:, 1:] = sample.grid.cumsum(axis=0).cumsum(axis=1)
     flat = integral.reshape(-1, c)
     i11, i01, i10, i00 = anchors.pool_index
-    return (flat[i11] - flat[i01] - flat[i10] + flat[i00]) / anchors.pool_count
+    out = flat.take(i11, axis=0)
+    out -= flat.take(i01, axis=0)
+    out -= flat.take(i10, axis=0)
+    out += flat.take(i00, axis=0)
+    out /= anchors.pool_count
+    return out
 
 
 def score_anchors(params, sample):
@@ -248,7 +256,7 @@ def score_anchors(params, sample):
     anchors = anchor_set(*sample.grid.shape[:2])
     feats = _anchor_features(sample, anchors)
     per_type = feats @ params.objectness.value.T          # (A, num types)
-    return anchors, feats, per_type[np.arange(len(feats)), anchors.type_index]
+    return anchors, feats, per_type.take(anchors.type_pick)
 
 
 def propose(params, sample, cfg, rng=None, scored=None):
@@ -334,23 +342,58 @@ def _softmax_rows(logits):
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
+_EDGE_SIGN = np.array([[-1.0], [1.0]])   # low and high edges of a center-size row
+
+
 def _pool_rois(samples, boxes):
     """(B, n, C) ROI features: for each center-size row of the (B, n, 4)
-    `boxes`, the mean of the cells of its scene that it covers, or of the
-    single nearest cell center when it covers none (ties go row-major
-    first)."""
-    corners = centers_to_corners(boxes.reshape(-1, 4)).reshape(boxes.shape)
-    node_avg = np.empty(boxes.shape[:2] + samples[0].grid.shape[2:])
-    for sample, rois, cs, avg in zip(samples, boxes.tolist(), corners.tolist(), node_avg):
-        h, w = sample.grid.shape[:2]
-        for i, (cx, cy, _, _) in enumerate(rois):
-            r0, r1, c0, c1 = cell_window(cs[i], h, w)
-            if r1 == r0 or c1 == c0:
-                r0 = int(np.argmin(np.abs(np.arange(h) + 0.5 - cy)))
-                c0 = int(np.argmin(np.abs(np.arange(w) + 0.5 - cx)))
-                r1, c1 = r0 + 1, c0 + 1
-            avg[i] = sample.grid[r0:r1, c0:c1].mean(axis=(0, 1))
-    return node_avg
+    `boxes`, the mean of the cells of its scene whose centers it covers
+    (cell_window's rule, on the scene's own grid), or of the single nearest
+    cell center when it covers none (ties go row-major first; a NaN row
+    pools cell (0, 0)).
+
+    One gather for the whole stack: the scenes' (h*w, C) cell rows are
+    stacked over one -0.0 pad row, and each ROI's window is laid out
+    row-major in a (max rows, max cols) block of indices, padded with the pad
+    row. -0.0 is the exact additive identity (s + -0.0 == s for every s), so
+    each block sums to its window's cells added one by one in row-major
+    order, as a slice mean adds them, and is then divided by the cell count.
+    That order relies on C >= 2 (validate_world requires it): numpy then adds
+    along axis 1 one cell at a time, where with C == 1 it sums pairwise."""
+    n, c = boxes.shape[1], samples[0].grid.shape[2]
+    rows = boxes.reshape(-1, 4)
+    shapes = [sample.grid.shape for sample in samples]
+    lim = np.repeat([(w, h) for h, w, _ in shapes], n, axis=0)          # (B*n, 2) w, h
+    # cell_window on arrays, x first: the cell centers i + 0.5 below each
+    # low and high edge (cx - w/2 == cx + -w/2 exactly); a NaN edge stays NaN,
+    # so its window counts as empty
+    edges = rows[:, None, :2] + _EDGE_SIGN * rows[:, None, 2:] / 2.0
+    win = np.minimum(np.maximum(np.ceil(edges - 0.5), 0.0), lim[:, None])
+    ext = win[:, 1] - win[:, 0]
+    empty = ~(ext > 0.0).all(axis=1)
+    if empty.any():
+        # the nearest cell center per axis, past each grid's edge inf away
+        size = lim[empty]
+        span = np.arange(size.max())
+        dist = np.abs(span + 0.5 - rows[empty, :2, None])
+        dist[span >= size[:, :, None]] = np.inf
+        win[empty, 0] = dist.argmin(axis=2)
+        ext[empty] = 1.0
+    lo = win[:, 0].astype(np.intp)
+    ext = ext.astype(np.intp)
+    width = lim[:, 0]
+    # each window's first cell in the stacked (sum of h w, C) cell rows
+    first = np.repeat(np.cumsum([0] + [h * w for h, w, _ in shapes[:-1]]), n)
+    first += lo[:, 1] * width + lo[:, 0]
+    col = np.arange(ext[:, 0].max())
+    row = np.arange(ext[:, 1].max())[:, None]
+    index = first[:, None, None] + row * width[:, None, None] + col
+    index[(row >= ext[:, 1, None, None]) | (col >= ext[:, 0, None, None])] = -1   # the pad row
+    cells = np.concatenate([sample.grid.reshape(-1, c) for sample in samples]
+                           + [np.full((1, c), -0.0)])
+    sums = cells.take(index.reshape(len(rows), -1), axis=0).sum(axis=1)
+    sums /= (ext[:, 0] * ext[:, 1])[:, None]
+    return sums.reshape(boxes.shape[:2] + (c,))
 
 
 def forward_scenes(params, samples, boxes, cfg, mode, steps):

@@ -180,6 +180,42 @@ def covered_cells_oracle(box, height, width):
     return rows, cols
 
 
+def pool_rois_oracle(samples, boxes):
+    """(B, n, C) ROI features one ROI at a time: the ndarray.mean of each
+    center-size row's cell_window slice of its own scene's grid or, when the
+    window is empty, of the single cell nearest its center (np.argmin per
+    axis, so ties and NaN go to the lower cell)."""
+    from sinet.geometry import centers_to_corners
+    from sinet.synth_data import cell_window
+    corners = centers_to_corners(boxes.reshape(-1, 4)).reshape(boxes.shape)
+    node_avg = np.empty(boxes.shape[:2] + samples[0].grid.shape[2:])
+    for sample, rois, cs, avg in zip(samples, boxes.tolist(), corners.tolist(), node_avg):
+        h, w = sample.grid.shape[:2]
+        for i, (cx, cy, _, _) in enumerate(rois):
+            r0, r1, c0, c1 = cell_window(cs[i], h, w)
+            if r1 == r0 or c1 == c0:
+                r0 = int(np.argmin(np.abs(np.arange(h) + 0.5 - cy)))
+                c0 = int(np.argmin(np.abs(np.arange(w) + 0.5 - cx)))
+                r1, c1 = r0 + 1, c0 + 1
+            avg[i] = sample.grid[r0:r1, c0:c1].mean(axis=(0, 1))
+    return node_avg
+
+
+def anchor_features_oracle(grid, anchors):
+    """(A, C) anchor features from an integral image, with each anchor's
+    cell_window found one anchor at a time, the four corners gathered by
+    fancy indexing and divided by the integer cell count."""
+    from sinet.synth_data import cell_window
+    h, w, c = grid.shape
+    integral = np.zeros((h + 1, w + 1, c))
+    integral[1:, 1:] = grid.cumsum(axis=0).cumsum(axis=1)
+    flat = integral.reshape(-1, c)
+    win = np.array([cell_window(row, h, w) for row in anchors.corners.tolist()])
+    r0, r1, c0, c1 = win.T
+    i11, i01, i10, i00 = (r * (w + 1) + col for r, col in ((r1, c1), (r0, c1), (r1, c0), (r0, c0)))
+    return (flat[i11] - flat[i01] - flat[i10] + flat[i00]) / ((r1 - r0) * (c1 - c0))[:, None]
+
+
 def sample_scene_oracle(world, seed, index, events=None):
     """Scene `index` of the stream keyed by `seed`, drawn the direct way:
     rng.uniform for sizes, centers and coins, rng.choice for categories,

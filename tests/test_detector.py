@@ -12,7 +12,7 @@ from sinet import detector as det_mod
 from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
                             PROPOSAL_NMS_THRESH, TrainConfig,
-                            TrainingDiverged, _anchor_features, _anchor_targets,
+                            TrainingDiverged, _anchor_features, _anchor_targets, _pool_rois,
                             active_param_names, anchor_set, arm_plan, assign_targets,
                             create_detector_params, detect, detect_scenes, forward,
                             forward_scenes, multi_task_loss, objectness_loss, propose,
@@ -23,8 +23,9 @@ from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, default_world
 
-from oracles import (anchor_targets_oracle, apply_deltas_oracle, clip_box_oracle,
-                     covered_cells_oracle, encode_deltas_oracle, iou_oracle, nms_oracle)
+from oracles import (anchor_features_oracle, anchor_targets_oracle, apply_deltas_oracle,
+                     clip_box_oracle, covered_cells_oracle, encode_deltas_oracle, iou_oracle,
+                     nms_oracle, pool_rois_oracle)
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -46,11 +47,14 @@ def test_anchor_set_enumeration():
     assert len(a.centers) == 16 * 16 * len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
     assert len(a.centers) == 1536
     assert a.corners.shape == (1536, 4)
-    # row-major by cell, types cycling fastest
+    # row-major by cell, types cycling fastest: anchor i is type i % T of
+    # cell i // T, whose score sits at flat index i * T + i % T of (A, T)
     num_types = len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
-    assert a.type_index[:num_types].tolist() == list(range(num_types))
-    assert a.cell_index[0] == 0 and a.cell_index[num_types] == 1
+    i = np.arange(1536)
+    assert a.type_pick.tolist() == (i * num_types + i % num_types).tolist()
     assert a.centers[0, :2].tolist() == [0.5, 0.5]
+    assert a.centers[num_types, :2].tolist() == [1.5, 0.5]
+    assert a.centers[16 * num_types, :2].tolist() == [0.5, 1.5]
     # the same rows, bit for bit, as Boxes enumerated one at a time
     sizes = [(s * math.sqrt(r), s / math.sqrt(r)) for s in ANCHOR_SCALES for r in ANCHOR_RATIOS]
     boxes = [Box(c + 0.5, r + 0.5, aw, ah)
@@ -74,6 +78,71 @@ def test_anchor_features_match_covered_cell_pooling():
         rows, cols = covered_cells_oracle(box, h, w)
         want = grid[np.ix_(rows, cols)].mean(axis=(0, 1))
         assert np.allclose(feats[i], want, atol=1e-12), f"anchor {i}"
+
+
+def _grid(seed, h, w, c, neg_zero):
+    """Normal cells, a `neg_zero` share of them replaced by -0.0."""
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(size=(h, w, c))
+    grid[rng.random((h, w, c)) < neg_zero] = -0.0
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=hst.integers(1, 12), w=hst.integers(1, 12), c=hst.integers(2, 8),
+       seed=hst.integers(0, 2**32 - 1), neg_zero=hst.sampled_from((0.0, 0.3, 1.0)))
+def test_anchor_features_and_scores_match_oracle(h, w, c, seed, neg_zero):
+    # bitwise: `take` and in-place arithmetic run the fancy-index form's
+    # float operations in the same order, and the cached flat pick reads the
+    # same entries of the (A, T) scores as a pair of index arrays
+    grid = _grid(seed, h, w, c, neg_zero)
+    sample = SceneSample(grid=grid, scene_type=0, gt=[])
+    anchors = anchor_set(h, w)
+    want = anchor_features_oracle(grid, anchors)
+    assert _anchor_features(sample, anchors).tobytes() == want.tobytes()
+    store, params = make_params(channels=c)
+    params.objectness.value[:] = np.random.default_rng(seed + 1).normal(
+        size=params.objectness.value.shape)
+    got_anchors, feats, scores = score_anchors(params, sample)
+    assert got_anchors is anchors and feats.tobytes() == want.tobytes()
+    num_types = len(params.objectness.value)
+    a = np.arange(len(want))
+    per_type = want @ params.objectness.value.T
+    assert scores.tobytes() == per_type[a, a % num_types].tobytes()
+
+
+# quarter-cell rows put centers and edges on cell boundaries (nearest-cell
+# ties, windows between cell centers, zero sizes); free rows land anywhere;
+# both reach past every edge of a grid of up to 7 cells, and wholly off it
+_roi_quarter = hst.tuples(*[hst.integers(-12, 44).map(lambda v: v / 4.0)] * 2,
+                          *[hst.integers(0, 48).map(lambda v: v / 4.0)] * 2)
+_roi_free = hst.tuples(hst.floats(-6.0, 16.0), hst.floats(-6.0, 16.0),
+                       hst.floats(0.0, 24.0), hst.floats(0.0, 24.0))
+_nan, _inf = math.nan, math.inf
+_roi_odd = hst.sampled_from([(_nan, _nan, _nan, _nan), (2.0, 3.0, _nan, 1.0),
+                             (_nan, 1.5, 1.0, 1.0), (2.5, 1.5, -1.0, 2.0),
+                             (_inf, 2.0, 1.0, 1.0), (1.5, -_inf, 1.0, 1.0),
+                             (1.5, 2.5, _inf, 2.0), (1.5, 2.5, -_inf, 2.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes=hst.lists(hst.tuples(hst.integers(1, 7), hst.integers(1, 7)),
+                        min_size=1, max_size=4),
+       c=hst.integers(2, 8), n=hst.integers(1, 6), seed=hst.integers(0, 2**32 - 1),
+       neg_zero=hst.sampled_from((0.0, 0.3, 1.0)),
+       rois=hst.lists(hst.one_of(_roi_quarter, _roi_free, _roi_odd), min_size=1, max_size=24))
+@example(shapes=[(4, 5)], c=2, n=3, seed=0, neg_zero=0.0,
+         rois=[(2.0, 3.0, 0.5, 0.5), (3.0, 2.0, 0.25, 4.0), (2.0, 2.0, 4.0, 0.0)])
+@example(shapes=[(7, 7), (2, 3), (5, 1)], c=3, n=2, seed=1, neg_zero=0.0,
+         rois=[(3.5, 3.5, 7.0, 7.0), (2.75, 1.25, 2.5, 2.5), (9.0, -2.0, 1.0, 1.0)])
+def test_pool_rois_matches_oracle(shapes, c, n, seed, neg_zero, rois):
+    # bitwise: the padded gather adds each window's cells in the oracle's
+    # row-major order, on each scene's own grid, and the array fallback
+    # picks the oracle's nearest cell, ties and NaN to the lower one
+    samples = [SceneSample(grid=_grid(seed + b, h, w, c, neg_zero), scene_type=0, gt=[])
+               for b, (h, w) in enumerate(shapes)]
+    boxes = np.array([rois[i % len(rois)] for i in range(len(shapes) * n)]).reshape(-1, n, 4)
+    assert _pool_rois(samples, boxes).tobytes() == pool_rois_oracle(samples, boxes).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +577,7 @@ def test_anchor_extents_and_areas_are_the_corners(h, w):
 
 def test_anchor_cache_is_read_only():
     anchors = anchor_set(5, 6)
+    assert anchors.pool_count.dtype == np.float64
     for name, arr in vars(anchors).items():
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
@@ -563,8 +633,9 @@ def test_objectness_loss_with_shared_scores_matches_own():
 
     # the scores are each anchor's pooled features through its type's row
     anchors, feats, scores = scored
+    num_types = len(params.objectness.value)
     for a in range(len(anchors.centers)):
-        want = feats[a] @ params.objectness.value[anchors.type_index[a]]
+        want = feats[a] @ params.objectness.value[a % num_types]
         assert scores[a] == pytest.approx(want, abs=1e-12)
     # the gradient accumulates onto what was there
     store.zero_grads()
