@@ -1,10 +1,13 @@
 """Two-stage toy detector over cell grids.
 
 Stage one scores a fixed anchor set with a learned one-layer objectness map
-and keeps a fixed number of proposals via NMS. Stage two builds a detection
-graph over the proposals (node features pooled from covered cells, one scene
-node pooled globally), runs the structure inference steps, and reads class
-probabilities and per-class box deltas off the final node states.
+and keeps a fixed number of proposals: the top-scoring anchors in detection,
+where no two anchors overlap enough to suppress one another, and NMS over
+the anchors and the jittered ground truth in training. Stage two builds a
+detection graph over the proposals (node features pooled from covered cells,
+one scene node pooled globally), runs the structure inference steps, and
+reads class probabilities and per-class box deltas off the final node
+states.
 
 Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
 (cx, cy, w, h); Box objects appear only for ground truth and the kept
@@ -15,7 +18,7 @@ numbers do not depend on what it is stacked with. Training and `forward` run
 stacks of one scene; detect_scenes runs the proposal stage per scene and
 stage two on chunks of DETECT_CHUNK scenes. Its tail thresholds the whole
 chunk's (B, n, K) probabilities at once, refines and clips every candidate
-in one call, and suppresses each scene's with one NMS grouped by class.
+in one call, and suppresses them with one NMS grouped by (scene, class).
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -28,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .geometry import (Box, apply_deltas, boxes_to_array, boxes_to_centers,
-                       centers_to_corners, clip_box, encode_deltas, nms, pairwise_iou)
+from .geometry import (Box, _sorted_prefix, apply_deltas, boxes_to_array,
+                       boxes_to_centers, centers_to_corners, clip_box, encode_deltas, nms,
+                       nms_by_group, pairwise_iou)
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
                                   create_sin_params, sin_backward,
@@ -44,6 +48,11 @@ SMOOTH_L1_THRESH = 1.0
 GT_JITTER = 0.25
 IGNORE = -1
 
+# No two distinct anchors of any grid overlap past PROPOSAL_NMS_THRESH: the
+# largest IoU between them is 0.68990, on every grid (a test pins it). So
+# proposal NMS over anchors alone suppresses nothing, and detection keeps the
+# top-scoring anchors without it. Scales or ratios that break this must bring
+# NMS back into propose.
 ANCHOR_SCALES = (1.4, 2.2, 3.0)
 ANCHOR_RATIOS = (1.0, 1.5)
 
@@ -51,14 +60,13 @@ ARMS = ("baseline", "scene", "edge", "sin")
 
 # Scenes per detection stack, chosen by measurement on 512 default-world
 # held-out scenes (a 400-iteration sin model) with one BLAS thread on a
-# shared 2-core x86 host, stack sizes interleaved, median CPU time of 7
-# rounds in two runs. forward_scenes (ROI pooling, two sin steps and the
-# heads) took 0.24-0.25 / 0.20-0.21 / 0.18-0.20 / 0.23-0.24 ms per scene in
-# stacks of 8 / 16 / 32 / 64, and whole detect_scenes runs 0.72-0.73 /
-# 0.65 / 0.63-0.66 / 0.70-0.71. Numpy allocations of forward_scenes peak at
-# 1.0 / 2.0 / 4.0 / 8.0 MB (tracemalloc; tapes, the spatial gate and the
-# (B, n, n, d) message products), so 16 is as fast as any and holds half the
-# memory of 32.
+# shared 2-core x86 host, stack sizes interleaved, median process CPU time
+# of 7 rounds in two runs. Whole detect_scenes took 0.34-0.35 / 0.32 /
+# 0.29-0.30 / 0.33-0.36 ms per scene in stacks of 8 / 16 / 32 / 64; with 16
+# and 32 alone, 11 rounds in two runs, 0.30 / 0.31. Numpy allocations of
+# detect_scenes peak at 1.4 / 2.3 / 4.1 / 7.8 MB (tracemalloc; tapes, the
+# spatial gate and the (B, n, n, d) message products), so 16 is as fast as
+# any and holds half the memory of 32.
 DETECT_CHUNK = 16
 
 
@@ -192,6 +200,8 @@ class AnchorSet:
 
 
 _ANCHOR_CACHE = {}
+# (h, w, C) -> each anchor's cell count repeated across the C channels
+_POOL_COUNT_CACHE = {}
 
 
 def anchor_set(height, width):
@@ -234,8 +244,10 @@ def _anchor_features(sample, anchors):
     """(A, C) average of the cells each anchor covers, clipped to the grid,
     computed with an integral image: the r1c1 corner minus r0c1, minus r1c0,
     plus r0c0, over the cell count. Each corner is a `take` of integral-image
-    rows and the sum runs in place, in that order. Matches forward's ROI
-    pooling for anchors that stay inside the grid up to rounding."""
+    rows and the sum runs in place, in that order. The divisor is the cell
+    counts as wide as the features, cached per (h, w, C): an (A, 1) one costs
+    one numpy inner loop per anchor. Matches forward's ROI pooling for
+    anchors that stay inside the grid up to rounding."""
     h, w, c = sample.grid.shape
     integral = np.zeros((h + 1, w + 1, c))
     integral[1:, 1:] = sample.grid.cumsum(axis=0).cumsum(axis=1)
@@ -245,7 +257,10 @@ def _anchor_features(sample, anchors):
     out -= flat.take(i01, axis=0)
     out -= flat.take(i10, axis=0)
     out += flat.take(i00, axis=0)
-    out /= anchors.pool_count
+    count = _POOL_COUNT_CACHE.get((h, w, c))
+    if count is None:
+        count = _POOL_COUNT_CACHE[h, w, c] = np.repeat(anchors.pool_count, c, axis=1)
+    out /= count
     return out
 
 
@@ -265,21 +280,24 @@ def propose(params, sample, cfg, rng=None, scored=None):
     Anchors are scored by the objectness map (or `scored`, the result of
     score_anchors for this sample and params) and pruned by NMS. In training,
     when `rng` is given, the ground-truth boxes, jittered with draws from it,
-    are prepended with scores above any anchor so they survive pruning. Too
-    few survivors are padded by cycling through the kept boxes in order.
+    are prepended with scores above any anchor so they survive pruning.
+    Without them NMS suppresses no anchor (see ANCHOR_SCALES), so the kept
+    boxes are the first of the stable descending score order. Too few
+    survivors are padded by cycling through the kept boxes in order.
     """
     anchors, _feats, scores = scored or score_anchors(params, sample)
-    centers, corners = anchors.centers, anchors.corners
-    if rng is not None and sample.gt:
-        h, w = sample.grid.shape[:2]
-        injected = boxes_to_centers([obj.box for obj in sample.gt])
-        jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
-        injected = clip_box(apply_deltas(injected, jitter), w, h)
-        centers = np.concatenate([injected, centers])
-        corners = np.concatenate([centers_to_corners(injected), corners])
-        scores = np.concatenate([np.full(len(injected), 1e9), scores])
-    keep = nms(corners, scores, PROPOSAL_NMS_THRESH, max_keep=cfg.rois_per_image)
-    return centers[np.resize(keep, cfg.rois_per_image)]
+    n = cfg.rois_per_image
+    if rng is None or not sample.gt:
+        return anchors.centers[np.resize(_sorted_prefix(-scores, n)[:n], n)]
+    h, w = sample.grid.shape[:2]
+    injected = boxes_to_centers([obj.box for obj in sample.gt])
+    jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
+    injected = clip_box(apply_deltas(injected, jitter), w, h)
+    centers = np.concatenate([injected, anchors.centers])
+    corners = np.concatenate([centers_to_corners(injected), anchors.corners])
+    scores = np.concatenate([np.full(len(injected), 1e9), scores])
+    keep = nms(corners, scores, PROPOSAL_NMS_THRESH, max_keep=n)
+    return centers[np.resize(keep, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +703,8 @@ class Detection:
 def _detect_stack(params, samples, cfg, score_thresh, arm):
     """Proposals per scene, stage two once over the stack, then the tail on
     the whole stack: every (scene, class, ROI) score that clears the
-    threshold is refined and clipped to its scene's grid, and each scene's
-    candidates go through one NMS grouped by class. Returns the detections
+    threshold is refined and clipped to its scene's grid, and all of them
+    go through one NMS grouped by (scene, class). Returns the detections
     of each scene, sorted by class, then score descending, then box, and
     the stack's forward state. A scene's detections do not depend on its
     stack or on ROI order (modulo exact score ties)."""
@@ -700,16 +718,8 @@ def _detect_stack(params, samples, cfg, score_thresh, arm):
     hw = np.array([sample.grid.shape[:2] for sample in samples], dtype=np.float64)[scene]
     refined = clip_box(apply_deltas(boxes[scene, rois], state.deltas[scene, rois, cats]),
                        hw[:, 1], hw[:, 0])
-    corners = centers_to_corners(refined)
-    # one NMS per scene: measured faster than one over the stack grouped by
-    # (scene, class), whose blocks compare every pair across scenes
-    keep = []
-    bounds = np.searchsorted(scene, np.arange(len(samples) + 1)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            keep += [lo + i for i in nms(corners[lo:hi], scores[lo:hi], FINAL_NMS_THRESH,
-                                         max_keep=hi - lo, groups=cats[lo:hi])]
-    keep = np.array(keep, dtype=np.intp)
+    keep = nms_by_group(centers_to_corners(refined), scores, scene * k + cats,
+                        FINAL_NMS_THRESH)
     r = refined[keep]
     keep = keep[np.lexsort((r[:, 3], r[:, 2], r[:, 1], r[:, 0], -scores[keep], cats[keep],
                             scene[keep]))]

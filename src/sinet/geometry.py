@@ -1,6 +1,7 @@
 """Axis-aligned box arithmetic in grid units: greedy NMS over corner arrays
-(optionally within groups), and paired IoU, delta encoding, refinement and
-clipping over center-size arrays.
+(nms keeps the top max_keep survivors of one large set, nms_by_group every
+survivor of many small groups), and paired IoU, delta encoding, refinement
+and clipping over center-size arrays.
 
 Box objects are the API edge: ground truth (scene placement and dataset
 parsing), kept detections and the gradient-check fixture. The array kernels
@@ -70,30 +71,20 @@ def pairwise_iou(corners_a, corners_b):
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def nms(boxes, scores, iou_thresh, max_keep, groups=None):
+def nms(boxes, scores, iou_thresh, max_keep):
     """Greedy non-maximum suppression over a (k, 4) corner array, as made by
     boxes_to_array.
 
     Repeatedly keeps the highest-scoring remaining box (score ties go to the
     lower index) and discards boxes whose IoU with it exceeds iou_thresh.
-    With a (k,) `groups` array, boxes suppress only boxes of their own group:
-    each group keeps what NMS over that group alone keeps. Returns kept
-    indices in descending-score order, at most max_keep of them.
+    Returns kept indices in descending-score order, at most max_keep of them.
 
     Only the top prefix of the score order that the scan reads is sorted
     (_sorted_prefix); a scan that runs past it sorts all k scores, as does
     a NaN at the cut. Both orders agree on the prefix, so the result is
     the full sort's.
     """
-    shape = np.shape(boxes)
-    if len(shape) != 2 or shape[1] != 4:
-        raise ValueError(f"nms: boxes must be a (k, 4) corner array, got shape {shape}")
-    if len(boxes) != len(scores):
-        raise ValueError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
-    if groups is not None and np.shape(groups) != (len(boxes),):
-        raise ValueError(f"nms: {len(boxes)} boxes but groups of shape {np.shape(groups)}")
-    if not (0.0 < iou_thresh < 1.0):
-        raise ValueError(f"nms: iou_thresh must be in (0,1), got {iou_thresh}")
+    _check_nms("nms", boxes, scores, iou_thresh)
     if max_keep < 1:
         raise ValueError("nms: max_keep must be >= 1")
 
@@ -115,9 +106,6 @@ def nms(boxes, scores, iou_thresh, max_keep, groups=None):
         at = order[np.concatenate([np.array(kept, dtype=np.intp), np.arange(start, stop)])]
         # not (iou <= thresh): a NaN overlap suppresses, as a failed keep test
         over = ~(pairwise_iou(boxes[at], boxes[at[len(kept):]]) <= iou_thresh)
-        if groups is not None:
-            grp = np.asarray(groups)[at]
-            over &= grp[:, None] == grp[len(kept):]
         dead = over[:len(kept)].any(axis=0)
         for j, row in enumerate(over[len(kept):]):
             if not dead[j]:
@@ -127,6 +115,66 @@ def nms(boxes, scores, iou_thresh, max_keep, groups=None):
                 dead |= row
         start = stop
     return [int(order[i]) for i in kept]
+
+
+def nms_by_group(boxes, scores, groups, iou_thresh):
+    """Greedy NMS within each group of a (k, 4) corner array: boxes suppress
+    only boxes of their own (k,) `groups` id, and each group keeps what nms
+    over that group alone keeps with no cap. Returns the kept indices as an
+    array ordered by group id, then by descending score (ties to the lower
+    index, NaN scores last).
+
+    Built for many small groups. A stable lexsort ranks each group's boxes;
+    IoUs are computed only for pairs within a group, with pairwise_iou's
+    float operations in its order (the higher-ranked box first); the greedy
+    pass takes one step per rank, over all groups at once, so it runs at most
+    as many steps as the largest group has boxes."""
+    _check_nms("nms_by_group", boxes, scores, iou_thresh)
+    if np.shape(groups) != (len(boxes),):
+        raise ValueError(f"nms_by_group: {len(boxes)} boxes but groups of shape "
+                         f"{np.shape(groups)}")
+    groups = np.asarray(groups)
+    order = np.lexsort((-np.asarray(scores, dtype=np.float64), groups))
+    k = len(order)
+    g = groups[order]
+    first = np.flatnonzero(np.concatenate([[True], g[1:] != g[:-1]]))
+    size = np.diff(np.append(first, k))
+    rank = np.arange(k) - np.repeat(first, size)
+    # every pair (i, j) of sorted positions in one group with i ahead of j
+    behind = np.repeat(size, size) - rank - 1
+    i = np.repeat(np.arange(k), behind)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(behind) - behind, behind)
+    corners = np.asarray(boxes, dtype=np.float64)[order]
+    a, b = corners[i], corners[j]
+    x1 = np.maximum(a[:, 0], b[:, 0])
+    y1 = np.maximum(a[:, 1], b[:, 1])
+    x2 = np.minimum(a[:, 2], b[:, 2])
+    y2 = np.minimum(a[:, 3], b[:, 3])
+    inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
+    area = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
+    # not (iou <= thresh): a NaN overlap suppresses, as in nms
+    over = ~(inter / (area[i] + area[j] - inter) <= iou_thresh)
+    i, j = i[over], j[over]
+    lead = rank[i]
+    alive = np.ones(k, dtype=bool)
+    # a box's fate is settled once those ranked ahead of it in its group
+    # are: step r lets the surviving boxes of rank r suppress their pairs
+    for r in range(int(lead.max()) + 1 if len(lead) else 0):
+        step = lead == r
+        alive[j[step & alive[i]]] = False
+    return order[alive]
+
+
+def _check_nms(name, boxes, scores, iou_thresh):
+    """Reject what neither NMS kernel takes: boxes that are not a (k, 4)
+    corner array, a score count other than k, a threshold outside (0, 1)."""
+    shape = np.shape(boxes)
+    if len(shape) != 2 or shape[1] != 4:
+        raise ValueError(f"{name}: boxes must be a (k, 4) corner array, got shape {shape}")
+    if len(boxes) != len(scores):
+        raise ValueError(f"{name}: {len(boxes)} boxes but {len(scores)} scores")
+    if not (0.0 < iou_thresh < 1.0):
+        raise ValueError(f"{name}: iou_thresh must be in (0,1), got {iou_thresh}")
 
 
 def _sorted_prefix(neg, m):

@@ -305,10 +305,12 @@ def _ranks_ahead(a, b):
     return not math.isnan(a) and (math.isnan(b) or a > b)
 
 
-def nms_oracle(boxes, scores, iou_thresh, max_keep):
+def nms_oracle(boxes, scores, iou_thresh, max_keep, overlap=iou_oracle):
     """Greedy suppression with explicit scanning; must reproduce the library's
     exact kept-index list (ties, and NaN scores among themselves, to the lower
-    index; NaN scores after all others; overlap kept while iou <= thresh)."""
+    index; NaN scores after all others; overlap kept while iou <= thresh, so
+    a NaN overlap suppresses). `overlap(kept, other)` is the IoU of two
+    boxes: iou_oracle on Boxes by default."""
     alive = list(range(len(boxes)))
     keep = []
     while alive and len(keep) < max_keep:
@@ -318,7 +320,7 @@ def nms_oracle(boxes, scores, iou_thresh, max_keep):
                 best = i
         keep.append(best)
         alive = [i for i in alive
-                 if i != best and iou_oracle(boxes[best], boxes[i]) <= iou_thresh]
+                 if i != best and overlap(boxes[best], boxes[i]) <= iou_thresh]
     return keep
 
 

@@ -18,7 +18,7 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH
                             forward_scenes, multi_task_loss, objectness_loss, propose,
                             score_anchors, smooth_l1, smooth_l1_grad, train,
                             validate_config)
-from sinet.geometry import Box, boxes_to_array, boxes_to_centers
+from sinet.geometry import Box, boxes_to_array, boxes_to_centers, nms, pairwise_iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, default_world
@@ -236,6 +236,38 @@ def test_propose_pads_by_cycling_the_kept_boxes():
                                       for i in keep]
         for j in range(m, 16):
             assert props[j].tolist() == props[j % m].tolist()
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 12), (12, 1), (7, 13), (16, 16)])
+def test_no_two_anchors_overlap_past_the_proposal_nms_threshold(h, w):
+    # why detection keeps the top-scoring anchors without running NMS: the
+    # closest pair is one cell's two ratios at one scale, on every grid
+    corners = anchor_set(h, w).corners
+    ious = pairwise_iou(corners, corners)
+    np.fill_diagonal(ious, 0.0)
+    assert ious.max() < PROPOSAL_NMS_THRESH
+    assert ious.max() == pytest.approx(0.68990, abs=1e-5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=hst.integers(1, 5), w=hst.integers(1, 5), n=hst.integers(1, 40),
+       levels=hst.lists(hst.one_of(hst.integers(-2, 2).map(float),
+                                   hst.sampled_from([0.0, -0.0, math.nan])),
+                        min_size=150, max_size=150))
+def test_proposals_without_injection_are_nms_over_the_anchors(h, w, n, levels):
+    # tied and NaN scores; grids of 6 to 150 anchors, some fewer than n
+    anchors = anchor_set(h, w)
+    scores = np.array(levels[:len(anchors.centers)])
+    cfg = TrainConfig(rois_per_image=n)
+    keep = nms(anchors.corners, scores, PROPOSAL_NMS_THRESH, n)
+    want = anchors.centers[np.resize(keep, n)].tolist()
+    gt = [GtObject(Box(0.5, 0.5, 1.0, 1.0), 0)]
+    # detection ignores the ground truth; training on a scene without any
+    # has nothing to inject
+    for sample, rng in ((SceneSample(np.zeros((h, w, 5)), 0, gt), None),
+                        (SceneSample(np.zeros((h, w, 5)), 0, []), np.random.default_rng(0))):
+        props = propose(None, sample, cfg, rng=rng, scored=(anchors, None, scores))
+        assert props.tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from sinet import geometry
 from sinet.geometry import (Box, _sorted_prefix, apply_deltas, boxes_to_array,
                             boxes_to_centers, centers_to_corners, clip_box, encode_deltas,
-                            iou, nms, pairwise_iou)
+                            iou, nms, nms_by_group, pairwise_iou)
 
 from oracles import (apply_deltas_oracle, clip_box_oracle, encode_deltas_oracle,
                      iou_oracle, nms_oracle, random_box)
@@ -292,6 +292,18 @@ def test_iou_rejects_unpaired_rows():
         iou(np.ones(4), np.ones(4))
 
 
+def _per_group_oracle(boxes, scores, groups, thresh, overlap=iou_oracle):
+    """nms_oracle's survivors of each group, uncapped, in ascending group id
+    order: what nms_by_group must return."""
+    want = []
+    for g in sorted(set(groups)):
+        members = [i for i, gi in enumerate(groups) if gi == g]
+        want += [members[i] for i in nms_oracle([boxes[m] for m in members],
+                                                [scores[m] for m in members],
+                                                thresh, len(members), overlap)]
+    return want
+
+
 @settings(max_examples=150, deadline=None)
 @given(distinct=hst.lists(_box, min_size=1, max_size=8),
        picks=hst.lists(hst.tuples(hst.integers(0, 7), hst.integers(0, 3), hst.integers(0, 5)),
@@ -301,15 +313,15 @@ def test_grouped_nms_is_nms_per_group(distinct, picks, thresh):
     # duplicates, tied scores within and across groups, single-box groups
     boxes = [distinct[p % len(distinct)] for p, _, _ in picks]
     scores = [float(level) for _, level, _ in picks]
-    groups = np.array([g for _, _, g in picks])
-    keep = nms(boxes_to_array(boxes), scores, thresh, len(boxes), groups=groups)
-    want = []
-    for g in np.unique(groups).tolist():
-        members = np.flatnonzero(groups == g).tolist()
-        want += [members[i] for i in nms_oracle([boxes[m] for m in members],
-                                                [scores[m] for m in members],
-                                                thresh, len(members))]
-    assert keep == sorted(want, key=lambda i: (-scores[i], i))
+    groups = [g for _, _, g in picks]
+    keep = nms_by_group(boxes_to_array(boxes), scores, np.array(groups), thresh)
+    assert keep.tolist() == _per_group_oracle(boxes, scores, groups, thresh)
+    # each group keeps what nms over that group alone keeps
+    for g in set(groups):
+        members = np.flatnonzero(np.array(groups) == g)
+        alone = nms(boxes_to_array([boxes[m] for m in members]), [scores[m] for m in members],
+                    thresh, len(members))
+        assert [i for i in keep.tolist() if groups[i] == g] == members[alone].tolist()
 
 
 # integer levels tie often, also across the cut; signed zeros and
@@ -348,7 +360,9 @@ def test_sorted_prefix_is_the_full_sort_prefix(data, m):
        thresh=hst.sampled_from([0.1, 0.3, 0.5, 0.7]), grouped=hst.booleans())
 def test_nms_over_a_top_prefix_matches_oracle(data, distinct, max_keep, extra, thresh, grouped):
     # k > 2 * max_keep, so nms sorts only a top prefix unless the scan runs
-    # past it or NaN reaches the cut; duplicate boxes make long scans
+    # past it or NaN reaches the cut; duplicate boxes make long scans. The
+    # grouped case runs the same long, tied, NaN-scored sets through
+    # nms_by_group, which keeps every survivor of each group.
     k = 2 * max_keep + extra
     picks = data.draw(hst.lists(hst.integers(0, len(distinct) - 1), min_size=k, max_size=k))
     boxes = [distinct[p] for p in picks]
@@ -358,14 +372,53 @@ def test_nms_over_a_top_prefix_matches_oracle(data, distinct, max_keep, extra, t
         assert keep == nms_oracle(boxes, scores, thresh, max_keep)
         return
     groups = data.draw(hst.lists(hst.integers(0, 2), min_size=k, max_size=k))
-    keep = nms(boxes_to_array(boxes), scores, thresh, max_keep, groups=np.array(groups))
-    # each group's survivors, merged in score order, up to max_keep in all
-    survivors = set()
+    keep = nms_by_group(boxes_to_array(boxes), scores, np.array(groups), thresh)
+    assert keep.tolist() == _per_group_oracle(boxes, scores, groups, thresh)
+    # within a group the survivors run in descending score, NaN last
     for g in set(groups):
-        members = [i for i in range(k) if groups[i] == g]
-        survivors.update(members[i] for i in nms_oracle(
-            [boxes[m] for m in members], [scores[m] for m in members], thresh, len(members)))
-    assert keep == [i for i in _rank(scores) if i in survivors][:max_keep]
+        mine = [i for i in keep.tolist() if groups[i] == g]
+        assert mine == [i for i in _rank(scores) if i in mine]
+
+
+def _pair_iou(a, b):
+    """pairwise_iou of two corner rows, the higher-ranked one first."""
+    return pairwise_iou(np.array([a]), np.array([b]))[0, 0]
+
+
+# corner rows that a Box cannot hold: zero-area boxes and NaN corners
+_corner_row = hst.one_of(
+    _box.map(Box.corners),
+    hst.tuples(_quarter, _quarter, _side).map(lambda t: (t[0], t[1], t[0], t[1] + t[2])),
+    hst.tuples(_quarter, _quarter, _side).map(lambda t: (t[0], t[1], t[0] + t[2], t[1])),
+    hst.tuples(_quarter, _quarter, _side).map(
+        lambda t: (math.nan, t[1], t[0] + t[2], t[1] + t[2])),
+)
+# group ids far apart and negative: the kernel sorts them, never indexes by them
+_group_id = hst.sampled_from([-7, 0, 3, 12, 1000])
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct=hst.lists(_corner_row, min_size=1, max_size=8),
+       picks=hst.lists(hst.tuples(hst.integers(0, 7), _group_id,
+                                  hst.one_of(_level, hst.just(math.nan))), max_size=60),
+       thresh=hst.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+@example(distinct=[(0.0, 0.0, 2.0, 2.0), (0.5, 0.0, 2.5, 2.0)],
+         picks=[(i % 2, 3, float(i % 3)) for i in range(20)] + [(0, -7, 1.0)],
+         thresh=0.5)
+# a chain in an 18-box group: A suppresses B, so B must not suppress C
+@example(distinct=[(0.0, 0.0, 2.0, 2.0), (0.75, 0.0, 2.75, 2.0), (1.5, 0.0, 3.5, 2.0)],
+         picks=[(i % 3, 0, float(-i)) for i in range(18)], thresh=0.3)
+def test_nms_by_group_matches_oracle_per_group(distinct, picks, thresh):
+    # NaN, infinite and signed-zero scores; NaN and zero-area boxes;
+    # duplicates; singleton groups, empty input and groups of 17 or more
+    boxes = [distinct[p % len(distinct)] for p, _, _ in picks]
+    groups = [g for _, g, _ in picks]
+    scores = [v for _, _, v in picks]
+    with np.errstate(invalid="ignore"):
+        keep = nms_by_group(np.array(boxes).reshape(-1, 4), scores, np.array(groups, dtype=int),
+                            thresh)
+        want = _per_group_oracle(boxes, scores, groups, thresh, overlap=_pair_iou)
+    assert keep.tolist() == want
 
 
 def test_nms_prefix_and_its_fallbacks(monkeypatch):
@@ -396,11 +449,22 @@ def test_nms_prefix_and_its_fallbacks(monkeypatch):
 def test_nms_groups_validation_and_proposal_default():
     boxes = boxes_to_array([Box(2, 2, 2, 2), Box(2.1, 2, 2, 2)])
     with pytest.raises(ValueError, match="groups"):
-        nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0])
+        nms_by_group(boxes, [0.9, 0.8], [0], 0.5)
     with pytest.raises(ValueError, match="groups"):
-        nms(boxes, [0.9, 0.8], 0.5, 4, groups=np.zeros((2, 1)))
-    assert nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0, 0]) == nms(boxes, [0.9, 0.8], 0.5, 4) == [0]
-    assert nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0, 1]) == [0, 1]
+        nms_by_group(boxes, [0.9, 0.8], np.zeros((2, 1)), 0.5)
+    with pytest.raises(ValueError, match="scores"):
+        nms_by_group(boxes, [0.9], [0, 0], 0.5)
+    with pytest.raises(ValueError, match="iou_thresh"):
+        nms_by_group(boxes, [0.9, 0.8], [0, 0], 1.0)
+    with pytest.raises(ValueError, match="corner array"):
+        nms_by_group(boxes.ravel(), [0.9, 0.8], [0, 0], 0.5)
+    # one group is plain nms; nms itself takes no groups
+    assert nms_by_group(boxes, [0.9, 0.8], [0, 0], 0.5).tolist() == \
+        nms(boxes, [0.9, 0.8], 0.5, 4) == [0]
+    assert nms_by_group(boxes, [0.9, 0.8], [0, 1], 0.5).tolist() == [0, 1]
+    assert nms_by_group(boxes, [0.8, 0.9], [5, 2], 0.5).tolist() == [1, 0]
+    with pytest.raises(TypeError):
+        nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0, 1])
 
 
 def test_clip_box_per_row_bounds_match_one_grid_at_a_time():
