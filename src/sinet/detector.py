@@ -15,8 +15,9 @@ Detections. Stage two runs on a stack of B scenes at once (forward_scenes,
 on a (B, n, 4) ROI array): node features are (B, n, d) with n =
 rois_per_image, and each product keeps its per-scene shape, so a scene's
 numbers do not depend on what it is stacked with. Training and `forward` run
-stacks of one scene; detect_scenes runs the proposal stage per scene and
-stage two on chunks of DETECT_CHUNK scenes. Its tail thresholds the whole
+stacks of one scene and record the tapes of the inference steps for the
+backward pass; detect_scenes runs the proposal stage per scene and stage two,
+forward only, on chunks of DETECT_CHUNK scenes. Its tail thresholds the whole
 chunk's (B, n, K) probabilities at once, refines and clips every candidate
 in one call, and suppresses them with one NMS grouped by (scene, class).
 
@@ -58,15 +59,17 @@ ANCHOR_RATIOS = (1.0, 1.5)
 
 ARMS = ("baseline", "scene", "edge", "sin")
 
-# Scenes per detection stack, chosen by measurement on 512 default-world
-# held-out scenes (a 400-iteration sin model) with one BLAS thread on a
-# shared 2-core x86 host, stack sizes interleaved, median process CPU time
-# of 7 rounds in two runs. Whole detect_scenes took 0.34-0.35 / 0.32 /
-# 0.29-0.30 / 0.33-0.36 ms per scene in stacks of 8 / 16 / 32 / 64; with 16
-# and 32 alone, 11 rounds in two runs, 0.30 / 0.31. Numpy allocations of
-# detect_scenes peak at 1.4 / 2.3 / 4.1 / 7.8 MB (tracemalloc; tapes, the
-# spatial gate and the (B, n, n, d) message products), so 16 is as fast as
-# any and holds half the memory of 32.
+# Scenes per detection stack. Measured on 512 default-world held-out scenes
+# (a 400-iteration sin model) with one BLAS thread on a shared 2-core x86
+# host, stack sizes interleaved, process CPU time of 11 rounds in each of two
+# runs: whole detect_scenes took medians of 0.49-0.54 / 0.42-0.47 / 0.40-0.43
+# / 0.38-0.42 ms per scene in stacks of 8 / 16 / 32 / 64, and 64 was fastest
+# in 7 and 8 of the 11 rounds, short of the 9 that would justify a change.
+# Allocations of detect_scenes peak at 2.2 / 2.6 / 3.4 / 5.0 MB (tracemalloc,
+# which counts the Detections of all 512 scenes too): stage two holds about
+# 50 KB per stacked scene (120 KB while detection kept every step's tape and
+# built the (B, n, n, d) message products). So the stack stays at 16: 64's medians
+# were 9-11% lower, but not round after round, and it holds twice the memory.
 DETECT_CHUNK = 16
 
 
@@ -347,7 +350,7 @@ class ForwardState:
     scene_avg: np.ndarray       # (B, C)
     scene_feature0: np.ndarray  # (B, d)
     graph_out: SceneGraph = None  # its boxes are the (B, n, 4) ROI rows
-    tapes: list = field(default_factory=list)
+    tapes: list = field(default_factory=list)   # per-step tapes; none in detection
     logits: np.ndarray = None   # (B, n, K+1)
     probs: np.ndarray = None    # (B, n, K+1) softmax rows
     deltas: np.ndarray = None   # (B, n, K, 4) per-class refinements
@@ -414,11 +417,12 @@ def _pool_rois(samples, boxes):
     return sums.reshape(boxes.shape[:2] + (c,))
 
 
-def forward_scenes(params, samples, boxes, cfg, mode, steps):
+def forward_scenes(params, samples, boxes, cfg, mode, steps, record):
     """Stage two over a stack of scenes: pool each scene's ROIs (boxes is a
     (B, n, 4) array whose boxes[b] holds the center-size rows of samples[b]),
     run `steps` inference steps in `mode` and apply both heads. Returns the
-    full state needed for the backward pass."""
+    forward state; it holds the inference steps' tapes, which the backward
+    pass needs, only if `record`."""
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 3 or boxes.shape[0] != len(samples) or boxes.shape[2] != 4:
         raise ValueError(f"forward_scenes: {len(samples)} scenes need a ({len(samples)}, n, 4) "
@@ -431,22 +435,22 @@ def forward_scenes(params, samples, boxes, cfg, mode, steps):
 
     graph = SceneGraph(node_features=features0, boxes=boxes, scene_feature=scene0)
     graph_out, tapes = sin_infer_tapes(params.sin, graph, steps=steps,
-                                       pooling=cfg.pooling, mode=mode)
+                                       pooling=cfg.pooling, mode=mode, record=record)
     feats = graph_out.node_features
     logits = feats @ params.cls_head.value.T
     deltas = (feats @ params.reg_head.value.T).reshape(*boxes.shape[:2], -1, 4)
-    edges = next((t.edge_cache.e for t in reversed(tapes) if t.edge_cache is not None),
-                 None)
     return ForwardState(node_avg=node_avg, features0=features0,
                         scene_avg=scene_avg, scene_feature0=scene0,
                         graph_out=graph_out, tapes=tapes, logits=logits,
-                        probs=_softmax_rows(logits), deltas=deltas, edges=edges)
+                        probs=_softmax_rows(logits), deltas=deltas, edges=graph_out.edges)
 
 
 def forward(params, sample, cfg, boxes, mode, steps):
     """forward_scenes on the one-scene stack of this sample and its (n, 4)
-    center-size ROI rows `boxes`."""
-    return forward_scenes(params, [sample], np.asarray(boxes)[None], cfg, mode, steps)
+    center-size ROI rows `boxes`, recording the tapes detector_backward
+    needs."""
+    return forward_scenes(params, [sample], np.asarray(boxes)[None], cfg, mode, steps,
+                          record=True)
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +710,11 @@ def _detect_stack(params, samples, cfg, score_thresh, arm):
     threshold is refined and clipped to its scene's grid, and all of them
     go through one NMS grouped by (scene, class). Returns the detections
     of each scene, sorted by class, then score descending, then box, and
-    the stack's forward state. A scene's detections do not depend on its
-    stack or on ROI order (modulo exact score ties)."""
+    the stack's forward state, which holds no tapes. A scene's detections
+    do not depend on its stack or on ROI order (modulo exact score ties)."""
     mode, steps = arm_plan(arm, cfg)
     boxes = np.array([propose(params, sample, cfg) for sample in samples])
-    state = forward_scenes(params, samples, boxes, cfg, mode=mode, steps=steps)
+    state = forward_scenes(params, samples, boxes, cfg, mode=mode, steps=steps, record=False)
     k = state.deltas.shape[2]
     # by scene, then class, then ROI
     scene, cats, rois = np.nonzero(state.probs[:, :, :k].transpose(0, 2, 1) >= score_thresh)

@@ -23,6 +23,13 @@ scene features (B, d). Messages are pooled within each scene only. Every
 product keeps its per-scene shape (a stacked matmul runs one product per
 scene), so a scene's numbers are bitwise the same whatever it is stacked
 with; training runs stacks of one scene.
+
+Only training runs a backward pass, so only its steps record a tape: the
+intermediates of both banks and the edges, and the winning sender of each
+message coordinate (_integrate_all). Detection's steps record nothing and
+pool each message with a running max over the senders (_max_messages),
+which needs no (B, n, n, d) product of every pair; both give the same
+messages and the same step outputs.
 """
 
 from dataclasses import dataclass
@@ -57,12 +64,14 @@ class SceneGraph:
     """A stack of B per-image graphs of n nodes each: node features, node
     boxes as (cx, cy, w, h) rows (geometry.boxes_to_centers), and one scene
     vector per image. The boxes' spatial gate is computed by the first step
-    that needs it and passed on to the graphs that step produces."""
+    that needs it and passed on to the graphs that step produces; a graph a
+    step produced also holds that step's edges."""
 
     node_features: np.ndarray      # (B, n, d)
     boxes: np.ndarray              # (B, n, 4)
     scene_feature: np.ndarray      # (B, d)
     gate: np.ndarray = None        # (B, n, n) relu(_relation_tensor(boxes) @ W_P)
+    edges: np.ndarray = None       # (B, n, n) edges of the step that produced it, if any
 
     def __post_init__(self):
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
@@ -202,7 +211,8 @@ def _integrate_all(features, e):
     scene is the per-coordinate max over its senders j != i of
     e[i, j] * f_j (ties to the lowest sender index), and a single-node graph
     gets a zero message. Features are (..., n, d) and edges (..., n, n).
-    Also returns the winning sender per coordinate for the backward pass."""
+    Also returns the winning sender per coordinate for the backward pass;
+    a step that runs no backward pass pools with _max_messages instead."""
     n = features.shape[-2]
     if n == 1:
         return np.zeros(features.shape), np.full(features.shape, -1, dtype=np.intp)
@@ -211,6 +221,26 @@ def _integrate_all(features, e):
     senders = scaled.argmax(axis=-2)                              # (..., n, d)
     msgs = np.take_along_axis(scaled, senders[..., None, :], axis=-2)[..., 0, :]
     return msgs, senders
+
+
+def _max_messages(features, e):
+    """_integrate_all's messages without its winning senders, as a running
+    max over the senders: one (..., n, d) product per sender, so no
+    (..., n, n, d) temporary. The values equal _integrate_all's under ==
+    and NaN propagates alike, but where the max is a zero its sign may
+    differ (np.maximum need not keep the first of two equal zeros).
+    Every reader of a message is a matrix product whose sum starts at +0.0,
+    so a step's output does not depend on that sign."""
+    n = features.shape[-2]
+    if n == 1:
+        return np.zeros(features.shape)
+    msgs = np.full(features.shape, -np.inf)
+    scaled = np.empty(features.shape)
+    for j in range(n):
+        np.multiply(e[..., :, j, None], features[..., None, j, :], out=scaled)
+        scaled[..., j, :] = -np.inf
+        np.maximum(msgs, scaled, out=msgs)
+    return msgs
 
 
 def _messages_backward(features, e, senders, dmsgs):
@@ -261,9 +291,13 @@ def _fuse(p, h_scene, h_edge, pooling):
     raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
 
 
-def sin_step_tape(p, g, pooling, mode):
+def sin_step_tape(p, g, pooling, mode, record):
     """One inference step over a stack of graphs; returns the updated stack
-    and the tape for backward."""
+    and, if `record` (the caller will run sin_backward), the tape for
+    backward, else None. A step that records pools messages with
+    _integrate_all for its winning senders; one that does not pools them
+    with _max_messages and drops its intermediates on return. Either way
+    the updated stack carries the step's edges."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     feats = g.node_features
@@ -277,7 +311,10 @@ def sin_step_tape(p, g, pooling, mode):
         tape.h_scene = h_scene
     if mode in ("both", "edge"):
         tape.edge_cache = _compute_edges(p, feats, _gate(g))
-        tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
+        if record:
+            tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
+        else:
+            tape.msgs = _max_messages(feats, tape.edge_cache.e)
         h_edge, tape.edge_tape = gru_forward(p.edge_gru, tape.msgs, feats)
         tape.h_edge = h_edge
 
@@ -289,19 +326,21 @@ def sin_step_tape(p, g, pooling, mode):
         fused = h_edge
     tape.fused = fused
     out = SceneGraph(node_features=fused, boxes=g.boxes, scene_feature=g.scene_feature,
-                     gate=g.gate)
-    return out, tape
+                     gate=g.gate, edges=None if tape.edge_cache is None else tape.edge_cache.e)
+    return out, tape if record else None
 
 
-def sin_infer_tapes(p, g, steps, pooling, mode):
+def sin_infer_tapes(p, g, steps, pooling, mode, record):
     """Iterate sin_step_tape `steps` times; returns the final stack and the
-    tapes. steps=0 returns the graph unchanged."""
+    tapes, one per step if `record` and none otherwise. steps=0 returns the
+    graph unchanged."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     tapes = []
     for _ in range(steps):
-        g, tape = sin_step_tape(p, g, pooling, mode)
-        tapes.append(tape)
+        g, tape = sin_step_tape(p, g, pooling, mode, record)
+        if record:
+            tapes.append(tape)
     return g, tapes
 
 

@@ -26,7 +26,7 @@ from sinet.harness import main, run_gradcheck
 from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.structure_inference import (SceneGraph, _compute_edges,
-                                       _integrate_all, _relation_tensor,
+                                       _integrate_all, _max_messages, _relation_tensor,
                                        create_sin_params, sin_step_tape)
 from sinet.synth_data import (default_world, generate, load_dataset,
                               save_dataset, world_hash)
@@ -101,9 +101,11 @@ def _check_integrate(rng, trials):
         e = rng.normal(size=(n, n))
         np.fill_diagonal(e, 0.0)
         msgs, _ = _integrate_all(feats, e)
+        bare = _max_messages(feats, e)
         for i in range(n):
-            assert np.allclose(msgs[i], integrate_messages_oracle(feats, e, i),
-                               atol=1e-12)
+            want = integrate_messages_oracle(feats, e, i)
+            assert np.allclose(msgs[i], want, atol=1e-12)
+            assert np.allclose(bare[i], want, atol=1e-12)
 
 
 def _check_sin_step(rng, trials):
@@ -121,7 +123,7 @@ def _check_sin_step(rng, trials):
         centers = boxes_to_centers(boxes)[None]
         g = SceneGraph(node_features=feats[None], boxes=centers, scene_feature=scene[None],
                        gate=_gate_of(centers, w_p))
-        out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode)
+        out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode, record=True)
         want = sin_step_oracle(p, w_p, feats, boxes, scene, pooling=pooling, mode=mode)
         assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
 
@@ -290,8 +292,8 @@ def _invariant_permutation_equivariance(rng):
         perm = rng.permutation(n)
         gp = SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
                         scene_feature=g.scene_feature, gate=_gate_of(g.boxes[:, perm], w_p))
-        out, _ = sin_step_tape(p, g, pooling=pooling, mode="both")
-        outp, _ = sin_step_tape(p, gp, pooling=pooling, mode="both")
+        out, _ = sin_step_tape(p, g, pooling=pooling, mode="both", record=True)
+        outp, _ = sin_step_tape(p, gp, pooling=pooling, mode="both", record=True)
         assert np.allclose(outp.node_features, out.node_features[:, perm], atol=1e-12)
 
 

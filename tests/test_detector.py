@@ -521,8 +521,9 @@ def test_forward_scenes_rejects_bad_roi_shapes():
     for bad in (rois, rois[None], np.stack([rois, rois])[..., :3],
                 np.stack([rois, rois, rois])):
         with pytest.raises(ValueError, match="forward_scenes"):
-            forward_scenes(params, samples, bad, cfg, "both", cfg.T)
-    state = forward_scenes(params, samples, np.stack([rois, rois]), cfg, "both", cfg.T)
+            forward_scenes(params, samples, bad, cfg, "both", cfg.T, record=False)
+    state = forward_scenes(params, samples, np.stack([rois, rois]), cfg, "both", cfg.T,
+                           record=False)
     assert state.probs.shape == (2, 3, 4)
 
 
@@ -753,9 +754,13 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     assert len(result.losses) == 5
     assert all(np.isfinite(l) for l in result.losses)
     sample = det_mod.sample_at(world, 11, 0)
+    # the training path records a tape per step; detection keeps none
+    props = propose(result.params, sample, cfg)
+    trained = forward(result.params, sample, cfg, props, "both", cfg.T)
+    assert len(trained.tapes) == cfg.T
+    assert trained.tapes[-1].edge_tape.xh.shape == (1, 1, 2 * cfg.feat_dim)
     dets, state = detect(result.params, sample, cfg, score_thresh=0.0, arm="sin")
-    assert len(state.tapes) == cfg.T
-    assert state.tapes[-1].edge_tape.xh.shape == (1, 1, 2 * cfg.feat_dim)
+    assert state.tapes == []
     assert state.edges.shape == (1, 1, 1)
     assert dets and all(d.roi_index == 0 for d in dets)
 
@@ -841,6 +846,27 @@ def test_detect_orders_score_ties_by_box():
     for cat in range(3):
         boxes = [(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets if d.category == cat]
         assert len(boxes) >= 2 and boxes == sorted(boxes)
+
+
+def test_detection_state_is_the_recording_path_without_tapes():
+    # detection runs the steps forward only (no tapes, messages by a running
+    # max); its stack state is bitwise that of the path training records
+    rng = np.random.default_rng(72)
+    store, params = make_params()
+    samples = [make_sample(rng) for _ in range(3)]
+    cfg = validate_config(TrainConfig(rois_per_image=5, T=2, feat_dim=6))
+    boxes = np.array([propose(params, sample, cfg) for sample in samples])
+    for arm in ARMS:
+        mode, steps = arm_plan(arm, cfg)
+        taped = forward_scenes(params, samples, boxes, cfg, mode, steps, record=True)
+        _, state = det_mod._detect_stack(params, samples, cfg, 0.05, arm)
+        assert len(taped.tapes) == steps and state.tapes == []
+        assert np.array_equal(state.probs, taped.probs)
+        assert np.array_equal(state.deltas, taped.deltas)
+        if mode == "scene" or steps == 0:
+            assert state.edges is None and taped.edges is None
+        else:
+            assert np.array_equal(state.edges, taped.edges)
 
 
 def test_detect_arms_share_proposals():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as hst
 
 from sinet.geometry import Box, boxes_to_centers
+from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, grad_check
 from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
-                                       _integrate_all, _relation_tensor,
+                                       _integrate_all, _max_messages, _relation_tensor,
                                        compute_edges,
                                        create_sin_params, relation_report,
                                        sin_backward, sin_infer_tapes,
@@ -152,7 +155,7 @@ def test_shipped_gate_is_the_locality_prior_once_per_stack():
     rng = np.random.default_rng(38)
     _, p = make_params(3, seed=4)
     g = random_graph(rng, 6, 3)
-    out, tapes = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both")
+    out, tapes = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both", record=True)
     boxes = scene_boxes(g)
     want = np.array([[spatial_gate_oracle(W_P[None], bi, bj) for bj in boxes]
                      for bi in boxes])
@@ -160,6 +163,7 @@ def test_shipped_gate_is_the_locality_prior_once_per_stack():
     assert g.gate.shape == (1, 6, 6)
     assert np.allclose(g.gate[0], want, rtol=0.0, atol=1e-12)
     assert all(t.edge_cache.spatial is g.gate for t in tapes) and out.gate is g.gate
+    assert out.edges is tapes[-1].edge_cache.e
     assert not W_P.flags.writeable
 
 
@@ -184,6 +188,51 @@ def test_integrate_messages_single_node_is_zero():
     assert np.all(senders == -1)
 
 
+_SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(b=hst.integers(1, 5), n=hst.integers(1, 7), d=hst.integers(1, 5),
+       seed=hst.integers(0, 2**32 - 1), special=hst.sampled_from((0.0, 0.1, 0.4)),
+       closed=hst.sampled_from((0.0, 0.5, 1.0)))
+def test_max_messages_match_integrate_all(b, n, d, seed, special, closed):
+    # values on a half-integer grid force exact ties between senders, a
+    # `special` share of them are +-0, +-inf or NaN, and a `closed` share of
+    # the edges are shut gates (exact zeros)
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        a = rng.integers(-4, 5, size=shape) / 2.0
+        pick = rng.random(shape) < special
+        a[pick] = rng.choice(_SPECIAL, size=int(pick.sum()))
+        return a
+
+    feats = draw((b, n, d))
+    e = draw((b, n, n))
+    e[rng.random(e.shape) < closed] = 0.0
+    want, _ = _integrate_all(feats, e)
+    got = _max_messages(feats, e)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.all(got[~nan] == want[~nan])
+    if n == 1:
+        assert np.all(got == 0.0)
+    if np.any(np.signbit(got) != np.signbit(want)):
+        event("a zero message differs in sign")
+    # the edge GRU reads either message array to the same bits, or rejects both
+    p = create_gru_params(ParamStore(), "cell", d, seed)
+    h = rng.uniform(-1.0, 1.0, size=(b, n, d))
+    outs = []
+    for msgs in (want, got):
+        try:
+            outs.append(gru_forward(p, msgs, h)[0].tobytes())
+        except FloatingPointError:
+            outs.append(None)
+    assert outs[0] == outs[1]
+
+
 def test_integrate_messages_tie_goes_to_lowest_sender():
     # two senders produce the identical best product on every coordinate
     feats = np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
@@ -203,20 +252,29 @@ def test_sin_step_matches_composed_oracle(pooling, mode):
         _, p = make_params(d, seed=trial, pooling=pooling)
         w_p = rng.normal(0, 0.4, size=(1, 12))
         g = gated(random_graph(rng, n, d), w_p)
-        out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode)
+        out, tape = sin_step_tape(p, g, pooling=pooling, mode=mode, record=True)
         want = sin_step_oracle(p, w_p, g.node_features[0], scene_boxes(g), g.scene_feature[0],
                                pooling=pooling, mode=mode)
         assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
+        # the forward-only step gives the same bits and keeps no tape
+        bare, none = sin_step_tape(p, g, pooling=pooling, mode=mode, record=False)
+        assert none is None
+        assert np.array_equal(bare.node_features, out.node_features)
+        if mode == "scene":
+            assert bare.edges is None and out.edges is None
+        else:
+            assert np.array_equal(bare.edges, out.edges) and out.edges is tape.edge_cache.e
 
 
 def test_sin_infer_t0_is_identity():
     rng = np.random.default_rng(36)
     _, p = make_params(3, seed=1)
     g = random_graph(rng, 4, 3)
-    out, tapes = sin_infer_tapes(p, g, steps=0, pooling="mean", mode="both")
-    assert np.array_equal(out.node_features, g.node_features) and tapes == []
-    with pytest.raises(ValueError):
-        sin_infer_tapes(p, g, steps=-1, pooling="mean", mode="both")
+    for record in (True, False):
+        out, tapes = sin_infer_tapes(p, g, steps=0, pooling="mean", mode="both", record=record)
+        assert np.array_equal(out.node_features, g.node_features) and tapes == []
+        with pytest.raises(ValueError):
+            sin_infer_tapes(p, g, steps=-1, pooling="mean", mode="both", record=record)
 
 
 def test_sin_infer_permutation_equivariance():
@@ -227,9 +285,10 @@ def test_sin_infer_permutation_equivariance():
     perm = rng.permutation(5)
     gp = gated(SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
                           scene_feature=g.scene_feature), w_p)
-    out, _ = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both")
-    out_p, _ = sin_infer_tapes(p, gp, steps=2, pooling="mean", mode="both")
-    assert np.allclose(out.node_features[:, perm], out_p.node_features, atol=1e-12)
+    for record in (True, False):
+        out, _ = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both", record=record)
+        out_p, _ = sin_infer_tapes(p, gp, steps=2, pooling="mean", mode="both", record=record)
+        assert np.allclose(out.node_features[:, perm], out_p.node_features, atol=1e-12)
 
 
 def test_max_pool_tie_resolves_to_scene():
@@ -240,8 +299,8 @@ def test_max_pool_tie_resolves_to_scene():
     for a, b in zip(p.scene_gru.entries(), p.edge_gru.entries()):
         b.value[:] = a.value
     g = one_scene([[0.3, -0.2, 0.8]], [Box(2, 2, 2, 2)], np.zeros(3))
-    out, _ = sin_step_tape(p, g, pooling="max", mode="both")
-    scene_only, _ = sin_step_tape(p, g, pooling="mean", mode="scene")
+    out, _ = sin_step_tape(p, g, pooling="max", mode="both", record=False)
+    scene_only, _ = sin_step_tape(p, g, pooling="mean", mode="scene", record=False)
     assert np.array_equal(out.node_features, scene_only.node_features)
 
 
@@ -259,7 +318,8 @@ def test_sin_backward_against_finite_differences():
 
         def loss_fn():
             g = gated(one_scene(feats.copy(), boxes, scene.copy()), w_p)
-            out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode)
+            out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode,
+                                         record=True)
             loss = float(np.sum(w_out * out.node_features[0]))
             sin_backward(p, tapes, w_out[None])
             return loss
@@ -278,7 +338,7 @@ def test_sin_backward_input_grads():
 
     def run(f, s):
         out, tapes = sin_infer_tapes(p, gated(one_scene(f, boxes, s), w_p), steps=2,
-                                     pooling="mean", mode="both")
+                                     pooling="mean", mode="both", record=True)
         return float(np.sum(w_out * out.node_features[0])), tapes
 
     base, tapes = run(feats, scene)
@@ -320,7 +380,7 @@ def test_sin_backward_two_scene_stack(pooling, mode):
     def run(k):
         g = SceneGraph(node_features=feats[k], boxes=boxes[k], scene_feature=scene[k],
                        gate=gate[k])
-        out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode)
+        out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode, record=True)
         return float(np.sum(w_out[k] * out.node_features)), tapes
 
     def loss_fn():
@@ -366,12 +426,16 @@ def test_stacked_step_is_bitwise_per_scene(pooling):
                           for _ in range(5)])
         scene = rng.normal(size=(5, 4))
         out, tapes = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),
-                                     steps=2, pooling=pooling, mode="both")
+                                     steps=2, pooling=pooling, mode="both", record=True)
+        bare, _ = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),
+                                  steps=2, pooling=pooling, mode="both", record=False)
+        assert np.array_equal(bare.node_features, out.node_features)
+        assert np.array_equal(bare.edges, out.edges)
         for k in range(5):
             alone, alone_tapes = sin_infer_tapes(
                 p, SceneGraph(feats[k:k + 1], boxes[k:k + 1], scene[k:k + 1],
                               gate_of(boxes[k:k + 1], w_p)),
-                steps=2, pooling=pooling, mode="both")
+                steps=2, pooling=pooling, mode="both", record=True)
             assert np.array_equal(out.node_features[k], alone.node_features[0])
             for t, a in zip(tapes, alone_tapes):
                 assert np.array_equal(t.edge_cache.e[k], a.edge_cache.e[0])
