@@ -1,13 +1,15 @@
 """Two-stage toy detector over cell grids.
 
 Stage one scores a fixed anchor set with a learned one-layer objectness map
-and keeps a fixed number of proposals: the top-scoring anchors in detection,
-where no two anchors overlap enough to suppress one another, and NMS over
-the anchors and the jittered ground truth in training. Stage two builds a
-detection graph over the proposals (node features pooled from covered cells,
-one scene node pooled globally), runs the structure inference steps, and
-reads class probabilities and per-class box deltas off the final node
-states.
+over the mean of each anchor's cells, as a separable box filter of the
+projected grid (score_anchors; the objectness gradient is the same filter
+transposed), and keeps a fixed number of proposals: the top-scoring anchors
+in detection, where no two anchors overlap enough to suppress one another,
+and NMS over the anchors and the jittered ground truth in training. Stage
+two builds a detection graph over the proposals (node features pooled from
+covered cells, one scene node pooled globally), runs the structure inference
+steps, and reads class probabilities and per-class box deltas off the final
+node states.
 
 Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
 (cx, cy, w, h); Box objects appear only for ground truth and the kept
@@ -197,25 +199,32 @@ class AnchorSet:
     area: np.ndarray         # (A,) (x2 - x1) * (y2 - y1) of each corner row
     x_extent: np.ndarray     # (W, T, 2) x1, x2 of the anchors of each column and type
     y_extent: np.ndarray     # (H, T, 2) y1, y2 of the anchors of each row and type
-    type_pick: np.ndarray    # (A,) flat index of each anchor's own type in an (A, T) array
-    pool_index: np.ndarray   # (4, A) integral-image rows of r1c1, r0c1, r1c0, r0c0
-    pool_count: np.ndarray   # (A, 1) cells in each clipped window, as floats
+    row_cover: np.ndarray    # (T, H, H) [t, r, r'] 1.0 where type t at row r covers row r'
+    col_cover: np.ndarray    # (T, W, W) [t, c, c'] the same for columns
+    count: np.ndarray        # (T, H, W) cells in each anchor's window, as floats
 
 
 _ANCHOR_CACHE = {}
-# (h, w, C) -> each anchor's cell count repeated across the C channels
-_POOL_COUNT_CACHE = {}
+
+
+def _cover(lo, hi, n):
+    """(T, k, n) 0/1 matrix of the half-open (T, k) windows [lo, hi) of n cells."""
+    cells = np.arange(n)
+    return ((lo[..., None] <= cells) & (cells < hi[..., None])).astype(np.float64)
 
 
 def anchor_set(height, width):
     """All anchors for a grid, centered on cell centers, enumerated row-major
     by cell then by (scale, ratio). Anchors may overhang the grid edges.
-    Each anchor's covered-cell window (cell_window, the rule ROI pooling
-    uses) is cached as the flat (height+1)*(width+1) integral-image rows of
-    its four corners. An anchor's x-extent depends only on its column and
-    type, its y-extent only on its row and type; both are cached per axis.
-    type_pick picks each anchor's score out of the flattened (A, T) scores of
-    every type. The cached arrays are shared by every caller, so they are
+
+    An anchor's covered cells (cell_window, the rule ROI pooling uses) are a
+    row window that depends only on its row and type times a column window
+    that depends only on its column and type, so they are cached per axis:
+    row_cover[t, r, r'] is 1.0 when an anchor of row r and type t covers row
+    r', col_cover likewise for columns, and count[t, r, c] is the cells of
+    the anchor of cell (r, c) and type t. Each anchor covers at least its own
+    cell center, so no count is zero. The x- and y-extents are cached per
+    axis too. The cached arrays are shared by every caller, so they are
     read-only."""
     hit = _ANCHOR_CACHE.get((height, width))
     if hit is not None:
@@ -226,55 +235,40 @@ def anchor_set(height, width):
                         for r in range(height) for c in range(width) for aw, ah in sizes])
     corners = centers_to_corners(centers)
     grid = corners.reshape(height, width, len(sizes), 4)
-    # each anchor covers at least its own cell center, so no window is empty
-    r0, r1, c0, c1 = np.array([cell_window(row, height, width) for row in corners.tolist()]).T
-    stride = width + 1
+    # the row windows of column 0's anchors and the column windows of row 0's
+    r0, r1 = np.array([cell_window(row, height, width)[:2]
+                       for row in grid[:, 0].reshape(-1, 4).tolist()]).reshape(height, -1, 2).T
+    c0, c1 = np.array([cell_window(row, height, width)[2:]
+                       for row in grid[0].reshape(-1, 4).tolist()]).reshape(width, -1, 2).T
     out = AnchorSet(centers=centers, corners=corners,
                     area=(corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1]),
                     x_extent=grid[0, :, :, 0::2].copy(), y_extent=grid[:, 0, :, 1::2].copy(),
-                    type_pick=np.arange(len(centers)) * len(sizes)
-                    + np.tile(np.arange(len(sizes)), height * width),
-                    pool_index=np.stack([r1 * stride + c1, r0 * stride + c1,
-                                         r1 * stride + c0, r0 * stride + c0]),
-                    pool_count=((r1 - r0) * (c1 - c0)).reshape(-1, 1).astype(np.float64))
+                    row_cover=_cover(r0, r1, height), col_cover=_cover(c0, c1, width),
+                    count=((r1 - r0)[:, :, None] * (c1 - c0)[:, None, :]).astype(np.float64))
     for arr in vars(out).values():
         arr.flags.writeable = False
     _ANCHOR_CACHE[height, width] = out
     return out
 
 
-def _anchor_features(sample, anchors):
-    """(A, C) average of the cells each anchor covers, clipped to the grid,
-    computed with an integral image: the r1c1 corner minus r0c1, minus r1c0,
-    plus r0c0, over the cell count. Each corner is a `take` of integral-image
-    rows and the sum runs in place, in that order. The divisor is the cell
-    counts as wide as the features, cached per (h, w, C): an (A, 1) one costs
-    one numpy inner loop per anchor. Matches forward's ROI pooling for
-    anchors that stay inside the grid up to rounding."""
-    h, w, c = sample.grid.shape
-    integral = np.zeros((h + 1, w + 1, c))
-    integral[1:, 1:] = sample.grid.cumsum(axis=0).cumsum(axis=1)
-    flat = integral.reshape(-1, c)
-    i11, i01, i10, i00 = anchors.pool_index
-    out = flat.take(i11, axis=0)
-    out -= flat.take(i01, axis=0)
-    out -= flat.take(i10, axis=0)
-    out += flat.take(i00, axis=0)
-    count = _POOL_COUNT_CACHE.get((h, w, c))
-    if count is None:
-        count = _POOL_COUNT_CACHE[h, w, c] = np.repeat(anchors.pool_count, c, axis=1)
-    out /= count
-    return out
-
-
 def score_anchors(params, sample):
-    """The grid's anchor set, its (A, C) pooled features and its (A,)
-    objectness scores. Proposals and the objectness loss of one training
-    iteration share one call: both read the same grid and parameters."""
-    anchors = anchor_set(*sample.grid.shape[:2])
-    feats = _anchor_features(sample, anchors)
-    per_type = feats @ params.objectness.value.T          # (A, num types)
-    return anchors, feats, per_type.take(anchors.type_pick)
+    """The grid's anchor set and its (A,) objectness scores, in anchor order.
+
+    An anchor's score is its type's row of the objectness map applied to the
+    mean of the cells it covers. Projection and mean commute, so the grid is
+    projected first, one (H, W) map per type, and each map is box-summed by
+    its type's cover matrices, row_cover @ map @ col_cover^T, then divided by
+    the cell counts: no per-anchor feature is formed. A NaN cell makes every
+    anchor that covers it score NaN, and an inf cell makes them score inf or
+    NaN; others may turn NaN too, where BLAS multiplies a cover matrix's
+    zeros by it. Proposals and the objectness loss of one training iteration
+    share one call: both read the same grid and parameters."""
+    h, w, c = sample.grid.shape
+    anchors = anchor_set(h, w)
+    maps = (params.objectness.value @ sample.grid.reshape(-1, c).T).reshape(-1, h, w)
+    sums = anchors.row_cover @ maps @ anchors.col_cover.transpose(0, 2, 1)
+    sums /= anchors.count
+    return anchors, sums.transpose(1, 2, 0).reshape(-1)
 
 
 def propose(params, sample, cfg, rng=None, scored=None):
@@ -288,7 +282,7 @@ def propose(params, sample, cfg, rng=None, scored=None):
     boxes are the first of the stable descending score order. Too few
     survivors are padded by cycling through the kept boxes in order.
     """
-    anchors, _feats, scores = scored or score_anchors(params, sample)
+    anchors, scores = scored or score_anchors(params, sample)
     n = cfg.rois_per_image
     if rng is None or not sample.gt:
         return anchors.centers[np.resize(_sorted_prefix(-scores, n)[:n], n)]
@@ -595,8 +589,14 @@ def objectness_loss(params, sample, scored):
     the objectness map; the only supervision the proposal scores receive.
     Positive and negative anchors contribute half the loss each, otherwise
     the handful of positives would drown in ~1500 negatives. `scored` is
-    score_anchors' result for this sample and params."""
-    anchors, feats, s = scored
+    score_anchors' result for this sample and params.
+
+    The gradient is score_anchors' box filter transposed: each type's (H, W)
+    score gradients over the cell counts, spread back onto the cells by
+    row_cover^T @ . @ col_cover, then one (T, H*W) by (H*W, C) product with
+    the grid. A non-finite cell makes the loss and the gradient non-finite
+    (see score_anchors), which train reports as divergence."""
+    anchors, s = scored
     y, mask = _anchor_targets(anchors, sample.gt)
     weights = np.zeros_like(s)
     for side in (0.0, 1.0):
@@ -606,14 +606,10 @@ def objectness_loss(params, sample, scored):
             weights[pick] = 0.5 / n
     bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     ds = OBJ_LOSS_WEIGHT * weights * (expit(s) - y)
-    # types cycle fastest, so axis 0 of the (cells, types, C) view runs over
-    # one type's anchors; accumulate adds them one at a time, in order, to
-    # the gradient so far. grad + row 0 == row 0 + grad exactly, so adding
-    # grad into row 0 first gives the same bits without a concatenated copy
-    grad = params.objectness.grad
-    per_cell = (ds[:, None] * feats).reshape(-1, *grad.shape)
-    per_cell[0] += grad
-    grad[:] = np.add.accumulate(per_cell, out=per_cell)[-1]
+    h, w, c = sample.grid.shape
+    per_type = ds.reshape(h, w, -1).transpose(2, 0, 1) / anchors.count
+    cells = anchors.row_cover.transpose(0, 2, 1) @ per_type @ anchors.col_cover
+    params.objectness.grad += cells.reshape(len(cells), -1) @ sample.grid.reshape(-1, c)
     return OBJ_LOSS_WEIGHT * float((weights * bce).sum())
 
 

@@ -216,6 +216,31 @@ def anchor_features_oracle(grid, anchors):
     return (flat[i11] - flat[i01] - flat[i10] + flat[i00]) / ((r1 - r0) * (c1 - c0))[:, None]
 
 
+def objectness_oracle(grid, anchors, objectness, gt):
+    """(scores, loss, grad) of the objectness stage from the dense (A, C)
+    anchor features: each anchor's features through its own type's row of
+    the (T, C) `objectness` map, the weighted cross-entropy on
+    anchor_targets_oracle's labels, and the map's gradient summed one anchor
+    at a time, ds_a * feat_a into its type's row."""
+    from sinet.detector import OBJ_LOSS_WEIGHT
+    feats = anchor_features_oracle(grid, anchors)
+    types = np.arange(len(feats)) % len(objectness)
+    scores = np.array([dot_s(f, objectness[t]) for f, t in zip(feats, types)])
+    y, mask = anchor_targets_oracle(anchors, gt)
+    weights = np.zeros(len(feats))
+    for side in (0.0, 1.0):
+        pick = mask & (y == side)
+        if pick.any():
+            weights[pick] = 0.5 / pick.sum()
+    loss = 0.0
+    grad = np.zeros_like(objectness)
+    for a, (s, t) in enumerate(zip(scores.tolist(), types)):
+        bce = max(s, 0.0) - s * y[a] + math.log1p(math.exp(-abs(s)))
+        loss += OBJ_LOSS_WEIGHT * weights[a] * bce
+        grad[t] += OBJ_LOSS_WEIGHT * weights[a] * (sig_s(s) - y[a]) * feats[a]
+    return scores, loss, grad
+
+
 def sample_scene_oracle(world, seed, index, events=None):
     """Scene `index` of the stream keyed by `seed`, drawn the direct way:
     rng.uniform for sizes, centers and coins, rng.choice for categories,

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import conftest
-from sinet.detector import TrainConfig, create_detector_params
+from sinet.detector import (TrainConfig, anchor_set, create_detector_params,
+                            objectness_loss, score_anchors)
 from sinet.evaluation import evaluate_detections, run_ablation
 from sinet.geometry import Box, boxes_to_array, boxes_to_centers, nms
 from sinet.harness import main, run_gradcheck
@@ -28,12 +29,13 @@ from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.structure_inference import (SceneGraph, _compute_edges,
                                        _integrate_all, _max_messages, _relation_tensor,
                                        create_sin_params, sin_step_tape)
-from sinet.synth_data import (default_world, generate, load_dataset,
-                              save_dataset, world_hash)
+from sinet.synth_data import (GtObject, SceneSample, default_world, generate,
+                              load_dataset, save_dataset, world_hash)
 
 from oracles import (average_precision_oracle, edge_weight_oracle,
                      gru_forward_oracle, integrate_messages_oracle, iou_oracle,
-                     nms_oracle, per_image_lists, random_box, sin_step_oracle)
+                     nms_oracle, objectness_oracle, per_image_lists, random_box,
+                     sin_step_oracle)
 
 
 def record(num, label, ok, detail):
@@ -139,6 +141,23 @@ def _check_nms(rng, trials):
         assert list(got) == nms_oracle(boxes, scores, thresh, max_keep)
 
 
+def _check_objectness(rng, trials):
+    for _ in range(trials):
+        h, w, c = (int(v) for v in rng.integers((1, 1, 2), (13, 13, 9)))
+        grid = rng.normal(size=(h, w, c))
+        grid[rng.random(grid.shape) < 0.2] = -0.0
+        gt = [GtObject(random_box(rng, span=12.0), 0) for _ in range(int(rng.integers(0, 4)))]
+        sample = SceneSample(grid=grid, scene_type=0, gt=gt)
+        st = ParamStore()
+        p = create_detector_params(st, c, 2, 3, int(rng.integers(1 << 30)))
+        p.objectness.value[:] = rng.normal(size=p.objectness.value.shape)
+        scores, loss, grad = objectness_oracle(grid, anchor_set(h, w), p.objectness.value, gt)
+        scored = score_anchors(p, sample)
+        assert np.allclose(scored[1], scores, rtol=0.0, atol=1e-12)
+        assert objectness_loss(p, sample, scored) == pytest.approx(loss, abs=1e-12)
+        assert np.allclose(p.objectness.grad, grad, rtol=0.0, atol=1e-12)
+
+
 def _check_ap(rng, trials):
     for _ in range(trials):
         n_img = int(rng.integers(1, 4))
@@ -174,11 +193,12 @@ def test_criterion_2_oracle_equivalence():
     _check_integrate(rng, trials)
     _check_sin_step(rng, trials)
     _check_nms(rng, trials)
+    _check_objectness(rng, trials)
     _check_ap(rng, trials)
     wall = time.perf_counter() - t0
     ok = wall < 60.0
     line = record(2, "oracle equivalence", ok,
-                  f"6 kernels x {trials} instances at 1e-12 in {wall:.1f}s")
+                  f"7 kernels x {trials} instances at 1e-12 in {wall:.1f}s")
     assert ok, line
 
 

@@ -12,7 +12,7 @@ from sinet import detector as det_mod
 from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
                             PROPOSAL_NMS_THRESH, TrainConfig,
-                            TrainingDiverged, _anchor_features, _anchor_targets, _pool_rois,
+                            TrainingDiverged, _anchor_targets, _pool_rois,
                             active_param_names, anchor_set, arm_plan, assign_targets,
                             create_detector_params, detect, detect_scenes, forward,
                             forward_scenes, multi_task_loss, objectness_loss, propose,
@@ -21,11 +21,11 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH
 from sinet.geometry import Box, boxes_to_array, boxes_to_centers, nms, pairwise_iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
-from sinet.synth_data import GtObject, SceneSample, default_world
+from sinet.synth_data import GtObject, SceneSample, cell_window, default_world
 
-from oracles import (anchor_features_oracle, anchor_targets_oracle, apply_deltas_oracle,
-                     clip_box_oracle, covered_cells_oracle, encode_deltas_oracle, iou_oracle,
-                     nms_oracle, pool_rois_oracle)
+from oracles import (anchor_targets_oracle, apply_deltas_oracle, clip_box_oracle,
+                     covered_cells_oracle, encode_deltas_oracle, iou_oracle, nms_oracle,
+                     objectness_oracle, pool_rois_oracle)
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -48,10 +48,8 @@ def test_anchor_set_enumeration():
     assert len(a.centers) == 1536
     assert a.corners.shape == (1536, 4)
     # row-major by cell, types cycling fastest: anchor i is type i % T of
-    # cell i // T, whose score sits at flat index i * T + i % T of (A, T)
+    # cell i // T
     num_types = len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
-    i = np.arange(1536)
-    assert a.type_pick.tolist() == (i * num_types + i % num_types).tolist()
     assert a.centers[0, :2].tolist() == [0.5, 0.5]
     assert a.centers[num_types, :2].tolist() == [1.5, 0.5]
     assert a.centers[16 * num_types, :2].tolist() == [0.5, 1.5]
@@ -65,19 +63,19 @@ def test_anchor_set_enumeration():
     assert anchor_set(16, 16) is a
 
 
-def test_anchor_features_match_covered_cell_pooling():
-    rng = np.random.default_rng(3)
-    h, w, c = 9, 7, 4
-    grid = rng.normal(size=(h, w, c))
-    sample = SceneSample(grid=grid, scene_type=0, gt=[])
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 12), (12, 1), (9, 7), (16, 16)])
+def test_anchor_covers_and_counts_are_cell_window(h, w):
     anchors = anchor_set(h, w)
-    feats = _anchor_features(sample, anchors)
-    assert feats.shape == (len(anchors.centers), c)
-    for i, row in enumerate(anchors.centers.tolist()):
-        box = Box(*row)
-        rows, cols = covered_cells_oracle(box, h, w)
-        want = grid[np.ix_(rows, cols)].mean(axis=(0, 1))
-        assert np.allclose(feats[i], want, atol=1e-12), f"anchor {i}"
+    num_types = len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
+    assert anchors.row_cover.shape == (num_types, h, h)
+    assert anchors.col_cover.shape == (num_types, w, w)
+    assert anchors.count.shape == (num_types, h, w)
+    for i, corners in enumerate(anchors.corners.tolist()):
+        r, c, t = i // (w * num_types), i // num_types % w, i % num_types
+        r0, r1, c0, c1 = cell_window(corners, h, w)
+        assert anchors.row_cover[t, r].tolist() == [float(r0 <= k < r1) for k in range(h)], i
+        assert anchors.col_cover[t, c].tolist() == [float(c0 <= k < c1) for k in range(w)], i
+        assert anchors.count[t, r, c] == (r1 - r0) * (c1 - c0) > 0, i
 
 
 def _grid(seed, h, w, c, neg_zero):
@@ -88,27 +86,67 @@ def _grid(seed, h, w, c, neg_zero):
     return grid
 
 
+# quarter-cell boxes tie and coincide exactly; free floats land anywhere.
+# Both reach past every edge of a grid of up to 12 cells, and wholly off it.
+_gt_quarter = hst.builds(Box, hst.integers(-24, 60).map(lambda v: v / 4.0),
+                         hst.integers(-24, 60).map(lambda v: v / 4.0),
+                         hst.integers(1, 24).map(lambda v: v / 4.0),
+                         hst.integers(1, 24).map(lambda v: v / 4.0))
+_gt_free = hst.builds(Box, hst.floats(-8.0, 16.0), hst.floats(-8.0, 16.0),
+                      hst.floats(0.01, 12.0), hst.floats(0.01, 12.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(h=hst.integers(1, 12), w=hst.integers(1, 12), c=hst.integers(2, 8),
-       seed=hst.integers(0, 2**32 - 1), neg_zero=hst.sampled_from((0.0, 0.3, 1.0)))
-def test_anchor_features_and_scores_match_oracle(h, w, c, seed, neg_zero):
-    # bitwise: `take` and in-place arithmetic run the fancy-index form's
-    # float operations in the same order, and the cached flat pick reads the
-    # same entries of the (A, T) scores as a pair of index arrays
+       seed=hst.integers(0, 2**32 - 1), neg_zero=hst.sampled_from((0.0, 0.3, 1.0)),
+       boxes=hst.lists(hst.one_of(_gt_quarter, _gt_free), max_size=4))
+@example(h=3, w=11, c=2, seed=0, neg_zero=0.3, boxes=[Box(5.5, 1.5, 2.0, 2.0)])
+@example(h=12, w=1, c=8, seed=1, neg_zero=1.0, boxes=[])
+def test_anchor_scores_and_objectness_gradient_match_oracle(h, w, c, seed, neg_zero, boxes):
+    # the box filter adds each window in another order than the dense
+    # features, so scores, loss and gradient agree to rounding
     grid = _grid(seed, h, w, c, neg_zero)
-    sample = SceneSample(grid=grid, scene_type=0, gt=[])
-    anchors = anchor_set(h, w)
-    want = anchor_features_oracle(grid, anchors)
-    assert _anchor_features(sample, anchors).tobytes() == want.tobytes()
+    sample = SceneSample(grid=grid, scene_type=0, gt=[GtObject(b, 0) for b in boxes])
     store, params = make_params(channels=c)
-    params.objectness.value[:] = np.random.default_rng(seed + 1).normal(
-        size=params.objectness.value.shape)
-    got_anchors, feats, scores = score_anchors(params, sample)
-    assert got_anchors is anchors and feats.tobytes() == want.tobytes()
-    num_types = len(params.objectness.value)
-    a = np.arange(len(want))
-    per_type = want @ params.objectness.value.T
-    assert scores.tobytes() == per_type[a, a % num_types].tobytes()
+    rng = np.random.default_rng(seed + 1)
+    params.objectness.value[:] = rng.normal(size=params.objectness.value.shape)
+    anchors = anchor_set(h, w)
+    want_scores, want_loss, want_grad = objectness_oracle(grid, anchors,
+                                                          params.objectness.value, sample.gt)
+    got_anchors, scores = score_anchors(params, sample)
+    assert got_anchors is anchors and scores.shape == (len(anchors.centers),)
+    assert np.allclose(scores, want_scores, rtol=0.0, atol=1e-12)
+    # the gradient accumulates onto what was there
+    start = rng.normal(size=params.objectness.value.shape)
+    params.objectness.grad[:] = start
+    loss = objectness_loss(params, sample, (anchors, scores))
+    assert loss == pytest.approx(want_loss, rel=0.0, abs=1e-12)
+    assert np.allclose(params.objectness.grad - start, want_grad, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cells_raise_nothing_and_proposals_still_come(bad):
+    # the anchors covering the cell score NaN (inf or NaN for an inf cell),
+    # and proposals fall back to the full stable sort, NaN scores last
+    rng = np.random.default_rng(31)
+    store, params = make_params()
+    params.objectness.value[:] = rng.normal(size=params.objectness.value.shape)
+    sample = make_sample(rng, h=6, w=7)
+    sample.grid[2, 3, 1] = bad
+    anchors, scores = score_anchors(params, sample)
+    win = np.array([cell_window(row, 6, 7) for row in anchors.corners.tolist()])
+    covers = (win[:, 0] <= 2) & (2 < win[:, 1]) & (win[:, 2] <= 3) & (3 < win[:, 3])
+    assert covers.sum() >= 6
+    if math.isnan(bad):
+        assert np.isnan(scores[covers]).all()
+    else:
+        assert not np.isfinite(scores[covers]).any()
+    props = propose(params, sample, TrainConfig(rois_per_image=16, feat_dim=6))
+    order = np.argsort(-scores, kind="stable")
+    assert props.tolist() == anchors.centers[order[:16]].tolist()
+    loss = objectness_loss(params, sample, (anchors, scores))
+    assert not np.isfinite(loss) and not np.isfinite(params.objectness.grad).all()
 
 
 # quarter-cell rows put centers and edges on cell boundaries (nearest-cell
@@ -188,7 +226,7 @@ def test_propose_matches_oracle_over_injected_and_anchors():
     params.objectness.value[:] = rng.normal(0.0, 1.0, size=params.objectness.value.shape)
     gt = [GtObject(Box(2.5, 2.5, 3.0, 2.0), 0), GtObject(Box(7.0, 7.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, gt=gt)
-    anchors, _feats, scores = score_anchors(params, sample)
+    anchors, scores = score_anchors(params, sample)
     for k in (16, 40):
         cfg = validate_config(TrainConfig(rois_per_image=k, feat_dim=6))
         for train_mode in (False, True):
@@ -216,7 +254,7 @@ def test_propose_pads_by_cycling_the_kept_boxes():
     params.objectness.value[:] = rng.normal(0.0, 1.0, size=params.objectness.value.shape)
     gt = [GtObject(Box(0.5, 0.6, 1.2, 1.6), 0)]
     sample = make_sample(rng, h=1, w=1, gt=gt)
-    anchors, _feats, scores = score_anchors(params, sample)
+    anchors, scores = score_anchors(params, sample)
     cfg = validate_config(TrainConfig(rois_per_image=16, feat_dim=6))
     for train_mode in (False, True):
         props = propose(params, sample, cfg,
@@ -266,7 +304,7 @@ def test_proposals_without_injection_are_nms_over_the_anchors(h, w, n, levels):
     # has nothing to inject
     for sample, rng in ((SceneSample(np.zeros((h, w, 5)), 0, gt), None),
                         (SceneSample(np.zeros((h, w, 5)), 0, []), np.random.default_rng(0))):
-        props = propose(None, sample, cfg, rng=rng, scored=(anchors, None, scores))
+        props = propose(None, sample, cfg, rng=rng, scored=(anchors, scores))
         assert props.tolist() == want
 
 
@@ -574,16 +612,6 @@ def test_anchor_targets_empty_gt():
     assert mask.all()
 
 
-# quarter-cell boxes tie and coincide exactly; free floats land anywhere.
-# Both reach past every edge of a grid of up to 9 cells, and wholly off it.
-_gt_quarter = hst.builds(Box, hst.integers(-24, 60).map(lambda v: v / 4.0),
-                         hst.integers(-24, 60).map(lambda v: v / 4.0),
-                         hst.integers(1, 24).map(lambda v: v / 4.0),
-                         hst.integers(1, 24).map(lambda v: v / 4.0))
-_gt_free = hst.builds(Box, hst.floats(-8.0, 16.0), hst.floats(-8.0, 16.0),
-                      hst.floats(0.01, 12.0), hst.floats(0.01, 12.0))
-
-
 @settings(max_examples=200, deadline=None)
 @given(h=hst.integers(1, 9), w=hst.integers(1, 9),
        distinct=hst.lists(hst.one_of(_gt_quarter, _gt_free), min_size=1, max_size=5),
@@ -610,7 +638,7 @@ def test_anchor_extents_and_areas_are_the_corners(h, w):
 
 def test_anchor_cache_is_read_only():
     anchors = anchor_set(5, 6)
-    assert anchors.pool_count.dtype == np.float64
+    assert {"row_cover", "col_cover", "count"} <= set(vars(anchors))
     for name, arr in vars(anchors).items():
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
@@ -664,11 +692,14 @@ def test_objectness_loss_with_shared_scores_matches_own():
     assert shared == own
     assert np.array_equal(params.objectness.grad, own_grad)
 
-    # the scores are each anchor's pooled features through its type's row
-    anchors, feats, scores = scored
+    # the scores are the mean of the cells each anchor covers through its
+    # type's row
+    anchors, scores = scored
     num_types = len(params.objectness.value)
-    for a in range(len(anchors.centers)):
-        want = feats[a] @ params.objectness.value[a % num_types]
+    for a, row in enumerate(anchors.centers.tolist()):
+        rows, cols = covered_cells_oracle(Box(*row), 9, 9)
+        want = sample.grid[np.ix_(rows, cols)].mean(axis=(0, 1)) @ params.objectness.value[
+            a % num_types]
         assert scores[a] == pytest.approx(want, abs=1e-12)
     # the gradient accumulates onto what was there
     store.zero_grads()
@@ -921,16 +952,18 @@ def test_detections_are_pinned(arm):
 # Digests of a 60-iteration training per (arm, pooling): every loss's hex
 # value, then every parameter's name and bytes; any change to a loss or
 # parameter bit moves them. Re-recorded when the spatial gate weights left
-# the parameter store for the constant W_P: the digests lost the sin/w_p
-# entry, and the sin losses its weight-decay term, 0.5 * 5e-4 * |W_P|^2 =
-# 1.425e-4. Every other parameter and the baseline losses kept their bits.
+# the parameter store for the constant W_P (the sin losses lost its
+# weight-decay term, 1.425e-4), and again when anchor scores became a
+# separable box filter of the projected grid: the scores moved by at most
+# 1.1e-14 and the losses by 8.9e-16, the objectness map's low bits changed,
+# and every other parameter kept its bits (no proposal changed).
 PINNED_TRAINING = {
     "baseline": ("baseline", "mean",
-                 "84a8164755ccc2cab5b1ff5e15f61ae703722538433506845c92be4571b344fc"),
+                 "579ad598b1a9a9e629fcabb818c1f8bc824dee8adcad9dccbe0b3ea9be74d966"),
     "sin-mean": ("sin", "mean",
-                 "055574ee89750891dc673fede19640e155d5612c42c044b27d2121c71b6fd6a9"),
+                 "61d7be6673a13fa028d3129c875ef45f8f4525399f86a57e03518ca0bed2500e"),
     "sin-concat": ("sin", "concat",
-                   "84cff53d392296a3c38e6bf2de57086372f8a161d4614d3ecc026244449de511"),
+                   "d64db6a73a7c7dbfbf5f074b0e9e8dfabfad689c7325aba3cd2ac85fa7be4c21"),
 }
 
 
