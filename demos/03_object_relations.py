@@ -45,10 +45,11 @@ for i in range(20):
     print(f"scene {i} ({world.scene_names[sample.scene_type]}), "
           f"{len(sample.gt)} objects, {len(dets)} detections:")
     boxes, edges = state.graph_out.boxes[0], state.edges[0]   # the one-scene stack
-    report = relation_report(edges, dets)
+    # each detection is a row of a structured array; "roi" is its graph node
+    report = relation_report(edges, dets["roi"])
     for det, (node, partner, weight) in zip(dets, report):
         dist = float(np.hypot(*(boxes[node, :2] - boxes[partner, :2])))
-        print(f"    node {node:<2} {names[det.category]:<7} score {det.score:.2f}"
+        print(f"    node {node:<2} {names[det['category']]:<7} score {det['score']:.2f}"
               f"  <- strongest sender node {partner:<2}"
               f" (distance {dist:4.1f}, edge {weight:+.3f})")
     print()

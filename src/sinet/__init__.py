@@ -20,7 +20,7 @@ from .structure_inference import (SceneGraph, SinParams, compute_edges,
 from .synth_data import (Category, CooccurRule, GtObject, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
                          sample_at, save_dataset, world_hash)
-from .detector import (ARMS, Detection, DetectorParams, TrainConfig,
+from .detector import (ARMS, DETECTION_DTYPE, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
                        detect, detect_scenes, forward, forward_scenes,
                        multi_task_loss, propose, train)
@@ -30,10 +30,10 @@ from .harness import EvalConfig, RunConfig, main, run_gradcheck
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARMS", "Box", "Category", "CheckpointError", "CooccurRule", "Detection",
-    "DetectorParams", "EvalConfig", "EvalResult", "GruParams", "GtObject",
-    "Param", "ParamStore", "RunConfig", "SceneGraph", "SceneSample",
-    "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
+    "ARMS", "Box", "Category", "CheckpointError", "CooccurRule",
+    "DETECTION_DTYPE", "DetectorParams", "EvalConfig", "EvalResult",
+    "GruParams", "GtObject", "Param", "ParamStore", "RunConfig", "SceneGraph",
+    "SceneSample", "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
     "apply_deltas", "assign_targets", "boxes_to_array", "boxes_to_centers",
     "centers_to_corners", "clip_box", "compute_edges",
     "create_detector_params", "create_gru_params", "create_sin_params",

@@ -12,16 +12,18 @@ steps, and reads class probabilities and per-class box deltas off the final
 node states.
 
 Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
-(cx, cy, w, h); Box objects appear only for ground truth and the kept
-Detections. Stage two runs on a stack of B scenes at once (forward_scenes,
-on a (B, n, 4) ROI array): node features are (B, n, d) with n =
-rois_per_image, and each product keeps its per-scene shape, so a scene's
-numbers do not depend on what it is stacked with. Training and `forward` run
-stacks of one scene and record the tapes of the inference steps for the
-backward pass; detect_scenes runs the proposal stage per scene and stage two,
-forward only, on chunks of DETECT_CHUNK scenes. Its tail thresholds the whole
-chunk's (B, n, K) probabilities at once, refines and clips every candidate
-in one call, and suppresses them with one NMS grouped by (scene, class).
+(cx, cy, w, h); Box objects appear only for ground truth and the
+gradient-check fixture. A scene's detections are one structured array
+(DETECTION_DTYPE) from the detection tail to the metrics and the CSV writers.
+Stage two runs on a stack of B scenes at once (forward_scenes, on a (B, n, 4)
+ROI array): node features are (B, n, d) with n = rois_per_image, and each
+product keeps its per-scene shape, so a scene's numbers do not depend on what
+it is stacked with. Training and `forward` run stacks of one scene and record
+the tapes of the inference steps for the backward pass; detect_scenes runs the
+proposal stage per scene and stage two, forward only, on chunks of
+DETECT_CHUNK scenes. Its tail thresholds the whole chunk's (B, n, K)
+probabilities at once, refines and clips every candidate in one call, and
+suppresses them with one NMS grouped by (scene, class).
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -34,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .geometry import (Box, _sorted_prefix, apply_deltas, boxes_to_array,
-                       boxes_to_centers, centers_to_corners, clip_box, encode_deltas, nms,
-                       nms_by_group, pairwise_iou)
+from .geometry import (_sorted_prefix, apply_deltas, boxes_to_array, boxes_to_centers,
+                       centers_to_corners, clip_box, encode_deltas, nms, nms_by_group,
+                       pairwise_iou)
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
                                   create_sin_params, sin_backward,
@@ -68,7 +70,7 @@ ARMS = ("baseline", "scene", "edge", "sin")
 # / 0.38-0.42 ms per scene in stacks of 8 / 16 / 32 / 64, and 64 was fastest
 # in 7 and 8 of the 11 rounds, short of the 9 that would justify a change.
 # Allocations of detect_scenes peak at 2.2 / 2.6 / 3.4 / 5.0 MB (tracemalloc,
-# which counts the Detections of all 512 scenes too): stage two holds about
+# which counts the detections of all 512 scenes too): stage two holds about
 # 50 KB per stacked scene (120 KB while detection kept every step's tape and
 # built the (B, n, n, d) message products). So the stack stays at 16: 64's medians
 # were 9-11% lower, but not round after round, and it holds twice the memory.
@@ -692,12 +694,10 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
 # ---------------------------------------------------------------------------
 # inference
 
-@dataclass
-class Detection:
-    box: Box
-    category: int
-    score: float
-    roi_index: int
+# One row per kept detection: its refined, clipped center-size box, its class,
+# its class probability and the index of the ROI (graph node) it refines.
+DETECTION_DTYPE = np.dtype([("box", np.float64, (4,)), ("category", np.intp),
+                            ("score", np.float64), ("roi", np.intp)])
 
 
 def _detect_stack(params, samples, cfg, score_thresh, arm):
@@ -705,9 +705,10 @@ def _detect_stack(params, samples, cfg, score_thresh, arm):
     the whole stack: every (scene, class, ROI) score that clears the
     threshold is refined and clipped to its scene's grid, and all of them
     go through one NMS grouped by (scene, class). Returns the detections
-    of each scene, sorted by class, then score descending, then box, and
-    the stack's forward state, which holds no tapes. A scene's detections
-    do not depend on its stack or on ROI order (modulo exact score ties)."""
+    of each scene, a DETECTION_DTYPE array sorted by class, then score
+    descending, then box, and the stack's forward state, which holds no
+    tapes. A scene's detections do not depend on its stack or on ROI order
+    (modulo exact score ties)."""
     mode, steps = arm_plan(arm, cfg)
     boxes = np.array([propose(params, sample, cfg) for sample in samples])
     state = forward_scenes(params, samples, boxes, cfg, mode=mode, steps=steps, record=False)
@@ -723,18 +724,16 @@ def _detect_stack(params, samples, cfg, score_thresh, arm):
     r = refined[keep]
     keep = keep[np.lexsort((r[:, 3], r[:, 2], r[:, 1], r[:, 0], -scores[keep], cats[keep],
                             scene[keep]))]
-    dets = [[] for _ in samples]
-    for b, box, c, score, roi in zip(scene[keep].tolist(), refined[keep].tolist(),
-                                     cats[keep].tolist(), scores[keep].tolist(),
-                                     rois[keep].tolist()):
-        dets[b].append(Detection(box=Box(*box), category=c, score=score, roi_index=roi))
-    return dets, state
+    dets = np.empty(len(keep), DETECTION_DTYPE)
+    dets["box"], dets["category"] = refined[keep], cats[keep]
+    dets["score"], dets["roi"] = scores[keep], rois[keep]
+    return np.split(dets, np.searchsorted(scene[keep], np.arange(1, len(samples)))), state
 
 
 def detect_scenes(params, samples, cfg, score_thresh=0.05, arm="sin"):
-    """Final detections for each scene, as a list per sample. Stage two runs
-    on stacks of DETECT_CHUNK scenes; a scene's detections are the same in
-    any stack, alone or not."""
+    """Final detections for each scene, one DETECTION_DTYPE array per sample
+    (see _detect_stack). Stage two runs on stacks of DETECT_CHUNK scenes; a
+    scene's detections are the same in any stack, alone or not."""
     dets = []
     for start in range(0, len(samples), DETECT_CHUNK):
         dets += _detect_stack(params, samples[start:start + DETECT_CHUNK], cfg,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .detector import ARMS, DETECTION_DTYPE, TrainingDiverged, detect_scenes, train
 from .geometry import boxes_to_centers, iou
 from .numerics import derive_seed
 from .synth_data import generate, world_hash
@@ -44,10 +45,11 @@ class _Matching:
     """Detections and ground truth of every image as flat arrays, and the
     greedy one-to-one match at IoU MATCH_IOU.
 
-    Detections are held in rank order: score descending, ties kept in
-    image-then-list order. In that order, a detection takes the still-free
-    gt of its image and category with the highest IoU at or above the
-    threshold (and above 0), ties to the lowest gt index.
+    dets_by_image holds one DETECTION_DTYPE array per image. Detections are
+    held in rank order: score descending, ties kept in image-then-row order.
+    In that order, a detection takes the still-free gt of its image and
+    category with the highest IoU at or above the threshold (and above 0),
+    ties to the lowest gt index.
 
     Of the same-image (detection, gt) pairs only those at IoU FP_IOU_LOC or
     more are kept, by detection and then gt index: every match candidate is
@@ -58,12 +60,12 @@ class _Matching:
         if len(dets_by_image) != len(gts_by_image):
             raise ValueError(f"{len(dets_by_image)} detection lists vs "
                              f"{len(gts_by_image)} ground-truth lists")
-        dets = [d for dd in dets_by_image for d in dd]
-        rank = np.argsort([-d.score for d in dets], kind="stable")
-        dets = [dets[i] for i in rank]
+        dets = np.concatenate([np.empty(0, DETECTION_DTYPE), *dets_by_image])
+        rank = np.argsort(-dets["score"], kind="stable")
+        dets = dets[rank]
         det_img = np.repeat(np.arange(len(dets_by_image)), [len(dd) for dd in dets_by_image])[rank]
-        self.score = np.array([d.score for d in dets], dtype=np.float64)
-        self.det_cat = np.array([d.category for d in dets], dtype=np.intp)
+        self.score = dets["score"]
+        self.det_cat = dets["category"]
         gts = [g for gg in gts_by_image for g in gg]
         self.gt_cat = np.array([g.category for g in gts], dtype=np.intp)
         # pair p of detection d is gt p - shift[d], counted over all images;
@@ -74,7 +76,7 @@ class _Matching:
         shift = first - (np.cumsum(n_gt) - n_gt)[det_img]
         bounds = np.unique(np.append(
             np.searchsorted(first, np.arange(0, per_det.sum(), PAIR_CHUNK)), len(dets))).tolist()
-        det_box = boxes_to_centers([d.box for d in dets])
+        det_box = dets["box"]
         gt_box = boxes_to_centers([g.box for g in gts])
         near_det, near_gt, near_iou = [], [], []
         for lo, hi in zip(bounds, bounds[1:]):
@@ -171,7 +173,8 @@ class EvalResult:
 
 def evaluate_detections(dets_by_image, gts_by_image, num_categories, similar_pairs=()):
     """AP per category, mAP, the pooled PR curve and the FP buckets, all at
-    IoU MATCH_IOU."""
+    IoU MATCH_IOU, of one DETECTION_DTYPE array per image against its
+    GtObject list."""
     m = _Matching(dets_by_image, gts_by_image)
     per_cat = m.ap_by_category(num_categories)
     return EvalResult(per_category_ap=per_cat, map=mean_ap(per_cat), pr=m.pr_curve(),
@@ -185,8 +188,6 @@ SWEEP_GRID = (("mean", 1), ("mean", 2), ("mean", 3), ("max", 2), ("concat", 2))
 
 
 def _eval_arm(tr, test_samples, world, cfg, arm, score_thresh):
-    from .detector import detect_scenes
-
     dets = detect_scenes(tr.params, test_samples, cfg, score_thresh, arm)
     gts = [s.gt for s in test_samples]
     ev = evaluate_detections(dets, gts, world.num_categories, world.ambiguous_pairs)
@@ -202,8 +203,6 @@ def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
     wiring differs. Returns a nested dict; keys starting with "_" hold live
     objects (stores, detections) and are stripped before serialization.
     """
-    from .detector import ARMS, TrainingDiverged, train
-
     if arms is None:
         arms = ARMS
     say = progress if progress is not None else (lambda msg: None)

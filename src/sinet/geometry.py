@@ -3,8 +3,8 @@
 survivor of many small groups), and paired IoU, delta encoding, refinement
 and clipping over center-size arrays.
 
-Box objects are the API edge: ground truth (scene placement and dataset
-parsing), kept detections and the gradient-check fixture. The array kernels
+Box objects are the API edge for ground truth (scene placement and dataset
+parsing) and the gradient-check fixture only. The array kernels
 take (k, 4) rows of corners (x1, y1, x2, y2) or centers (cx, cy, w, h) and
 do the float operations of the matching Box arithmetic, so their results are
 bitwise the same."""

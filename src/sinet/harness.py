@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -198,30 +199,19 @@ def eval_workers():
     return w
 
 
-def _detect_chunk(payload):
-    values, cfg_dict, arm, score_thresh, samples = payload
-    store = ParamStore()
-    for name in sorted(values):
-        store.create(name, values[name])
-    params = detector_params_from_store(store)
-    cfg = TrainConfig(**cfg_dict)
-    return detect_scenes(params, samples, cfg, score_thresh, arm)
-
-
 def detect_dataset(store, cfg, arm, samples, score_thresh, workers=1):
-    """Detections per sample, identical for any worker count."""
+    """Detections per sample, one DETECTION_DTYPE array each, identical for
+    any worker count."""
+    params = detector_params_from_store(store)
     workers = min(workers, max(1, len(samples)))
     if workers <= 1:
-        return detect_scenes(detector_params_from_store(store), samples, cfg,
-                             score_thresh, arm)
-    values = store.clone_values()
-    cfg_dict = asdict(cfg)
+        return detect_scenes(params, samples, cfg, score_thresh, arm)
     bounds = np.linspace(0, len(samples), workers + 1).astype(int)
-    payloads = [(values, cfg_dict, arm, score_thresh, samples[bounds[i]:bounds[i + 1]])
-                for i in range(workers)]
+    chunks = [samples[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     out = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_detect_chunk, payloads):
+        for chunk in pool.map(detect_scenes, repeat(params), chunks, repeat(cfg),
+                              repeat(score_thresh), repeat(arm)):
             out.extend(chunk)
     return out
 
@@ -353,10 +343,6 @@ def _load_trained(args):
     manifest = read_manifest(manifest_path)
     store = load_checkpoint(args.checkpoint)
     try:
-        detector_params_from_store(store)
-    except KeyError as e:
-        raise RunFailure(f"{args.checkpoint}: checkpoint lacks parameter {e}")
-    try:
         cfg = _dataclass_from_dict(TrainConfig, manifest["train"], "manifest.train",
                                    validate_config)
         ev_cfg = _dataclass_from_dict(EvalConfig, manifest.get("eval", {}), "manifest.eval",
@@ -366,6 +352,22 @@ def _load_trained(args):
         raise RunFailure(f"{manifest_path}: manifest does not match this build: {e}")
     if manifest["arm"] not in ARMS:
         raise RunFailure(f"{manifest_path}: manifest names unknown arm {manifest['arm']!r}")
+    # the checkpoint must hold exactly the parameters, of the same shapes, of
+    # the model the manifest describes
+    want = ParamStore()
+    create_detector_params(want, world.channels, world.num_categories, cfg.feat_dim, 0,
+                           cfg.pooling)
+    got = {name: p.value.shape for name, p in store.items()}
+    for name, p in want.items():
+        if name not in got:
+            raise RunFailure(f"{args.checkpoint}: checkpoint lacks parameter {name!r}")
+        if got.pop(name) != p.value.shape:
+            raise RunFailure(f"{args.checkpoint}: parameter {name!r} has shape "
+                             f"{store[name].value.shape}; the manifest's model needs "
+                             f"{p.value.shape}")
+    if got:
+        raise RunFailure(f"{args.checkpoint}: checkpoint holds parameter {min(got)!r}, "
+                         f"which the manifest's model lacks")
     return manifest, store, cfg, ev_cfg, world
 
 
@@ -472,8 +474,11 @@ def _cmd_relations(args):
     for i in range(args.n):
         sample = sample_at(world, args.seed, i)
         dets, state = detect(params, sample, cfg, score_thresh, arm)
-        for det, (node, partner, weight) in zip(dets, relation_report(state.edges[0], dets)):
-            rows.append((i, node, det.category, det.score, partner, weight))
+        # Python scalars: _fmt_cell writes a float by its repr
+        for cat, score, (node, partner, weight) in zip(
+                dets["category"].tolist(), dets["score"].tolist(),
+                relation_report(state.edges[0], dets["roi"].tolist())):
+            rows.append((i, node, cat, score, partner, weight))
     write_csv(args.out, ("sample", "node", "category", "score", "partner",
                          "edge_weight"), rows)
     print(f"wrote {len(rows)} relation rows for {args.n} scenes to {args.out}")

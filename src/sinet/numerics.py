@@ -108,10 +108,6 @@ class ParamStore:
         for p in self._entries.values():
             p.grad[...] = 0.0
 
-    def clone_values(self):
-        """Snapshot of all values, keyed by name."""
-        return {name: p.value.copy() for name, p in self.items()}
-
 
 def grad_check(loss_fn, store, names, eps=1e-5):
     """Compare analytic gradients against central differences.

@@ -402,17 +402,16 @@ def sin_backward(p, tapes, d_out_features):
 def relation_report(e, kept):
     """For each kept node, the sender with the strongest edge into it.
 
-    `kept` holds node indices (or objects with a roi_index attribute).
-    Returns (node, partner, weight) triples; graphs with fewer than two nodes
-    yield an empty report. Ties go to the lowest sender index.
+    `kept` holds node indices. Returns (node, partner, weight) triples;
+    graphs with fewer than two nodes yield an empty report. Ties go to the
+    lowest sender index.
     """
     e = np.asarray(e, dtype=np.float64)
     n = e.shape[0]
     if n < 2:
         return []
     report = []
-    for item in kept:
-        i = int(getattr(item, "roi_index", item))
+    for i in map(int, kept):
         row = e[i].copy()
         row[i] = -np.inf
         j = int(np.argmax(row))

@@ -423,12 +423,26 @@ FP_IOU_LOC = 0.1
 FP_IOU_COR = 0.5
 
 
+def _det_box(d):
+    """A detection row's center-size box as a Box."""
+    from sinet.geometry import Box
+    return Box(*d["box"].tolist())
+
+
+def detection_array(rows):
+    """(Box, category, score) triples as one image's DETECTION_DTYPE array,
+    every detection on ROI 0."""
+    from sinet.detector import DETECTION_DTYPE
+    return np.array([((b.cx, b.cy, b.w, b.h), cat, score, 0) for b, cat, score in rows],
+                    dtype=DETECTION_DTYPE)
+
+
 def category_slices_oracle(dets_by_image, gts_by_image, category):
     """One category's detections as (image_id, box, score) triples in image
     order, and its gt as {image_id: [box]}: average_precision_oracle's
     inputs."""
-    dets = [(img, d.box, d.score)
-            for img, dd in enumerate(dets_by_image) for d in dd if d.category == category]
+    dets = [(img, _det_box(d), float(d["score"]))
+            for img, dd in enumerate(dets_by_image) for d in dd if d["category"] == category]
     gts = {}
     for img, gg in enumerate(gts_by_image):
         boxes = [o.box for o in gg if o.category == category]
@@ -439,16 +453,15 @@ def category_slices_oracle(dets_by_image, gts_by_image, category):
 
 def per_image_lists(dets, gts):
     """The inverse of category_slices_oracle for category 0: (image_id, box,
-    score) triples and {image_id: [box]} as per-image Detection and
+    score) triples and {image_id: [box]} as per-image detection arrays and
     GtObject lists, one per image from 0 to the largest id."""
-    from sinet.detector import Detection
     from sinet.synth_data import GtObject
     n_img = 1 + max([img for img, _, _ in dets] + list(gts), default=-1)
-    dets_by_image = [[] for _ in range(n_img)]
-    for img, box, score in dets:
-        dets_by_image[img].append(Detection(box=box, category=0, score=score, roi_index=0))
+    dets_by_image = [detection_array([(box, 0, score) for i, box, score in dets if i == img])
+                     for img in range(n_img)]
     gts_by_image = [[GtObject(b, 0) for b in gts.get(img, [])] for img in range(n_img)]
     return dets_by_image, gts_by_image
+
 
 def match_all_oracle(dets_by_image, gts_by_image, iou_thresh):
     """Greedy category-aware matching over the global score ranking.
@@ -460,15 +473,15 @@ def match_all_oracle(dets_by_image, gts_by_image, iou_thresh):
     for img, dd in enumerate(dets_by_image):
         for d in dd:
             ranked_idx.append((img, d))
-    ranked_idx.sort(key=lambda t: -t[1].score)
+    ranked_idx.sort(key=lambda t: -float(t[1]["score"]))
     used = set()
     matched = []
     for img, d in ranked_idx:
         best_iou, best_g = 0.0, -1
         for gi, g in enumerate(gts_by_image[img]):
-            if g.category != d.category or (img, gi) in used:
+            if g.category != d["category"] or (img, gi) in used:
                 continue
-            v = iou_oracle(d.box, g.box)
+            v = iou_oracle(_det_box(d), g.box)
             if v >= iou_thresh and v > best_iou:
                 best_iou, best_g = v, gi
         if best_g >= 0:
@@ -490,7 +503,7 @@ def pr_curve_oracle(dets_by_image, gts_by_image, thresholds=PR_THRESHOLDS, iou_t
     total_gt = sum(len(g) for g in gts_by_image)
     points = []
     for thr in thresholds:
-        kept = [m for (img, d), m in zip(ranked, matched) if d.score >= thr]
+        kept = [m for (img, d), m in zip(ranked, matched) if d["score"] >= thr]
         tp = sum(kept)
         precision = tp / len(kept) if kept else 1.0
         recall = tp / total_gt if total_gt else 0.0
@@ -515,10 +528,10 @@ def fp_breakdown_oracle(dets_by_image, gts_by_image, similar_pairs=()):
             continue
         best_same = best_sim = best_other = 0.0
         for g in gts_by_image[img]:
-            v = iou_oracle(d.box, g.box)
-            if g.category == d.category:
+            v = iou_oracle(_det_box(d), g.box)
+            if g.category == d["category"]:
                 best_same = max(best_same, v)
-            elif (d.category, g.category) in sim:
+            elif (int(d["category"]), g.category) in sim:
                 best_sim = max(best_sim, v)
             else:
                 best_other = max(best_other, v)

@@ -32,7 +32,7 @@ from sinet.structure_inference import (SceneGraph, _compute_edges,
 from sinet.synth_data import (GtObject, SceneSample, default_world, generate,
                               load_dataset, save_dataset, world_hash)
 
-from oracles import (average_precision_oracle, edge_weight_oracle,
+from oracles import (average_precision_oracle, detection_array, edge_weight_oracle,
                      gru_forward_oracle, integrate_messages_oracle, iou_oracle,
                      nms_oracle, objectness_oracle, per_image_lists, random_box,
                      sin_step_oracle)
@@ -335,7 +335,6 @@ def _invariant_nms_postconditions(rng):
 
 
 def _invariant_ap_range_and_monotone_recall(rng):
-    from sinet.detector import Detection
     from sinet.synth_data import GtObject
 
     for _ in range(40):
@@ -345,8 +344,7 @@ def _invariant_ap_range_and_monotone_recall(rng):
         ap = evaluate_detections(*per_image_lists(dets, gts), 1).per_category_ap[0]
         assert 0.0 <= ap <= 1.0
         # pooled recall can only fall as the score threshold rises
-        dd = [[Detection(box=b, category=0, score=s, roi_index=0)
-               for _, b, s in dets]]
+        dd = [detection_array([(b, 0, s) for _, b, s in dets])]
         gg = [[GtObject(b, 0) for b in gts[0]]]
         recalls = [r for _, _, r in evaluate_detections(dd, gg, 1).pr]
         assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:]))

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from sinet import detector as det_mod
-from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH,
+from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
+                            FINAL_NMS_THRESH,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
                             PROPOSAL_NMS_THRESH, TrainConfig,
                             TrainingDiverged, _anchor_targets, _pool_rois,
@@ -18,7 +19,8 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, FINAL_NMS_THRESH
                             forward_scenes, multi_task_loss, objectness_loss, propose,
                             score_anchors, smooth_l1, smooth_l1_grad, train,
                             validate_config)
-from sinet.geometry import Box, boxes_to_array, boxes_to_centers, nms, pairwise_iou
+from sinet.geometry import (Box, boxes_to_array, boxes_to_centers, centers_to_corners, nms,
+                            pairwise_iou)
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import GtObject, SceneSample, cell_window, default_world
@@ -793,7 +795,7 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     dets, state = detect(result.params, sample, cfg, score_thresh=0.0, arm="sin")
     assert state.tapes == []
     assert state.edges.shape == (1, 1, 1)
-    assert dets and all(d.roi_index == 0 for d in dets)
+    assert len(dets) and (dets["roi"] == 0).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -846,19 +848,21 @@ def test_detect_output_contract():
     cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
     dets, state = detect(params, sample, cfg, score_thresh=0.05, arm="sin")
     assert state.probs.shape[:2] == (1, 8)
-    keys = [(d.category, -d.score, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets]
+    assert dets.dtype == DETECTION_DTYPE
+    keys = [(int(d["category"]), -float(d["score"]), *d["box"].tolist()) for d in dets]
     assert keys == sorted(keys)
     h, w = sample.grid.shape[:2]
     for d in dets:
-        assert 0 <= d.category < 3
-        assert d.score >= 0.05
-        assert 0 <= d.roi_index < 8
-        x1, y1, x2, y2 = d.box.corners()
+        assert 0 <= d["category"] < 3
+        assert d["score"] >= 0.05
+        assert 0 <= d["roi"] < 8
+        assert (d["box"][2:] > 0).all()
+        x1, y1, x2, y2 = centers_to_corners(d["box"][None])[0]
         assert -1e-9 <= x1 and x2 <= w + 1e-9 and -1e-9 <= y1 and y2 <= h + 1e-9
     # per-class NMS: survivors of one class never overlap above the threshold,
     # which also dedupes the repeated padding proposals
     for cat in range(3):
-        mine = [d.box for d in dets if d.category == cat]
+        mine = [Box(*d["box"].tolist()) for d in dets if d["category"] == cat]
         for i in range(len(mine)):
             for j in range(i + 1, len(mine)):
                 assert iou_oracle(mine[i], mine[j]) <= FINAL_NMS_THRESH
@@ -873,9 +877,9 @@ def test_detect_orders_score_ties_by_box():
     params.reg_head.value[:] = 0.0
     cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
     dets, _ = detect(params, make_sample(rng), cfg, score_thresh=0.05, arm="sin")
-    assert {d.score for d in dets} == {0.25}
+    assert set(dets["score"].tolist()) == {0.25}
     for cat in range(3):
-        boxes = [(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets if d.category == cat]
+        boxes = [tuple(d["box"].tolist()) for d in dets if d["category"] == cat]
         assert len(boxes) >= 2 and boxes == sorted(boxes)
 
 
@@ -938,8 +942,9 @@ def _detection_digest(arm):
     digest = hashlib.sha256()
     for i, dets in enumerate(detect_dataset(result.store, cfg, arm, samples, 0.05)):
         digest.update(f"scene {i}\n".encode())
-        for d in dets:
-            key = (d.category, d.score.hex(), tuple(float(v).hex() for v in d.box.corners()))
+        for d, corners in zip(dets, centers_to_corners(dets["box"])):
+            key = (int(d["category"]), float(d["score"]).hex(),
+                   tuple(float(v).hex() for v in corners))
             digest.update(repr(key).encode())
     return digest.hexdigest()
 
@@ -998,8 +1003,8 @@ def _composition_scene(i):
 
 
 def _exact(dets):
-    return [(d.category, d.score.hex(), tuple(float(v).hex() for v in d.box.corners()),
-             d.roi_index) for d in dets]
+    return [(int(d["category"]), float(d["score"]).hex(),
+             tuple(float(v).hex() for v in d["box"]), int(d["roi"])) for d in dets]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1037,7 +1042,7 @@ def test_detect_scenes_clips_each_scene_to_its_own_grid():
         for sample, dets in zip(samples, stacked):
             assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, "sin")[0])
             h, w = sample.grid.shape[:2]
-            for d in dets:
-                x1, y1, x2, y2 = d.box.corners()
+            assert (dets["box"][:, 2:] > 0).all()
+            for x1, y1, x2, y2 in centers_to_corners(dets["box"]):
                 assert -1e-9 <= x1 and x2 <= w + 1e-9 and -1e-9 <= y1 and y2 <= h + 1e-9
         assert sum(map(len, stacked)) > 0

@@ -1,3 +1,5 @@
+import importlib
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -6,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from sinet import evaluation
-from sinet.detector import Detection, TrainConfig
+from sinet.detector import TrainConfig, create_detector_params, detect_scenes
 from sinet.evaluation import (FP_KINDS, PR_THRESHOLDS, SWEEP_GRID, _voc_ap,
                               evaluate_detections, mean_ap, run_ablation, strip_objects)
 from sinet.geometry import Box
-from sinet.synth_data import GtObject, default_world
+from sinet.numerics import ParamStore
+from sinet.synth_data import GtObject, default_world, sample_at
 
-from oracles import (average_precision_oracle, category_slices_oracle,
+from oracles import (average_precision_oracle, category_slices_oracle, detection_array,
                      fp_breakdown_oracle, per_image_lists, pr_curve_oracle, random_box)
 
 
@@ -22,10 +25,13 @@ def category_ap(dets, gts):
     return evaluate_detections(*per_image_lists(dets, gts), num_categories=1).per_category_ap[0]
 
 
-def det(img_or_box, box=None, cat=0, score=0.9):
-    """Detection helper; first positional is the box when img is not needed."""
-    b = box if box is not None else img_or_box
-    return Detection(box=b, category=cat, score=score, roi_index=0)
+def image(*dets):
+    """One image's detections, each a (Box, category, score) triple."""
+    return detection_array(dets)
+
+
+def det(box, cat=0, score=0.9):
+    return box, cat, score
 
 
 # ---------------------------------------------------------------------------
@@ -110,28 +116,28 @@ def test_matching_threshold_is_one_half():
     near = Box(3.8, 3, 2, 2)       # IoU 1.2/2.8: misses at 0.5
     half = Box(3, 3, 2, 1)         # inside g at half its area: IoU exactly 0.5
     gts = [[GtObject(g, 0)]]
-    assert evaluate_detections([[det(near, cat=0, score=0.9)]], gts, 1).map == 0.0
-    assert evaluate_detections([[det(half, cat=0, score=0.9)]], gts, 1).map == 1.0
+    assert evaluate_detections([image(det(near, cat=0, score=0.9))], gts, 1).map == 0.0
+    assert evaluate_detections([image(det(half, cat=0, score=0.9))], gts, 1).map == 1.0
 
 
 # ---------------------------------------------------------------------------
 # pr curve and fp buckets
 
 def test_pr_curve_empty_conventions():
-    pts = evaluate_detections([[]], [[GtObject(Box(3, 3, 2, 2), 0)]], 1).pr
+    pts = evaluate_detections([image()], [[GtObject(Box(3, 3, 2, 2), 0)]], 1).pr
     assert len(pts) == len(PR_THRESHOLDS)
     for thr, precision, recall in pts:
         assert precision == 1.0
         assert recall == 0.0
     # no gt anywhere: recall pinned to zero, precision from the pool
-    pts = evaluate_detections([[det(Box(3, 3, 2, 2), score=0.9)]], [[]], 1).pr
+    pts = evaluate_detections([image(det(Box(3, 3, 2, 2), score=0.9))], [[]], 1).pr
     assert all(r == 0.0 for _, _, r in pts)
 
 
 def test_pr_curve_threshold_semantics_and_monotone_recall():
     g1, g2 = Box(2, 2, 2, 2), Box(7, 7, 2, 2)
-    dets = [[det(g1, cat=0, score=0.8), det(g2, cat=0, score=0.4),
-             det(Box(5, 2, 2, 2), cat=0, score=0.6)]]
+    dets = [image(det(g1, cat=0, score=0.8), det(g2, cat=0, score=0.4),
+                  det(Box(5, 2, 2, 2), cat=0, score=0.6))]
     gts = [[GtObject(g1, 0), GtObject(g2, 0)]]
     pts = evaluate_detections(dets, gts, 1).pr
     by_thr = {thr: (p, r) for thr, p, r in pts}
@@ -146,13 +152,13 @@ def test_fp_breakdown_buckets():
     g_cat0 = GtObject(Box(3, 3, 2, 2), 0)
     g_cat2 = GtObject(Box(12, 3, 2, 2), 2)
     gts = [[g_cat0, g_cat2]]
-    dets = [[
+    dets = [image(
         det(Box(3, 3, 2, 2), cat=0, score=0.9),       # Cor: exact match
         det(Box(3.8, 3, 2, 2), cat=0, score=0.8),     # Loc: duplicate, gt consumed
         det(Box(3.4, 3, 2, 2), cat=1, score=0.7),     # Sim: class 1 on a class-0 gt
         det(Box(12.4, 3, 2, 2), cat=0, score=0.6),    # Oth: class 0 on a class-2 gt
         det(Box(8, 8, 2, 2), cat=0, score=0.5),       # BG: overlaps nothing
-    ]]
+    )]
     counts = evaluate_detections(dets, gts, 3, similar_pairs=((0, 1),)).fp
     assert counts == {"Cor": 1, "Loc": 1, "Sim": 1, "Oth": 1, "BG": 1}
     assert tuple(counts) == FP_KINDS
@@ -164,7 +170,7 @@ def test_fp_breakdown_buckets():
 
 def test_fp_breakdown_similar_pairs_are_symmetric():
     gts = [[GtObject(Box(3, 3, 2, 2), 1)]]
-    dets = [[det(Box(3.2, 3, 2, 2), cat=0, score=0.9)]]
+    dets = [image(det(Box(3.2, 3, 2, 2), cat=0, score=0.9))]
     a = evaluate_detections(dets, gts, 2, similar_pairs=((0, 1),)).fp
     b = evaluate_detections(dets, gts, 2, similar_pairs=((1, 0),)).fp
     assert a["Sim"] == 1 and b["Sim"] == 1
@@ -172,7 +178,7 @@ def test_fp_breakdown_similar_pairs_are_symmetric():
 
 def test_evaluate_detections_contract():
     g = Box(3, 3, 2, 2)
-    dets = [[det(g, cat=0, score=0.9)], []]
+    dets = [image(det(g, cat=0, score=0.9)), image()]
     gts = [[GtObject(g, 0)], [GtObject(Box(5, 5, 2, 2), 1)]]
     ev = evaluate_detections(dets, gts, num_categories=2)
     assert ev.num_images == 2
@@ -209,9 +215,9 @@ def test_matching_core_equals_scalar_oracles(images, chunk):
     # images may be empty, lack gt, or hold detections but no gt; small
     # chunks split the pairs between detections and leave pairless ones
     gts = [[GtObject(box, cat) for box, cat in gg] for gg, _ in images]
-    dets = [[det(gt[src % len(gt)].box if src >= 0 and gt else box, cat=cat,
-                 score=level / 4.0)
-             for src, box, cat, level in dd]
+    dets = [image(*[det(gt[src % len(gt)].box if src >= 0 and gt else box, cat=cat,
+                        score=level / 4.0)
+                    for src, box, cat, level in dd])
             for gt, (_, dd) in zip(gts, images)]
     similar = ((0, 1),)
     want_ap = {c: average_precision_oracle(*category_slices_oracle(dets, gts, c))
@@ -223,6 +229,25 @@ def test_matching_core_equals_scalar_oracles(images, chunk):
     assert ev.pr == pr_curve_oracle(dets, gts)
     assert ev.fp == fp_breakdown_oracle(dets, gts, similar)
     assert evaluate_detections(dets, gts, 3).fp == fp_breakdown_oracle(dets, gts)
+
+
+def test_benchmark_tracer_counts_detections(monkeypatch):
+    # perfbench/tracer.py counts evaluate_detections' first argument as a
+    # per-image sequence whose lengths are the images' detection counts
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer_mod = importlib.import_module("tracer")
+    world = default_world()
+    store = ParamStore()
+    params = create_detector_params(store, world.channels, world.num_categories, 8, 17)
+    cfg = TrainConfig(rois_per_image=6, T=1, feat_dim=8)
+    samples = [sample_at(world, 5, i) for i in range(4)]
+    dets = detect_scenes(params, samples, cfg, 0.05, "sin")
+    tracer = tracer_mod.Tracer()
+    with tracer:
+        # through the module attribute, which the tracer wraps
+        evaluation.evaluate_detections(dets, [s.gt for s in samples], world.num_categories)
+    assert tracer.calls("evaluation.evaluate_detections") == 1
+    assert tracer.counters["detections"] == sum(map(len, dets)) > 0
 
 
 # ---------------------------------------------------------------------------

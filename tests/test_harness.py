@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sinet.detector import TrainConfig, create_detector_params
+from sinet.detector import DETECTION_DTYPE, TrainConfig, create_detector_params
 from sinet.harness import (EvalConfig, RunConfig, RunFailure, build_parser,
                            detect_dataset, eval_workers, fp_rows,
                            load_run_config, main, metrics_rows, pr_rows,
@@ -158,13 +158,10 @@ def test_detect_dataset_worker_count_does_not_change_results():
     serial = detect_dataset(store, cfg, "sin", samples, 0.05, workers=1)
     parallel = detect_dataset(store, cfg, "sin", samples, 0.05, workers=2)
     assert len(serial) == len(parallel) == 4
+    assert sum(map(len, serial)) > 0
     for dd1, dd2 in zip(serial, parallel):
-        assert len(dd1) == len(dd2)
-        for d1, d2 in zip(dd1, dd2):
-            assert d1.category == d2.category
-            assert d1.score == d2.score
-            assert (d1.box.cx, d1.box.cy, d1.box.w, d1.box.h) == \
-                   (d2.box.cx, d2.box.cy, d2.box.w, d2.box.h)
+        assert dd1.dtype == dd2.dtype == DETECTION_DTYPE
+        assert dd1.tobytes() == dd2.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +242,13 @@ def test_cli_gen_data_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+# SHA-256 of the relations CSV below (189 rows). Recorded while each scene's
+# detections were still Detection objects; any change to a row's node,
+# category, score, partner or edge weight, or to how a value is written,
+# moves it.
+PINNED_RELATIONS = "71a5ee2eeb58624cb69578435f1bcad13fb6230d1e884e09e931969610eb2fc5"
+
+
 def test_cli_train_eval_relations_pipeline(tmp_path, capsys):
     run_dir = str(tmp_path / "run")
     assert main(["train", "--world", "default", "--arm", "sin", "--iters", "10",
@@ -270,6 +274,8 @@ def test_cli_train_eval_relations_pipeline(tmp_path, capsys):
                  "--out", rel_csv]) == 0
     rel_lines = open(rel_csv).read().splitlines()
     assert rel_lines[0] == "sample,node,category,score,partner,edge_weight"
+    with open(rel_csv, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == PINNED_RELATIONS
     capsys.readouterr()
 
 
@@ -510,6 +516,42 @@ def test_cli_eval_bad_manifest_exits_2(sin_run, tmp_path, capsys, block, key, va
     assert message in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, shape, message", [
+    ("det/cls_head", (7,), "'det/cls_head' has shape (7,); the manifest's model needs (7, 16)"),
+    ("det/cls_head", (3, 16), "'det/cls_head' has shape (3, 16)"),
+    ("det/reg_head", (24, 8), "'det/reg_head' has shape (24, 8)"),
+    ("det/feat_proj", (16, 9), "'det/feat_proj' has shape (16, 9)"),
+    ("det/objectness", (6,), "'det/objectness' has shape (6,)"),
+    ("sin/w_v", (32, 1), "'sin/w_v' has shape (32, 1)"),
+    ("sin/edge_gru/W_z", (16, 16), "'sin/edge_gru/W_z' has shape (16, 16)"),
+    ("sin/scene_gru/U", None, "checkpoint lacks parameter 'sin/scene_gru/U'"),
+    ("sin/w_a", (16, 32), "checkpoint holds parameter 'sin/w_a', which the manifest's model"),
+], ids=["cls-rank-1", "cls-3-rows", "reg", "feat-proj", "objectness", "w-v", "edge-gru",
+        "missing", "extra"])
+def test_cli_checkpoint_shapes_must_match_manifest(sin_run, tmp_path, capsys, name, shape,
+                                                   message):
+    # a checkpoint whose parameters differ from the manifest's model, in name
+    # or shape, exits 2 before any detection runs
+    run_dir, _ = sin_run
+    store = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
+    bad = ParamStore()
+    for entry in sorted(set(store.names()) | {name}):
+        if entry != name:
+            bad.create(entry, store[entry].value)
+        elif shape is not None:
+            bad.create(entry, np.ones(shape))
+    ckpt = str(tmp_path / "checkpoint.bin")
+    save_checkpoint(ckpt, bad)
+    for command, out in (("eval", "eval"), ("relations", "relations.csv")):
+        capsys.readouterr()
+        assert main([command, "--checkpoint", ckpt, "--manifest",
+                     os.path.join(run_dir, "manifest.json"), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinet: error: ") and message in err, err
+        assert len(err.strip().splitlines()) == 1
+        assert not os.path.exists(tmp_path / out)
 
 
 @pytest.mark.parametrize("command", ["eval", "relations"])

@@ -457,8 +457,3 @@ def test_relation_report_contract():
     rep = relation_report(e, [0, 2])
     assert rep == [(0, 1, 0.7), (2, 0, 0.9)]  # row-2 tie -> lowest sender
     assert relation_report(np.zeros((1, 1)), [0]) == []
-
-    class Det:
-        roi_index = 1
-
-    assert relation_report(e, [Det()]) == [(1, 2, 0.4)]
