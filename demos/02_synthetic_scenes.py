@@ -17,6 +17,7 @@ from collections import Counter
 
 import numpy as np
 
+from sinet.geometry import centers_to_corners
 from sinet.synth_data import cell_window, default_world, generate
 
 world = default_world()
@@ -37,9 +38,12 @@ GLYPH = {0: "a", 1: "l", 2: "m", 3: "r", 4: "p"}
 def render(sample):
     h, w, _ = sample.grid.shape
     canvas = [["." for _ in range(w)] for _ in range(h)]
-    for obj in sample.gt:
-        r0, r1, c0, c1 = cell_window(obj.box.corners(), h, w)   # half-open bounds
-        proto = int(np.argmax(world.categories[obj.category].prototype))
+    # a scene's ground truth is one structured array: a (cx, cy, w, h) box
+    # and a category per object
+    corners = centers_to_corners(sample.gt["box"]).tolist()
+    for box, cat in zip(corners, sample.gt["category"].tolist()):
+        r0, r1, c0, c1 = cell_window(box, h, w)   # half-open bounds
+        proto = int(np.argmax(world.categories[cat].prototype))
         for r in range(r0, r1):
             for c in range(c0, c1):
                 canvas[r][c] = GLYPH[proto]
@@ -56,10 +60,9 @@ for name, sample in (("river", river), ("office", office)):
           f"ch7 {sample.grid[..., 7].mean():+.2f})")
     for line in render(sample):
         print("   ", line)
-    for obj in sample.gt:
-        b = obj.box
-        print(f"    {world.categories[obj.category].name:<7}"
-              f" at ({b.cx:.1f},{b.cy:.1f}) size {b.w:.1f}x{b.h:.1f}")
+    for (cx, cy, bw, bh), cat in zip(sample.gt["box"].tolist(), sample.gt["category"].tolist()):
+        print(f"    {world.categories[cat].name:<7}"
+              f" at ({cx:.1f},{cy:.1f}) size {bw:.1f}x{bh:.1f}")
     print()
 
 # ---------------------------------------------------------------------------
@@ -69,17 +72,17 @@ counts = Counter()
 pair_hits = {"laptop->mouse": [0, 0], "boat->rock": [0, 0], "car->laptop": [0, 0]}
 big = generate(world, seed=11, n=400)
 for s in big:
-    cats = [o.category for o in s.gt]
+    cats = s.gt["category"].tolist()
     for c in cats:
         counts[world.categories[c].name] += 1
     for rule in world.cooccur:
         trig = world.categories[rule.trigger].name
         part = world.categories[rule.partner].name
         key = f"{trig}->{part}"
-        for o in s.gt:
-            if o.category == rule.trigger:
+        for k, c in enumerate(cats):
+            if c == rule.trigger:
                 pair_hits[key][1] += 1
-                if any(q.category == rule.partner for q in s.gt if q is not o):
+                if any(q == rule.partner for m, q in enumerate(cats) if m != k):
                     pair_hits[key][0] += 1
 
 print("category counts over 400 scenes:")

@@ -38,7 +38,7 @@ for i in range(20):
     if shown >= 3:
         break
     sample = sample_at(world, 9090, i)
-    dets, state = detect(tr.params, sample, cfg, score_thresh=0.3, arm="sin")
+    (dets,), state = detect(tr.params, [sample], cfg, score_thresh=0.3, arm="sin")
     if len(dets) < 2:
         continue
     shown += 1
@@ -58,7 +58,7 @@ for i in range(20):
 # gate locality: edge magnitude against center distance, pooled over proposals
 
 sample = sample_at(world, 9090, 3)
-_, state = detect(tr.params, sample, cfg, score_thresh=0.3, arm="sin")
+_, state = detect(tr.params, [sample], cfg, score_thresh=0.3, arm="sin")
 boxes, edges = state.graph_out.boxes[0], state.edges[0]   # (n, 4) rows of (cx, cy, w, h)
 n = len(boxes)
 buckets = {}

@@ -8,8 +8,8 @@ hand-derived gradients; ships with metrics, gradient checking, and a
 four-arm ablation harness.
 """
 
-from .geometry import (Box, apply_deltas, boxes_to_array, boxes_to_centers,
-                       centers_to_corners, clip_box, encode_deltas, iou, nms)
+from .geometry import (apply_deltas, centers_to_corners, clip_box, encode_deltas,
+                       iou, nms)
 from .memory_cell import GruParams, create_gru_params, gru_backward, gru_forward
 from .numerics import (CheckpointError, Param, ParamStore, ShapeError,
                        derive_seed, grad_check, init_param, load_checkpoint,
@@ -17,7 +17,7 @@ from .numerics import (CheckpointError, Param, ParamStore, ShapeError,
 from .structure_inference import (SceneGraph, SinParams, compute_edges,
                                   create_sin_params, relation_report,
                                   sin_backward, sin_infer_tapes, sin_step_tape)
-from .synth_data import (Category, CooccurRule, GtObject, SceneSample,
+from .synth_data import (GT_DTYPE, Category, CooccurRule, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
                          sample_at, save_dataset, world_hash)
 from .detector import (ARMS, DETECTION_DTYPE, DetectorParams, TrainConfig,
@@ -30,12 +30,11 @@ from .harness import EvalConfig, RunConfig, main, run_gradcheck
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARMS", "Box", "Category", "CheckpointError", "CooccurRule",
+    "ARMS", "Category", "CheckpointError", "CooccurRule",
     "DETECTION_DTYPE", "DetectorParams", "EvalConfig", "EvalResult",
-    "GruParams", "GtObject", "Param", "ParamStore", "RunConfig", "SceneGraph",
+    "GT_DTYPE", "GruParams", "Param", "ParamStore", "RunConfig", "SceneGraph",
     "SceneSample", "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
-    "apply_deltas", "assign_targets", "boxes_to_array", "boxes_to_centers",
-    "centers_to_corners", "clip_box", "compute_edges",
+    "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "compute_edges",
     "create_detector_params", "create_gru_params", "create_sin_params",
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
     "evaluate_detections", "forward", "forward_scenes", "generate",

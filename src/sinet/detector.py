@@ -12,9 +12,10 @@ steps, and reads class probabilities and per-class box deltas off the final
 node states.
 
 Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
-(cx, cy, w, h); Box objects appear only for ground truth and the
-gradient-check fixture. A scene's detections are one structured array
-(DETECTION_DTYPE) from the detection tail to the metrics and the CSV writers.
+(cx, cy, w, h). A scene's ground truth is one structured array
+(synth_data.GT_DTYPE) from the sampler to the metrics; its detections are
+another (DETECTION_DTYPE), from the detection tail to the metrics and the CSV
+writers.
 Stage two runs on a stack of B scenes at once (forward_scenes, on a (B, n, 4)
 ROI array): node features are (B, n, d) with n = rois_per_image, and each
 product keeps its per-scene shape, so a scene's numbers do not depend on what
@@ -36,9 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .geometry import (_sorted_prefix, apply_deltas, boxes_to_array, boxes_to_centers,
-                       centers_to_corners, clip_box, encode_deltas, nms, nms_by_group,
-                       pairwise_iou)
+from .geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
+                       encode_deltas, nms, nms_by_group, pairwise_iou)
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
                                   create_sin_params, sin_backward,
@@ -286,10 +286,10 @@ def propose(params, sample, cfg, rng=None, scored=None):
     """
     anchors, scores = scored or score_anchors(params, sample)
     n = cfg.rois_per_image
-    if rng is None or not sample.gt:
+    if rng is None or len(sample.gt) == 0:
         return anchors.centers[np.resize(_sorted_prefix(-scores, n)[:n], n)]
     h, w = sample.grid.shape[:2]
-    injected = boxes_to_centers([obj.box for obj in sample.gt])
+    injected = sample.gt["box"]
     jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
     injected = clip_box(apply_deltas(injected, jitter), w, h)
     centers = np.concatenate([injected, anchors.centers])
@@ -304,7 +304,7 @@ def propose(params, sample, cfg, rng=None, scored=None):
 
 def assign_targets(props, gt, num_categories):
     """Per-ROI class targets and regression targets for the (n, 4) center-size
-    rows `props` against the GtObject list `gt`.
+    rows `props` against the GT_DTYPE rows `gt`.
 
     IoU >= IOU_POS against some gt makes a ROI positive for the best gt;
     IoU < IOU_NEG makes it background; in between it is ignored. Each gt also
@@ -316,9 +316,9 @@ def assign_targets(props, gt, num_categories):
     n = len(props)
     labels = np.full(n, num_categories, dtype=np.intp)
     deltas = np.zeros((n, 4))
-    if not gt:
+    if len(gt) == 0:
         return labels, deltas
-    gc = boxes_to_centers([o.box for o in gt])
+    gc = gt["box"]
     ious = pairwise_iou(centers_to_corners(props), centers_to_corners(gc))   # (P, G)
     best_gt = ious.argmax(axis=1)
     best_iou = ious[np.arange(n), best_gt]
@@ -329,7 +329,7 @@ def assign_targets(props, gt, num_categories):
         if ious[p, g] > 0.0:
             assigned[p] = g
     pos = assigned >= 0
-    labels[pos] = np.array([o.category for o in gt], dtype=np.intp)[assigned[pos]]
+    labels[pos] = gt["category"][assigned[pos]]
     deltas[pos] = encode_deltas(props[pos], gc[assigned[pos]])
     return labels, deltas
 
@@ -565,9 +565,9 @@ def _anchor_targets(anchors, gt):
     (G, H, T) along y, then pairwise_iou's division, so each is bitwise
     pairwise_iou's for its (anchor, gt) pair."""
     a = len(anchors.corners)
-    if not gt:
+    if len(gt) == 0:
         return np.zeros(a), np.ones(a, dtype=bool)
-    gc = boxes_to_array([o.box for o in gt])
+    gc = centers_to_corners(gt["box"])
     g = gc[:, None, None]                  # (G, 1, 1, 4) against (W or H, T) extents
     xe, ye = anchors.x_extent, anchors.y_extent
     ix = np.maximum(0.0, np.minimum(xe[..., 1], g[..., 2]) - np.maximum(xe[..., 0], g[..., 0]))
@@ -741,11 +741,12 @@ def detect_scenes(params, samples, cfg, score_thresh=0.05, arm="sin"):
     return dets
 
 
-def detect(params, sample, cfg, score_thresh=0.05, arm="sin"):
-    """Final detections for one scene, detect_scenes(params, [sample], ...)[0],
-    and its one-scene forward state, with `edges` always filled: arms whose
-    last step computed no edges get them from the final node features."""
-    (dets,), state = _detect_stack(params, [sample], cfg, score_thresh, arm)
+def detect(params, samples, cfg, score_thresh=0.05, arm="sin"):
+    """Final detections of one stack of scenes, one DETECTION_DTYPE array per
+    sample as detect_scenes gives them, and the stack's forward state, with
+    `edges` always filled: arms whose last step computed no edges get them
+    from the final node features."""
+    dets, state = _detect_stack(params, samples, cfg, score_thresh, arm)
     if state.edges is None:
         state.edges = compute_edges(params.sin, state.graph_out)
     return dets, state

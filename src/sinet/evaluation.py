@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detector import ARMS, DETECTION_DTYPE, TrainingDiverged, detect_scenes, train
-from .geometry import boxes_to_centers, iou
+from .geometry import iou
 from .numerics import derive_seed
-from .synth_data import generate, world_hash
+from .synth_data import GT_DTYPE, generate, world_hash
 
 FP_KINDS = ("Cor", "Loc", "Sim", "Oth", "BG")
 PR_THRESHOLDS = tuple(i / 10.0 for i in range(10))
@@ -45,7 +45,8 @@ class _Matching:
     """Detections and ground truth of every image as flat arrays, and the
     greedy one-to-one match at IoU MATCH_IOU.
 
-    dets_by_image holds one DETECTION_DTYPE array per image. Detections are
+    dets_by_image holds one DETECTION_DTYPE array per image, and
+    gts_by_image one GT_DTYPE array. Detections are
     held in rank order: score descending, ties kept in image-then-row order.
     In that order, a detection takes the still-free gt of its image and
     category with the highest IoU at or above the threshold (and above 0),
@@ -66,8 +67,8 @@ class _Matching:
         det_img = np.repeat(np.arange(len(dets_by_image)), [len(dd) for dd in dets_by_image])[rank]
         self.score = dets["score"]
         self.det_cat = dets["category"]
-        gts = [g for gg in gts_by_image for g in gg]
-        self.gt_cat = np.array([g.category for g in gts], dtype=np.intp)
+        gts = np.concatenate([np.empty(0, GT_DTYPE), *gts_by_image])
+        self.gt_cat = gts["category"]
         # pair p of detection d is gt p - shift[d], counted over all images;
         # detections go in runs of about PAIR_CHUNK pairs
         n_gt = np.array([len(gg) for gg in gts_by_image], dtype=np.intp)
@@ -77,7 +78,7 @@ class _Matching:
         bounds = np.unique(np.append(
             np.searchsorted(first, np.arange(0, per_det.sum(), PAIR_CHUNK)), len(dets))).tolist()
         det_box = dets["box"]
-        gt_box = boxes_to_centers([g.box for g in gts])
+        gt_box = gts["box"]
         near_det, near_gt, near_iou = [], [], []
         for lo, hi in zip(bounds, bounds[1:]):
             pair_det = np.repeat(np.arange(lo, hi), per_det[lo:hi])
@@ -174,7 +175,7 @@ class EvalResult:
 def evaluate_detections(dets_by_image, gts_by_image, num_categories, similar_pairs=()):
     """AP per category, mAP, the pooled PR curve and the FP buckets, all at
     IoU MATCH_IOU, of one DETECTION_DTYPE array per image against its
-    GtObject list."""
+    GT_DTYPE array."""
     m = _Matching(dets_by_image, gts_by_image)
     per_cat = m.ap_by_category(num_categories)
     return EvalResult(per_category_ap=per_cat, map=mean_ap(per_cat), pr=m.pr_curve(),

@@ -3,13 +3,9 @@
 survivor of many small groups), and paired IoU, delta encoding, refinement
 and clipping over center-size arrays.
 
-Box objects are the API edge for ground truth (scene placement and dataset
-parsing) and the gradient-check fixture only. The array kernels
-take (k, 4) rows of corners (x1, y1, x2, y2) or centers (cx, cy, w, h) and
-do the float operations of the matching Box arithmetic, so their results are
-bitwise the same."""
-
-from dataclasses import dataclass
+Every kernel takes arrays: (k, 4) rows of corners (x1, y1, x2, y2) or of
+centers (cx, cy, w, h), which centers_to_corners maps to corners. Ground
+truth, proposals and detections all reach them as such rows."""
 
 import numpy as np
 
@@ -17,43 +13,8 @@ import numpy as np
 MIN_SIDE = 1e-6
 
 
-@dataclass(frozen=True)
-class Box:
-    """Center/size representation. Area is available as `.area`."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-
-    @property
-    def area(self):
-        return self.w * self.h
-
-    def corners(self):
-        """(x1, y1, x2, y2) extents."""
-        return (self.cx - self.w / 2.0, self.cy - self.h / 2.0,
-                self.cx + self.w / 2.0, self.cy + self.h / 2.0)
-
-
-def boxes_to_array(boxes):
-    """Stack boxes as an (n, 4) corner array for vectorized overlap tests."""
-    return np.array([b.corners() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def boxes_to_centers(boxes):
-    """Stack boxes as an (n, 4) array of (cx, cy, w, h) rows, without an
-    intermediate list of tuples."""
-    return np.fromiter((v for b in boxes for v in (b.cx, b.cy, b.w, b.h)),
-                       dtype=np.float64).reshape(-1, 4)
-
-
 def centers_to_corners(centers):
-    """(k, 4) center-size rows to corner rows, as Box.corners computes them."""
+    """(k, 4) center-size rows to corner rows: (cx, cy) -/+ (w, h) / 2.0."""
     centers = np.asarray(centers, dtype=np.float64)
     half = centers[:, 2:] / 2.0
     return np.concatenate([centers[:, :2] - half, centers[:, :2] + half], axis=1)
@@ -72,8 +33,7 @@ def pairwise_iou(corners_a, corners_b):
 
 
 def nms(boxes, scores, iou_thresh, max_keep):
-    """Greedy non-maximum suppression over a (k, 4) corner array, as made by
-    boxes_to_array.
+    """Greedy non-maximum suppression over a (k, 4) corner array.
 
     Repeatedly keeps the highest-scoring remaining box (score ties go to the
     lower index) and discards boxes whose IoU with it exceeds iou_thresh.
@@ -204,9 +164,9 @@ def _check_rows(name, *arrays):
 
 def iou(a, b):
     """(k,) IoU of paired (k, 4) center-size rows, row i of a against row i
-    of b; 0 where the boxes do not overlap. Areas are w * h, as Box.area
-    computes them, so for finite boxes a pair's IoU is bitwise the scalar
-    formula's on its two Boxes."""
+    of b; 0 where the boxes do not overlap. Areas are w * h, so for finite
+    boxes a pair's IoU is bitwise the scalar formula's on their center-size
+    values."""
     a, b = _check_rows("iou", a, b)
     ca, cb = centers_to_corners(a), centers_to_corners(b)
     iw = np.minimum(ca[:, 2], cb[:, 2]) - np.maximum(ca[:, 0], cb[:, 0])

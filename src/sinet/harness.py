@@ -21,18 +21,17 @@ from itertools import repeat
 
 import numpy as np
 
-from .detector import (ARMS, TrainConfig, TrainingDiverged, assign_targets,
-                       create_detector_params, detect, detect_scenes,
-                       detector_backward, detector_params_from_store, forward,
-                       multi_task_loss, apply_weight_decay, train,
-                       validate_config)
+from .detector import (ARMS, DETECT_CHUNK, TrainConfig, TrainingDiverged,
+                       assign_targets, create_detector_params, detect,
+                       detect_scenes, detector_backward,
+                       detector_params_from_store, forward, multi_task_loss,
+                       apply_weight_decay, train, validate_config)
 from .evaluation import (FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap,
                          run_ablation, strip_objects)
-from .geometry import Box, boxes_to_centers
 from .numerics import (CheckpointError, ParamStore, derive_seed, grad_check,
                        load_checkpoint, save_checkpoint)
 from .structure_inference import relation_report
-from .synth_data import (WORLD_FIXTURES, GtObject, SceneSample, generate,
+from .synth_data import (GT_DTYPE, WORLD_FIXTURES, SceneSample, generate,
                          load_dataset, sample_at, save_dataset, world_from_dict,
                          world_hash, world_to_dict)
 
@@ -106,7 +105,7 @@ def load_run_config(path):
         raise RunFailure(f"cannot read config {path}: {e}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"{path}: invalid JSON: {e}")
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -175,7 +174,7 @@ def read_manifest(path):
             data = json.load(f)
     except OSError as e:
         raise RunFailure(f"cannot read manifest {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise RunFailure(f"{path}: invalid manifest JSON: {e}")
     if not isinstance(data, dict):
         raise RunFailure(f"{path}: manifest must be a JSON object, got {json.dumps(data)}")
@@ -229,14 +228,13 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
     channels = 5
     rng = np.random.default_rng(seed)
     grid = rng.normal(0.0, 0.6, size=(8, 8, channels))
-    gt = [GtObject(Box(2.5, 3.0, 2.2, 1.8), 0),
-          GtObject(Box(5.8, 4.6, 1.9, 2.4), 1)]
+    gt = np.array([((2.5, 3.0, 2.2, 1.8), 0), ((5.8, 4.6, 1.9, 2.4), 1)], dtype=GT_DTYPE)
     sample = SceneSample(grid=grid, scene_type=0, gt=gt)
-    boxes = [Box(2.4, 3.1, 2.1, 1.7), Box(5.7, 4.5, 2.0, 2.3), Box(3.9, 6.1, 2.6, 2.0)]
+    boxes = [(2.4, 3.1, 2.1, 1.7), (5.7, 4.5, 2.0, 2.3), (3.9, 6.1, 2.6, 2.0)]
     while len(boxes) < n:
-        boxes.append(Box(rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0),
-                         rng.uniform(1.5, 3.0), rng.uniform(1.5, 3.0)))
-    boxes = boxes_to_centers(boxes[:n])
+        boxes.append((rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0),
+                      rng.uniform(1.5, 3.0), rng.uniform(1.5, 3.0)))
+    boxes = np.array(boxes[:n])
     cfg = TrainConfig(T=steps, pooling=pooling, rois_per_image=n, feat_dim=d)
     validate_config(cfg)
     store = ParamStore()
@@ -471,14 +469,16 @@ def _cmd_relations(args):
     score_thresh = args.score_thresh if args.score_thresh is not None else 0.05
     _validate_eval(replace(ev_cfg, score_thresh=score_thresh))
     rows = []
-    for i in range(args.n):
-        sample = sample_at(world, args.seed, i)
-        dets, state = detect(params, sample, cfg, score_thresh, arm)
-        # Python scalars: _fmt_cell writes a float by its repr
-        for cat, score, (node, partner, weight) in zip(
-                dets["category"].tolist(), dets["score"].tolist(),
-                relation_report(state.edges[0], dets["roi"].tolist())):
-            rows.append((i, node, cat, score, partner, weight))
+    for start in range(0, args.n, DETECT_CHUNK):
+        ids = range(start, min(start + DETECT_CHUNK, args.n))
+        dets, state = detect(params, [sample_at(world, args.seed, i) for i in ids], cfg,
+                             score_thresh, arm)
+        for i, d, edges in zip(ids, dets, state.edges):
+            # Python scalars: _fmt_cell writes a float by its repr
+            for cat, score, (node, partner, weight) in zip(
+                    d["category"].tolist(), d["score"].tolist(),
+                    relation_report(edges, d["roi"].tolist())):
+                rows.append((i, node, cat, score, partner, weight))
     write_csv(args.out, ("sample", "node", "category", "score", "partner",
                          "edge_weight"), rows)
     print(f"wrote {len(rows)} relation rows for {args.n} scenes to {args.out}")

@@ -62,10 +62,10 @@ W_P.flags.writeable = False
 @dataclass
 class SceneGraph:
     """A stack of B per-image graphs of n nodes each: node features, node
-    boxes as (cx, cy, w, h) rows (geometry.boxes_to_centers), and one scene
-    vector per image. The boxes' spatial gate is computed by the first step
-    that needs it and passed on to the graphs that step produces; a graph a
-    step produced also holds that step's edges."""
+    boxes as (cx, cy, w, h) rows, and one scene vector per image. The boxes'
+    spatial gate is computed by the first step that needs it and passed on
+    to the graphs that step produces; a graph a step produced also holds
+    that step's edges."""
 
     node_features: np.ndarray      # (B, n, d)
     boxes: np.ndarray              # (B, n, 4)

@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box
-
 # placement attempts per object before it is skipped
 PLACE_TRIES = 100
+
+# One row per ground-truth object of a scene: its center-size box and its
+# category. A scene's rows are in placement order.
+GT_DTYPE = np.dtype([("box", np.float64, (4,)), ("category", np.intp)])
 
 
 @dataclass
@@ -68,16 +70,14 @@ class WorldSpec:
 
 
 @dataclass
-class GtObject:
-    box: Box
-    category: int
-
-
-@dataclass
 class SceneSample:
+    """One scene: its cell grid, scene type and ground truth. The hot loops
+    (proposals, targets, objectness labels, matching) read the gt fields in
+    place."""
+
     grid: np.ndarray       # (H, W, C)
     scene_type: int
-    gt: list               # of GtObject
+    gt: np.ndarray         # (G,) GT_DTYPE rows
 
 
 def _number(v, what, integer=False):
@@ -261,7 +261,7 @@ def sample_scene(world, rng):
         proto = np.asarray(world.categories[cat_id].prototype, dtype=np.float64)
         grid[r0:r1, c0:c1] = proto + noise[at:at + size].reshape(r1 - r0, c1 - c0, shape[2])
         at += size
-    gt = [GtObject(box=Box(*got[:4]), category=cat_id) for got, cat_id in placed]
+    gt = np.array([(got[:4], cat_id) for got, cat_id in placed], dtype=GT_DTYPE)
     return SceneSample(grid=grid, scene_type=scene_type, gt=gt)
 
 
@@ -451,9 +451,9 @@ def save_dataset(path, samples, world):
                 "scene_type": s.scene_type,
                 "grid": s.grid.ravel(order="C").tolist(),
                 "gt": [
-                    {"cx": o.box.cx, "cy": o.box.cy, "w": o.box.w, "h": o.box.h,
-                     "cat": o.category}
-                    for o in s.gt
+                    {"cx": cx, "cy": cy, "w": w, "h": h, "cat": cat}
+                    for (cx, cy, w, h), cat in zip(s.gt["box"].tolist(),
+                                                   s.gt["category"].tolist())
                 ],
             }
             f.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -471,7 +471,10 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except RecursionError as e:
+        raise ValueError(f"{path}: header: {e}") from None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header must be a JSON object, got {lines[0].strip()}")
     for key in ("world_hash", "h", "w", "c", "num_categories"):
@@ -493,7 +496,7 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
             samples.append(_parse_record(json.loads(ln), header, world.num_scene_types))
         except KeyError as e:
             raise ValueError(f"{path}: line {i}: missing field {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, RecursionError) as e:
             raise ValueError(f"{path}: line {i}: {e}") from None
     return samples, header
 
@@ -522,6 +525,8 @@ def _parse_record(rec, header, num_scene_types):
         coords = [float(o[f]) for f in ("cx", "cy", "w", "h")]
         if not np.isfinite(coords).all():
             raise ValueError(f"gt box {coords} is not finite")
-        gt.append(GtObject(Box(*coords), _index(o["cat"], "gt category", k)))
-    return SceneSample(grid=grid.reshape(h, w, c), gt=gt,
+        if not (coords[2] > 0 and coords[3] > 0):
+            raise ValueError(f"box sides must be positive, got w={coords[2]}, h={coords[3]}")
+        gt.append((coords, _index(o["cat"], "gt category", k)))
+    return SceneSample(grid=grid.reshape(h, w, c), gt=np.array(gt, dtype=GT_DTYPE),
                        scene_type=_index(rec["scene_type"], "scene type", num_scene_types))

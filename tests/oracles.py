@@ -6,8 +6,54 @@ code, or comparing the two proves nothing. Keep them slow and obvious.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class Box:
+    """One center-size box of Python floats, the scalar oracles' box type.
+    Area is available as `.area`."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+    def __post_init__(self):
+        if not (self.w > 0 and self.h > 0):
+            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
+
+    @property
+    def area(self):
+        return self.w * self.h
+
+    def corners(self):
+        """(x1, y1, x2, y2) extents."""
+        return (self.cx - self.w / 2.0, self.cy - self.h / 2.0,
+                self.cx + self.w / 2.0, self.cy + self.h / 2.0)
+
+
+def center_rows(boxes):
+    """Boxes as the library's (n, 4) array of (cx, cy, w, h) rows."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def corner_rows(boxes):
+    """Boxes as an (n, 4) array of Box.corners rows."""
+    return np.array([b.corners() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def gt_array(objects):
+    """(Box, category) pairs as one scene's GT_DTYPE array."""
+    from sinet.synth_data import GT_DTYPE
+    return np.array([((b.cx, b.cy, b.w, b.h), cat) for b, cat in objects], dtype=GT_DTYPE)
+
+
+def gt_objects(gt):
+    """One scene's GT_DTYPE rows as (Box, category) pairs."""
+    return [(Box(*box), cat) for box, cat in zip(gt["box"].tolist(), gt["category"].tolist())]
 
 
 def sig_s(v):
@@ -147,7 +193,6 @@ def _exp_s(v):
 def apply_deltas_oracle(b, d):
     """Refine one Box by (dx, dy, dw, dh), one scalar at a time; an exp
     overflow gives an infinite side."""
-    from sinet.geometry import Box
     dx, dy, dw, dh = (float(v) for v in d)
     return Box(b.cx + dx * b.w, b.cy + dy * b.h, b.w * _exp_s(dw), b.h * _exp_s(dh))
 
@@ -162,7 +207,6 @@ def encode_deltas_oracle(b, g):
 def clip_box_oracle(b, width, height, min_side=1e-6):
     """Clamp one Box's corners into [0, width] x [0, height] with the min and
     max builtins, keeping sides at least min_side."""
-    from sinet.geometry import Box
     x1, y1, x2, y2 = b.corners()
     x1, x2 = max(0.0, min(x1, width)), max(0.0, min(x2, width))
     y1, y2 = max(0.0, min(y1, height)), max(0.0, min(y2, height))
@@ -248,7 +292,6 @@ def sample_scene_oracle(world, seed, index, events=None):
     covered_cells_oracle, and one normal draw per painted region. Returns
     (grid, scene_type, [(cx, cy, w, h, category), ...]); counts "skipped"
     objects and partner "fallback"s into the `events` dict when given."""
-    from sinet.geometry import Box
     events = {} if events is None else events
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
@@ -355,11 +398,11 @@ def anchor_targets_oracle(anchors, gt):
     (mask False) in [OBJ_IOU_NEG, OBJ_IOU_POS), 0 under it, and each gt's
     best anchor (ties to the lowest index) forced positive."""
     from sinet.detector import OBJ_IOU_NEG, OBJ_IOU_POS
-    from sinet.geometry import boxes_to_array, pairwise_iou
+    from sinet.geometry import pairwise_iou
     a = len(anchors.corners)
-    if not gt:
+    if len(gt) == 0:
         return np.zeros(a), np.ones(a, dtype=bool)
-    ious = pairwise_iou(anchors.corners, boxes_to_array([o.box for o in gt]))
+    ious = pairwise_iou(anchors.corners, corner_rows(b for b, _ in gt_objects(gt)))
     best = ious.max(axis=1)
     y = np.zeros(a)
     mask = np.ones(a, dtype=bool)
@@ -425,7 +468,6 @@ FP_IOU_COR = 0.5
 
 def _det_box(d):
     """A detection row's center-size box as a Box."""
-    from sinet.geometry import Box
     return Box(*d["box"].tolist())
 
 
@@ -445,7 +487,7 @@ def category_slices_oracle(dets_by_image, gts_by_image, category):
             for img, dd in enumerate(dets_by_image) for d in dd if d["category"] == category]
     gts = {}
     for img, gg in enumerate(gts_by_image):
-        boxes = [o.box for o in gg if o.category == category]
+        boxes = [b for b, cat in gt_objects(gg) if cat == category]
         if boxes:
             gts[img] = boxes
     return dets, gts
@@ -453,13 +495,12 @@ def category_slices_oracle(dets_by_image, gts_by_image, category):
 
 def per_image_lists(dets, gts):
     """The inverse of category_slices_oracle for category 0: (image_id, box,
-    score) triples and {image_id: [box]} as per-image detection arrays and
-    GtObject lists, one per image from 0 to the largest id."""
-    from sinet.synth_data import GtObject
+    score) triples and {image_id: [box]} as per-image detection and GT_DTYPE
+    arrays, one per image from 0 to the largest id."""
     n_img = 1 + max([img for img, _, _ in dets] + list(gts), default=-1)
     dets_by_image = [detection_array([(box, 0, score) for i, box, score in dets if i == img])
                      for img in range(n_img)]
-    gts_by_image = [[GtObject(b, 0) for b in gts.get(img, [])] for img in range(n_img)]
+    gts_by_image = [gt_array((b, 0) for b in gts.get(img, [])) for img in range(n_img)]
     return dets_by_image, gts_by_image
 
 
@@ -478,10 +519,10 @@ def match_all_oracle(dets_by_image, gts_by_image, iou_thresh):
     matched = []
     for img, d in ranked_idx:
         best_iou, best_g = 0.0, -1
-        for gi, g in enumerate(gts_by_image[img]):
-            if g.category != d["category"] or (img, gi) in used:
+        for gi, (g, cat) in enumerate(gt_objects(gts_by_image[img])):
+            if cat != d["category"] or (img, gi) in used:
                 continue
-            v = iou_oracle(_det_box(d), g.box)
+            v = iou_oracle(_det_box(d), g)
             if v >= iou_thresh and v > best_iou:
                 best_iou, best_g = v, gi
         if best_g >= 0:
@@ -527,11 +568,11 @@ def fp_breakdown_oracle(dets_by_image, gts_by_image, similar_pairs=()):
             counts["Cor"] += 1
             continue
         best_same = best_sim = best_other = 0.0
-        for g in gts_by_image[img]:
-            v = iou_oracle(_det_box(d), g.box)
-            if g.category == d["category"]:
+        for g, cat in gt_objects(gts_by_image[img]):
+            v = iou_oracle(_det_box(d), g)
+            if cat == d["category"]:
                 best_same = max(best_same, v)
-            elif (int(d["category"]), g.category) in sim:
+            elif (int(d["category"]), cat) in sim:
                 best_sim = max(best_sim, v)
             else:
                 best_other = max(best_other, v)
@@ -562,6 +603,5 @@ def smooth_l1_oracle(diff):
 
 
 def random_box(rng, span=10.0):
-    from sinet.geometry import Box
     return Box(rng.uniform(1.0, span), rng.uniform(1.0, span),
                rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))

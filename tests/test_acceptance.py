@@ -22,20 +22,20 @@ import conftest
 from sinet.detector import (TrainConfig, anchor_set, create_detector_params,
                             objectness_loss, score_anchors)
 from sinet.evaluation import evaluate_detections, run_ablation
-from sinet.geometry import Box, boxes_to_array, boxes_to_centers, nms
+from sinet.geometry import nms
 from sinet.harness import main, run_gradcheck
 from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.structure_inference import (SceneGraph, _compute_edges,
                                        _integrate_all, _max_messages, _relation_tensor,
                                        create_sin_params, sin_step_tape)
-from sinet.synth_data import (GtObject, SceneSample, default_world, generate,
+from sinet.synth_data import (SceneSample, default_world, generate,
                               load_dataset, save_dataset, world_hash)
 
-from oracles import (average_precision_oracle, detection_array, edge_weight_oracle,
-                     gru_forward_oracle, integrate_messages_oracle, iou_oracle,
-                     nms_oracle, objectness_oracle, per_image_lists, random_box,
-                     sin_step_oracle)
+from oracles import (Box, average_precision_oracle, center_rows, corner_rows,
+                     detection_array, edge_weight_oracle, gru_forward_oracle, gt_array,
+                     integrate_messages_oracle, iou_oracle, nms_oracle, objectness_oracle,
+                     per_image_lists, random_box, sin_step_oracle)
 
 
 def record(num, label, ok, detail):
@@ -89,7 +89,7 @@ def _check_edge_weight(rng, trials):
         w_p = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        e = _compute_edges(p, np.array([fi, fj]), _gate_of(boxes_to_centers([bi, bj]), w_p)).e
+        e = _compute_edges(p, np.array([fi, fj]), _gate_of(center_rows([bi, bj]), w_p)).e
         want_ij = edge_weight_oracle(w_p, p.w_v.value, bi, bj, fi, fj)
         want_ji = edge_weight_oracle(w_p, p.w_v.value, bj, bi, fj, fi)
         assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
@@ -122,7 +122,7 @@ def _check_sin_step(rng, trials):
         feats = rng.normal(size=(n, d))
         boxes = [random_box(rng, span=8.0) for _ in range(n)]
         scene = rng.normal(size=d)
-        centers = boxes_to_centers(boxes)[None]
+        centers = center_rows(boxes)[None]
         g = SceneGraph(node_features=feats[None], boxes=centers, scene_feature=scene[None],
                        gate=_gate_of(centers, w_p))
         out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode, record=True)
@@ -137,7 +137,7 @@ def _check_nms(rng, trials):
         scores = np.round(rng.random(n), 1)     # coarse grid forces ties
         thresh = float(rng.uniform(0.2, 0.8))
         max_keep = int(rng.integers(1, n + 3))
-        got = nms(boxes_to_array(boxes), scores, thresh, max_keep)
+        got = nms(corner_rows(boxes), scores, thresh, max_keep)
         assert list(got) == nms_oracle(boxes, scores, thresh, max_keep)
 
 
@@ -146,7 +146,7 @@ def _check_objectness(rng, trials):
         h, w, c = (int(v) for v in rng.integers((1, 1, 2), (13, 13, 9)))
         grid = rng.normal(size=(h, w, c))
         grid[rng.random(grid.shape) < 0.2] = -0.0
-        gt = [GtObject(random_box(rng, span=12.0), 0) for _ in range(int(rng.integers(0, 4)))]
+        gt = gt_array((random_box(rng, span=12.0), 0) for _ in range(int(rng.integers(0, 4))))
         sample = SceneSample(grid=grid, scene_type=0, gt=gt)
         st = ParamStore()
         p = create_detector_params(st, c, 2, 3, int(rng.integers(1 << 30)))
@@ -305,7 +305,7 @@ def _invariant_permutation_equivariance(rng):
         p = create_sin_params(st, d, trial, pooling)
         w_p = rng.normal(0, 0.4, size=(1, 12))
         g = SceneGraph(node_features=rng.normal(size=(n, d))[None],
-                       boxes=boxes_to_centers([random_box(rng, span=8.0)
+                       boxes=center_rows([random_box(rng, span=8.0)
                                                for _ in range(n)])[None],
                        scene_feature=rng.normal(size=d)[None])
         g.gate = _gate_of(g.boxes, w_p)
@@ -323,7 +323,7 @@ def _invariant_nms_postconditions(rng):
         boxes = [random_box(rng, span=6.0) for _ in range(n)]
         scores = rng.random(n)
         thresh = float(rng.uniform(0.3, 0.7))
-        keep = nms(boxes_to_array(boxes), scores, thresh, max_keep=n)
+        keep = nms(corner_rows(boxes), scores, thresh, max_keep=n)
         kept_scores = [scores[i] for i in keep]
         assert kept_scores == sorted(kept_scores, reverse=True)
         for a in range(len(keep)):
@@ -335,8 +335,6 @@ def _invariant_nms_postconditions(rng):
 
 
 def _invariant_ap_range_and_monotone_recall(rng):
-    from sinet.synth_data import GtObject
-
     for _ in range(40):
         gts = {0: [random_box(rng) for _ in range(int(rng.integers(1, 4)))]}
         dets = [(0, random_box(rng), float(rng.random()))
@@ -345,7 +343,7 @@ def _invariant_ap_range_and_monotone_recall(rng):
         assert 0.0 <= ap <= 1.0
         # pooled recall can only fall as the score threshold rises
         dd = [detection_array([(b, 0, s) for _, b, s in dets])]
-        gg = [[GtObject(b, 0) for b in gts[0]]]
+        gg = [gt_array((b, 0) for b in gts[0])]
         recalls = [r for _, _, r in evaluate_detections(dd, gg, 1).pr]
         assert all(a >= b - 1e-12 for a, b in zip(recalls, recalls[1:]))
 
@@ -369,8 +367,8 @@ def _invariant_round_trips(tmp_path):
     for a, b in zip(scenes, got):
         assert np.array_equal(a.grid, b.grid)
         assert a.scene_type == b.scene_type
-        assert [(o.category, o.box.cx, o.box.cy, o.box.w, o.box.h) for o in a.gt] \
-            == [(o.category, o.box.cx, o.box.cy, o.box.w, o.box.h) for o in b.gt]
+        assert a.gt["category"].tolist() == b.gt["category"].tolist()
+        assert a.gt["box"].tolist() == b.gt["box"].tolist()
 
 
 def _invariant_seed_determinism(tmp_path):

@@ -19,15 +19,14 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
                             forward_scenes, multi_task_loss, objectness_loss, propose,
                             score_anchors, smooth_l1, smooth_l1_grad, train,
                             validate_config)
-from sinet.geometry import (Box, boxes_to_array, boxes_to_centers, centers_to_corners, nms,
-                            pairwise_iou)
+from sinet.geometry import centers_to_corners, nms, pairwise_iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
-from sinet.synth_data import GtObject, SceneSample, cell_window, default_world
+from sinet.synth_data import SceneSample, cell_window, default_world
 
-from oracles import (anchor_targets_oracle, apply_deltas_oracle, clip_box_oracle,
-                     covered_cells_oracle, encode_deltas_oracle, iou_oracle, nms_oracle,
-                     objectness_oracle, pool_rois_oracle)
+from oracles import (Box, anchor_targets_oracle, apply_deltas_oracle, center_rows,
+                     clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
+                     gt_array, iou_oracle, nms_oracle, objectness_oracle, pool_rois_oracle)
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
@@ -37,8 +36,9 @@ def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
 
 
 def make_sample(rng, h=10, w=10, c=5, gt=()):
+    """A noise scene whose ground truth is the (Box, category) pairs `gt`."""
     return SceneSample(grid=rng.normal(0.0, 1.0, size=(h, w, c)),
-                       scene_type=0, gt=list(gt))
+                       scene_type=0, gt=gt_array(gt))
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +59,8 @@ def test_anchor_set_enumeration():
     sizes = [(s * math.sqrt(r), s / math.sqrt(r)) for s in ANCHOR_SCALES for r in ANCHOR_RATIOS]
     boxes = [Box(c + 0.5, r + 0.5, aw, ah)
              for r in range(16) for c in range(16) for aw, ah in sizes]
-    assert a.centers.tolist() == boxes_to_centers(boxes).tolist()
-    assert np.array_equal(a.corners, boxes_to_array(boxes))
+    assert a.centers.tolist() == center_rows(boxes).tolist()
+    assert np.array_equal(a.corners, corner_rows(boxes))
     # cached: same object back for the same grid
     assert anchor_set(16, 16) is a
 
@@ -108,7 +108,7 @@ def test_anchor_scores_and_objectness_gradient_match_oracle(h, w, c, seed, neg_z
     # the box filter adds each window in another order than the dense
     # features, so scores, loss and gradient agree to rounding
     grid = _grid(seed, h, w, c, neg_zero)
-    sample = SceneSample(grid=grid, scene_type=0, gt=[GtObject(b, 0) for b in boxes])
+    sample = SceneSample(grid=grid, scene_type=0, gt=gt_array((b, 0) for b in boxes))
     store, params = make_params(channels=c)
     rng = np.random.default_rng(seed + 1)
     params.objectness.value[:] = rng.normal(size=params.objectness.value.shape)
@@ -203,20 +203,20 @@ def test_propose_injects_ground_truth():
     # scores above every anchor, so they lead the proposals
     rng = np.random.default_rng(9)
     store, params = make_params()
-    gt = [GtObject(Box(2.5, 2.5, 3.0, 2.0), 0), GtObject(Box(7.0, 7.0, 2.0, 2.8), 1)]
+    gt = [(Box(2.5, 2.5, 3.0, 2.0), 0), (Box(7.0, 7.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, gt=gt)
     cfg = validate_config(TrainConfig(rois_per_image=16, feat_dim=6))
     props = propose(params, sample, cfg, rng=np.random.default_rng(3))
     assert len(props) == 16
     replay = np.random.default_rng(3)
-    for got, obj in zip(props.tolist(), gt):
+    for got, (box, _) in zip(props.tolist(), gt):
         want = clip_box_oracle(apply_deltas_oracle(
-            obj.box, replay.normal(0.0, GT_JITTER, size=4)), 10, 10)
+            box, replay.normal(0.0, GT_JITTER, size=4)), 10, 10)
         assert got == pytest.approx([want.cx, want.cy, want.w, want.h], abs=1e-12)
 
     # without an rng (detection) propose must not peek at the labels
     props_eval = propose(params, sample, cfg)
-    g = [gt[0].box.cx, gt[0].box.cy, gt[0].box.w, gt[0].box.h]
+    g = sample.gt["box"][0].tolist()
     assert all(p != g for p in props_eval.tolist())
 
 
@@ -226,7 +226,7 @@ def test_propose_matches_oracle_over_injected_and_anchors():
     rng = np.random.default_rng(21)
     store, params = make_params()
     params.objectness.value[:] = rng.normal(0.0, 1.0, size=params.objectness.value.shape)
-    gt = [GtObject(Box(2.5, 2.5, 3.0, 2.0), 0), GtObject(Box(7.0, 7.0, 2.0, 2.8), 1)]
+    gt = [(Box(2.5, 2.5, 3.0, 2.0), 0), (Box(7.0, 7.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, gt=gt)
     anchors, scores = score_anchors(params, sample)
     for k in (16, 40):
@@ -238,7 +238,7 @@ def test_propose_matches_oracle_over_injected_and_anchors():
             if train_mode:
                 replay = np.random.default_rng(4)
                 injected = [clip_box_oracle(apply_deltas_oracle(
-                    o.box, replay.normal(0.0, GT_JITTER, size=4)), 10, 10) for o in gt]
+                    box, replay.normal(0.0, GT_JITTER, size=4)), 10, 10) for box, _ in gt]
             boxes = injected + [Box(*row) for row in anchors.centers.tolist()]
             keep = nms_oracle(boxes, [1e9] * len(injected) + list(scores),
                               PROPOSAL_NMS_THRESH, k)
@@ -254,7 +254,7 @@ def test_propose_pads_by_cycling_the_kept_boxes():
     rng = np.random.default_rng(22)
     store, params = make_params()
     params.objectness.value[:] = rng.normal(0.0, 1.0, size=params.objectness.value.shape)
-    gt = [GtObject(Box(0.5, 0.6, 1.2, 1.6), 0)]
+    gt = [(Box(0.5, 0.6, 1.2, 1.6), 0)]
     sample = make_sample(rng, h=1, w=1, gt=gt)
     anchors, scores = score_anchors(params, sample)
     cfg = validate_config(TrainConfig(rois_per_image=16, feat_dim=6))
@@ -265,7 +265,7 @@ def test_propose_pads_by_cycling_the_kept_boxes():
         if train_mode:
             replay = np.random.default_rng(4)
             injected = [clip_box_oracle(apply_deltas_oracle(
-                o.box, replay.normal(0.0, GT_JITTER, size=4)), 1, 1) for o in gt]
+                box, replay.normal(0.0, GT_JITTER, size=4)), 1, 1) for box, _ in gt]
         boxes = injected + [Box(*row) for row in anchors.centers.tolist()]
         keep = nms_oracle(boxes, [1e9] * len(injected) + list(scores),
                           PROPOSAL_NMS_THRESH, 16)
@@ -301,11 +301,11 @@ def test_proposals_without_injection_are_nms_over_the_anchors(h, w, n, levels):
     cfg = TrainConfig(rois_per_image=n)
     keep = nms(anchors.corners, scores, PROPOSAL_NMS_THRESH, n)
     want = anchors.centers[np.resize(keep, n)].tolist()
-    gt = [GtObject(Box(0.5, 0.5, 1.0, 1.0), 0)]
+    gt = gt_array([(Box(0.5, 0.5, 1.0, 1.0), 0)])
     # detection ignores the ground truth; training on a scene without any
     # has nothing to inject
     for sample, rng in ((SceneSample(np.zeros((h, w, 5)), 0, gt), None),
-                        (SceneSample(np.zeros((h, w, 5)), 0, []), np.random.default_rng(0))):
+                        (SceneSample(np.zeros((h, w, 5)), 0, gt[:0]), np.random.default_rng(0))):
         props = propose(None, sample, cfg, rng=rng, scored=(anchors, scores))
         assert props.tolist() == want
 
@@ -314,22 +314,22 @@ def test_proposals_without_injection_are_nms_over_the_anchors(h, w, n, levels):
 # target assignment
 
 def test_assign_targets_no_gt_is_all_background():
-    props = boxes_to_centers([Box(2, 2, 2, 2), Box(5, 5, 1, 1)])
-    labels, deltas = assign_targets(props, [], num_categories=3)
+    props = center_rows([Box(2, 2, 2, 2), Box(5, 5, 1, 1)])
+    labels, deltas = assign_targets(props, gt_array([]), num_categories=3)
     assert labels.tolist() == [3, 3]
     assert deltas.shape == (2, 4) and not deltas.any()
 
 
 def test_assign_targets_trivial_cases():
-    g = GtObject(Box(3.0, 3.0, 2.0, 2.0), 1)
+    g = Box(3.0, 3.0, 2.0, 2.0)
     props = [
         Box(3.0, 3.0, 2.0, 2.0),    # exact hit
         Box(9.0, 9.0, 2.0, 2.0),    # disjoint
         Box(3.7, 3.0, 2.0, 2.0),    # IoU ~0.418: in the ignore band
     ]
-    labels, deltas = assign_targets(boxes_to_centers(props), [g], num_categories=4)
+    labels, deltas = assign_targets(center_rows(props), gt_array([(g, 1)]), num_categories=4)
     assert labels.tolist() == [1, 4, IGNORE]
-    assert np.allclose(deltas[0], encode_deltas_oracle(props[0], g.box))
+    assert np.allclose(deltas[0], encode_deltas_oracle(props[0], g))
     assert np.allclose(deltas[0], 0.0)
     # rows that are not positive carry zero deltas
     assert not deltas[1:].any()
@@ -337,10 +337,10 @@ def test_assign_targets_trivial_cases():
 
 def test_assign_targets_forces_best_proposal():
     # sole gt overlaps nothing above iou_pos; its best proposal is still positive
-    g = GtObject(Box(3.0, 3.0, 2.0, 2.0), 2)
+    g = Box(3.0, 3.0, 2.0, 2.0)
     props = [Box(4.4, 3.0, 2.0, 2.0), Box(8.0, 8.0, 2.0, 2.0)]
-    assert iou_oracle(props[0], g.box) < IOU_POS
-    labels, _deltas = assign_targets(boxes_to_centers(props), [g], num_categories=3)
+    assert iou_oracle(props[0], g) < IOU_POS
+    labels, _deltas = assign_targets(center_rows(props), gt_array([(g, 2)]), num_categories=3)
     assert labels.tolist() == [2, 3]
 
 
@@ -350,14 +350,14 @@ def test_assign_targets_matches_brute_force():
         props = [Box(rng.uniform(1, 9), rng.uniform(1, 9),
                      rng.uniform(0.8, 3.0), rng.uniform(0.8, 3.0))
                  for _ in range(8)]
-        gt = [GtObject(Box(rng.uniform(1, 9), rng.uniform(1, 9),
-                           rng.uniform(0.8, 3.0), rng.uniform(0.8, 3.0)),
-                       int(rng.integers(0, 3)))
+        gt = [(Box(rng.uniform(1, 9), rng.uniform(1, 9),
+                   rng.uniform(0.8, 3.0), rng.uniform(0.8, 3.0)),
+               int(rng.integers(0, 3)))
               for _ in range(int(rng.integers(1, 4)))]
-        labels, deltas = assign_targets(boxes_to_centers(props), gt, num_categories=3)
+        labels, deltas = assign_targets(center_rows(props), gt_array(gt), num_categories=3)
         assert labels.shape == (8,) and deltas.shape == (8, 4)
 
-        ious = [[iou_oracle(p, o.box) for o in gt] for p in props]
+        ious = [[iou_oracle(p, box) for box, _ in gt] for p in props]
         assigned = [-1] * len(props)
         neg = [False] * len(props)
         for i in range(len(props)):
@@ -379,8 +379,9 @@ def test_assign_targets_matches_brute_force():
                 neg[best] = False
         for i in range(len(props)):
             if assigned[i] >= 0:
-                assert labels[i] == gt[assigned[i]].category, (trial, i)
-                want = encode_deltas_oracle(props[i], gt[assigned[i]].box)
+                box, cat = gt[assigned[i]]
+                assert labels[i] == cat, (trial, i)
+                want = encode_deltas_oracle(props[i], box)
                 assert np.allclose(deltas[i], want, atol=1e-12)
                 continue
             assert not deltas[i].any()
@@ -525,7 +526,7 @@ def test_forward_node_avg_is_gather_mean_over_covered_cells():
                    Box(12.0, -3.0, 1.0, 1.0), Box(5.0, 5.0, 0.9, 0.9)]   # last: a tie
     boxes += covers_none
     cfg = validate_config(TrainConfig(feat_dim=6))
-    state = forward(params, sample, cfg, boxes=boxes_to_centers(boxes), mode="both", steps=0)
+    state = forward(params, sample, cfg, boxes=center_rows(boxes), mode="both", steps=0)
     for i, b in enumerate(boxes):
         rows, cols = covered_cells_oracle(b, h, w)
         if rows.size == 0 or cols.size == 0:
@@ -541,7 +542,7 @@ def test_forward_zero_steps_reads_heads_off_raw_features():
     rng = np.random.default_rng(43)
     store, params = make_params()
     sample = make_sample(rng)
-    boxes = boxes_to_centers([Box(3, 3, 2, 2), Box(6, 6, 2, 3), Box(8, 2, 1.5, 1.5)])
+    boxes = center_rows([Box(3, 3, 2, 2), Box(6, 6, 2, 3), Box(8, 2, 1.5, 1.5)])
     cfg = validate_config(TrainConfig(rois_per_image=3, T=3, feat_dim=6))
     state = forward(params, sample, cfg, boxes=boxes, mode="both", steps=0)
     assert np.array_equal(state.graph_out.node_features, state.features0)
@@ -580,7 +581,7 @@ def test_forward_edges_square_and_zero_diagonal():
     assert forward(params, sample, cfg, props, "both", 0).edges is None
     assert forward(params, sample, cfg, props, "scene", cfg.T).edges is None
     for arm in ("baseline", "scene"):
-        _, state = detect(params, sample, cfg, arm=arm)
+        _, state = detect(params, [sample], cfg, arm=arm)
         assert np.array_equal(state.edges,
                               compute_edges(params.sin, state.graph_out))
 
@@ -591,12 +592,12 @@ def test_forward_edges_square_and_zero_diagonal():
 def test_anchor_targets_band_and_forced_positive():
     h = w = 8
     anchors = anchor_set(h, w)
-    gt = [GtObject(Box(4.0, 4.0, 2.6, 2.6), 0)]
-    y, mask = _anchor_targets(anchors, gt)
+    g = Box(4.0, 4.0, 2.6, 2.6)
+    y, mask = _anchor_targets(anchors, gt_array([(g, 0)]))
     boxes = [Box(*row) for row in anchors.centers.tolist()]
     for i, box in enumerate(boxes):
-        v = iou_oracle(box, gt[0].box)
-        forced = i == int(np.argmax([iou_oracle(b, gt[0].box) for b in boxes]))
+        v = iou_oracle(box, g)
+        forced = i == int(np.argmax([iou_oracle(b, g) for b in boxes]))
         if forced:
             assert y[i] == 1.0 and mask[i]
         elif v >= det_mod.OBJ_IOU_POS:
@@ -609,7 +610,7 @@ def test_anchor_targets_band_and_forced_positive():
 
 def test_anchor_targets_empty_gt():
     anchors = anchor_set(6, 6)
-    y, mask = _anchor_targets(anchors, [])
+    y, mask = _anchor_targets(anchors, gt_array([]))
     assert not y.any()
     assert mask.all()
 
@@ -619,7 +620,7 @@ def test_anchor_targets_empty_gt():
        distinct=hst.lists(hst.one_of(_gt_quarter, _gt_free), min_size=1, max_size=5),
        picks=hst.lists(hst.integers(0, 4), min_size=1, max_size=8))
 def test_anchor_targets_match_dense_oracle(h, w, distinct, picks):
-    gt = [GtObject(distinct[p % len(distinct)], p % 3) for p in picks]
+    gt = gt_array((distinct[p % len(distinct)], p % 3) for p in picks)
     anchors = anchor_set(h, w)
     y, mask = _anchor_targets(anchors, gt)
     want_y, want_mask = anchor_targets_oracle(anchors, gt)
@@ -650,7 +651,7 @@ def test_anchor_cache_is_read_only():
 def test_objectness_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(51)
     store, params = make_params(channels=4, k=2, d=4)
-    gt = [GtObject(Box(3.0, 3.0, 2.4, 2.4), 0), GtObject(Box(7.0, 6.0, 2.0, 2.8), 1)]
+    gt = [(Box(3.0, 3.0, 2.4, 2.4), 0), (Box(7.0, 6.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, h=9, w=9, c=4, gt=gt)
 
     def loss():
@@ -677,7 +678,7 @@ def test_objectness_loss_gradient_matches_finite_differences():
 def test_objectness_loss_with_shared_scores_matches_own():
     rng = np.random.default_rng(52)
     store, params = make_params(channels=4, k=2, d=4)
-    gt = [GtObject(Box(3.0, 3.0, 2.4, 2.4), 0), GtObject(Box(7.0, 6.0, 2.0, 2.8), 1)]
+    gt = [(Box(3.0, 3.0, 2.4, 2.4), 0), (Box(7.0, 6.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, h=9, w=9, c=4, gt=gt)
     start = rng.normal(size=params.objectness.value.shape)
 
@@ -792,7 +793,7 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     trained = forward(result.params, sample, cfg, props, "both", cfg.T)
     assert len(trained.tapes) == cfg.T
     assert trained.tapes[-1].edge_tape.xh.shape == (1, 1, 2 * cfg.feat_dim)
-    dets, state = detect(result.params, sample, cfg, score_thresh=0.0, arm="sin")
+    (dets,), state = detect(result.params, [sample], cfg, score_thresh=0.0, arm="sin")
     assert state.tapes == []
     assert state.edges.shape == (1, 1, 1)
     assert len(dets) and (dets["roi"] == 0).all()
@@ -846,7 +847,7 @@ def test_detect_output_contract():
     store, params = make_params(channels=5, k=3, d=6)
     sample = make_sample(rng)
     cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
-    dets, state = detect(params, sample, cfg, score_thresh=0.05, arm="sin")
+    (dets,), state = detect(params, [sample], cfg, score_thresh=0.05, arm="sin")
     assert state.probs.shape[:2] == (1, 8)
     assert dets.dtype == DETECTION_DTYPE
     keys = [(int(d["category"]), -float(d["score"]), *d["box"].tolist()) for d in dets]
@@ -876,7 +877,7 @@ def test_detect_orders_score_ties_by_box():
     params.cls_head.value[:] = 0.0
     params.reg_head.value[:] = 0.0
     cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
-    dets, _ = detect(params, make_sample(rng), cfg, score_thresh=0.05, arm="sin")
+    (dets,), _ = detect(params, [make_sample(rng)], cfg, score_thresh=0.05, arm="sin")
     assert set(dets["score"].tolist()) == {0.25}
     for cat in range(3):
         boxes = [tuple(d["box"].tolist()) for d in dets if d["category"] == cat]
@@ -1026,7 +1027,7 @@ def test_detections_independent_of_stack_composition(model, arm, first, count, c
         stacked = detect_scenes(params, samples, cfg, thresh, arm)
     assert len(stacked) == count
     for sample, dets in zip(samples, stacked):
-        assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, arm)[0])
+        assert _exact(dets) == _exact(detect(params, [sample], cfg, thresh, arm)[0][0])
 
 
 def test_detect_scenes_clips_each_scene_to_its_own_grid():
@@ -1040,7 +1041,7 @@ def test_detect_scenes_clips_each_scene_to_its_own_grid():
     for thresh in (0.0, 0.05):
         stacked = detect_scenes(params, samples, cfg, thresh, "sin")
         for sample, dets in zip(samples, stacked):
-            assert _exact(dets) == _exact(detect(params, sample, cfg, thresh, "sin")[0])
+            assert _exact(dets) == _exact(detect(params, [sample], cfg, thresh, "sin")[0][0])
             h, w = sample.grid.shape[:2]
             assert (dets["box"][:, 2:] > 0).all()
             for x1, y1, x2, y2 in centers_to_corners(dets["box"]):

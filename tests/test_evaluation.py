@@ -11,12 +11,12 @@ from sinet import evaluation
 from sinet.detector import TrainConfig, create_detector_params, detect_scenes
 from sinet.evaluation import (FP_KINDS, PR_THRESHOLDS, SWEEP_GRID, _voc_ap,
                               evaluate_detections, mean_ap, run_ablation, strip_objects)
-from sinet.geometry import Box
 from sinet.numerics import ParamStore
-from sinet.synth_data import GtObject, default_world, sample_at
+from sinet.synth_data import default_world, sample_at
 
-from oracles import (average_precision_oracle, category_slices_oracle, detection_array,
-                     fp_breakdown_oracle, per_image_lists, pr_curve_oracle, random_box)
+from oracles import (Box, average_precision_oracle, category_slices_oracle, detection_array,
+                     fp_breakdown_oracle, gt_array, per_image_lists, pr_curve_oracle,
+                     random_box)
 
 
 def category_ap(dets, gts):
@@ -115,7 +115,7 @@ def test_matching_threshold_is_one_half():
     g = Box(3, 3, 2, 2)
     near = Box(3.8, 3, 2, 2)       # IoU 1.2/2.8: misses at 0.5
     half = Box(3, 3, 2, 1)         # inside g at half its area: IoU exactly 0.5
-    gts = [[GtObject(g, 0)]]
+    gts = [gt_array([(g, 0)])]
     assert evaluate_detections([image(det(near, cat=0, score=0.9))], gts, 1).map == 0.0
     assert evaluate_detections([image(det(half, cat=0, score=0.9))], gts, 1).map == 1.0
 
@@ -124,13 +124,13 @@ def test_matching_threshold_is_one_half():
 # pr curve and fp buckets
 
 def test_pr_curve_empty_conventions():
-    pts = evaluate_detections([image()], [[GtObject(Box(3, 3, 2, 2), 0)]], 1).pr
+    pts = evaluate_detections([image()], [gt_array([(Box(3, 3, 2, 2), 0)])], 1).pr
     assert len(pts) == len(PR_THRESHOLDS)
     for thr, precision, recall in pts:
         assert precision == 1.0
         assert recall == 0.0
     # no gt anywhere: recall pinned to zero, precision from the pool
-    pts = evaluate_detections([image(det(Box(3, 3, 2, 2), score=0.9))], [[]], 1).pr
+    pts = evaluate_detections([image(det(Box(3, 3, 2, 2), score=0.9))], [gt_array([])], 1).pr
     assert all(r == 0.0 for _, _, r in pts)
 
 
@@ -138,7 +138,7 @@ def test_pr_curve_threshold_semantics_and_monotone_recall():
     g1, g2 = Box(2, 2, 2, 2), Box(7, 7, 2, 2)
     dets = [image(det(g1, cat=0, score=0.8), det(g2, cat=0, score=0.4),
                   det(Box(5, 2, 2, 2), cat=0, score=0.6))]
-    gts = [[GtObject(g1, 0), GtObject(g2, 0)]]
+    gts = [gt_array([(g1, 0), (g2, 0)])]
     pts = evaluate_detections(dets, gts, 1).pr
     by_thr = {thr: (p, r) for thr, p, r in pts}
     # score >= threshold is kept: at 0.4 everything, at 0.8 only the first
@@ -149,9 +149,7 @@ def test_pr_curve_threshold_semantics_and_monotone_recall():
 
 
 def test_fp_breakdown_buckets():
-    g_cat0 = GtObject(Box(3, 3, 2, 2), 0)
-    g_cat2 = GtObject(Box(12, 3, 2, 2), 2)
-    gts = [[g_cat0, g_cat2]]
+    gts = [gt_array([(Box(3, 3, 2, 2), 0), (Box(12, 3, 2, 2), 2)])]
     dets = [image(
         det(Box(3, 3, 2, 2), cat=0, score=0.9),       # Cor: exact match
         det(Box(3.8, 3, 2, 2), cat=0, score=0.8),     # Loc: duplicate, gt consumed
@@ -169,7 +167,7 @@ def test_fp_breakdown_buckets():
 
 
 def test_fp_breakdown_similar_pairs_are_symmetric():
-    gts = [[GtObject(Box(3, 3, 2, 2), 1)]]
+    gts = [gt_array([(Box(3, 3, 2, 2), 1)])]
     dets = [image(det(Box(3.2, 3, 2, 2), cat=0, score=0.9))]
     a = evaluate_detections(dets, gts, 2, similar_pairs=((0, 1),)).fp
     b = evaluate_detections(dets, gts, 2, similar_pairs=((1, 0),)).fp
@@ -179,7 +177,7 @@ def test_fp_breakdown_similar_pairs_are_symmetric():
 def test_evaluate_detections_contract():
     g = Box(3, 3, 2, 2)
     dets = [image(det(g, cat=0, score=0.9)), image()]
-    gts = [[GtObject(g, 0)], [GtObject(Box(5, 5, 2, 2), 1)]]
+    gts = [gt_array([(g, 0)]), gt_array([(Box(5, 5, 2, 2), 1)])]
     ev = evaluate_detections(dets, gts, num_categories=2)
     assert ev.num_images == 2
     assert ev.per_category_ap[0] == pytest.approx(1.0)
@@ -214,11 +212,11 @@ _image = hst.tuples(
 def test_matching_core_equals_scalar_oracles(images, chunk):
     # images may be empty, lack gt, or hold detections but no gt; small
     # chunks split the pairs between detections and leave pairless ones
-    gts = [[GtObject(box, cat) for box, cat in gg] for gg, _ in images]
-    dets = [image(*[det(gt[src % len(gt)].box if src >= 0 and gt else box, cat=cat,
+    gts = [gt_array(gg) for gg, _ in images]
+    dets = [image(*[det(gg[src % len(gg)][0] if src >= 0 and gg else box, cat=cat,
                         score=level / 4.0)
                     for src, box, cat, level in dd])
-            for gt, (_, dd) in zip(gts, images)]
+            for gg, dd in images]
     similar = ((0, 1),)
     want_ap = {c: average_precision_oracle(*category_slices_oracle(dets, gts, c))
                for c in range(3)}

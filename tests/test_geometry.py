@@ -6,17 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from sinet import geometry
-from sinet.geometry import (Box, _sorted_prefix, apply_deltas, boxes_to_array,
-                            boxes_to_centers, centers_to_corners, clip_box, encode_deltas,
-                            iou, nms, nms_by_group, pairwise_iou)
+from sinet.geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
+                            encode_deltas, iou, nms, nms_by_group, pairwise_iou)
 
-from oracles import (apply_deltas_oracle, clip_box_oracle, encode_deltas_oracle,
-                     iou_oracle, nms_oracle, random_box)
+from oracles import (Box, apply_deltas_oracle, center_rows, clip_box_oracle, corner_rows,
+                     encode_deltas_oracle, iou_oracle, nms_oracle, random_box)
 
 
 def _iou1(a, b):
     """iou of one Box pair, through the paired-row kernel."""
-    return float(iou(boxes_to_centers([a]), boxes_to_centers([b]))[0])
+    return float(iou(center_rows([a]), center_rows([b]))[0])
 
 
 def test_iou_known_cases():
@@ -48,7 +47,7 @@ def test_box_invariants():
 def test_delta_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        b, g = boxes_to_centers([random_box(rng)]), boxes_to_centers([random_box(rng)])
+        b, g = center_rows([random_box(rng)]), center_rows([random_box(rng)])
         (cx, _cy, w, _h), = apply_deltas(b, encode_deltas(b, g))
         g = Box(*g[0])
         assert cx == pytest.approx(g.cx, abs=1e-12)
@@ -57,22 +56,22 @@ def test_delta_round_trip():
 
 def test_clip_box_stays_inside():
     # a box fully past an edge collapses to a min_side sliver at that edge
-    (cx, cy, w, h), = clip_box(boxes_to_centers([Box(-1.0, 20.0, 5.0, 8.0)]), 16, 16)
+    (cx, cy, w, h), = clip_box(center_rows([Box(-1.0, 20.0, 5.0, 8.0)]), 16, 16)
     eps = 1e-6
     assert cx - w / 2 >= -eps and cx + w / 2 <= 16 + eps
     assert cy - h / 2 >= -eps and cy + h / 2 <= 16 + eps
     assert w > 0 and h > 0
-    inside = clip_box(boxes_to_centers([Box(8, 8, 4, 4)]), 16, 16)
+    inside = clip_box(center_rows([Box(8, 8, 4, 4)]), 16, 16)
     assert inside.tolist() == [[8, 8, 4, 4]]
 
 
 def test_box_arrays_match_box_arithmetic():
     rng = np.random.default_rng(3)
     boxes = [random_box(rng) for _ in range(20)]
-    centers = boxes_to_centers(boxes)
+    centers = center_rows(boxes)
     assert centers.tolist() == [[b.cx, b.cy, b.w, b.h] for b in boxes]
-    assert np.array_equal(centers_to_corners(centers), boxes_to_array(boxes))
-    assert boxes_to_centers([]).shape == (0, 4)
+    assert np.array_equal(centers_to_corners(centers), corner_rows(boxes))
+    assert center_rows([]).shape == (0, 4)
 
 
 def test_box_array_kernels_reject_bad_shapes():
@@ -94,7 +93,7 @@ def test_encode_deltas_matches_box_oracle():
     for k in (0, 1, 5, 40):
         boxes = [random_box(rng, span=30.0) for _ in range(k)]
         targets = [random_box(rng, span=30.0) for _ in range(k)]
-        got = encode_deltas(boxes_to_centers(boxes), boxes_to_centers(targets))
+        got = encode_deltas(center_rows(boxes), center_rows(targets))
         assert got.shape == (k, 4)
         for row, b, g in zip(got, boxes, targets):
             want = encode_deltas_oracle(b, g)
@@ -119,7 +118,7 @@ def test_apply_deltas_and_clip_box_match_box_oracles():
         scale = (0.5, 5.0, 400.0)[trial % 3]
         deltas = rng.normal(0.0, scale, size=(k, 4))
         deltas[:, 2:] = np.clip(deltas[:, 2:], -30.0, 720.0)     # no exp underflow to 0
-        refined = apply_deltas(boxes_to_centers(boxes), deltas)
+        refined = apply_deltas(center_rows(boxes), deltas)
         assert refined.shape == (k, 4)
         want = [apply_deltas_oracle(b, d) for b, d in zip(boxes, deltas)]
         for got, w in zip(refined, want):
@@ -178,7 +177,7 @@ def test_pairwise_iou_matches_oracle():
     rng = np.random.default_rng(13)
     a = [random_box(rng) for _ in range(7)]
     b = [random_box(rng) for _ in range(5)]
-    got = pairwise_iou(boxes_to_array(a), boxes_to_array(b))
+    got = pairwise_iou(corner_rows(a), corner_rows(b))
     assert got.shape == (7, 5)
     for i, bi in enumerate(a):
         for j, bj in enumerate(b):
@@ -187,16 +186,16 @@ def test_pairwise_iou_matches_oracle():
 
 def test_nms_simple_cases():
     boxes = [Box(2, 2, 2, 2), Box(2.1, 2, 2, 2), Box(8, 8, 2, 2)]
-    keep = nms(boxes_to_array(boxes), [0.9, 0.8, 0.7], 0.5, 10)
+    keep = nms(corner_rows(boxes), [0.9, 0.8, 0.7], 0.5, 10)
     assert keep == [0, 2]
     # identical boxes with identical scores: one survives, lower index first
-    keep = nms(boxes_to_array([Box(2, 2, 2, 2), Box(2, 2, 2, 2)]), [0.5, 0.5], 0.5, 10)
+    keep = nms(corner_rows([Box(2, 2, 2, 2), Box(2, 2, 2, 2)]), [0.5, 0.5], 0.5, 10)
     assert keep == [0]
-    assert nms(boxes_to_array([]), [], 0.5, 4) == []
+    assert nms(corner_rows([]), [], 0.5, 4) == []
 
 
 def test_nms_validation():
-    one = boxes_to_array([Box(1, 1, 1, 1)])
+    one = corner_rows([Box(1, 1, 1, 1)])
     with pytest.raises(ValueError):
         nms(one, [0.5, 0.6], 0.5, 4)
     with pytest.raises(ValueError):
@@ -219,7 +218,7 @@ def test_nms_matches_oracle_randomized():
             scores[1] = scores[0]  # exercise the tie rule
         thresh = float(rng.uniform(0.2, 0.8))
         max_keep = int(rng.integers(1, n + 2))
-        assert nms(boxes_to_array(boxes), list(scores), thresh, max_keep) == \
+        assert nms(corner_rows(boxes), list(scores), thresh, max_keep) == \
             nms_oracle(boxes, list(scores), thresh, max_keep)
 
 
@@ -229,7 +228,7 @@ def test_nms_postconditions_randomized():
         n = int(rng.integers(2, 15))
         boxes = [random_box(rng, span=6.0) for _ in range(n)]
         scores = list(rng.normal(size=n))
-        keep = nms(boxes_to_array(boxes), scores, 0.5, n)
+        keep = nms(corner_rows(boxes), scores, 0.5, n)
         # survivors never overlap beyond the threshold
         for a in range(len(keep)):
             for b in range(a + 1, len(keep)):
@@ -260,7 +259,7 @@ _box = hst.builds(Box, _quarter, _quarter, _side, _side)
 def test_nms_property_duplicates_and_ties(distinct, picks, levels, thresh, max_keep):
     boxes = [distinct[p % len(distinct)] for p in picks]
     scores = [float(v) for v in levels[:len(boxes)]]
-    keep = nms(boxes_to_array(boxes), scores, thresh, max_keep)
+    keep = nms(corner_rows(boxes), scores, thresh, max_keep)
     assert keep == nms_oracle(boxes, scores, thresh, max_keep)
     assert len(set(keep)) == len(keep) <= max_keep
     kept_scores = [scores[i] for i in keep]
@@ -280,7 +279,7 @@ def test_iou_is_bitwise_the_scalar_formula(pairs, quarter):
     # free floats, plus quarter-cell boxes that touch, nest and coincide
     a = [Box(*p) for p, _ in pairs] + [p for p, _ in quarter]
     b = [Box(*q) for _, q in pairs] + [q for _, q in quarter]
-    got = iou(boxes_to_centers(a), boxes_to_centers(b))
+    got = iou(center_rows(a), center_rows(b))
     assert got.shape == (len(a),)
     assert got.tolist() == [iou_oracle(x, y) for x, y in zip(a, b)]
 
@@ -314,12 +313,12 @@ def test_grouped_nms_is_nms_per_group(distinct, picks, thresh):
     boxes = [distinct[p % len(distinct)] for p, _, _ in picks]
     scores = [float(level) for _, level, _ in picks]
     groups = [g for _, _, g in picks]
-    keep = nms_by_group(boxes_to_array(boxes), scores, np.array(groups), thresh)
+    keep = nms_by_group(corner_rows(boxes), scores, np.array(groups), thresh)
     assert keep.tolist() == _per_group_oracle(boxes, scores, groups, thresh)
     # each group keeps what nms over that group alone keeps
     for g in set(groups):
         members = np.flatnonzero(np.array(groups) == g)
-        alone = nms(boxes_to_array([boxes[m] for m in members]), [scores[m] for m in members],
+        alone = nms(corner_rows([boxes[m] for m in members]), [scores[m] for m in members],
                     thresh, len(members))
         assert [i for i in keep.tolist() if groups[i] == g] == members[alone].tolist()
 
@@ -368,11 +367,11 @@ def test_nms_over_a_top_prefix_matches_oracle(data, distinct, max_keep, extra, t
     boxes = [distinct[p] for p in picks]
     scores = _with_nans(data, data.draw(hst.lists(_level, min_size=k, max_size=k)))
     if not grouped:
-        keep = nms(boxes_to_array(boxes), scores, thresh, max_keep)
+        keep = nms(corner_rows(boxes), scores, thresh, max_keep)
         assert keep == nms_oracle(boxes, scores, thresh, max_keep)
         return
     groups = data.draw(hst.lists(hst.integers(0, 2), min_size=k, max_size=k))
-    keep = nms_by_group(boxes_to_array(boxes), scores, np.array(groups), thresh)
+    keep = nms_by_group(corner_rows(boxes), scores, np.array(groups), thresh)
     assert keep.tolist() == _per_group_oracle(boxes, scores, groups, thresh)
     # within a group the survivors run in descending score, NaN last
     for g in set(groups):
@@ -436,18 +435,18 @@ def test_nms_prefix_and_its_fallbacks(monkeypatch):
     apart = [Box(3.0 * i + 1.0, 1.0, 1.0, 1.0) for i in range(40)]
     same = [Box(1.0, 1.0, 1.0, 1.0)] * 40
     # disjoint boxes: the scan stays inside the 13-wide prefix
-    assert nms(boxes_to_array(apart), scores, 0.5, 4) == nms_oracle(apart, scores, 0.5, 4)
+    assert nms(corner_rows(apart), scores, 0.5, 4) == nms_oracle(apart, scores, 0.5, 4)
     # one box repeated: one survivor, and the scan runs past the prefix
-    assert nms(boxes_to_array(same), scores, 0.5, 4) == [0] == nms_oracle(same, scores, 0.5, 4)
+    assert nms(corner_rows(same), scores, 0.5, 4) == [0] == nms_oracle(same, scores, 0.5, 4)
     # 35 NaN scores leave 5 numbers, fewer than the block: the cut is NaN
     nan_scores = [math.nan] * 35 + [0.5, 0.0, -0.0, 2.0, 0.5]
-    assert nms(boxes_to_array(apart), nan_scores, 0.5, 4) == [38, 35, 39, 36]
+    assert nms(corner_rows(apart), nan_scores, 0.5, 4) == [38, 35, 39, 36]
     assert nms_oracle(apart, nan_scores, 0.5, 4) == [38, 35, 39, 36]
     assert lengths == [13, 13, 40]
 
 
 def test_nms_groups_validation_and_proposal_default():
-    boxes = boxes_to_array([Box(2, 2, 2, 2), Box(2.1, 2, 2, 2)])
+    boxes = corner_rows([Box(2, 2, 2, 2), Box(2.1, 2, 2, 2)])
     with pytest.raises(ValueError, match="groups"):
         nms_by_group(boxes, [0.9, 0.8], [0], 0.5)
     with pytest.raises(ValueError, match="groups"):

@@ -8,13 +8,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sinet.detector import DETECTION_DTYPE, TrainConfig, create_detector_params
+from sinet.detector import (DETECT_CHUNK, DETECTION_DTYPE, TrainConfig, create_detector_params,
+                            detect, detector_params_from_store)
 from sinet.harness import (EvalConfig, RunConfig, RunFailure, build_parser,
                            detect_dataset, eval_workers, fp_rows,
                            load_run_config, main, metrics_rows, pr_rows,
                            read_manifest, resolve_world, run_config_from_dict,
                            run_gradcheck, write_csv, write_manifest)
 from sinet.numerics import CHECKPOINT_MAGIC, ParamStore, load_checkpoint, save_checkpoint
+from sinet.structure_inference import relation_report
 from sinet.synth_data import default_world, sample_at, save_dataset, world_to_dict
 
 
@@ -279,6 +281,36 @@ def test_cli_train_eval_relations_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("arm", ["baseline", "scene"])
+def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
+    # 20 scenes span two detection stacks. On these arms no step computes
+    # edges, so detect takes them from compute_edges over the whole stack;
+    # every row must still be that of detecting the scene alone
+    assert DETECT_CHUNK < 20
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--arm", arm, "--iters", "8", "--n-train", "4",
+                 "--out", run_dir]) == 0
+    ckpt = os.path.join(run_dir, "checkpoint.bin")
+    got = tmp_path / "relations.csv"
+    assert main(["relations", "--checkpoint", ckpt, "--seed", "3", "--n", "20",
+                 "--out", str(got)]) == 0
+    capsys.readouterr()
+
+    params = detector_params_from_store(load_checkpoint(ckpt))
+    cfg = TrainConfig(**read_manifest(os.path.join(run_dir, "manifest.json"))["train"])
+    rows = []
+    for i in range(20):
+        (dets,), state = detect(params, [sample_at(default_world(), 3, i)], cfg, 0.05, arm)
+        for cat, score, (node, partner, weight) in zip(
+                dets["category"].tolist(), dets["score"].tolist(),
+                relation_report(state.edges[0], dets["roi"].tolist())):
+            rows.append((i, node, cat, score, partner, weight))
+    assert {row[0] for row in rows} & set(range(DETECT_CHUNK, 20))
+    want = tmp_path / "want.csv"
+    write_csv(str(want), ("sample", "node", "category", "score", "partner", "edge_weight"), rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_cli_eval_reads_dataset_files(tmp_path, capsys):
     run_dir = str(tmp_path / "run")
     assert main(["train", "--world", "default", "--arm", "baseline",
@@ -352,11 +384,16 @@ HEADER = ("header",)
     (HEADER, "num_categories", 99, "header num_categories is 99, but the world has 6"),
     (HEADER, "c", 7, "header c is 7, but the world has 8"),
     (HEADER, "h", 8, "header h is 8, but the world has 16"),
+    (("gt", 0), "w", 0.0, "box sides must be positive, got w=0.0, h="),
+    (("gt", 0), "h", -1.5, "box sides must be positive, got w="),
+    (("gt", 0), "cx", float("nan"), "is not finite"),
+    ((), "gt", 5, "'int' object is not iterable"),
 ], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
         "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
         "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
         "scene-type-negative", "scene-type-too-large", "header-categories",
-        "header-channels", "header-height"])
+        "header-channels", "header-height", "gt-w-zero", "gt-h-negative", "gt-cx-nan",
+        "gt-not-a-list"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
@@ -477,6 +514,39 @@ def test_cli_eval_non_object_json_exits_2(baseline_run, tmp_path, capsys, where,
     assert f"must be a JSON object, got {text}" in err
     assert len(err.strip().splitlines()) == 1
     assert not os.path.exists(tmp_path / "eval")
+
+
+# JSON nested deeper than the interpreter's recursion limit, which the json
+# decoder reports as a RecursionError rather than a JSONDecodeError
+DEEP_JSON = "[" * 200_000
+
+
+@pytest.mark.parametrize("where, code", [
+    ("config", 1), ("manifest", 2), ("header", 2), ("scene", 2),
+], ids=["config", "manifest", "dataset-header", "dataset-scene"])
+def test_cli_deeply_nested_json_is_a_clean_error(baseline_run, tmp_path, capsys, where, code):
+    run_dir, records = baseline_run
+    path = tmp_path / "deep.json"
+    if where == "config":
+        path.write_text(DEEP_JSON)
+        args = ["train", "--config", str(path), "--out", str(tmp_path / "run")]
+    else:
+        args = ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                "--out", str(tmp_path / "eval")]
+        if where == "manifest":
+            path.write_text(DEEP_JSON)
+            args += ["--manifest", str(path)]
+        else:
+            lines = [json.dumps(rec) for rec in records]
+            lines[0 if where == "header" else 2] = DEEP_JSON
+            path.write_text("\n".join(lines) + "\n")
+            args += ["--data", str(path)]
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ") and "recursion" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

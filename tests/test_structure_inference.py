@@ -5,7 +5,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
-from sinet.geometry import Box, boxes_to_centers
 from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, grad_check
 from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
@@ -15,8 +14,8 @@ from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
                                        sin_backward, sin_infer_tapes,
                                        sin_params_from_store, sin_step_tape)
 
-from oracles import (edge_weight_oracle, integrate_messages_oracle, random_box,
-                     sin_step_oracle, spatial_gate_oracle, spatial_relation_oracle)
+from oracles import (Box, center_rows, edge_weight_oracle, integrate_messages_oracle,
+                     random_box, sin_step_oracle, spatial_gate_oracle, spatial_relation_oracle)
 
 
 def make_params(d, seed=0, pooling="mean"):
@@ -27,7 +26,7 @@ def make_params(d, seed=0, pooling="mean"):
 def one_scene(features, boxes, scene_feature):
     """A one-scene stack from (n, d) features, n Boxes and a (d,) scene vector."""
     return SceneGraph(node_features=np.asarray(features)[None],
-                      boxes=boxes_to_centers(boxes)[None],
+                      boxes=center_rows(boxes)[None],
                       scene_feature=np.asarray(scene_feature)[None])
 
 
@@ -70,7 +69,7 @@ def test_param_layout():
 
 def test_relation_tensor_identical_boxes():
     b = Box(4.4, 1.2, 2.0, 3.0)
-    got = _relation_tensor(boxes_to_centers([b, b]))
+    got = _relation_tensor(center_rows([b, b]))
     assert got.shape == (2, 2, 12)
     for i in range(2):
         for j in range(2):
@@ -81,7 +80,7 @@ def test_relation_tensor_unit_shift():
     # receiver shifted right by exactly w_j: elements 6 and 8 become 1
     bj = Box(3.0, 3.0, 2.0, 2.0)
     bi = Box(5.0, 3.0, 2.0, 2.0)
-    got = _relation_tensor(boxes_to_centers([bi, bj]))[0, 1]
+    got = _relation_tensor(center_rows([bi, bj]))[0, 1]
     assert got[6] == pytest.approx(1.0)
     assert got[8] == pytest.approx(1.0)
     assert np.allclose(got[[7, 9, 10, 11]], 0.0)
@@ -90,7 +89,7 @@ def test_relation_tensor_unit_shift():
 def test_relation_tensor_log_ratio():
     bj = Box(3.0, 3.0, 2.0, 2.0)
     bi = Box(3.0, 3.0, 4.0, 2.0)
-    rel = _relation_tensor(boxes_to_centers([bi, bj]))
+    rel = _relation_tensor(center_rows([bi, bj]))
     assert rel[0, 1, 10] == pytest.approx(math.log(2.0))
     assert rel[1, 0, 10] == pytest.approx(-math.log(2.0))
 
@@ -99,7 +98,7 @@ def test_relation_tensor_matches_oracle_randomized():
     rng = np.random.default_rng(5)
     for _ in range(20):
         boxes = [random_box(rng) for _ in range(int(rng.integers(1, 7)))]
-        rel = _relation_tensor(boxes_to_centers(boxes))
+        rel = _relation_tensor(center_rows(boxes))
         for i, bi in enumerate(boxes):
             for j, bj in enumerate(boxes):
                 assert np.allclose(rel[i, j], spatial_relation_oracle(bi, bj),
@@ -114,7 +113,7 @@ def test_edge_weight_matches_oracle_randomized():
         w_p = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=d), rng.normal(size=d)
-        e = _compute_edges(p, np.array([fi, fj]), gate_of(boxes_to_centers([bi, bj]), w_p)).e
+        e = _compute_edges(p, np.array([fi, fj]), gate_of(center_rows([bi, bj]), w_p)).e
         want_ij = edge_weight_oracle(w_p, p.w_v.value, bi, bj, fi, fj)
         want_ji = edge_weight_oracle(w_p, p.w_v.value, bj, bi, fj, fi)
         assert e[0, 1] == pytest.approx(want_ij, abs=1e-12)
@@ -128,7 +127,7 @@ def test_edge_weight_bounded_by_spatial_gate():
         w_p = rng.normal(0, 0.5, size=(1, 12))
         bi, bj = random_box(rng), random_box(rng)
         fi, fj = rng.normal(size=3) * 5, rng.normal(size=3) * 5
-        e = _compute_edges(p, np.array([fi, fj]), gate_of(boxes_to_centers([bi, bj]), w_p))
+        e = _compute_edges(p, np.array([fi, fj]), gate_of(center_rows([bi, bj]), w_p))
         assert abs(e.e[0, 1]) <= spatial_gate_oracle(w_p, bi, bj) + 1e-12
 
 
@@ -359,7 +358,7 @@ def test_sin_backward_input_grads():
 
 def _two_scene_stack(rng, n, d):
     feats = rng.normal(size=(2, n, d))
-    boxes = np.stack([boxes_to_centers([random_box(rng) for _ in range(n)])
+    boxes = np.stack([center_rows([random_box(rng) for _ in range(n)])
                       for _ in range(2)])
     return feats, boxes, rng.normal(size=(2, d))
 
@@ -422,7 +421,7 @@ def test_stacked_step_is_bitwise_per_scene(pooling):
     w_p = rng.normal(0, 0.4, size=(1, 12))
     for n in (1, 2, 6):
         feats = rng.normal(size=(5, n, 4))
-        boxes = np.stack([boxes_to_centers([random_box(rng) for _ in range(n)])
+        boxes = np.stack([center_rows([random_box(rng) for _ in range(n)])
                           for _ in range(5)])
         scene = rng.normal(size=(5, 4))
         out, tapes = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),

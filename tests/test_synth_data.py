@@ -12,9 +12,8 @@ from sinet.synth_data import (BOAT, CAR, LAPTOP, MOUSE, Category, CooccurRule,
                               default_world, generate, load_dataset,
                               sample_at, save_dataset, validate_world,
                               world_from_dict, world_hash, world_to_dict)
-from sinet.geometry import Box
 
-from oracles import covered_cells_oracle, sample_scene_oracle
+from oracles import Box, covered_cells_oracle, gt_objects, sample_scene_oracle
 
 
 def tiny_world(noise=0.0, cooccur=(), n_objects=(1, 2)):
@@ -71,9 +70,9 @@ def stream_digest(world, seed, n):
         s = sample_at(world, seed, i)
         digest.update(s.grid.astype("<f8").tobytes())
         digest.update(np.array([s.scene_type], dtype="<i8").tobytes())
-        for o in s.gt:
-            digest.update(np.array([o.box.cx, o.box.cy, o.box.w, o.box.h], dtype="<f8").tobytes())
-            digest.update(np.array([o.category], dtype="<i8").tobytes())
+        for box, cat in zip(s.gt["box"], s.gt["category"]):
+            digest.update(box.astype("<f8").tobytes())
+            digest.update(np.array([cat], dtype="<i8").tobytes())
     return digest.hexdigest()
 
 
@@ -154,9 +153,8 @@ def assert_scene_matches_oracle(world, seed, index, events):
     assert s.grid.dtype == grid.dtype and s.grid.shape == grid.shape
     assert s.grid.tobytes() == grid.tobytes()
     assert s.scene_type == scene_type
-    assert [o.category for o in s.gt] == [obj[4] for obj in objects]
-    got = np.array([[o.box.cx, o.box.cy, o.box.w, o.box.h] for o in s.gt]).reshape(-1, 4)
-    assert got.tobytes() == np.array([obj[:4] for obj in objects]).reshape(-1, 4).tobytes()
+    assert s.gt["category"].tolist() == [obj[4] for obj in objects]
+    assert s.gt["box"].tobytes() == np.array([obj[:4] for obj in objects]).reshape(-1, 4).tobytes()
 
 
 def grid_wide_world():
@@ -213,9 +211,9 @@ def test_noise_free_rasterization_exact():
     for i in range(10):
         s = sample_at(world, 3, i)
         covered = np.zeros((12, 12), dtype=bool)
-        for o in s.gt:
-            r0, r1, c0, c1 = cell_window(o.box.corners(), 12, 12)
-            proto = world.categories[o.category].prototype
+        for box, cat in gt_objects(s.gt):
+            r0, r1, c0, c1 = cell_window(box.corners(), 12, 12)
+            proto = world.categories[cat].prototype
             for r in range(r0, r1):
                 for c in range(c0, c1):
                     assert np.array_equal(s.grid[r, c], proto)
@@ -232,8 +230,8 @@ def test_objects_never_share_cells():
     for i in range(30):
         s = sample_at(world, 9, i)
         seen = set()
-        for o in s.gt:
-            r0, r1, c0, c1 = cell_window(o.box.corners(), 12, 12)
+        for box, _ in gt_objects(s.gt):
+            r0, r1, c0, c1 = cell_window(box.corners(), 12, 12)
             cells = {(r, c) for r in range(r0, r1) for c in range(c0, c1)}
             assert not (cells & seen)
             seen |= cells
@@ -244,7 +242,7 @@ def test_cooccur_prob_one_always_places_partner():
     world = tiny_world(noise=0.1, cooccur=[rule])
     for i in range(120):
         s = sample_at(world, 77, i)
-        cats = [o.category for o in s.gt]
+        cats = s.gt["category"].tolist()
         if 0 in cats:
             assert 2 in cats
 
@@ -271,7 +269,7 @@ def test_default_world_cooccurrence_monte_carlo():
     world = default_world()
     laptops = mice = 0
     for i in range(1000):
-        cats = [o.category for o in sample_at(world, 1234, i).gt]
+        cats = sample_at(world, 1234, i).gt["category"].tolist()
         laptops += cats.count(LAPTOP)
         mice += cats.count(MOUSE)
     assert laptops > 0
@@ -283,7 +281,7 @@ def test_default_world_category_balance():
     present = np.zeros(6)
     n = 1000
     for i in range(n):
-        for c in {o.category for o in sample_at(world, 55, i).gt}:
+        for c in set(sample_at(world, 55, i).gt["category"].tolist()):
             present[c] += 1
     assert np.all(present / n >= 0.05)
 
@@ -295,8 +293,8 @@ def test_scene_signal_lives_only_in_background():
     bias = world.scene_bias[s.scene_type]
     assert bias.max() == pytest.approx(0.4)
     covered = np.zeros((16, 16), dtype=bool)
-    for o in s.gt:
-        r0, r1, c0, c1 = cell_window(o.box.corners(), 16, 16)
+    for box, _ in gt_objects(s.gt):
+        r0, r1, c0, c1 = cell_window(box.corners(), 16, 16)
         covered[r0:r1, c0:c1] = True
     bg = s.grid[~covered]
     # background mean tracks the bias vector within noise
@@ -444,10 +442,7 @@ def test_dataset_round_trip(tmp_path):
     for a, b in zip(scenes, back):
         assert np.allclose(a.grid, b.grid, atol=1e-12)
         assert a.scene_type == b.scene_type
-        assert len(a.gt) == len(b.gt)
-        for oa, ob in zip(a.gt, b.gt):
-            assert oa.category == ob.category
-            assert oa.box.cx == pytest.approx(ob.box.cx, abs=1e-12)
+        assert a.gt.dtype == b.gt.dtype and a.gt.tobytes() == b.gt.tobytes()
 
     assert header == dataset_header(world)
 
