@@ -8,8 +8,7 @@ hand-derived gradients; ships with metrics, gradient checking, and a
 four-arm ablation harness.
 """
 
-from .geometry import (apply_deltas, centers_to_corners, clip_box, encode_deltas,
-                       iou, nms)
+from .geometry import apply_deltas, centers_to_corners, clip_box, encode_deltas, iou
 from .memory_cell import GruParams, create_gru_params, gru_backward, gru_forward
 from .numerics import (CheckpointError, Param, ParamStore, ShapeError,
                        derive_seed, grad_check, init_param, load_checkpoint,
@@ -39,7 +38,7 @@ __all__ = [
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
     "evaluate_detections", "forward", "forward_scenes", "generate",
     "grad_check", "gru_backward", "gru_forward", "init_param", "iou",
-    "load_checkpoint", "load_dataset", "main", "multi_task_loss", "nms",
+    "load_checkpoint", "load_dataset", "main", "multi_task_loss",
     "propose", "relation_report", "run_ablation", "run_gradcheck", "sample_at",
     "save_checkpoint", "save_dataset", "seed_for", "sin_backward",
     "sin_infer_tapes", "sin_step_tape", "train", "world_hash",

@@ -4,12 +4,12 @@ Stage one scores a fixed anchor set with a learned one-layer objectness map
 over the mean of each anchor's cells, as a separable box filter of the
 projected grid (score_anchors; the objectness gradient is the same filter
 transposed), and keeps a fixed number of proposals: the top-scoring anchors
-in detection, where no two anchors overlap enough to suppress one another,
-and NMS over the anchors and the jittered ground truth in training. Stage
-two builds a detection graph over the proposals (node features pooled from
-covered cells, one scene node pooled globally), runs the structure inference
-steps, and reads class probabilities and per-class box deltas off the final
-node states.
+in detection, where no two anchors overlap enough to suppress one another;
+in training, the jittered ground truth that survives NMS among itself, then
+the top-scoring anchors it does not suppress. Stage two builds a detection
+graph over the proposals (node features pooled from covered cells, one
+scene node pooled globally), runs the structure inference steps, and reads
+class probabilities and per-class box deltas off the final node states.
 
 Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
 (cx, cy, w, h). A scene's ground truth is one structured array
@@ -29,16 +29,22 @@ suppresses them with one NMS grouped by (scene, class).
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
 practice) and the objectness map learns from its own binary target instead.
+Only the anchor scores depend on the weights, so a training run plans the
+rest of stage one before its first step (plan_training): the scene order,
+the scenes, their objectness targets, and the jittered ground truth of every
+iteration with its own NMS done. Each step then scores the anchors, takes
+its proposals, and runs stage two, both losses and the update.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
 from .geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
-                       encode_deltas, nms, nms_by_group, pairwise_iou)
+                       encode_deltas, nms_by_group, pairwise_iou)
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
                                   create_sin_params, sin_backward,
@@ -55,9 +61,10 @@ IGNORE = -1
 
 # No two distinct anchors of any grid overlap past PROPOSAL_NMS_THRESH: the
 # largest IoU between them is 0.68990, on every grid (a test pins it). So
-# proposal NMS over anchors alone suppresses nothing, and detection keeps the
-# top-scoring anchors without it. Scales or ratios that break this must bring
-# NMS back into propose.
+# proposal NMS over anchors alone suppresses nothing: detection keeps the
+# top-scoring anchors without it, and a training step checks the anchors only
+# against the kept injected boxes (_proposals). Scales or ratios that break
+# this must bring anchor-to-anchor suppression back into _proposals.
 ANCHOR_SCALES = (1.4, 2.2, 3.0)
 ANCHOR_RATIOS = (1.0, 1.5)
 
@@ -273,30 +280,45 @@ def score_anchors(params, sample):
     return anchors, sums.transpose(1, 2, 0).reshape(-1)
 
 
-def propose(params, sample, cfg, rng=None, scored=None):
-    """Exactly cfg.rois_per_image proposals, as (n, 4) center-size rows.
+def propose(params, sample, cfg):
+    """Detection's cfg.rois_per_image proposals, as (n, 4) center-size rows:
+    the anchors ranked by the objectness map (_proposals with no injected
+    box). Detection never reads the ground truth."""
+    anchors, scores = score_anchors(params, sample)
+    return _proposals(anchors, scores, _NO_BOXES, cfg.rois_per_image)
 
-    Anchors are scored by the objectness map (or `scored`, the result of
-    score_anchors for this sample and params) and pruned by NMS. In training,
-    when `rng` is given, the ground-truth boxes, jittered with draws from it,
-    are prepended with scores above any anchor so they survive pruning.
-    Without them NMS suppresses no anchor (see ANCHOR_SCALES), so the kept
-    boxes are the first of the stable descending score order. Too few
-    survivors are padded by cycling through the kept boxes in order.
-    """
-    anchors, scores = scored or score_anchors(params, sample)
-    n = cfg.rois_per_image
-    if rng is None or len(sample.gt) == 0:
-        return anchors.centers[np.resize(_sorted_prefix(-scores, n)[:n], n)]
-    h, w = sample.grid.shape[:2]
-    injected = sample.gt["box"]
-    jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
-    injected = clip_box(apply_deltas(injected, jitter), w, h)
-    centers = np.concatenate([injected, anchors.centers])
-    corners = np.concatenate([centers_to_corners(injected), anchors.corners])
-    scores = np.concatenate([np.full(len(injected), 1e9), scores])
-    keep = nms(corners, scores, PROPOSAL_NMS_THRESH, max_keep=n)
-    return centers[np.resize(keep, n)]
+
+_NO_BOXES = (np.empty((0, 4)), np.empty((0, 4)))
+
+
+def _proposals(anchors, scores, kept, n):
+    """Exactly n proposals, as (n, 4) center-size rows: the m <= n injected
+    boxes `kept` (a (center rows, corner rows) pair, see _injected_boxes),
+    then the anchors in the stable descending order of `scores` that no
+    kept box overlaps past PROPOSAL_NMS_THRESH (a NaN overlap suppresses),
+    until there are n. Too few are padded by cycling through them in order.
+
+    This is greedy NMS over the kept boxes followed by the anchors, ranked
+    the same way: no two anchors overlap enough to suppress one another (see
+    ANCHOR_SCALES), so only a kept box can suppress an anchor. Only a prefix
+    of the score order is sorted (_sorted_prefix): n when nothing is kept,
+    else 2n, widened to the full order when its survivors run short."""
+    centers, corners = kept
+    m = len(centers)
+    neg = -scores
+    order = _sorted_prefix(neg, 2 * n if m else n)
+    while True:
+        picks = order
+        if m:
+            over = pairwise_iou(corners, anchors.corners[order]) <= PROPOSAL_NMS_THRESH
+            picks = order[over.all(axis=0)]
+        if len(picks) >= n - m or len(order) == len(neg):
+            break
+        order = np.argsort(neg, kind="stable")
+    rows = anchors.centers[picks[:n - m]]
+    if m:
+        rows = np.concatenate([centers, rows])
+    return np.resize(rows, (n, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -554,19 +576,33 @@ OBJ_LOSS_WEIGHT = 4.0
 GRAPH_WARMUP_FRAC = 0.25
 
 
+class ObjectnessTargets(NamedTuple):
+    """One scene's binary anchor labels, compactly: the positive and the
+    ignored anchor indices (every other anchor is negative) and the weight
+    of each positive and each negative."""
+
+    pos: np.ndarray
+    ignored: np.ndarray
+    w_pos: float
+    w_neg: float
+
+
 def _anchor_targets(anchors, gt):
     """Binary anchor labels: 1 over OBJ_IOU_POS, 0 under OBJ_IOU_NEG, ignore
     between; every gt forces its best anchor positive (ties to the lowest
     anchor index, anchor 0 for a gt that meets none). The band is looser
     than the ROI one: anchors sit on a unit-stride grid, so demanding 0.5
     overlap would leave most objects with a single forced positive.
+    Positives and negatives get half the loss each (each positive weighs
+    0.5 / positives, each negative 0.5 / negatives), otherwise the handful
+    of positives would drown in ~1500 negatives.
 
     The (G, A) IoUs come from per-axis overlaps: (G, W, T) along x times
     (G, H, T) along y, then pairwise_iou's division, so each is bitwise
     pairwise_iou's for its (anchor, gt) pair."""
     a = len(anchors.corners)
     if len(gt) == 0:
-        return np.zeros(a), np.ones(a, dtype=bool)
+        return ObjectnessTargets(np.empty(0, np.intp), np.empty(0, np.intp), 0.0, 0.5 / a)
     gc = centers_to_corners(gt["box"])
     g = gc[:, None, None]                  # (G, 1, 1, 4) against (W or H, T) extents
     xe, ye = anchors.x_extent, anchors.y_extent
@@ -576,22 +612,20 @@ def _anchor_targets(anchors, gt):
     area_g = (gc[:, 2] - gc[:, 0]) * (gc[:, 3] - gc[:, 1])
     ious = inter / (area_g[:, None] + anchors.area - inter)              # (G, A)
     best = ious.max(axis=0)
-    y = np.zeros(a)
-    mask = np.ones(a, dtype=bool)
-    mask[(best >= OBJ_IOU_NEG) & (best < OBJ_IOU_POS)] = False
-    y[best >= OBJ_IOU_POS] = 1.0
-    forced = ious.argmax(axis=1)
-    y[forced] = 1.0
-    mask[forced] = True
-    return y, mask
+    pos = best >= OBJ_IOU_POS
+    pos[ious.argmax(axis=1)] = True
+    pos, ignored = np.flatnonzero(pos), np.flatnonzero((best >= OBJ_IOU_NEG) & ~pos)
+    neg = a - len(pos) - len(ignored)
+    return ObjectnessTargets(pos, ignored, 0.5 / len(pos), 0.5 / neg if neg else 0.0)
 
 
-def objectness_loss(params, sample, scored):
-    """Binary cross-entropy on anchor labels, its gradient accumulated into
-    the objectness map; the only supervision the proposal scores receive.
-    Positive and negative anchors contribute half the loss each, otherwise
-    the handful of positives would drown in ~1500 negatives. `scored` is
-    score_anchors' result for this sample and params.
+def objectness_loss(params, sample, scored, targets):
+    """Binary cross-entropy of the anchor scores against the scene's
+    objectness targets (_anchor_targets), its gradient accumulated into the
+    objectness map; the only supervision the proposal scores receive.
+    `scored` is score_anchors' result for this sample and params. The
+    labels and weights are laid out over every anchor, and the loss sums
+    all of them.
 
     The gradient is score_anchors' box filter transposed: each type's (H, W)
     score gradients over the cell counts, spread back onto the cells by
@@ -599,13 +633,11 @@ def objectness_loss(params, sample, scored):
     the grid. A non-finite cell makes the loss and the gradient non-finite
     (see score_anchors), which train reports as divergence."""
     anchors, s = scored
-    y, mask = _anchor_targets(anchors, sample.gt)
-    weights = np.zeros_like(s)
-    for side in (0.0, 1.0):
-        pick = mask & (y == side)
-        n = int(pick.sum())
-        if n:
-            weights[pick] = 0.5 / n
+    y = np.zeros_like(s)
+    y[targets.pos] = 1.0
+    weights = np.full_like(s, targets.w_neg)
+    weights[targets.ignored] = 0.0
+    weights[targets.pos] = targets.w_pos
     bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     ds = OBJ_LOSS_WEIGHT * weights * (expit(s) - y)
     h, w, c = sample.grid.shape
@@ -617,6 +649,84 @@ def objectness_loss(params, sample, scored):
 
 # ---------------------------------------------------------------------------
 # training
+
+# Training iterations per pass of _injected_boxes' bulk arithmetic, which
+# bounds its temporaries on long runs.
+PLAN_CHUNK = 4096
+
+
+def _injected_boxes(samples, rng, n):
+    """The injected ground truth of a run of training iterations, one per
+    scene of `samples`, in order. Each scene's gt boxes are jittered by
+    apply_deltas with GT_JITTER-scaled normal draws from `rng`, one (G, 4)
+    block per iteration in turn (none for a scene without gt), and clipped
+    to its grid. Then greedy NMS at PROPOSAL_NMS_THRESH runs among each
+    iteration's boxes alone, in gt order (they tie above every anchor), and
+    keeps at most n of them.
+
+    Returns (centers, corners, bounds): the kept boxes of every iteration as
+    (R, 4) center-size and corner rows, iteration i's being rows
+    bounds[i]:bounds[i + 1]. The arithmetic runs in bulk, PLAN_CHUNK
+    iterations at a time; every operation is elementwise or per group, so
+    the boxes are bitwise those of one iteration at a time."""
+    centers, counts = [np.empty((0, 4))], [np.zeros(1, np.intp)]
+    for start in range(0, len(samples), PLAN_CHUNK):
+        chunk = samples[start:start + PLAN_CHUNK]
+        sizes = [len(sample.gt) for sample in chunk]
+        group = np.repeat(np.arange(len(chunk)), sizes)
+        hw = np.repeat([sample.grid.shape[:2] for sample in chunk], sizes, axis=0)
+        boxes = np.concatenate([sample.gt["box"] for sample in chunk])
+        boxes = clip_box(apply_deltas(boxes, rng.normal(0.0, GT_JITTER, size=boxes.shape)),
+                         hw[:, 1], hw[:, 0])
+        keep = nms_by_group(centers_to_corners(boxes), np.zeros(len(boxes)), group,
+                            PROPOSAL_NMS_THRESH)
+        g = group[keep]                     # keep runs by group, each in gt order
+        keep = keep[np.arange(len(keep)) - np.searchsorted(g, g) < n]
+        centers.append(boxes[keep])
+        counts.append(np.bincount(group[keep], minlength=len(chunk)))
+    centers = np.concatenate(centers)
+    return centers, centers_to_corners(centers), np.cumsum(np.concatenate(counts))
+
+
+@dataclass
+class TrainPlan:
+    """What a training run's stage one does not learn, for every iteration:
+    its scene, the scene's objectness targets and the injected boxes that
+    survive their own NMS (_injected_boxes' centers, corners and bounds)."""
+
+    scenes: list             # the SceneSample of each iteration
+    targets: list            # its ObjectnessTargets, one object per scene
+    centers: np.ndarray
+    corners: np.ndarray
+    bounds: np.ndarray
+
+    def kept(self, it):
+        """Iteration it's kept injected boxes, as _proposals takes them."""
+        lo, hi = self.bounds[it], self.bounds[it + 1]
+        return self.centers[lo:hi], self.corners[lo:hi]
+
+
+def plan_training(world, cfg, n_train, data_seed):
+    """The weight-independent stage-one work of a training run, done once
+    before its first step. The order draws one permutation of the n_train
+    scenes from the shuffle stream per pass over them; each scene it uses
+    is sampled once and labelled once (an n_train < iters run revisits
+    them), and the gt-jitter stream covers every iteration's ground truth
+    in iteration order (_injected_boxes). The draws are those a
+    scene-by-scene loop would make, so the plan is bitwise the same."""
+    shuffle_rng = np.random.default_rng(seed_for(cfg.seed, "shuffle"))
+    jitter_rng = np.random.default_rng(seed_for(cfg.seed, "gt-jitter"))
+    passes = -(-cfg.iters // n_train)
+    order = np.concatenate([shuffle_rng.permutation(n_train) for _ in range(passes)])[:cfg.iters]
+    seen = {}
+    for idx in order.tolist():
+        if idx not in seen:
+            sample = sample_at(world, data_seed, idx)
+            seen[idx] = sample, _anchor_targets(anchor_set(*sample.grid.shape[:2]), sample.gt)
+    scenes, targets = zip(*(seen[idx] for idx in order.tolist()))
+    return TrainPlan(list(scenes), list(targets),
+                     *_injected_boxes(scenes, jitter_rng, cfg.rois_per_image))
+
 
 @dataclass
 class TrainResult:
@@ -632,7 +742,11 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
 
     All randomness descends from cfg.seed through fixed stream labels, so a
     rerun is bitwise identical; passing the same data_seed to different arms
-    shows every arm the same scenes in the same shuffled order.
+    shows every arm the same scenes in the same shuffled order. The plan
+    (plan_training) does every weight-independent part of stage one before
+    the first step; a step scores the anchors, takes its proposals
+    (_proposals over the plan's kept boxes), runs stage two and both losses,
+    and updates the weights.
     """
     validate_config(cfg)
     mode, steps = arm_plan(arm, cfg)
@@ -641,8 +755,6 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     if data_seed is None:
         data_seed = derive_seed(cfg.seed, "data")
     init_seed = derive_seed(cfg.seed, "init")
-    jitter_rng = np.random.default_rng(seed_for(cfg.seed, "gt-jitter"))
-    shuffle_rng = np.random.default_rng(seed_for(cfg.seed, "shuffle"))
 
     store = ParamStore()
     params = create_detector_params(store, world.channels, world.num_categories,
@@ -652,29 +764,22 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     active = [store[name] for name in active_param_names(params, arm)]
     velocity = {p.name: np.zeros_like(p.value) for p in active}
 
-    cache = {}
+    plan = plan_training(world, cfg, n_train, data_seed)
     losses = []
-    perm = None
     drop_at = int(0.7 * cfg.iters)
     warmup = int(GRAPH_WARMUP_FRAC * cfg.iters) if steps else 0
     for it in range(cfg.iters):
-        if it % n_train == 0:
-            perm = shuffle_rng.permutation(n_train)
-        idx = int(perm[it % n_train])
-        sample = cache.get(idx)
-        if sample is None:
-            sample = cache[idx] = sample_at(world, data_seed, idx)
-
+        sample = plan.scenes[it]
         for p in active:
             p.grad[...] = 0.0
         scored = score_anchors(params, sample)
-        props = propose(params, sample, cfg, rng=jitter_rng, scored=scored)
+        props = _proposals(*scored, plan.kept(it), cfg.rois_per_image)
         labels, target_deltas = assign_targets(props, sample.gt, world.num_categories)
         state = forward(params, sample, cfg, boxes=props, mode=mode,
                         steps=steps if it >= warmup else 0)
         loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
         detector_backward(params, state, grads)
-        loss += objectness_loss(params, sample, scored=scored)
+        loss += objectness_loss(params, sample, scored, plan.targets[it])
         loss += apply_weight_decay(active, cfg.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDiverged(it)

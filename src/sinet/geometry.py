@@ -1,7 +1,7 @@
 """Axis-aligned box arithmetic in grid units: greedy NMS over corner arrays
-(nms keeps the top max_keep survivors of one large set, nms_by_group every
-survivor of many small groups), and paired IoU, delta encoding, refinement
-and clipping over center-size arrays.
+(nms_by_group keeps every survivor of many small groups), the stable top
+prefix of a score order (_sorted_prefix), and paired IoU, delta encoding,
+refinement and clipping over center-size arrays.
 
 Every kernel takes arrays: (k, 4) rows of corners (x1, y1, x2, y2) or of
 centers (cx, cy, w, h), which centers_to_corners maps to corners. Ground
@@ -32,57 +32,13 @@ def pairwise_iou(corners_a, corners_b):
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def nms(boxes, scores, iou_thresh, max_keep):
-    """Greedy non-maximum suppression over a (k, 4) corner array.
-
-    Repeatedly keeps the highest-scoring remaining box (score ties go to the
-    lower index) and discards boxes whose IoU with it exceeds iou_thresh.
-    Returns kept indices in descending-score order, at most max_keep of them.
-
-    Only the top prefix of the score order that the scan reads is sorted
-    (_sorted_prefix); a scan that runs past it sorts all k scores, as does
-    a NaN at the cut. Both orders agree on the prefix, so the result is
-    the full sort's.
-    """
-    _check_nms("nms", boxes, scores, iou_thresh)
-    if max_keep < 1:
-        raise ValueError("nms: max_keep must be >= 1")
-
-    # stable sort on -score keeps the lower index first among ties. A box
-    # survives unless a kept box ahead of it in this order overlaps it, so
-    # only the prefix up to the max_keep-th survivor matters; it is scanned
-    # in blocks, each checked against the boxes kept so far and itself.
-    neg = -np.asarray(scores, dtype=np.float64)
-    boxes = np.asarray(boxes, dtype=np.float64)
-    # twice max_keep usually holds every survivor; the cap bounds the matrix
-    block = min(2 * max_keep, 256)
-    order = _sorted_prefix(neg, block)
-    kept = []                    # positions in order
-    start = 0
-    while start < len(neg) and len(kept) < max_keep:
-        stop = min(start + block, len(neg))
-        if stop > len(order):    # past the prefix: the full order keeps its positions
-            order = np.argsort(neg, kind="stable")
-        at = order[np.concatenate([np.array(kept, dtype=np.intp), np.arange(start, stop)])]
-        # not (iou <= thresh): a NaN overlap suppresses, as a failed keep test
-        over = ~(pairwise_iou(boxes[at], boxes[at[len(kept):]]) <= iou_thresh)
-        dead = over[:len(kept)].any(axis=0)
-        for j, row in enumerate(over[len(kept):]):
-            if not dead[j]:
-                kept.append(start + j)
-                if len(kept) == max_keep:
-                    break
-                dead |= row
-        start = stop
-    return [int(order[i]) for i in kept]
-
-
 def nms_by_group(boxes, scores, groups, iou_thresh):
     """Greedy NMS within each group of a (k, 4) corner array: boxes suppress
-    only boxes of their own (k,) `groups` id, and each group keeps what nms
-    over that group alone keeps with no cap. Returns the kept indices as an
-    array ordered by group id, then by descending score (ties to the lower
-    index, NaN scores last).
+    only boxes of their own (k,) `groups` id. Each group keeps what greedy
+    NMS over it alone keeps: repeatedly its highest-scoring remaining box,
+    discarding the boxes whose IoU with it exceeds iou_thresh. Returns the
+    kept indices as an array ordered by group id, then by descending score
+    (ties to the lower index, NaN scores last).
 
     Built for many small groups. A stable lexsort ranks each group's boxes;
     IoUs are computed only for pairs within a group, with pairwise_iou's
@@ -112,7 +68,7 @@ def nms_by_group(boxes, scores, groups, iou_thresh):
     y2 = np.minimum(a[:, 3], b[:, 3])
     inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
     area = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
-    # not (iou <= thresh): a NaN overlap suppresses, as in nms
+    # not (iou <= thresh): a NaN overlap suppresses, as a failed keep test
     over = ~(inter / (area[i] + area[j] - inter) <= iou_thresh)
     i, j = i[over], j[over]
     lead = rank[i]
@@ -126,7 +82,7 @@ def nms_by_group(boxes, scores, groups, iou_thresh):
 
 
 def _check_nms(name, boxes, scores, iou_thresh):
-    """Reject what neither NMS kernel takes: boxes that are not a (k, 4)
+    """Reject what an NMS kernel does not take: boxes that are not a (k, 4)
     corner array, a score count other than k, a threshold outside (0, 1)."""
     shape = np.shape(boxes)
     if len(shape) != 2 or shape[1] != 4:

@@ -473,7 +473,7 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
         raise ValueError(f"{path}: empty dataset file")
     try:
         header = json.loads(lines[0])
-    except RecursionError as e:
+    except (ValueError, RecursionError) as e:
         raise ValueError(f"{path}: header: {e}") from None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header must be a JSON object, got {lines[0].strip()}")
@@ -496,7 +496,7 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
             samples.append(_parse_record(json.loads(ln), header, world.num_scene_types))
         except KeyError as e:
             raise ValueError(f"{path}: line {i}: missing field {e}") from None
-        except (TypeError, ValueError, RecursionError) as e:
+        except (TypeError, ValueError, RecursionError, OverflowError) as e:
             raise ValueError(f"{path}: line {i}: {e}") from None
     return samples, header
 
@@ -522,7 +522,11 @@ def _parse_record(rec, header, num_scene_types):
         raise ValueError("grid has a NaN or inf cell")
     gt = []
     for o in rec["gt"]:
-        coords = [float(o[f]) for f in ("cx", "cy", "w", "h")]
+        coords = [o[f] for f in ("cx", "cy", "w", "h")]
+        for v in coords:
+            if type(v) not in (int, float):     # a JSON number, not a string or a bool
+                raise ValueError(f"gt coordinate {v!r} is not a number")
+        coords = [float(v) for v in coords]
         if not np.isfinite(coords).all():
             raise ValueError(f"gt box {coords} is not finite")
         if not (coords[2] > 0 and coords[3] > 0):

@@ -392,6 +392,77 @@ def nms_oracle(boxes, scores, iou_thresh, max_keep, overlap=iou_oracle):
     return keep
 
 
+def nms(boxes, scores, iou_thresh, max_keep):
+    """Greedy non-maximum suppression over a (k, 4) corner array: the array
+    kernel training's proposals ran once per iteration before the run-level
+    plan. It is kept as a reference: nms_by_group's groups and detection's
+    proposals are checked against it, and it against nms_oracle.
+
+    Repeatedly keeps the highest-scoring remaining box (score ties go to the
+    lower index) and discards boxes whose IoU with it exceeds iou_thresh.
+    Returns kept indices in descending-score order, at most max_keep of them.
+
+    Only the top prefix of the score order that the scan reads is sorted
+    (_sorted_prefix); a scan that runs past it sorts all k scores, as does
+    a NaN at the cut. Both orders agree on the prefix, so the result is
+    the full sort's.
+    """
+    from sinet.geometry import _check_nms, _sorted_prefix, pairwise_iou
+    _check_nms("nms", boxes, scores, iou_thresh)
+    if max_keep < 1:
+        raise ValueError("nms: max_keep must be >= 1")
+
+    # stable sort on -score keeps the lower index first among ties. A box
+    # survives unless a kept box ahead of it in this order overlaps it, so
+    # only the prefix up to the max_keep-th survivor matters; it is scanned
+    # in blocks, each checked against the boxes kept so far and itself.
+    neg = -np.asarray(scores, dtype=np.float64)
+    boxes = np.asarray(boxes, dtype=np.float64)
+    # twice max_keep usually holds every survivor; the cap bounds the matrix
+    block = min(2 * max_keep, 256)
+    order = _sorted_prefix(neg, block)
+    kept = []                    # positions in order
+    start = 0
+    while start < len(neg) and len(kept) < max_keep:
+        stop = min(start + block, len(neg))
+        if stop > len(order):    # past the prefix: the full order keeps its positions
+            order = np.argsort(neg, kind="stable")
+        at = order[np.concatenate([np.array(kept, dtype=np.intp), np.arange(start, stop)])]
+        # not (iou <= thresh): a NaN overlap suppresses, as a failed keep test
+        over = ~(pairwise_iou(boxes[at], boxes[at[len(kept):]]) <= iou_thresh)
+        dead = over[:len(kept)].any(axis=0)
+        for j, row in enumerate(over[len(kept):]):
+            if not dead[j]:
+                kept.append(start + j)
+                if len(kept) == max_keep:
+                    break
+                dead |= row
+        start = stop
+    return [int(order[i]) for i in kept]
+
+
+def train_proposals_oracle(anchors, scores, sample, rng, n):
+    """One training iteration's proposals as the per-iteration path made
+    them: the scene's gt boxes jittered by a (G, 4) GT_JITTER-scaled normal
+    draw from rng (no draw without gt) and clipped to its grid, ahead of the
+    anchors with score 1e9, then nms_oracle's greedy scan over the dense
+    pairwise_iou matrix of all of them, capped at n, and the kept boxes
+    cycled to n rows."""
+    from sinet.detector import GT_JITTER, PROPOSAL_NMS_THRESH
+    from sinet.geometry import apply_deltas, centers_to_corners, clip_box, pairwise_iou
+    h, w = sample.grid.shape[:2]
+    injected = sample.gt["box"]
+    if len(injected):
+        jitter = rng.normal(0.0, GT_JITTER, size=injected.shape)
+        injected = clip_box(apply_deltas(injected, jitter), w, h)
+    centers = np.concatenate([injected, anchors.centers])
+    corners = centers_to_corners(centers)
+    ious = pairwise_iou(corners, corners)
+    keep = nms_oracle(range(len(centers)), [1e9] * len(injected) + list(scores),
+                      PROPOSAL_NMS_THRESH, n, overlap=lambda i, j: ious[i, j])
+    return centers[[keep[j % len(keep)] for j in range(n)]]
+
+
 def anchor_targets_oracle(anchors, gt):
     """Binary anchor labels (y, mask) from the dense (A, G) pairwise_iou of
     every anchor against every gt: 1 at or over OBJ_IOU_POS, ignored

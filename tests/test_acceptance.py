@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 import conftest
-from sinet.detector import (TrainConfig, anchor_set, create_detector_params,
+from sinet.detector import (TrainConfig, _anchor_targets, anchor_set, create_detector_params,
                             objectness_loss, score_anchors)
 from sinet.evaluation import evaluate_detections, run_ablation
-from sinet.geometry import nms
+from sinet.geometry import nms_by_group
 from sinet.harness import main, run_gradcheck
 from sinet.memory_cell import create_gru_params, gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
@@ -137,8 +137,8 @@ def _check_nms(rng, trials):
         scores = np.round(rng.random(n), 1)     # coarse grid forces ties
         thresh = float(rng.uniform(0.2, 0.8))
         max_keep = int(rng.integers(1, n + 3))
-        got = nms(corner_rows(boxes), scores, thresh, max_keep)
-        assert list(got) == nms_oracle(boxes, scores, thresh, max_keep)
+        got = nms_by_group(corner_rows(boxes), scores, np.zeros(n), thresh)[:max_keep]
+        assert got.tolist() == nms_oracle(boxes, scores, thresh, max_keep)
 
 
 def _check_objectness(rng, trials):
@@ -151,10 +151,12 @@ def _check_objectness(rng, trials):
         st = ParamStore()
         p = create_detector_params(st, c, 2, 3, int(rng.integers(1 << 30)))
         p.objectness.value[:] = rng.normal(size=p.objectness.value.shape)
-        scores, loss, grad = objectness_oracle(grid, anchor_set(h, w), p.objectness.value, gt)
+        anchors = anchor_set(h, w)
+        scores, loss, grad = objectness_oracle(grid, anchors, p.objectness.value, gt)
         scored = score_anchors(p, sample)
         assert np.allclose(scored[1], scores, rtol=0.0, atol=1e-12)
-        assert objectness_loss(p, sample, scored) == pytest.approx(loss, abs=1e-12)
+        assert objectness_loss(p, sample, scored, _anchor_targets(anchors, gt)) == pytest.approx(
+            loss, abs=1e-12)
         assert np.allclose(p.objectness.grad, grad, rtol=0.0, atol=1e-12)
 
 
@@ -323,7 +325,7 @@ def _invariant_nms_postconditions(rng):
         boxes = [random_box(rng, span=6.0) for _ in range(n)]
         scores = rng.random(n)
         thresh = float(rng.uniform(0.3, 0.7))
-        keep = nms(corner_rows(boxes), scores, thresh, max_keep=n)
+        keep = nms_by_group(corner_rows(boxes), scores, np.zeros(n), thresh).tolist()
         kept_scores = [scores[i] for i in keep]
         assert kept_scores == sorted(kept_scores, reverse=True)
         for a in range(len(keep)):

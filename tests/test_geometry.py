@@ -7,10 +7,10 @@ from hypothesis import strategies as hst
 
 from sinet import geometry
 from sinet.geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
-                            encode_deltas, iou, nms, nms_by_group, pairwise_iou)
+                            encode_deltas, iou, nms_by_group, pairwise_iou)
 
 from oracles import (Box, apply_deltas_oracle, center_rows, clip_box_oracle, corner_rows,
-                     encode_deltas_oracle, iou_oracle, nms_oracle, random_box)
+                     encode_deltas_oracle, iou_oracle, nms, nms_oracle, random_box)
 
 
 def _iou1(a, b):

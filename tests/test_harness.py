@@ -388,12 +388,16 @@ HEADER = ("header",)
     (("gt", 0), "h", -1.5, "box sides must be positive, got w="),
     (("gt", 0), "cx", float("nan"), "is not finite"),
     ((), "gt", 5, "'int' object is not iterable"),
+    (("gt", 0), "cx", "3.5", "gt coordinate '3.5' is not a number"),
+    (("gt", 0), "w", True, "gt coordinate True is not a number"),
+    (("gt", 0), "cy", 10 ** 400, "int too large to convert to float"),
+    (HEADER, None, "{oops", "bad.jsonl: header: Expecting property name"),
 ], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
         "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
         "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
         "scene-type-negative", "scene-type-too-large", "header-categories",
         "header-channels", "header-height", "gt-w-zero", "gt-h-negative", "gt-cx-nan",
-        "gt-not-a-list"])
+        "gt-not-a-list", "gt-cx-string", "gt-w-bool", "gt-cy-huge", "header-not-json"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
@@ -401,9 +405,12 @@ def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
     # A header edit comes with the scene edits that make the file agree
     # with its header: 99 categories with a gt of category 50, or every
     # grid cut to the header's channel count, or an 8x32 grid of as many cells.
+    # A header edit without a key replaces the header line by `value`.
     run_dir, records = baseline_run
     records = json.loads(json.dumps(records))
-    if where == HEADER:
+    if where == HEADER and key is None:
+        records[0] = value
+    elif where == HEADER:
         header = records[0]
         if key == "num_categories":
             records[2]["gt"][0]["cat"] = 50
@@ -423,7 +430,8 @@ def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
             target[key] = value
     data = str(tmp_path / "bad.jsonl")
     with open(data, "w", encoding="utf-8") as f:
-        f.writelines(json.dumps(rec) + "\n" for rec in records)
+        f.writelines((rec if isinstance(rec, str) else json.dumps(rec)) + "\n"
+                     for rec in records)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
                  "--data", data, "--out", str(tmp_path / "eval")]) == 2
