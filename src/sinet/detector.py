@@ -48,7 +48,7 @@ from .geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_bo
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
                                   create_sin_params, sin_backward,
-                                  sin_infer_tapes, sin_params_from_store)
+                                  sin_infer_tapes)
 from .synth_data import cell_window, sample_at
 
 IOU_POS = 0.5
@@ -68,7 +68,10 @@ IGNORE = -1
 ANCHOR_SCALES = (1.4, 2.2, 3.0)
 ANCHOR_RATIOS = (1.0, 1.5)
 
-ARMS = ("baseline", "scene", "edge", "sin")
+# Each ablation arm's message mode (structure_inference.MODES); the baseline
+# runs no inference step and so exercises no graph parameter.
+ARM_MODES = {"baseline": None, "scene": "scene", "edge": "edge", "sin": "both"}
+ARMS = tuple(ARM_MODES)
 
 # Scenes per detection stack. Measured on 512 default-world held-out scenes
 # (a 400-iteration sin model) with one BLAS thread on a shared 2-core x86
@@ -104,12 +107,12 @@ class TrainConfig:
 
 
 def validate_config(cfg):
-    if cfg.lr <= 0:
-        raise ValueError("lr must be positive")
+    if not (0.0 < cfg.lr < math.inf):
+        raise ValueError("lr must be positive and finite")
     if not (0.0 <= cfg.momentum < 1.0):
         raise ValueError("momentum must be in [0, 1)")
-    if cfg.weight_decay < 0:
-        raise ValueError("weight_decay must be >= 0")
+    if not (0.0 <= cfg.weight_decay < math.inf):
+        raise ValueError("weight_decay must be >= 0 and finite")
     if cfg.iters < 1:
         raise ValueError("iters must be >= 1")
     if cfg.rois_per_image < 1:
@@ -124,16 +127,12 @@ def validate_config(cfg):
 
 
 def arm_plan(arm, cfg):
-    """Map an ablation arm onto (message mode, inference steps)."""
-    if arm == "baseline":
-        return "both", 0
-    if arm == "scene":
-        return "scene", cfg.T
-    if arm == "edge":
-        return "edge", cfg.T
-    if arm == "sin":
-        return "both", cfg.T
-    raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
+    """Map an ablation arm onto (message mode, inference steps). The
+    baseline runs zero steps, so its mode is never read; it gets "both"."""
+    if arm not in ARM_MODES:
+        raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
+    mode = ARM_MODES[arm]
+    return (mode, cfg.T) if mode else ("both", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +145,6 @@ class DetectorParams:
     reg_head: object         # (4K, d)
     objectness: object       # (num anchor types, C)
     sin: object
-
-    @property
-    def channels(self):
-        return self.feat_proj.value.shape[1]
-
-    @property
-    def num_categories(self):
-        return self.cls_head.value.shape[0] - 1
 
 
 def create_detector_params(store, channels, num_categories, d, seed, pooling="mean"):
@@ -170,24 +161,13 @@ def create_detector_params(store, channels, num_categories, d, seed, pooling="me
     )
 
 
-def detector_params_from_store(store):
-    return DetectorParams(
-        feat_proj=store["det/feat_proj"],
-        cls_head=store["det/cls_head"],
-        reg_head=store["det/reg_head"],
-        objectness=store["det/objectness"],
-        sin=sin_params_from_store(store),
-    )
-
-
 def active_param_names(params, arm):
     """Parameters the given arm actually exercises; everything else must see
-    exactly zero gradient (including weight decay)."""
+    exactly zero gradient (including weight decay). They depend on the arm
+    alone, not on T: at T = 0 a graph arm's banks still take weight decay."""
     names = [params.feat_proj.name, params.cls_head.name,
              params.reg_head.name, params.objectness.name]
-    mode, steps = None, 0
-    if arm != "baseline":
-        mode = {"scene": "scene", "edge": "edge", "sin": "both"}[arm]
+    mode = ARM_MODES[arm]
     if mode in ("scene", "both"):
         names += [e.name for e in params.sin.scene_gru.entries()]
     if mode in ("edge", "both"):

@@ -191,8 +191,7 @@ SWEEP_GRID = (("mean", 1), ("mean", 2), ("mean", 3), ("max", 2), ("concat", 2))
 def _eval_arm(tr, test_samples, world, cfg, arm, score_thresh):
     dets = detect_scenes(tr.params, test_samples, cfg, score_thresh, arm)
     gts = [s.gt for s in test_samples]
-    ev = evaluate_detections(dets, gts, world.num_categories, world.ambiguous_pairs)
-    return dets, ev
+    return evaluate_detections(dets, gts, world.num_categories, world.ambiguous_pairs)
 
 
 def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
@@ -202,7 +201,7 @@ def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
     Every arm sees the same initial weights (same init seed), the same scenes
     in the same shuffled order, and the same test split; only the inference
     wiring differs. Returns a nested dict; keys starting with "_" hold live
-    objects (stores, detections) and are stripped before serialization.
+    objects (training results) and are stripped before serialization.
     """
     if arms is None:
         arms = ARMS
@@ -226,7 +225,7 @@ def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
         except TrainingDiverged as e:
             results["arms"][arm] = {"failed": True, "error": str(e)}
             continue
-        dets, ev = _eval_arm(tr, test_samples, world, cfg, arm, score_thresh)
+        ev = _eval_arm(tr, test_samples, world, cfg, arm, score_thresh)
         results["arms"][arm] = {
             "failed": False,
             "map": ev.map,
@@ -235,7 +234,6 @@ def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
             "fp": ev.fp,
             "seconds": time.perf_counter() - t_arm,
             "_train": tr,
-            "_detections": dets,
         }
         say(f"arm {arm}: map {ev.map:.4f}")
     results["timings"]["arms"] = time.perf_counter() - t0
@@ -250,8 +248,7 @@ def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
                 results["sweep"][key] = {"pooling": pooling, "T": t,
                                          "failed": False, "map": main["map"],
                                          "ap": main["ap"],
-                                         "_train": main["_train"],
-                                         "_detections": main["_detections"]}
+                                         "_train": main["_train"]}
                 continue
             say(f"sweep {key}")
             cfg2 = replace(cfg, pooling=pooling, T=t)
@@ -261,10 +258,9 @@ def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
                 results["sweep"][key] = {"pooling": pooling, "T": t,
                                          "failed": True, "error": str(e)}
                 continue
-            dets, ev = _eval_arm(tr, test_samples, world, cfg2, "sin", score_thresh)
+            ev = _eval_arm(tr, test_samples, world, cfg2, "sin", score_thresh)
             results["sweep"][key] = {"pooling": pooling, "T": t, "failed": False,
-                                     "map": ev.map, "ap": ev.per_category_ap,
-                                     "_train": tr, "_detections": dets}
+                                     "map": ev.map, "ap": ev.per_category_ap, "_train": tr}
             say(f"sweep {key}: map {ev.map:.4f}")
         results["timings"]["sweep"] = time.perf_counter() - t0
     return results

@@ -23,14 +23,13 @@ import numpy as np
 
 from .detector import (ARMS, DETECT_CHUNK, TrainConfig, TrainingDiverged,
                        assign_targets, create_detector_params, detect,
-                       detect_scenes, detector_backward,
-                       detector_params_from_store, forward, multi_task_loss,
+                       detect_scenes, detector_backward, forward, multi_task_loss,
                        apply_weight_decay, train, validate_config)
 from .evaluation import (FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap,
                          run_ablation, strip_objects)
 from .numerics import (CheckpointError, ParamStore, derive_seed, grad_check,
                        load_checkpoint, save_checkpoint)
-from .structure_inference import relation_report
+from .structure_inference import POOLINGS, relation_report
 from .synth_data import (GT_DTYPE, WORLD_FIXTURES, SceneSample, generate,
                          load_dataset, sample_at, save_dataset, world_from_dict,
                          world_hash, world_to_dict)
@@ -160,6 +159,15 @@ def fp_rows(arm_name, counts):
     return [(arm_name, kind, counts[kind]) for kind in FP_KINDS]
 
 
+def write_eval_csvs(out_dir, m_rows, p_rows, f_rows):
+    """An evaluation's metrics.csv, pr.csv and fp.csv, from metrics_rows,
+    pr_rows and fp_rows."""
+    for name, header, rows in (("metrics.csv", ("arm", "category", "iou", "ap"), m_rows),
+                               ("pr.csv", ("arm", "threshold", "precision", "recall"), p_rows),
+                               ("fp.csv", ("arm", "kind", "count"), f_rows)):
+        write_csv(os.path.join(out_dir, name), header, rows)
+
+
 def write_manifest(out_dir, payload):
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as f:
@@ -198,10 +206,10 @@ def eval_workers():
     return w
 
 
-def detect_dataset(store, cfg, arm, samples, score_thresh, workers=1):
-    """Detections per sample, one DETECTION_DTYPE array each, identical for
+def detect_dataset(params, cfg, arm, samples, score_thresh, workers=1):
+    """Detections of the model `params` (DetectorParams, as create_detector_params
+    lays them out) per sample, one DETECTION_DTYPE array each, identical for
     any worker count."""
-    params = detector_params_from_store(store)
     workers = min(workers, max(1, len(samples)))
     if workers <= 1:
         return detect_scenes(params, samples, cfg, score_thresh, arm)
@@ -335,11 +343,13 @@ def _cmd_train(args):
     return 0
 
 
-def _load_trained(args):
-    manifest_path = args.manifest or os.path.join(
-        os.path.dirname(os.path.abspath(args.checkpoint)), "manifest.json")
+def _load_trained(checkpoint, manifest_path=None):
+    """(manifest, DetectorParams, TrainConfig, EvalConfig, world) of a
+    checkpoint and its manifest, by default the manifest.json beside it."""
+    manifest_path = manifest_path or os.path.join(
+        os.path.dirname(os.path.abspath(checkpoint)), "manifest.json")
     manifest = read_manifest(manifest_path)
-    store = load_checkpoint(args.checkpoint)
+    store = load_checkpoint(checkpoint)
     try:
         cfg = _dataclass_from_dict(TrainConfig, manifest["train"], "manifest.train",
                                    validate_config)
@@ -351,27 +361,28 @@ def _load_trained(args):
     if manifest["arm"] not in ARMS:
         raise RunFailure(f"{manifest_path}: manifest names unknown arm {manifest['arm']!r}")
     # the checkpoint must hold exactly the parameters, of the same shapes, of
-    # the model the manifest describes
-    want = ParamStore()
-    create_detector_params(want, world.channels, world.num_categories, cfg.feat_dim, 0,
-                           cfg.pooling)
+    # the model the manifest describes; its values fill that model
+    model = ParamStore()
+    params = create_detector_params(model, world.channels, world.num_categories,
+                                    cfg.feat_dim, 0, cfg.pooling)
     got = {name: p.value.shape for name, p in store.items()}
-    for name, p in want.items():
+    for name, p in model.items():
         if name not in got:
-            raise RunFailure(f"{args.checkpoint}: checkpoint lacks parameter {name!r}")
+            raise RunFailure(f"{checkpoint}: checkpoint lacks parameter {name!r}")
         if got.pop(name) != p.value.shape:
-            raise RunFailure(f"{args.checkpoint}: parameter {name!r} has shape "
+            raise RunFailure(f"{checkpoint}: parameter {name!r} has shape "
                              f"{store[name].value.shape}; the manifest's model needs "
                              f"{p.value.shape}")
+        p.value[...] = store[name].value
     if got:
-        raise RunFailure(f"{args.checkpoint}: checkpoint holds parameter {min(got)!r}, "
+        raise RunFailure(f"{checkpoint}: checkpoint holds parameter {min(got)!r}, "
                          f"which the manifest's model lacks")
-    return manifest, store, cfg, ev_cfg, world
+    return manifest, params, cfg, ev_cfg, world
 
 
 def _cmd_eval(args):
     workers = eval_workers()
-    manifest, store, cfg, ev_cfg, world = _load_trained(args)
+    manifest, params, cfg, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
     arm = manifest["arm"]
     n_test = args.n_test if args.n_test is not None else ev_cfg.n_test
     score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
@@ -385,17 +396,13 @@ def _cmd_eval(args):
     else:
         test_seed = derive_seed(ev_cfg.split_seed, "test-data")
         samples = generate(world, test_seed, n_test)
-    dets = detect_dataset(store, cfg, arm, samples, score_thresh, workers)
+    dets = detect_dataset(params, cfg, arm, samples, score_thresh, workers)
     ev = evaluate_detections(dets, [s.gt for s in samples], world.num_categories,
                              world.ambiguous_pairs)
     out = _ensure_dir(args.out)
-    cat_names = [c.name for c in world.categories]
-    write_csv(os.path.join(out, "metrics.csv"), ("arm", "category", "iou", "ap"),
-              metrics_rows(arm, ev.per_category_ap, cat_names))
-    write_csv(os.path.join(out, "pr.csv"), ("arm", "threshold", "precision", "recall"),
-              pr_rows(arm, ev.pr))
-    write_csv(os.path.join(out, "fp.csv"), ("arm", "kind", "count"),
-              fp_rows(arm, ev.fp))
+    write_eval_csvs(out, metrics_rows(arm, ev.per_category_ap,
+                                      [c.name for c in world.categories]),
+                    pr_rows(arm, ev.pr), fp_rows(arm, ev.fp))
     print(f"arm {arm}: map {ev.map:.4f} over {len(samples)} scenes; wrote {out}")
     return 0
 
@@ -431,9 +438,7 @@ def _cmd_ablate(args):
     for key, entry in results["sweep"].items():
         if not entry.get("failed"):
             m_rows += metrics_rows(f"sin-{key}", entry["ap"], cat_names)
-    write_csv(os.path.join(out, "metrics.csv"), ("arm", "category", "iou", "ap"), m_rows)
-    write_csv(os.path.join(out, "pr.csv"), ("arm", "threshold", "precision", "recall"), p_rows)
-    write_csv(os.path.join(out, "fp.csv"), ("arm", "kind", "count"), f_rows)
+    write_eval_csvs(out, m_rows, p_rows, f_rows)
     write_manifest(out, _manifest_payload("ablate", config, world))
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
         json.dump(strip_objects(results), f, indent=2, sort_keys=True)
@@ -463,9 +468,8 @@ def _cmd_gradcheck(args):
 def _cmd_relations(args):
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    manifest, store, cfg, ev_cfg, world = _load_trained(args)
+    manifest, params, cfg, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
     arm = manifest["arm"]
-    params = detector_params_from_store(store)
     score_thresh = args.score_thresh if args.score_thresh is not None else 0.05
     _validate_eval(replace(ev_cfg, score_thresh=score_thresh))
     rows = []
@@ -517,7 +521,7 @@ def build_parser():
     t.add_argument("--seed", type=int)
     t.add_argument("--iters", type=int)
     t.add_argument("--T", type=int, dest="T")
-    t.add_argument("--pooling", choices=("mean", "max", "concat"))
+    t.add_argument("--pooling", choices=POOLINGS)
     t.add_argument("--split-seed", type=int, dest="split_seed")
     t.add_argument("--n-train", type=int, dest="n_train")
     t.add_argument("--out", required=True)
@@ -539,7 +543,7 @@ def build_parser():
     a.add_argument("--seed", type=int)
     a.add_argument("--iters", type=int)
     a.add_argument("--T", type=int, dest="T")
-    a.add_argument("--pooling", choices=("mean", "max", "concat"))
+    a.add_argument("--pooling", choices=POOLINGS)
     a.add_argument("--split-seed", type=int, dest="split_seed")
     a.add_argument("--n-train", type=int, dest="n_train")
     a.add_argument("--n-test", type=int, dest="n_test")
@@ -555,7 +559,7 @@ def build_parser():
     c.add_argument("--n", type=int, default=3)
     c.add_argument("--t", "--T", type=int, default=2, dest="T")
     c.add_argument("--seed", type=int, default=11)
-    c.add_argument("--pooling", choices=("mean", "max", "concat"), default="mean")
+    c.add_argument("--pooling", choices=POOLINGS, default="mean")
     c.add_argument("--eps", type=float, default=1e-5)
     c.add_argument("--tol", type=float, default=GRADCHECK_TOL)
     c.set_defaults(func=_cmd_gradcheck)

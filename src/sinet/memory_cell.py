@@ -25,8 +25,6 @@ from scipy.special import expit
 
 from .numerics import ShapeError, init_param, seed_for
 
-PARAM_FIELDS = ("W_r", "W_z", "W", "U")
-
 
 @dataclass
 class GruParams:
@@ -48,16 +46,12 @@ class GruParams:
 def create_gru_params(store, prefix, d, seed):
     """Register W_r, W_z (d x 2d) and W, U (d x d) under `prefix/` and return
     the typed view. Init is keyed by (seed, full name), not creation order."""
-    shapes = {"W_r": (d, 2 * d), "W_z": (d, 2 * d), "W": (d, d), "U": (d, d)}
-    made = {}
-    for field in PARAM_FIELDS:
+    def make(field, shape):
         name = f"{prefix}/{field}"
-        made[field] = store.create(name, init_param(shapes[field], seed_for(seed, name)))
-    return GruParams(w_r=made["W_r"], w_z=made["W_z"], w=made["W"], u=made["U"])
+        return store.create(name, init_param(shape, seed_for(seed, name)))
 
-
-def gru_params_from_store(store, prefix):
-    return GruParams(*(store[f"{prefix}/{f}"] for f in PARAM_FIELDS))
+    return GruParams(w_r=make("W_r", (d, 2 * d)), w_z=make("W_z", (d, 2 * d)),
+                     w=make("W", (d, d)), u=make("U", (d, d)))
 
 
 @dataclass

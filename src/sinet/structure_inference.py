@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory_cell import (GruTape, create_gru_params, gru_backward, gru_forward,
-                          gru_params_from_store)
+from .memory_cell import GruTape, create_gru_params, gru_backward, gru_forward
 from .numerics import init_param, seed_for
 
 POOLINGS = ("mean", "max", "concat")
@@ -90,10 +89,6 @@ class SinParams:
     w_v: object                 # (1, 2d)
     w_a: object = None          # (d, 2d), only under concat fusion
 
-    @property
-    def dim(self):
-        return self.scene_gru.dim
-
 
 def create_sin_params(store, d, seed, pooling="mean"):
     """Register all inference-net weights under `sin/` and return the view."""
@@ -108,15 +103,6 @@ def create_sin_params(store, d, seed, pooling="mean"):
     if pooling == "concat":
         w_a = store.create("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a")))
     return SinParams(scene_gru=scene, edge_gru=edge, w_v=w_v, w_a=w_a)
-
-
-def sin_params_from_store(store):
-    return SinParams(
-        scene_gru=gru_params_from_store(store, "sin/scene_gru"),
-        edge_gru=gru_params_from_store(store, "sin/edge_gru"),
-        w_v=store["sin/w_v"],
-        w_a=store["sin/w_a"] if "sin/w_a" in store else None,
-    )
 
 
 def _relation_tensor(boxes):

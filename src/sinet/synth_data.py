@@ -501,6 +501,14 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
     return samples, header
 
 
+def _numbers(values, what):
+    """values, each a JSON number: numpy would read a string or a bool as one."""
+    for v in values:
+        if type(v) not in (int, float):
+            raise ValueError(f"{what} {v!r} is not a number")
+    return values
+
+
 def _index(v, what, n):
     """A JSON integer in [0, n); a number with a fraction, a string or a bool
     is a bad value."""
@@ -515,18 +523,15 @@ def _parse_record(rec, header, num_scene_types):
     """One scene line as a SceneSample; raises KeyError for a missing field
     and ValueError for a bad value."""
     h, w, c, k = header["h"], header["w"], header["c"], header["num_categories"]
-    grid = np.array(rec["grid"], dtype=np.float64)
+    grid = np.array(_numbers(rec["grid"], "grid value"), dtype=np.float64)
     if grid.size != h * w * c:
         raise ValueError(f"grid has {grid.size} values, expected {h * w * c}")
     if not np.isfinite(grid).all():
         raise ValueError("grid has a NaN or inf cell")
     gt = []
     for o in rec["gt"]:
-        coords = [o[f] for f in ("cx", "cy", "w", "h")]
-        for v in coords:
-            if type(v) not in (int, float):     # a JSON number, not a string or a bool
-                raise ValueError(f"gt coordinate {v!r} is not a number")
-        coords = [float(v) for v in coords]
+        coords = [float(v) for v in _numbers([o[f] for f in ("cx", "cy", "w", "h")],
+                                             "gt coordinate")]
         if not np.isfinite(coords).all():
             raise ValueError(f"gt box {coords} is not finite")
         if not (coords[2] > 0 and coords[3] > 0):

@@ -1090,7 +1090,7 @@ def _detection_digest(arm):
     result = train(world, cfg, arm=arm, n_train=60)
     samples = [det_mod.sample_at(world, 21, i) for i in range(40)]
     digest = hashlib.sha256()
-    for i, dets in enumerate(detect_dataset(result.store, cfg, arm, samples, 0.05)):
+    for i, dets in enumerate(detect_dataset(result.params, cfg, arm, samples, 0.05)):
         digest.update(f"scene {i}\n".encode())
         for d, corners in zip(dets, centers_to_corners(dets["box"])):
             key = (int(d["category"]), float(d["score"]).hex(),

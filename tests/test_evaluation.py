@@ -282,7 +282,7 @@ def test_run_ablation_structure(tiny_ablation):
         assert set(r["fp"]) == set(FP_KINDS)
         assert r["seconds"] > 0
         assert r["_train"].arm == arm
-        assert len(r["_detections"]) == 4
+        assert set(r) == {"failed", "map", "ap", "pr", "fp", "seconds", "_train"}
     assert res["n_train"] == 6 and res["n_test"] == 4
     assert isinstance(res["timings"]["arms"], float)
     assert isinstance(res["timings"]["sweep"], float)

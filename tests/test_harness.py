@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 from sinet.detector import (DETECT_CHUNK, DETECTION_DTYPE, TrainConfig, create_detector_params,
-                            detect, detector_params_from_store)
-from sinet.harness import (EvalConfig, RunConfig, RunFailure, build_parser,
+                            detect, detect_scenes, train)
+from sinet.evaluation import evaluate_detections
+from sinet.harness import (EvalConfig, RunConfig, RunFailure, _load_trained, build_parser,
                            detect_dataset, eval_workers, fp_rows,
                            load_run_config, main, metrics_rows, pr_rows,
                            read_manifest, resolve_world, run_config_from_dict,
-                           run_gradcheck, write_csv, write_manifest)
-from sinet.numerics import CHECKPOINT_MAGIC, ParamStore, load_checkpoint, save_checkpoint
+                           run_gradcheck, write_csv, write_eval_csvs, write_manifest)
+from sinet.numerics import (CHECKPOINT_MAGIC, ParamStore, derive_seed, load_checkpoint,
+                            save_checkpoint)
 from sinet.structure_inference import relation_report
-from sinet.synth_data import default_world, sample_at, save_dataset, world_to_dict
+from sinet.synth_data import default_world, generate, sample_at, save_dataset, world_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +154,12 @@ def test_eval_workers_env(monkeypatch):
 
 def test_detect_dataset_worker_count_does_not_change_results():
     world = default_world()
-    store = ParamStore()
-    create_detector_params(store, world.channels, world.num_categories, 8, 17)
+    params = create_detector_params(ParamStore(), world.channels, world.num_categories, 8, 17)
     cfg = TrainConfig(rois_per_image=6, T=1, feat_dim=8)
     samples = [sample_at(world, 5, i) for i in range(4)]
 
-    serial = detect_dataset(store, cfg, "sin", samples, 0.05, workers=1)
-    parallel = detect_dataset(store, cfg, "sin", samples, 0.05, workers=2)
+    serial = detect_dataset(params, cfg, "sin", samples, 0.05, workers=1)
+    parallel = detect_dataset(params, cfg, "sin", samples, 0.05, workers=2)
     assert len(serial) == len(parallel) == 4
     assert sum(map(len, serial)) > 0
     for dd1, dd2 in zip(serial, parallel):
@@ -296,11 +297,10 @@ def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
                  "--out", str(got)]) == 0
     capsys.readouterr()
 
-    params = detector_params_from_store(load_checkpoint(ckpt))
-    cfg = TrainConfig(**read_manifest(os.path.join(run_dir, "manifest.json"))["train"])
+    _manifest, params, cfg, _ev_cfg, world = _load_trained(ckpt)
     rows = []
     for i in range(20):
-        (dets,), state = detect(params, [sample_at(default_world(), 3, i)], cfg, 0.05, arm)
+        (dets,), state = detect(params, [sample_at(world, 3, i)], cfg, 0.05, arm)
         for cat, score, (node, partner, weight) in zip(
                 dets["category"].tolist(), dets["score"].tolist(),
                 relation_report(state.edges[0], dets["roi"].tolist())):
@@ -309,6 +309,37 @@ def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
     want = tmp_path / "want.csv"
     write_csv(str(want), ("sample", "node", "category", "score", "partner", "edge_weight"), rows)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_eval_of_a_concat_checkpoint_matches_in_process(tmp_path, capsys):
+    # concat pooling adds sin/w_a: the manifest's model holds it, the
+    # checkpoint's value fills it, and `sinet eval` scores what the trained
+    # parameters score in process
+    run_dir, eval_dir, want_dir = (str(tmp_path / name) for name in ("run", "eval", "want"))
+    assert main(["train", "--arm", "sin", "--pooling", "concat", "--iters", "30",
+                 "--n-train", "30", "--out", run_dir]) == 0
+    assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                 "--n-test", "40", "--out", eval_dir]) == 0
+    capsys.readouterr()
+
+    # what `sinet train` and `sinet eval` do, at the default split seed
+    world, ev_cfg = default_world(), EvalConfig()
+    cfg = TrainConfig(pooling="concat", iters=30)
+    tr = train(world, cfg, "sin", n_train=30,
+               data_seed=derive_seed(ev_cfg.split_seed, "train-data"))
+    assert tr.params.sin.w_a is not None
+    samples = generate(world, derive_seed(ev_cfg.split_seed, "test-data"), 40)
+    ev = evaluate_detections(detect_scenes(tr.params, samples, cfg, ev_cfg.score_thresh, "sin"),
+                             [s.gt for s in samples], world.num_categories,
+                             world.ambiguous_pairs)
+    os.makedirs(want_dir)
+    write_eval_csvs(want_dir, metrics_rows("sin", ev.per_category_ap,
+                                           [c.name for c in world.categories]),
+                    pr_rows("sin", ev.pr), fp_rows("sin", ev.fp))
+    for name in ("metrics.csv", "pr.csv", "fp.csv"):
+        with open(os.path.join(eval_dir, name), "rb") as got, \
+                open(os.path.join(want_dir, name), "rb") as want:
+            assert got.read() == want.read(), name
 
 
 def test_cli_eval_reads_dataset_files(tmp_path, capsys):
@@ -392,12 +423,15 @@ HEADER = ("header",)
     (("gt", 0), "w", True, "gt coordinate True is not a number"),
     (("gt", 0), "cy", 10 ** 400, "int too large to convert to float"),
     (HEADER, None, "{oops", "bad.jsonl: header: Expecting property name"),
+    (("grid",), 5, "1.5", "grid value '1.5' is not a number"),
+    (("grid",), 5, True, "grid value True is not a number"),
 ], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
         "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
         "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
         "scene-type-negative", "scene-type-too-large", "header-categories",
         "header-channels", "header-height", "gt-w-zero", "gt-h-negative", "gt-cx-nan",
-        "gt-not-a-list", "gt-cx-string", "gt-w-bool", "gt-cy-huge", "header-not-json"])
+        "gt-not-a-list", "gt-cx-string", "gt-w-bool", "gt-cy-huge", "header-not-json",
+        "grid-string", "grid-bool"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
@@ -648,7 +682,9 @@ def test_cli_unknown_manifest_arm_exits_2(sin_run, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("train_block", [{"T": "2"}, {"rois_per_image": 0},
-                                         {"pooling": "bogus"}, {"lr": -1}])
+                                         {"pooling": "bogus"}, {"lr": -1},
+                                         {"lr": float("nan")},
+                                         {"weight_decay": float("inf")}])
 def test_cli_train_bad_config_exits_1(tmp_path, capsys, train_block):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"train": dict(train_block, iters=2)}))

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from sinet.memory_cell import (GruParams, create_gru_params, gru_backward,
-                               gru_forward, gru_params_from_store)
+from sinet.memory_cell import GruParams, create_gru_params, gru_backward, gru_forward
 from sinet.numerics import ParamStore, ShapeError, grad_check
 
 from oracles import gru_forward_oracle
@@ -22,8 +21,6 @@ def test_created_shapes():
     assert p.w.value.shape == (5, 5)
     assert p.u.value.shape == (5, 5)
     assert p.dim == 5
-    view = gru_params_from_store(st, "cell")
-    assert view.w_r is p.w_r
 
 
 def test_init_keyed_by_name_not_order():

@@ -11,8 +11,7 @@ from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
                                        _integrate_all, _max_messages, _relation_tensor,
                                        compute_edges,
                                        create_sin_params, relation_report,
-                                       sin_backward, sin_infer_tapes,
-                                       sin_params_from_store, sin_step_tape)
+                                       sin_backward, sin_infer_tapes, sin_step_tape)
 
 from oracles import (Box, center_rows, edge_weight_oracle, integrate_messages_oracle,
                      random_box, sin_step_oracle, spatial_gate_oracle, spatial_relation_oracle)
@@ -59,8 +58,6 @@ def test_param_layout():
     assert "sin/w_p" not in st
     assert p.w_v.value.shape == (1, 8)
     assert p.w_a.value.shape == (4, 8)
-    view = sin_params_from_store(st)
-    assert view.w_a is p.w_a
     _, q = make_params(4, pooling="mean")
     assert q.w_a is None
     with pytest.raises(ValueError):
