@@ -15,14 +15,21 @@ matrices; here each call passes a one-node graph.
 
 import numpy as np
 
-from sinet.memory_cell import create_gru_params, gru_forward
+from sinet.memory_cell import gru_forward, gru_init, gru_params
 from sinet.numerics import ParamStore
 
 np.set_printoptions(precision=3, suppress=True)
 
+
+def new_cell(prefix, d, seed):
+    """A freshly initialised cell: its four maps laid out in a store of their own."""
+    store = ParamStore()
+    store.lay_out(gru_init(prefix, d, seed))
+    return gru_params(store, prefix)
+
+
 d = 4
-store = ParamStore()
-p = create_gru_params(store, "demo", d, seed=1)
+p = new_cell("demo", d, seed=1)
 
 h = np.array([1.0, -1.0, 0.5, 0.0])
 x = np.array([0.8, 0.8, -0.3, 1.5])
@@ -76,7 +83,7 @@ print("  candidate:", tape_over.h_tilde[0, 0])
 rng = np.random.default_rng(0)
 worst = 0.0
 for trial in range(2000):
-    q = create_gru_params(ParamStore(), "t", 3, seed=trial)
+    q = new_cell("t", 3, seed=trial)
     hh = rng.normal(0, 3, size=3)
     xx = rng.normal(0, 3, size=3)
     out, c = cell(q, xx, hh)

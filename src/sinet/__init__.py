@@ -9,13 +9,13 @@ four-arm ablation harness.
 """
 
 from .geometry import apply_deltas, centers_to_corners, clip_box, encode_deltas, iou
-from .memory_cell import GruParams, create_gru_params, gru_backward, gru_forward
-from .numerics import (CheckpointError, Param, ParamStore, ShapeError,
+from .memory_cell import GruParams, gru_backward, gru_forward, gru_init, gru_params
+from .numerics import (CheckpointError, Param, ParamStack, ParamStore, ShapeError,
                        derive_seed, grad_check, init_param, load_checkpoint,
                        save_checkpoint, seed_for)
-from .structure_inference import (SceneGraph, SinParams, compute_edges,
-                                  create_sin_params, relation_report,
-                                  sin_backward, sin_infer_tapes, sin_step_tape)
+from .structure_inference import (SceneGraph, SinParams, compute_edges, relation_report,
+                                  sin_backward, sin_infer_tapes, sin_init, sin_params,
+                                  sin_step_tape)
 from .synth_data import (GT_DTYPE, Category, CooccurRule, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
                          sample_at, save_dataset, world_hash)
@@ -31,15 +31,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ARMS", "Category", "CheckpointError", "CooccurRule",
     "DETECTION_DTYPE", "DetectorParams", "EvalConfig", "EvalResult",
-    "GT_DTYPE", "GruParams", "Param", "ParamStore", "RunConfig", "SceneGraph",
+    "GT_DTYPE", "GruParams", "Param", "ParamStack", "ParamStore", "RunConfig", "SceneGraph",
     "SceneSample", "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
     "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "compute_edges",
-    "create_detector_params", "create_gru_params", "create_sin_params",
+    "create_detector_params",
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
     "evaluate_detections", "forward", "forward_scenes", "generate",
-    "grad_check", "gru_backward", "gru_forward", "init_param", "iou",
+    "grad_check", "gru_backward", "gru_forward", "gru_init", "gru_params", "init_param", "iou",
     "load_checkpoint", "load_dataset", "main", "multi_task_loss",
     "propose", "relation_report", "run_ablation", "run_gradcheck", "sample_at",
     "save_checkpoint", "save_dataset", "seed_for", "sin_backward",
-    "sin_infer_tapes", "sin_step_tape", "train", "world_hash",
+    "sin_infer_tapes", "sin_init", "sin_params", "sin_step_tape", "train", "world_hash",
 ]

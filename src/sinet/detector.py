@@ -46,9 +46,8 @@ from scipy.special import expit
 from .geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
                        encode_deltas, nms_by_group, pairwise_iou)
 from .numerics import ParamStore, derive_seed, init_param, seed_for
-from .structure_inference import (POOLINGS, SceneGraph, compute_edges,
-                                  create_sin_params, sin_backward,
-                                  sin_infer_tapes)
+from .structure_inference import (POOLINGS, SceneGraph, compute_edges, sin_backward,
+                                  sin_infer_tapes, sin_init, sin_params)
 from .synth_data import cell_window, sample_at
 
 IOU_POS = 0.5
@@ -148,17 +147,22 @@ class DetectorParams:
 
 
 def create_detector_params(store, channels, num_categories, d, seed, pooling="mean"):
-    def make(name, shape):
-        return store.create(name, init_param(shape, seed_for(seed, name)))
+    """Lay the whole model out in the empty `store` (ParamStore.lay_out): the
+    scene bank, the det/ maps, then the edge bank, w_v and w_a, so every
+    arm's active parameters (active_param_names) are one span of the
+    store's buffers. Init is keyed by (seed, full name)."""
+    def init(name, shape):
+        return name, init_param(shape, seed_for(seed, name))
 
     num_types = len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
-    return DetectorParams(
-        feat_proj=make("det/feat_proj", (d, channels)),
-        cls_head=make("det/cls_head", (num_categories + 1, d)),
-        reg_head=make("det/reg_head", (4 * num_categories, d)),
-        objectness=make("det/objectness", (num_types, channels)),
-        sin=create_sin_params(store, d, seed, pooling),
-    )
+    scene, rest = sin_init(d, seed, pooling)
+    store.lay_out(scene + [init("det/feat_proj", (d, channels)),
+                           init("det/cls_head", (num_categories + 1, d)),
+                           init("det/reg_head", (4 * num_categories, d)),
+                           init("det/objectness", (num_types, channels))] + rest)
+    return DetectorParams(feat_proj=store["det/feat_proj"], cls_head=store["det/cls_head"],
+                          reg_head=store["det/reg_head"], objectness=store["det/objectness"],
+                          sin=sin_params(store))
 
 
 def active_param_names(params, arm):
@@ -530,14 +534,20 @@ def detector_backward(params, state, grads):
     return dfeat0[0]
 
 
-def apply_weight_decay(param_list, wd):
-    """L2 term 0.5 * wd * ||p||^2 per parameter; adds wd * p to each grad."""
+def apply_weight_decay(store, names, wd):
+    """L2 term 0.5 * wd * ||p||^2 per named parameter of a laid-out store,
+    summed over them in the order given; adds wd * p to their gradients, one
+    numpy call per span of them in the store's buffers (ParamStore.spans).
+    Each ||p||^2 adds up the parameter's slice of the squared value buffer,
+    in the order a sum over the contiguous parameter itself takes."""
     if wd == 0.0:
         return 0.0
+    squares = store.values ** 2
     loss = 0.0
-    for p in param_list:
-        loss += 0.5 * wd * float((p.value ** 2).sum())
-        p.grad += wd * p.value
+    for name in names:
+        loss += 0.5 * wd * float(np.add.reduce(squares[store.span(name)]))
+    for span in store.spans(names):
+        store.grads[span] += wd * store.values[span]
     return loss
 
 
@@ -740,9 +750,12 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     params = create_detector_params(store, world.channels, world.num_categories,
                                     cfg.feat_dim, init_seed, cfg.pooling)
     # only the active parameters see gradient, so only they are updated; the
-    # rest keep zero gradient and velocity and stay bitwise at their init
-    active = [store[name] for name in active_param_names(params, arm)]
-    velocity = {p.name: np.zeros_like(p.value) for p in active}
+    # rest keep zero gradient and stay bitwise at their init. They are one
+    # span of the store's buffers, so each update is one numpy call over it.
+    active = active_param_names(params, arm)
+    (span,) = store.spans(active)
+    active_values, active_grads = store.values[span], store.grads[span]
+    velocity = np.zeros_like(active_values)
 
     plan = plan_training(world, cfg, n_train, data_seed)
     losses = []
@@ -750,8 +763,7 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     warmup = int(GRAPH_WARMUP_FRAC * cfg.iters) if steps else 0
     for it in range(cfg.iters):
         sample = plan.scenes[it]
-        for p in active:
-            p.grad[...] = 0.0
+        active_grads[...] = 0.0
         scored = score_anchors(params, sample)
         props = _proposals(*scored, plan.kept(it), cfg.rois_per_image)
         labels, target_deltas = assign_targets(props, sample.gt, world.num_categories)
@@ -760,16 +772,14 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
         loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
         detector_backward(params, state, grads)
         loss += objectness_loss(params, sample, scored, plan.targets[it])
-        loss += apply_weight_decay(active, cfg.weight_decay)
+        loss += apply_weight_decay(store, active, cfg.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDiverged(it)
 
         lr = cfg.lr * (0.1 if it >= drop_at else 1.0)
-        for p in active:
-            v = velocity[p.name]
-            v *= cfg.momentum
-            v -= lr * p.grad
-            p.value += v
+        velocity *= cfg.momentum
+        velocity -= lr * active_grads
+        active_values += velocity
         losses.append(loss)
         if callback is not None:
             callback(it, loss)

@@ -250,14 +250,13 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
                                     derive_seed(seed, "init"), pooling)
     labels, target_deltas = assign_targets(boxes, gt, 2)
     names = [nm for nm in store.names() if nm != "det/objectness"]
-    decayed = [store[nm] for nm in names]
 
     def loss_fn():
         store.zero_grads()
         state = forward(params, sample, cfg, boxes=boxes, mode="both", steps=steps)
         loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
         detector_backward(params, state, grads)
-        return loss + apply_weight_decay(decayed, GRADCHECK_WD)
+        return loss + apply_weight_decay(store, names, GRADCHECK_WD)
 
     return grad_check(loss_fn, store, names, eps=eps)
 

@@ -11,6 +11,7 @@ import struct
 import zlib
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 CHECKPOINT_MAGIC = b"SINCKPT1"
 
@@ -56,26 +57,48 @@ def derive_seed(seed, label):
 
 
 class Param:
-    """A named value with a same-shaped gradient accumulation buffer."""
+    """A named value with a same-shaped gradient accumulation buffer.
+
+    In a laid-out model (ParamStore.lay_out) both arrays are views into the
+    model's value and gradient buffers, so every update writes into them
+    (p.value[...] = v, p.grad += g) and neither is ever rebound. Given only
+    a value, a Param owns a copy of it and a zeroed gradient."""
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name, value):
+    def __init__(self, name, value, grad=None):
         self.name = name
-        self.value = np.array(value, dtype=np.float64)
+        self.value = np.array(value, dtype=np.float64) if grad is None else value
         if self.value.ndim not in (1, 2):
             raise ShapeError(f"param {name!r}: rank must be 1 or 2, got shape {self.value.shape}")
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
+class ParamStack:
+    """Same-shaped parameters of one laid-out store seen as one: (k, ...)
+    views of their values and of their gradients (ParamStore.stack)."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad):
+        self.value, self.grad = value, grad
+
+
 class ParamStore:
-    """Map from hierarchical name to Param; iteration is sorted by name."""
+    """Map from hierarchical name to Param; iteration is sorted by name.
+
+    A model is laid out once (lay_out): one float64 buffer holds every
+    value and another every gradient, in layout order, and each Param is a
+    view of its span of both. create adds a Param with arrays of its own."""
 
     def __init__(self):
         self._entries = {}
+        self._spans = {}          # name -> its slice of the buffers, once laid out
+        self._merged = {}         # names -> spans(names)
+        self.values = self.grads = None
 
     def create(self, name, value):
         if name in self._entries:
@@ -83,6 +106,57 @@ class ParamStore:
         p = Param(name, value)
         self._entries[name] = p
         return p
+
+    def lay_out(self, entries):
+        """Register (name, initial value) pairs as the store's one model, laid
+        out in the order given."""
+        if self._entries:
+            raise ValueError("a model is laid out once, in an empty store")
+        entries = [(name, np.asarray(value, dtype=np.float64)) for name, value in entries]
+        bounds = np.cumsum([0] + [value.size for _, value in entries])
+        self.values = np.empty(bounds[-1])
+        self.grads = np.zeros(bounds[-1])
+        for (name, value), lo, hi in zip(entries, bounds, bounds[1:]):
+            if name in self._entries:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            view = self.values[lo:hi].reshape(value.shape)
+            view[...] = value
+            self._entries[name] = Param(name, view, self.grads[lo:hi].reshape(value.shape))
+            self._spans[name] = slice(int(lo), int(hi))
+
+    def span(self, name):
+        """The slice of the buffers a parameter of a laid-out store holds."""
+        return self._spans[name]
+
+    def spans(self, names):
+        """The buffer slices the named parameters of a laid-out store cover,
+        adjacent ones merged, in layout order. Kept per list of names, so a
+        training step asks for them at no cost."""
+        key = tuple(names)
+        if key not in self._merged:
+            merged = []
+            for span in sorted((self._spans[name] for name in names), key=lambda s: s.start):
+                if merged and merged[-1].stop == span.start:
+                    merged[-1] = slice(merged[-1].start, span.stop)
+                else:
+                    merged.append(span)
+            self._merged[key] = merged
+        return self._merged[key]
+
+    def stack(self, names):
+        """A ParamStack over same-shaped parameters of a laid-out store whose
+        spans are evenly spaced, in the order given: entry k of either view
+        is the k-th parameter's array, memory shared."""
+        first = self._entries[names[0]].value
+        starts = [self._spans[name].start for name in names]
+        steps = set(np.diff(starts).tolist()) or {0}
+        if len(steps) != 1 or any(self._entries[name].value.shape != first.shape
+                                  for name in names):
+            raise ValueError(f"parameters {names} are not evenly spaced and of one shape")
+        shape = (len(names),) + first.shape
+        strides = (steps.pop() * first.itemsize,) + first.strides
+        return ParamStack(*(as_strided(buf[starts[0]:], shape, strides)
+                            for buf in (self.values, self.grads)))
 
     def __getitem__(self, name):
         return self._entries[name]
@@ -189,6 +263,8 @@ def load_checkpoint(path):
             name = chunk.decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"name of entry {i} at offset {off - name_len} is not UTF-8: {e}")
+        if name in store:
+            raise CheckpointError(f"entry {i} at offset {off - name_len} repeats the name {name!r}")
         chunk, off = take(4, off, f"rank of {name!r}")
         (rank,) = struct.unpack("<I", chunk)
         if rank not in (1, 2):

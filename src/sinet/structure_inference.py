@@ -15,7 +15,9 @@ relu(W_P . R) depends on the boxes alone: it is computed once per stack, by
 the first step that needs it. The appearance factor, and with it the edges,
 is recomputed from the current features at every step; both banks take the
 fused node state of the previous step as their hidden state. Ablation arms
-drop one bank and use the remaining output alone.
+drop one bank and use the remaining output alone. A step makes one GRU call
+either way: with both banks it pools the messages first and runs the two
+banks stacked (SinParams.banks, memory_cell's bank axis), forward and back.
 
 A step runs on a stack of B scenes with n nodes each: node features are
 (B, n, d), boxes (B, n, 4), the spatial gate and the edges (B, n, n) and
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory_cell import GruTape, create_gru_params, gru_backward, gru_forward
+from .memory_cell import GruTape, gru_backward, gru_forward, gru_init, gru_params
 from .numerics import init_param, seed_for
 
 POOLINGS = ("mean", "max", "concat")
@@ -86,23 +88,34 @@ class SceneGraph:
 class SinParams:
     scene_gru: object
     edge_gru: object
+    banks: object               # both banks stacked, scene first, for "both" steps
     w_v: object                 # (1, 2d)
     w_a: object = None          # (d, 2d), only under concat fusion
 
 
-def create_sin_params(store, d, seed, pooling="mean"):
-    """Register all inference-net weights under `sin/` and return the view."""
+def sin_init(d, seed, pooling):
+    """Initial inference-net weights as (name, value) pairs in layout order,
+    split in two: the scene bank's, then the edge bank's, w_v and (only
+    under concat fusion) w_a. A model lays its other maps out between the
+    two, so that dropping either bank leaves one span (create_detector_params)."""
     if pooling not in POOLINGS:
         raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
-    scene = create_gru_params(store, "sin/scene_gru", d, seed)
-    edge = create_gru_params(store, "sin/edge_gru", d, seed)
     # Soft start for the appearance term: early messages are noise,
     # and large ones teach the rest of the net to shut the edges off.
-    w_v = store.create("sin/w_v", 0.25 * init_param((1, 2 * d), seed_for(seed, "sin/w_v")))
-    w_a = None
+    rest = gru_init("sin/edge_gru", d, seed) + [
+        ("sin/w_v", 0.25 * init_param((1, 2 * d), seed_for(seed, "sin/w_v")))]
     if pooling == "concat":
-        w_a = store.create("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a")))
-    return SinParams(scene_gru=scene, edge_gru=edge, w_v=w_v, w_a=w_a)
+        rest.append(("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a"))))
+    return gru_init("sin/scene_gru", d, seed), rest
+
+
+def sin_params(store):
+    """The SinParams view of a store laid out with sin_init's pairs."""
+    return SinParams(scene_gru=gru_params(store, "sin/scene_gru"),
+                     edge_gru=gru_params(store, "sin/edge_gru"),
+                     banks=gru_params(store, "sin/scene_gru", "sin/edge_gru"),
+                     w_v=store["sin/w_v"],
+                     w_a=store["sin/w_a"] if "sin/w_a" in store else None)
 
 
 def _relation_tensor(boxes):
@@ -254,13 +267,11 @@ class StepTape:
     scene_feature: np.ndarray   # (B, d)
     pooling: str
     mode: str
-    scene_tape: GruTape = None
-    edge_tape: GruTape = None
+    gru: GruTape = None         # the step's one bank call; both banks stacked in "both"
     edge_cache: EdgeCache = None
     msgs: np.ndarray = None
     senders: np.ndarray = None
-    h_scene: np.ndarray = None
-    h_edge: np.ndarray = None
+    h: np.ndarray = None        # (2, B, n, d) bank outputs, scene first, in "both"
     fused: np.ndarray = None
 
 
@@ -283,33 +294,32 @@ def sin_step_tape(p, g, pooling, mode, record):
     backward, else None. A step that records pools messages with
     _integrate_all for its winning senders; one that does not pools them
     with _max_messages and drops its intermediates on return. Either way
-    the updated stack carries the step's edges."""
+    the updated stack carries the step's edges. Each step makes one bank
+    call: in "both" mode the messages are pooled first and both banks run
+    stacked (SinParams.banks)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     feats = g.node_features
     tape = StepTape(features_in=feats, scene_feature=g.scene_feature,
                     pooling=pooling, mode=mode)
-
-    h_scene = h_edge = None
-    if mode in ("both", "scene"):
-        h_scene, tape.scene_tape = gru_forward(
-            p.scene_gru, np.broadcast_to(g.scene_feature[:, None, :], feats.shape), feats)
-        tape.h_scene = h_scene
-    if mode in ("both", "edge"):
+    if mode != "scene":
         tape.edge_cache = _compute_edges(p, feats, _gate(g))
         if record:
             tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
         else:
             tape.msgs = _max_messages(feats, tape.edge_cache.e)
-        h_edge, tape.edge_tape = gru_forward(p.edge_gru, tape.msgs, feats)
-        tape.h_edge = h_edge
 
     if mode == "both":
-        fused = _fuse(p, h_scene, h_edge, pooling)
+        x = np.empty((2,) + feats.shape)
+        x[0] = g.scene_feature[:, None, :]
+        x[1] = tape.msgs
+        tape.h, tape.gru = gru_forward(p.banks, x, feats)
+        fused = _fuse(p, tape.h[0], tape.h[1], pooling)
     elif mode == "scene":
-        fused = h_scene
+        fused, tape.gru = gru_forward(
+            p.scene_gru, np.broadcast_to(g.scene_feature[:, None, :], feats.shape), feats)
     else:
-        fused = h_edge
+        fused, tape.gru = gru_forward(p.edge_gru, tape.msgs, feats)
     tape.fused = fused
     out = SceneGraph(node_features=fused, boxes=g.boxes, scene_feature=g.scene_feature,
                      gate=g.gate, edges=None if tape.edge_cache is None else tape.edge_cache.e)
@@ -330,6 +340,29 @@ def sin_infer_tapes(p, g, steps, pooling, mode, record):
     return g, tapes
 
 
+def _banks_backward(p, tape, dfeat):
+    """The fusion's and the bank call's backward pass of one step: the
+    gradients on each bank's x (the scene rows, the messages) and on its
+    hidden state, as lists over the banks the step ran, scene bank first."""
+    if tape.mode != "both":
+        dx, dh = gru_backward(p.scene_gru if tape.mode == "scene" else p.edge_gru,
+                              tape.gru, dfeat)
+        return [dx], [dh]
+    b, n, d = dfeat.shape
+    if tape.pooling == "mean":
+        half = dfeat / 2.0
+        dh_banks = np.array([half, half])
+    elif tape.pooling == "max":
+        scene_won = tape.h[0] >= tape.h[1]
+        dh_banks = np.array([dfeat * scene_won, dfeat * ~scene_won])
+    else:
+        cat = np.concatenate([tape.h[0], tape.h[1]], axis=2)
+        p.w_a.grad += dfeat.reshape(-1, d).T @ cat.reshape(-1, 2 * d)
+        dh_banks = (dfeat @ p.w_a.value).reshape(b, n, 2, d).transpose(2, 0, 1, 3)
+    dx, dh = gru_backward(p.banks, tape.gru, dh_banks)
+    return list(dx), list(dh)
+
+
 def sin_backward(p, tapes, d_out_features):
     """Reverse-mode pass through all recorded steps.
 
@@ -347,38 +380,16 @@ def sin_backward(p, tapes, d_out_features):
         b, n, d = tape.features_in.shape
         if dscene is None:
             dscene = np.zeros((b, d))
-
-        if tape.mode == "both":
-            if tape.pooling == "mean":
-                dh_scene = dfeat / 2.0
-                dh_edge = dfeat / 2.0
-            elif tape.pooling == "max":
-                scene_won = tape.h_scene >= tape.h_edge
-                dh_scene = dfeat * scene_won
-                dh_edge = dfeat * ~scene_won
-            else:
-                cat = np.concatenate([tape.h_scene, tape.h_edge], axis=2)
-                p.w_a.grad += dfeat.reshape(-1, d).T @ cat.reshape(-1, 2 * d)
-                dcat = dfeat @ p.w_a.value
-                dh_scene, dh_edge = dcat[..., :d], dcat[..., d:]
-        elif tape.mode == "scene":
-            dh_scene, dh_edge = dfeat, None
-        else:
-            dh_scene, dh_edge = None, dfeat
-
-        dfeat_in = np.zeros((b, n, d))
-        if dh_scene is not None:
-            dx, dh = gru_backward(p.scene_gru, tape.scene_tape, dh_scene)
-            dscene += dx.sum(axis=1)
-            dfeat_in += dh
-        if dh_edge is not None:
-            dmsgs, dh = gru_backward(p.edge_gru, tape.edge_tape, dh_edge)
-            dfeat_in += dh
+        dx, parts = _banks_backward(p, tape, dfeat)
+        if tape.mode != "edge":
+            dscene += dx[0].sum(axis=1)
+        if tape.mode != "scene":
             de, dfeat_msg = _messages_backward(tape.features_in, tape.edge_cache.e,
-                                               tape.senders, dmsgs)
-            dfeat_in += dfeat_msg
-            dfeat_in += _edges_backward(p, tape.edge_cache, de, tape.features_in)
-        dfeat = dfeat_in
+                                               tape.senders, dx[-1])
+            parts += [dfeat_msg, _edges_backward(p, tape.edge_cache, de, tape.features_in)]
+        dfeat = np.zeros((b, n, d))
+        for part in parts:
+            dfeat += part
     if dscene is None:
         b, _n, d = dfeat.shape
         dscene = np.zeros((b, d))

@@ -51,6 +51,22 @@ def gt_array(objects):
     return np.array([((b.cx, b.cy, b.w, b.h), cat) for b, cat in objects], dtype=GT_DTYPE)
 
 
+def create_gru_params(store, prefix, d, seed):
+    """A one-bank GRU laid out alone in the empty store, as GruParams."""
+    from sinet.memory_cell import gru_init, gru_params
+    store.lay_out(gru_init(prefix, d, seed))
+    return gru_params(store, prefix)
+
+
+def create_sin_params(store, d, seed, pooling="mean"):
+    """The inference net's weights laid out alone in the empty store, as
+    SinParams."""
+    from sinet.structure_inference import sin_init, sin_params
+    scene, rest = sin_init(d, seed, pooling)
+    store.lay_out(scene + rest)
+    return sin_params(store)
+
+
 def gt_objects(gt):
     """One scene's GT_DTYPE rows as (Box, category) pairs."""
     return [(Box(*box), cat) for box, cat in zip(gt["box"].tolist(), gt["category"].tolist())]

@@ -24,15 +24,16 @@ from sinet.detector import (TrainConfig, _anchor_targets, anchor_set, create_det
 from sinet.evaluation import evaluate_detections, run_ablation
 from sinet.geometry import nms_by_group
 from sinet.harness import main, run_gradcheck
-from sinet.memory_cell import create_gru_params, gru_forward
+from sinet.memory_cell import gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.structure_inference import (SceneGraph, _compute_edges,
                                        _integrate_all, _max_messages, _relation_tensor,
-                                       create_sin_params, sin_step_tape)
+                                       sin_step_tape)
 from sinet.synth_data import (SceneSample, default_world, generate,
                               load_dataset, save_dataset, world_hash)
 
 from oracles import (Box, average_precision_oracle, center_rows, corner_rows,
+                     create_gru_params, create_sin_params,
                      detection_array, edge_weight_oracle, gru_forward_oracle, gt_array,
                      integrate_messages_oracle, iou_oracle, nms_oracle, objectness_oracle,
                      per_image_lists, random_box, sin_step_oracle)

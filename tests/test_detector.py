@@ -941,7 +941,7 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     props = propose(result.params, sample, cfg)
     trained = forward(result.params, sample, cfg, props, "both", cfg.T)
     assert len(trained.tapes) == cfg.T
-    assert trained.tapes[-1].edge_tape.xh.shape == (1, 1, 2 * cfg.feat_dim)
+    assert trained.tapes[-1].gru.xh.shape == (2, 1, 1, 2 * cfg.feat_dim)   # both banks
     (dets,), state = detect(result.params, [sample], cfg, score_thresh=0.0, arm="sin")
     assert state.tapes == []
     assert state.edges.shape == (1, 1, 1)
@@ -1111,7 +1111,9 @@ def test_detections_are_pinned(arm):
 # weight-decay term, 1.425e-4), and again when anchor scores became a
 # separable box filter of the projected grid: the scores moved by at most
 # 1.1e-14 and the losses by 8.9e-16, the objectness map's low bits changed,
-# and every other parameter kept its bits (no proposal changed).
+# and every other parameter kept its bits (no proposal changed). The sin-max,
+# scene and edge entries cover the other fusion and the one-bank arms; they
+# were recorded before the two GRU banks ran as one stacked call.
 PINNED_TRAINING = {
     "baseline": ("baseline", "mean",
                  "579ad598b1a9a9e629fcabb818c1f8bc824dee8adcad9dccbe0b3ea9be74d966"),
@@ -1119,6 +1121,12 @@ PINNED_TRAINING = {
                  "61d7be6673a13fa028d3129c875ef45f8f4525399f86a57e03518ca0bed2500e"),
     "sin-concat": ("sin", "concat",
                    "d64db6a73a7c7dbfbf5f074b0e9e8dfabfad689c7325aba3cd2ac85fa7be4c21"),
+    "sin-max": ("sin", "max",
+                "3c76d1fe95140588899a58012db984bf4338af8218444866df90b97192940872"),
+    "scene": ("scene", "mean",
+              "fedf5c8d7d78959142ed3810121d6fea4cfd29290356aa36e9e0a824f11ad73b"),
+    "edge": ("edge", "mean",
+             "41dae8490e174b5e7f14892a950f4a681be2da617a866e25bc298617eebb1c20"),
 }
 
 

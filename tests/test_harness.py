@@ -1,15 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import struct
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as hst
 
-from sinet.detector import (DETECT_CHUNK, DETECTION_DTYPE, TrainConfig, create_detector_params,
-                            detect, detect_scenes, train)
+from sinet.detector import (ARMS, DETECT_CHUNK, DETECTION_DTYPE, TrainConfig,
+                            active_param_names, create_detector_params, detect, detect_scenes,
+                            train)
 from sinet.evaluation import evaluate_detections
 from sinet.harness import (EvalConfig, RunConfig, RunFailure, _load_trained, build_parser,
                            detect_dataset, eval_workers, fp_rows,
@@ -165,6 +171,58 @@ def test_detect_dataset_worker_count_does_not_change_results():
     for dd1, dd2 in zip(serial, parallel):
         assert dd1.dtype == dd2.dtype == DETECTION_DTYPE
         assert dd1.tobytes() == dd2.tobytes()
+
+
+def _assert_laid_out(params, values, grads):
+    """Every Param of the model `params` is a view of its own span of the
+    value and gradient buffers, which hold nothing else, and each two-bank
+    stack aliases the scene and the edge bank's Params."""
+    sin = params.sin
+    singles = [params.feat_proj, params.cls_head, params.reg_head, params.objectness, sin.w_v,
+               *sin.scene_gru.entries(), *sin.edge_gru.entries()]
+    singles += [sin.w_a] if sin.w_a is not None else []
+    assert sum(p.value.size for p in singles) == values.size == grads.size
+    for p in singles:
+        assert p.value.base is values and p.grad.base is grads, p.name
+    for stack, *bank_params in zip(sin.banks.entries(), sin.scene_gru.entries(),
+                                   sin.edge_gru.entries()):
+        for k, p in enumerate(bank_params):
+            for view, array in ((stack.value[k], p.value), (stack.grad[k], p.grad)):
+                assert (view.__array_interface__ == array.__array_interface__
+                        and np.shares_memory(view, array)), p.name
+
+
+@pytest.mark.parametrize("pooling", ["mean", "concat"])
+def test_model_layout_is_one_pair_of_buffers(pooling):
+    # create_detector_params lays every parameter out in one value buffer and
+    # one gradient buffer, and each arm's active parameters are one span
+    store = ParamStore()
+    params = create_detector_params(store, 8, 6, 16, 3, pooling)
+    _assert_laid_out(params, store.values, store.grads)
+    assert sorted(p.name for p in store.params()) == store.names()
+    for arm in ARMS:
+        assert len(store.spans(active_param_names(params, arm))) == 1, arm
+    # writes through a Param reach the stacks and the buffers, and back
+    params.sin.edge_gru.w.value[0, 1] = 7.5
+    params.sin.banks.u.grad[0] += 1.0
+    assert params.sin.banks.w.value[1, 0, 1] == 7.5
+    assert (params.sin.scene_gru.u.grad[0] == 1.0).all()
+    assert store.values[store.spans(["sin/edge_gru/W"])[0]][1] == 7.5
+
+
+def test_loaded_model_is_laid_out(sin_run):
+    # _load_trained fills the manifest's model in place: its Params stay
+    # views of the model's buffers, and they hold the checkpoint's values
+    run_dir, _ = sin_run
+    ckpt = os.path.join(run_dir, "checkpoint.bin")
+    _manifest, params, _cfg, _ev, _world = _load_trained(ckpt)
+    values, grads = params.feat_proj.value.base, params.feat_proj.grad.base
+    assert isinstance(values, np.ndarray) and isinstance(grads, np.ndarray)
+    _assert_laid_out(params, values, grads)
+    saved = load_checkpoint(ckpt)
+    sin = params.sin
+    for p in (params.cls_head, sin.w_v, *sin.scene_gru.entries(), *sin.edge_gru.entries()):
+        assert p.value.tobytes() == saved[p.name].value.tobytes(), p.name
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +572,28 @@ def test_cli_eval_non_utf8_checkpoint_name_exits_2(baseline_run, tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_cli_eval_duplicate_checkpoint_name_exits_2(sin_run, tmp_path, capsys):
+    # 'W' (0x57) and 'U' (0x55) differ in one bit, so one flipped bit turns
+    # the entry 'sin/edge_gru/W' into a second 'sin/edge_gru/U': a corrupt
+    # file, exit 2 like every other
+    run_dir, _ = sin_run
+    data = bytearray(open(os.path.join(run_dir, "checkpoint.bin"), "rb").read())
+    name = b"sin/edge_gru/W"
+    at = data.find(struct.pack("<I", len(name)) + name) + 4
+    data[at + len(name) - 1] ^= 0x02
+    ckpt = str(tmp_path / "checkpoint.bin")
+    with open(ckpt, "wb") as f:
+        f.write(data)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--manifest",
+                 os.path.join(run_dir, "manifest.json"), "--n-test", "2",
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sinet: error: ")
+    assert f"at offset {at} repeats the name 'sin/edge_gru/U'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_eval_overflowing_checkpoint_dims_exit_2(baseline_run, tmp_path, capsys):
     # one rank-2 entry of (2**32 - 1) x (2**32 - 1) values: the element count
     # overflows an int64, and exactly it needs far more bytes than the file has
@@ -599,6 +679,41 @@ def sin_run(tmp_path_factory):
                  "--n-train", "4", "--out", run_dir]) == 0
     with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as f:
         return run_dir, json.load(f)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+@example(data=None)
+def test_cli_eval_of_a_damaged_checkpoint_fails_cleanly(sin_run, data):
+    # a sin checkpoint truncated at any offset, or with any one bit flipped,
+    # evaluates (exit 0) or exits 2 with one error line, never a traceback; a
+    # flipped exponent bit can leave a huge finite weight, whose boxes
+    # overflow to inf and are evaluated like any other
+    run_dir, _ = sin_run
+    with open(os.path.join(run_dir, "checkpoint.bin"), "rb") as f:
+        raw = bytearray(f.read())
+    if data is None:
+        raw[11] ^= 0x80          # the entry count's high byte
+    elif data.draw(hst.booleans(), label="truncate"):
+        raw = raw[:data.draw(hst.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(hst.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = os.path.join(tmp, "checkpoint.bin")
+        with open(ckpt, "wb") as f:
+            f.write(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--checkpoint", ckpt, "--manifest",
+                         os.path.join(run_dir, "manifest.json"), "--n-test", "4",
+                         "--out", os.path.join(tmp, "eval")])
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2) and "Traceback" not in err, err
+    if code == 2:
+        assert err.startswith("sinet: error: ") and len(err.strip().splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("block, key, value, message", [

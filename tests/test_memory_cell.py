@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from sinet.memory_cell import GruParams, create_gru_params, gru_backward, gru_forward
+from sinet.memory_cell import GruParams, gru_backward, gru_forward, gru_init, gru_params
 from sinet.numerics import ParamStore, ShapeError, grad_check
 
-from oracles import gru_forward_oracle
+from oracles import create_gru_params, gru_forward_oracle
 
 
 def make_params(d, seed=0):
@@ -27,8 +27,8 @@ def test_init_keyed_by_name_not_order():
     st1 = ParamStore()
     a = create_gru_params(st1, "scene", 4, 9)
     st2 = ParamStore()
-    create_gru_params(st2, "pad", 4, 9)
-    b = create_gru_params(st2, "scene", 4, 9)
+    st2.lay_out(gru_init("pad", 4, 9) + gru_init("scene", 4, 9))
+    b = gru_params(st2, "scene")
     assert np.array_equal(a.w_r.value, b.w_r.value)
 
 
@@ -204,3 +204,86 @@ def test_entries_lists_all_four():
     assert isinstance(p, GruParams)
     assert [e.name for e in p.entries()] == \
         ["cell/W_r", "cell/W_z", "cell/W", "cell/U"]
+
+
+def _two_banks(d, seed):
+    """A laid-out store holding a scene and an edge bank with another map
+    between them, as a model lays them out, and the scene bank's, the edge
+    bank's and the stacked GruParams."""
+    st = ParamStore()
+    st.lay_out(gru_init("scene", d, seed) + [("pad", np.ones((2, 3)))]
+               + gru_init("edge", d, seed + 1))
+    return st, gru_params(st, "scene"), gru_params(st, "edge"), gru_params(st, "scene", "edge")
+
+
+def _draw(rng, shape, zeros):
+    """Normal draws, a `zeros` share of them replaced by +0.0 or -0.0."""
+    a = rng.normal(0, 1.5, size=shape)
+    pick = rng.random(shape) < zeros
+    a[pick] = rng.choice([0.0, -0.0], size=int(pick.sum()))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=hst.integers(1, 4), n=hst.integers(1, 6), d=hst.integers(1, 5),
+       seed=hst.integers(0, 2**31 - 2), broadcast=hst.booleans(),
+       zeros=hst.sampled_from((0.0, 0.3, 1.0)))
+def test_two_bank_call_is_bitwise_two_one_bank_calls(b, n, d, seed, broadcast, zeros):
+    # one stacked call of both banks gives each bank's outputs, tape, input
+    # gradients and accumulated weight gradients to the last bit (the sign of
+    # a zero included) of a call with that bank alone; the scene bank's x
+    # may be one broadcast row per scene, as an inference step passes it
+    rng = np.random.default_rng(seed)
+    st, scene, edge, banks = _two_banks(d, seed)
+    if broadcast:
+        x_scene = np.broadcast_to(_draw(rng, (b, 1, d), zeros), (b, n, d))
+    else:
+        x_scene = _draw(rng, (b, n, d), zeros)
+    x_edge, h = _draw(rng, (b, n, d), zeros), _draw(rng, (b, n, d), zeros)
+    dh_next = _draw(rng, (2, b, n, d), zeros)
+    start = _draw(rng, st.grads.shape, zeros)
+
+    st.grads[...] = start
+    alone = []
+    for k, (bank, x) in enumerate(((scene, x_scene), (edge, x_edge))):
+        out, tape = gru_forward(bank, x, h)
+        alone.append((out, tape) + gru_backward(bank, tape, dh_next[k]))
+    want_grads = st.grads.tobytes()
+
+    st.grads[...] = start
+    out, tape = gru_forward(banks, np.stack([x_scene, x_edge]), h)
+    dx, dh = gru_backward(banks, tape, dh_next)
+    assert st.grads.tobytes() == want_grads
+    assert out.shape == dx.shape == dh.shape == (2, b, n, d)
+    for k, (out_k, tape_k, dx_k, dh_k) in enumerate(alone):
+        for got, want in ((out[k], out_k), (tape.xh[k], tape_k.xh), (tape.r[k], tape_k.r),
+                          (tape.z[k], tape_k.z), (tape.h_tilde[k], tape_k.h_tilde),
+                          (dx[k], dx_k), (dh[k], dh_k)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bank", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_two_bank_call_rejects_non_finite_pre_activations_in_either_bank(bank, bad):
+    st, _scene, _edge, banks = _two_banks(3, 5)
+    x, h = np.ones((2, 2, 4, 3)), np.zeros((2, 4, 3))
+    x[bank, 1, 2, 0] = bad
+    with pytest.raises(FloatingPointError):
+        gru_forward(banks, x, h)
+    # a weight of one bank only; the stacked view reads the store's buffer
+    banks.u.value[bank, 1, 1] = bad
+    with pytest.raises(FloatingPointError):
+        gru_forward(banks, np.ones((2, 2, 4, 3)), np.ones((2, 4, 3)))
+
+
+def test_two_bank_shape_errors():
+    _st, _scene, _edge, banks = _two_banks(3, 5)
+    with pytest.raises(ShapeError):
+        gru_forward(banks, np.zeros((2, 4, 3)), np.zeros((2, 4, 3)))        # no bank axis
+    with pytest.raises(ShapeError):
+        gru_forward(banks, np.zeros((3, 1, 4, 3)), np.zeros((1, 4, 3)))     # three banks
+    with pytest.raises(ShapeError):
+        gru_forward(banks, np.zeros((2, 1, 4, 3)), np.zeros((2, 1, 4, 3)))  # h_t per bank
+    _, tape = gru_forward(banks, np.zeros((2, 1, 4, 3)), np.zeros((1, 4, 3)))
+    with pytest.raises(ShapeError):
+        gru_backward(banks, tape, np.zeros((1, 4, 3)))

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
-from sinet.memory_cell import create_gru_params, gru_forward
+from sinet.memory_cell import gru_forward
 from sinet.numerics import ParamStore, grad_check
 from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
                                        _integrate_all, _max_messages, _relation_tensor,
-                                       compute_edges,
-                                       create_sin_params, relation_report,
+                                       compute_edges, relation_report,
                                        sin_backward, sin_infer_tapes, sin_step_tape)
 
-from oracles import (Box, center_rows, edge_weight_oracle, integrate_messages_oracle,
-                     random_box, sin_step_oracle, spatial_gate_oracle, spatial_relation_oracle)
+from oracles import (Box, center_rows, create_gru_params, create_sin_params,
+                     edge_weight_oracle, integrate_messages_oracle, random_box,
+                     sin_step_oracle, spatial_gate_oracle, spatial_relation_oracle)
 
 
 def make_params(d, seed=0, pooling="mean"):
