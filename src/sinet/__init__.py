@@ -10,9 +10,9 @@ four-arm ablation harness.
 
 from .geometry import apply_deltas, centers_to_corners, clip_box, encode_deltas, iou
 from .memory_cell import GruParams, gru_backward, gru_forward, gru_init, gru_params
-from .numerics import (CheckpointError, Param, ParamStack, ParamStore, ShapeError,
-                       derive_seed, grad_check, init_param, load_checkpoint,
-                       save_checkpoint, seed_for)
+from .inputs import FileError
+from .numerics import (Param, ParamStack, ParamStore, ShapeError, derive_seed, grad_check,
+                       init_param, load_checkpoint, save_checkpoint, seed_for)
 from .structure_inference import (SceneGraph, SinParams, compute_edges, relation_report,
                                   sin_backward, sin_infer_tapes, sin_init, sin_params,
                                   sin_step_tape)
@@ -29,8 +29,8 @@ from .harness import EvalConfig, RunConfig, main, run_gradcheck
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARMS", "Category", "CheckpointError", "CooccurRule",
-    "DETECTION_DTYPE", "DetectorParams", "EvalConfig", "EvalResult",
+    "ARMS", "Category", "CooccurRule",
+    "DETECTION_DTYPE", "DetectorParams", "EvalConfig", "EvalResult", "FileError",
     "GT_DTYPE", "GruParams", "Param", "ParamStack", "ParamStore", "RunConfig", "SceneGraph",
     "SceneSample", "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
     "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "compute_edges",

@@ -6,9 +6,10 @@ flags produces byte-identical outputs. The SIN_NUM_WORKERS environment
 variable caps evaluation parallelism; it defaults to 1. Each worker process
 detects its share of the scenes in stacks, as a single process does.
 
-Exit codes: 0 success, 1 validation error (bad flags or config values),
-2 runtime failure (training divergence, unreadable or corrupt files, a
-non-finite value met inside a GRU cell, e.g. from a NaN in an input grid).
+Exit codes: 0 success; 1 for a bad flag, config or inline world (any
+ValueError); 2 for a file that cannot be read or used (a checkpoint,
+manifest or --data file: FileError; any other: OSError), training
+divergence, or a non-finite value met inside a GRU cell.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -27,8 +28,8 @@ from .detector import (ARMS, DETECT_CHUNK, TrainConfig, TrainingDiverged,
                        apply_weight_decay, train, validate_config)
 from .evaluation import (FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap,
                          run_ablation, strip_objects)
-from .numerics import (CheckpointError, ParamStore, derive_seed, grad_check,
-                       load_checkpoint, save_checkpoint)
+from .inputs import PATH, FileError, checked, decode_json, members, reading
+from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
 from .structure_inference import POOLINGS, relation_report
 from .synth_data import (GT_DTYPE, WORLD_FIXTURES, SceneSample, generate,
                          load_dataset, sample_at, save_dataset, world_from_dict,
@@ -37,10 +38,6 @@ from .synth_data import (GT_DTYPE, WORLD_FIXTURES, SceneSample, generate,
 GRADCHECK_TOL = 1e-4
 # weight decay in the gradient-check loss, so its term is checked too
 GRADCHECK_WD = 1e-3
-
-
-class RunFailure(RuntimeError):
-    """Raised for runtime failures that should exit with code 2."""
 
 
 @dataclass
@@ -60,25 +57,18 @@ class RunConfig:
     output_dir: str = "runs/latest"
 
 
-# the JSON values each scalar annotation accepts; a bool is not a number here
-_SCALAR_TYPES = {int: int, float: (int, float), str: str}
-
-
 def _dataclass_from_dict(cls, d, where, validate=None):
-    """cls from a JSON object with known keys and scalar fields of their
-    annotated types, checked as a whole by `validate`."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(d) - set(types))
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}; allowed: {sorted(types)}")
-    for key, value in d.items():
-        want = types[key]
-        if want in _SCALAR_TYPES and (isinstance(value, bool)
-                                      or not isinstance(value, _SCALAR_TYPES[want])):
-            raise ValueError(f"{where}.{key}: expected {want.__name__}, got {value!r}")
-    out = cls(**d)
+    """cls from a JSON object of its fields, each of its annotated kind (an
+    object for a dataclass, anything for `object`), checked as a whole by
+    `validate`."""
+    members(d, where, (), [f.name for f in fields(cls)], PATH)
+    kw = {}
+    for f in fields(cls):
+        if f.name in d:
+            v, what = d[f.name], f"{where}.{f.name}"
+            kw[f.name] = (_dataclass_from_dict(f.type, v, what) if is_dataclass(f.type)
+                          else v if f.type is object else checked(v, f.type, what, PATH))
+    out = cls(**kw)
     if validate is not None:
         try:
             validate(out)
@@ -88,27 +78,12 @@ def _dataclass_from_dict(cls, d, where, validate=None):
 
 
 def run_config_from_dict(d):
-    d = dict(d)
-    if "train" in d:
-        d["train"] = _dataclass_from_dict(TrainConfig, d["train"], "config.train")
-    if "eval" in d:
-        d["eval"] = _dataclass_from_dict(EvalConfig, d["eval"], "config.eval")
     return _dataclass_from_dict(RunConfig, d, "config")
 
 
 def load_run_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise RunFailure(f"cannot read config {path}: {e}")
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ValueError(f"{path}: invalid JSON: {e}")
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return run_config_from_dict(data)
+    with open(path, "rb") as f:
+        return run_config_from_dict(decode_json(f.read(), f"{path}: invalid JSON"))
 
 
 def resolve_world(spec):
@@ -177,19 +152,21 @@ def write_manifest(out_dir, payload):
 
 
 def read_manifest(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as e:
-        raise RunFailure(f"cannot read manifest {path}: {e}")
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise RunFailure(f"{path}: invalid manifest JSON: {e}")
-    if not isinstance(data, dict):
-        raise RunFailure(f"{path}: manifest must be a JSON object, got {json.dumps(data)}")
-    for key in ("arm", "train", "world", "world_hash"):
-        if key not in data:
-            raise RunFailure(f"{path}: manifest is missing {key!r}")
-    return data
+    """(JSON object, TrainConfig, EvalConfig, WorldSpec) of a run's manifest,
+    each checked; FileError, path first, for any defect."""
+    with reading(path):
+        with open(path, "rb") as f:
+            manifest = members(decode_json(f.read(), "invalid manifest JSON"), "manifest",
+                               ("arm", "train", "world", "world_hash"), ("command", "eval"))
+        if manifest["arm"] not in ARMS:
+            raise ValueError(f"manifest names unknown arm {manifest['arm']!r}")
+        checked(manifest["world_hash"], str, "manifest.world_hash")
+        return (manifest,
+                _dataclass_from_dict(TrainConfig, manifest["train"], "manifest.train",
+                                     validate_config),
+                _dataclass_from_dict(EvalConfig, manifest.get("eval", {}), "manifest.eval",
+                                     _validate_eval),
+                world_from_dict(manifest["world"]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +305,8 @@ def _cmd_train(args):
     world = resolve_world(config.world)
     out = _ensure_dir(config.output_dir)
     data_seed = derive_seed(config.eval.split_seed, "train-data")
-    try:
-        tr = train(world, config.train, config.arm, n_train=config.eval.n_train,
-                   data_seed=data_seed, callback=_train_progress(config.train.iters))
-    except TrainingDiverged as e:
-        raise RunFailure(str(e))
+    tr = train(world, config.train, config.arm, n_train=config.eval.n_train,
+               data_seed=data_seed, callback=_train_progress(config.train.iters))
     ckpt = os.path.join(out, "checkpoint.bin")
     save_checkpoint(ckpt, tr.store)
     write_manifest(out, _manifest_payload("train", config, world))
@@ -345,20 +319,9 @@ def _cmd_train(args):
 def _load_trained(checkpoint, manifest_path=None):
     """(manifest, DetectorParams, TrainConfig, EvalConfig, world) of a
     checkpoint and its manifest, by default the manifest.json beside it."""
-    manifest_path = manifest_path or os.path.join(
-        os.path.dirname(os.path.abspath(checkpoint)), "manifest.json")
-    manifest = read_manifest(manifest_path)
+    manifest, cfg, ev_cfg, world = read_manifest(manifest_path or os.path.join(
+        os.path.dirname(os.path.abspath(checkpoint)), "manifest.json"))
     store = load_checkpoint(checkpoint)
-    try:
-        cfg = _dataclass_from_dict(TrainConfig, manifest["train"], "manifest.train",
-                                   validate_config)
-        ev_cfg = _dataclass_from_dict(EvalConfig, manifest.get("eval", {}), "manifest.eval",
-                                      _validate_eval)
-        world = world_from_dict(manifest["world"])
-    except (TypeError, ValueError, KeyError) as e:
-        raise RunFailure(f"{manifest_path}: manifest does not match this build: {e}")
-    if manifest["arm"] not in ARMS:
-        raise RunFailure(f"{manifest_path}: manifest names unknown arm {manifest['arm']!r}")
     # the checkpoint must hold exactly the parameters, of the same shapes, of
     # the model the manifest describes; its values fill that model
     model = ParamStore()
@@ -367,15 +330,15 @@ def _load_trained(checkpoint, manifest_path=None):
     got = {name: p.value.shape for name, p in store.items()}
     for name, p in model.items():
         if name not in got:
-            raise RunFailure(f"{checkpoint}: checkpoint lacks parameter {name!r}")
+            raise FileError(f"{checkpoint}: checkpoint lacks parameter {name!r}")
         if got.pop(name) != p.value.shape:
-            raise RunFailure(f"{checkpoint}: parameter {name!r} has shape "
-                             f"{store[name].value.shape}; the manifest's model needs "
-                             f"{p.value.shape}")
+            raise FileError(f"{checkpoint}: parameter {name!r} has shape "
+                            f"{store[name].value.shape}; the manifest's model needs "
+                            f"{p.value.shape}")
         p.value[...] = store[name].value
     if got:
-        raise RunFailure(f"{checkpoint}: checkpoint holds parameter {min(got)!r}, "
-                         f"which the manifest's model lacks")
+        raise FileError(f"{checkpoint}: checkpoint holds parameter {min(got)!r}, "
+                        f"which the manifest's model lacks")
     return manifest, params, cfg, ev_cfg, world
 
 
@@ -387,11 +350,8 @@ def _cmd_eval(args):
     score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
     _validate_eval(replace(ev_cfg, n_test=n_test, score_thresh=score_thresh))
     if args.data:
-        try:
-            samples, _header = load_dataset(args.data, world, manifest["world_hash"],
-                                            allow_mismatch=args.allow_world_mismatch)
-        except ValueError as e:
-            raise RunFailure(str(e))
+        samples, _header = load_dataset(args.data, world, manifest["world_hash"],
+                                        allow_mismatch=args.allow_world_mismatch)
     else:
         test_seed = derive_seed(ev_cfg.split_seed, "test-data")
         samples = generate(world, test_seed, n_test)
@@ -446,10 +406,9 @@ def _cmd_ablate(args):
         entry = results["arms"][arm]
         if not entry.get("failed"):
             print(f"arm {arm}: map {entry['map']:.4f}")
-    if any(results["arms"][a].get("failed") for a in arms):
-        raise RunFailure("at least one arm diverged; see summary.json")
     print(f"wrote {out}")
-    return 0
+    # a diverged arm fails the run, as a failed check fails gradcheck
+    return 2 if any(results["arms"][a].get("failed") for a in arms) else 0
 
 
 def _cmd_gradcheck(args):
@@ -588,7 +547,7 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (CheckpointError, RunFailure, TrainingDiverged, OSError, FloatingPointError) as e:
+    except (FileError, OSError, TrainingDiverged, FloatingPointError) as e:
         print(f"sinet: error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -13,15 +13,13 @@ import zlib
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .inputs import reading
+
 CHECKPOINT_MAGIC = b"SINCKPT1"
 
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible."""
-
-
-class CheckpointError(ValueError):
-    """Checkpoint file is malformed."""
 
 
 def init_param(shape, seed):
@@ -240,46 +238,49 @@ def save_checkpoint(path, store):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a fresh ParamStore. Fatal on any corruption."""
-    store = ParamStore()
-    with open(path, "rb") as f:
-        data = f.read()
+    """Read a checkpoint back into a fresh ParamStore. FileError, path first,
+    on any corruption."""
+    with reading(path):
+        store = ParamStore()
+        with open(path, "rb") as f:
+            data = f.read()
 
-    def take(n, offset, what):
-        if offset + n > len(data):
-            raise CheckpointError(f"truncated checkpoint: needed {n} bytes for {what} at offset {offset}")
-        return data[offset:offset + n], offset + n
+        def take(n, offset, what):
+            if offset + n > len(data):
+                raise ValueError(f"truncated checkpoint: needed {n} bytes for {what} "
+                                 f"at offset {offset}")
+            return data[offset:offset + n], offset + n
 
-    chunk, off = take(len(CHECKPOINT_MAGIC), 0, "magic")
-    if chunk != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {chunk!r}; expected {CHECKPOINT_MAGIC.decode()!r}")
-    chunk, off = take(4, off, "entry count")
-    (count,) = struct.unpack("<I", chunk)
-    for i in range(count):
-        chunk, off = take(4, off, f"name length of entry {i}")
-        (name_len,) = struct.unpack("<I", chunk)
-        chunk, off = take(name_len, off, f"name of entry {i}")
-        try:
-            name = chunk.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"name of entry {i} at offset {off - name_len} is not UTF-8: {e}")
-        if name in store:
-            raise CheckpointError(f"entry {i} at offset {off - name_len} repeats the name {name!r}")
-        chunk, off = take(4, off, f"rank of {name!r}")
-        (rank,) = struct.unpack("<I", chunk)
-        if rank not in (1, 2):
-            raise CheckpointError(f"entry {name!r}: unsupported rank {rank} at offset {off - 4}")
-        dims = []
-        for _ in range(rank):
-            chunk, off = take(4, off, f"dims of {name!r}")
-            dims.append(struct.unpack("<I", chunk)[0])
-        # exact: dims up to 2**32 - 1 each overflow an int64 product
-        n_elem = math.prod(dims)
-        chunk, off = take(8 * n_elem, off, f"data of {name!r}")
-        value = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
-        if not np.isfinite(value).all():
-            raise CheckpointError(f"entry {name!r}: NaN or inf value")
-        store.create(name, value)
-    if off != len(data):
-        raise CheckpointError(f"trailing {len(data) - off} bytes after last entry at offset {off}")
-    return store
+        chunk, off = take(len(CHECKPOINT_MAGIC), 0, "magic")
+        if chunk != CHECKPOINT_MAGIC:
+            raise ValueError(f"bad magic {chunk!r}; expected {CHECKPOINT_MAGIC.decode()!r}")
+        chunk, off = take(4, off, "entry count")
+        (count,) = struct.unpack("<I", chunk)
+        for i in range(count):
+            chunk, off = take(4, off, f"name length of entry {i}")
+            (name_len,) = struct.unpack("<I", chunk)
+            chunk, off = take(name_len, off, f"name of entry {i}")
+            try:
+                name = chunk.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"name of entry {i} at offset {off - name_len} is not UTF-8: {e}")
+            if name in store:
+                raise ValueError(f"entry {i} at offset {off - name_len} repeats the name {name!r}")
+            chunk, off = take(4, off, f"rank of {name!r}")
+            (rank,) = struct.unpack("<I", chunk)
+            if rank not in (1, 2):
+                raise ValueError(f"entry {name!r}: unsupported rank {rank} at offset {off - 4}")
+            dims = []
+            for _ in range(rank):
+                chunk, off = take(4, off, f"dims of {name!r}")
+                dims.append(struct.unpack("<I", chunk)[0])
+            # exact: dims up to 2**32 - 1 each overflow an int64 product
+            n_elem = math.prod(dims)
+            chunk, off = take(8 * n_elem, off, f"data of {name!r}")
+            value = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
+            if not np.isfinite(value).all():
+                raise ValueError(f"entry {name!r}: NaN or inf value")
+            store.create(name, value)
+        if off != len(data):
+            raise ValueError(f"trailing {len(data) - off} bytes after last entry at offset {off}")
+        return store

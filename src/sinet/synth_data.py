@@ -12,11 +12,12 @@ import bisect
 import hashlib
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .inputs import VALUE, checked, decode_json, elements, members, reading
 
 # placement attempts per object before it is skipped
 PLACE_TRIES = 100
@@ -80,38 +81,20 @@ class SceneSample:
     gt: np.ndarray         # (G,) GT_DTYPE rows
 
 
-def _number(v, what, integer=False):
-    """v when it is a real (with `integer`, an integral) number and no bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral if integer else numbers.Real):
-        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {v!r}")
-    return v
-
-
-def _pair(v, what, integer=False):
-    """The two entries of a finite (low, high)-style pair."""
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError(f"{what} must have exactly 2 entries, got {v!r}")
-    if not all(math.isfinite(_number(x, what, integer)) for x in v):
-        raise ValueError(f"{what} must be finite, got {v!r}")
-    return v
-
-
 def validate_world(world):
     """Enforce the structural invariants, so that no malformed world fails
     only while its scenes are drawn; raises ValueError on violation."""
     for key in ("height", "width", "channels"):
-        _number(getattr(world, key), key, integer=True)
+        checked(getattr(world, key), int, key)
     if world.height < 4 or world.width < 4:
         raise ValueError("grid must be at least 4x4")
     if world.channels < 2:
         raise ValueError("need at least 2 channels")
-    if world.num_scene_types < 1:
+    if len(elements(world.scene_names, str, "world scene_names")) < 1:
         raise ValueError("need at least one scene type")
-    if not all(isinstance(n, str) for n in world.scene_names):
-        raise ValueError(f"scene names must be strings, got {world.scene_names!r}")
-    if not 0.0 <= _number(world.noise_sigma, "noise_sigma") < math.inf:
+    if not 0.0 <= checked(world.noise_sigma, float, "noise_sigma") < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {world.noise_sigma!r}")
-    lo, hi = _pair(world.objects_per_scene, "objects_per_scene", integer=True)
+    lo, hi = elements(world.objects_per_scene, int, "objects_per_scene", 2)
     if not 0 <= lo <= hi:
         raise ValueError(f"objects_per_scene must have 0 <= low <= high, got {(lo, hi)}")
     for cat in world.categories:
@@ -123,26 +106,28 @@ def validate_world(world):
         aff = np.asarray(cat.scene_affinity, dtype=np.float64)
         if aff.shape != (world.num_scene_types,) or not np.all((aff >= 0) & (aff <= 1)):
             raise ValueError(f"{cat.name}: scene_affinity must be per-scene-type probabilities")
-        if min(_pair(cat.size, f"{cat.name}: size")) <= 0:
+        if not all(map(math.isfinite, elements(cat.size, float, f"{cat.name}: size", 2))):
+            raise ValueError(f"{cat.name}: size must be finite, got {cat.size!r}")
+        if min(cat.size) <= 0:
             raise ValueError(f"{cat.name}: sizes must be positive")
-        if not 0.0 <= _number(cat.size_jitter, f"{cat.name}: size_jitter") < 1.0:
+        if not 0.0 <= checked(cat.size_jitter, float, f"{cat.name}: size_jitter") < 1.0:
             raise ValueError(f"{cat.name}: size_jitter must be in [0, 1), got {cat.size_jitter!r}")
     empty = [name for s, name in enumerate(world.scene_names)
              if not any(c.scene_affinity[s] > 0 for c in world.categories)]
     if empty:
         raise ValueError(f"scene types {empty} have no placeable category")
     for rule in world.cooccur:
-        if not (0 <= _number(rule.trigger, "cooccur trigger", integer=True) < world.num_categories
-                and 0 <= _number(rule.partner, "cooccur partner", integer=True)
-                < world.num_categories):
+        if not (0 <= checked(rule.trigger, int, "cooccur trigger") < world.num_categories
+                and 0 <= checked(rule.partner, int, "cooccur partner") < world.num_categories):
             raise ValueError("cooccur rule references an unknown category")
-        if not (0.0 <= _number(rule.prob, "cooccur prob") <= 1.0):
+        if not (0.0 <= checked(rule.prob, float, "cooccur prob") <= 1.0):
             raise ValueError("cooccur probability out of [0,1]")
-        _pair(rule.offset, "cooccur offset")
-        if not 0.0 <= _number(rule.jitter, "cooccur jitter") < math.inf:
+        if not all(map(math.isfinite, elements(rule.offset, float, "cooccur offset", 2))):
+            raise ValueError(f"cooccur offset must be finite, got {rule.offset!r}")
+        if not 0.0 <= checked(rule.jitter, float, "cooccur jitter") < math.inf:
             raise ValueError(f"cooccur jitter must be finite and >= 0, got {rule.jitter!r}")
-    for pair in world.ambiguous_pairs:
-        a, b = _pair(pair, "ambiguous pair", integer=True)
+    for pair in checked(world.ambiguous_pairs, list, "ambiguous_pairs"):
+        a, b = elements(pair, int, "ambiguous pair", 2)
         if not (0 <= a < world.num_categories and 0 <= b < world.num_categories):
             raise ValueError(f"ambiguous pair {pair!r} references an unknown category")
         pa = np.asarray(world.categories[a].prototype)
@@ -362,66 +347,39 @@ def world_to_dict(world):
     }
 
 
-def _json_object(d, what, required, optional):
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    for key in required:
-        if key not in d:
-            raise ValueError(f"{what} is missing {key!r}")
-    unknown = sorted(set(d) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"{what} has unknown keys {unknown}; "
-                         f"allowed: {sorted(required + optional)}")
-    return d
-
-
-def _json_array(v, what):
-    if not isinstance(v, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON array, got {v!r}")
-    return v
-
-
-def _float_array(v, what):
-    try:
-        return np.array(v, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be an array of numbers, got {v!r}") from None
-
-
 def world_from_dict(d):
     """The validated WorldSpec of a JSON world; ValueError names the first
-    missing, unknown or mistyped key."""
-    _json_object(d, "world", ("scene_names", "categories", "height", "width", "channels",
-                              "noise_sigma", "scene_bias"),
-                 ("cooccur", "ambiguous_pairs", "objects_per_scene"))
-    cats = [_json_object(c, "world category", ("name", "prototype", "scene_affinity"),
-                         ("size", "size_jitter"))
-            for c in _json_array(d["categories"], "world categories")]
-    rules = [_json_object(r, "world cooccur rule", ("trigger", "partner", "prob"),
-                          ("offset", "jitter"))
-             for r in _json_array(d.get("cooccur", []), "world cooccur")]
+    missing, unknown or mistyped key. Its arrays of numbers become float64
+    ndarrays; validate_world checks every other value."""
+    members(d, "world", ("scene_names", "categories", "height", "width", "channels",
+                         "noise_sigma", "scene_bias"),
+            ("cooccur", "ambiguous_pairs", "objects_per_scene"))
+    cats = [members(c, "world category", ("name", "prototype", "scene_affinity"),
+                    ("size", "size_jitter"))
+            for c in checked(d["categories"], list, "world categories")]
+    rules = [members(r, "world cooccur rule", ("trigger", "partner", "prob"), ("offset", "jitter"))
+             for r in checked(d.get("cooccur", []), list, "world cooccur")]
+
+    def floats(v, what):
+        return np.array(elements(v, float, what), dtype=np.float64)
+
     world = WorldSpec(
-        scene_names=list(_json_array(d["scene_names"], "world scene_names")),
+        scene_names=d["scene_names"],
         categories=[
-            Category(c["name"], _float_array(c["prototype"], f"{c['name']}: prototype"),
-                     _float_array(c["scene_affinity"], f"{c['name']}: scene_affinity"),
-                     size=tuple(_json_array(c.get("size", (2.0, 2.0)), f"{c['name']}: size")),
-                     size_jitter=c.get("size_jitter", 0.15))
+            Category(c["name"], floats(c["prototype"], f"{c['name']}: prototype"),
+                     floats(c["scene_affinity"], f"{c['name']}: scene_affinity"),
+                     size=c.get("size", (2.0, 2.0)), size_jitter=c.get("size_jitter", 0.15))
             for c in cats
         ],
-        cooccur=[
-            CooccurRule(r["trigger"], r["partner"], r["prob"],
-                        offset=tuple(_json_array(r.get("offset", (2.5, 0.0)), "cooccur offset")),
-                        jitter=r.get("jitter", 0.75))
-            for r in rules
-        ],
-        ambiguous_pairs=[tuple(_json_array(p, "ambiguous pair"))
-                         for p in _json_array(d.get("ambiguous_pairs", []), "ambiguous_pairs")],
+        cooccur=[CooccurRule(r["trigger"], r["partner"], r["prob"],
+                             offset=r.get("offset", (2.5, 0.0)), jitter=r.get("jitter", 0.75))
+                 for r in rules],
+        ambiguous_pairs=d.get("ambiguous_pairs", []),
         height=d["height"], width=d["width"], channels=d["channels"],
         noise_sigma=d["noise_sigma"],
-        scene_bias=_float_array(d["scene_bias"], "world scene_bias"),
-        objects_per_scene=tuple(_json_array(d.get("objects_per_scene", (2, 5)),
-                                            "objects_per_scene")),
+        scene_bias=np.array([floats(row, "world scene_bias")
+                             for row in checked(d["scene_bias"], list, "world scene_bias")]),
+        objects_per_scene=d.get("objects_per_scene", (2, 5)),
     )
     return validate_world(world)
 
@@ -465,77 +423,58 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
     A world-hash mismatch against `expected_world_hash` is fatal unless
     allow_mismatch is set, in which case it only warns. A header whose h, w,
     c or num_categories differs from the world's is fatal, and so is a scene
-    type outside [0, num_scene_types).
+    type outside [0, num_scene_types). FileError, path first, for a file
+    that cannot be read or used.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except (ValueError, RecursionError) as e:
-        raise ValueError(f"{path}: header: {e}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header must be a JSON object, got {lines[0].strip()}")
-    for key in ("world_hash", "h", "w", "c", "num_categories"):
-        if key not in header:
-            raise ValueError(f"{path}: header is missing {key!r}")
-    if header["world_hash"] != expected_world_hash:
-        msg = (f"{path}: dataset world hash {header['world_hash']} does not match "
-               f"the configured world {expected_world_hash}")
-        if not allow_mismatch:
-            raise ValueError(msg + " (pass the mismatch override to proceed)")
-        warnings.warn(msg)
-    for key, want in dataset_header(world).items():
-        if key != "world_hash" and header[key] != want:
-            raise ValueError(f"{path}: header {key} is {header[key]!r}, "
-                             f"but the world has {want}")
-    samples = []
-    for i, ln in enumerate(lines[1:], start=1):
-        try:
-            samples.append(_parse_record(json.loads(ln), header, world.num_scene_types))
-        except KeyError as e:
-            raise ValueError(f"{path}: line {i}: missing field {e}") from None
-        except (TypeError, ValueError, RecursionError, OverflowError) as e:
-            raise ValueError(f"{path}: line {i}: {e}") from None
-    return samples, header
-
-
-def _numbers(values, what):
-    """values, each a JSON number: numpy would read a string or a bool as one."""
-    for v in values:
-        if type(v) not in (int, float):
-            raise ValueError(f"{what} {v!r} is not a number")
-    return values
-
-
-def _index(v, what, n):
-    """A JSON integer in [0, n); a number with a fraction, a string or a bool
-    is a bad value."""
-    if type(v) is not int:
-        raise ValueError(f"{what} {v!r} is not an integer")
-    if not 0 <= v < n:
-        raise ValueError(f"{what} {v} is outside [0, {n})")
-    return v
+    with reading(path):
+        with open(path, "rb") as f:
+            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty dataset file")
+        header = members(decode_json(lines[0], "header"), "header",
+                         ("world_hash", "h", "w", "c", "num_categories"))
+        if checked(header["world_hash"], str, "header world_hash") != expected_world_hash:
+            msg = (f"{path}: dataset world hash {header['world_hash']} does not match "
+                   f"the configured world {expected_world_hash}")
+            if not allow_mismatch:
+                raise ValueError(msg + " (pass the mismatch override to proceed)")
+            warnings.warn(msg)
+        for key, want in dataset_header(world).items():
+            if key != "world_hash" and checked(header[key], int, f"header {key}") != want:
+                raise ValueError(f"header {key} is {header[key]!r}, but the world has {want}")
+        samples = []
+        for i, ln in enumerate(lines[1:], start=1):
+            rec = decode_json(ln, f"line {i}")
+            try:
+                samples.append(_parse_record(rec, header, world.num_scene_types))
+            except ValueError as e:
+                raise ValueError(f"line {i}: {e}") from None
+        return samples, header
 
 
 def _parse_record(rec, header, num_scene_types):
-    """One scene line as a SceneSample; raises KeyError for a missing field
-    and ValueError for a bad value."""
+    """One scene line as a SceneSample; ValueError names a missing field or
+    a bad value."""
+    members(rec, "scene", ("scene_type", "grid", "gt"), (), VALUE)
     h, w, c, k = header["h"], header["w"], header["c"], header["num_categories"]
-    grid = np.array(_numbers(rec["grid"], "grid value"), dtype=np.float64)
+    grid = np.array(elements(rec["grid"], float, "grid value", words=VALUE), dtype=np.float64)
     if grid.size != h * w * c:
         raise ValueError(f"grid has {grid.size} values, expected {h * w * c}")
     if not np.isfinite(grid).all():
         raise ValueError("grid has a NaN or inf cell")
     gt = []
-    for o in rec["gt"]:
-        coords = [float(v) for v in _numbers([o[f] for f in ("cx", "cy", "w", "h")],
-                                             "gt coordinate")]
+    for o in checked(rec["gt"], list, "gt", VALUE):
+        members(o, "gt box", ("cx", "cy", "w", "h", "cat"), (), VALUE)
+        coords = [float(checked(o[f], float, "gt coordinate", VALUE))
+                  for f in ("cx", "cy", "w", "h")]
         if not np.isfinite(coords).all():
             raise ValueError(f"gt box {coords} is not finite")
         if not (coords[2] > 0 and coords[3] > 0):
             raise ValueError(f"box sides must be positive, got w={coords[2]}, h={coords[3]}")
-        gt.append((coords, _index(o["cat"], "gt category", k)))
+        if not 0 <= checked(o["cat"], int, "gt category", VALUE) < k:
+            raise ValueError(f"gt category {o['cat']} is outside [0, {k})")
+        gt.append((coords, o["cat"]))
+    if not 0 <= checked(rec["scene_type"], int, "scene type", VALUE) < num_scene_types:
+        raise ValueError(f"scene type {rec['scene_type']} is outside [0, {num_scene_types})")
     return SceneSample(grid=grid.reshape(h, w, c), gt=np.array(gt, dtype=GT_DTYPE),
-                       scene_type=_index(rec["scene_type"], "scene type", num_scene_types))
+                       scene_type=rec["scene_type"])

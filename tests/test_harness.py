@@ -6,7 +6,7 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -17,15 +17,17 @@ from sinet.detector import (ARMS, DETECT_CHUNK, DETECTION_DTYPE, TrainConfig,
                             active_param_names, create_detector_params, detect, detect_scenes,
                             train)
 from sinet.evaluation import evaluate_detections
-from sinet.harness import (EvalConfig, RunConfig, RunFailure, _load_trained, build_parser,
-                           detect_dataset, eval_workers, fp_rows,
+from sinet.harness import (EvalConfig, RunConfig, _load_trained, _manifest_payload,
+                           build_parser, detect_dataset, eval_workers, fp_rows,
                            load_run_config, main, metrics_rows, pr_rows,
                            read_manifest, resolve_world, run_config_from_dict,
                            run_gradcheck, write_csv, write_eval_csvs, write_manifest)
+from sinet.inputs import FileError
 from sinet.numerics import (CHECKPOINT_MAGIC, ParamStore, derive_seed, load_checkpoint,
                             save_checkpoint)
 from sinet.structure_inference import relation_report
-from sinet.synth_data import default_world, generate, sample_at, save_dataset, world_to_dict
+from sinet.synth_data import (default_world, generate, sample_at, save_dataset, world_hash,
+                              world_to_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,7 @@ def test_load_run_config(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
         load_run_config(path)
-    with pytest.raises(RunFailure):
+    with pytest.raises(OSError):
         load_run_config(tmp_path / "missing.json")
 
 
@@ -126,19 +128,23 @@ def test_row_builders():
 
 
 def test_manifest_round_trip(tmp_path):
-    payload = {"arm": "sin", "train": {"iters": 5}, "world": {"h": 8},
-               "world_hash": "abc123", "eval": {}}
+    # read_manifest checks what write_manifest wrote and builds its configs
+    # and world
+    config, world = RunConfig(arm="edge", train=TrainConfig(iters=5)), default_world()
+    payload = _manifest_payload("train", config, world)
     path = write_manifest(str(tmp_path), payload)
-    assert read_manifest(path) == payload
+    manifest, cfg, ev_cfg, back = read_manifest(path)
+    assert (manifest, cfg, ev_cfg) == (payload, config.train, config.eval)
+    assert world_hash(back) == payload["world_hash"]
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"arm": "sin"}))
-    with pytest.raises(RunFailure, match="missing"):
+    with pytest.raises(FileError, match="missing"):
         read_manifest(bad)
     bad.write_text("{broken")
-    with pytest.raises(RunFailure, match="invalid manifest"):
+    with pytest.raises(FileError, match="invalid manifest"):
         read_manifest(bad)
-    with pytest.raises(RunFailure, match="cannot read"):
+    with pytest.raises(FileError, match="cannot read"):
         read_manifest(tmp_path / "nope.json")
 
 
@@ -473,10 +479,11 @@ HEADER = ("header",)
     (HEADER, "num_categories", 99, "header num_categories is 99, but the world has 6"),
     (HEADER, "c", 7, "header c is 7, but the world has 8"),
     (HEADER, "h", 8, "header h is 8, but the world has 16"),
+    (HEADER, "h", 16.0, "header h must be an integer, got 16.0"),
     (("gt", 0), "w", 0.0, "box sides must be positive, got w=0.0, h="),
     (("gt", 0), "h", -1.5, "box sides must be positive, got w="),
     (("gt", 0), "cx", float("nan"), "is not finite"),
-    ((), "gt", 5, "'int' object is not iterable"),
+    ((), "gt", 5, "gt 5 is not a JSON array"),
     (("gt", 0), "cx", "3.5", "gt coordinate '3.5' is not a number"),
     (("gt", 0), "w", True, "gt coordinate True is not a number"),
     (("gt", 0), "cy", 10 ** 400, "int too large to convert to float"),
@@ -487,9 +494,9 @@ HEADER = ("header",)
         "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
         "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
         "scene-type-negative", "scene-type-too-large", "header-categories",
-        "header-channels", "header-height", "gt-w-zero", "gt-h-negative", "gt-cx-nan",
-        "gt-not-a-list", "gt-cx-string", "gt-w-bool", "gt-cy-huge", "header-not-json",
-        "grid-string", "grid-bool"])
+        "header-channels", "header-height", "header-height-float", "gt-w-zero",
+        "gt-h-negative", "gt-cx-nan", "gt-not-a-list", "gt-cx-string", "gt-w-bool",
+        "gt-cy-huge", "header-not-json", "grid-string", "grid-bool"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
@@ -607,7 +614,7 @@ def test_cli_eval_overflowing_checkpoint_dims_exit_2(baseline_run, tmp_path, cap
                  os.path.join(run_dir, "manifest.json"), "--n-test", "2",
                  "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("sinet: error: truncated checkpoint")
+    assert err.startswith(f"sinet: error: {ckpt}: truncated checkpoint")
     assert "data of 'det/cls_head'" in err
     assert len(err.strip().splitlines()) == 1
 
@@ -643,10 +650,14 @@ def test_cli_eval_non_object_json_exits_2(baseline_run, tmp_path, capsys, where,
 DEEP_JSON = "[" * 200_000
 
 
-@pytest.mark.parametrize("where, code", [
-    ("config", 1), ("manifest", 2), ("header", 2), ("scene", 2),
-], ids=["config", "manifest", "dataset-header", "dataset-scene"])
-def test_cli_deeply_nested_json_is_a_clean_error(baseline_run, tmp_path, capsys, where, code):
+@pytest.mark.parametrize("where, code, message", [
+    ("config", 1, "recursion"), ("manifest", 2, "recursion"), ("header", 2, "recursion"),
+    ("scene", 2, "recursion"), ("manifest-bytes", 2, "can't decode byte 0xff in position"),
+], ids=["config", "manifest", "dataset-header", "dataset-scene", "manifest-non-utf8"])
+def test_cli_deeply_nested_json_is_a_clean_error(baseline_run, tmp_path, capsys, where, code,
+                                                 message):
+    # also a manifest that ends in bytes that are not UTF-8; the message
+    # names the file either way
     run_dir, records = baseline_run
     path = tmp_path / "deep.json"
     if where == "config":
@@ -658,6 +669,10 @@ def test_cli_deeply_nested_json_is_a_clean_error(baseline_run, tmp_path, capsys,
         if where == "manifest":
             path.write_text(DEEP_JSON)
             args += ["--manifest", str(path)]
+        elif where == "manifest-bytes":
+            with open(os.path.join(run_dir, "manifest.json"), "rb") as f:
+                path.write_bytes(f.read() + b"\xff\xfe")
+            args += ["--manifest", str(path)]
         else:
             lines = [json.dumps(rec) for rec in records]
             lines[0 if where == "header" else 2] = DEEP_JSON
@@ -666,7 +681,7 @@ def test_cli_deeply_nested_json_is_a_clean_error(baseline_run, tmp_path, capsys,
     capsys.readouterr()
     assert main(args) == code
     err = capsys.readouterr().err
-    assert err.startswith("sinet: error: ") and "recursion" in err
+    assert err.startswith(f"sinet: error: {path}: ") and message in err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 
@@ -681,6 +696,31 @@ def sin_run(tmp_path_factory):
         return run_dir, json.load(f)
 
 
+def _damaged(path, data):
+    """The bytes of the file at `path` truncated at a drawn offset, or with
+    one drawn bit flipped."""
+    with open(path, "rb") as f:
+        raw = bytearray(f.read())
+    if data.draw(hst.booleans(), label="truncate"):
+        return raw[:data.draw(hst.integers(0, len(raw) - 1), label="length")]
+    bit = data.draw(hst.integers(0, 8 * len(raw) - 1), label="bit")
+    raw[bit // 8] ^= 1 << (bit % 8)
+    return raw
+
+
+def _exits_cleanly(args, failure):
+    """Run `sinet args`; it must exit 0, or `failure` with exactly one
+    error line and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, failure) and "Traceback" not in err, err
+    if code:
+        assert err.startswith("sinet: error: ") and len(err.strip().splitlines()) == 1, err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=hst.data())
@@ -691,29 +731,94 @@ def test_cli_eval_of_a_damaged_checkpoint_fails_cleanly(sin_run, data):
     # flipped exponent bit can leave a huge finite weight, whose boxes
     # overflow to inf and are evaluated like any other
     run_dir, _ = sin_run
-    with open(os.path.join(run_dir, "checkpoint.bin"), "rb") as f:
-        raw = bytearray(f.read())
+    ckpt = os.path.join(run_dir, "checkpoint.bin")
     if data is None:
+        with open(ckpt, "rb") as f:
+            raw = bytearray(f.read())
         raw[11] ^= 0x80          # the entry count's high byte
-    elif data.draw(hst.booleans(), label="truncate"):
-        raw = raw[:data.draw(hst.integers(0, len(raw) - 1), label="length")]
     else:
-        bit = data.draw(hst.integers(0, 8 * len(raw) - 1), label="bit")
-        raw[bit // 8] ^= 1 << (bit % 8)
+        raw = _damaged(ckpt, data)
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "checkpoint.bin")
         with open(ckpt, "wb") as f:
             f.write(raw)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["eval", "--checkpoint", ckpt, "--manifest",
-                         os.path.join(run_dir, "manifest.json"), "--n-test", "4",
-                         "--out", os.path.join(tmp, "eval")])
-    err = err.getvalue()
-    event(f"exit {code}")
-    assert code in (0, 2) and "Traceback" not in err, err
-    if code == 2:
-        assert err.startswith("sinet: error: ") and len(err.strip().splitlines()) == 1, err
+        _exits_cleanly(["eval", "--checkpoint", ckpt, "--manifest",
+                        os.path.join(run_dir, "manifest.json"), "--n-test", "4",
+                        "--out", os.path.join(tmp, "eval")], 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(target=hst.sampled_from(["manifest", "data"]), data=hst.data())
+@example(target="manifest", data=None)
+def test_cli_eval_of_a_damaged_manifest_or_dataset_fails_cleanly(sin_run, baseline_run,
+                                                                 target, data):
+    # a sin run's manifest.json or a 3-scene --data file, truncated at any
+    # offset or with any one bit flipped, evaluates (exit 0) or exits 2 with
+    # one error line, never a traceback. The example sets a high bit, so
+    # the manifest is no longer UTF-8
+    sin_dir, baseline_dir = sin_run[0], baseline_run[0]
+    manifest = os.path.join(sin_dir, "manifest.json")
+    if data is None:
+        with open(manifest, "rb") as f:
+            raw = bytearray(f.read())
+        raw[3] ^= 0x80
+    else:
+        raw = _damaged(manifest if target == "manifest" else
+                       os.path.join(os.path.dirname(baseline_dir), "clean.jsonl"), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "damaged")
+        with open(path, "wb") as f:
+            f.write(raw)
+        if target == "manifest":
+            args = ["--checkpoint", os.path.join(sin_dir, "checkpoint.bin"), "--manifest", path,
+                    "--n-test", "4"]
+        else:
+            args = ["--checkpoint", os.path.join(baseline_dir, "checkpoint.bin"), "--data", path]
+        _exits_cleanly(["eval", *args, "--out", os.path.join(tmp, "eval")], 2)
+
+
+# a value of each JSON type, put in place of a config or manifest value
+RETYPED = ["x", 0, 0.25, True, None, [], {}]
+RUN_FIELDS = [(block, f.name) for block, cls in (("train", TrainConfig), ("eval", EvalConfig))
+              for f in fields(cls)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(where=hst.sampled_from([("arm",), ("world",), ("output_dir",), *RUN_FIELDS]),
+       value=hst.sampled_from(RETYPED))
+def test_cli_train_with_a_retyped_config_value_fails_cleanly(where, value):
+    # a 2-iteration config with one value of another JSON type trains (exit
+    # 0) or exits 1 with one error line
+    config = {"arm": "sin", "world": "default", "output_dir": "unused",
+              "train": asdict(TrainConfig(iters=2)), "eval": asdict(EvalConfig(n_train=2))}
+    target = config
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        _exits_cleanly(["train", "--config", path, "--out", os.path.join(tmp, "run")], 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(where=hst.sampled_from(RUN_FIELDS), value=hst.sampled_from(RETYPED))
+def test_cli_eval_with_a_retyped_manifest_value_fails_cleanly(sin_run, where, value):
+    # a manifest with one train or eval value of another JSON type evaluates
+    # (exit 0) or exits 2 with one error line
+    run_dir, manifest = sin_run
+    manifest = json.loads(json.dumps(manifest))
+    manifest[where[0]][where[1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(manifest, f)
+        _exits_cleanly(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                        "--manifest", path, "--n-test", "2", "--out", os.path.join(tmp, "eval")],
+                       2)
 
 
 @pytest.mark.parametrize("block, key, value, message", [
@@ -725,8 +830,12 @@ def test_cli_eval_of_a_damaged_checkpoint_fails_cleanly(sin_run, data):
     ("eval", "n_test", "5", "manifest.eval.n_test: expected int, got '5'"),
     ("eval", "score_thresh", "x", "manifest.eval.score_thresh: expected float, got 'x'"),
     ("eval", "score_thresh", 2.0, "manifest.eval: score_thresh must be in [0, 1]"),
+    ("train", "lr", 10 ** 400, "manifest.train.lr: int too large to convert to float"),
+    ("world", "height", 10 ** 30, "height: int too large to fit an index-sized integer"),
+    ("world", "width", 10 ** 30, "width: int too large to fit an index-sized integer"),
 ], ids=["T-string", "rois-zero", "pooling-bogus", "lr-negative", "feat-dim-bool",
-        "n-test-string", "thresh-string", "thresh-above-one"])
+        "n-test-string", "thresh-string", "thresh-above-one", "lr-huge", "height-huge",
+        "width-huge"])
 def test_cli_eval_bad_manifest_exits_2(sin_run, tmp_path, capsys, block, key, value,
                                        message):
     run_dir, manifest = sin_run
@@ -799,7 +908,8 @@ def test_cli_unknown_manifest_arm_exits_2(sin_run, tmp_path, capsys, command):
 @pytest.mark.parametrize("train_block", [{"T": "2"}, {"rois_per_image": 0},
                                          {"pooling": "bogus"}, {"lr": -1},
                                          {"lr": float("nan")},
-                                         {"weight_decay": float("inf")}])
+                                         {"weight_decay": float("inf")},
+                                         {"lr": 10 ** 400}, {"weight_decay": 10 ** 400}])
 def test_cli_train_bad_config_exits_1(tmp_path, capsys, train_block):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"train": dict(train_block, iters=2)}))
@@ -834,8 +944,13 @@ def _world_edit(edit):
      "objects_per_scene must have 0 <= low <= high"),
     (_world_edit(lambda w: w["categories"][0].update(size_jiter=0.5)),
      r"world category has unknown keys \['size_jiter'\]"),
+    (_world_edit(lambda w: w.update(height=10 ** 30)),
+     "height: int too large to fit an index-sized integer"),
+    (_world_edit(lambda w: w.update(width=10 ** 30)),
+     "width: int too large to fit an index-sized integer"),
 ], ids=["not-an-object", "no-scene-names", "one-size", "string-jitter", "negative-jitter",
-        "nan-affinity", "negative-cooccur-jitter", "low-above-high", "unknown-category-key"])
+        "nan-affinity", "negative-cooccur-jitter", "low-above-high", "unknown-category-key",
+        "huge-height", "huge-width"])
 def test_cli_train_malformed_world_exits_1(tmp_path, capsys, world, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"world": world, "train": {"iters": 2}}))
@@ -845,6 +960,24 @@ def test_cli_train_malformed_world_exits_1(tmp_path, capsys, world, message):
     assert err.startswith("sinet: error: ") and len(err.strip().splitlines()) == 1
     assert re.search(message, err)
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_divergence_exits_2(tmp_path, capsys):
+    # an lr of 1e300 makes the loss non-finite at iteration 1 on the default
+    # world: train exits 2; ablate exits 2 too, after writing its summary
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"train": {"iters": 4, "lr": 1e300}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--n-train", "4",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "sinet: error: loss became non-finite at iteration 1\n"
+    assert main(["ablate", "--config", str(path), "--arms", "baseline,sin", "--n-train", "4",
+                 "--n-test", "2", "--out", str(tmp_path / "ab")]) == 2
+    assert "arm sin: training diverged (loss became non-finite" in capsys.readouterr().out
+    with open(tmp_path / "ab" / "summary.json", encoding="utf-8") as f:
+        summary = json.load(f)
+    assert all(summary["arms"][arm]["failed"] for arm in ("baseline", "sin"))
 
 
 def test_cli_ablate_writes_summary(tmp_path, capsys):

