@@ -361,7 +361,10 @@ def world_from_dict(d):
              for r in checked(d.get("cooccur", []), list, "world cooccur")]
 
     def floats(v, what):
-        return np.array(elements(v, float, what), dtype=np.float64)
+        try:
+            return np.array(elements(v, float, what), dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{what} must be an array of numbers, got {v!r}") from None
 
     world = WorldSpec(
         scene_names=d["scene_names"],
@@ -434,11 +437,11 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
         header = members(decode_json(lines[0], "header"), "header",
                          ("world_hash", "h", "w", "c", "num_categories"))
         if checked(header["world_hash"], str, "header world_hash") != expected_world_hash:
-            msg = (f"{path}: dataset world hash {header['world_hash']} does not match "
+            msg = (f"dataset world hash {header['world_hash']} does not match "
                    f"the configured world {expected_world_hash}")
             if not allow_mismatch:
                 raise ValueError(msg + " (pass the mismatch override to proceed)")
-            warnings.warn(msg)
+            warnings.warn(f"{path}: {msg}")
         for key, want in dataset_header(world).items():
             if key != "world_hash" and checked(header[key], int, f"header {key}") != want:
                 raise ValueError(f"header {key} is {header[key]!r}, but the world has {want}")

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -715,10 +716,10 @@ def _exits_cleanly(args, failure):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(args)
     err = err.getvalue()
-    event(f"exit {code}")
     assert code in (0, failure) and "Traceback" not in err, err
     if code:
         assert err.startswith("sinet: error: ") and len(err.strip().splitlines()) == 1, err
+    return code
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -742,9 +743,10 @@ def test_cli_eval_of_a_damaged_checkpoint_fails_cleanly(sin_run, data):
         ckpt = os.path.join(tmp, "checkpoint.bin")
         with open(ckpt, "wb") as f:
             f.write(raw)
-        _exits_cleanly(["eval", "--checkpoint", ckpt, "--manifest",
-                        os.path.join(run_dir, "manifest.json"), "--n-test", "4",
-                        "--out", os.path.join(tmp, "eval")], 2)
+        code = _exits_cleanly(["eval", "--checkpoint", ckpt, "--manifest",
+                               os.path.join(run_dir, "manifest.json"), "--n-test", "4",
+                               "--out", os.path.join(tmp, "eval")], 2)
+    event(f"exit {code}")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -775,7 +777,8 @@ def test_cli_eval_of_a_damaged_manifest_or_dataset_fails_cleanly(sin_run, baseli
                     "--n-test", "4"]
         else:
             args = ["--checkpoint", os.path.join(baseline_dir, "checkpoint.bin"), "--data", path]
-        _exits_cleanly(["eval", *args, "--out", os.path.join(tmp, "eval")], 2)
+        code = _exits_cleanly(["eval", *args, "--out", os.path.join(tmp, "eval")], 2)
+    event(f"exit {code}")
 
 
 # a value of each JSON type, put in place of a config or manifest value
@@ -784,10 +787,15 @@ RUN_FIELDS = [(block, f.name) for block, cls in (("train", TrainConfig), ("eval"
               for f in fields(cls)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(where=hst.sampled_from([("arm",), ("world",), ("output_dir",), *RUN_FIELDS]),
-       value=hst.sampled_from(RETYPED))
-def test_cli_train_with_a_retyped_config_value_fails_cleanly(where, value):
+def _swaps(places):
+    """Every (place, value) pair of `places` and RETYPED, each with its id."""
+    return pytest.mark.parametrize(
+        "where, value", list(itertools.product(places, RETYPED)),
+        ids=[f"{'.'.join(w)}-{type(v).__name__}" for w, v in itertools.product(places, RETYPED)])
+
+
+@_swaps([("arm",), ("world",), ("output_dir",), *RUN_FIELDS])
+def test_cli_train_with_a_retyped_config_value_fails_cleanly(tmp_path, where, value):
     # a 2-iteration config with one value of another JSON type trains (exit
     # 0) or exits 1 with one error line
     config = {"arm": "sin", "world": "default", "output_dir": "unused",
@@ -796,29 +804,23 @@ def test_cli_train_with_a_retyped_config_value_fails_cleanly(where, value):
     for key in where[:-1]:
         target = target[key]
     target[where[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "run.json")
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(config, f)
-        _exits_cleanly(["train", "--config", path, "--out", os.path.join(tmp, "run")], 1)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    _exits_cleanly(["train", "--config", str(path), "--out", str(tmp_path / "run")], 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=150, deadline=None)
-@given(where=hst.sampled_from(RUN_FIELDS), value=hst.sampled_from(RETYPED))
-def test_cli_eval_with_a_retyped_manifest_value_fails_cleanly(sin_run, where, value):
+@_swaps(RUN_FIELDS)
+def test_cli_eval_with_a_retyped_manifest_value_fails_cleanly(sin_run, tmp_path, where, value):
     # a manifest with one train or eval value of another JSON type evaluates
     # (exit 0) or exits 2 with one error line
     run_dir, manifest = sin_run
     manifest = json.loads(json.dumps(manifest))
     manifest[where[0]][where[1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "manifest.json")
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(manifest, f)
-        _exits_cleanly(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
-                        "--manifest", path, "--n-test", "2", "--out", os.path.join(tmp, "eval")],
-                       2)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    _exits_cleanly(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                    "--manifest", str(path), "--n-test", "2", "--out", str(tmp_path / "eval")], 2)
 
 
 @pytest.mark.parametrize("block, key, value, message", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sinet.inputs import FileError
 from sinet.numerics import (CHECKPOINT_MAGIC, Param,
                             ParamStore, ShapeError, derive_seed,
                             grad_check, init_param,
@@ -93,17 +94,17 @@ def test_checkpoint_corruption_is_fatal(tmp_path):
 
     bad_magic = tmp_path / "bad_magic.bin"
     bad_magic.write_bytes(b"XXXXXXXX" + bytes(raw[8:]))
-    with pytest.raises(match="magic"):
+    with pytest.raises(FileError, match="magic"):
         load_checkpoint(bad_magic)
 
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(bytes(raw[:-9]))
-    with pytest.raises(match="truncated"):
+    with pytest.raises(FileError, match="truncated"):
         load_checkpoint(truncated)
 
     trailing = tmp_path / "trail.bin"
     trailing.write_bytes(bytes(raw) + b"\x00")
-    with pytest.raises(match="trailing"):
+    with pytest.raises(FileError, match="trailing"):
         load_checkpoint(trailing)
 
     assert raw[:8] == CHECKPOINT_MAGIC
@@ -118,5 +119,5 @@ def test_checkpoint_non_finite_value_is_fatal(tmp_path, bad):
     st.create("det/cls_head", value)
     path = tmp_path / "ck.bin"
     save_checkpoint(path, st)
-    with pytest.raises(match=r"entry 'det/cls_head': NaN or inf"):
+    with pytest.raises(FileError, match=r"entry 'det/cls_head': NaN or inf"):
         load_checkpoint(path)

@@ -332,8 +332,8 @@ NAN, INF = float("nan"), float("inf")
     (("categories", 1, "size"), [NAN, 2.0], "car: size must be finite"),
     (("categories", 1, "size"), [True, 2.0], "car: size must be a number"),
     (("categories", 2, "scene_affinity"), [NAN, 0.5], "laptop: scene_affinity"),
-    (("categories", 2, "prototype"), {"x": 1}, "laptop: prototype must be a JSON array"),
-    (("categories", 2, "prototype"), ["x"] * 8, "laptop: prototype must be a number"),
+    (("categories", 2, "prototype"), {"x": 1}, "laptop: prototype must be an array of numbers"),
+    (("categories", 2, "prototype"), ["x"] * 8, "laptop: prototype must be an array of numbers"),
     (("categories", 2, "prototype"), [INF] * 8, "laptop: prototype must have 8 finite"),
     (("categories", 2, "name"), 7, "category names must be strings"),
     (("noise_sigma",), -0.25, "noise_sigma must be finite and >= 0"),
@@ -452,10 +452,14 @@ def test_dataset_hash_mismatch_handling(tmp_path):
     other = tiny_world(noise=0.3)
     path = tmp_path / "d.jsonl"
     save_dataset(path, generate(world, 1, 2), world)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         load_dataset(path, world, world_hash(other))
+    # the error and the warning name the file once, first
+    assert str(err.value).startswith(f"{path}: dataset world hash ")
+    assert str(err.value).count(str(path)) == 1
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         out, _ = load_dataset(path, world, world_hash(other), allow_mismatch=True)
     assert len(out) == 2
     assert any("hash" in str(w.message).lower() for w in rec)
+    assert any(str(w.message).startswith(f"{path}: dataset world hash ") for w in rec)
