@@ -20,8 +20,9 @@ from sinet.synth_data import default_world
 world = default_world()
 cfg = TrainConfig(iters=800, seed=0)
 
-res = run_ablation(world, cfg, n_train=500, n_test=150,
-                   progress=lambda msg: print("  " + msg))
+# the summary is the plain data `sinet ablate` writes as summary.json
+res, _models = run_ablation(world, cfg, n_train=500, n_test=150,
+                            progress=lambda msg: print("  " + msg))
 
 print()
 print(f"{'arm':<10} {'mAP':>7}   per-category AP")

@@ -9,6 +9,11 @@ confusion, background.
 All of them read one matching pass (_Matching): the IoU of every same-image
 (detection, gt) pair on flat arrays, and the greedy match once, at IoU 0.5,
 over the global score ranking.
+
+run_ablation trains the four arms, then the sin arm at each SWEEP_GRID point,
+in one loop, each evaluated on the same test split. It returns (summary,
+models): the plain data that an ablation's summary.json holds, and each
+trained arm's TrainResult.
 """
 
 import time
@@ -188,89 +193,56 @@ def evaluate_detections(dets_by_image, gts_by_image, num_categories, similar_pai
 SWEEP_GRID = (("mean", 1), ("mean", 2), ("mean", 3), ("max", 2), ("concat", 2))
 
 
-def _eval_arm(tr, test_samples, world, cfg, arm, score_thresh):
-    dets = detect_scenes(tr.params, test_samples, cfg, score_thresh, arm)
-    gts = [s.gt for s in test_samples]
-    return evaluate_detections(dets, gts, world.num_categories, world.ambiguous_pairs)
-
-
-def run_ablation(world, cfg, n_train, n_test, arms=None, sweep=False,
+def run_ablation(world, cfg, n_train, n_test, arms=ARMS, sweep=False,
                  score_thresh=0.05, split_seed=None, progress=None):
-    """Train and evaluate each arm on identical data.
+    """(summary, models) of each arm, then, with `sweep`, the sin arm at each
+    SWEEP_GRID point, trained and evaluated on identical data.
 
-    Every arm sees the same initial weights (same init seed), the same scenes
-    in the same shuffled order, and the same test split; only the inference
-    wiring differs. Returns a nested dict; keys starting with "_" hold live
-    objects (training results) and are stripped before serialization.
+    Every training sees the same initial weights (same init seed), the same
+    scenes in the same shuffled order, and the same test split; only the
+    inference wiring, pooling and steps differ. A sweep point at cfg's own
+    (pooling, T) reads the sin arm's entry. A training that diverges, by a
+    non-finite loss or GRU pre-activation, is a failed entry with its message.
     """
-    if arms is None:
-        arms = ARMS
     say = progress if progress is not None else (lambda msg: None)
-    train_seed = derive_seed(split_seed if split_seed is not None else cfg.seed, "train-data")
-    test_seed = derive_seed(split_seed if split_seed is not None else cfg.seed, "test-data")
-    test_samples = generate(world, test_seed, n_test)
-
-    results = {
+    root = split_seed if split_seed is not None else cfg.seed
+    train_seed = derive_seed(root, "train-data")
+    test_samples = generate(world, derive_seed(root, "test-data"), n_test)
+    gts = [s.gt for s in test_samples]
+    summary = {
         "world_hash": world_hash(world),
         "n_train": n_train, "n_test": n_test,
         "score_thresh": score_thresh,
-        "arms": {}, "sweep": {}, "timings": {},
+        "arms": {}, "sweep": {},
+        "timings": dict.fromkeys(("arms", "sweep") if sweep else ("arms",), 0.0),
     }
-    t0 = time.perf_counter()
-    for arm in arms:
-        t_arm = time.perf_counter()
-        say(f"training arm {arm}")
-        try:
-            tr = train(world, cfg, arm, n_train=n_train, data_seed=train_seed)
-        except TrainingDiverged as e:
-            results["arms"][arm] = {"failed": True, "error": str(e)}
-            continue
-        ev = _eval_arm(tr, test_samples, world, cfg, arm, score_thresh)
-        results["arms"][arm] = {
-            "failed": False,
-            "map": ev.map,
-            "ap": ev.per_category_ap,
-            "pr": ev.pr,
-            "fp": ev.fp,
-            "seconds": time.perf_counter() - t_arm,
-            "_train": tr,
-        }
-        say(f"arm {arm}: map {ev.map:.4f}")
-    results["timings"]["arms"] = time.perf_counter() - t0
-
+    models = {}
+    runs = [("arms", arm, arm, cfg) for arm in arms]
     if sweep:
+        runs += [("sweep", f"{pooling}-T{t}", "sin", replace(cfg, pooling=pooling, T=t))
+                 for pooling, t in SWEEP_GRID]
+    for section, key, arm, run_cfg in runs:
         t0 = time.perf_counter()
-        for pooling, t in SWEEP_GRID:
-            key = f"{pooling}-T{t}"
-            main = results["arms"].get("sin")
-            if (pooling == cfg.pooling and t == cfg.T and main is not None
-                    and not main.get("failed")):
-                results["sweep"][key] = {"pooling": pooling, "T": t,
-                                         "failed": False, "map": main["map"],
-                                         "ap": main["ap"],
-                                         "_train": main["_train"]}
-                continue
-            say(f"sweep {key}")
-            cfg2 = replace(cfg, pooling=pooling, T=t)
+        entry = {} if section == "arms" else {"pooling": run_cfg.pooling, "T": run_cfg.T}
+        sin = summary["arms"].get("sin")
+        if section == "sweep" and run_cfg == cfg and sin is not None and not sin["failed"]:
+            entry.update(failed=False, map=sin["map"], ap=sin["ap"])
+        else:
+            label = f"arm {key}" if section == "arms" else f"sweep {key}"
+            say(f"training {label}" if section == "arms" else label)
             try:
-                tr = train(world, cfg2, "sin", n_train=n_train, data_seed=train_seed)
-            except TrainingDiverged as e:
-                results["sweep"][key] = {"pooling": pooling, "T": t,
-                                         "failed": True, "error": str(e)}
-                continue
-            ev = _eval_arm(tr, test_samples, world, cfg2, "sin", score_thresh)
-            results["sweep"][key] = {"pooling": pooling, "T": t, "failed": False,
-                                     "map": ev.map, "ap": ev.per_category_ap, "_train": tr}
-            say(f"sweep {key}: map {ev.map:.4f}")
-        results["timings"]["sweep"] = time.perf_counter() - t0
-    return results
-
-
-def strip_objects(node):
-    """Deep-copy a results tree without the underscore-keyed live objects."""
-    if isinstance(node, dict):
-        return {k: strip_objects(v) for k, v in node.items()
-                if not (isinstance(k, str) and k.startswith("_"))}
-    if isinstance(node, (list, tuple)):
-        return [strip_objects(v) for v in node]
-    return node
+                tr = train(world, run_cfg, arm, n_train=n_train, data_seed=train_seed)
+            except (TrainingDiverged, FloatingPointError) as e:
+                entry.update(failed=True, error=str(e))
+            else:
+                ev = evaluate_detections(
+                    detect_scenes(tr.params, test_samples, run_cfg, score_thresh, arm),
+                    gts, world.num_categories, world.ambiguous_pairs)
+                entry.update(failed=False, map=ev.map, ap=ev.per_category_ap)
+                if section == "arms":
+                    entry.update(pr=ev.pr, fp=ev.fp, seconds=time.perf_counter() - t0)
+                    models[arm] = tr
+                say(f"{label}: map {ev.map:.4f}")
+        summary[section][key] = entry
+        summary["timings"][section] += time.perf_counter() - t0
+    return summary, models

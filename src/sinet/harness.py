@@ -26,8 +26,7 @@ from .detector import (ARMS, DETECT_CHUNK, TrainConfig, TrainingDiverged,
                        assign_targets, create_detector_params, detect,
                        detect_scenes, detector_backward, forward, multi_task_loss,
                        apply_weight_decay, train, validate_config)
-from .evaluation import (FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap,
-                         run_ablation, strip_objects)
+from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_ablation
 from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
 from .structure_inference import POOLINGS, relation_report
@@ -368,47 +367,45 @@ def _cmd_eval(args):
 
 def _cmd_ablate(args):
     config = _config_from_args(args)
-    if args.arms:
+    arms = ARMS
+    if args.arms is not None:
         arms = tuple(a.strip() for a in args.arms.split(",") if a.strip())
-        for a in arms:
+        if not arms:
+            raise ValueError("--arms names no arm")
+        for i, a in enumerate(arms):
             if a not in ARMS:
                 raise ValueError(f"unknown arm {a!r}; expected one of {ARMS}")
-    else:
-        arms = ARMS
+            if a in arms[:i]:
+                raise ValueError(f"--arms names arm {a!r} twice")
     world = resolve_world(config.world)
     out = _ensure_dir(config.output_dir)
-    results = run_ablation(world, config.train, config.eval.n_train,
-                           config.eval.n_test, arms=arms, sweep=args.sweep,
-                           score_thresh=config.eval.score_thresh,
-                           split_seed=config.eval.split_seed,
-                           progress=lambda msg: print(msg))
+    summary, models = run_ablation(world, config.train, config.eval.n_train,
+                                   config.eval.n_test, arms=arms, sweep=args.sweep,
+                                   score_thresh=config.eval.score_thresh,
+                                   split_seed=config.eval.split_seed, progress=print)
     cat_names = [c.name for c in world.categories]
     m_rows, p_rows, f_rows = [], [], []
-    for arm in arms:
-        entry = results["arms"][arm]
-        if entry.get("failed"):
+    for arm, entry in summary["arms"].items():
+        if entry["failed"]:
             print(f"arm {arm}: training diverged ({entry['error']})")
             continue
         m_rows += metrics_rows(arm, entry["ap"], cat_names)
         p_rows += pr_rows(arm, entry["pr"])
         f_rows += fp_rows(arm, entry["fp"])
-        save_checkpoint(os.path.join(out, f"checkpoint-{arm}.bin"),
-                        entry["_train"].store)
-    for key, entry in results["sweep"].items():
-        if not entry.get("failed"):
+        save_checkpoint(os.path.join(out, f"checkpoint-{arm}.bin"), models[arm].store)
+    for key, entry in summary["sweep"].items():
+        if not entry["failed"]:
             m_rows += metrics_rows(f"sin-{key}", entry["ap"], cat_names)
     write_eval_csvs(out, m_rows, p_rows, f_rows)
     write_manifest(out, _manifest_payload("ablate", config, world))
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(strip_objects(results), f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    for arm in arms:
-        entry = results["arms"][arm]
-        if not entry.get("failed"):
-            print(f"arm {arm}: map {entry['map']:.4f}")
+    for arm in models:
+        print(f"arm {arm}: map {summary['arms'][arm]['map']:.4f}")
     print(f"wrote {out}")
     # a diverged arm fails the run, as a failed check fails gradcheck
-    return 2 if any(results["arms"][a].get("failed") for a in arms) else 0
+    return 2 if len(models) < len(arms) else 0
 
 
 def _cmd_gradcheck(args):
@@ -472,17 +469,20 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen_data)
 
-    t = sub.add_parser("train", help="train one arm and write a checkpoint")
-    t.add_argument("--config", help="JSON run config; flags override it")
-    t.add_argument("--world")
+    # the run-config flags of train and ablate
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="JSON run config; flags override it")
+    run.add_argument("--world")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--iters", type=int)
+    run.add_argument("--T", type=int, dest="T")
+    run.add_argument("--pooling", choices=POOLINGS)
+    run.add_argument("--split-seed", type=int, dest="split_seed")
+    run.add_argument("--n-train", type=int, dest="n_train")
+    run.add_argument("--out", required=True)
+
+    t = sub.add_parser("train", parents=[run], help="train one arm and write a checkpoint")
     t.add_argument("--arm", choices=ARMS)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--iters", type=int)
-    t.add_argument("--T", type=int, dest="T")
-    t.add_argument("--pooling", choices=POOLINGS)
-    t.add_argument("--split-seed", type=int, dest="split_seed")
-    t.add_argument("--n-train", type=int, dest="n_train")
-    t.add_argument("--out", required=True)
     t.set_defaults(func=_cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint (mAP, PR, FP kinds)")
@@ -495,21 +495,13 @@ def build_parser():
     e.add_argument("--out", required=True)
     e.set_defaults(func=_cmd_eval)
 
-    a = sub.add_parser("ablate", help="run the baseline/scene/edge/sin comparison")
-    a.add_argument("--config")
-    a.add_argument("--world")
-    a.add_argument("--seed", type=int)
-    a.add_argument("--iters", type=int)
-    a.add_argument("--T", type=int, dest="T")
-    a.add_argument("--pooling", choices=POOLINGS)
-    a.add_argument("--split-seed", type=int, dest="split_seed")
-    a.add_argument("--n-train", type=int, dest="n_train")
+    a = sub.add_parser("ablate", parents=[run],
+                       help="run the baseline/scene/edge/sin comparison")
     a.add_argument("--n-test", type=int, dest="n_test")
     a.add_argument("--score-thresh", type=float, dest="score_thresh")
     a.add_argument("--arms", help="comma list, default all four")
     a.add_argument("--sweep", action="store_true",
                    help="also sweep pooling x steps on the sin arm")
-    a.add_argument("--out", required=True)
     a.set_defaults(func=_cmd_ablate)
 
     c = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
@@ -546,7 +538,11 @@ def main(argv=None):
         print("sinet: error: a subcommand is required", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # every non-finite value that matters is checked where it arises
+        # (a loss, a GRU pre-activation, an input), so numpy's warnings
+        # would only precede that check's one error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (FileError, OSError, TrainingDiverged, FloatingPointError) as e:
         print(f"sinet: error: {e}", file=sys.stderr)
         return 2

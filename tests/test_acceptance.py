@@ -212,7 +212,8 @@ def test_criterion_2_oracle_equivalence():
 def full_run():
     world = default_world()
     cfg = TrainConfig()     # shipped defaults: T=2, mean pooling, seed 0
-    return run_ablation(world, cfg, n_train=2000, n_test=500, sweep=True)
+    summary, _models = run_ablation(world, cfg, n_train=2000, n_test=500, sweep=True)
+    return summary
 
 
 def _arm_map(res, arm):

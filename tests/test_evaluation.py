@@ -1,4 +1,5 @@
 import importlib
+import json
 import pathlib
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as hst
 from sinet import evaluation
 from sinet.detector import TrainConfig, create_detector_params, detect_scenes
 from sinet.evaluation import (FP_KINDS, PR_THRESHOLDS, SWEEP_GRID, _voc_ap,
-                              evaluate_detections, mean_ap, run_ablation, strip_objects)
+                              evaluate_detections, mean_ap, run_ablation)
 from sinet.numerics import ParamStore
 from sinet.synth_data import default_world, sample_at
 
@@ -256,24 +257,20 @@ def test_sweep_grid_contents():
                           ("max", 2), ("concat", 2))
 
 
-def test_strip_objects_removes_underscore_keys():
-    tree = {"map": 0.5, "_train": object(),
-            "nested": {"_detections": [object()], "ok": [1, {"_x": 2, "y": 3}]}}
-    out = strip_objects(tree)
-    assert out == {"map": 0.5, "nested": {"ok": [1, {"y": 3}]}}
-
-
 @pytest.fixture(scope="module")
 def tiny_ablation():
+    """(summary, models, progress lines) of a two-arm run with the sweep."""
     world = default_world()
     cfg = TrainConfig(iters=10, rois_per_image=6, T=1, feat_dim=8, seed=13)
-    return run_ablation(world, cfg, n_train=6, n_test=4,
-                        arms=("baseline", "sin"), sweep=True)
+    lines = []
+    summary, models = run_ablation(world, cfg, n_train=6, n_test=4, arms=("baseline", "sin"),
+                                   sweep=True, progress=lines.append)
+    return summary, models, lines
 
 
 def test_run_ablation_structure(tiny_ablation):
-    res = tiny_ablation
-    assert set(res["arms"]) == {"baseline", "sin"}
+    res, models, _lines = tiny_ablation
+    assert set(res["arms"]) == set(models) == {"baseline", "sin"}
     for arm, r in res["arms"].items():
         assert r["failed"] is False
         assert 0.0 <= r["map"] <= 1.0
@@ -281,36 +278,33 @@ def test_run_ablation_structure(tiny_ablation):
         assert len(r["pr"]) == len(PR_THRESHOLDS)
         assert set(r["fp"]) == set(FP_KINDS)
         assert r["seconds"] > 0
-        assert r["_train"].arm == arm
-        assert set(r) == {"failed", "map", "ap", "pr", "fp", "seconds", "_train"}
+        assert models[arm].arm == arm
+        assert set(r) == {"failed", "map", "ap", "pr", "fp", "seconds"}
     assert res["n_train"] == 6 and res["n_test"] == 4
     assert isinstance(res["timings"]["arms"], float)
     assert isinstance(res["timings"]["sweep"], float)
+    json.dumps(res)     # the summary is plain data as returned
 
 
 def test_run_ablation_sweep_reuses_main_arm(tiny_ablation):
-    res = tiny_ablation
+    res, _models, lines = tiny_ablation
     assert set(res["sweep"]) == {"mean-T1", "mean-T2", "mean-T3", "max-T2", "concat-T2"}
     # cfg was (mean, T=1): that cell must reuse the sin arm, not retrain
-    assert res["sweep"]["mean-T1"]["_train"] is res["arms"]["sin"]["_train"]
-    assert res["sweep"]["mean-T1"]["map"] == res["arms"]["sin"]["map"]
+    sin = res["arms"]["sin"]
+    assert res["sweep"]["mean-T1"] == {"pooling": "mean", "T": 1, "failed": False,
+                                       "map": sin["map"], "ap": sin["ap"]}
+    assert not any(line.startswith("sweep mean-T1") for line in lines)
+    assert "sweep mean-T2" in lines
     for key, cell in res["sweep"].items():
         assert cell["failed"] is False
         assert 0.0 <= cell["map"] <= 1.0
-
-
-def test_run_ablation_strips_to_plain_data(tiny_ablation):
-    import json
-    plain = strip_objects(tiny_ablation)
-    assert "_train" not in plain["arms"]["sin"]
-    assert "_train" not in plain["sweep"]["mean-T1"]
-    json.dumps(plain)   # must be serializable as-is
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_ablation_reports_failed_arm():
     world = default_world()
     cfg = TrainConfig(lr=1e9, iters=8, rois_per_image=6, T=1, feat_dim=8, seed=1)
-    res = run_ablation(world, cfg, n_train=4, n_test=2, arms=("baseline",))
+    res, models = run_ablation(world, cfg, n_train=4, n_test=2, arms=("baseline",))
     assert res["arms"]["baseline"]["failed"] is True
     assert "non-finite" in res["arms"]["baseline"]["error"]
+    assert models == {}

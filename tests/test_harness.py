@@ -7,6 +7,7 @@ import os
 import re
 import struct
 import tempfile
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -259,8 +260,40 @@ def test_cli_requires_subcommand(capsys):
 def test_cli_usage_errors_exit_1(capsys):
     assert main(["train"]) == 1                       # missing --out
     assert main(["gen-data", "--n", "2"]) == 1        # missing --out
-    assert main(["ablate", "--out", "x", "--arms", "sin,warp"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("arms, message", [
+    ("sin,warp", "unknown arm 'warp'; expected one of"),
+    ("sin,sin", "--arms names arm 'sin' twice"),
+    ("baseline,sin,baseline", "--arms names arm 'baseline' twice"),
+    (",", "--arms names no arm"),
+    ("", "--arms names no arm"),
+], ids=["unknown", "twice", "twice-apart", "comma", "empty"])
+def test_cli_bad_arms_exit_1(tmp_path, capsys, arms, message):
+    # rejected before any training, with one error line and no output
+    out_dir = tmp_path / "ab"
+    assert main(["ablate", "--arms", arms, "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sinet: error: {message}")
+    assert len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_train_and_ablate_share_the_run_flags():
+    shared = {"config": "run.json", "world": "default", "seed": 3, "iters": 5, "T": 1,
+              "pooling": "max", "split_seed": 2, "n_train": 7, "out": "o"}
+    argv = ["--config", "run.json", "--world", "default", "--seed", "3", "--iters", "5",
+            "--T", "1", "--pooling", "max", "--split-seed", "2", "--n-train", "7",
+            "--out", "o"]
+    parser = build_parser()
+    for command, own in (("train", {"arm": None}),
+                         ("ablate", {"n_test": None, "score_thresh": None, "arms": None,
+                                     "sweep": False})):
+        args = vars(parser.parse_args([command, *argv]))
+        assert args.pop("func").__name__ == f"_cmd_{command}"
+        assert args == {"command": command, **shared, **own}
 
 
 def test_cli_missing_files_exit_2(tmp_path, capsys):
@@ -964,22 +997,36 @@ def test_cli_train_malformed_world_exits_1(tmp_path, capsys, world, message):
     assert not os.path.exists(tmp_path / "run")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_divergence_exits_2(tmp_path, capsys):
     # an lr of 1e300 makes the loss non-finite at iteration 1 on the default
-    # world: train exits 2; ablate exits 2 too, after writing its summary
+    # world: train exits 2; ablate exits 2 too, after writing its summary.
+    # With concat pooling the sin arm diverges in a GRU cell instead, and
+    # ablate records that the same way. No numpy RuntimeWarning precedes the
+    # one error line or the failed arms
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"train": {"iters": 4, "lr": 1e300}}))
     capsys.readouterr()
-    assert main(["train", "--config", str(path), "--n-train", "4",
-                 "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == "sinet: error: loss became non-finite at iteration 1\n"
-    assert main(["ablate", "--config", str(path), "--arms", "baseline,sin", "--n-train", "4",
-                 "--n-test", "2", "--out", str(tmp_path / "ab")]) == 2
-    assert "arm sin: training diverged (loss became non-finite" in capsys.readouterr().out
-    with open(tmp_path / "ab" / "summary.json", encoding="utf-8") as f:
-        summary = json.load(f)
-    assert all(summary["arms"][arm]["failed"] for arm in ("baseline", "sin"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(path), "--n-train", "4",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "sinet: error: loss became non-finite at iteration 1\n"
+        for pooling, error in (("mean", "loss became non-finite at iteration 1"),
+                               ("concat", "gru: NaN or inf in a gate pre-activation")):
+            out_dir = tmp_path / pooling
+            assert main(["ablate", "--config", str(path), "--pooling", pooling,
+                         "--arms", "baseline,sin", "--n-train", "4", "--n-test", "2",
+                         "--out", str(out_dir)]) == 2
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert f"arm sin: training diverged ({error})" in out
+            with open(out_dir / "summary.json", encoding="utf-8") as f:
+                summary = json.load(f)
+            assert all(summary["arms"][arm]["failed"] for arm in ("baseline", "sin"))
+            assert summary["arms"]["sin"]["error"] == error
+            for name in ("metrics.csv", "pr.csv", "fp.csv", "manifest.json"):
+                assert (out_dir / name).exists(), name
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_cli_ablate_writes_summary(tmp_path, capsys):
@@ -994,6 +1041,31 @@ def test_cli_ablate_writes_summary(tmp_path, capsys):
     assert set(summary["arms"]) == {"baseline", "sin"}
     assert not any(k.startswith("_") for k in summary["arms"]["sin"])
     capsys.readouterr()
+
+
+# SHA-256 over what `sinet ablate --sweep` writes for 40-iteration trainings:
+# the metrics.csv, pr.csv and fp.csv bytes, the four checkpoints, and
+# summary.json re-dumped without its wall times (timings, each arm's
+# seconds). Recorded while the arms and the sweep points ran in two loops;
+# the mean-T2 point is the sin arm's own (pooling, T) and reads its entry.
+PINNED_ABLATION = "5f495c43bd19494e6f19627ce126f5baf8a9a9941591374a3859d67438e98bef"
+
+
+def test_ablation_is_pinned(tmp_path, capsys):
+    out_dir = tmp_path / "ab"
+    assert main(["ablate", "--iters", "40", "--n-train", "40", "--n-test", "12",
+                 "--sweep", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for name in ("metrics.csv", "pr.csv", "fp.csv",
+                 *(f"checkpoint-{arm}.bin" for arm in ARMS)):
+        digest.update((out_dir / name).read_bytes())
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    del summary["timings"]
+    for entry in summary["arms"].values():
+        del entry["seconds"]
+    digest.update(json.dumps(summary, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_ABLATION
 
 
 # SHA-256 over the metrics.csv, pr.csv and fp.csv bytes that `sinet eval`
