@@ -9,8 +9,10 @@ survives at all. The new state is always a per-coordinate convex blend
 
 so a message can never fling the state outside the span of [old, candidate].
 This script pokes the cell with hand-built weights to make the gates visible.
-The cell updates every node of a graph at once, so it takes (n, d) row
-matrices; here each call passes a one-node graph.
+The cell updates every node of a stack of graphs at once, in one or two
+banks of weights, so its message is a (banks, scenes, nodes, d) stack and
+its state a (scenes, nodes, d) one; here each call passes one bank and a
+one-node graph.
 """
 
 import numpy as np
@@ -22,7 +24,8 @@ np.set_printoptions(precision=3, suppress=True)
 
 
 def new_cell(prefix, d, seed):
-    """A freshly initialised cell: its four maps laid out in a store of their own."""
+    """A freshly initialised cell: its four maps laid out in a store of their
+    own, seen as a stack of one bank."""
     store = ParamStore()
     store.lay_out(gru_init(prefix, d, seed))
     return gru_params(store, prefix)
@@ -36,10 +39,10 @@ x = np.array([0.8, 0.8, -0.3, 1.5])
 
 
 def cell(params, msg, state):
-    """One node through the cell, as a one-scene stack of one row: returns
-    (new state, its tape)."""
-    out, tape = gru_forward(params, msg[None, None, :], state[None, None, :])
-    return out[0, 0], tape
+    """One node through the cell, as one bank of a one-scene stack of one
+    row: returns (new state, its tape)."""
+    out, tape = gru_forward(params, msg[None, None, None, :], state[None, None, :])
+    return out[0, 0, 0], tape
 
 
 print("old state h      :", h)
@@ -50,9 +53,9 @@ print("incoming message x:", x)
 
 h_next, tape = cell(p, x, h)
 print("\nrandom-init cell")
-print("  reset gate r :", tape.r[0, 0])
-print("  update gate z:", tape.z[0, 0])
-print("  candidate    :", tape.h_tilde[0, 0])
+print("  reset gate r :", tape.r[0, 0, 0])
+print("  update gate z:", tape.z[0, 0, 0])
+print("  candidate    :", tape.h_tilde[0, 0, 0])
 print("  new state    :", h_next)
 
 # ---------------------------------------------------------------------------
@@ -64,7 +67,7 @@ p.w_z.value[:] = 0.0
 p.w_z.value += 50.0 / (2 * d)      # crude all-ones direction, enough to saturate
 h_keep, tape_keep = cell(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
 print("\nupdate gate forced open (z ~ 1): state is copied through")
-print("  z        :", tape_keep.z[0, 0])
+print("  z        :", tape_keep.z[0, 0, 0])
 print("  new state:", h_keep, " (old was", np.abs(h) + 1.0, ")")
 
 # ---------------------------------------------------------------------------
@@ -73,9 +76,9 @@ print("  new state:", h_keep, " (old was", np.abs(h) + 1.0, ")")
 p.w_z.value[:] = -50.0 / (2 * d)
 h_over, tape_over = cell(p, np.abs(x) + 1.0, np.abs(h) + 1.0)
 print("\nupdate gate forced shut (z ~ 0): state is replaced by the candidate")
-print("  z        :", tape_over.z[0, 0])
+print("  z        :", tape_over.z[0, 0, 0])
 print("  new state:", h_over)
-print("  candidate:", tape_over.h_tilde[0, 0])
+print("  candidate:", tape_over.h_tilde[0, 0, 0])
 
 # ---------------------------------------------------------------------------
 # 4. the convex bound holds for any weights, message, or state
@@ -87,8 +90,8 @@ for trial in range(2000):
     hh = rng.normal(0, 3, size=3)
     xx = rng.normal(0, 3, size=3)
     out, c = cell(q, xx, hh)
-    lo = np.minimum(hh, c.h_tilde[0])
-    hi = np.maximum(hh, c.h_tilde[0])
+    lo = np.minimum(hh, c.h_tilde[0, 0])
+    hi = np.maximum(hh, c.h_tilde[0, 0])
     worst = max(worst, float(np.max(np.maximum(lo - out, out - hi))))
 print(f"\nconvex-combination bound over 2000 random cells: "
       f"max violation {worst:.2e} (exactly zero up to rounding)")

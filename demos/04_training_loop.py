@@ -53,8 +53,7 @@ print()
 # determinism: a second run must match to the last bit
 tr2 = train(world, cfg, arm="baseline", n_train=250)
 same_losses = tr.losses == tr2.losses
-same_weights = all(np.array_equal(a.value, b.value)
-                   for a, b in zip(tr.store.params(), tr2.store.params()))
+same_weights = np.array_equal(tr.store.values, tr2.store.values)
 print(f"rerun identical: losses {same_losses}, weights {same_weights}")
 
 # and a checkpoint survives the disk round trip unchanged

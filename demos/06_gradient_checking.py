@@ -34,7 +34,8 @@ print("\nanything under 1e-4 is a pass; these sit orders of magnitude below.")
 # sabotage: the checker must light up when a gradient is wrong
 
 store = ParamStore()
-w = store.create("w", init_param((3, 3), 7))
+store.lay_out([("w", init_param((3, 3), 7))])
+w = store["w"]
 
 
 def honest():

@@ -45,9 +45,10 @@ from scipy.special import expit
 
 from .geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
                        encode_deltas, nms_by_group, pairwise_iou)
+from .memory_cell import MAPS
 from .numerics import ParamStore, derive_seed, init_param, seed_for
-from .structure_inference import (POOLINGS, SceneGraph, compute_edges, sin_backward,
-                                  sin_infer_tapes, sin_init, sin_params)
+from .structure_inference import (MODE_BANKS, POOLINGS, SceneGraph, compute_edges,
+                                  sin_backward, sin_infer_tapes, sin_init, sin_params)
 from .synth_data import cell_window, sample_at
 
 IOU_POS = 0.5
@@ -172,10 +173,9 @@ def active_param_names(params, arm):
     names = [params.feat_proj.name, params.cls_head.name,
              params.reg_head.name, params.objectness.name]
     mode = ARM_MODES[arm]
-    if mode in ("scene", "both"):
-        names += [e.name for e in params.sin.scene_gru.entries()]
+    if mode is not None:
+        names += [f"{bank}/{m}" for bank in MODE_BANKS[mode] for m in MAPS]
     if mode in ("edge", "both"):
-        names += [e.name for e in params.sin.edge_gru.entries()]
         names.append(params.sin.w_v.name)
     if mode == "both" and params.sin.w_a is not None:
         names.append(params.sin.w_a.name)

@@ -13,10 +13,10 @@ over the global score ranking.
 run_ablation trains the four arms, then the sin arm at each SWEEP_GRID point,
 in one loop, each evaluated on the same test split. It returns (summary,
 models): the plain data that an ablation's summary.json holds, and each
-trained arm's TrainResult.
+trained arm's TrainResult. It measures no time, so a rerun with the same
+arguments returns the same summary.
 """
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -214,7 +214,6 @@ def run_ablation(world, cfg, n_train, n_test, arms=ARMS, sweep=False,
         "n_train": n_train, "n_test": n_test,
         "score_thresh": score_thresh,
         "arms": {}, "sweep": {},
-        "timings": dict.fromkeys(("arms", "sweep") if sweep else ("arms",), 0.0),
     }
     models = {}
     runs = [("arms", arm, arm, cfg) for arm in arms]
@@ -222,7 +221,6 @@ def run_ablation(world, cfg, n_train, n_test, arms=ARMS, sweep=False,
         runs += [("sweep", f"{pooling}-T{t}", "sin", replace(cfg, pooling=pooling, T=t))
                  for pooling, t in SWEEP_GRID]
     for section, key, arm, run_cfg in runs:
-        t0 = time.perf_counter()
         entry = {} if section == "arms" else {"pooling": run_cfg.pooling, "T": run_cfg.T}
         sin = summary["arms"].get("sin")
         if section == "sweep" and run_cfg == cfg and sin is not None and not sin["failed"]:
@@ -240,9 +238,8 @@ def run_ablation(world, cfg, n_train, n_test, arms=ARMS, sweep=False,
                     gts, world.num_categories, world.ambiguous_pairs)
                 entry.update(failed=False, map=ev.map, ap=ev.per_category_ap)
                 if section == "arms":
-                    entry.update(pr=ev.pr, fp=ev.fp, seconds=time.perf_counter() - t0)
+                    entry.update(pr=ev.pr, fp=ev.fp)
                     models[arm] = tr
                 say(f"{label}: map {ev.map:.4f}")
         summary[section][key] = entry
-        summary["timings"][section] += time.perf_counter() - t0
     return summary, models

@@ -306,13 +306,20 @@ def _cmd_train(args):
     data_seed = derive_seed(config.eval.split_seed, "train-data")
     tr = train(world, config.train, config.arm, n_train=config.eval.n_train,
                data_seed=data_seed, callback=_train_progress(config.train.iters))
-    ckpt = os.path.join(out, "checkpoint.bin")
-    save_checkpoint(ckpt, tr.store)
-    write_manifest(out, _manifest_payload("train", config, world))
-    write_csv(os.path.join(out, "loss.csv"), ("iter", "loss"),
-              [(i, v) for i, v in enumerate(tr.losses)])
+    ckpt = _write_run(out, "train", config, world, tr)
     print(f"arm {config.arm}: final loss {tr.losses[-1]:.4f}; checkpoint {ckpt}")
     return 0
+
+
+def _write_run(out, command, config, world, tr):
+    """A trained arm's checkpoint.bin, manifest.json (naming config.arm) and
+    loss.csv, in `out`; returns the checkpoint's path."""
+    ckpt = os.path.join(out, "checkpoint.bin")
+    save_checkpoint(ckpt, tr.store)
+    write_manifest(out, _manifest_payload(command, config, world))
+    write_csv(os.path.join(out, "loss.csv"), ("iter", "loss"),
+              [(i, v) for i, v in enumerate(tr.losses)])
+    return ckpt
 
 
 def _load_trained(checkpoint, manifest_path=None):
@@ -392,7 +399,8 @@ def _cmd_ablate(args):
         m_rows += metrics_rows(arm, entry["ap"], cat_names)
         p_rows += pr_rows(arm, entry["pr"])
         f_rows += fp_rows(arm, entry["fp"])
-        save_checkpoint(os.path.join(out, f"checkpoint-{arm}.bin"), models[arm].store)
+        _write_run(_ensure_dir(os.path.join(out, arm)), "ablate",
+                   replace(config, arm=arm), world, models[arm])
     for key, entry in summary["sweep"].items():
         if not entry["failed"]:
             m_rows += metrics_rows(f"sin-{key}", entry["ap"], cat_names)

@@ -1,9 +1,9 @@
 """Gated recurrent memory cell, forward and hand-derived backward.
 
 The cell fuses an incoming message x into a node state h_t, for every node of
-a stack of graphs at once: x and h_t are (B, n, d) stacks, one (n, d) row
-matrix per scene and one row per node, and each line below is applied row by
-row with the weights shared across rows:
+a stack of graphs at once: h_t is a (B, n, d) stack, one (n, d) row matrix
+per scene and one row per node, and each line below is applied row by row
+with the weights shared across rows:
 
     r      = sigmoid(W_r [x, h_t])
     z      = sigmoid(W_z [x, h_t])
@@ -12,17 +12,15 @@ row with the weights shared across rows:
 
 [x, h_t] is concatenation with x first; there are no bias terms. x and h_t
 share the dimension d, so W_r and W_z are (d, 2d) while W and U are (d, d).
-Each gate is one stacked matrix product: numpy runs one (n, .) product per
-scene, so a scene's rows come out bitwise the same whatever else is stacked
-with it. The same cell drives both the scene bank (every row of x is the
-scene feature) and the edge bank (row i of x is node i's pooled message).
 
-GruParams whose maps have a leading bank axis (ParamStore.stack views, (2, d,
-2d) and (2, d, d) with bank 0 the scene bank and bank 1 the edge bank) run
-both banks in one call: x is a (2, B, n, d) stack, one per bank, and both
-banks read the same (B, n, d) hidden state h_t. Every (bank, scene) product
-keeps its one-bank shape, so each bank's numbers are bitwise those of a call
-with that bank alone.
+A call runs k banks of the cell at once, k = 1 or 2. GruParams' maps are
+ParamStack views with a leading bank axis, (k, d, 2d) and (k, d, d), and x
+is a (k, B, n, d) stack, one per bank; every bank reads the same (B, n, d)
+hidden state h_t. Each gate is one stacked matrix product: numpy runs one
+(n, .) product per (bank, scene), so a scene's rows in a bank come out
+bitwise the same whatever else is stacked with them. The same cell drives
+the scene bank (every row of x is the scene feature) and the edge bank (row
+i of x is node i's pooled message).
 """
 
 from dataclasses import dataclass
@@ -37,8 +35,8 @@ MAPS = ("W_r", "W_z", "W", "U")
 
 @dataclass
 class GruParams:
-    """The four learned maps: Params of one bank, or ParamStacks of several
-    banks' same-named maps."""
+    """The four learned maps, each a ParamStack of the banks' same-named
+    maps."""
 
     w_r: object
     w_z: object
@@ -63,16 +61,14 @@ def gru_init(prefix, d, seed):
 
 
 def gru_params(store, *prefixes):
-    """The GruParams of one bank of the store, named by its prefix, or of
-    several banks stacked (ParamStore.stack) in the order given."""
-    if len(prefixes) == 1:
-        return GruParams(*(store[f"{prefixes[0]}/{m}"] for m in MAPS))
+    """The GruParams of the store's banks named by their prefixes, stacked
+    (ParamStore.stack) in the order given."""
     return GruParams(*(store.stack([f"{prefix}/{m}" for prefix in prefixes]) for m in MAPS))
 
 
 @dataclass
 class GruTape:
-    """Forward intermediates of one bank call, all ([bank,] B, n, .) stacks."""
+    """Forward intermediates of one call, all (bank, B, n, .) stacks."""
 
     xh: np.ndarray        # rows of [x, h_t]
     r: np.ndarray
@@ -81,21 +77,19 @@ class GruTape:
 
 
 def _check_dims(p, x, h_t):
-    d, banks = p.dim, p.w.value.shape[:-2]
-    want = banks + (d, 2 * d)
-    if x.ndim != len(banks) + 3 or x.shape[:len(banks)] != banks or x.shape[-1] != d \
-            or x.shape[len(banks):] != h_t.shape or 0 in x.shape:
-        raise ShapeError(f"gru: expected x as a {banks + ('B', 'n', d)} stack and h_t as "
+    k, d = p.w.value.shape[:-2], p.dim
+    if x.ndim != 4 or x.shape[:1] != k or x.shape[-1] != d or x.shape[1:] != h_t.shape \
+            or 0 in x.shape:
+        raise ShapeError(f"gru: expected x as a {k + ('B', 'n', d)} stack and h_t as "
                          f"(B, n, {d}), got {x.shape} and {h_t.shape}")
-    if p.w_r.value.shape != want or p.w_z.value.shape != want \
-            or p.u.value.shape != banks + (d, d):
+    if p.w_r.value.shape != k + (d, 2 * d) or p.w_z.value.shape != k + (d, 2 * d) \
+            or p.u.value.shape != k + (d, d):
         raise ShapeError("gru: inconsistent parameter shapes")
 
 
 def _transposed(m):
-    """A map's transpose, with any bank axis lined up with the stacks'."""
-    t = m.value.swapaxes(-1, -2)
-    return t if t.ndim == 2 else t[:, None]
+    """A map's transpose, its bank axis lined up with the stacks'."""
+    return m.value.swapaxes(-1, -2)[:, None]
 
 
 def gru_forward(p, x, h_t):
@@ -135,8 +129,7 @@ def gru_backward(p, tape, dh_next):
     shape = tape.r.shape
     if dh_next.shape != shape:
         raise ShapeError(f"gru_backward: dh_next has shape {dh_next.shape}, expected {shape}")
-    rows = shape[:-3] + (-1,)
-    xh, r, z, h_tilde, dh_next = (a.reshape(rows + a.shape[-1:]) for a in
+    xh, r, z, h_tilde, dh_next = (a.reshape(shape[0], -1, a.shape[-1]) for a in
                                   (tape.xh, tape.r, tape.z, tape.h_tilde, dh_next))
     x, h_t = xh[..., :d], xh[..., d:]
 

@@ -1,6 +1,6 @@
-"""Dense float64 vector/matrix substrate: a named parameter store with
-gradient buffers, deterministic init, finite-difference gradient checking,
-and the binary checkpoint format.
+"""Dense float64 vector/matrix substrate: a named parameter store laid out
+in one value buffer and one gradient buffer, deterministic init,
+finite-difference gradient checking, and the binary checkpoint format.
 
 Vectors are 1-D float64 ndarrays, matrices 2-D float64 ndarrays (row-major).
 Everything downstream computes on these.
@@ -11,7 +11,6 @@ import struct
 import zlib
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .inputs import reading
 
@@ -55,21 +54,17 @@ def derive_seed(seed, label):
 
 
 class Param:
-    """A named value with a same-shaped gradient accumulation buffer.
-
-    In a laid-out model (ParamStore.lay_out) both arrays are views into the
-    model's value and gradient buffers, so every update writes into them
-    (p.value[...] = v, p.grad += g) and neither is ever rebound. Given only
-    a value, a Param owns a copy of it and a zeroed gradient."""
+    """A named value with a same-shaped gradient accumulation buffer: views
+    of its span of a laid-out model's value and gradient buffers
+    (ParamStore.lay_out), so every update writes into them (p.value[...] =
+    v, p.grad += g) and neither is ever rebound."""
 
     __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name, value, grad=None):
-        self.name = name
-        self.value = np.array(value, dtype=np.float64) if grad is None else value
-        if self.value.ndim not in (1, 2):
-            raise ShapeError(f"param {name!r}: rank must be 1 or 2, got shape {self.value.shape}")
-        self.grad = np.zeros_like(self.value) if grad is None else grad
+    def __init__(self, name, value, grad):
+        if value.ndim not in (1, 2):
+            raise ShapeError(f"param {name!r}: rank must be 1 or 2, got shape {value.shape}")
+        self.name, self.value, self.grad = name, value, grad
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.value.shape})"
@@ -88,22 +83,15 @@ class ParamStack:
 class ParamStore:
     """Map from hierarchical name to Param; iteration is sorted by name.
 
-    A model is laid out once (lay_out): one float64 buffer holds every
-    value and another every gradient, in layout order, and each Param is a
-    view of its span of both. create adds a Param with arrays of its own."""
+    A store holds one model, laid out once (lay_out): one float64 buffer
+    holds every value and another every gradient, in layout order, and each
+    Param is a view of its span of both."""
 
     def __init__(self):
         self._entries = {}
         self._spans = {}          # name -> its slice of the buffers, once laid out
         self._merged = {}         # names -> spans(names)
         self.values = self.grads = None
-
-    def create(self, name, value):
-        if name in self._entries:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        p = Param(name, value)
-        self._entries[name] = p
-        return p
 
     def lay_out(self, entries):
         """Register (name, initial value) pairs as the store's one model, laid
@@ -153,8 +141,8 @@ class ParamStore:
             raise ValueError(f"parameters {names} are not evenly spaced and of one shape")
         shape = (len(names),) + first.shape
         strides = (steps.pop() * first.itemsize,) + first.strides
-        return ParamStack(*(as_strided(buf[starts[0]:], shape, strides)
-                            for buf in (self.values, self.grads)))
+        return ParamStack(*(np.ndarray(shape, buffer=buf, offset=starts[0] * first.itemsize,
+                                       strides=strides) for buf in (self.values, self.grads)))
 
     def __getitem__(self, name):
         return self._entries[name]
@@ -172,13 +160,8 @@ class ParamStore:
         for name in self.names():
             yield name, self._entries[name]
 
-    def params(self):
-        for name in self.names():
-            yield self._entries[name]
-
     def zero_grads(self):
-        for p in self._entries.values():
-            p.grad[...] = 0.0
+        self.grads[...] = 0.0
 
 
 def grad_check(loss_fn, store, names, eps=1e-5):
@@ -238,10 +221,10 @@ def save_checkpoint(path, store):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a fresh ParamStore. FileError, path first,
-    on any corruption."""
+    """Read a checkpoint back into a fresh ParamStore, laid out in file
+    order. FileError, path first, on any corruption."""
     with reading(path):
-        store = ParamStore()
+        entries = {}
         with open(path, "rb") as f:
             data = f.read()
 
@@ -264,7 +247,7 @@ def load_checkpoint(path):
                 name = chunk.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise ValueError(f"name of entry {i} at offset {off - name_len} is not UTF-8: {e}")
-            if name in store:
+            if name in entries:
                 raise ValueError(f"entry {i} at offset {off - name_len} repeats the name {name!r}")
             chunk, off = take(4, off, f"rank of {name!r}")
             (rank,) = struct.unpack("<I", chunk)
@@ -277,10 +260,12 @@ def load_checkpoint(path):
             # exact: dims up to 2**32 - 1 each overflow an int64 product
             n_elem = math.prod(dims)
             chunk, off = take(8 * n_elem, off, f"data of {name!r}")
-            value = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
+            value = np.frombuffer(chunk, dtype="<f8").reshape(dims)
             if not np.isfinite(value).all():
                 raise ValueError(f"entry {name!r}: NaN or inf value")
-            store.create(name, value)
+            entries[name] = value
         if off != len(data):
             raise ValueError(f"trailing {len(data) - off} bytes after last entry at offset {off}")
+        store = ParamStore()
+        store.lay_out(entries.items())
         return store

@@ -6,8 +6,8 @@ For node i with feature f_i, one step computes
 
     e[i][j]  = relu(W_P . R(box_i, box_j)) * tanh(w_v . [f_i, f_j])   (j != i)
     m_i      = elementwise-max over j != i of e[i][j] * f_j
-    h_s_i    = gru(scene_gru, x=scene_feature, h=f_i)
-    h_e_i    = gru(edge_gru,  x=m_i,           h=f_i)
+    h_s_i    = gru(scene bank, x=scene_feature, h=f_i)
+    h_e_i    = gru(edge bank,  x=m_i,           h=f_i)
     f_i'     = fuse(h_s_i, h_e_i)        # mean (default), max, or concat
 
 W_P is a fixed locality prior, not a learned weight, so the spatial gate
@@ -16,8 +16,9 @@ the first step that needs it. The appearance factor, and with it the edges,
 is recomputed from the current features at every step; both banks take the
 fused node state of the previous step as their hidden state. Ablation arms
 drop one bank and use the remaining output alone. A step makes one GRU call
-either way: with both banks it pools the messages first and runs the two
-banks stacked (SinParams.banks, memory_cell's bank axis), forward and back.
+in every mode, forward and back, on the stack of its mode's banks
+(MODE_BANKS, memory_cell's bank axis): with both banks it pools the
+messages first and runs the two stacked, scene bank first.
 
 A step runs on a stack of B scenes with n nodes each: node features are
 (B, n, d), boxes (B, n, 4), the spatial gate and the edges (B, n, n) and
@@ -42,7 +43,10 @@ from .memory_cell import GruTape, gru_backward, gru_forward, gru_init, gru_param
 from .numerics import init_param, seed_for
 
 POOLINGS = ("mean", "max", "concat")
-MODES = ("both", "scene", "edge")
+SCENE_BANK, EDGE_BANK = "sin/scene_gru", "sin/edge_gru"
+# the banks each message mode runs, stacked in this order
+MODE_BANKS = {"both": (SCENE_BANK, EDGE_BANK), "scene": (SCENE_BANK,), "edge": (EDGE_BANK,)}
+MODES = tuple(MODE_BANKS)
 
 REL_DIM = 12
 
@@ -86,9 +90,7 @@ class SceneGraph:
 
 @dataclass
 class SinParams:
-    scene_gru: object
-    edge_gru: object
-    banks: object               # both banks stacked, scene first, for "both" steps
+    grus: dict                  # mode -> GruParams of MODE_BANKS[mode], stacked
     w_v: object                 # (1, 2d)
     w_a: object = None          # (d, 2d), only under concat fusion
 
@@ -102,18 +104,17 @@ def sin_init(d, seed, pooling):
         raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
     # Soft start for the appearance term: early messages are noise,
     # and large ones teach the rest of the net to shut the edges off.
-    rest = gru_init("sin/edge_gru", d, seed) + [
+    rest = gru_init(EDGE_BANK, d, seed) + [
         ("sin/w_v", 0.25 * init_param((1, 2 * d), seed_for(seed, "sin/w_v")))]
     if pooling == "concat":
         rest.append(("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a"))))
-    return gru_init("sin/scene_gru", d, seed), rest
+    return gru_init(SCENE_BANK, d, seed), rest
 
 
 def sin_params(store):
     """The SinParams view of a store laid out with sin_init's pairs."""
-    return SinParams(scene_gru=gru_params(store, "sin/scene_gru"),
-                     edge_gru=gru_params(store, "sin/edge_gru"),
-                     banks=gru_params(store, "sin/scene_gru", "sin/edge_gru"),
+    return SinParams(grus={mode: gru_params(store, *banks)
+                           for mode, banks in MODE_BANKS.items()},
                      w_v=store["sin/w_v"],
                      w_a=store["sin/w_a"] if "sin/w_a" in store else None)
 
@@ -267,11 +268,11 @@ class StepTape:
     scene_feature: np.ndarray   # (B, d)
     pooling: str
     mode: str
-    gru: GruTape = None         # the step's one bank call; both banks stacked in "both"
+    gru: GruTape = None         # the step's one GRU call, on MODE_BANKS[mode]
     edge_cache: EdgeCache = None
     msgs: np.ndarray = None
     senders: np.ndarray = None
-    h: np.ndarray = None        # (2, B, n, d) bank outputs, scene first, in "both"
+    h: np.ndarray = None        # (k, B, n, d) bank outputs, in MODE_BANKS[mode] order
     fused: np.ndarray = None
 
 
@@ -294,34 +295,32 @@ def sin_step_tape(p, g, pooling, mode, record):
     backward, else None. A step that records pools messages with
     _integrate_all for its winning senders; one that does not pools them
     with _max_messages and drops its intermediates on return. Either way
-    the updated stack carries the step's edges. Each step makes one bank
-    call: in "both" mode the messages are pooled first and both banks run
-    stacked (SinParams.banks)."""
+    the updated stack carries the step's edges. Each step makes one GRU
+    call, on the stack of its mode's banks (SinParams.grus): in "both"
+    mode the messages are pooled first. A "scene" step's x is a broadcast
+    view of the scene features."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     feats = g.node_features
     tape = StepTape(features_in=feats, scene_feature=g.scene_feature,
                     pooling=pooling, mode=mode)
-    if mode != "scene":
+    if mode == "scene":
+        x = np.broadcast_to(g.scene_feature[:, None, :], feats.shape)[None]
+    else:
         tape.edge_cache = _compute_edges(p, feats, _gate(g))
         if record:
             tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
         else:
             tape.msgs = _max_messages(feats, tape.edge_cache.e)
-
-    if mode == "both":
-        x = np.empty((2,) + feats.shape)
-        x[0] = g.scene_feature[:, None, :]
-        x[1] = tape.msgs
-        tape.h, tape.gru = gru_forward(p.banks, x, feats)
-        fused = _fuse(p, tape.h[0], tape.h[1], pooling)
-    elif mode == "scene":
-        fused, tape.gru = gru_forward(
-            p.scene_gru, np.broadcast_to(g.scene_feature[:, None, :], feats.shape), feats)
-    else:
-        fused, tape.gru = gru_forward(p.edge_gru, tape.msgs, feats)
-    tape.fused = fused
-    out = SceneGraph(node_features=fused, boxes=g.boxes, scene_feature=g.scene_feature,
+        if mode == "edge":
+            x = tape.msgs[None]
+        else:
+            x = np.empty((2,) + feats.shape)
+            x[0] = g.scene_feature[:, None, :]
+            x[1] = tape.msgs
+    tape.h, tape.gru = gru_forward(p.grus[mode], x, feats)
+    tape.fused = tape.h[0] if mode != "both" else _fuse(p, tape.h[0], tape.h[1], pooling)
+    out = SceneGraph(node_features=tape.fused, boxes=g.boxes, scene_feature=g.scene_feature,
                      gate=g.gate, edges=None if tape.edge_cache is None else tape.edge_cache.e)
     return out, tape if record else None
 
@@ -341,15 +340,13 @@ def sin_infer_tapes(p, g, steps, pooling, mode, record):
 
 
 def _banks_backward(p, tape, dfeat):
-    """The fusion's and the bank call's backward pass of one step: the
+    """The fusion's and the GRU call's backward pass of one step: the
     gradients on each bank's x (the scene rows, the messages) and on its
     hidden state, as lists over the banks the step ran, scene bank first."""
-    if tape.mode != "both":
-        dx, dh = gru_backward(p.scene_gru if tape.mode == "scene" else p.edge_gru,
-                              tape.gru, dfeat)
-        return [dx], [dh]
     b, n, d = dfeat.shape
-    if tape.pooling == "mean":
+    if tape.mode != "both":
+        dh_banks = dfeat[None]
+    elif tape.pooling == "mean":
         half = dfeat / 2.0
         dh_banks = np.array([half, half])
     elif tape.pooling == "max":
@@ -359,7 +356,7 @@ def _banks_backward(p, tape, dfeat):
         cat = np.concatenate([tape.h[0], tape.h[1]], axis=2)
         p.w_a.grad += dfeat.reshape(-1, d).T @ cat.reshape(-1, 2 * d)
         dh_banks = (dfeat @ p.w_a.value).reshape(b, n, 2, d).transpose(2, 0, 1, 3)
-    dx, dh = gru_backward(p.banks, tape.gru, dh_banks)
+    dx, dh = gru_backward(p.grus[tape.mode], tape.gru, dh_banks)
     return list(dx), list(dh)
 
 

@@ -445,6 +445,8 @@ def load_dataset(path, world, expected_world_hash, allow_mismatch=False):
         for key, want in dataset_header(world).items():
             if key != "world_hash" and checked(header[key], int, f"header {key}") != want:
                 raise ValueError(f"header {key} is {header[key]!r}, but the world has {want}")
+        if len(lines) == 1:
+            raise ValueError("no scenes after the header")
         samples = []
         for i, ln in enumerate(lines[1:], start=1):
             rec = decode_json(ln, f"line {i}")

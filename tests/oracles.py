@@ -52,10 +52,16 @@ def gt_array(objects):
 
 
 def create_gru_params(store, prefix, d, seed):
-    """A one-bank GRU laid out alone in the empty store, as GruParams."""
+    """A one-bank GRU laid out alone in the empty store, as GruParams: a
+    stack of one bank."""
     from sinet.memory_cell import gru_init, gru_params
     store.lay_out(gru_init(prefix, d, seed))
     return gru_params(store, prefix)
+
+
+def bank_maps(p, k):
+    """The (W_r, W_z, W, U) matrices of bank k of the GruParams stack p."""
+    return tuple(m.value[k] for m in p.entries())
 
 
 def create_sin_params(store, d, seed, pooling="mean"):
@@ -150,10 +156,9 @@ def sin_step_oracle(p, w_p, features, boxes, scene_feature, pooling="mean", mode
     (1, 12) spatial gate weights w_p."""
     n = len(features)
     d = len(features[0])
-    w_r_s, w_z_s, w_s, u_s = (p.scene_gru.w_r.value, p.scene_gru.w_z.value,
-                              p.scene_gru.w.value, p.scene_gru.u.value)
-    w_r_e, w_z_e, w_e, u_e = (p.edge_gru.w_r.value, p.edge_gru.w_z.value,
-                              p.edge_gru.w.value, p.edge_gru.u.value)
+    # bank 0 of the "both" stack is the scene bank, bank 1 the edge bank
+    w_r_s, w_z_s, w_s, u_s = bank_maps(p.grus["both"], 0)
+    w_r_e, w_z_e, w_e, u_e = bank_maps(p.grus["both"], 1)
     h_scene = h_edge = None
     if mode in ("both", "scene"):
         h_scene = [gru_forward_oracle(w_r_s, w_z_s, w_s, u_s, scene_feature,

@@ -32,7 +32,7 @@ from sinet.structure_inference import (SceneGraph, _compute_edges,
 from sinet.synth_data import (SceneSample, default_world, generate,
                               load_dataset, save_dataset, world_hash)
 
-from oracles import (Box, average_precision_oracle, center_rows, corner_rows,
+from oracles import (Box, average_precision_oracle, bank_maps, center_rows, corner_rows,
                      create_gru_params, create_sin_params,
                      detection_array, edge_weight_oracle, gru_forward_oracle, gt_array,
                      integrate_messages_oracle, iou_oracle, nms_oracle, objectness_oracle,
@@ -69,10 +69,9 @@ def _check_gru(rng, trials):
         p = create_gru_params(st, "cell", d, int(rng.integers(1 << 30)))
         n = int(rng.integers(1, 17))
         x, h = rng.normal(0, 2, size=(n, d)), rng.normal(0, 2, size=(n, d))
-        got = gru_forward(p, x[None], h[None])[0][0]
+        got = gru_forward(p, x[None, None], h[None])[0][0, 0]
         for i in range(n):
-            want, _, _, _ = gru_forward_oracle(p.w_r.value, p.w_z.value,
-                                               p.w.value, p.u.value, x[i], h[i])
+            want, _, _, _ = gru_forward_oracle(*bank_maps(p, 0), x[i], h[i])
             assert np.allclose(got[i], np.array(want), atol=1e-12)
 
 
@@ -210,10 +209,13 @@ def test_criterion_2_oracle_equivalence():
 
 @pytest.fixture(scope="module")
 def full_run():
+    """The summary of the full ablation and the wall time of the whole call:
+    the four arms and the sweep, 8 trainings."""
     world = default_world()
     cfg = TrainConfig()     # shipped defaults: T=2, mean pooling, seed 0
+    t0 = time.perf_counter()
     summary, _models = run_ablation(world, cfg, n_train=2000, n_test=500, sweep=True)
-    return summary
+    return summary, time.perf_counter() - t0
 
 
 def _arm_map(res, arm):
@@ -223,18 +225,18 @@ def _arm_map(res, arm):
 
 
 def test_criterion_3_ablation_trend(full_run):
-    base = _arm_map(full_run, "baseline")
-    scene = _arm_map(full_run, "scene")
-    edge = _arm_map(full_run, "edge")
-    sin = _arm_map(full_run, "sin")
-    wall = full_run["timings"]["arms"]
+    summary, wall = full_run
+    base = _arm_map(summary, "baseline")
+    scene = _arm_map(summary, "scene")
+    edge = _arm_map(summary, "edge")
+    sin = _arm_map(summary, "sin")
     ok = (scene >= base + 2.0 and edge >= base + 2.0
           and sin >= max(scene, edge) - 0.5 and wall < 900.0)
     line = record(3, "ablation trend", ok,
                   f"mAP base {base:.2f}, scene {scene:.2f} (+{scene - base:.2f}), "
                   f"edge {edge:.2f} (+{edge - base:.2f}), sin {sin:.2f} "
                   f"(vs best arm {sin - max(scene, edge):+.2f}); "
-                  f"margins needed +2.0/+2.0/-0.5; 4 arms in {wall:.0f}s")
+                  f"margins needed +2.0/+2.0/-0.5; 8 trainings in {wall:.0f}s")
     assert ok, line
 
 
@@ -245,9 +247,10 @@ def _sweep_map(res, key):
 
 
 def test_criterion_4_time_step_trend(full_run):
-    t1 = _sweep_map(full_run, "mean-T1")
-    t2 = _sweep_map(full_run, "mean-T2")
-    t3 = _sweep_map(full_run, "mean-T3")
+    summary, _wall = full_run
+    t1 = _sweep_map(summary, "mean-T1")
+    t2 = _sweep_map(summary, "mean-T2")
+    t3 = _sweep_map(summary, "mean-T3")
     ok = t2 >= t1 - 0.5
     line = record(4, "time-step trend", ok,
                   f"mAP T1 {t1:.2f}, T2 {t2:.2f} (needs >= T1 - 0.5), "
@@ -256,7 +259,8 @@ def test_criterion_4_time_step_trend(full_run):
 
 
 def test_criterion_5_fusion_modes(full_run):
-    vals = {pool: _sweep_map(full_run, f"{pool}-T2")
+    summary, _wall = full_run
+    vals = {pool: _sweep_map(summary, f"{pool}-T2")
             for pool in ("mean", "max", "concat")}
     spread = max(vals.values()) - min(vals.values())
     ok = spread <= 3.0 and TrainConfig().pooling == "mean"
@@ -268,8 +272,9 @@ def test_criterion_5_fusion_modes(full_run):
 
 
 def test_criterion_6_precision_dominance(full_run):
-    base_pr = {round(thr, 1): (p, r) for thr, p, r in full_run["arms"]["baseline"]["pr"]}
-    sin_pr = {round(thr, 1): (p, r) for thr, p, r in full_run["arms"]["sin"]["pr"]}
+    summary, _wall = full_run
+    base_pr = {round(thr, 1): (p, r) for thr, p, r in summary["arms"]["baseline"]["pr"]}
+    sin_pr = {round(thr, 1): (p, r) for thr, p, r in summary["arms"]["sin"]["pr"]}
     checks = []
     ok = True
     for thr in (0.3, 0.4, 0.5, 0.6, 0.7):
@@ -292,7 +297,7 @@ def _invariant_gate_ranges(rng):
         d = int(rng.integers(1, 7))
         st = ParamStore()
         p = create_gru_params(st, "cell", d, int(rng.integers(1 << 30)))
-        x, h = rng.normal(0, 3, size=(1, 1, d)), rng.normal(0, 3, size=(1, 1, d))
+        x, h = rng.normal(0, 3, size=(1, 1, 1, d)), rng.normal(0, 3, size=(1, 1, d))
         h_next, tape = gru_forward(p, x, h)
         assert np.all(tape.r > 0) and np.all(tape.r < 1)
         assert np.all(tape.z > 0) and np.all(tape.z < 1)

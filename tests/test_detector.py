@@ -870,7 +870,7 @@ def test_active_param_names_per_arm():
     assert "sin/w_v" in edge
     assert not any("scene_gru" in n for n in edge)
     # the sin arm with concat pooling touches every parameter in the store
-    assert sin == {p.name for p in store.params()}
+    assert sin == set(store.names())
     assert scene | edge < sin  # w_a only trains under the full arm
 
     # mean pooling has no attention matrix anywhere
@@ -898,8 +898,8 @@ def test_train_is_deterministic():
     a = train(world, cfg, arm="sin", n_train=6)
     b = train(world, cfg, arm="sin", n_train=6)
     assert a.losses == b.losses
-    for pa, pb in zip(a.store.params(), b.store.params()):
-        assert pa.name == pb.name
+    for (na, pa), (nb, pb) in zip(a.store.items(), b.store.items()):
+        assert na == nb
         assert np.array_equal(pa.value, pb.value)
 
 
@@ -971,7 +971,7 @@ def test_train_inactive_params_untouched():
         result = train(world, cfg, arm=arm, n_train=5)
         active = set(active_param_names(result.params, arm))
         assert len(active) < len(fresh.names())
-        for p in result.store.params():
+        for _, p in result.store.items():
             if p.name not in active:
                 assert p.value.tobytes() == fresh[p.name].value.tobytes(), (arm, p.name)
 
@@ -1138,8 +1138,8 @@ def test_training_is_pinned(arm):
     digest = hashlib.sha256()
     for loss in result.losses:
         digest.update(float(loss).hex().encode())
-    for p in result.store.params():
-        digest.update(p.name.encode())
+    for name, p in result.store.items():
+        digest.update(name.encode())
         digest.update(p.value.tobytes())
     assert digest.hexdigest() == want
 

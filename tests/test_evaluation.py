@@ -277,12 +277,9 @@ def test_run_ablation_structure(tiny_ablation):
         assert set(r["ap"]) == set(range(6))
         assert len(r["pr"]) == len(PR_THRESHOLDS)
         assert set(r["fp"]) == set(FP_KINDS)
-        assert r["seconds"] > 0
         assert models[arm].arm == arm
-        assert set(r) == {"failed", "map", "ap", "pr", "fp", "seconds"}
+        assert set(r) == {"failed", "map", "ap", "pr", "fp"}
     assert res["n_train"] == 6 and res["n_test"] == 4
-    assert isinstance(res["timings"]["arms"], float)
-    assert isinstance(res["timings"]["sweep"], float)
     json.dumps(res)     # the summary is plain data as returned
 
 

@@ -25,9 +25,10 @@ from sinet.harness import (EvalConfig, RunConfig, _load_trained, _manifest_paylo
                            read_manifest, resolve_world, run_config_from_dict,
                            run_gradcheck, write_csv, write_eval_csvs, write_manifest)
 from sinet.inputs import FileError
+from sinet.memory_cell import MAPS
 from sinet.numerics import (CHECKPOINT_MAGIC, ParamStore, derive_seed, load_checkpoint,
                             save_checkpoint)
-from sinet.structure_inference import relation_report
+from sinet.structure_inference import MODE_BANKS, relation_report
 from sinet.synth_data import (default_world, generate, sample_at, save_dataset, world_hash,
                               world_to_dict)
 
@@ -181,23 +182,40 @@ def test_detect_dataset_worker_count_does_not_change_results():
         assert dd1.tobytes() == dd2.tobytes()
 
 
+def _offset(view, buf):
+    """Where a float64 view starts in the buffer it is a view of, in entries."""
+    return (view.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // 8
+
+
 def _assert_laid_out(params, values, grads):
-    """Every Param of the model `params` is a view of its own span of the
-    value and gradient buffers, which hold nothing else, and each two-bank
-    stack aliases the scene and the edge bank's Params."""
+    """Every Param of the model `params` and each map of the one-bank
+    stacks is a view of its own span of the value and gradient buffers,
+    and those spans tile the buffers; bank k of the two-bank stack aliases
+    the one-bank stack of MODE_BANKS["both"][k]."""
     sin = params.sin
-    singles = [params.feat_proj, params.cls_head, params.reg_head, params.objectness, sin.w_v,
-               *sin.scene_gru.entries(), *sin.edge_gru.entries()]
+    singles = [params.feat_proj, params.cls_head, params.reg_head, params.objectness, sin.w_v]
     singles += [sin.w_a] if sin.w_a is not None else []
-    assert sum(p.value.size for p in singles) == values.size == grads.size
     for p in singles:
         assert p.value.base is values and p.grad.base is grads, p.name
-    for stack, *bank_params in zip(sin.banks.entries(), sin.scene_gru.entries(),
-                                   sin.edge_gru.entries()):
-        for k, p in enumerate(bank_params):
-            for view, array in ((stack.value[k], p.value), (stack.grad[k], p.grad)):
-                assert (view.__array_interface__ == array.__array_interface__
-                        and np.shares_memory(view, array)), p.name
+    views = [(p.value, p.grad) for p in singles]
+    views += [(m.value[0], m.grad[0]) for mode in ("scene", "edge")
+              for m in sin.grus[mode].entries()]
+    spans = []
+    for value, grad in views:
+        assert value.flags.c_contiguous and grad.flags.c_contiguous
+        assert np.shares_memory(value, values) and np.shares_memory(grad, grads)
+        lo = _offset(value, values)
+        assert lo == _offset(grad, grads)
+        spans.append((lo, lo + value.size))
+    spans.sort()
+    assert spans[0][0] == 0 and spans[-1][1] == values.size == grads.size
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert MODE_BANKS["both"] == MODE_BANKS["scene"] + MODE_BANKS["edge"]
+    for stack, *banks in zip(sin.grus["both"].entries(), sin.grus["scene"].entries(),
+                             sin.grus["edge"].entries()):
+        for k, bank in enumerate(banks):
+            for view, array in ((stack.value[k], bank.value[0]), (stack.grad[k], bank.grad[0])):
+                assert view.__array_interface__ == array.__array_interface__
 
 
 @pytest.mark.parametrize("pooling", ["mean", "concat"])
@@ -207,14 +225,19 @@ def test_model_layout_is_one_pair_of_buffers(pooling):
     store = ParamStore()
     params = create_detector_params(store, 8, 6, 16, 3, pooling)
     _assert_laid_out(params, store.values, store.grads)
-    assert sorted(p.name for p in store.params()) == store.names()
+    for name, p in store.items():
+        assert p.value.base is store.values and p.grad.base is store.grads, name
     for arm in ARMS:
         assert len(store.spans(active_param_names(params, arm))) == 1, arm
-    # writes through a Param reach the stacks and the buffers, and back
-    params.sin.edge_gru.w.value[0, 1] = 7.5
-    params.sin.banks.u.grad[0] += 1.0
-    assert params.sin.banks.w.value[1, 0, 1] == 7.5
-    assert (params.sin.scene_gru.u.grad[0] == 1.0).all()
+    # writes through a stack reach the other stacks, the Params and the
+    # buffers, and back
+    grus = params.sin.grus
+    grus["edge"].w.value[0, 0, 1] = 7.5
+    grus["both"].u.grad[0] += 1.0
+    assert grus["both"].w.value[1, 0, 1] == 7.5
+    assert store["sin/edge_gru/W"].value[0, 1] == 7.5
+    assert (grus["scene"].u.grad[0] == 1.0).all()
+    assert (store["sin/scene_gru/U"].grad == 1.0).all()
     assert store.values[store.spans(["sin/edge_gru/W"])[0]][1] == 7.5
 
 
@@ -228,9 +251,16 @@ def test_loaded_model_is_laid_out(sin_run):
     assert isinstance(values, np.ndarray) and isinstance(grads, np.ndarray)
     _assert_laid_out(params, values, grads)
     saved = load_checkpoint(ckpt)
+    # the checkpoint's own store is laid out too
+    assert sum(p.value.size for _, p in saved.items()) == saved.values.size
+    for name, p in saved.items():
+        assert p.value.base is saved.values and p.grad.base is saved.grads, name
     sin = params.sin
-    for p in (params.cls_head, sin.w_v, *sin.scene_gru.entries(), *sin.edge_gru.entries()):
+    for p in (params.cls_head, sin.w_v):
         assert p.value.tobytes() == saved[p.name].value.tobytes(), p.name
+    for k, bank in enumerate(MODE_BANKS["both"]):
+        for m, stack in zip(MAPS, sin.grus["both"].entries()):
+            assert stack.value[k].tobytes() == saved[f"{bank}/{m}"].value.tobytes(), (bank, m)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +520,7 @@ def baseline_run(tmp_path_factory):
 
 
 HEADER = ("header",)
+NO_SCENES = ("no scenes",)
 
 
 @pytest.mark.parametrize("where, key, value, message", [
@@ -524,13 +555,14 @@ HEADER = ("header",)
     (HEADER, None, "{oops", "bad.jsonl: header: Expecting property name"),
     (("grid",), 5, "1.5", "grid value '1.5' is not a number"),
     (("grid",), 5, True, "grid value True is not a number"),
+    (NO_SCENES, None, None, "bad.jsonl: no scenes after the header"),
 ], ids=["no-grid", "no-gt", "no-scene-type", "gt-no-w", "gt-no-cat", "nan-cell",
         "inf-cell", "cat-negative", "cat-too-large", "cat-fraction", "cat-string",
         "cat-bool", "scene-type-fraction", "scene-type-string", "scene-type-bool",
         "scene-type-negative", "scene-type-too-large", "header-categories",
         "header-channels", "header-height", "header-height-float", "gt-w-zero",
         "gt-h-negative", "gt-cx-nan", "gt-not-a-list", "gt-cx-string", "gt-w-bool",
-        "gt-cy-huge", "header-not-json", "grid-string", "grid-bool"])
+        "gt-cy-huge", "header-not-json", "grid-string", "grid-bool", "header-only"])
 def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                                             where, key, value, message):
     # the baseline arm runs no GRU, so only the loader can catch these; the
@@ -538,10 +570,13 @@ def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
     # A header edit comes with the scene edits that make the file agree
     # with its header: 99 categories with a gt of category 50, or every
     # grid cut to the header's channel count, or an 8x32 grid of as many cells.
-    # A header edit without a key replaces the header line by `value`.
+    # A header edit without a key replaces the header line by `value`;
+    # NO_SCENES keeps the header alone.
     run_dir, records = baseline_run
     records = json.loads(json.dumps(records))
-    if where == HEADER and key is None:
+    if where == NO_SCENES:
+        del records[1:]
+    elif where == HEADER and key is None:
         records[0] = value
     elif where == HEADER:
         header = records[0]
@@ -570,7 +605,7 @@ def test_cli_eval_malformed_dataset_exits_2(baseline_run, tmp_path, capsys,
                  "--data", data, "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sinet: error: ")
-    assert message in err and (where == HEADER or "line 2: " in err)
+    assert message in err and (where in (HEADER, NO_SCENES) or "line 2: " in err)
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 
@@ -907,12 +942,14 @@ def test_cli_checkpoint_shapes_must_match_manifest(sin_run, tmp_path, capsys, na
     # or shape, exits 2 before any detection runs
     run_dir, _ = sin_run
     store = load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
-    bad = ParamStore()
+    entries = []
     for entry in sorted(set(store.names()) | {name}):
         if entry != name:
-            bad.create(entry, store[entry].value)
+            entries.append((entry, store[entry].value))
         elif shape is not None:
-            bad.create(entry, np.ones(shape))
+            entries.append((entry, np.ones(shape)))
+    bad = ParamStore()
+    bad.lay_out(entries)
     ckpt = str(tmp_path / "checkpoint.bin")
     save_checkpoint(ckpt, bad)
     for command, out in (("eval", "eval"), ("relations", "relations.csv")):
@@ -1034,38 +1071,95 @@ def test_cli_ablate_writes_summary(tmp_path, capsys):
     assert main(["ablate", "--world", "default", "--iters", "8",
                  "--n-train", "4", "--n-test", "2",
                  "--arms", "baseline,sin", "--out", out_dir]) == 0
-    for name in ("summary.json", "metrics.csv", "pr.csv", "fp.csv",
-                 "manifest.json", "checkpoint-baseline.bin", "checkpoint-sin.bin"):
+    for name in ("summary.json", "metrics.csv", "pr.csv", "fp.csv", "manifest.json",
+                 *(os.path.join(arm, f) for arm in ("baseline", "sin")
+                   for f in ("checkpoint.bin", "manifest.json", "loss.csv"))):
         assert os.path.exists(os.path.join(out_dir, name)), name
+    assert sorted(os.listdir(out_dir)) == ["baseline", "fp.csv", "manifest.json",
+                                           "metrics.csv", "pr.csv", "sin", "summary.json"]
     summary = json.load(open(os.path.join(out_dir, "summary.json")))
     assert set(summary["arms"]) == {"baseline", "sin"}
     assert not any(k.startswith("_") for k in summary["arms"]["sin"])
     capsys.readouterr()
 
 
-# SHA-256 over what `sinet ablate --sweep` writes for 40-iteration trainings:
-# the metrics.csv, pr.csv and fp.csv bytes, the four checkpoints, and
-# summary.json re-dumped without its wall times (timings, each arm's
-# seconds). Recorded while the arms and the sweep points ran in two loops;
-# the mean-T2 point is the sin arm's own (pooling, T) and reads its entry.
+ABLATE_PINNED = ["ablate", "--iters", "40", "--n-train", "40", "--n-test", "12", "--sweep"]
+
+
+@pytest.fixture(scope="module")
+def pinned_ablation(tmp_path_factory):
+    """The output directory of the ABLATE_PINNED command."""
+    out_dir = tmp_path_factory.mktemp("ablation") / "ab"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(ABLATE_PINNED + ["--out", str(out_dir)]) == 0
+    return out_dir
+
+
+def _tree(root):
+    """Every file under the directory Path `root`, relative path -> bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# SHA-256 over what ABLATE_PINNED writes for 40-iteration trainings: the
+# metrics.csv, pr.csv and fp.csv bytes, the four arms' checkpoints, and
+# summary.json re-dumped. Recorded while the arms and the sweep points ran
+# in two loops, each arm's checkpoint was <out>/checkpoint-<arm>.bin, and
+# summary.json also held wall times (the timings key and each arm's
+# seconds), which the digest left out; the mean-T2 point is the sin arm's
+# own (pooling, T) and reads its entry.
 PINNED_ABLATION = "5f495c43bd19494e6f19627ce126f5baf8a9a9941591374a3859d67438e98bef"
 
 
-def test_ablation_is_pinned(tmp_path, capsys):
-    out_dir = tmp_path / "ab"
-    assert main(["ablate", "--iters", "40", "--n-train", "40", "--n-test", "12",
-                 "--sweep", "--out", str(out_dir)]) == 0
-    capsys.readouterr()
+def test_ablation_is_pinned(pinned_ablation):
+    out_dir = pinned_ablation
     digest = hashlib.sha256()
     for name in ("metrics.csv", "pr.csv", "fp.csv",
-                 *(f"checkpoint-{arm}.bin" for arm in ARMS)):
+                 *(os.path.join(arm, "checkpoint.bin") for arm in ARMS)):
         digest.update((out_dir / name).read_bytes())
     summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
-    del summary["timings"]
-    for entry in summary["arms"].values():
-        del entry["seconds"]
     digest.update(json.dumps(summary, sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_ABLATION
+
+
+def test_ablation_rerun_is_byte_identical(pinned_ablation, tmp_path, capsys):
+    # no output of an ablation depends on anything but its flags: a rerun
+    # writes the same files, byte for byte
+    out_dir = tmp_path / "ab"
+    assert main(ABLATE_PINNED + ["--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    first, second = _tree(pinned_ablation), _tree(out_dir)
+    assert sorted(first) == sorted(second)
+    for name in first:
+        assert first[name] == second[name], name
+
+
+def _arm_rows(path, arm):
+    """The lines of an ablation or evaluation CSV whose arm column is `arm`."""
+    with open(path, encoding="utf-8") as f:
+        return [ln for ln in f.read().splitlines()[1:] if ln.split(",")[0] == arm]
+
+
+@pytest.mark.parametrize("arm", ARMS)
+def test_ablation_arm_directory_is_a_run(pinned_ablation, tmp_path, capsys, arm):
+    # each trained arm is written as a run directory of its own: its
+    # manifest names the arm, `sinet eval` of its checkpoint reproduces the
+    # arm's rows of the ablation's CSVs, and its checkpoint and loss.csv are
+    # those of `sinet train` of that arm with the same flags
+    arm_dir = pinned_ablation / arm
+    with open(arm_dir / "manifest.json", encoding="utf-8") as f:
+        assert json.load(f)["arm"] == arm
+    eval_dir = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(arm_dir / "checkpoint.bin"),
+                 "--out", str(eval_dir)]) == 0
+    for name in ("metrics.csv", "pr.csv", "fp.csv"):
+        want = _arm_rows(pinned_ablation / name, arm)
+        assert want and _arm_rows(eval_dir / name, arm) == want, name
+    run_dir = tmp_path / "run"
+    assert main(["train", "--arm", arm, "--iters", "40", "--n-train", "40",
+                 "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    for name in ("checkpoint.bin", "loss.csv"):
+        assert (run_dir / name).read_bytes() == (arm_dir / name).read_bytes(), name
 
 
 # SHA-256 over the metrics.csv, pr.csv and fp.csv bytes that `sinet eval`

@@ -30,27 +30,33 @@ def test_derive_seed_stable_and_label_separated():
 
 def test_param_store_sorted_iteration_and_duplicates():
     st = ParamStore()
-    st.create("b/w", np.ones(2))
-    st.create("a/w", np.ones(2))
+    st.lay_out([("b/w", np.ones(2)), ("a/w", np.ones(2))])
     assert st.names() == ["a/w", "b/w"]
-    assert [p.name for p in st.params()] == ["a/w", "b/w"]
+    assert [p.name for _, p in st.items()] == ["a/w", "b/w"]
     with pytest.raises(ValueError):
-        st.create("a/w", np.ones(2))
+        ParamStore().lay_out([("a/w", np.ones(2)), ("a/w", np.ones(2))])
+    with pytest.raises(ValueError):
+        st.lay_out([("c/w", np.ones(2))])        # a store holds one model
     st["a/w"].grad += 5.0
+    st["b/w"].grad -= 1.0
     st.zero_grads()
-    assert np.all(st["a/w"].grad == 0.0)
+    assert np.all(st["a/w"].grad == 0.0) and np.all(st["b/w"].grad == 0.0)
+    assert np.all(st.grads == 0.0)
 
 
 def test_param_rejects_rank_3():
     with pytest.raises(ShapeError):
-        Param("t", np.zeros((2, 2, 2)))
+        Param("t", np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeError):
+        ParamStore().lay_out([("t", np.zeros((2, 2, 2)))])
 
 
 def test_grad_check_validates_a_known_gradient():
     # f = sum(v^2) has exact gradient 2v; a deliberately wrong gradient
     # must be flagged
     st = ParamStore()
-    p = st.create("v", np.array([0.3, -1.2, 2.0]))
+    st.lay_out([("v", np.array([0.3, -1.2, 2.0]))])
+    p = st["v"]
 
     def good():
         loss = float(np.sum(p.value ** 2))
@@ -70,15 +76,24 @@ def test_grad_check_validates_a_known_gradient():
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     st = ParamStore()
     rng = np.random.default_rng(3)
-    st.create("det/feat_proj", rng.normal(size=(4, 6)))
-    st.create("sin/w_v", rng.normal(size=(1, 12)))
-    st.create("vec", rng.normal(size=5))
+    st.lay_out([("det/feat_proj", rng.normal(size=(4, 6))),
+                ("sin/w_v", rng.normal(size=(1, 12))),
+                ("vec", rng.normal(size=5))])
     path = tmp_path / "ck.bin"
     save_checkpoint(path, st)
     back = load_checkpoint(path)
     assert back.names() == st.names()
     for name in st.names():
         assert np.array_equal(back[name].value, st[name].value)
+    # the loaded store is laid out in file order (sorted by name): each
+    # Param is a view of its span of the store's buffers
+    assert back.values.size == back.grads.size == 4 * 6 + 12 + 5
+    for name, lo in (("det/feat_proj", 0), ("sin/w_v", 24), ("vec", 36)):
+        p = back[name]
+        assert p.value.base is back.values and p.grad.base is back.grads
+        assert back.span(name).start == lo
+        assert np.array_equal(back.values[back.span(name)], p.value.reshape(-1))
+    assert not np.any(back.grads)
     # same store saved twice gives identical bytes
     path2 = tmp_path / "ck2.bin"
     save_checkpoint(path2, st)
@@ -87,7 +102,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
 
 def test_checkpoint_corruption_is_fatal(tmp_path):
     st = ParamStore()
-    st.create("w", np.ones((2, 2)))
+    st.lay_out([("w", np.ones((2, 2)))])
     path = tmp_path / "ck.bin"
     save_checkpoint(path, st)
     raw = bytearray(path.read_bytes())
@@ -112,11 +127,10 @@ def test_checkpoint_corruption_is_fatal(tmp_path):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_checkpoint_non_finite_value_is_fatal(tmp_path, bad):
-    st = ParamStore()
-    st.create("det/feat_proj", np.ones((2, 3)))
     value = np.zeros((2, 2))
     value[1, 0] = bad
-    st.create("det/cls_head", value)
+    st = ParamStore()
+    st.lay_out([("det/feat_proj", np.ones((2, 3))), ("det/cls_head", value)])
     path = tmp_path / "ck.bin"
     save_checkpoint(path, st)
     with pytest.raises(FileError, match=r"entry 'det/cls_head': NaN or inf"):

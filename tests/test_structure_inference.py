@@ -223,7 +223,7 @@ def test_max_messages_match_integrate_all(b, n, d, seed, special, closed):
     outs = []
     for msgs in (want, got):
         try:
-            outs.append(gru_forward(p, msgs, h)[0].tobytes())
+            outs.append(gru_forward(p, msgs[None], h)[0].tobytes())
         except FloatingPointError:
             outs.append(None)
     assert outs[0] == outs[1]
@@ -292,7 +292,7 @@ def test_max_pool_tie_resolves_to_scene():
     # graph the edge GRU sees x=0 and the scene GRU x=scene_feature; make
     # scene_feature zero so both banks compute the same value
     st, p = make_params(3, seed=9, pooling="max")
-    for a, b in zip(p.scene_gru.entries(), p.edge_gru.entries()):
+    for a, b in zip(p.grus["scene"].entries(), p.grus["edge"].entries()):
         b.value[:] = a.value
     g = one_scene([[0.3, -0.2, 0.8]], [Box(2, 2, 2, 2)], np.zeros(3))
     out, _ = sin_step_tape(p, g, pooling="max", mode="both", record=False)
