@@ -38,13 +38,13 @@ for i in range(20):
     if shown >= 3:
         break
     sample = sample_at(world, 9090, i)
-    (dets,), state = detect(tr.params, [sample], cfg, score_thresh=0.3, arm="sin")
+    (dets,), state = detect(tr.params, [sample], score_thresh=0.3)
     if len(dets) < 2:
         continue
     shown += 1
     print(f"scene {i} ({world.scene_names[sample.scene_type]}), "
           f"{len(sample.gt)} objects, {len(dets)} detections:")
-    boxes, edges = state.graph_out.boxes[0], state.edges[0]   # the one-scene stack
+    boxes, edges = state.graph_out.boxes[0], state.graph_out.edges[0]   # the one-scene stack
     # each detection is a row of a structured array; "roi" is its graph node
     report = relation_report(edges, dets["roi"])
     for det, (node, partner, weight) in zip(dets, report):
@@ -58,8 +58,8 @@ for i in range(20):
 # gate locality: edge magnitude against center distance, pooled over proposals
 
 sample = sample_at(world, 9090, 3)
-_, state = detect(tr.params, [sample], cfg, score_thresh=0.3, arm="sin")
-boxes, edges = state.graph_out.boxes[0], state.edges[0]   # (n, 4) rows of (cx, cy, w, h)
+_, state = detect(tr.params, [sample], score_thresh=0.3)
+boxes, edges = state.graph_out.boxes[0], state.graph_out.edges[0]   # (n, 4) rows of (cx, cy, w, h)
 n = len(boxes)
 buckets = {}
 for i in range(n):

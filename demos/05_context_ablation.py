@@ -15,6 +15,7 @@ clear the baseline, because boat-vs-car is unanswerable without context.
 
 from sinet.detector import TrainConfig
 from sinet.evaluation import run_ablation
+from sinet.harness import EvalConfig
 from sinet.synth_data import default_world
 
 world = default_world()
@@ -22,6 +23,7 @@ cfg = TrainConfig(iters=800, seed=0)
 
 # the summary is the plain data `sinet ablate` writes as summary.json
 res, _models = run_ablation(world, cfg, n_train=500, n_test=150,
+                            score_thresh=EvalConfig().score_thresh,
                             progress=lambda msg: print("  " + msg))
 
 print()

@@ -21,7 +21,7 @@ from .synth_data import (GT_DTYPE, Category, CooccurRule, SceneSample,
                          sample_at, save_dataset, world_hash)
 from .detector import (ARMS, DETECTION_DTYPE, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
-                       detect, detect_scenes, forward, forward_scenes,
+                       detect, detect_scenes, forward_scenes,
                        multi_task_loss, propose, train)
 from .evaluation import EvalResult, evaluate_detections, run_ablation
 from .harness import EvalConfig, RunConfig, main, run_gradcheck
@@ -36,7 +36,7 @@ __all__ = [
     "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "compute_edges",
     "create_detector_params",
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
-    "evaluate_detections", "forward", "forward_scenes", "generate",
+    "evaluate_detections", "forward_scenes", "generate",
     "grad_check", "gru_backward", "gru_forward", "gru_init", "gru_params", "init_param", "iou",
     "load_checkpoint", "load_dataset", "main", "multi_task_loss",
     "propose", "relation_report", "run_ablation", "run_gradcheck", "sample_at",

@@ -19,12 +19,14 @@ writers.
 Stage two runs on a stack of B scenes at once (forward_scenes, on a (B, n, 4)
 ROI array): node features are (B, n, d) with n = rois_per_image, and each
 product keeps its per-scene shape, so a scene's numbers do not depend on what
-it is stacked with. Training and `forward` run stacks of one scene and record
+it is stacked with. Training (roi_loss) runs stacks of one scene and records
 the tapes of the inference steps for the backward pass; detect_scenes runs the
 proposal stage per scene and stage two, forward only, on chunks of
 DETECT_CHUNK scenes. Its tail thresholds the whole chunk's (B, n, K)
 probabilities at once, refines and clips every candidate in one call, and
-suppresses them with one NMS grouped by (scene, class).
+suppresses them with one NMS grouped by (scene, class). A model records the
+arm and TrainConfig it is laid out for, and every stage reads its wiring
+from them.
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -126,15 +128,6 @@ def validate_config(cfg):
     return cfg
 
 
-def arm_plan(arm, cfg):
-    """Map an ablation arm onto (message mode, inference steps). The
-    baseline runs zero steps, so its mode is never read; it gets "both"."""
-    if arm not in ARM_MODES:
-        raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
-    mode = ARM_MODES[arm]
-    return (mode, cfg.T) if mode else ("both", 0)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -144,35 +137,46 @@ class DetectorParams:
     cls_head: object         # (K+1, d)
     reg_head: object         # (4K, d)
     objectness: object       # (num anchor types, C)
-    sin: object
+    sin: object              # SinParams, wired for the arm
+    arm: str                 # the ablation arm the model runs
+    cfg: TrainConfig         # its proposal count, steps, pooling and width
 
 
-def create_detector_params(store, channels, num_categories, d, seed, pooling="mean"):
-    """Lay the whole model out in the empty `store` (ParamStore.lay_out): the
-    scene bank, the det/ maps, then the edge bank, w_v and w_a, so every
-    arm's active parameters (active_param_names) are one span of the
-    store's buffers. Init is keyed by (seed, full name)."""
+def create_detector_params(store, channels, num_categories, cfg, arm, seed):
+    """Lay the model of ablation arm `arm` under TrainConfig `cfg` out in the
+    empty `store` (ParamStore.lay_out): the scene bank, the det/ maps, then
+    the edge bank, w_v and, under concat fusion, w_a, so every arm's active
+    parameters (active_param_names) are one span of the store's buffers.
+    The layout depends on the pooling alone. Init is keyed by (seed, full
+    name)."""
+    if arm not in ARM_MODES:
+        raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
+    d = cfg.feat_dim
+
     def init(name, shape):
         return name, init_param(shape, seed_for(seed, name))
 
     num_types = len(ANCHOR_SCALES) * len(ANCHOR_RATIOS)
-    scene, rest = sin_init(d, seed, pooling)
+    scene, rest = sin_init(d, seed)
+    if cfg.pooling == "concat":
+        rest.append(init("sin/w_a", (d, 2 * d)))
     store.lay_out(scene + [init("det/feat_proj", (d, channels)),
                            init("det/cls_head", (num_categories + 1, d)),
                            init("det/reg_head", (4 * num_categories, d)),
                            init("det/objectness", (num_types, channels))] + rest)
     return DetectorParams(feat_proj=store["det/feat_proj"], cls_head=store["det/cls_head"],
                           reg_head=store["det/reg_head"], objectness=store["det/objectness"],
-                          sin=sin_params(store))
+                          sin=sin_params(store, ARM_MODES[arm], cfg.pooling), arm=arm, cfg=cfg)
 
 
-def active_param_names(params, arm):
-    """Parameters the given arm actually exercises; everything else must see
-    exactly zero gradient (including weight decay). They depend on the arm
-    alone, not on T: at T = 0 a graph arm's banks still take weight decay."""
+def active_param_names(params):
+    """Parameters the model's arm actually exercises; everything else must
+    see exactly zero gradient (including weight decay). They depend on the
+    arm alone, not on T: at T = 0 a graph arm's banks still take weight
+    decay."""
     names = [params.feat_proj.name, params.cls_head.name,
              params.reg_head.name, params.objectness.name]
-    mode = ARM_MODES[arm]
+    mode = params.sin.mode
     if mode is not None:
         names += [f"{bank}/{m}" for bank in MODE_BANKS[mode] for m in MAPS]
     if mode in ("edge", "both"):
@@ -264,12 +268,12 @@ def score_anchors(params, sample):
     return anchors, sums.transpose(1, 2, 0).reshape(-1)
 
 
-def propose(params, sample, cfg):
-    """Detection's cfg.rois_per_image proposals, as (n, 4) center-size rows:
-    the anchors ranked by the objectness map (_proposals with no injected
-    box). Detection never reads the ground truth."""
+def propose(params, sample):
+    """Detection's rois_per_image proposals (the model's config), as (n, 4)
+    center-size rows: the anchors ranked by the objectness map (_proposals
+    with no injected box). Detection never reads the ground truth."""
     anchors, scores = score_anchors(params, sample)
-    return _proposals(anchors, scores, _NO_BOXES, cfg.rois_per_image)
+    return _proposals(anchors, scores, _NO_BOXES, params.cfg.rois_per_image)
 
 
 _NO_BOXES = (np.empty((0, 4)), np.empty((0, 4)))
@@ -353,10 +357,8 @@ class ForwardState:
     scene_feature0: np.ndarray  # (B, d)
     graph_out: SceneGraph = None  # its boxes are the (B, n, 4) ROI rows
     tapes: list = field(default_factory=list)   # per-step tapes; none in detection
-    logits: np.ndarray = None   # (B, n, K+1)
     probs: np.ndarray = None    # (B, n, K+1) softmax rows
     deltas: np.ndarray = None   # (B, n, K, 4) per-class refinements
-    edges: np.ndarray = None    # (B, n, n) last-step edges; None when no step computed them
 
 
 def _softmax_rows(logits):
@@ -419,12 +421,14 @@ def _pool_rois(samples, boxes):
     return sums.reshape(boxes.shape[:2] + (c,))
 
 
-def forward_scenes(params, samples, boxes, cfg, mode, steps, record):
+def forward_scenes(params, samples, boxes, steps, record):
     """Stage two over a stack of scenes: pool each scene's ROIs (boxes is a
     (B, n, 4) array whose boxes[b] holds the center-size rows of samples[b]),
-    run `steps` inference steps in `mode` and apply both heads. Returns the
-    forward state; it holds the inference steps' tapes, which the backward
-    pass needs, only if `record`."""
+    run `steps` inference steps of the model's graph (none for the baseline)
+    and apply both heads. Returns the forward state; it holds the inference
+    steps' tapes, which the backward pass needs, only if `record`. Its
+    graph_out holds the last step's edges, or None when no step computed
+    them."""
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 3 or boxes.shape[0] != len(samples) or boxes.shape[2] != 4:
         raise ValueError(f"forward_scenes: {len(samples)} scenes need a ({len(samples)}, n, 4) "
@@ -436,23 +440,13 @@ def forward_scenes(params, samples, boxes, cfg, mode, steps, record):
     scene0 = np.tanh(np.matmul(params.feat_proj.value, scene_avg[:, :, None])[:, :, 0])
 
     graph = SceneGraph(node_features=features0, boxes=boxes, scene_feature=scene0)
-    graph_out, tapes = sin_infer_tapes(params.sin, graph, steps=steps,
-                                       pooling=cfg.pooling, mode=mode, record=record)
+    graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, record)
     feats = graph_out.node_features
-    logits = feats @ params.cls_head.value.T
     deltas = (feats @ params.reg_head.value.T).reshape(*boxes.shape[:2], -1, 4)
     return ForwardState(node_avg=node_avg, features0=features0,
                         scene_avg=scene_avg, scene_feature0=scene0,
-                        graph_out=graph_out, tapes=tapes, logits=logits,
-                        probs=_softmax_rows(logits), deltas=deltas, edges=graph_out.edges)
-
-
-def forward(params, sample, cfg, boxes, mode, steps):
-    """forward_scenes on the one-scene stack of this sample and its (n, 4)
-    center-size ROI rows `boxes`, recording the tapes detector_backward
-    needs."""
-    return forward_scenes(params, [sample], np.asarray(boxes)[None], cfg, mode, steps,
-                          record=True)
+                        graph_out=graph_out, tapes=tapes,
+                        probs=_softmax_rows(feats @ params.cls_head.value.T), deltas=deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +507,10 @@ def multi_task_loss(probs, deltas, labels, target_deltas):
 
 def detector_backward(params, state, grads):
     """Push one scene's head gradients through the inference steps and the
-    feature projection, accumulating into the parameter store. `state` is
-    the one-scene stack that `forward` returns. Proposal boxes are constants
+    feature projection, accumulating into the parameter store. `state` is a
+    one-scene stack forward_scenes recorded. Proposal boxes are constants
     here. Returns the (n, d) gradient on the initial node features."""
-    b, n = state.logits.shape[:2]
+    b, n = state.probs.shape[:2]
     if b != 1:
         raise ValueError(f"detector_backward: expected a one-scene stack, got {b} scenes")
     feats = state.graph_out.node_features[0]
@@ -532,6 +526,16 @@ def detector_backward(params, state, grads):
     ds = (1.0 - state.scene_feature0[0] ** 2) * dscene[0]
     params.feat_proj.grad += np.outer(ds, state.scene_avg[0])
     return dfeat0[0]
+
+
+def roi_loss(params, sample, props, steps):
+    """One scene's stage-two loss on its (n, 4) proposal rows `props` after
+    `steps` inference steps; its gradient goes into the store."""
+    labels, target_deltas = assign_targets(props, sample.gt, len(params.cls_head.value) - 1)
+    state = forward_scenes(params, [sample], props[None], steps, record=True)
+    loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
+    detector_backward(params, state, grads)
+    return loss
 
 
 def apply_weight_decay(store, names, wd):
@@ -723,8 +727,6 @@ class TrainResult:
     store: ParamStore
     params: DetectorParams
     losses: list
-    arm: str
-    config: TrainConfig
 
 
 def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
@@ -739,7 +741,6 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     and updates the weights.
     """
     validate_config(cfg)
-    mode, steps = arm_plan(arm, cfg)
     if n_train is None:
         n_train = cfg.iters
     if data_seed is None:
@@ -747,12 +748,12 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     init_seed = derive_seed(cfg.seed, "init")
 
     store = ParamStore()
-    params = create_detector_params(store, world.channels, world.num_categories,
-                                    cfg.feat_dim, init_seed, cfg.pooling)
+    params = create_detector_params(store, world.channels, world.num_categories, cfg, arm,
+                                    init_seed)
     # only the active parameters see gradient, so only they are updated; the
     # rest keep zero gradient and stay bitwise at their init. They are one
     # span of the store's buffers, so each update is one numpy call over it.
-    active = active_param_names(params, arm)
+    active = active_param_names(params)
     (span,) = store.spans(active)
     active_values, active_grads = store.values[span], store.grads[span]
     velocity = np.zeros_like(active_values)
@@ -760,17 +761,13 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     plan = plan_training(world, cfg, n_train, data_seed)
     losses = []
     drop_at = int(0.7 * cfg.iters)
-    warmup = int(GRAPH_WARMUP_FRAC * cfg.iters) if steps else 0
+    warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
     for it in range(cfg.iters):
         sample = plan.scenes[it]
         active_grads[...] = 0.0
         scored = score_anchors(params, sample)
         props = _proposals(*scored, plan.kept(it), cfg.rois_per_image)
-        labels, target_deltas = assign_targets(props, sample.gt, world.num_categories)
-        state = forward(params, sample, cfg, boxes=props, mode=mode,
-                        steps=steps if it >= warmup else 0)
-        loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
-        detector_backward(params, state, grads)
+        loss = roi_loss(params, sample, props, cfg.T if it >= warmup else 0)
         loss += objectness_loss(params, sample, scored, plan.targets[it])
         loss += apply_weight_decay(store, active, cfg.weight_decay)
         if not np.isfinite(loss):
@@ -783,7 +780,7 @@ def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
         losses.append(loss)
         if callback is not None:
             callback(it, loss)
-    return TrainResult(store=store, params=params, losses=losses, arm=arm, config=cfg)
+    return TrainResult(store=store, params=params, losses=losses)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +792,7 @@ DETECTION_DTYPE = np.dtype([("box", np.float64, (4,)), ("category", np.intp),
                             ("score", np.float64), ("roi", np.intp)])
 
 
-def _detect_stack(params, samples, cfg, score_thresh, arm):
+def _detect_stack(params, samples, score_thresh):
     """Proposals per scene, stage two once over the stack, then the tail on
     the whole stack: every (scene, class, ROI) score that clears the
     threshold is refined and clipped to its scene's grid, and all of them
@@ -804,9 +801,8 @@ def _detect_stack(params, samples, cfg, score_thresh, arm):
     descending, then box, and the stack's forward state, which holds no
     tapes. A scene's detections do not depend on its stack or on ROI order
     (modulo exact score ties)."""
-    mode, steps = arm_plan(arm, cfg)
-    boxes = np.array([propose(params, sample, cfg) for sample in samples])
-    state = forward_scenes(params, samples, boxes, cfg, mode=mode, steps=steps, record=False)
+    boxes = np.array([propose(params, sample) for sample in samples])
+    state = forward_scenes(params, samples, boxes, params.cfg.T, record=False)
     k = state.deltas.shape[2]
     # by scene, then class, then ROI
     scene, cats, rois = np.nonzero(state.probs[:, :, :k].transpose(0, 2, 1) >= score_thresh)
@@ -825,23 +821,22 @@ def _detect_stack(params, samples, cfg, score_thresh, arm):
     return np.split(dets, np.searchsorted(scene[keep], np.arange(1, len(samples)))), state
 
 
-def detect_scenes(params, samples, cfg, score_thresh=0.05, arm="sin"):
+def detect_scenes(params, samples, score_thresh):
     """Final detections for each scene, one DETECTION_DTYPE array per sample
     (see _detect_stack). Stage two runs on stacks of DETECT_CHUNK scenes; a
     scene's detections are the same in any stack, alone or not."""
     dets = []
     for start in range(0, len(samples), DETECT_CHUNK):
-        dets += _detect_stack(params, samples[start:start + DETECT_CHUNK], cfg,
-                              score_thresh, arm)[0]
+        dets += _detect_stack(params, samples[start:start + DETECT_CHUNK], score_thresh)[0]
     return dets
 
 
-def detect(params, samples, cfg, score_thresh=0.05, arm="sin"):
+def detect(params, samples, score_thresh):
     """Final detections of one stack of scenes, one DETECTION_DTYPE array per
     sample as detect_scenes gives them, and the stack's forward state, with
-    `edges` always filled: arms whose last step computed no edges get them
-    from the final node features."""
-    dets, state = _detect_stack(params, samples, cfg, score_thresh, arm)
-    if state.edges is None:
-        state.edges = compute_edges(params.sin, state.graph_out)
+    graph_out.edges always filled: arms whose last step computed no edges
+    get them from the final node features."""
+    dets, state = _detect_stack(params, samples, score_thresh)
+    if state.graph_out.edges is None:
+        state.graph_out.edges = compute_edges(params.sin, state.graph_out)
     return dets, state

@@ -193,14 +193,15 @@ def evaluate_detections(dets_by_image, gts_by_image, num_categories, similar_pai
 SWEEP_GRID = (("mean", 1), ("mean", 2), ("mean", 3), ("max", 2), ("concat", 2))
 
 
-def run_ablation(world, cfg, n_train, n_test, arms=ARMS, sweep=False,
-                 score_thresh=0.05, split_seed=None, progress=None):
+def run_ablation(world, cfg, n_train, n_test, score_thresh, arms=ARMS, sweep=False,
+                 split_seed=None, progress=None):
     """(summary, models) of each arm, then, with `sweep`, the sin arm at each
     SWEEP_GRID point, trained and evaluated on identical data.
 
     Every training sees the same initial weights (same init seed), the same
     scenes in the same shuffled order, and the same test split; only the
-    inference wiring, pooling and steps differ. A sweep point at cfg's own
+    inference wiring, pooling and steps differ, and each trained model
+    detects with its own (TrainResult.params). A sweep point at cfg's own
     (pooling, T) reads the sin arm's entry. A training that diverges, by a
     non-finite loss or GRU pre-activation, is a failed entry with its message.
     """
@@ -234,7 +235,7 @@ def run_ablation(world, cfg, n_train, n_test, arms=ARMS, sweep=False,
                 entry.update(failed=True, error=str(e))
             else:
                 ev = evaluate_detections(
-                    detect_scenes(tr.params, test_samples, run_cfg, score_thresh, arm),
+                    detect_scenes(tr.params, test_samples, score_thresh),
                     gts, world.num_categories, world.ambiguous_pairs)
                 entry.update(failed=False, map=ev.map, ap=ev.per_category_ap)
                 if section == "arms":

@@ -3,8 +3,9 @@
 All randomness descends from one root seed through labelled streams (train
 data, test data, init, shuffle, gt jitter), so any command rerun with the same
 flags produces byte-identical outputs. The SIN_NUM_WORKERS environment
-variable caps evaluation parallelism; it defaults to 1. Each worker process
-detects its share of the scenes in stacks, as a single process does.
+variable caps evaluation parallelism (default 1, at most the CPUs the process
+may use). Each worker process detects its share of the scenes in stacks, as
+a single process does, with the model the manifest's arm and config lay out.
 
 Exit codes: 0 success; 1 for a bad flag, config or inline world (any
 ValueError); 2 for a file that cannot be read or used (a checkpoint,
@@ -23,9 +24,8 @@ from itertools import repeat
 import numpy as np
 
 from .detector import (ARMS, DETECT_CHUNK, TrainConfig, TrainingDiverged,
-                       assign_targets, create_detector_params, detect,
-                       detect_scenes, detector_backward, forward, multi_task_loss,
-                       apply_weight_decay, train, validate_config)
+                       apply_weight_decay, create_detector_params, detect, detect_scenes,
+                       roi_loss, train, validate_config)
 from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_ablation
 from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
@@ -172,6 +172,7 @@ def read_manifest(path):
 # evaluation parallelism
 
 def eval_workers():
+    """SIN_NUM_WORKERS, capped at the CPUs this process may use."""
     raw = os.environ.get("SIN_NUM_WORKERS", "1")
     try:
         w = int(raw)
@@ -179,22 +180,21 @@ def eval_workers():
         raise ValueError(f"SIN_NUM_WORKERS must be an integer, got {raw!r}")
     if w < 1:
         raise ValueError(f"SIN_NUM_WORKERS must be >= 1, got {w}")
-    return w
+    return min(w, len(os.sched_getaffinity(0)))
 
 
-def detect_dataset(params, cfg, arm, samples, score_thresh, workers=1):
+def detect_dataset(params, samples, score_thresh, workers=1):
     """Detections of the model `params` (DetectorParams, as create_detector_params
     lays them out) per sample, one DETECTION_DTYPE array each, identical for
     any worker count."""
     workers = min(workers, max(1, len(samples)))
     if workers <= 1:
-        return detect_scenes(params, samples, cfg, score_thresh, arm)
+        return detect_scenes(params, samples, score_thresh)
     bounds = np.linspace(0, len(samples), workers + 1).astype(int)
     chunks = [samples[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     out = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(detect_scenes, repeat(params), chunks, repeat(cfg),
-                              repeat(score_thresh), repeat(arm)):
+        for chunk in pool.map(detect_scenes, repeat(params), chunks, repeat(score_thresh)):
             out.extend(chunk)
     return out
 
@@ -219,20 +219,15 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
         boxes.append((rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0),
                       rng.uniform(1.5, 3.0), rng.uniform(1.5, 3.0)))
     boxes = np.array(boxes[:n])
-    cfg = TrainConfig(T=steps, pooling=pooling, rois_per_image=n, feat_dim=d)
-    validate_config(cfg)
+    cfg = validate_config(TrainConfig(T=steps, pooling=pooling, rois_per_image=n, feat_dim=d))
     store = ParamStore()
-    params = create_detector_params(store, channels, 2, d,
-                                    derive_seed(seed, "init"), pooling)
-    labels, target_deltas = assign_targets(boxes, gt, 2)
+    params = create_detector_params(store, channels, 2, cfg, "sin", derive_seed(seed, "init"))
     names = [nm for nm in store.names() if nm != "det/objectness"]
 
     def loss_fn():
         store.zero_grads()
-        state = forward(params, sample, cfg, boxes=boxes, mode="both", steps=steps)
-        loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
-        detector_backward(params, state, grads)
-        return loss + apply_weight_decay(store, names, GRADCHECK_WD)
+        return roi_loss(params, sample, boxes, steps) + apply_weight_decay(store, names,
+                                                                           GRADCHECK_WD)
 
     return grad_check(loss_fn, store, names, eps=eps)
 
@@ -323,16 +318,17 @@ def _write_run(out, command, config, world, tr):
 
 
 def _load_trained(checkpoint, manifest_path=None):
-    """(manifest, DetectorParams, TrainConfig, EvalConfig, world) of a
-    checkpoint and its manifest, by default the manifest.json beside it."""
+    """(manifest, DetectorParams, EvalConfig, world) of a checkpoint and its
+    manifest, by default the manifest.json beside it. The model is the
+    manifest's arm under its TrainConfig."""
     manifest, cfg, ev_cfg, world = read_manifest(manifest_path or os.path.join(
         os.path.dirname(os.path.abspath(checkpoint)), "manifest.json"))
     store = load_checkpoint(checkpoint)
     # the checkpoint must hold exactly the parameters, of the same shapes, of
     # the model the manifest describes; its values fill that model
     model = ParamStore()
-    params = create_detector_params(model, world.channels, world.num_categories,
-                                    cfg.feat_dim, 0, cfg.pooling)
+    params = create_detector_params(model, world.channels, world.num_categories, cfg,
+                                    manifest["arm"], 0)
     got = {name: p.value.shape for name, p in store.items()}
     for name, p in model.items():
         if name not in got:
@@ -345,13 +341,13 @@ def _load_trained(checkpoint, manifest_path=None):
     if got:
         raise FileError(f"{checkpoint}: checkpoint holds parameter {min(got)!r}, "
                         f"which the manifest's model lacks")
-    return manifest, params, cfg, ev_cfg, world
+    return manifest, params, ev_cfg, world
 
 
 def _cmd_eval(args):
     workers = eval_workers()
-    manifest, params, cfg, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
-    arm = manifest["arm"]
+    manifest, params, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
+    arm = params.arm
     n_test = args.n_test if args.n_test is not None else ev_cfg.n_test
     score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
     _validate_eval(replace(ev_cfg, n_test=n_test, score_thresh=score_thresh))
@@ -361,7 +357,7 @@ def _cmd_eval(args):
     else:
         test_seed = derive_seed(ev_cfg.split_seed, "test-data")
         samples = generate(world, test_seed, n_test)
-    dets = detect_dataset(params, cfg, arm, samples, score_thresh, workers)
+    dets = detect_dataset(params, samples, score_thresh, workers)
     ev = evaluate_detections(dets, [s.gt for s in samples], world.num_categories,
                              world.ambiguous_pairs)
     out = _ensure_dir(args.out)
@@ -387,9 +383,9 @@ def _cmd_ablate(args):
     world = resolve_world(config.world)
     out = _ensure_dir(config.output_dir)
     summary, models = run_ablation(world, config.train, config.eval.n_train,
-                                   config.eval.n_test, arms=arms, sweep=args.sweep,
-                                   score_thresh=config.eval.score_thresh,
-                                   split_seed=config.eval.split_seed, progress=print)
+                                   config.eval.n_test, config.eval.score_thresh, arms=arms,
+                                   sweep=args.sweep, split_seed=config.eval.split_seed,
+                                   progress=print)
     cat_names = [c.name for c in world.categories]
     m_rows, p_rows, f_rows = [], [], []
     for arm, entry in summary["arms"].items():
@@ -431,16 +427,14 @@ def _cmd_gradcheck(args):
 def _cmd_relations(args):
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    manifest, params, cfg, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
-    arm = manifest["arm"]
-    score_thresh = args.score_thresh if args.score_thresh is not None else 0.05
+    _manifest, params, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
+    score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
     _validate_eval(replace(ev_cfg, score_thresh=score_thresh))
     rows = []
     for start in range(0, args.n, DETECT_CHUNK):
         ids = range(start, min(start + DETECT_CHUNK, args.n))
-        dets, state = detect(params, [sample_at(world, args.seed, i) for i in ids], cfg,
-                             score_thresh, arm)
-        for i, d, edges in zip(ids, dets, state.edges):
+        dets, state = detect(params, [sample_at(world, args.seed, i) for i in ids], score_thresh)
+        for i, d, edges in zip(ids, dets, state.graph_out.edges):
             # Python scalars: _fmt_cell writes a float by its repr
             for cat, score, (node, partner, weight) in zip(
                     d["category"].tolist(), d["score"].tolist(),

@@ -18,7 +18,9 @@ fused node state of the previous step as their hidden state. Ablation arms
 drop one bank and use the remaining output alone. A step makes one GRU call
 in every mode, forward and back, on the stack of its mode's banks
 (MODE_BANKS, memory_cell's bank axis): with both banks it pools the
-messages first and runs the two stacked, scene bank first.
+messages first and runs the two stacked, scene bank first. The message mode
+and the fusion are fixed when the net is built (sin_params) and every step
+reads them from its SinParams.
 
 A step runs on a stack of B scenes with n nodes each: node features are
 (B, n, d), boxes (B, n, 4), the spatial gate and the edges (B, n, n) and
@@ -90,33 +92,43 @@ class SceneGraph:
 
 @dataclass
 class SinParams:
-    grus: dict                  # mode -> GruParams of MODE_BANKS[mode], stacked
+    """One model's inference net: its message mode (None runs no step), its
+    fusion of the two banks' outputs, and the weights they read."""
+
+    mode: str                   # a MODES entry, or None
+    pooling: str                # a POOLINGS entry
+    gru: object                 # GruParams of MODE_BANKS[mode], stacked; None without a mode
     w_v: object                 # (1, 2d)
     w_a: object = None          # (d, 2d), only under concat fusion
 
 
-def sin_init(d, seed, pooling):
+def sin_init(d, seed):
     """Initial inference-net weights as (name, value) pairs in layout order,
-    split in two: the scene bank's, then the edge bank's, w_v and (only
-    under concat fusion) w_a. A model lays its other maps out between the
-    two, so that dropping either bank leaves one span (create_detector_params)."""
-    if pooling not in POOLINGS:
-        raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
+    split in two: the scene bank's, then the edge bank's and w_v. A model
+    lays its other maps out between the two, so that dropping either bank
+    leaves one span, and adds w_a under concat fusion
+    (create_detector_params)."""
     # Soft start for the appearance term: early messages are noise,
     # and large ones teach the rest of the net to shut the edges off.
     rest = gru_init(EDGE_BANK, d, seed) + [
         ("sin/w_v", 0.25 * init_param((1, 2 * d), seed_for(seed, "sin/w_v")))]
-    if pooling == "concat":
-        rest.append(("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a"))))
     return gru_init(SCENE_BANK, d, seed), rest
 
 
-def sin_params(store):
-    """The SinParams view of a store laid out with sin_init's pairs."""
-    return SinParams(grus={mode: gru_params(store, *banks)
-                           for mode, banks in MODE_BANKS.items()},
-                     w_v=store["sin/w_v"],
-                     w_a=store["sin/w_a"] if "sin/w_a" in store else None)
+def sin_params(store, mode, pooling):
+    """The SinParams view of a store laid out with sin_init's pairs, run in
+    message mode `mode` (None: no step) with fusion `pooling`. The store
+    must hold sin/w_a exactly under concat fusion."""
+    if mode is not None and mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if pooling not in POOLINGS:
+        raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
+    concat = pooling == "concat"
+    if ("sin/w_a" in store) != concat:
+        raise ValueError(f"{pooling} fusion {'needs' if concat else 'forbids'} sin/w_a")
+    return SinParams(mode=mode, pooling=pooling,
+                     gru=gru_params(store, *MODE_BANKS[mode]) if mode else None,
+                     w_v=store["sin/w_v"], w_a=store["sin/w_a"] if concat else None)
 
 
 def _relation_tensor(boxes):
@@ -265,10 +277,7 @@ def _messages_backward(features, e, senders, dmsgs):
 @dataclass
 class StepTape:
     features_in: np.ndarray     # (B, n, d)
-    scene_feature: np.ndarray   # (B, d)
-    pooling: str
-    mode: str
-    gru: GruTape = None         # the step's one GRU call, on MODE_BANKS[mode]
+    gru: GruTape = None         # the step's one GRU call, on SinParams.gru
     edge_cache: EdgeCache = None
     msgs: np.ndarray = None
     senders: np.ndarray = None
@@ -276,35 +285,28 @@ class StepTape:
     fused: np.ndarray = None
 
 
-def _fuse(p, h_scene, h_edge, pooling):
-    if pooling == "mean":
+def _fuse(p, h_scene, h_edge):
+    if p.pooling == "mean":
         return (h_scene + h_edge) / 2.0
-    if pooling == "max":
+    if p.pooling == "max":
         # ties resolve to the scene output
         return np.where(h_scene >= h_edge, h_scene, h_edge)
-    if pooling == "concat":
-        if p.w_a is None:
-            raise ValueError("concat fusion configured without a w_a projection")
-        return np.concatenate([h_scene, h_edge], axis=2) @ p.w_a.value.T
-    raise ValueError(f"unknown pooling {pooling!r}; expected one of {POOLINGS}")
+    return np.concatenate([h_scene, h_edge], axis=2) @ p.w_a.value.T
 
 
-def sin_step_tape(p, g, pooling, mode, record):
-    """One inference step over a stack of graphs; returns the updated stack
-    and, if `record` (the caller will run sin_backward), the tape for
-    backward, else None. A step that records pools messages with
-    _integrate_all for its winning senders; one that does not pools them
-    with _max_messages and drops its intermediates on return. Either way
-    the updated stack carries the step's edges. Each step makes one GRU
-    call, on the stack of its mode's banks (SinParams.grus): in "both"
-    mode the messages are pooled first. A "scene" step's x is a broadcast
-    view of the scene features."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+def sin_step_tape(p, g, record):
+    """One inference step over a stack of graphs, in p's message mode;
+    returns the updated stack and, if `record` (the caller will run
+    sin_backward), the tape for backward, else None. A step that records
+    pools messages with _integrate_all for its winning senders; one that
+    does not pools them with _max_messages and drops its intermediates on
+    return. Either way the updated stack carries the step's edges. Each step
+    makes one GRU call, on the stack of its mode's banks (SinParams.gru): in
+    "both" mode the messages are pooled first. A "scene" step's x is a
+    broadcast view of the scene features."""
     feats = g.node_features
-    tape = StepTape(features_in=feats, scene_feature=g.scene_feature,
-                    pooling=pooling, mode=mode)
-    if mode == "scene":
+    tape = StepTape(features_in=feats)
+    if p.mode == "scene":
         x = np.broadcast_to(g.scene_feature[:, None, :], feats.shape)[None]
     else:
         tape.edge_cache = _compute_edges(p, feats, _gate(g))
@@ -312,28 +314,28 @@ def sin_step_tape(p, g, pooling, mode, record):
             tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
         else:
             tape.msgs = _max_messages(feats, tape.edge_cache.e)
-        if mode == "edge":
+        if p.mode == "edge":
             x = tape.msgs[None]
         else:
             x = np.empty((2,) + feats.shape)
             x[0] = g.scene_feature[:, None, :]
             x[1] = tape.msgs
-    tape.h, tape.gru = gru_forward(p.grus[mode], x, feats)
-    tape.fused = tape.h[0] if mode != "both" else _fuse(p, tape.h[0], tape.h[1], pooling)
+    tape.h, tape.gru = gru_forward(p.gru, x, feats)
+    tape.fused = tape.h[0] if p.mode != "both" else _fuse(p, tape.h[0], tape.h[1])
     out = SceneGraph(node_features=tape.fused, boxes=g.boxes, scene_feature=g.scene_feature,
                      gate=g.gate, edges=None if tape.edge_cache is None else tape.edge_cache.e)
     return out, tape if record else None
 
 
-def sin_infer_tapes(p, g, steps, pooling, mode, record):
+def sin_infer_tapes(p, g, steps, record):
     """Iterate sin_step_tape `steps` times; returns the final stack and the
-    tapes, one per step if `record` and none otherwise. steps=0 returns the
-    graph unchanged."""
+    tapes, one per step if `record` and none otherwise. steps=0, or a net
+    with no message mode (the baseline's), returns the graph unchanged."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     tapes = []
-    for _ in range(steps):
-        g, tape = sin_step_tape(p, g, pooling, mode, record)
+    for _ in range(steps if p.mode else 0):
+        g, tape = sin_step_tape(p, g, record)
         if record:
             tapes.append(tape)
     return g, tapes
@@ -344,19 +346,19 @@ def _banks_backward(p, tape, dfeat):
     gradients on each bank's x (the scene rows, the messages) and on its
     hidden state, as lists over the banks the step ran, scene bank first."""
     b, n, d = dfeat.shape
-    if tape.mode != "both":
+    if p.mode != "both":
         dh_banks = dfeat[None]
-    elif tape.pooling == "mean":
+    elif p.pooling == "mean":
         half = dfeat / 2.0
         dh_banks = np.array([half, half])
-    elif tape.pooling == "max":
+    elif p.pooling == "max":
         scene_won = tape.h[0] >= tape.h[1]
         dh_banks = np.array([dfeat * scene_won, dfeat * ~scene_won])
     else:
         cat = np.concatenate([tape.h[0], tape.h[1]], axis=2)
         p.w_a.grad += dfeat.reshape(-1, d).T @ cat.reshape(-1, 2 * d)
         dh_banks = (dfeat @ p.w_a.value).reshape(b, n, 2, d).transpose(2, 0, 1, 3)
-    dx, dh = gru_backward(p.grus[tape.mode], tape.gru, dh_banks)
+    dx, dh = gru_backward(p.gru, tape.gru, dh_banks)
     return list(dx), list(dh)
 
 
@@ -378,9 +380,9 @@ def sin_backward(p, tapes, d_out_features):
         if dscene is None:
             dscene = np.zeros((b, d))
         dx, parts = _banks_backward(p, tape, dfeat)
-        if tape.mode != "edge":
+        if p.mode != "edge":
             dscene += dx[0].sum(axis=1)
-        if tape.mode != "scene":
+        if p.mode != "scene":
             de, dfeat_msg = _messages_backward(tape.features_in, tape.edge_cache.e,
                                                tape.senders, dx[-1])
             parts += [dfeat_msg, _edges_backward(p, tape.edge_cache, de, tape.features_in)]

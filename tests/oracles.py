@@ -64,13 +64,31 @@ def bank_maps(p, k):
     return tuple(m.value[k] for m in p.entries())
 
 
-def create_sin_params(store, d, seed, pooling="mean"):
-    """The inference net's weights laid out alone in the empty store, as
-    SinParams."""
+def create_sin_params(store, d, seed, pooling="mean", mode="both"):
+    """The inference net's weights laid out alone in the empty store (with
+    w_a under concat fusion, keyed as create_detector_params keys it), as
+    SinParams of message mode `mode`."""
+    from sinet.numerics import init_param, seed_for
     from sinet.structure_inference import sin_init, sin_params
-    scene, rest = sin_init(d, seed, pooling)
+    scene, rest = sin_init(d, seed)
+    if pooling == "concat":
+        rest.append(("sin/w_a", init_param((d, 2 * d), seed_for(seed, "sin/w_a"))))
     store.lay_out(scene + rest)
-    return sin_params(store)
+    return sin_params(store, mode, pooling)
+
+
+def with_arm(store, params, arm):
+    """The model of `arm` under the config of `params`, in a store of its
+    own, holding the values `store` holds by name, as a checkpoint loads
+    for a manifest naming that arm."""
+    from sinet.detector import create_detector_params
+    from sinet.numerics import ParamStore
+    fresh = ParamStore()
+    k = len(params.cls_head.value) - 1
+    out = create_detector_params(fresh, params.feat_proj.value.shape[1], k, params.cfg, arm, 0)
+    for name, p in fresh.items():
+        p.value[...] = store[name].value
+    return out
 
 
 def gt_objects(gt):
@@ -151,14 +169,16 @@ def integrate_messages_oracle(features, e, i):
     return msg
 
 
-def sin_step_oracle(p, w_p, features, boxes, scene_feature, pooling="mean", mode="both"):
-    """One inference step composed purely from the oracles above, with the
-    (1, 12) spatial gate weights w_p."""
+def sin_step_oracle(p, w_p, features, boxes, scene_feature):
+    """One inference step of the SinParams p's mode and fusion, composed
+    purely from the oracles above, with the (1, 12) spatial gate weights
+    w_p."""
     n = len(features)
     d = len(features[0])
-    # bank 0 of the "both" stack is the scene bank, bank 1 the edge bank
-    w_r_s, w_z_s, w_s, u_s = bank_maps(p.grus["both"], 0)
-    w_r_e, w_z_e, w_e, u_e = bank_maps(p.grus["both"], 1)
+    mode, pooling = p.mode, p.pooling
+    # p's stack holds its mode's banks, the scene bank first
+    w_r_s, w_z_s, w_s, u_s = bank_maps(p.gru, 0)
+    w_r_e, w_z_e, w_e, u_e = bank_maps(p.gru, len(p.gru.w.value) - 1)
     h_scene = h_edge = None
     if mode in ("both", "scene"):
         h_scene = [gru_forward_oracle(w_r_s, w_z_s, w_s, u_s, scene_feature,

@@ -23,7 +23,7 @@ from sinet.detector import (TrainConfig, _anchor_targets, anchor_set, create_det
                             objectness_loss, score_anchors)
 from sinet.evaluation import evaluate_detections, run_ablation
 from sinet.geometry import nms_by_group
-from sinet.harness import main, run_gradcheck
+from sinet.harness import EvalConfig, main, run_gradcheck
 from sinet.memory_cell import gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.structure_inference import (SceneGraph, _compute_edges,
@@ -117,7 +117,7 @@ def _check_sin_step(rng, trials):
         pooling, mode = combos[t % len(combos)]
         n, d = int(rng.integers(1, 6)), int(rng.integers(2, 6))
         st = ParamStore()
-        p = create_sin_params(st, d, int(rng.integers(1 << 30)), pooling)
+        p = create_sin_params(st, d, int(rng.integers(1 << 30)), pooling, mode)
         w_p = rng.normal(0, 0.4, size=(1, 12))
         feats = rng.normal(size=(n, d))
         boxes = [random_box(rng, span=8.0) for _ in range(n)]
@@ -125,8 +125,8 @@ def _check_sin_step(rng, trials):
         centers = center_rows(boxes)[None]
         g = SceneGraph(node_features=feats[None], boxes=centers, scene_feature=scene[None],
                        gate=_gate_of(centers, w_p))
-        out, _ = sin_step_tape(p, g, pooling=pooling, mode=mode, record=True)
-        want = sin_step_oracle(p, w_p, feats, boxes, scene, pooling=pooling, mode=mode)
+        out, _ = sin_step_tape(p, g, record=True)
+        want = sin_step_oracle(p, w_p, feats, boxes, scene)
         assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
 
 
@@ -149,7 +149,8 @@ def _check_objectness(rng, trials):
         gt = gt_array((random_box(rng, span=12.0), 0) for _ in range(int(rng.integers(0, 4))))
         sample = SceneSample(grid=grid, scene_type=0, gt=gt)
         st = ParamStore()
-        p = create_detector_params(st, c, 2, 3, int(rng.integers(1 << 30)))
+        p = create_detector_params(st, c, 2, TrainConfig(feat_dim=3), "sin",
+                                   int(rng.integers(1 << 30)))
         p.objectness.value[:] = rng.normal(size=p.objectness.value.shape)
         anchors = anchor_set(h, w)
         scores, loss, grad = objectness_oracle(grid, anchors, p.objectness.value, gt)
@@ -214,7 +215,8 @@ def full_run():
     world = default_world()
     cfg = TrainConfig()     # shipped defaults: T=2, mean pooling, seed 0
     t0 = time.perf_counter()
-    summary, _models = run_ablation(world, cfg, n_train=2000, n_test=500, sweep=True)
+    summary, _models = run_ablation(world, cfg, n_train=2000, n_test=500,
+                                    score_thresh=EvalConfig().score_thresh, sweep=True)
     return summary, time.perf_counter() - t0
 
 
@@ -321,8 +323,8 @@ def _invariant_permutation_equivariance(rng):
         perm = rng.permutation(n)
         gp = SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
                         scene_feature=g.scene_feature, gate=_gate_of(g.boxes[:, perm], w_p))
-        out, _ = sin_step_tape(p, g, pooling=pooling, mode="both", record=True)
-        outp, _ = sin_step_tape(p, gp, pooling=pooling, mode="both", record=True)
+        out, _ = sin_step_tape(p, g, record=True)
+        outp, _ = sin_step_tape(p, gp, record=True)
         assert np.allclose(outp.node_features, out.node_features[:, perm], atol=1e-12)
 
 
@@ -359,7 +361,7 @@ def _invariant_ap_range_and_monotone_recall(rng):
 
 def _invariant_round_trips(tmp_path):
     store = ParamStore()
-    create_detector_params(store, 8, 6, 16, seed=123)
+    create_detector_params(store, 8, 6, TrainConfig(feat_dim=16), "sin", seed=123)
     ckpt = os.path.join(tmp_path, "inv.bin")
     save_checkpoint(ckpt, store)
     back = load_checkpoint(ckpt)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,8 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
                             PROPOSAL_NMS_THRESH, TrainConfig,
                             TrainingDiverged, _anchor_targets, _injected_boxes,
                             _NO_BOXES, _pool_rois, _proposals,
-                            active_param_names, anchor_set, arm_plan, assign_targets,
-                            create_detector_params, detect, detect_scenes, forward,
+                            _softmax_rows, active_param_names, anchor_set, assign_targets,
+                            create_detector_params, detect, detect_scenes,
                             forward_scenes, multi_task_loss, objectness_loss, plan_training,
                             propose, score_anchors, smooth_l1, smooth_l1_grad, train,
                             validate_config)
@@ -28,13 +29,22 @@ from sinet.synth_data import SceneSample, cell_window, default_world
 from oracles import (Box, anchor_targets_oracle, apply_deltas_oracle, center_rows,
                      clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
                      gt_array, iou_oracle, nms, nms_oracle, objectness_oracle, pool_rois_oracle,
-                     train_proposals_oracle)
+                     train_proposals_oracle, with_arm)
 
 
-def make_params(channels=5, k=3, d=6, pooling="mean", seed=0):
+def make_params(channels=5, k=3, d=6, pooling="mean", seed=0, arm="sin", **cfg):
+    """A fresh model of `arm` with feature width d under a TrainConfig of
+    the other keywords."""
     store = ParamStore()
-    params = create_detector_params(store, channels, k, d, seed, pooling)
+    cfg = validate_config(TrainConfig(feat_dim=d, pooling=pooling, **cfg))
+    params = create_detector_params(store, channels, k, cfg, arm, seed)
     return store, params
+
+
+def forward_one(params, sample, boxes, steps):
+    """forward_scenes on the one-scene stack of `sample` and its (n, 4) ROI
+    rows, recording tapes as training does."""
+    return forward_scenes(params, [sample], np.asarray(boxes)[None], steps, record=True)
 
 
 def make_sample(rng, h=10, w=10, c=5, gt=()):
@@ -162,7 +172,7 @@ def test_non_finite_cells_raise_nothing_and_proposals_still_come(bad):
         assert np.isnan(scores[covers]).all()
     else:
         assert not np.isfinite(scores[covers]).any()
-    props = propose(params, sample, TrainConfig(rois_per_image=16, feat_dim=6))
+    props = propose(params, sample)
     order = np.argsort(-scores, kind="stable")
     assert props.tolist() == anchors.centers[order[:16]].tolist()
     loss = objectness_loss(params, sample, (anchors, scores), _anchor_targets(anchors, sample.gt))
@@ -208,11 +218,10 @@ def test_pool_rois_matches_oracle(shapes, c, n, seed, neg_zero, rois):
 
 def test_propose_exact_count():
     rng = np.random.default_rng(5)
-    store, params = make_params()
     sample = make_sample(rng)
     for k in (4, 16, 200):
-        cfg = validate_config(TrainConfig(rois_per_image=k, feat_dim=6))
-        props = propose(params, sample, cfg)
+        _, params = make_params(rois_per_image=k)
+        props = propose(params, sample)
         assert props.shape == (k, 4)
 
 
@@ -223,7 +232,6 @@ def test_propose_injects_ground_truth():
     store, params = make_params()
     gt = [(Box(2.5, 2.5, 3.0, 2.0), 0), (Box(7.0, 7.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, gt=gt)
-    cfg = validate_config(TrainConfig(rois_per_image=16, feat_dim=6))
     props = train_proposals(params, sample, 16, np.random.default_rng(3))
     assert len(props) == 16
     replay = np.random.default_rng(3)
@@ -233,7 +241,7 @@ def test_propose_injects_ground_truth():
         assert got == pytest.approx([want.cx, want.cy, want.w, want.h], abs=1e-12)
 
     # detection's propose must not peek at the labels
-    props_eval = propose(params, sample, cfg)
+    props_eval = propose(params, sample)
     g = sample.gt["box"][0].tolist()
     assert all(p != g for p in props_eval.tolist())
 
@@ -248,12 +256,13 @@ def test_propose_matches_oracle_over_injected_and_anchors():
     sample = make_sample(rng, gt=gt)
     anchors, scores = score_anchors(params, sample)
     for k in (16, 40):
-        cfg = validate_config(TrainConfig(rois_per_image=k, feat_dim=6))
         for train_mode in (False, True):
             if train_mode:
                 props = train_proposals(params, sample, k, np.random.default_rng(4))
             else:
-                props = propose(params, sample, cfg)
+                # the same weights, laid out for k proposals
+                props = propose(replace(params, cfg=replace(params.cfg, rois_per_image=k)),
+                                sample)
             injected = []
             if train_mode:
                 replay = np.random.default_rng(4)
@@ -277,12 +286,11 @@ def test_propose_pads_by_cycling_the_kept_boxes():
     gt = [(Box(0.5, 0.6, 1.2, 1.6), 0)]
     sample = make_sample(rng, h=1, w=1, gt=gt)
     anchors, scores = score_anchors(params, sample)
-    cfg = validate_config(TrainConfig(rois_per_image=16, feat_dim=6))
     for train_mode in (False, True):
         if train_mode:
             props = train_proposals(params, sample, 16, np.random.default_rng(4))
         else:
-            props = propose(params, sample, cfg)
+            props = propose(params, sample)
         injected = []
         if train_mode:
             replay = np.random.default_rng(4)
@@ -604,12 +612,11 @@ def test_multi_task_loss_gradients_match_finite_differences():
 
 def test_forward_probs_are_softmax_rows():
     rng = np.random.default_rng(41)
-    store, params = make_params()
+    store, params = make_params(rois_per_image=6, T=2)
     sample = make_sample(rng)
-    cfg = validate_config(TrainConfig(rois_per_image=6, T=2, feat_dim=6))
-    state = forward(params, sample, cfg, propose(params, sample, cfg), "both", cfg.T)
+    state = forward_one(params, sample, propose(params, sample), 2)
     assert state.probs.shape == (1, 6, 4)
-    probs, logits = state.probs[0], state.logits[0]
+    probs, logits = state.probs[0], state.graph_out.node_features[0] @ params.cls_head.value.T
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs > 0.0)
     z = logits - logits.max(axis=1, keepdims=True)
@@ -633,8 +640,7 @@ def test_forward_node_avg_is_gather_mean_over_covered_cells():
     covers_none = [Box(0.2, 0.2, 0.1, 0.1), Box(4.9, 3.0, 0.05, 2.0), Box(3.0, 6.0, 2.0, 0.8),
                    Box(12.0, -3.0, 1.0, 1.0), Box(5.0, 5.0, 0.9, 0.9)]   # last: a tie
     boxes += covers_none
-    cfg = validate_config(TrainConfig(feat_dim=6))
-    state = forward(params, sample, cfg, boxes=center_rows(boxes), mode="both", steps=0)
+    state = forward_one(params, sample, center_rows(boxes), 0)
     for i, b in enumerate(boxes):
         rows, cols = covered_cells_oracle(b, h, w)
         if rows.size == 0 or cols.size == 0:
@@ -651,46 +657,43 @@ def test_forward_zero_steps_reads_heads_off_raw_features():
     store, params = make_params()
     sample = make_sample(rng)
     boxes = center_rows([Box(3, 3, 2, 2), Box(6, 6, 2, 3), Box(8, 2, 1.5, 1.5)])
-    cfg = validate_config(TrainConfig(rois_per_image=3, T=3, feat_dim=6))
-    state = forward(params, sample, cfg, boxes=boxes, mode="both", steps=0)
+    state = forward_one(params, sample, boxes, 0)
     assert np.array_equal(state.graph_out.node_features, state.features0)
-    assert np.allclose(state.logits, state.features0 @ params.cls_head.value.T,
-                       atol=1e-12)
+    assert np.array_equal(state.probs,
+                          _softmax_rows(state.features0 @ params.cls_head.value.T))
     # with steps > 0 the graph must actually move the features
-    moved = forward(params, sample, cfg, boxes=boxes, mode="both", steps=2)
+    moved = forward_one(params, sample, boxes, 2)
     assert not np.allclose(moved.graph_out.node_features, state.features0)
 
 
 def test_forward_scenes_rejects_bad_roi_shapes():
     rng = np.random.default_rng(45)
-    store, params = make_params()
+    store, params = make_params(rois_per_image=3, T=1)
     samples = [make_sample(rng), make_sample(rng)]
-    cfg = validate_config(TrainConfig(rois_per_image=3, T=1, feat_dim=6))
-    rois = propose(params, samples[0], cfg)
+    rois = propose(params, samples[0])
     for bad in (rois, rois[None], np.stack([rois, rois])[..., :3],
                 np.stack([rois, rois, rois])):
         with pytest.raises(ValueError, match="forward_scenes"):
-            forward_scenes(params, samples, bad, cfg, "both", cfg.T, record=False)
-    state = forward_scenes(params, samples, np.stack([rois, rois]), cfg, "both", cfg.T,
-                           record=False)
+            forward_scenes(params, samples, bad, 1, record=False)
+    state = forward_scenes(params, samples, np.stack([rois, rois]), 1, record=False)
     assert state.probs.shape == (2, 3, 4)
 
 
 def test_forward_edges_square_and_zero_diagonal():
     rng = np.random.default_rng(44)
-    store, params = make_params()
+    store, params = make_params(rois_per_image=5, T=1)
     sample = make_sample(rng)
-    cfg = validate_config(TrainConfig(rois_per_image=5, T=1, feat_dim=6))
-    props = propose(params, sample, cfg)
-    state = forward(params, sample, cfg, props, "both", cfg.T)
-    assert state.edges.shape == (1, 5, 5)
-    assert np.all(np.diag(state.edges[0]) == 0.0)
-    # without a step that computes edges, forward leaves them to detect
-    assert forward(params, sample, cfg, props, "both", 0).edges is None
-    assert forward(params, sample, cfg, props, "scene", cfg.T).edges is None
+    props = propose(params, sample)
+    edges = forward_one(params, sample, props, 1).graph_out.edges
+    assert edges.shape == (1, 5, 5)
+    assert np.all(np.diag(edges[0]) == 0.0)
+    # without a step that computes edges, forward_scenes leaves them to detect
+    assert forward_one(params, sample, props, 0).graph_out.edges is None
     for arm in ("baseline", "scene"):
-        _, state = detect(params, [sample], cfg, arm=arm)
-        assert np.array_equal(state.edges,
+        model = with_arm(store, params, arm)
+        assert forward_one(model, sample, props, 1).graph_out.edges is None
+        _, state = detect(model, [sample], 0.05)
+        assert np.array_equal(state.graph_out.edges,
                               compute_edges(params.sin, state.graph_out))
 
 
@@ -836,14 +839,15 @@ def test_objectness_loss_with_shared_scores_matches_own():
 # ---------------------------------------------------------------------------
 # configuration and arms
 
-def test_arm_plan():
-    cfg = TrainConfig(T=3)
-    assert arm_plan("baseline", cfg) == ("both", 0)
-    assert arm_plan("scene", cfg) == ("scene", 3)
-    assert arm_plan("edge", cfg) == ("edge", 3)
-    assert arm_plan("sin", cfg) == ("both", 3)
-    with pytest.raises(ValueError):
-        arm_plan("fancy", cfg)
+def test_arm_wiring_is_fixed_when_laid_out():
+    # the model records its arm and config; its net runs the arm's message
+    # mode, and the baseline's none
+    for arm, mode in (("baseline", None), ("scene", "scene"), ("edge", "edge"),
+                      ("sin", "both")):
+        _, params = make_params(arm=arm, T=3)
+        assert (params.arm, params.sin.mode, params.cfg.T) == (arm, mode, 3)
+    with pytest.raises(ValueError, match="unknown arm 'fancy'"):
+        make_params(arm="fancy")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -858,11 +862,9 @@ def test_validate_config_rejects(field, value):
 
 
 def test_active_param_names_per_arm():
-    store, params = make_params(pooling="concat")
-    base = set(active_param_names(params, "baseline"))
-    scene = set(active_param_names(params, "scene"))
-    edge = set(active_param_names(params, "edge"))
-    sin = set(active_param_names(params, "sin"))
+    store, _ = make_params(pooling="concat")
+    base, scene, edge, sin = (set(active_param_names(make_params(pooling="concat", arm=arm)[1]))
+                              for arm in ARMS)
 
     assert base == {"det/feat_proj", "det/cls_head", "det/reg_head", "det/objectness"}
     assert base < scene and base < edge and base < sin
@@ -875,7 +877,7 @@ def test_active_param_names_per_arm():
 
     # mean pooling has no attention matrix anywhere
     store2, params2 = make_params(pooling="mean")
-    assert "sin/w_a" not in set(active_param_names(params2, "sin"))
+    assert "sin/w_a" not in set(active_param_names(params2))
 
 
 # ---------------------------------------------------------------------------
@@ -938,13 +940,13 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     assert all(np.isfinite(l) for l in result.losses)
     sample = det_mod.sample_at(world, 11, 0)
     # the training path records a tape per step; detection keeps none
-    props = propose(result.params, sample, cfg)
-    trained = forward(result.params, sample, cfg, props, "both", cfg.T)
+    props = propose(result.params, sample)
+    trained = forward_one(result.params, sample, props, cfg.T)
     assert len(trained.tapes) == cfg.T
     assert trained.tapes[-1].gru.xh.shape == (2, 1, 1, 2 * cfg.feat_dim)   # both banks
-    (dets,), state = detect(result.params, [sample], cfg, score_thresh=0.0, arm="sin")
+    (dets,), state = detect(result.params, [sample], score_thresh=0.0)
     assert state.tapes == []
-    assert state.edges.shape == (1, 1, 1)
+    assert state.graph_out.edges.shape == (1, 1, 1)
     assert len(dets) and (dets["roi"] == 0).all()
 
 
@@ -964,12 +966,11 @@ def test_train_inactive_params_untouched():
     world = default_world()
     cfg = TrainConfig(iters=10, rois_per_image=6, T=2, feat_dim=8, seed=5)
     fresh = ParamStore()
-    create_detector_params(fresh, world.channels, world.num_categories,
-                           cfg.feat_dim, det_mod.derive_seed(cfg.seed, "init"),
-                           cfg.pooling)
+    create_detector_params(fresh, world.channels, world.num_categories, cfg, "sin",
+                           det_mod.derive_seed(cfg.seed, "init"))
     for arm in ("baseline", "scene", "edge"):
         result = train(world, cfg, arm=arm, n_train=5)
-        active = set(active_param_names(result.params, arm))
+        active = set(active_param_names(result.params))
         assert len(active) < len(fresh.names())
         for _, p in result.store.items():
             if p.name not in active:
@@ -984,19 +985,17 @@ def test_train_active_params_all_move():
     result = train(world, cfg, arm="sin", n_train=6)
 
     fresh = ParamStore()
-    create_detector_params(fresh, world.channels, world.num_categories,
-                           cfg.feat_dim, det_mod.derive_seed(cfg.seed, "init"),
-                           cfg.pooling)
-    for name in active_param_names(result.params, "sin"):
+    create_detector_params(fresh, world.channels, world.num_categories, cfg, "sin",
+                           det_mod.derive_seed(cfg.seed, "init"))
+    for name in active_param_names(result.params):
         assert not np.array_equal(result.store[name].value, fresh[name].value), name
 
 
 def test_detect_output_contract():
     rng = np.random.default_rng(61)
-    store, params = make_params(channels=5, k=3, d=6)
+    store, params = make_params(channels=5, k=3, d=6, rois_per_image=8, T=1)
     sample = make_sample(rng)
-    cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
-    (dets,), state = detect(params, [sample], cfg, score_thresh=0.05, arm="sin")
+    (dets,), state = detect(params, [sample], score_thresh=0.05)
     assert state.probs.shape[:2] == (1, 8)
     assert dets.dtype == DETECTION_DTYPE
     keys = [(int(d["category"]), -float(d["score"]), *d["box"].tolist()) for d in dets]
@@ -1022,11 +1021,10 @@ def test_detect_orders_score_ties_by_box():
     # zero heads: every class scores 1/(K+1) on every ROI and no box moves,
     # so within a class the order comes from the boxes alone
     rng = np.random.default_rng(61)
-    store, params = make_params(channels=5, k=3, d=6)
+    store, params = make_params(channels=5, k=3, d=6, rois_per_image=8, T=1)
     params.cls_head.value[:] = 0.0
     params.reg_head.value[:] = 0.0
-    cfg = validate_config(TrainConfig(rois_per_image=8, T=1, feat_dim=6))
-    (dets,), _ = detect(params, [make_sample(rng)], cfg, score_thresh=0.05, arm="sin")
+    (dets,), _ = detect(params, [make_sample(rng)], score_thresh=0.05)
     assert set(dets["score"].tolist()) == {0.25}
     for cat in range(3):
         boxes = [tuple(d["box"].tolist()) for d in dets if d["category"] == cat]
@@ -1037,34 +1035,33 @@ def test_detection_state_is_the_recording_path_without_tapes():
     # detection runs the steps forward only (no tapes, messages by a running
     # max); its stack state is bitwise that of the path training records
     rng = np.random.default_rng(72)
-    store, params = make_params()
+    store, params = make_params(rois_per_image=5, T=2)
     samples = [make_sample(rng) for _ in range(3)]
-    cfg = validate_config(TrainConfig(rois_per_image=5, T=2, feat_dim=6))
-    boxes = np.array([propose(params, sample, cfg) for sample in samples])
+    boxes = np.array([propose(params, sample) for sample in samples])
     for arm in ARMS:
-        mode, steps = arm_plan(arm, cfg)
-        taped = forward_scenes(params, samples, boxes, cfg, mode, steps, record=True)
-        _, state = det_mod._detect_stack(params, samples, cfg, 0.05, arm)
-        assert len(taped.tapes) == steps and state.tapes == []
+        model = with_arm(store, params, arm)
+        taped = forward_scenes(model, samples, boxes, 2, record=True)
+        _, state = det_mod._detect_stack(model, samples, 0.05)
+        # the baseline's net runs no step, whatever the step count
+        assert len(taped.tapes) == (0 if arm == "baseline" else 2) and state.tapes == []
         assert np.array_equal(state.probs, taped.probs)
         assert np.array_equal(state.deltas, taped.deltas)
-        if mode == "scene" or steps == 0:
-            assert state.edges is None and taped.edges is None
+        if arm in ("baseline", "scene"):
+            assert state.graph_out.edges is None and taped.graph_out.edges is None
         else:
-            assert np.array_equal(state.edges, taped.edges)
+            assert np.array_equal(state.graph_out.edges, taped.graph_out.edges)
 
 
 def test_detect_arms_share_proposals():
     # arms differ only in the graph wiring; the proposal stage is common, so
     # identical params must give identical ROI sets per arm
     rng = np.random.default_rng(67)
-    store, params = make_params()
+    store, params = make_params(rois_per_image=6, T=2)
     sample = make_sample(rng)
-    cfg = validate_config(TrainConfig(rois_per_image=6, T=2, feat_dim=6))
     states = {}
     for arm in ARMS:
-        mode, steps = arm_plan(arm, cfg)
-        states[arm] = forward(params, sample, cfg, propose(params, sample, cfg), mode, steps)
+        model = with_arm(store, params, arm)
+        states[arm] = forward_one(model, sample, propose(model, sample), 2)
     ref = states["baseline"].graph_out.boxes
     assert ref.shape == (1, 6, 4)
     for arm in ARMS[1:]:
@@ -1090,7 +1087,7 @@ def _detection_digest(arm):
     result = train(world, cfg, arm=arm, n_train=60)
     samples = [det_mod.sample_at(world, 21, i) for i in range(40)]
     digest = hashlib.sha256()
-    for i, dets in enumerate(detect_dataset(result.params, cfg, arm, samples, 0.05)):
+    for i, dets in enumerate(detect_dataset(result.params, samples, 0.05)):
         digest.update(f"scene {i}\n".encode())
         for d, corners in zip(dets, centers_to_corners(dets["box"])):
             key = (int(d["category"]), float(d["score"]).hex(),
@@ -1150,9 +1147,15 @@ COMPOSITION_MODELS = (("mean", 16), ("max", 16), ("concat", 16), ("mean", 1))
 
 
 @functools.lru_cache(maxsize=None)
-def _composition_model(pooling, rois):
+def _composition_training(pooling, rois):
     cfg = TrainConfig(iters=100, seed=2, pooling=pooling, rois_per_image=rois)
-    return train(default_world(), cfg, arm="sin", n_train=100).params, cfg
+    return train(default_world(), cfg, arm="sin", n_train=100)
+
+
+def _composition_model(pooling, rois, arm):
+    """The sin training's weights, wired for `arm`."""
+    result = _composition_training(pooling, rois)
+    return with_arm(result.store, result.params, arm)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1178,27 +1181,27 @@ def test_detections_independent_of_stack_composition(model, arm, first, count, c
     # a scene's detections are bitwise the same alone, anywhere inside a
     # stack, and on either side of a stack boundary; thresholds leave some
     # scenes (or all, at 1.0) with no detection
-    params, cfg = _composition_model(*model)
+    params = _composition_model(*model, arm)
     samples = [_composition_scene(i) for i in range(first, first + count)]
     with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
-        stacked = detect_scenes(params, samples, cfg, thresh, arm)
+        stacked = detect_scenes(params, samples, thresh)
     assert len(stacked) == count
     for sample, dets in zip(samples, stacked):
-        assert _exact(dets) == _exact(detect(params, [sample], cfg, thresh, arm)[0][0])
+        assert _exact(dets) == _exact(detect(params, [sample], thresh)[0][0])
 
 
 def test_detect_scenes_clips_each_scene_to_its_own_grid():
     # one stack mixing grid shapes (tall, wide, the world's own): each scene's
     # boxes are clipped to its own width and height, as when detected alone
-    params, cfg = _composition_model("mean", 16)
+    params = _composition_model("mean", 16, "sin")
     samples = []
     for i, (h, w) in enumerate(((16, 16), (9, 14), (13, 6), (16, 16), (7, 7))):
         s = _composition_scene(i)
         samples.append(SceneSample(grid=s.grid[:h, :w], scene_type=s.scene_type, gt=s.gt))
     for thresh in (0.0, 0.05):
-        stacked = detect_scenes(params, samples, cfg, thresh, "sin")
+        stacked = detect_scenes(params, samples, thresh)
         for sample, dets in zip(samples, stacked):
-            assert _exact(dets) == _exact(detect(params, [sample], cfg, thresh, "sin")[0][0])
+            assert _exact(dets) == _exact(detect(params, [sample], thresh)[0][0])
             h, w = sample.grid.shape[:2]
             assert (dets["box"][:, 2:] > 0).all()
             for x1, y1, x2, y2 in centers_to_corners(dets["box"]):

@@ -237,10 +237,10 @@ def test_benchmark_tracer_counts_detections(monkeypatch):
     tracer_mod = importlib.import_module("tracer")
     world = default_world()
     store = ParamStore()
-    params = create_detector_params(store, world.channels, world.num_categories, 8, 17)
     cfg = TrainConfig(rois_per_image=6, T=1, feat_dim=8)
+    params = create_detector_params(store, world.channels, world.num_categories, cfg, "sin", 17)
     samples = [sample_at(world, 5, i) for i in range(4)]
-    dets = detect_scenes(params, samples, cfg, 0.05, "sin")
+    dets = detect_scenes(params, samples, 0.05)
     tracer = tracer_mod.Tracer()
     with tracer:
         # through the module attribute, which the tracer wraps
@@ -263,8 +263,8 @@ def tiny_ablation():
     world = default_world()
     cfg = TrainConfig(iters=10, rois_per_image=6, T=1, feat_dim=8, seed=13)
     lines = []
-    summary, models = run_ablation(world, cfg, n_train=6, n_test=4, arms=("baseline", "sin"),
-                                   sweep=True, progress=lines.append)
+    summary, models = run_ablation(world, cfg, n_train=6, n_test=4, score_thresh=0.05,
+                                   arms=("baseline", "sin"), sweep=True, progress=lines.append)
     return summary, models, lines
 
 
@@ -277,7 +277,7 @@ def test_run_ablation_structure(tiny_ablation):
         assert set(r["ap"]) == set(range(6))
         assert len(r["pr"]) == len(PR_THRESHOLDS)
         assert set(r["fp"]) == set(FP_KINDS)
-        assert models[arm].arm == arm
+        assert models[arm].params.arm == arm
         assert set(r) == {"failed", "map", "ap", "pr", "fp"}
     assert res["n_train"] == 6 and res["n_test"] == 4
     json.dumps(res)     # the summary is plain data as returned
@@ -301,7 +301,8 @@ def test_run_ablation_sweep_reuses_main_arm(tiny_ablation):
 def test_run_ablation_reports_failed_arm():
     world = default_world()
     cfg = TrainConfig(lr=1e9, iters=8, rois_per_image=6, T=1, feat_dim=8, seed=1)
-    res, models = run_ablation(world, cfg, n_train=4, n_test=2, arms=("baseline",))
+    res, models = run_ablation(world, cfg, n_train=4, n_test=2, score_thresh=0.05,
+                               arms=("baseline",))
     assert res["arms"]["baseline"]["failed"] is True
     assert "non-finite" in res["arms"]["baseline"]["error"]
     assert models == {}

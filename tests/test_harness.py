@@ -28,9 +28,11 @@ from sinet.inputs import FileError
 from sinet.memory_cell import MAPS
 from sinet.numerics import (CHECKPOINT_MAGIC, ParamStore, derive_seed, load_checkpoint,
                             save_checkpoint)
-from sinet.structure_inference import MODE_BANKS, relation_report
+from sinet.structure_inference import MODE_BANKS, relation_report, sin_params
 from sinet.synth_data import (default_world, generate, sample_at, save_dataset, world_hash,
                               world_to_dict)
+
+from oracles import with_arm
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,7 @@ def test_manifest_round_trip(tmp_path):
 # evaluation workers
 
 def test_eval_workers_env(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     monkeypatch.delenv("SIN_NUM_WORKERS", raising=False)
     assert eval_workers() == 1
     monkeypatch.setenv("SIN_NUM_WORKERS", "3")
@@ -167,14 +170,24 @@ def test_eval_workers_env(monkeypatch):
         eval_workers()
 
 
+def test_eval_workers_capped_at_usable_cpus(monkeypatch):
+    # more workers than the CPUs this process may use ask for no more
+    # processes than those CPUs; the count is read, no process starts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2})
+    for raw, want in (("1", 1), ("2", 2), ("3", 2), ("100000", 2)):
+        monkeypatch.setenv("SIN_NUM_WORKERS", raw)
+        assert eval_workers() == want
+
+
 def test_detect_dataset_worker_count_does_not_change_results():
     world = default_world()
-    params = create_detector_params(ParamStore(), world.channels, world.num_categories, 8, 17)
     cfg = TrainConfig(rois_per_image=6, T=1, feat_dim=8)
+    params = create_detector_params(ParamStore(), world.channels, world.num_categories, cfg,
+                                    "sin", 17)
     samples = [sample_at(world, 5, i) for i in range(4)]
 
-    serial = detect_dataset(params, cfg, "sin", samples, 0.05, workers=1)
-    parallel = detect_dataset(params, cfg, "sin", samples, 0.05, workers=2)
+    serial = detect_dataset(params, samples, 0.05, workers=1)
+    parallel = detect_dataset(params, samples, 0.05, workers=2)
     assert len(serial) == len(parallel) == 4
     assert sum(map(len, serial)) > 0
     for dd1, dd2 in zip(serial, parallel):
@@ -188,18 +201,16 @@ def _offset(view, buf):
 
 
 def _assert_laid_out(params, values, grads):
-    """Every Param of the model `params` and each map of the one-bank
-    stacks is a view of its own span of the value and gradient buffers,
-    and those spans tile the buffers; bank k of the two-bank stack aliases
-    the one-bank stack of MODE_BANKS["both"][k]."""
+    """Every Param of the sin-arm model `params` and each bank of its GRU
+    stack is a view of its own span of the value and gradient buffers, and
+    those spans tile the buffers."""
     sin = params.sin
     singles = [params.feat_proj, params.cls_head, params.reg_head, params.objectness, sin.w_v]
     singles += [sin.w_a] if sin.w_a is not None else []
     for p in singles:
         assert p.value.base is values and p.grad.base is grads, p.name
     views = [(p.value, p.grad) for p in singles]
-    views += [(m.value[0], m.grad[0]) for mode in ("scene", "edge")
-              for m in sin.grus[mode].entries()]
+    views += [(m.value[k], m.grad[k]) for m in sin.gru.entries() for k in range(2)]
     spans = []
     for value, grad in views:
         assert value.flags.c_contiguous and grad.flags.c_contiguous
@@ -210,12 +221,6 @@ def _assert_laid_out(params, values, grads):
     spans.sort()
     assert spans[0][0] == 0 and spans[-1][1] == values.size == grads.size
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert MODE_BANKS["both"] == MODE_BANKS["scene"] + MODE_BANKS["edge"]
-    for stack, *banks in zip(sin.grus["both"].entries(), sin.grus["scene"].entries(),
-                             sin.grus["edge"].entries()):
-        for k, bank in enumerate(banks):
-            for view, array in ((stack.value[k], bank.value[0]), (stack.grad[k], bank.grad[0])):
-                assert view.__array_interface__ == array.__array_interface__
 
 
 @pytest.mark.parametrize("pooling", ["mean", "concat"])
@@ -223,15 +228,24 @@ def test_model_layout_is_one_pair_of_buffers(pooling):
     # create_detector_params lays every parameter out in one value buffer and
     # one gradient buffer, and each arm's active parameters are one span
     store = ParamStore()
-    params = create_detector_params(store, 8, 6, 16, 3, pooling)
+    params = create_detector_params(store, 8, 6, TrainConfig(feat_dim=16, pooling=pooling),
+                                    "sin", 3)
     _assert_laid_out(params, store.values, store.grads)
     for name, p in store.items():
         assert p.value.base is store.values and p.grad.base is store.grads, name
     for arm in ARMS:
-        assert len(store.spans(active_param_names(params, arm))) == 1, arm
-    # writes through a stack reach the other stacks, the Params and the
-    # buffers, and back
-    grus = params.sin.grus
+        assert len(store.spans(active_param_names(with_arm(store, params, arm)))) == 1, arm
+    # bank k of the two-bank stack aliases the one-bank stack of
+    # MODE_BANKS["both"][k] over the same store; writes through a stack
+    # reach the other stacks, the Params and the buffers, and back
+    assert MODE_BANKS["both"] == MODE_BANKS["scene"] + MODE_BANKS["edge"]
+    grus = {mode: sin_params(store, mode, pooling).gru for mode in ("scene", "edge")}
+    grus["both"] = params.sin.gru
+    for stack, *banks in zip(grus["both"].entries(), grus["scene"].entries(),
+                             grus["edge"].entries()):
+        for k, bank in enumerate(banks):
+            for view, array in ((stack.value[k], bank.value[0]), (stack.grad[k], bank.grad[0])):
+                assert view.__array_interface__ == array.__array_interface__
     grus["edge"].w.value[0, 0, 1] = 7.5
     grus["both"].u.grad[0] += 1.0
     assert grus["both"].w.value[1, 0, 1] == 7.5
@@ -246,7 +260,7 @@ def test_loaded_model_is_laid_out(sin_run):
     # views of the model's buffers, and they hold the checkpoint's values
     run_dir, _ = sin_run
     ckpt = os.path.join(run_dir, "checkpoint.bin")
-    _manifest, params, _cfg, _ev, _world = _load_trained(ckpt)
+    _manifest, params, _ev, _world = _load_trained(ckpt)
     values, grads = params.feat_proj.value.base, params.feat_proj.grad.base
     assert isinstance(values, np.ndarray) and isinstance(grads, np.ndarray)
     _assert_laid_out(params, values, grads)
@@ -259,7 +273,7 @@ def test_loaded_model_is_laid_out(sin_run):
     for p in (params.cls_head, sin.w_v):
         assert p.value.tobytes() == saved[p.name].value.tobytes(), p.name
     for k, bank in enumerate(MODE_BANKS["both"]):
-        for m, stack in zip(MAPS, sin.grus["both"].entries()):
+        for m, stack in zip(MAPS, sin.gru.entries()):
             assert stack.value[k].tobytes() == saved[f"{bank}/{m}"].value.tobytes(), (bank, m)
 
 
@@ -425,18 +439,70 @@ def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
                  "--out", str(got)]) == 0
     capsys.readouterr()
 
-    _manifest, params, cfg, _ev_cfg, world = _load_trained(ckpt)
+    _manifest, params, _ev_cfg, world = _load_trained(ckpt)
+    assert params.arm == arm
     rows = []
     for i in range(20):
-        (dets,), state = detect(params, [sample_at(world, 3, i)], cfg, 0.05, arm)
+        (dets,), state = detect(params, [sample_at(world, 3, i)], 0.05)
         for cat, score, (node, partner, weight) in zip(
                 dets["category"].tolist(), dets["score"].tolist(),
-                relation_report(state.edges[0], dets["roi"].tolist())):
+                relation_report(state.graph_out.edges[0], dets["roi"].tolist())):
             rows.append((i, node, cat, score, partner, weight))
     assert {row[0] for row in rows} & set(range(DETECT_CHUNK, 20))
     want = tmp_path / "want.csv"
     write_csv(str(want), ("sample", "node", "category", "score", "partner", "edge_weight"), rows)
     assert got.read_bytes() == want.read_bytes()
+
+
+def _rewritten_manifest(tmp_path, manifest, **changes):
+    """A copy of a run's manifest with top-level entries replaced; its path."""
+    path = str(tmp_path / "manifest.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(dict(manifest, **changes), f)
+    return path
+
+
+def test_cli_relations_reads_the_manifests_score_thresh(sin_run, tmp_path, capsys):
+    # without --score-thresh, relations thresholds at the manifest's
+    # eval.score_thresh, as eval does
+    run_dir, manifest = sin_run
+    ckpt = os.path.join(run_dir, "checkpoint.bin")
+    path = _rewritten_manifest(tmp_path, manifest,
+                               eval=dict(manifest["eval"], score_thresh=0.5))
+    outs = {}
+    for name, flags in (("manifest", []), ("flag", ["--score-thresh", "0.5"]),
+                        ("default", ["--score-thresh", "0.05"])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["relations", "--checkpoint", ckpt, "--manifest", path, "--n", "16",
+                     *flags, "--out", str(out)]) == 0
+        outs[name] = out.read_bytes()
+    capsys.readouterr()
+    assert outs["manifest"] == outs["flag"] != outs["default"]
+
+
+def test_loaded_checkpoint_runs_its_manifests_arm(sin_run, tmp_path, capsys):
+    # the manifest's arm, not the training's, wires the loaded model: a sin
+    # checkpoint under a manifest naming the edge arm detects as the edge
+    # arm's model over the same values, and eval reports it as that arm
+    run_dir, manifest = sin_run
+    ckpt = os.path.join(run_dir, "checkpoint.bin")
+    path = _rewritten_manifest(tmp_path, manifest, arm="edge")
+    _m, params, _ev, world = _load_trained(ckpt, path)
+    assert (params.arm, params.sin.mode, len(params.sin.gru.w.value)) == ("edge", "edge", 1)
+    _m, trained, _ev, _w = _load_trained(ckpt)
+    assert trained.arm == "sin"
+    samples = [sample_at(world, 4, i) for i in range(6)]
+
+    def exact(model):
+        return [d.tobytes() for d in detect_scenes(model, samples, 0.05)]
+
+    assert exact(params) == exact(with_arm(load_checkpoint(ckpt), trained, "edge"))
+    assert exact(params) != exact(trained)
+    eval_dir = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", ckpt, "--manifest", path, "--n-test", "3",
+                 "--out", str(eval_dir)]) == 0
+    capsys.readouterr()
+    assert (eval_dir / "metrics.csv").read_text().splitlines()[-1].startswith("edge,mean,")
 
 
 def test_cli_eval_of_a_concat_checkpoint_matches_in_process(tmp_path, capsys):
@@ -457,7 +523,7 @@ def test_cli_eval_of_a_concat_checkpoint_matches_in_process(tmp_path, capsys):
                data_seed=derive_seed(ev_cfg.split_seed, "train-data"))
     assert tr.params.sin.w_a is not None
     samples = generate(world, derive_seed(ev_cfg.split_seed, "test-data"), 40)
-    ev = evaluate_detections(detect_scenes(tr.params, samples, cfg, ev_cfg.score_thresh, "sin"),
+    ev = evaluate_detections(detect_scenes(tr.params, samples, ev_cfg.score_thresh),
                              [s.gt for s in samples], world.num_categories,
                              world.ambiguous_pairs)
     os.makedirs(want_dir)

@@ -1,6 +1,7 @@
-"""Every name a sinet module imports is used in that module, and every public
-function or class it defines is used by some sinet module. No lint tool ships
-with the project, so the checks walk each module's syntax tree."""
+"""Every name a sinet module imports is used in that module, every public
+function or class it defines is used by some sinet module, and every
+parameter of its functions is read. No lint tool ships with the project, so
+the checks walk each module's syntax tree."""
 
 import ast
 import pathlib
@@ -57,3 +58,34 @@ def test_unreferenced_public_names_are_found():
 def test_every_public_name_is_used_by_the_package():
     sources = {module: (SRC / module).read_text(encoding="utf-8") for module in MODULES}
     assert unreferenced_public_names(sources) == []
+
+
+def unread_parameters(source):
+    """Parameters of every def that its body never reads by bare name, as
+    (line, function, parameter). *args, **kwargs and a method's self are
+    exempt, since every call passes them; lambdas are not defs."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = (a.posonlyargs + a.args)[id(node) in methods:] + a.kwonlyargs
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(node.lineno, node.name, p.arg) for p in params if p.arg not in read]
+    return sorted(unread)
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + c\n"
+              "def g(x, y=lambda z: 0):\n    x = 2\n"
+              "def h(p):\n    def inner(q):\n        return p\n    return inner\n"
+              "class C:\n    def m(self, r):\n        return 0\n")
+    assert unread_parameters(source) == [(1, "f", "b"), (3, "g", "x"), (3, "g", "y"),
+                                         (6, "inner", "q"), (10, "m", "r")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_parameter(module):
+    assert unread_parameters((SRC / module).read_text(encoding="utf-8")) == []

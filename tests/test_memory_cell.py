@@ -218,12 +218,11 @@ def test_entries_lists_all_four():
 def _two_banks(d, seed):
     """A laid-out store holding the inference net with another map between
     its scene and edge banks, as a model lays them out, and the GruParams
-    of its "scene", "edge" and "both" modes (SinParams.grus)."""
+    of its "scene", "edge" and "both" modes (SinParams.gru)."""
     st = ParamStore()
-    scene, rest = sin_init(d, seed, "mean")
+    scene, rest = sin_init(d, seed)
     st.lay_out(scene + [("pad", np.ones((2, 3)))] + rest)
-    grus = sin_params(st).grus
-    return st, grus["scene"], grus["edge"], grus["both"]
+    return (st, *(sin_params(st, mode, "mean").gru for mode in ("scene", "edge", "both")))
 
 
 def _draw(rng, shape, zeros):

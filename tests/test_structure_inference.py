@@ -9,17 +9,17 @@ from sinet.memory_cell import gru_forward
 from sinet.numerics import ParamStore, grad_check
 from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
                                        _integrate_all, _max_messages, _relation_tensor,
-                                       compute_edges, relation_report,
-                                       sin_backward, sin_infer_tapes, sin_step_tape)
+                                       compute_edges, relation_report, sin_backward,
+                                       sin_infer_tapes, sin_params, sin_step_tape)
 
 from oracles import (Box, center_rows, create_gru_params, create_sin_params,
                      edge_weight_oracle, integrate_messages_oracle, random_box,
                      sin_step_oracle, spatial_gate_oracle, spatial_relation_oracle)
 
 
-def make_params(d, seed=0, pooling="mean"):
+def make_params(d, seed=0, pooling="mean", mode="both"):
     st = ParamStore()
-    return st, create_sin_params(st, d, seed, pooling)
+    return st, create_sin_params(st, d, seed, pooling, mode)
 
 
 def one_scene(features, boxes, scene_feature):
@@ -62,6 +62,34 @@ def test_param_layout():
     assert q.w_a is None
     with pytest.raises(ValueError):
         make_params(4, pooling="median")
+
+
+def test_sin_params_checks_its_wiring_when_built():
+    # mode, fusion and the store's w_a are checked once, at construction
+    st, p = make_params(3, pooling="concat")
+    assert (p.mode, p.pooling, p.gru.w.value.shape[0]) == ("both", "concat", 2)
+    mean_st, _ = make_params(3, pooling="mean")
+    for store, mode, pooling, message in (
+            (mean_st, "fancy", "mean", "unknown mode 'fancy'"),
+            (mean_st, "both", "median", "unknown pooling 'median'"),
+            (mean_st, "both", "concat", "concat fusion needs sin/w_a"),
+            (st, "edge", "mean", "mean fusion forbids sin/w_a")):
+        with pytest.raises(ValueError, match=message):
+            sin_params(store, mode, pooling)
+    assert sin_params(mean_st, None, "mean").gru is None
+    assert sin_params(mean_st, "scene", "max").gru.w.value.shape[0] == 1
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_net_without_a_mode_runs_no_step(record):
+    # the baseline's net: no step runs for any T, so no GRU call, no edges
+    # and no tape, and the graph comes back as it went in
+    st, _ = make_params(3, seed=2)
+    p = sin_params(st, None, "mean")
+    g = random_graph(np.random.default_rng(39), 4, 3)
+    for steps in (0, 1, 3):
+        out, tapes = sin_infer_tapes(p, g, steps, record)
+        assert out is g and tapes == [] and g.edges is None and g.gate is None
 
 
 def test_relation_tensor_identical_boxes():
@@ -151,7 +179,7 @@ def test_shipped_gate_is_the_locality_prior_once_per_stack():
     rng = np.random.default_rng(38)
     _, p = make_params(3, seed=4)
     g = random_graph(rng, 6, 3)
-    out, tapes = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both", record=True)
+    out, tapes = sin_infer_tapes(p, g, steps=2, record=True)
     boxes = scene_boxes(g)
     want = np.array([[spatial_gate_oracle(W_P[None], bi, bj) for bj in boxes]
                      for bi in boxes])
@@ -245,15 +273,14 @@ def test_sin_step_matches_composed_oracle(pooling, mode):
     for trial in range(12):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(2, 6))
-        _, p = make_params(d, seed=trial, pooling=pooling)
+        _, p = make_params(d, seed=trial, pooling=pooling, mode=mode)
         w_p = rng.normal(0, 0.4, size=(1, 12))
         g = gated(random_graph(rng, n, d), w_p)
-        out, tape = sin_step_tape(p, g, pooling=pooling, mode=mode, record=True)
-        want = sin_step_oracle(p, w_p, g.node_features[0], scene_boxes(g), g.scene_feature[0],
-                               pooling=pooling, mode=mode)
+        out, tape = sin_step_tape(p, g, record=True)
+        want = sin_step_oracle(p, w_p, g.node_features[0], scene_boxes(g), g.scene_feature[0])
         assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
         # the forward-only step gives the same bits and keeps no tape
-        bare, none = sin_step_tape(p, g, pooling=pooling, mode=mode, record=False)
+        bare, none = sin_step_tape(p, g, record=False)
         assert none is None
         assert np.array_equal(bare.node_features, out.node_features)
         if mode == "scene":
@@ -267,10 +294,10 @@ def test_sin_infer_t0_is_identity():
     _, p = make_params(3, seed=1)
     g = random_graph(rng, 4, 3)
     for record in (True, False):
-        out, tapes = sin_infer_tapes(p, g, steps=0, pooling="mean", mode="both", record=record)
+        out, tapes = sin_infer_tapes(p, g, steps=0, record=record)
         assert np.array_equal(out.node_features, g.node_features) and tapes == []
         with pytest.raises(ValueError):
-            sin_infer_tapes(p, g, steps=-1, pooling="mean", mode="both", record=record)
+            sin_infer_tapes(p, g, steps=-1, record=record)
 
 
 def test_sin_infer_permutation_equivariance():
@@ -282,8 +309,8 @@ def test_sin_infer_permutation_equivariance():
     gp = gated(SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
                           scene_feature=g.scene_feature), w_p)
     for record in (True, False):
-        out, _ = sin_infer_tapes(p, g, steps=2, pooling="mean", mode="both", record=record)
-        out_p, _ = sin_infer_tapes(p, gp, steps=2, pooling="mean", mode="both", record=record)
+        out, _ = sin_infer_tapes(p, g, steps=2, record=record)
+        out_p, _ = sin_infer_tapes(p, gp, steps=2, record=record)
         assert np.allclose(out.node_features[:, perm], out_p.node_features, atol=1e-12)
 
 
@@ -292,11 +319,11 @@ def test_max_pool_tie_resolves_to_scene():
     # graph the edge GRU sees x=0 and the scene GRU x=scene_feature; make
     # scene_feature zero so both banks compute the same value
     st, p = make_params(3, seed=9, pooling="max")
-    for a, b in zip(p.grus["scene"].entries(), p.grus["edge"].entries()):
-        b.value[:] = a.value
+    for m in p.gru.entries():
+        m.value[1] = m.value[0]
     g = one_scene([[0.3, -0.2, 0.8]], [Box(2, 2, 2, 2)], np.zeros(3))
-    out, _ = sin_step_tape(p, g, pooling="max", mode="both", record=False)
-    scene_only, _ = sin_step_tape(p, g, pooling="mean", mode="scene", record=False)
+    out, _ = sin_step_tape(p, g, record=False)
+    scene_only, _ = sin_step_tape(sin_params(st, "scene", "max"), g, record=False)
     assert np.array_equal(out.node_features, scene_only.node_features)
 
 
@@ -304,7 +331,7 @@ def test_sin_backward_against_finite_differences():
     for pooling, mode in (("mean", "both"), ("max", "both"),
                           ("concat", "both"), ("mean", "scene"),
                           ("mean", "edge")):
-        st, p = make_params(3, seed=13, pooling=pooling)
+        st, p = make_params(3, seed=13, pooling=pooling, mode=mode)
         rng = np.random.default_rng(14)
         w_p = rng.normal(0, 0.4, size=(1, 12))
         feats = rng.normal(size=(3, 3))
@@ -314,8 +341,7 @@ def test_sin_backward_against_finite_differences():
 
         def loss_fn():
             g = gated(one_scene(feats.copy(), boxes, scene.copy()), w_p)
-            out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode,
-                                         record=True)
+            out, tapes = sin_infer_tapes(p, g, steps=2, record=True)
             loss = float(np.sum(w_out * out.node_features[0]))
             sin_backward(p, tapes, w_out[None])
             return loss
@@ -334,7 +360,7 @@ def test_sin_backward_input_grads():
 
     def run(f, s):
         out, tapes = sin_infer_tapes(p, gated(one_scene(f, boxes, s), w_p), steps=2,
-                                     pooling="mean", mode="both", record=True)
+                                     record=True)
         return float(np.sum(w_out * out.node_features[0])), tapes
 
     base, tapes = run(feats, scene)
@@ -366,7 +392,7 @@ def _two_scene_stack(rng, n, d):
 def test_sin_backward_two_scene_stack(pooling, mode):
     # parameter gradients of a stack are the sum of its scenes' own, and
     # every input gradient of both scenes matches central differences
-    st, p = make_params(3, seed=23, pooling=pooling)
+    st, p = make_params(3, seed=23, pooling=pooling, mode=mode)
     rng = np.random.default_rng(24)
     w_p = rng.normal(0, 0.4, size=(1, 12))
     feats, boxes, scene = _two_scene_stack(rng, 3, 3)
@@ -376,7 +402,7 @@ def test_sin_backward_two_scene_stack(pooling, mode):
     def run(k):
         g = SceneGraph(node_features=feats[k], boxes=boxes[k], scene_feature=scene[k],
                        gate=gate[k])
-        out, tapes = sin_infer_tapes(p, g, steps=2, pooling=pooling, mode=mode, record=True)
+        out, tapes = sin_infer_tapes(p, g, steps=2, record=True)
         return float(np.sum(w_out[k] * out.node_features)), tapes
 
     def loss_fn():
@@ -422,16 +448,16 @@ def test_stacked_step_is_bitwise_per_scene(pooling):
                           for _ in range(5)])
         scene = rng.normal(size=(5, 4))
         out, tapes = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),
-                                     steps=2, pooling=pooling, mode="both", record=True)
+                                     steps=2, record=True)
         bare, _ = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),
-                                  steps=2, pooling=pooling, mode="both", record=False)
+                                  steps=2, record=False)
         assert np.array_equal(bare.node_features, out.node_features)
         assert np.array_equal(bare.edges, out.edges)
         for k in range(5):
             alone, alone_tapes = sin_infer_tapes(
                 p, SceneGraph(feats[k:k + 1], boxes[k:k + 1], scene[k:k + 1],
                               gate_of(boxes[k:k + 1], w_p)),
-                steps=2, pooling=pooling, mode="both", record=True)
+                steps=2, record=True)
             assert np.array_equal(out.node_features[k], alone.node_features[0])
             for t, a in zip(tapes, alone_tapes):
                 assert np.array_equal(t.edge_cache.e[k], a.edge_cache.e[0])
