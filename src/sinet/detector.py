@@ -31,15 +31,20 @@ from them.
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
 practice) and the objectness map learns from its own binary target instead.
-Only the anchor scores depend on the weights, so a training run plans the
-rest of stage one before its first step (plan_training): the scene order,
-the scenes, their objectness targets, and the jittered ground truth of every
-iteration with its own NMS done. Each step then scores the anchors, takes
-its proposals, and runs stage two, both losses and the update.
+So a training run (train) has three parts, each done for the whole run
+before the next. The plan (plan_training) is the part of stage one no weight
+changes: the scene order, the scenes, their objectness targets, and the
+jittered ground truth of every iteration with its own NMS done. Stage one
+(stage_one) learns the objectness map alone, recording each iteration's
+proposals, objectness loss and decay term, then builds every iteration's
+stage-two inputs in stacks (roi_inputs: pooled ROI cells, scene means, ROI
+targets). Stage two (learn) trains the rest of the model on those records,
+one callback per iteration, bitwise as one loop over both stages would; an
+ablation learns stage one once and replays it for every arm.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +55,8 @@ from .geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_bo
 from .memory_cell import MAPS
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (MODE_BANKS, POOLINGS, SceneGraph, compute_edges,
-                                  sin_backward, sin_infer_tapes, sin_init, sin_params)
+                                  sin_backward, sin_infer_tapes, sin_init, sin_params,
+                                  spatial_gate)
 from .synth_data import cell_window, sample_at
 
 IOU_POS = 0.5
@@ -312,35 +318,48 @@ def _proposals(anchors, scores, kept, n):
 # ---------------------------------------------------------------------------
 # target assignment
 
-def assign_targets(props, gt, num_categories):
-    """Per-ROI class targets and regression targets for the (n, 4) center-size
-    rows `props` against the GT_DTYPE rows `gt`.
+def assign_targets(props, gts, num_categories):
+    """Per-ROI class targets and regression targets for a stack of B scenes:
+    the (B, n, 4) center-size rows `props`, scene b's against the GT_DTYPE
+    rows gts[b].
 
-    IoU >= IOU_POS against some gt makes a ROI positive for the best gt;
-    IoU < IOU_NEG makes it background; in between it is ignored. Each gt also
-    forces its best-overlapping ROI positive so no object goes unsupervised.
-    Returns (labels, deltas): an (n,) array of categories, background (= num
-    categories) or IGNORE, and the (n, 4) deltas onto each positive's gt,
-    zero on every other row.
-    """
-    n = len(props)
-    labels = np.full(n, num_categories, dtype=np.intp)
-    deltas = np.zeros((n, 4))
-    if len(gt) == 0:
+    IoU >= IOU_POS against some gt makes a ROI positive for the best gt (ties
+    to the lowest gt); IoU < IOU_NEG makes it background; in between it is
+    ignored. Each gt also forces its best-overlapping ROI (ties to the lowest
+    ROI) positive, when they overlap at all, so no object goes unsupervised;
+    of two gts that force one ROI, the later wins. Returns (labels, deltas):
+    a (B, n) array of categories, background (= num categories) or IGNORE,
+    and the (B, n, 4) deltas onto each positive's gt, zero on every other row.
+
+    The scenes' gt are padded to the largest count with IoU -inf, which
+    neither makes a ROI positive nor forces one."""
+    b, n = props.shape[:2]
+    labels = np.full((b, n), num_categories, dtype=np.intp)
+    deltas = np.zeros((b, n, 4))
+    sizes = np.array([len(gt) for gt in gts])
+    g = int(sizes.max(initial=0))
+    if g == 0:
         return labels, deltas
-    gc = gt["box"]
-    ious = pairwise_iou(centers_to_corners(props), centers_to_corners(gc))   # (P, G)
-    best_gt = ious.argmax(axis=1)
-    best_iou = ious[np.arange(n), best_gt]
+    real = np.arange(g) < sizes[:, None]                                  # (B, G)
+    boxes = np.ones((b, g, 4))
+    boxes[real] = np.concatenate([gt["box"] for gt in gts])
+    ious = pairwise_iou(centers_to_corners(props), centers_to_corners(boxes))   # (B, n, G)
+    ious[~np.broadcast_to(real[:, None, :], ious.shape)] = -np.inf
+    best_gt = ious.argmax(axis=2)
+    best_iou = np.take_along_axis(ious, best_gt[..., None], axis=2)[..., 0]
     assigned = np.where(best_iou >= IOU_POS, best_gt, -1)
     labels[~(best_iou < IOU_NEG)] = IGNORE
-    for g in range(len(gt)):                     # forced matches, ties to lowest ROI
-        p = int(ious[:, g].argmax())
-        if ious[p, g] > 0.0:
-            assigned[p] = g
+    best_roi = ious.argmax(axis=1)                                        # (B, G)
+    scene, col = np.nonzero(np.take_along_axis(ious, best_roi[:, None, :], axis=1)[:, 0] > 0.0)
+    forced = np.full((b, n), -1, dtype=np.intp)
+    np.maximum.at(forced, (scene, best_roi[scene, col]), col)
+    assigned = np.where(forced >= 0, forced, assigned)
     pos = assigned >= 0
-    labels[pos] = gt["category"][assigned[pos]]
-    deltas[pos] = encode_deltas(props[pos], gc[assigned[pos]])
+    scene = np.nonzero(pos)[0]
+    cats = np.zeros((b, g), dtype=np.intp)
+    cats[real] = np.concatenate([gt["category"] for gt in gts])
+    labels[pos] = cats[scene, assigned[pos]]
+    deltas[pos] = encode_deltas(props[pos], boxes[scene, assigned[pos]])
     return labels, deltas
 
 
@@ -421,6 +440,31 @@ def _pool_rois(samples, boxes):
     return sums.reshape(boxes.shape[:2] + (c,))
 
 
+def _scene_means(samples):
+    """(B, C) mean cell vector of each scene."""
+    return np.array([sample.grid.mean(axis=(0, 1)) for sample in samples])
+
+
+class RoiInputs(NamedTuple):
+    """What stage two reads of a stack of B scenes that no weight changes:
+    their ROI rows, the cells pooled under them, the scene means, and the
+    ROIs' targets (assign_targets)."""
+
+    boxes: np.ndarray           # (B, n, 4) center-size ROI rows
+    node_avg: np.ndarray        # (B, n, C) _pool_rois
+    scene_avg: np.ndarray       # (B, C)
+    labels: np.ndarray          # (B, n)
+    target_deltas: np.ndarray   # (B, n, 4)
+
+
+def roi_inputs(samples, boxes, num_categories):
+    """The RoiInputs of the scenes `samples` and their (B, n, 4) ROI rows."""
+    labels, target_deltas = assign_targets(boxes, [sample.gt for sample in samples],
+                                           num_categories)
+    return RoiInputs(boxes, _pool_rois(samples, boxes), _scene_means(samples), labels,
+                     target_deltas)
+
+
 def forward_scenes(params, samples, boxes, steps, record):
     """Stage two over a stack of scenes: pool each scene's ROIs (boxes is a
     (B, n, 4) array whose boxes[b] holds the center-size rows of samples[b]),
@@ -433,13 +477,18 @@ def forward_scenes(params, samples, boxes, steps, record):
     if boxes.ndim != 3 or boxes.shape[0] != len(samples) or boxes.shape[2] != 4:
         raise ValueError(f"forward_scenes: {len(samples)} scenes need a ({len(samples)}, n, 4) "
                          f"ROI array, got shape {boxes.shape}")
-    node_avg = _pool_rois(samples, boxes)
+    return _forward(params, boxes, _pool_rois(samples, boxes), _scene_means(samples), steps,
+                    record)
+
+
+def _forward(params, boxes, node_avg, scene_avg, steps, record, gate=None):
+    """forward_scenes on pooled ROI cells and scene means; `gate`, if given,
+    is the (B, n, n) spatial gate of the boxes (structure_inference.spatial_gate)."""
     features0 = np.tanh(node_avg @ params.feat_proj.value.T)
-    scene_avg = np.array([sample.grid.mean(axis=(0, 1)) for sample in samples])
     # one (d, C) by (C,) product per scene, the same as for a lone scene
     scene0 = np.tanh(np.matmul(params.feat_proj.value, scene_avg[:, :, None])[:, :, 0])
 
-    graph = SceneGraph(node_features=features0, boxes=boxes, scene_feature=scene0)
+    graph = SceneGraph(node_features=features0, boxes=boxes, scene_feature=scene0, gate=gate)
     graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, record)
     feats = graph_out.node_features
     deltas = (feats @ params.reg_head.value.T).reshape(*boxes.shape[:2], -1, 4)
@@ -528,29 +577,35 @@ def detector_backward(params, state, grads):
     return dfeat0[0]
 
 
-def roi_loss(params, sample, props, steps):
-    """One scene's stage-two loss on its (n, 4) proposal rows `props` after
-    `steps` inference steps; its gradient goes into the store."""
-    labels, target_deltas = assign_targets(props, sample.gt, len(params.cls_head.value) - 1)
-    state = forward_scenes(params, [sample], props[None], steps, record=True)
-    loss, grads = multi_task_loss(state.probs[0], state.deltas[0], labels, target_deltas)
+def roi_loss(params, rois, steps, gate=None):
+    """One scene's stage-two loss after `steps` inference steps, from its
+    one-scene RoiInputs `rois` and, if given, the (1, n, n) spatial gate of
+    its ROIs; its gradient goes into the store."""
+    state = _forward(params, rois.boxes, rois.node_avg, rois.scene_avg, steps, True, gate)
+    loss, grads = multi_task_loss(state.probs[0], state.deltas[0], rois.labels[0],
+                                  rois.target_deltas[0])
     detector_backward(params, state, grads)
     return loss
 
 
-def apply_weight_decay(store, names, wd):
+def apply_weight_decay(store, names, wd, done=None):
     """L2 term 0.5 * wd * ||p||^2 per named parameter of a laid-out store,
     summed over them in the order given; adds wd * p to their gradients, one
     numpy call per span of them in the store's buffers (ParamStore.spans).
     Each ||p||^2 adds up the parameter's slice of the squared value buffer,
-    in the order a sum over the contiguous parameter itself takes."""
+    in the order a sum over the contiguous parameter itself takes. `done`
+    maps names whose term was taken elsewhere, with its gradient, to that
+    term: it is added in the name's place, and the name's gradient is left
+    alone."""
     if wd == 0.0:
         return 0.0
+    done = done or {}
     squares = store.values ** 2
     loss = 0.0
     for name in names:
-        loss += 0.5 * wd * float(np.add.reduce(squares[store.span(name)]))
-    for span in store.spans(names):
+        loss += done[name] if name in done else \
+            0.5 * wd * float(np.add.reduce(squares[store.span(name)]))
+    for span in store.spans([name for name in names if name not in done]):
         store.grads[span] += wd * store.values[span]
     return loss
 
@@ -722,6 +777,73 @@ def plan_training(world, cfg, n_train, data_seed):
                      *_injected_boxes(scenes, jitter_rng, cfg.rois_per_image))
 
 
+def _rate(cfg, it):
+    """Iteration it's learning rate: cfg.lr, a tenth of it from 70% of the run on."""
+    return cfg.lr * (0.1 if it >= int(0.7 * cfg.iters) else 1.0)
+
+
+@dataclass
+class StageOne:
+    """A training run's stage one, learned ahead of stage two by stage_one,
+    for the k iterations it ran: k = cfg.iters, or the first iteration whose
+    objectness loss and decay term do not add up to a finite number, and
+    the ones before it."""
+
+    cfg: TrainConfig             # what it was learned under
+    objectness: np.ndarray       # the map after the last iteration's update
+    obj_loss: list               # each iteration's objectness loss, a float
+    obj_decay: list              # and the map's weight-decay term
+    rois: RoiInputs              # (k, ...) each iteration's stage-two inputs
+
+
+def stage_one(world, cfg, n_train, data_seed):
+    """Stage one of a training run, learned on its own, ahead of stage two.
+
+    The objectness map gets gradient only from its own loss, and its decay,
+    rate and momentum act elementwise on it, so it learns alone exactly as
+    it does inside the full loop: each iteration scores the anchors of the
+    plan's scene (plan_training), takes its proposals (_proposals over the
+    plan's kept boxes), adds the objectness loss and the map's decay term,
+    and takes the momentum step on the map. The map is a fresh model's
+    (create_detector_params), which every arm initialises alike. Then, in
+    stacks of DETECT_CHUNK iterations, it builds every iteration's
+    stage-two inputs (roi_inputs). The proposals of all cfg.iters
+    iterations are allocated first, so a run too long for memory fails at
+    once."""
+    validate_config(cfg)
+    n = cfg.rois_per_image
+    proposals = np.empty((cfg.iters, n, 4))
+    store = ParamStore()
+    params = create_detector_params(store, world.channels, world.num_categories, cfg,
+                                    "baseline", derive_seed(cfg.seed, "init"))
+    obj = params.objectness
+    velocity = np.zeros_like(obj.value)
+    plan = plan_training(world, cfg, n_train, data_seed)
+    losses, decays = [], []
+    for it in range(cfg.iters):
+        sample = plan.scenes[it]
+        obj.grad[...] = 0.0
+        scored = score_anchors(params, sample)
+        proposals[it] = _proposals(*scored, plan.kept(it), n)
+        losses.append(objectness_loss(params, sample, scored, plan.targets[it]))
+        decays.append(apply_weight_decay(store, [obj.name], cfg.weight_decay))
+        if not math.isfinite(losses[-1] + decays[-1]):
+            break       # the full loss diverges here too; stage two raises
+        velocity *= cfg.momentum
+        velocity -= _rate(cfg, it) * obj.grad
+        obj.value += velocity
+    k = len(losses)
+    c = world.channels
+    rois = RoiInputs(proposals[:k], np.empty((k, n, c)), np.empty((k, c)),
+                     np.empty((k, n), dtype=np.intp), np.empty((k, n, 4)))
+    for start in range(0, k, DETECT_CHUNK):
+        stack = slice(start, min(start + DETECT_CHUNK, k))
+        part = roi_inputs(plan.scenes[stack], rois.boxes[stack], world.num_categories)
+        for whole, value in zip(rois[1:], part[1:]):      # boxes: the proposals
+            whole[stack] = value
+    return StageOne(cfg, obj.value.copy(), losses, decays, rois)
+
+
 @dataclass
 class TrainResult:
     store: ParamStore
@@ -729,58 +851,86 @@ class TrainResult:
     losses: list
 
 
+def learn(world, cfg, arm, stage1, callback=None):
+    """Stage two of a training run over its StageOne record `stage1`
+    (stage_one), which any arm and any (pooling, T, feat_dim) of the same
+    run config can replay: SGD with momentum on every other active
+    parameter, one callback per iteration. An iteration runs features, graph, heads, loss and
+    backward on its recorded inputs, then adds the recorded objectness loss
+    and the weight decay, over the sorted active names with the recorded
+    det/objectness term in its place: the sum the full loop adds, bitwise.
+    A mode with edges builds the spatial gates of every iteration past the
+    graph warm-up in bulk, before the first step. The model ends with
+    stage one's map.
+
+    Raises TrainingDiverged at the first iteration whose loss is not
+    finite; where stage one stopped, that is its last iteration at the
+    latest. A GRU step's FloatingPointError comes first."""
+    validate_config(cfg)
+    own = stage1.cfg
+    if replace(cfg, pooling=own.pooling, T=own.T, feat_dim=own.feat_dim) != own:
+        raise ValueError(f"stage one was learned under {own}, not {cfg}")
+    store = ParamStore()
+    params = create_detector_params(store, world.channels, world.num_categories, cfg, arm,
+                                    derive_seed(cfg.seed, "init"))
+    # only the active parameters see gradient, so only they are updated; the
+    # rest keep zero gradient and stay bitwise at their init. Without the
+    # map, which stage one trained, they are at most two spans of the
+    # store's buffers, so each update is a numpy call or two.
+    active = active_param_names(params)
+    obj = params.objectness.name
+    updates = [(store.values[span], store.grads[span], np.zeros(span.stop - span.start))
+               for span in store.spans([name for name in active if name != obj])]
+    k, n = stage1.rois.labels.shape
+    warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
+    gates = None
+    if params.sin.mode in ("edge", "both") and cfg.T > 0:
+        gates = np.empty((k, n, n))
+        for start in range(warmup, k, DETECT_CHUNK):
+            gates[start:start + DETECT_CHUNK] = spatial_gate(
+                stage1.rois.boxes[start:start + DETECT_CHUNK])
+    losses = []
+    for it in range(k):
+        store.zero_grads()
+        rois = RoiInputs(*(field[it:it + 1] for field in stage1.rois))
+        graph_on = it >= warmup
+        gate = gates[it:it + 1] if graph_on and gates is not None else None
+        loss = roi_loss(params, rois, cfg.T if graph_on else 0, gate)
+        loss += stage1.obj_loss[it]
+        loss += apply_weight_decay(store, active, cfg.weight_decay, {obj: stage1.obj_decay[it]})
+        if not np.isfinite(loss):
+            raise TrainingDiverged(it)
+
+        lr = _rate(cfg, it)
+        for values, grads, velocity in updates:
+            velocity *= cfg.momentum
+            velocity -= lr * grads
+            values += velocity
+        losses.append(loss)
+        if callback is not None:
+            callback(it, loss)
+    params.objectness.value[...] = stage1.objectness
+    return TrainResult(store=store, params=params, losses=losses)
+
+
 def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
-    """SGD with momentum over scenes drawn from the world.
+    """SGD with momentum over scenes drawn from the world, in three parts:
+    the plan (plan_training) does the weight-independent part of stage one,
+    stage one (stage_one) learns the objectness map alone and builds every
+    iteration's stage-two inputs, and stage two (learn) trains the rest of
+    the model, with one callback per iteration. The result is bitwise that
+    of one loop that runs both stages in every iteration.
 
     All randomness descends from cfg.seed through fixed stream labels, so a
     rerun is bitwise identical; passing the same data_seed to different arms
-    shows every arm the same scenes in the same shuffled order. The plan
-    (plan_training) does every weight-independent part of stage one before
-    the first step; a step scores the anchors, takes its proposals
-    (_proposals over the plan's kept boxes), runs stage two and both losses,
-    and updates the weights.
+    shows every arm the same scenes in the same shuffled order, and trains
+    the same stage one.
     """
-    validate_config(cfg)
     if n_train is None:
         n_train = cfg.iters
     if data_seed is None:
         data_seed = derive_seed(cfg.seed, "data")
-    init_seed = derive_seed(cfg.seed, "init")
-
-    store = ParamStore()
-    params = create_detector_params(store, world.channels, world.num_categories, cfg, arm,
-                                    init_seed)
-    # only the active parameters see gradient, so only they are updated; the
-    # rest keep zero gradient and stay bitwise at their init. They are one
-    # span of the store's buffers, so each update is one numpy call over it.
-    active = active_param_names(params)
-    (span,) = store.spans(active)
-    active_values, active_grads = store.values[span], store.grads[span]
-    velocity = np.zeros_like(active_values)
-
-    plan = plan_training(world, cfg, n_train, data_seed)
-    losses = []
-    drop_at = int(0.7 * cfg.iters)
-    warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
-    for it in range(cfg.iters):
-        sample = plan.scenes[it]
-        active_grads[...] = 0.0
-        scored = score_anchors(params, sample)
-        props = _proposals(*scored, plan.kept(it), cfg.rois_per_image)
-        loss = roi_loss(params, sample, props, cfg.T if it >= warmup else 0)
-        loss += objectness_loss(params, sample, scored, plan.targets[it])
-        loss += apply_weight_decay(store, active, cfg.weight_decay)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(it)
-
-        lr = cfg.lr * (0.1 if it >= drop_at else 1.0)
-        velocity *= cfg.momentum
-        velocity -= lr * active_grads
-        active_values += velocity
-        losses.append(loss)
-        if callback is not None:
-            callback(it, loss)
-    return TrainResult(store=store, params=params, losses=losses)
+    return learn(world, cfg, arm, stage_one(world, cfg, n_train, data_seed), callback)
 
 
 # ---------------------------------------------------------------------------

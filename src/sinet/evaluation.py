@@ -11,7 +11,9 @@ All of them read one matching pass (_Matching): the IoU of every same-image
 over the global score ranking.
 
 run_ablation trains the four arms, then the sin arm at each SWEEP_GRID point,
-in one loop, each evaluated on the same test split. It returns (summary,
+in one loop, each evaluated on the same test split. Stage one is the same in
+every one of them, so it is learned once (detector.stage_one) and each
+training replays it (detector.learn). It returns (summary,
 models): the plain data that an ablation's summary.json holds, and each
 trained arm's TrainResult. It measures no time, so a rerun with the same
 arguments returns the same summary.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import ARMS, DETECTION_DTYPE, TrainingDiverged, detect_scenes, train
+from .detector import ARMS, DETECTION_DTYPE, TrainingDiverged, detect_scenes, learn, stage_one
 from .geometry import iou
 from .numerics import derive_seed
 from .synth_data import GT_DTYPE, generate, world_hash
@@ -201,8 +203,10 @@ def run_ablation(world, cfg, n_train, n_test, score_thresh, arms=ARMS, sweep=Fal
     Every training sees the same initial weights (same init seed), the same
     scenes in the same shuffled order, and the same test split; only the
     inference wiring, pooling and steps differ, and each trained model
-    detects with its own (TrainResult.params). A sweep point at cfg's own
-    (pooling, T) reads the sin arm's entry. A training that diverges, by a
+    detects with its own (TrainResult.params). So every training has the
+    same stage one, which is learned once and replayed: each training is
+    bitwise detector.train's. A sweep point at cfg's own (pooling, T) reads
+    the sin arm's entry. A training that diverges, by a
     non-finite loss or GRU pre-activation, is a failed entry with its message.
     """
     say = progress if progress is not None else (lambda msg: None)
@@ -217,6 +221,7 @@ def run_ablation(world, cfg, n_train, n_test, score_thresh, arms=ARMS, sweep=Fal
         "arms": {}, "sweep": {},
     }
     models = {}
+    stage1 = stage_one(world, cfg, n_train, train_seed)
     runs = [("arms", arm, arm, cfg) for arm in arms]
     if sweep:
         runs += [("sweep", f"{pooling}-T{t}", "sin", replace(cfg, pooling=pooling, T=t))
@@ -230,7 +235,7 @@ def run_ablation(world, cfg, n_train, n_test, score_thresh, arms=ARMS, sweep=Fal
             label = f"arm {key}" if section == "arms" else f"sweep {key}"
             say(f"training {label}" if section == "arms" else label)
             try:
-                tr = train(world, run_cfg, arm, n_train=n_train, data_seed=train_seed)
+                tr = learn(world, run_cfg, arm, stage1)
             except (TrainingDiverged, FloatingPointError) as e:
                 entry.update(failed=True, error=str(e))
             else:

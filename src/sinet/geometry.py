@@ -14,22 +14,24 @@ MIN_SIDE = 1e-6
 
 
 def centers_to_corners(centers):
-    """(k, 4) center-size rows to corner rows: (cx, cy) -/+ (w, h) / 2.0."""
+    """(..., 4) center-size rows to corner rows: (cx, cy) -/+ (w, h) / 2.0."""
     centers = np.asarray(centers, dtype=np.float64)
-    half = centers[:, 2:] / 2.0
-    return np.concatenate([centers[:, :2] - half, centers[:, :2] + half], axis=1)
+    half = centers[..., 2:] / 2.0
+    return np.concatenate([centers[..., :2] - half, centers[..., :2] + half], axis=-1)
 
 
 def pairwise_iou(corners_a, corners_b):
-    """(A, B) IoU matrix from two corner arrays."""
-    x1 = np.maximum(corners_a[:, None, 0], corners_b[None, :, 0])
-    y1 = np.maximum(corners_a[:, None, 1], corners_b[None, :, 1])
-    x2 = np.minimum(corners_a[:, None, 2], corners_b[None, :, 2])
-    y2 = np.minimum(corners_a[:, None, 3], corners_b[None, :, 3])
+    """(..., A, B) IoU matrices from two stacks of corner arrays, (..., A, 4)
+    and (..., B, 4)."""
+    a, b = corners_a[..., :, None, :], corners_b[..., None, :, :]
+    x1 = np.maximum(a[..., 0], b[..., 0])
+    y1 = np.maximum(a[..., 1], b[..., 1])
+    x2 = np.minimum(a[..., 2], b[..., 2])
+    y2 = np.minimum(a[..., 3], b[..., 3])
     inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    area_a = (corners_a[:, 2] - corners_a[:, 0]) * (corners_a[:, 3] - corners_a[:, 1])
-    area_b = (corners_b[:, 2] - corners_b[:, 0]) * (corners_b[:, 3] - corners_b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
 
 
 def nms_by_group(boxes, scores, groups, iou_thresh):

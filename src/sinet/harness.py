@@ -8,7 +8,8 @@ may use). Each worker process detects its share of the scenes in stacks, as
 a single process does, with the model the manifest's arm and config lay out.
 
 Exit codes: 0 success; 1 for a bad flag, config or inline world (any
-ValueError); 2 for a file that cannot be read or used (a checkpoint,
+ValueError), or one that asks for more memory than the host has
+(MemoryError); 2 for a file that cannot be read or used (a checkpoint,
 manifest or --data file: FileError; any other: OSError), training
 divergence, or a non-finite value met inside a GRU cell.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .detector import (ARMS, DETECT_CHUNK, TrainConfig, TrainingDiverged,
                        apply_weight_decay, create_detector_params, detect, detect_scenes,
-                       roi_loss, train, validate_config)
+                       roi_inputs, roi_loss, train, validate_config)
 from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_ablation
 from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
@@ -223,11 +224,11 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
     store = ParamStore()
     params = create_detector_params(store, channels, 2, cfg, "sin", derive_seed(seed, "init"))
     names = [nm for nm in store.names() if nm != "det/objectness"]
+    rois = roi_inputs([sample], boxes[None], 2)
 
     def loss_fn():
         store.zero_grads()
-        return roi_loss(params, sample, boxes, steps) + apply_weight_decay(store, names,
-                                                                           GRADCHECK_WD)
+        return roi_loss(params, rois, steps) + apply_weight_decay(store, names, GRADCHECK_WD)
 
     return grad_check(loss_fn, store, names, eps=eps)
 
@@ -550,6 +551,11 @@ def main(argv=None):
         return 2
     except ValueError as e:
         print(f"sinet: error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        # a config or flag within every bound can still ask for more than
+        # the host has: a huge grid, scene count or --iters
+        print(f"sinet: error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
         return 1
 
 

@@ -11,8 +11,10 @@ For node i with feature f_i, one step computes
     f_i'     = fuse(h_s_i, h_e_i)        # mean (default), max, or concat
 
 W_P is a fixed locality prior, not a learned weight, so the spatial gate
-relu(W_P . R) depends on the boxes alone: it is computed once per stack, by
-the first step that needs it. The appearance factor, and with it the edges,
+relu(W_P . R) depends on the boxes alone (spatial_gate): a graph may arrive
+with it, as training builds the gates of a whole run in bulk before its
+first step, and otherwise the first step that needs it computes it once for
+the stack. The appearance factor, and with it the edges,
 is recomputed from the current features at every step; both banks take the
 fused node state of the previous step as their hidden state. Ablation arms
 drop one bank and use the remaining output alone. A step makes one GRU call
@@ -70,9 +72,9 @@ W_P.flags.writeable = False
 class SceneGraph:
     """A stack of B per-image graphs of n nodes each: node features, node
     boxes as (cx, cy, w, h) rows, and one scene vector per image. The boxes'
-    spatial gate is computed by the first step that needs it and passed on
-    to the graphs that step produces; a graph a step produced also holds
-    that step's edges."""
+    spatial gate, unless given, is computed by the first step that needs it,
+    and is passed on to the graphs that step produces; a graph a step
+    produced also holds that step's edges."""
 
     node_features: np.ndarray      # (B, n, d)
     boxes: np.ndarray              # (B, n, 4)
@@ -178,7 +180,7 @@ def _compute_edges(p, features, gate):
     """e[..., i, j] = gate[..., i, j] * tanh(w_v . [f_i, f_j]) for every
     ordered (receiver, sender) pair of each scene, so |e| <= gate; zero
     diagonal. Features are (..., n, d) and gate the (..., n, n) spatial gate
-    relu(W_P . R(box_i, box_j)) of the boxes (_gate)."""
+    relu(W_P . R(box_i, box_j)) of the boxes (spatial_gate)."""
     d = features.shape[-1]
     vi = features @ p.w_v.value[0, :d]
     vj = features @ p.w_v.value[0, d:]
@@ -196,9 +198,16 @@ def compute_edges(p, g):
     return _compute_edges(p, g.node_features, _gate(g)).e
 
 
+def spatial_gate(boxes):
+    """The (..., n, n) spatial gate relu(W_P . R(box_i, box_j)) of each
+    scene of (..., n, 4) center-size rows. Each scene's gate is its own
+    (n, n, 12) by (12,) product, so it is bitwise the same in any stack."""
+    return np.maximum(_relation_tensor(boxes) @ W_P, 0.0)
+
+
 def _gate(g):
     if g.gate is None:
-        g.gate = np.maximum(_relation_tensor(g.boxes) @ W_P, 0.0)
+        g.gate = spatial_gate(g.boxes)
     return g.gate
 
 

@@ -526,6 +526,36 @@ def anchor_targets_oracle(anchors, gt):
     return y, mask
 
 
+def assign_targets_oracle(props, gt, num_categories):
+    """One scene's ROI targets as the per-scene path made them: the dense
+    (n, G) pairwise_iou of the (n, 4) center-size rows `props` against the
+    GT_DTYPE rows `gt`, each ROI's best gt (ties to the lowest) positive at
+    IOU_POS or over and ignored from IOU_NEG, then a loop over the gts in
+    order forcing each one's best ROI (ties to the lowest), when they
+    overlap, onto it. Returns the (n,) labels and the (n, 4) deltas."""
+    from sinet.detector import IGNORE, IOU_NEG, IOU_POS
+    from sinet.geometry import centers_to_corners, encode_deltas, pairwise_iou
+    n = len(props)
+    labels = np.full(n, num_categories, dtype=np.intp)
+    deltas = np.zeros((n, 4))
+    if len(gt) == 0:
+        return labels, deltas
+    gc = gt["box"]
+    ious = pairwise_iou(centers_to_corners(props), centers_to_corners(gc))
+    best_gt = ious.argmax(axis=1)
+    best_iou = ious[np.arange(n), best_gt]
+    assigned = np.where(best_iou >= IOU_POS, best_gt, -1)
+    labels[~(best_iou < IOU_NEG)] = IGNORE
+    for g in range(len(gt)):
+        p = int(ious[:, g].argmax())
+        if ious[p, g] > 0.0:
+            assigned[p] = g
+    pos = assigned >= 0
+    labels[pos] = gt["category"][assigned[pos]]
+    deltas[pos] = encode_deltas(props[pos], gc[assigned[pos]])
+    return labels, deltas
+
+
 def average_precision_oracle(dets, gts, iou_thresh=0.5):
     """Rank by score (stable), greedily match each detection to its best
     still-free gt in the same image, then integrate the monotone precision

@@ -26,7 +26,8 @@ from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
 from sinet.synth_data import SceneSample, cell_window, default_world
 
-from oracles import (Box, anchor_targets_oracle, apply_deltas_oracle, center_rows,
+from oracles import (Box, anchor_targets_oracle, apply_deltas_oracle, assign_targets_oracle,
+                     center_rows,
                      clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
                      gt_array, iou_oracle, nms, nms_oracle, objectness_oracle, pool_rois_oracle,
                      train_proposals_oracle, with_arm)
@@ -429,9 +430,15 @@ def test_plan_is_the_scene_by_scene_draws():
 # ---------------------------------------------------------------------------
 # target assignment
 
+def assign_one(props, gt, num_categories):
+    """assign_targets on the one-scene stack of (n, 4) rows `props`."""
+    labels, deltas = assign_targets(props[None], [gt], num_categories)
+    return labels[0], deltas[0]
+
+
 def test_assign_targets_no_gt_is_all_background():
     props = center_rows([Box(2, 2, 2, 2), Box(5, 5, 1, 1)])
-    labels, deltas = assign_targets(props, gt_array([]), num_categories=3)
+    labels, deltas = assign_one(props, gt_array([]), num_categories=3)
     assert labels.tolist() == [3, 3]
     assert deltas.shape == (2, 4) and not deltas.any()
 
@@ -443,7 +450,7 @@ def test_assign_targets_trivial_cases():
         Box(9.0, 9.0, 2.0, 2.0),    # disjoint
         Box(3.7, 3.0, 2.0, 2.0),    # IoU ~0.418: in the ignore band
     ]
-    labels, deltas = assign_targets(center_rows(props), gt_array([(g, 1)]), num_categories=4)
+    labels, deltas = assign_one(center_rows(props), gt_array([(g, 1)]), num_categories=4)
     assert labels.tolist() == [1, 4, IGNORE]
     assert np.allclose(deltas[0], encode_deltas_oracle(props[0], g))
     assert np.allclose(deltas[0], 0.0)
@@ -456,7 +463,7 @@ def test_assign_targets_forces_best_proposal():
     g = Box(3.0, 3.0, 2.0, 2.0)
     props = [Box(4.4, 3.0, 2.0, 2.0), Box(8.0, 8.0, 2.0, 2.0)]
     assert iou_oracle(props[0], g) < IOU_POS
-    labels, _deltas = assign_targets(center_rows(props), gt_array([(g, 2)]), num_categories=3)
+    labels, _deltas = assign_one(center_rows(props), gt_array([(g, 2)]), num_categories=3)
     assert labels.tolist() == [2, 3]
 
 
@@ -470,7 +477,7 @@ def test_assign_targets_matches_brute_force():
                    rng.uniform(0.8, 3.0), rng.uniform(0.8, 3.0)),
                int(rng.integers(0, 3)))
               for _ in range(int(rng.integers(1, 4)))]
-        labels, deltas = assign_targets(center_rows(props), gt_array(gt), num_categories=3)
+        labels, deltas = assign_one(center_rows(props), gt_array(gt), num_categories=3)
         assert labels.shape == (8,) and deltas.shape == (8, 4)
 
         ious = [[iou_oracle(p, box) for box, _ in gt] for p in props]
@@ -505,6 +512,35 @@ def test_assign_targets_matches_brute_force():
                 assert labels[i] == 3
             else:
                 assert labels[i] == IGNORE
+
+
+# ROI rows on half cells of a 10 x 10 grid: ties between gts and between
+# ROIs, exact hits, and boxes that meet nothing
+_roi_box = hst.builds(Box, hst.integers(0, 20).map(lambda v: v / 2.0),
+                      hst.integers(0, 20).map(lambda v: v / 2.0),
+                      hst.integers(1, 8).map(lambda v: v / 2.0),
+                      hst.integers(1, 8).map(lambda v: v / 2.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=hst.integers(1, 8), k=hst.integers(1, 4),
+       scenes=hst.lists(hst.tuples(hst.lists(_roi_box, min_size=8, max_size=8),
+                                   hst.lists(hst.tuples(_roi_box, hst.integers(0, 3)),
+                                             max_size=6)),
+                        min_size=1, max_size=6))
+@example(n=3, k=2, scenes=[([Box(2.0, 2.0, 2.0, 2.0)] * 8, [(Box(2.0, 2.0, 2.0, 2.0), 1)] * 3),
+                           ([Box(5.0, 5.0, 1.0, 1.0)] * 8, [])])
+def test_assign_targets_matches_the_per_scene_oracle(n, k, scenes):
+    # a ragged stack (scenes with no gt, with one, with several, forcing
+    # one ROI twice) gives each scene bitwise the per-scene targets
+    props = np.array([center_rows(rois[:n]) for rois, _ in scenes])
+    gts = [gt_array((box, cat % k) for box, cat in objects) for _, objects in scenes]
+    labels, deltas = assign_targets(props, gts, k)
+    assert labels.shape == (len(scenes), n) and deltas.shape == (len(scenes), n, 4)
+    for b, gt in enumerate(gts):
+        want_labels, want_deltas = assign_targets_oracle(props[b], gt, k)
+        assert labels[b].tolist() == want_labels.tolist()
+        assert deltas[b].tobytes() == want_deltas.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -958,6 +994,59 @@ def test_train_divergence_is_reported():
         train(world, cfg, arm="baseline", n_train=10)
     assert exc.value.iteration >= 0
     assert "non-finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("k", [0, 1, 17, 39])
+def test_divergence_in_stage_one_is_raised_at_its_iteration(k):
+    # an objectness loss of inf at iteration k stops stage one there; stage
+    # two then runs iterations 0..k-1, calling back after each, and raises
+    # at k, as the one loop that ran both stages did
+    world = default_world()
+    real = det_mod.objectness_loss
+    calls, callbacks = [], []
+
+    def obj_loss(*args):
+        calls.append(real(*args))
+        return math.inf if len(calls) == k + 1 else calls[-1]
+
+    with mock.patch.object(det_mod, "objectness_loss", obj_loss):
+        with pytest.raises(TrainingDiverged) as exc:
+            train(world, TrainConfig(iters=40, seed=3), "sin", n_train=40,
+                  callback=lambda it, loss: callbacks.append(it))
+    assert exc.value.iteration == k
+    assert callbacks == list(range(k))
+    assert len(calls) == k + 1
+
+
+def test_stack_size_does_not_change_a_training():
+    # stage one builds stage two's inputs, and stage two the spatial gates,
+    # in stacks of DETECT_CHUNK iterations; 37 iterations, 9 of them warm-up,
+    # are no multiple of the stack
+    world = default_world()
+    cfg = TrainConfig(iters=37, seed=8)
+    runs = []
+    for chunk in (1, det_mod.DETECT_CHUNK):
+        with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
+            runs.append(train(world, cfg, "sin", n_train=20))
+    (a, b) = runs
+    assert a.losses == b.losses
+    assert a.store.values.tobytes() == b.store.values.tobytes()
+
+
+def test_stage_two_replays_stage_one_for_its_run_config_only():
+    # a record replays for any arm, pooling, T or width of its run config,
+    # and the replay is bitwise the training's; any other field is refused
+    world = default_world()
+    cfg = TrainConfig(iters=12, rois_per_image=6, feat_dim=8, seed=2)
+    one = det_mod.stage_one(world, cfg, 6, 5)
+    for arm, other in (("edge", replace(cfg, pooling="max", T=1)),
+                       ("sin", replace(cfg, pooling="concat", feat_dim=4))):
+        replayed = det_mod.learn(world, other, arm, one)
+        trained = train(world, other, arm, n_train=6, data_seed=5)
+        assert replayed.losses == trained.losses
+        assert replayed.store.values.tobytes() == trained.store.values.tobytes()
+    with pytest.raises(ValueError, match="stage one was learned under"):
+        det_mod.learn(world, replace(cfg, lr=0.01), "sin", one)
 
 
 def test_train_inactive_params_untouched():

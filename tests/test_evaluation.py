@@ -297,6 +297,32 @@ def test_run_ablation_sweep_reuses_main_arm(tiny_ablation):
         assert 0.0 <= cell["map"] <= 1.0
 
 
+def test_run_ablation_learns_stage_one_once():
+    # the four arms and the four sweep points that train all replay one
+    # stage one: the anchors are scored once per iteration in all, and
+    # otherwise only for the 8 models' proposals on the test scenes
+    from sinet import detector
+    world = default_world()
+    cfg = TrainConfig(iters=7, rois_per_image=6, feat_dim=8, seed=4)
+    counts = {"score_anchors": 0, "propose": 0}
+
+    def spy(name):
+        real = getattr(detector, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    with mock.patch.object(detector, "score_anchors", spy("score_anchors")), \
+            mock.patch.object(detector, "propose", spy("propose")):
+        summary, _models = run_ablation(world, cfg, n_train=5, n_test=3, score_thresh=0.05,
+                                        sweep=True)
+    assert not any(entry["failed"] for section in ("arms", "sweep")
+                   for entry in summary[section].values())
+    assert counts == {"score_anchors": 7 + 8 * 3, "propose": 8 * 3}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_ablation_reports_failed_arm():
     world = default_world()

@@ -1132,6 +1132,30 @@ def test_cli_divergence_exits_2(tmp_path, capsys):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 46.6 TiB for an array with shape (100000000000, 16, 4) "
+     "and data type float64",
+     "sinet: error: out of memory: Unable to allocate 46.6 TiB for an array with shape "
+     "(100000000000, 16, 4) and data type float64\n"),
+    ("", "sinet: error: out of memory\n")])
+@pytest.mark.parametrize("command, target", [("train", "harness.train"),
+                                             ("ablate", "evaluation.stage_one")])
+def test_cli_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, command, target, message,
+                                   line):
+    # a run that asks for more memory than the host has (a huge grid or
+    # --iters) is one error line and exit 1, not a traceback. The failing
+    # allocation is simulated, never made
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    module, name = target.split(".")
+    monkeypatch.setattr(f"sinet.{module}.{name}", no_memory)
+    capsys.readouterr()
+    assert main([command, "--iters", "8", "--n-train", "4", "--out", str(tmp_path / "run")]) == 1
+    out, err = capsys.readouterr()
+    assert err == line
+
+
 def test_cli_ablate_writes_summary(tmp_path, capsys):
     out_dir = str(tmp_path / "ab")
     assert main(["ablate", "--world", "default", "--iters", "8",
