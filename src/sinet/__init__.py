@@ -22,7 +22,7 @@ from .synth_data import (GT_DTYPE, Category, CooccurRule, SceneSample,
 from .detector import (ARMS, DETECTION_DTYPE, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
                        detect, detect_scenes, forward_scenes,
-                       multi_task_loss, propose, train)
+                       multi_task_loss, train)
 from .evaluation import EvalResult, evaluate_detections, run_ablation
 from .harness import EvalConfig, RunConfig, main, run_gradcheck
 
@@ -39,7 +39,7 @@ __all__ = [
     "evaluate_detections", "forward_scenes", "generate",
     "grad_check", "gru_backward", "gru_forward", "gru_init", "gru_params", "init_param", "iou",
     "load_checkpoint", "load_dataset", "main", "multi_task_loss",
-    "propose", "relation_report", "run_ablation", "run_gradcheck", "sample_at",
+    "relation_report", "run_ablation", "run_gradcheck", "sample_at",
     "save_checkpoint", "save_dataset", "seed_for", "sin_backward",
     "sin_infer_tapes", "sin_init", "sin_params", "sin_step_tape", "train", "world_hash",
 ]

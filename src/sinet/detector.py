@@ -16,17 +16,21 @@ Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
 (synth_data.GT_DTYPE) from the sampler to the metrics; its detections are
 another (DETECTION_DTYPE), from the detection tail to the metrics and the CSV
 writers.
-Stage two runs on a stack of B scenes at once (forward_scenes, on a (B, n, 4)
-ROI array): node features are (B, n, d) with n = rois_per_image, and each
-product keeps its per-scene shape, so a scene's numbers do not depend on what
-it is stacked with. Training (roi_loss) runs stacks of one scene and records
-the tapes of the inference steps for the backward pass; detect_scenes runs the
-proposal stage per scene and stage two, forward only, on chunks of
-DETECT_CHUNK scenes. Its tail thresholds the whole chunk's (B, n, K)
-probabilities at once, refines and clips every candidate in one call, and
-suppresses them with one NMS grouped by (scene, class). A model records the
-arm and TrainConfig it is laid out for, and every stage reads its wiring
-from them.
+The proposal stage's work that spans scenes runs in stacks of DETECT_CHUNK:
+a training plan labels its scenes' anchors a stack at a time
+(anchor_targets), and proposals are taken for a (B, A) stack of anchor
+scores at once (_proposals), DETECT_CHUNK training iterations or detected
+scenes per call. Stage two runs on a stack of B scenes at once
+(forward_scenes, on a (B, n, 4) ROI array): node features are (B, n, d) with
+n = rois_per_image, and each product keeps its per-scene shape, so a scene's
+numbers do not depend on what it is stacked with. Training (roi_loss) runs
+stacks of one scene and records the tapes of the inference steps for the
+backward pass; detect_scenes scores each scene's anchors, then takes the
+proposals and runs stage two, forward only, on chunks of DETECT_CHUNK scenes.
+Its tail thresholds the whole chunk's (B, n, K) probabilities at once,
+refines and clips every candidate in one call, and suppresses them with one
+NMS grouped by (scene, class). A model records the arm and TrainConfig it is
+laid out for, and every stage reads its wiring from them.
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -50,14 +54,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
+from .geometry import (_sorted_prefixes, apply_deltas, centers_to_corners, clip_box,
                        encode_deltas, nms_by_group, pairwise_iou)
 from .memory_cell import MAPS
 from .numerics import ParamStore, derive_seed, init_param, seed_for
 from .structure_inference import (MODE_BANKS, POOLINGS, SceneGraph, compute_edges,
                                   sin_backward, sin_infer_tapes, sin_init, sin_params,
                                   spatial_gate)
-from .synth_data import cell_window, sample_at
+from .synth_data import cell_window, scene_sampler
 
 IOU_POS = 0.5
 IOU_NEG = 0.3
@@ -81,7 +85,9 @@ ANCHOR_RATIOS = (1.0, 1.5)
 ARM_MODES = {"baseline": None, "scene": "scene", "edge": "edge", "sin": "both"}
 ARMS = tuple(ARM_MODES)
 
-# Scenes per detection stack. Measured on 512 default-world held-out scenes
+# Scenes or training iterations per stack: of anchor labelling, of proposals
+# (in stage one and in detection), of stage-two inputs and gates, and of
+# detection's stage two. Measured on 512 default-world held-out scenes
 # (a 400-iteration sin model) with one BLAS thread on a shared 2-core x86
 # host, stack sizes interleaved, process CPU time of 11 rounds in each of two
 # runs: whole detect_scenes took medians of 0.49-0.54 / 0.42-0.47 / 0.40-0.43
@@ -92,6 +98,11 @@ ARMS = tuple(ARM_MODES)
 # 50 KB per stacked scene (120 KB while detection kept every step's tape and
 # built the (B, n, n, d) message products). So the stack stays at 16: 64's medians
 # were 9-11% lower, but not round after round, and it holds twice the memory.
+# Labelling 400 default scenes peaks 0.9 MB above what it returns in stacks
+# of 16 and 4.5 MB in stacks of 64 (tracemalloc; a test bounds it), and a
+# 400-iteration baseline training peaked at 69.7 MB ru_maxrss in stacks of
+# 16 and 73.3-74.0 MB in stacks of 64, against 68.8-69.0 MB before labels
+# and proposals were stacked.
 DETECT_CHUNK = 16
 
 
@@ -274,45 +285,54 @@ def score_anchors(params, sample):
     return anchors, sums.transpose(1, 2, 0).reshape(-1)
 
 
-def propose(params, sample):
-    """Detection's rois_per_image proposals (the model's config), as (n, 4)
-    center-size rows: the anchors ranked by the objectness map (_proposals
-    with no injected box). Detection never reads the ground truth."""
-    anchors, scores = score_anchors(params, sample)
-    return _proposals(anchors, scores, _NO_BOXES, params.cfg.rois_per_image)
-
-
-_NO_BOXES = (np.empty((0, 4)), np.empty((0, 4)))
-
-
-def _proposals(anchors, scores, kept, n):
-    """Exactly n proposals, as (n, 4) center-size rows: the m <= n injected
-    boxes `kept` (a (center rows, corner rows) pair, see _injected_boxes),
-    then the anchors in the stable descending order of `scores` that no
-    kept box overlaps past PROPOSAL_NMS_THRESH (a NaN overlap suppresses),
+def _proposals(anchors, scores, n, kept=None):
+    """Exactly n proposals for each row of the (B, A) anchor scores `scores`,
+    as a (B, n, 4) array of center-size rows: row b's kept injected boxes
+    (none without `kept`; else a (centers, corners, bounds) triple of (R, 4)
+    rows, row b's being rows bounds[b]:bounds[b + 1], see _injected_boxes),
+    then the anchors in the stable descending order of its scores that none
+    of them overlaps past PROPOSAL_NMS_THRESH (a NaN overlap suppresses),
     until there are n. Too few are padded by cycling through them in order.
 
     This is greedy NMS over the kept boxes followed by the anchors, ranked
     the same way: no two anchors overlap enough to suppress one another (see
     ANCHOR_SCALES), so only a kept box can suppress an anchor. Only a prefix
-    of the score order is sorted (_sorted_prefix): n when nothing is kept,
-    else 2n, widened to the full order when its survivors run short."""
-    centers, corners = kept
-    m = len(centers)
+    of each row's score order is sorted (_sorted_prefixes): n when nothing is
+    kept, else 2n; a row whose prefix holds too few survivors, or whose cut
+    is NaN, takes its full stable order. The kept boxes are padded to one
+    (B, M, 4) block with zero-area rows, which suppress nothing."""
+    b, a = scores.shape
     neg = -scores
-    order = _sorted_prefix(neg, 2 * n if m else n)
-    while True:
-        picks = order
-        if m:
-            over = pairwise_iou(corners, anchors.corners[order]) <= PROPOSAL_NMS_THRESH
-            picks = order[over.all(axis=0)]
-        if len(picks) >= n - m or len(order) == len(neg):
-            break
-        order = np.argsort(neg, kind="stable")
-    rows = anchors.centers[picks[:n - m]]
-    if m:
-        rows = np.concatenate([centers, rows])
-    return np.resize(rows, (n, 4))
+    centers, corners, bounds = kept or (np.empty((0, 4)), np.empty((0, 4)),
+                                        np.zeros(b + 1, dtype=np.intp))
+    m = np.diff(bounds)
+    slot = np.arange(m.max(initial=0)) < m[:, None]                      # (B, M)
+    block = np.zeros(slot.shape + (4,))
+    block[slot] = corners
+    need = n - m
+    picks = np.zeros((b, n), dtype=np.intp)          # each row's surviving anchors, in order
+    got = np.zeros(b, dtype=np.intp)
+    rows = np.arange(b)
+    order, real = _sorted_prefixes(neg, n if kept is None else 2 * n)
+    while len(rows):
+        alive = real
+        if block.shape[1]:
+            over = pairwise_iou(block[rows], anchors.corners[order]) <= PROPOSAL_NMS_THRESH
+            alive = over.all(axis=1) & real
+        rank = np.cumsum(alive, axis=1)
+        r, c = np.nonzero(alive & (rank <= need[rows, None]))
+        picks[rows[r], rank[r, c] - 1] = order[r, c]
+        count = alive.sum(axis=1)
+        got[rows] = np.minimum(count, need[rows])
+        rows = rows[(count < need[rows]) & (real.sum(axis=1) < a)]
+        order = np.argsort(neg[rows], axis=1, kind="stable")
+        real = np.ones(order.shape, dtype=bool)
+    j = np.arange(n) % (m + got)[:, None]           # each slot's place in its row's list
+    k = j - m[:, None]                              # its anchor pick; < 0 for a kept box
+    out = anchors.centers[np.take_along_axis(picks, np.maximum(k, 0), axis=1)]
+    injected = k < 0
+    out[injected] = centers[(bounds[:-1, None] + j)[injected]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,20 +612,24 @@ def apply_weight_decay(store, names, wd, done=None):
     """L2 term 0.5 * wd * ||p||^2 per named parameter of a laid-out store,
     summed over them in the order given; adds wd * p to their gradients, one
     numpy call per span of them in the store's buffers (ParamStore.spans).
-    Each ||p||^2 adds up the parameter's slice of the squared value buffer,
-    in the order a sum over the contiguous parameter itself takes. `done`
+    Only those spans of the value buffer are squared, and each ||p||^2 adds
+    up the parameter's slice of them, in the order a sum over the
+    contiguous parameter itself takes. `done`
     maps names whose term was taken elsewhere, with its gradient, to that
     term: it is added in the name's place, and the name's gradient is left
     alone."""
     if wd == 0.0:
         return 0.0
     done = done or {}
-    squares = store.values ** 2
+    spans = store.spans([name for name in names if name not in done])
+    squares = np.empty_like(store.values)       # filled on those spans only
+    for span in spans:
+        np.square(store.values[span], out=squares[span])
     loss = 0.0
     for name in names:
         loss += done[name] if name in done else \
             0.5 * wd * float(np.add.reduce(squares[store.span(name)]))
-    for span in store.spans([name for name in names if name not in done]):
+    for span in spans:
         store.grads[span] += wd * store.values[span]
     return loss
 
@@ -636,41 +660,95 @@ class ObjectnessTargets(NamedTuple):
     w_neg: float
 
 
-def _anchor_targets(anchors, gt):
-    """Binary anchor labels: 1 over OBJ_IOU_POS, 0 under OBJ_IOU_NEG, ignore
-    between; every gt forces its best anchor positive (ties to the lowest
-    anchor index, anchor 0 for a gt that meets none). The band is looser
-    than the ROI one: anchors sit on a unit-stride grid, so demanding 0.5
-    overlap would leave most objects with a single forced positive.
+def anchor_targets(anchors, gts):
+    """Binary anchor labels of scenes on one grid, one ObjectnessTargets per
+    GT_DTYPE array of `gts`: 1 over OBJ_IOU_POS, 0 under OBJ_IOU_NEG,
+    ignore between; every gt forces its best anchor positive (ties to the
+    lowest anchor index, anchor 0 for a gt that meets none). The band is
+    looser than the ROI one: anchors sit on a unit-stride grid, so demanding
+    0.5 overlap would leave most objects with a single forced positive.
     Positives and negatives get half the loss each (each positive weighs
     0.5 / positives, each negative 0.5 / negatives), otherwise the handful
-    of positives would drown in ~1500 negatives.
+    of positives would drown in ~1500 negatives. The scenes are labelled in
+    stacks of DETECT_CHUNK (_label_stack)."""
+    out = []
+    for start in range(0, len(gts), DETECT_CHUNK):
+        out += _label_stack(anchors, gts[start:start + DETECT_CHUNK])
+    return out
 
-    The (G, A) IoUs come from per-axis overlaps: (G, W, T) along x times
-    (G, H, T) along y, then pairwise_iou's division, so each is bitwise
-    pairwise_iou's for its (anchor, gt) pair."""
-    a = len(anchors.corners)
-    if len(gt) == 0:
-        return ObjectnessTargets(np.empty(0, np.intp), np.empty(0, np.intp), 0.0, 0.5 / a)
-    gc = centers_to_corners(gt["box"])
-    g = gc[:, None, None]                  # (G, 1, 1, 4) against (W or H, T) extents
-    xe, ye = anchors.x_extent, anchors.y_extent
-    ix = np.maximum(0.0, np.minimum(xe[..., 1], g[..., 2]) - np.maximum(xe[..., 0], g[..., 0]))
-    iy = np.maximum(0.0, np.minimum(ye[..., 1], g[..., 3]) - np.maximum(ye[..., 0], g[..., 1]))
-    inter = (ix[:, None] * iy[:, :, None]).reshape(len(gc), a)           # (G, H, W, T) flat
+
+def _axis_overlaps(extent, lo, hi):
+    """Each of R gts' overlaps along one axis with the anchors of the rows
+    (or columns) it meets: `extent` holds the (n, T, 2) low and high edges
+    of each row's anchors by type, lo and hi the gts' (R,) edges. Returns
+    (R, k) row indices, from the first row whose anchors' hull meets the gt
+    on (k the longest such span, at least 1), and the (R, k, T) overlaps
+    max(0, min(x2, hi) - max(x1, lo)) of those rows. Past a gt's span the
+    indices run on into rows that do not meet it, overlap zero, or repeat
+    the last row: they add no anchor with a non-zero overlap, and no
+    value an anchor does not already have."""
+    n = len(extent)
+    hit = (np.minimum(extent[..., 1].max(axis=1), hi[:, None])
+           > np.maximum(extent[..., 0].min(axis=1), lo[:, None]))          # (R, n)
+    first = hit.argmax(axis=1)
+    size = np.where(hit.any(axis=1), n - hit[:, ::-1].argmax(axis=1) - first, 0)
+    index = np.minimum(first[:, None] + np.arange(max(size.max(initial=0), 1)), n - 1)
+    e = extent[index]                                                      # (R, k, T, 2)
+    return index, np.maximum(0.0, np.minimum(e[..., 1], hi[:, None, None])
+                             - np.maximum(e[..., 0], lo[:, None, None]))
+
+
+def _label_stack(anchors, gts):
+    """anchor_targets of one stack of B scenes, from windowed overlaps.
+
+    A gt overlaps an anchor only in the rows and columns where some anchor
+    type's extent overlaps it along y and along x. Each gt's per-axis
+    overlaps are taken over that window alone (_axis_overlaps), into one
+    (R, rows, cols, T) block for the stack's R gts, and the IoUs come from
+    them with pairwise_iou's float operations, so each is bitwise
+    pairwise_iou's for its (anchor, gt) pair. Every other IoU is zero. The
+    IoUs are scatter-maxed into a (B, A) array of best IoUs; a gt's forced
+    anchor is the argmax over its window, where each anchor first appears
+    in anchor order."""
+    b, a = len(gts), len(anchors.corners)
+    t, _, w = anchors.count.shape
+    scene = np.repeat(np.arange(b), [len(gt) for gt in gts])
+    gc = centers_to_corners(np.concatenate([gt["box"] for gt in gts]).reshape(-1, 4))
+    col, ix = _axis_overlaps(anchors.x_extent, gc[:, 0], gc[:, 2])        # (R, cols, T)
+    row, iy = _axis_overlaps(anchors.y_extent, gc[:, 1], gc[:, 3])        # (R, rows, T)
+    inter = ix[:, None] * iy[:, :, None]                                   # (R, rows, cols, T)
+    cell = row[:, :, None] * w + col[:, None, :]
     area_g = (gc[:, 2] - gc[:, 0]) * (gc[:, 3] - gc[:, 1])
-    ious = inter / (area_g[:, None] + anchors.area - inter)              # (G, A)
-    best = ious.max(axis=0)
+    ious = inter / (area_g[:, None, None, None] + anchors.area.reshape(-1, t)[cell] - inter)
+    # each IoU's place in the stack's flat (B, A) best IoUs
+    at = ((scene[:, None, None] * (a // t) + cell) * t)[..., None] + np.arange(t)
+    size = (len(gc), math.prod(inter.shape[1:]))
+    ious, at = ious.reshape(size), at.reshape(size)
+    best = np.zeros((b, a))
+    np.maximum.at(best.reshape(-1), at.reshape(-1), ious.reshape(-1))
+    top = ious.argmax(axis=1)[:, None]
+    forced = np.where(np.take_along_axis(ious, top, axis=1)[:, 0] > 0.0,
+                      np.take_along_axis(at, top, axis=1)[:, 0], scene * a)
     pos = best >= OBJ_IOU_POS
-    pos[ious.argmax(axis=1)] = True
-    pos, ignored = np.flatnonzero(pos), np.flatnonzero((best >= OBJ_IOU_NEG) & ~pos)
-    neg = a - len(pos) - len(ignored)
-    return ObjectnessTargets(pos, ignored, 0.5 / len(pos), 0.5 / neg if neg else 0.0)
+    pos.reshape(-1)[forced] = True
+    ignored = (best >= OBJ_IOU_NEG) & ~pos
+    # each scene's anchor indices: its slice of the flat indices, less its offset
+    p_at, i_at = np.flatnonzero(pos), np.flatnonzero(ignored)
+    starts = np.arange(b + 1) * a
+    p_end, i_end = np.searchsorted(p_at, starts).tolist(), np.searchsorted(i_at, starts).tolist()
+    out = []
+    for k in range(b):
+        npos, nign = p_end[k + 1] - p_end[k], i_end[k + 1] - i_end[k]
+        neg = a - npos - nign
+        out.append(ObjectnessTargets(p_at[p_end[k]:p_end[k + 1]] - k * a,
+                                     i_at[i_end[k]:i_end[k + 1]] - k * a,
+                                     0.5 / npos if npos else 0.0, 0.5 / neg if neg else 0.0))
+    return out
 
 
 def objectness_loss(params, sample, scored, targets):
     """Binary cross-entropy of the anchor scores against the scene's
-    objectness targets (_anchor_targets), its gradient accumulated into the
+    objectness targets (anchor_targets), its gradient accumulated into the
     objectness map; the only supervision the proposal scores receive.
     `scored` is score_anchors' result for this sample and params. The
     labels and weights are laid out over every anchor, and the loss sums
@@ -749,31 +827,33 @@ class TrainPlan:
     corners: np.ndarray
     bounds: np.ndarray
 
-    def kept(self, it):
-        """Iteration it's kept injected boxes, as _proposals takes them."""
-        lo, hi = self.bounds[it], self.bounds[it + 1]
-        return self.centers[lo:hi], self.corners[lo:hi]
+    def kept(self, start, stop):
+        """The kept injected boxes of iterations start..stop - 1, as
+        _proposals takes them."""
+        lo, hi = self.bounds[start], self.bounds[stop]
+        return self.centers[lo:hi], self.corners[lo:hi], self.bounds[start:stop + 1] - lo
 
 
 def plan_training(world, cfg, n_train, data_seed):
     """The weight-independent stage-one work of a training run, done once
     before its first step. The order draws one permutation of the n_train
     scenes from the shuffle stream per pass over them; each scene it uses
-    is sampled once and labelled once (an n_train < iters run revisits
-    them), and the gt-jitter stream covers every iteration's ground truth
-    in iteration order (_injected_boxes). The draws are those a
-    scene-by-scene loop would make, so the plan is bitwise the same."""
+    is sampled once (one scene_sampler for the run) and labelled once, in
+    stacks (anchor_targets; an n_train < iters run revisits them), and the
+    gt-jitter stream covers every iteration's ground truth in iteration
+    order (_injected_boxes). The draws are those a scene-by-scene loop
+    would make, so the plan is bitwise the same."""
     shuffle_rng = np.random.default_rng(seed_for(cfg.seed, "shuffle"))
     jitter_rng = np.random.default_rng(seed_for(cfg.seed, "gt-jitter"))
     passes = -(-cfg.iters // n_train)
     order = np.concatenate([shuffle_rng.permutation(n_train) for _ in range(passes)])[:cfg.iters]
-    seen = {}
-    for idx in order.tolist():
-        if idx not in seen:
-            sample = sample_at(world, data_seed, idx)
-            seen[idx] = sample, _anchor_targets(anchor_set(*sample.grid.shape[:2]), sample.gt)
-    scenes, targets = zip(*(seen[idx] for idx in order.tolist()))
-    return TrainPlan(list(scenes), list(targets),
+    order = order.tolist()
+    sample = scene_sampler(world)
+    seen = {idx: sample(data_seed, idx) for idx in dict.fromkeys(order)}
+    labels = dict(zip(seen, anchor_targets(anchor_set(world.height, world.width),
+                                           [scene.gt for scene in seen.values()])))
+    scenes = [seen[idx] for idx in order]
+    return TrainPlan(scenes, [labels[idx] for idx in order],
                      *_injected_boxes(scenes, jitter_rng, cfg.rois_per_image))
 
 
@@ -802,14 +882,15 @@ def stage_one(world, cfg, n_train, data_seed):
     The objectness map gets gradient only from its own loss, and its decay,
     rate and momentum act elementwise on it, so it learns alone exactly as
     it does inside the full loop: each iteration scores the anchors of the
-    plan's scene (plan_training), takes its proposals (_proposals over the
-    plan's kept boxes), adds the objectness loss and the map's decay term,
-    and takes the momentum step on the map. The map is a fresh model's
-    (create_detector_params), which every arm initialises alike. Then, in
-    stacks of DETECT_CHUNK iterations, it builds every iteration's
-    stage-two inputs (roi_inputs). The proposals of all cfg.iters
-    iterations are allocated first, so a run too long for memory fails at
-    once."""
+    plan's scene (plan_training), adds the objectness loss and the map's
+    decay term, and takes the momentum step on the map. The map is a fresh
+    model's (create_detector_params), which every arm initialises alike.
+    The scores of DETECT_CHUNK iterations are held, and their proposals
+    (_proposals over the plan's kept boxes) taken at once, each chunk's as
+    it fills and the last, partial one after the loop. Then, in stacks of
+    DETECT_CHUNK iterations, it builds every iteration's stage-two inputs
+    (roi_inputs). The proposals of all cfg.iters iterations are allocated
+    first, so a run too long for memory fails at once."""
     validate_config(cfg)
     n = cfg.rois_per_image
     proposals = np.empty((cfg.iters, n, 4))
@@ -819,12 +900,15 @@ def stage_one(world, cfg, n_train, data_seed):
     obj = params.objectness
     velocity = np.zeros_like(obj.value)
     plan = plan_training(world, cfg, n_train, data_seed)
+    anchors = anchor_set(world.height, world.width)
+    scores = np.empty((DETECT_CHUNK, len(anchors.centers)))
     losses, decays = [], []
+    start = 0                   # the first iteration whose proposals are not taken
     for it in range(cfg.iters):
         sample = plan.scenes[it]
         obj.grad[...] = 0.0
         scored = score_anchors(params, sample)
-        proposals[it] = _proposals(*scored, plan.kept(it), n)
+        scores[it - start] = scored[1]
         losses.append(objectness_loss(params, sample, scored, plan.targets[it]))
         decays.append(apply_weight_decay(store, [obj.name], cfg.weight_decay))
         if not math.isfinite(losses[-1] + decays[-1]):
@@ -832,7 +916,12 @@ def stage_one(world, cfg, n_train, data_seed):
         velocity *= cfg.momentum
         velocity -= _rate(cfg, it) * obj.grad
         obj.value += velocity
+        if it + 1 - start == len(scores):
+            proposals[start:it + 1] = _proposals(anchors, scores, n, plan.kept(start, it + 1))
+            start = it + 1
     k = len(losses)
+    if start < k:
+        proposals[start:k] = _proposals(anchors, scores[:k - start], n, plan.kept(start, k))
     c = world.channels
     rois = RoiInputs(proposals[:k], np.empty((k, n, c)), np.empty((k, c)),
                      np.empty((k, n), dtype=np.intp), np.empty((k, n, 4)))
@@ -943,15 +1032,23 @@ DETECTION_DTYPE = np.dtype([("box", np.float64, (4,)), ("category", np.intp),
 
 
 def _detect_stack(params, samples, score_thresh):
-    """Proposals per scene, stage two once over the stack, then the tail on
-    the whole stack: every (scene, class, ROI) score that clears the
+    """Each scene's anchors scored, the proposals of the stack's scenes of
+    one grid shape in one call (_proposals with no injected box: detection
+    never reads the ground truth), stage two once over the stack, then the
+    tail on the whole stack: every (scene, class, ROI) score that clears the
     threshold is refined and clipped to its scene's grid, and all of them
     go through one NMS grouped by (scene, class). Returns the detections
     of each scene, a DETECTION_DTYPE array sorted by class, then score
     descending, then box, and the stack's forward state, which holds no
     tapes. A scene's detections do not depend on its stack or on ROI order
     (modulo exact score ties)."""
-    boxes = np.array([propose(params, sample) for sample in samples])
+    n = params.cfg.rois_per_image
+    objectness = [score_anchors(params, sample)[1] for sample in samples]
+    shapes = [sample.grid.shape[:2] for sample in samples]
+    boxes = np.empty((len(samples), n, 4))
+    for shape in dict.fromkeys(shapes):
+        same = [i for i, other in enumerate(shapes) if other == shape]
+        boxes[same] = _proposals(anchor_set(*shape), np.array([objectness[i] for i in same]), n)
     state = forward_scenes(params, samples, boxes, params.cfg.T, record=False)
     k = state.deltas.shape[2]
     # by scene, then class, then ROI

@@ -1,7 +1,7 @@
 """Axis-aligned box arithmetic in grid units: greedy NMS over corner arrays
 (nms_by_group keeps every survivor of many small groups), the stable top
-prefix of a score order (_sorted_prefix), and paired IoU, delta encoding,
-refinement and clipping over center-size arrays.
+prefixes of a stack of score orders (_sorted_prefixes), and paired IoU,
+delta encoding, refinement and clipping over center-size arrays.
 
 Every kernel takes arrays: (k, 4) rows of corners (x1, y1, x2, y2) or of
 centers (cx, cy, w, h), which centers_to_corners maps to corners. Ground
@@ -95,18 +95,26 @@ def _check_nms(name, boxes, scores, iou_thresh):
         raise ValueError(f"{name}: iou_thresh must be in (0,1), got {iou_thresh}")
 
 
-def _sorted_prefix(neg, m):
-    """The first m or more positions of np.argsort(neg, kind="stable"): the
-    m-th smallest value is found with np.partition, and every index at or
-    below it is stable-sorted, so ties at the cut keep the lower index
-    first. Falls back to the full sort when there are at most m values or
-    the cut is NaN (fewer than m non-NaN values, which argsort puts last)."""
-    if m < len(neg):
-        cut = np.partition(neg, m - 1)[m - 1]
-        if not np.isnan(cut):
-            head = np.flatnonzero(neg <= cut)
-            return head[np.argsort(neg[head], kind="stable")]
-    return np.argsort(neg, kind="stable")
+def _sorted_prefixes(neg, width):
+    """The first `width` or more positions of each row's stable ascending
+    order of the (B, A) `neg`, as a (B, P) index array and a (B, P) mask of
+    the real positions: each row's width-th smallest value is found with one
+    np.partition, and its entries at or below it are stable-sorted by one
+    lexsort, so ties at the cut keep the lower index first. A row whose cut
+    is NaN (fewer than width non-NaN values, which argsort puts last) gets
+    no position; with width >= A, every row gets its full order."""
+    b, a = neg.shape
+    if width >= a:
+        return np.argsort(neg, axis=1, kind="stable"), np.ones((b, a), dtype=bool)
+    cut = np.partition(neg, width - 1, axis=1)[:, width - 1]
+    head = np.flatnonzero(neg <= cut[:, None])
+    row = head // a
+    by = np.lexsort((neg.reshape(-1)[head], row))
+    row, col = row[by], head[by] - row[by] * a
+    size = np.bincount(row, minlength=b)
+    order = np.zeros((b, size.max(initial=0)), dtype=np.intp)
+    order[row, np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)] = col
+    return order, np.arange(order.shape[1]) < size[:, None]
 
 
 def _check_rows(name, *arrays):

@@ -159,66 +159,103 @@ def cell_window(corners, height, width):
             _centers_below(x1, width), _centers_below(x2, width))
 
 
-def _place_object(world, rng, cat_id, occupied, anchor=None, rule=None):
+class _Draws:
+    """What every scene draw of one world reads, built once: each category's
+    mean size and size span, the rules each category triggers, in rule
+    order, the prototypes and the background biases as arrays, rows[k], the
+    bitmask that repeats a row's column bits over k rows, and each scene
+    type's category cdf, built at the type's first draw."""
+
+    def __init__(self, world):
+        self.world = world
+        self.cdfs = {}
+        self.sizes = [(cat.size[0], cat.size[1], 1.0 - cat.size_jitter,
+                       (1.0 + cat.size_jitter) - (1.0 - cat.size_jitter))
+                      for cat in world.categories]
+        self.rules = [[rule for rule in world.cooccur if rule.trigger == cat_id]
+                      for cat_id in range(world.num_categories)]
+        self.prototypes = [np.asarray(cat.prototype, dtype=np.float64)
+                           for cat in world.categories]
+        self.bias = np.asarray(world.scene_bias)
+        self.rows = [((1 << (world.width * k)) - 1) // ((1 << world.width) - 1)
+                     for k in range(world.height + 1)]
+
+    def cdf(self, scene_type):
+        """The cumulative category weights of a scene type, as a list."""
+        if scene_type not in self.cdfs:
+            world = self.world
+            weights = np.array([c.scene_affinity[scene_type] for c in world.categories],
+                               dtype=np.float64)
+            total = weights.sum()
+            if total <= 0:
+                raise ValueError(f"scene type {scene_type} has no placeable category")
+            # a category as Generator.choice(K, p=weights / total) draws it: one
+            # rng.random() searched (side right) in the cumsum divided by its last
+            cdf = (weights / total).cumsum()
+            self.cdfs[scene_type] = (cdf / cdf[-1]).tolist()
+        return self.cdfs[scene_type]
+
+
+def _place_object(draws, rng, cat_id, occupied, anchor=None, rule=None):
     """Rejection-sample a placement of category `cat_id`, near the placed
-    `anchor` (cx, cy, ...) when given, and mark its cells in `occupied`, one
-    int bitmask of columns per row; (cx, cy, w, h, cell window), or None after
+    `anchor` (cx, cy, ...) when given, on cells free in `occupied`, the int
+    bitmask of the grid's cells (cell (r, c) is bit r * width + c):
+    (cx, cy, w, h, cell window, bitmask of its cells), or None after
     PLACE_TRIES failures (skip). Runs on floats: each uniform draw is
     lo + (hi - lo) * rng.random(), the float operations of Generator.uniform."""
-    cat = world.categories[cat_id]
-    lo, span = 1.0 - cat.size_jitter, (1.0 + cat.size_jitter) - (1.0 - cat.size_jitter)
+    height, width = draws.world.height, draws.world.width
+    size_w, size_h, lo, span = draws.sizes[cat_id]
+    random = rng.random
     for _ in range(PLACE_TRIES):
         if anchor is not None:
-            sx = 1.0 if rng.random() < 0.5 else -1.0
-            sy = 1.0 if rng.random() < 0.5 else -1.0
+            sx = 1.0 if random() < 0.5 else -1.0
+            sy = 1.0 if random() < 0.5 else -1.0
             cx = anchor[0] + sx * rule.offset[0] + rng.normal(0.0, rule.jitter)
             cy = anchor[1] + sy * rule.offset[1] + rng.normal(0.0, rule.jitter)
-        w = cat.size[0] * (lo + span * rng.random())
-        h = cat.size[1] * (lo + span * rng.random())
+        w = size_w * (lo + span * random())
+        h = size_h * (lo + span * random())
         half_w, half_h = w / 2.0, h / 2.0
-        if half_w > world.width / 2.0 or half_h > world.height / 2.0:
+        if half_w > width / 2.0 or half_h > height / 2.0:
             continue
         if anchor is None:
-            cx = half_w + ((world.width - half_w) - half_w) * rng.random()
-            cy = half_h + ((world.height - half_h) - half_h) * rng.random()
-        elif not (half_w <= cx <= world.width - half_w
-                  and half_h <= cy <= world.height - half_h):
+            cx = half_w + ((width - half_w) - half_w) * random()
+            cy = half_h + ((height - half_h) - half_h) * random()
+        elif not (half_w <= cx <= width - half_w and half_h <= cy <= height - half_h):
             continue
-        r0, r1, c0, c1 = win = cell_window((cx - half_w, cy - half_h, cx + half_w, cy + half_h),
-                                           world.height, world.width)
-        cols = (1 << c1) - (1 << c0)
-        if cols and r1 > r0 and not any(occupied[r] & cols for r in range(r0, r1)):
-            for r in range(r0, r1):
-                occupied[r] |= cols
-            return cx, cy, w, h, win
+        # cell_window of the box, inline
+        x1, y1, x2, y2 = cx - half_w, cy - half_h, cx + half_w, cy + half_h
+        if not (x1 <= x2 and y1 <= y2):
+            continue
+        r0 = 0 if y1 <= 0.5 else height if y1 > height - 0.5 else math.ceil(y1 - 0.5)
+        r1 = 0 if y2 <= 0.5 else height if y2 > height - 0.5 else math.ceil(y2 - 0.5)
+        c0 = 0 if x1 <= 0.5 else width if x1 > width - 0.5 else math.ceil(x1 - 0.5)
+        c1 = 0 if x2 <= 0.5 else width if x2 > width - 0.5 else math.ceil(x2 - 0.5)
+        cells = ((1 << c1) - (1 << c0)) * draws.rows[r1 - r0] << (width * r0)
+        if cells and not occupied & cells:
+            return cx, cy, w, h, (r0, r1, c0, c1), cells
     if anchor is not None:
         # a partner that cannot fit near its trigger still has to exist
         # somewhere, or measured co-occurrence drifts below the rule's
         # probability; drop the offset and take any free spot
-        return _place_object(world, rng, cat_id, occupied)
+        return _place_object(draws, rng, cat_id, occupied)
     return None
 
 
-def sample_scene(world, rng):
-    """Draw one scene from the per-sample RNG stream."""
+def _sample_scene(draws, rng):
+    """Draw one scene of draws.world from the per-sample RNG stream."""
+    world = draws.world
     scene_type = int(rng.integers(world.num_scene_types))
-    weights = np.array([c.scene_affinity[scene_type] for c in world.categories], dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError(f"scene type {scene_type} has no placeable category")
-    # a category as Generator.choice(K, p=weights / total) draws it: one
-    # rng.random() searched (side right) in the cumsum divided by its last
-    cdf = (weights / total).cumsum()
-    cdf = (cdf / cdf[-1]).tolist()
+    cdf = draws.cdf(scene_type)
 
     lo, hi = world.objects_per_scene
     count = int(rng.integers(lo, hi + 1))
-    occupied = [0] * world.height
-    placed = []                             # ((cx, cy, w, h, cell window), category)
+    occupied = 0
+    placed = []                             # ((cx, cy, w, h, cell window, cells), category)
     for _ in range(count):
         cat_id = bisect.bisect_right(cdf, rng.random())
-        got = _place_object(world, rng, cat_id, occupied)
+        got = _place_object(draws, rng, cat_id, occupied)
         if got is not None:
+            occupied |= got[5]
             placed.append((got, cat_id))
     # partners trigger their own rules (a chained partner gets its partner),
     # capped at depth 2 so a rule set can never loop forever
@@ -227,11 +264,12 @@ def sample_scene(world, rng):
         anchor, cat_id, depth = pending.pop(0)
         if depth >= 2:
             continue
-        for rule in world.cooccur:
-            if rule.trigger != cat_id or rng.random() >= rule.prob:
+        for rule in draws.rules[cat_id]:
+            if rng.random() >= rule.prob:
                 continue
-            got = _place_object(world, rng, rule.partner, occupied, anchor=anchor, rule=rule)
+            got = _place_object(draws, rng, rule.partner, occupied, anchor=anchor, rule=rule)
             if got is not None:
+                occupied |= got[5]
                 placed.append((got, rule.partner))
                 pending.append((got, rule.partner, depth + 1))
 
@@ -241,20 +279,30 @@ def sample_scene(world, rng):
     sizes = [(r1 - r0) * (c1 - c0) * shape[2] for r0, r1, c0, c1 in windows]
     at = math.prod(shape)
     noise = rng.normal(0.0, world.noise_sigma, size=at + sum(sizes))
-    grid = np.asarray(world.scene_bias)[scene_type] + noise[:at].reshape(shape)
+    grid = draws.bias[scene_type] + noise[:at].reshape(shape)
     for (r0, r1, c0, c1), (_, cat_id), size in zip(windows, placed, sizes):
-        proto = np.asarray(world.categories[cat_id].prototype, dtype=np.float64)
-        grid[r0:r1, c0:c1] = proto + noise[at:at + size].reshape(r1 - r0, c1 - c0, shape[2])
+        grid[r0:r1, c0:c1] = (draws.prototypes[cat_id]
+                              + noise[at:at + size].reshape(r1 - r0, c1 - c0, shape[2]))
         at += size
     gt = np.array([(got[:4], cat_id) for got, cat_id in placed], dtype=GT_DTYPE)
     return SceneSample(grid=grid, scene_type=scene_type, gt=gt)
 
 
+def scene_sampler(world):
+    """sample_at for one world, as a function of (seed, index) that builds
+    what every draw of the world reads only once (_Draws)."""
+    draws = _Draws(world)
+
+    def sample(seed, index):
+        seq = np.random.SeedSequence([int(seed), int(index)])
+        return _sample_scene(draws, np.random.Generator(np.random.PCG64(seq)))
+    return sample
+
+
 def sample_at(world, seed, index):
     """Sample `index` of the stream keyed by `seed`; depends on nothing else,
     so generation parallelizes without changing output."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-    return sample_scene(world, rng)
+    return scene_sampler(world)(seed, index)
 
 
 def generate(world, seed, n):
@@ -262,7 +310,8 @@ def generate(world, seed, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     validate_world(world)
-    return [sample_at(world, seed, i) for i in range(n)]
+    sample = scene_sampler(world)
+    return [sample(seed, i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -444,11 +444,11 @@ def nms(boxes, scores, iou_thresh, max_keep):
     Returns kept indices in descending-score order, at most max_keep of them.
 
     Only the top prefix of the score order that the scan reads is sorted
-    (_sorted_prefix); a scan that runs past it sorts all k scores, as does
+    (sorted_prefix); a scan that runs past it sorts all k scores, as does
     a NaN at the cut. Both orders agree on the prefix, so the result is
     the full sort's.
     """
-    from sinet.geometry import _check_nms, _sorted_prefix, pairwise_iou
+    from sinet.geometry import _check_nms, pairwise_iou
     _check_nms("nms", boxes, scores, iou_thresh)
     if max_keep < 1:
         raise ValueError("nms: max_keep must be >= 1")
@@ -461,7 +461,7 @@ def nms(boxes, scores, iou_thresh, max_keep):
     boxes = np.asarray(boxes, dtype=np.float64)
     # twice max_keep usually holds every survivor; the cap bounds the matrix
     block = min(2 * max_keep, 256)
-    order = _sorted_prefix(neg, block)
+    order = sorted_prefix(neg, block)
     kept = []                    # positions in order
     start = 0
     while start < len(neg) and len(kept) < max_keep:
@@ -480,6 +480,84 @@ def nms(boxes, scores, iou_thresh, max_keep):
                 dead |= row
         start = stop
     return [int(order[i]) for i in kept]
+
+
+def sorted_prefix(neg, m):
+    """The first m or more positions of np.argsort(neg, kind="stable") for
+    one row of scores, as proposals took them row by row: the m-th smallest
+    value is found with np.partition, and every index at or below it is
+    stable-sorted, so ties at the cut keep the lower index first. Falls back
+    to the full sort when there are at most m values or the cut is NaN."""
+    if m < len(neg):
+        cut = np.partition(neg, m - 1)[m - 1]
+        if not np.isnan(cut):
+            head = np.flatnonzero(neg <= cut)
+            return head[np.argsort(neg[head], kind="stable")]
+    return np.argsort(neg, kind="stable")
+
+
+NO_BOXES = (np.empty((0, 4)), np.empty((0, 4)))
+
+
+def proposals_per_row(anchors, scores, kept, n):
+    """One row's exactly n proposals, as the per-row path made them: the m
+    kept boxes `kept` (a (center rows, corner rows) pair), then the anchors
+    in the stable descending order of the (A,) `scores` that no kept box
+    overlaps past PROPOSAL_NMS_THRESH, from a sorted prefix of n (nothing
+    kept) or 2n, widened to the full order when its survivors run short;
+    too few are cycled by np.resize."""
+    from sinet.detector import PROPOSAL_NMS_THRESH
+    from sinet.geometry import pairwise_iou
+    centers, corners = kept
+    m = len(centers)
+    neg = -scores
+    order = sorted_prefix(neg, 2 * n if m else n)
+    while True:
+        picks = order
+        if m:
+            over = pairwise_iou(corners, anchors.corners[order]) <= PROPOSAL_NMS_THRESH
+            picks = order[over.all(axis=0)]
+        if len(picks) >= n - m or len(order) == len(neg):
+            break
+        order = np.argsort(neg, kind="stable")
+    rows = anchors.centers[picks[:n - m]]
+    if m:
+        rows = np.concatenate([centers, rows])
+    return np.resize(rows, (n, 4))
+
+
+def propose(params, sample):
+    """Detection's proposals for one scene, scored and ranked on their own:
+    proposals_per_row with no kept box."""
+    from sinet.detector import score_anchors
+    anchors, scores = score_anchors(params, sample)
+    return proposals_per_row(anchors, scores, NO_BOXES, params.cfg.rois_per_image)
+
+
+def anchor_targets_per_scene(anchors, gt):
+    """One scene's ObjectnessTargets as the per-scene path made them: the
+    dense (G, A) IoUs from (G, W, T) overlaps along x times (G, H, T) along
+    y, then pairwise_iou's division; the best IoU per anchor, each gt's
+    argmax anchor forced positive."""
+    from sinet.detector import OBJ_IOU_NEG, OBJ_IOU_POS, ObjectnessTargets
+    from sinet.geometry import centers_to_corners
+    a = len(anchors.corners)
+    if len(gt) == 0:
+        return ObjectnessTargets(np.empty(0, np.intp), np.empty(0, np.intp), 0.0, 0.5 / a)
+    gc = centers_to_corners(gt["box"])
+    g = gc[:, None, None]
+    xe, ye = anchors.x_extent, anchors.y_extent
+    ix = np.maximum(0.0, np.minimum(xe[..., 1], g[..., 2]) - np.maximum(xe[..., 0], g[..., 0]))
+    iy = np.maximum(0.0, np.minimum(ye[..., 1], g[..., 3]) - np.maximum(ye[..., 0], g[..., 1]))
+    inter = (ix[:, None] * iy[:, :, None]).reshape(len(gc), a)
+    area_g = (gc[:, 2] - gc[:, 0]) * (gc[:, 3] - gc[:, 1])
+    ious = inter / (area_g[:, None] + anchors.area - inter)
+    best = ious.max(axis=0)
+    pos = best >= OBJ_IOU_POS
+    pos[ious.argmax(axis=1)] = True
+    pos, ignored = np.flatnonzero(pos), np.flatnonzero((best >= OBJ_IOU_NEG) & ~pos)
+    neg = a - len(pos) - len(ignored)
+    return ObjectnessTargets(pos, ignored, 0.5 / len(pos), 0.5 / neg if neg else 0.0)
 
 
 def train_proposals_oracle(anchors, scores, sample, rng, n):

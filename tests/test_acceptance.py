@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import conftest
-from sinet.detector import (TrainConfig, _anchor_targets, anchor_set, create_detector_params,
+from sinet.detector import (TrainConfig, anchor_set, anchor_targets, create_detector_params,
                             objectness_loss, score_anchors)
 from sinet.evaluation import evaluate_detections, run_ablation
 from sinet.geometry import nms_by_group
@@ -156,7 +156,7 @@ def _check_objectness(rng, trials):
         scores, loss, grad = objectness_oracle(grid, anchors, p.objectness.value, gt)
         scored = score_anchors(p, sample)
         assert np.allclose(scored[1], scores, rtol=0.0, atol=1e-12)
-        assert objectness_loss(p, sample, scored, _anchor_targets(anchors, gt)) == pytest.approx(
+        assert objectness_loss(p, sample, scored, anchor_targets(anchors, [gt])[0]) == pytest.approx(
             loss, abs=1e-12)
         assert np.allclose(p.objectness.grad, grad, rtol=0.0, atol=1e-12)
 

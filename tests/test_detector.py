@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -14,23 +15,23 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
                             FINAL_NMS_THRESH,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
                             PROPOSAL_NMS_THRESH, TrainConfig,
-                            TrainingDiverged, _anchor_targets, _injected_boxes,
-                            _NO_BOXES, _pool_rois, _proposals,
-                            _softmax_rows, active_param_names, anchor_set, assign_targets,
-                            create_detector_params, detect, detect_scenes,
+                            TrainingDiverged, _injected_boxes, _pool_rois, _proposals,
+                            _softmax_rows, active_param_names, anchor_set, anchor_targets,
+                            assign_targets, create_detector_params, detect, detect_scenes,
                             forward_scenes, multi_task_loss, objectness_loss, plan_training,
-                            propose, score_anchors, smooth_l1, smooth_l1_grad, train,
+                            score_anchors, smooth_l1, smooth_l1_grad, train,
                             validate_config)
 from sinet.geometry import centers_to_corners, pairwise_iou
 from sinet.numerics import ParamStore
 from sinet.structure_inference import compute_edges
-from sinet.synth_data import SceneSample, cell_window, default_world
+from sinet.synth_data import SceneSample, cell_window, default_world, sample_at, scene_sampler
 
-from oracles import (Box, anchor_targets_oracle, apply_deltas_oracle, assign_targets_oracle,
-                     center_rows,
+from oracles import (NO_BOXES, Box, anchor_targets_oracle, anchor_targets_per_scene,
+                     apply_deltas_oracle, assign_targets_oracle, center_rows,
                      clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
                      gt_array, iou_oracle, nms, nms_oracle, objectness_oracle, pool_rois_oracle,
-                     train_proposals_oracle, with_arm)
+                     proposals_per_row, train_proposals_oracle, with_arm)
+from oracles import propose as propose_per_row
 
 
 def make_params(channels=5, k=3, d=6, pooling="mean", seed=0, arm="sin", **cfg):
@@ -54,11 +55,31 @@ def make_sample(rng, h=10, w=10, c=5, gt=()):
                        scene_type=0, gt=gt_array(gt))
 
 
+def propose(params, sample):
+    """Detection's proposals for one scene: _proposals on the one-row stack
+    of its scores."""
+    anchors, scores = score_anchors(params, sample)
+    return _proposals(anchors, scores[None], params.cfg.rois_per_image)[0]
+
+
+def proposals_one(anchors, scores, kept, n):
+    """_proposals on the one-row stack of the (A,) `scores` and the kept
+    (centers, corners) pair of its boxes."""
+    centers, corners = kept
+    return _proposals(anchors, scores[None], n,
+                      (centers, corners, np.array([0, len(centers)])))[0]
+
+
+def label_one(anchors, gt):
+    """anchor_targets of the one-scene stack of `gt`."""
+    return anchor_targets(anchors, [gt])[0]
+
+
 def train_proposals(params, sample, n, rng):
     """One training step's proposals for a one-iteration plan of `sample`,
     its gt jittered by draws from rng."""
-    centers, corners, _ = _injected_boxes([sample], rng, n)
-    return _proposals(*score_anchors(params, sample), (centers, corners), n)
+    anchors, scores = score_anchors(params, sample)
+    return _proposals(anchors, scores[None], n, _injected_boxes([sample], rng, n))[0]
 
 
 def dense_targets(targets, a):
@@ -150,7 +171,7 @@ def test_anchor_scores_and_objectness_gradient_match_oracle(h, w, c, seed, neg_z
     # the gradient accumulates onto what was there
     start = rng.normal(size=params.objectness.value.shape)
     params.objectness.grad[:] = start
-    loss = objectness_loss(params, sample, (anchors, scores), _anchor_targets(anchors, sample.gt))
+    loss = objectness_loss(params, sample, (anchors, scores), label_one(anchors, sample.gt))
     assert loss == pytest.approx(want_loss, rel=0.0, abs=1e-12)
     assert np.allclose(params.objectness.grad - start, want_grad, rtol=0.0, atol=1e-12)
 
@@ -176,7 +197,7 @@ def test_non_finite_cells_raise_nothing_and_proposals_still_come(bad):
     props = propose(params, sample)
     order = np.argsort(-scores, kind="stable")
     assert props.tolist() == anchors.centers[order[:16]].tolist()
-    loss = objectness_loss(params, sample, (anchors, scores), _anchor_targets(anchors, sample.gt))
+    loss = objectness_loss(params, sample, (anchors, scores), label_one(anchors, sample.gt))
     assert not np.isfinite(loss) and not np.isfinite(params.objectness.grad).all()
 
 
@@ -338,8 +359,8 @@ def test_proposals_without_injection_are_nms_over_the_anchors(h, w, n, levels):
     centers, corners, bounds = _injected_boxes(
         [SceneSample(np.zeros((h, w, 5)), 0, gt_array([]))], rng, n)
     assert bounds.tolist() == [0, 0] and rng.random() == np.random.default_rng(0).random()
-    for kept in (_NO_BOXES, (centers, corners)):
-        assert _proposals(anchors, scores, kept, n).tolist() == want
+    for kept in (None, (centers, corners, bounds)):
+        assert _proposals(anchors, scores[None], n, kept)[0].tolist() == want
 
 
 # gt boxes on quarter cells of grids up to 4 x 4, reaching past their edges
@@ -379,7 +400,7 @@ def test_plan_and_step_match_the_per_iteration_oracle(shape, n, scenes, levels, 
         kept = centers[bounds[i]:bounds[i + 1]], corners[bounds[i]:bounds[i + 1]]
         assert len(kept[0]) <= min(n, len(sample.gt))
         want = train_proposals_oracle(anchors, scores, sample, replay, n)
-        assert _proposals(anchors, scores, kept, n).tobytes() == want.tobytes()
+        assert proposals_one(anchors, scores, kept, n).tobytes() == want.tobytes()
 
 
 def test_proposals_widen_past_the_prefix_when_kept_boxes_suppress_it():
@@ -392,13 +413,87 @@ def test_proposals_widen_past_the_prefix_when_kept_boxes_suppress_it():
     over = (pairwise_iou(corners, anchors.corners) > PROPOSAL_NMS_THRESH).any(axis=0)
     assert over.sum() == 8
     scores = np.where(over, 5.0, np.arange(len(over)) % 7 / 7.0)
-    props = _proposals(anchors, scores, (centers, corners), 4)
+    props = proposals_one(anchors, scores, (centers, corners), 4)
     rows = np.concatenate([centers, anchors.centers])
     ious = pairwise_iou(centers_to_corners(rows), centers_to_corners(rows))
     keep = nms_oracle(range(len(rows)), [1e9, 1e9] + list(scores), PROPOSAL_NMS_THRESH, 4,
                       overlap=lambda i, j: ious[i, j])
     assert props.tobytes() == rows[keep].tobytes()
     assert len(keep) == 4 and not over[np.array(keep[2:]) - 2].any()
+
+
+def _kept_stack(boxes_per_row):
+    """Kept boxes of a stack of rows, as _proposals takes them: (centers,
+    corners, bounds) over the rows' center rows, in order."""
+    centers = center_rows([b for boxes in boxes_per_row for b in boxes])
+    bounds = np.cumsum([0] + [len(boxes) for boxes in boxes_per_row])
+    return centers, centers_to_corners(centers), bounds
+
+
+def assert_stack_is_per_row(anchors, scores, n, kept):
+    """_proposals on the (B, A) stack, byte for byte each row's
+    proposals_per_row, with its kept boxes and with none."""
+    centers, corners, bounds = kept
+    got, alone = _proposals(anchors, scores, n, kept), _proposals(anchors, scores, n)
+    assert got.shape == alone.shape == (len(scores), n, 4)
+    for b, row in enumerate(scores):
+        own = centers[bounds[b]:bounds[b + 1]], corners[bounds[b]:bounds[b + 1]]
+        assert got[b].tobytes() == proposals_per_row(anchors, row, own, n).tobytes()
+        assert alone[b].tobytes() == proposals_per_row(anchors, row, NO_BOXES, n).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=hst.tuples(hst.integers(1, 4), hst.integers(1, 4)), n=hst.integers(1, 20),
+       data=hst.data())
+def test_proposal_stack_is_the_per_row_proposals(shape, n, data):
+    # tied, signed-zero and NaN scores (whole NaN rows among them), grids
+    # of 6 to 96 anchors, some fewer than n; 0 to n kept boxes per row
+    anchors = anchor_set(*shape)
+    a = len(anchors.centers)
+    b = data.draw(hst.integers(1, 6))
+    scores = np.array([data.draw(hst.one_of(hst.lists(_levels, min_size=a, max_size=a),
+                                            hst.just([math.nan] * a))) for _ in range(b)])
+    kept = _kept_stack([data.draw(hst.lists(_gt_box, max_size=n)) for _ in range(b)])
+    assert_stack_is_per_row(anchors, scores, n, kept)
+
+
+def test_proposal_stack_breaks_ties_at_the_cut_as_the_rows_do():
+    # on a grid two cells high, the anchors of a tall type in both rows of
+    # a column cover the same cells and score exactly alike, so score ties
+    # straddle the 2n cut
+    rng = np.random.default_rng(7)
+    _, params = make_params()
+    params.objectness.value[:] = rng.normal(size=params.objectness.value.shape)
+    samples = [make_sample(rng, h=2, w=6) for _ in range(4)]
+    anchors = anchor_set(2, 6)
+    scores = np.array([score_anchors(params, sample)[1] for sample in samples])
+    ranked = np.sort(-scores, axis=1)
+    cuts = [n for n in range(1, 30) if (ranked[:, 2 * n - 1] == ranked[:, 2 * n]).any()]
+    assert len(cuts) >= 3
+    gts = [[], [Box(1.5, 1.0, 2.0, 2.0)], [Box(0.5, 0.5, 1.0, 1.0), Box(4.0, 1.0, 2.0, 1.5)],
+           [Box(3.0, 1.0, 2.0, 2.0)]]
+    for n in cuts:
+        assert_stack_is_per_row(anchors, scores, n, _kept_stack(gts))
+
+
+def test_proposal_stack_rows_take_their_own_fallbacks():
+    # one stack: a row whose 2n prefix its kept boxes wholly suppress (it
+    # widens to its full order), a NaN row, a row with as many kept boxes
+    # as proposals, a row with none and a row with too few numbers for its
+    # cut
+    anchors = anchor_set(8, 8)
+    centers = np.array([[2.5, 2.5, 2.7, 2.4], [5.5, 5.5, 2.7, 2.4]])
+    over = (pairwise_iou(centers_to_corners(centers), anchors.corners)
+            > PROPOSAL_NMS_THRESH).any(axis=0)
+    a = len(over)
+    suppressed = np.where(over, 5.0, np.arange(a) % 7 / 7.0)
+    few = np.full(a, math.nan)
+    few[[3, 90, 200]] = [1.0, 2.0, 1.0]
+    scores = np.array([suppressed, np.full(a, math.nan), suppressed, suppressed, few])
+    boxes = [Box(*row) for row in centers.tolist()]
+    for n in (2, 4):
+        kept = _kept_stack([boxes, boxes, [Box(1.0, 1.0, 2.0, 2.0)] * n, [], boxes[:1]])
+        assert_stack_is_per_row(anchors, scores, n, kept)
 
 
 def test_plan_is_the_scene_by_scene_draws():
@@ -416,14 +511,14 @@ def test_plan_is_the_scene_by_scene_draws():
         sample = plan.scenes[it]
         assert sample is plan.scenes[want.tolist().index(idx)]
         assert plan.targets[it] is plan.targets[want.tolist().index(idx)]
-        fresh = det_mod.sample_at(world, 8, idx)
+        fresh = sample_at(world, 8, idx)
         assert sample.grid.tobytes() == fresh.grid.tobytes()
         anchors = anchor_set(*sample.grid.shape[:2])
         assert all(np.array_equal(a, b) for a, b in
-                   zip(plan.targets[it], _anchor_targets(anchors, sample.gt)))
+                   zip(plan.targets[it], anchor_targets_per_scene(anchors, sample.gt)))
         scores = np.zeros(len(anchors.centers))
         want_props = train_proposals_oracle(anchors, scores, sample, jitter, cfg.rois_per_image)
-        got = _proposals(anchors, scores, plan.kept(it), cfg.rois_per_image)
+        got = _proposals(anchors, scores[None], cfg.rois_per_image, plan.kept(it, it + 1))[0]
         assert got.tobytes() == want_props.tobytes()
 
 
@@ -740,7 +835,7 @@ def test_anchor_targets_band_and_forced_positive():
     h = w = 8
     anchors = anchor_set(h, w)
     g = Box(4.0, 4.0, 2.6, 2.6)
-    y, mask = dense_targets(_anchor_targets(anchors, gt_array([(g, 0)])), len(anchors.centers))
+    y, mask = dense_targets(label_one(anchors, gt_array([(g, 0)])), len(anchors.centers))
     boxes = [Box(*row) for row in anchors.centers.tolist()]
     for i, box in enumerate(boxes):
         v = iou_oracle(box, g)
@@ -757,7 +852,7 @@ def test_anchor_targets_band_and_forced_positive():
 
 def test_anchor_targets_empty_gt():
     anchors = anchor_set(6, 6)
-    targets = _anchor_targets(anchors, gt_array([]))
+    targets = label_one(anchors, gt_array([]))
     y, mask = dense_targets(targets, len(anchors.centers))
     assert not y.any()
     assert mask.all()
@@ -771,7 +866,7 @@ def test_anchor_targets_empty_gt():
 def test_anchor_targets_match_dense_oracle(h, w, distinct, picks):
     gt = gt_array((distinct[p % len(distinct)], p % 3) for p in picks)
     anchors = anchor_set(h, w)
-    targets = _anchor_targets(anchors, gt)
+    targets = label_one(anchors, gt)
     y, mask = dense_targets(targets, len(anchors.centers))
     want_y, want_mask = anchor_targets_oracle(anchors, gt)
     assert y.tobytes() == want_y.tobytes()
@@ -780,6 +875,84 @@ def test_anchor_targets_match_dense_oracle(h, w, distinct, picks):
     assert targets.w_pos == 0.5 / (want_y == 1.0).sum()
     negatives = (want_mask & (want_y == 0.0)).sum()
     assert targets.w_neg == (0.5 / negatives if negatives else 0.0)
+
+
+# gts smaller than a cell and larger than any anchor; _gt_quarter and
+# _gt_free reach past the grid and wholly off it, so some meet no anchor
+_gt_tiny = hst.builds(Box, hst.floats(-1.0, 10.0), hst.floats(-1.0, 10.0),
+                      hst.floats(0.01, 0.9), hst.floats(0.01, 0.9))
+_gt_huge = hst.builds(Box, hst.floats(-4.0, 13.0), hst.floats(-4.0, 13.0),
+                      hst.floats(4.0, 30.0), hst.floats(4.0, 30.0))
+
+
+def _gt_flush(h, w):
+    """Quarter-cell gts with one side exactly on an edge of an h x w grid."""
+    side = hst.integers(1, 24).map(lambda v: v / 4.0)
+    at = hst.integers(0, 4 * max(h, w)).map(lambda v: v / 4.0)
+    return hst.builds(lambda bw, bh, edge, v: {"left": Box(bw / 2.0, v, bw, bh),
+                                               "right": Box(w - bw / 2.0, v, bw, bh),
+                                               "top": Box(v, bh / 2.0, bw, bh),
+                                               "bottom": Box(v, h - bh / 2.0, bw, bh)}[edge],
+                      side, side, hst.sampled_from(("left", "right", "top", "bottom")), at)
+
+
+def assert_labels_are_per_scene(anchors, gts, chunk):
+    with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
+        got = anchor_targets(anchors, gts)
+    assert len(got) == len(gts)
+    for gt, targets in zip(gts, got):
+        want = anchor_targets_per_scene(anchors, gt)
+        assert targets.pos.tobytes() == want.pos.tobytes()
+        assert targets.ignored.tobytes() == want.ignored.tobytes()
+        assert (targets.w_pos, targets.w_neg) == (want.w_pos, want.w_neg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=hst.integers(1, 9), w=hst.integers(1, 9), data=hst.data(),
+       chunk=hst.sampled_from((1, 2, 3, det_mod.DETECT_CHUNK)))
+@example(h=4, w=4, data=None, chunk=det_mod.DETECT_CHUNK)
+def test_label_stack_is_the_per_scene_labels(h, w, data, chunk):
+    # stacks of scenes with no gt, gts flush with a grid edge, smaller
+    # than a cell, larger than any anchor, off the grid, a stack of one
+    anchors = anchor_set(h, w)
+    if data is None:
+        scenes = [[]]
+    else:
+        box = hst.one_of(_gt_quarter, _gt_free, _gt_tiny, _gt_huge, _gt_flush(h, w))
+        scenes = data.draw(hst.lists(hst.lists(box, max_size=5), min_size=1, max_size=7))
+    gts = [gt_array((b, i % 3) for i, b in enumerate(boxes)) for boxes in scenes]
+    assert_labels_are_per_scene(anchors, gts, chunk)
+
+
+def test_label_stack_of_default_scenes_is_the_per_scene_labels():
+    world = default_world()
+    sample = scene_sampler(world)
+    gts = [sample(17, i).gt for i in range(40)]
+    assert_labels_are_per_scene(anchor_set(world.height, world.width), gts, det_mod.DETECT_CHUNK)
+    assert_labels_are_per_scene(anchor_set(world.height, world.width), gts[:1], 1)
+
+
+def test_labelling_temporaries_are_one_stack():
+    # anchor_targets holds one stack's temporaries at a time: over 400
+    # default scenes its allocations peak about 0.9 MB above what it
+    # returns in stacks of 16, and 4.5 MB in stacks of 64
+    world = default_world()
+    sample = scene_sampler(world)
+    gts = [sample(5, i).gt for i in range(400)]
+    anchors = anchor_set(world.height, world.width)
+
+    def temporaries(chunk):
+        with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
+            tracemalloc.start()
+            try:
+                out = anchor_targets(anchors, gts)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(out) == len(gts)
+        return peak - kept
+
+    assert temporaries(det_mod.DETECT_CHUNK) < 1_500_000 < temporaries(64)
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (3, 7), (16, 16), (9, 4)])
@@ -808,7 +981,7 @@ def test_objectness_loss_gradient_matches_finite_differences():
     store, params = make_params(channels=4, k=2, d=4)
     gt = [(Box(3.0, 3.0, 2.4, 2.4), 0), (Box(7.0, 6.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, h=9, w=9, c=4, gt=gt)
-    targets = _anchor_targets(anchor_set(9, 9), sample.gt)
+    targets = label_one(anchor_set(9, 9), sample.gt)
 
     def loss():
         return objectness_loss(params, sample, score_anchors(params, sample), targets)
@@ -837,7 +1010,7 @@ def test_objectness_loss_with_shared_scores_matches_own():
     gt = [(Box(3.0, 3.0, 2.4, 2.4), 0), (Box(7.0, 6.0, 2.0, 2.8), 1)]
     sample = make_sample(rng, h=9, w=9, c=4, gt=gt)
     start = rng.normal(size=params.objectness.value.shape)
-    targets = _anchor_targets(anchor_set(9, 9), sample.gt)
+    targets = label_one(anchor_set(9, 9), sample.gt)
 
     # a training step scores the anchors once for its proposals and the
     # loss; the proposals must leave the shared result as the loss would
@@ -846,8 +1019,8 @@ def test_objectness_loss_with_shared_scores_matches_own():
     own = objectness_loss(params, sample, score_anchors(params, sample), targets)
     own_grad = params.objectness.grad.copy()
     scored = score_anchors(params, sample)
-    centers, corners, _ = _injected_boxes([sample], np.random.default_rng(0), 16)
-    _proposals(*scored, (centers, corners), 16)
+    _proposals(scored[0], scored[1][None], 16,
+               _injected_boxes([sample], np.random.default_rng(0), 16))
     params.objectness.grad[:] = start
     shared = objectness_loss(params, sample, scored, targets)
     assert shared == own
@@ -962,8 +1135,9 @@ def test_stage_one_is_the_same_in_every_arm():
         with mock.patch.object(det_mod, "_proposals", spy):
             result = train(world, TrainConfig(iters=60, seed=6, pooling=pooling, T=t), arm,
                            n_train=45)
+        props = np.concatenate(props)       # one (B, n, 4) stack per chunk of iterations
         assert len(props) == 60
-        stage_one.add((result.store["det/objectness"].value.tobytes(), np.array(props).tobytes()))
+        stage_one.add((result.store["det/objectness"].value.tobytes(), props.tobytes()))
     assert len(stage_one) == 1
 
 
@@ -974,7 +1148,7 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     result = train(world, cfg, arm="sin", n_train=5)
     assert len(result.losses) == 5
     assert all(np.isfinite(l) for l in result.losses)
-    sample = det_mod.sample_at(world, 11, 0)
+    sample = sample_at(world, 11, 0)
     # the training path records a tape per step; detection keeps none
     props = propose(result.params, sample)
     trained = forward_one(result.params, sample, props, cfg.T)
@@ -1106,6 +1280,22 @@ def test_detect_output_contract():
                 assert iou_oracle(mine[i], mine[j]) <= FINAL_NMS_THRESH
 
 
+def test_detection_proposals_are_the_per_row_proposals():
+    # one stack of grids of three shapes: _detect_stack takes each shape's
+    # proposals in one call, and each scene's are byte for byte those of
+    # ranking its own scores alone (the baseline arm: no graph step to
+    # reject the NaN cell's features)
+    rng = np.random.default_rng(66)
+    _, params = make_params(arm="baseline", rois_per_image=12, T=0)
+    params.objectness.value[:] = rng.normal(size=params.objectness.value.shape)
+    samples = [make_sample(rng, h=h, w=w) for h, w in ((10, 10), (3, 2), (10, 10), (1, 1))]
+    samples[2].grid[4, 4, 0] = math.nan      # a NaN cell: NaN scores rank last
+    with np.errstate(invalid="ignore"):
+        _, state = det_mod._detect_stack(params, samples, 0.05)
+    for sample, boxes in zip(samples, state.graph_out.boxes):
+        assert boxes.tobytes() == propose_per_row(params, sample).tobytes()
+
+
 def test_detect_orders_score_ties_by_box():
     # zero heads: every class scores 1/(K+1) on every ROI and no box moves,
     # so within a class the order comes from the boxes alone
@@ -1174,7 +1364,7 @@ def _detection_digest(arm):
     world = default_world()
     cfg = TrainConfig(iters=60, seed=1)
     result = train(world, cfg, arm=arm, n_train=60)
-    samples = [det_mod.sample_at(world, 21, i) for i in range(40)]
+    samples = [sample_at(world, 21, i) for i in range(40)]
     digest = hashlib.sha256()
     for i, dets in enumerate(detect_dataset(result.params, samples, 0.05)):
         digest.update(f"scene {i}\n".encode())
@@ -1249,7 +1439,7 @@ def _composition_model(pooling, rois, arm):
 
 @functools.lru_cache(maxsize=None)
 def _composition_scene(i):
-    return det_mod.sample_at(default_world(), 5, i)
+    return sample_at(default_world(), 5, i)
 
 
 def _exact(dets):

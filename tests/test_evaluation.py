@@ -300,11 +300,13 @@ def test_run_ablation_sweep_reuses_main_arm(tiny_ablation):
 def test_run_ablation_learns_stage_one_once():
     # the four arms and the four sweep points that train all replay one
     # stage one: the anchors are scored once per iteration in all, and
-    # otherwise only for the 8 models' proposals on the test scenes
+    # otherwise only for the 8 models' proposals on the test scenes; the
+    # proposals of stage one's 7 iterations, and of each model's 3 test
+    # scenes, are one stack each
     from sinet import detector
     world = default_world()
     cfg = TrainConfig(iters=7, rois_per_image=6, feat_dim=8, seed=4)
-    counts = {"score_anchors": 0, "propose": 0}
+    counts = {"score_anchors": 0, "_proposals": 0}
 
     def spy(name):
         real = getattr(detector, name)
@@ -315,12 +317,12 @@ def test_run_ablation_learns_stage_one_once():
         return counted
 
     with mock.patch.object(detector, "score_anchors", spy("score_anchors")), \
-            mock.patch.object(detector, "propose", spy("propose")):
+            mock.patch.object(detector, "_proposals", spy("_proposals")):
         summary, _models = run_ablation(world, cfg, n_train=5, n_test=3, score_thresh=0.05,
                                         sweep=True)
     assert not any(entry["failed"] for section in ("arms", "sweep")
                    for entry in summary[section].values())
-    assert counts == {"score_anchors": 7 + 8 * 3, "propose": 8 * 3}
+    assert counts == {"score_anchors": 7 + 8 * 3, "_proposals": 1 + 8}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

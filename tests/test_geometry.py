@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from sinet import geometry
-from sinet.geometry import (_sorted_prefix, apply_deltas, centers_to_corners, clip_box,
+from sinet.geometry import (_sorted_prefixes, apply_deltas, centers_to_corners, clip_box,
                             encode_deltas, iou, nms_by_group, pairwise_iou)
 
+import oracles
 from oracles import (Box, apply_deltas_oracle, center_rows, clip_box_oracle, corner_rows,
-                     encode_deltas_oracle, iou_oracle, nms, nms_oracle, random_box)
+                     encode_deltas_oracle, iou_oracle, nms, nms_oracle, random_box,
+                     sorted_prefix)
 
 
 def _iou1(a, b):
@@ -345,12 +346,26 @@ def _rank(scores):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=hst.data(), m=hst.integers(1, 40))
-def test_sorted_prefix_is_the_full_sort_prefix(data, m):
-    neg = np.array(_with_nans(data, data.draw(hst.lists(_level, max_size=50))))
-    head = _sorted_prefix(neg, m)
-    assert len(head) >= min(m, len(neg))
-    assert head.tolist() == np.argsort(neg, kind="stable")[:len(head)].tolist()
+@given(data=hst.data(), m=hst.integers(1, 40), a=hst.integers(1, 50), b=hst.integers(1, 4))
+def test_sorted_prefix_is_the_full_sort_prefix(data, m, a, b):
+    # each row of a stack, ties at its cut, a NaN cut, or no cut at all
+    # (m >= a); the per-row reference falls back to the full sort where
+    # the stack gives a row no position
+    neg = np.array([_with_nans(data, data.draw(hst.lists(_level, min_size=a, max_size=a)))
+                    for _ in range(b)])
+    order, real = _sorted_prefixes(neg, m)
+    assert order.shape == real.shape and order.shape[0] == b
+    for row, head, mask in zip(neg, order, real):
+        full = np.argsort(row, kind="stable")
+        head = head[mask]
+        assert mask.tolist() == sorted(mask.tolist(), reverse=True)
+        if len(head) == 0:
+            assert m < a and np.isnan(np.partition(row, m - 1)[m - 1])
+        else:
+            assert len(head) >= min(m, a)
+        assert head.tolist() == full[:len(head)].tolist()
+        want = sorted_prefix(row, m)
+        assert (head if len(head) else full).tolist() == want.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -426,11 +441,11 @@ def test_nms_prefix_and_its_fallbacks(monkeypatch):
     lengths = []
 
     def spy(neg, m):
-        head = _sorted_prefix(neg, m)
+        head = sorted_prefix(neg, m)
         lengths.append(len(head))
         return head
 
-    monkeypatch.setattr(geometry, "_sorted_prefix", spy)
+    monkeypatch.setattr(oracles, "sorted_prefix", spy)
     scores = [3.0] * 5 + [2.0] * 8 + [1.0] * 27
     apart = [Box(3.0 * i + 1.0, 1.0, 1.0, 1.0) for i in range(40)]
     same = [Box(1.0, 1.0, 1.0, 1.0)] * 40
