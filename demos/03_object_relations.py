@@ -20,9 +20,10 @@ import numpy as np
 
 from sinet.detector import TrainConfig, detect, train
 from sinet.structure_inference import relation_report
-from sinet.synth_data import default_world, sample_at
+from sinet.synth_data import default_world, scene_sampler
 
 world = default_world()
+draw = scene_sampler(world)
 names = [c.name for c in world.categories] + ["bg"]
 
 cfg = TrainConfig(iters=600, seed=0)
@@ -37,7 +38,7 @@ shown = 0
 for i in range(20):
     if shown >= 3:
         break
-    sample = sample_at(world, 9090, i)
+    sample = draw(9090, i)
     (dets,), state = detect(tr.params, [sample], score_thresh=0.3)
     if len(dets) < 2:
         continue
@@ -57,7 +58,7 @@ for i in range(20):
 # ---------------------------------------------------------------------------
 # gate locality: edge magnitude against center distance, pooled over proposals
 
-sample = sample_at(world, 9090, 3)
+sample = draw(9090, 3)
 _, state = detect(tr.params, [sample], score_thresh=0.3)
 boxes, edges = state.graph_out.boxes[0], state.graph_out.edges[0]   # (n, 4) rows of (cx, cy, w, h)
 n = len(boxes)

@@ -18,11 +18,10 @@ from .structure_inference import (SceneGraph, SinParams, compute_edges, relation
                                   sin_step_tape)
 from .synth_data import (GT_DTYPE, Category, CooccurRule, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
-                         sample_at, save_dataset, world_hash)
+                         save_dataset, scene_sampler, world_hash)
 from .detector import (ARMS, DETECTION_DTYPE, DetectorParams, TrainConfig,
                        TrainingDiverged, assign_targets, create_detector_params,
-                       detect, detect_scenes, forward_scenes,
-                       multi_task_loss, train)
+                       detect, detect_scenes, multi_task_loss, train)
 from .evaluation import EvalResult, evaluate_detections, run_ablation
 from .harness import EvalConfig, RunConfig, main, run_gradcheck
 
@@ -36,10 +35,10 @@ __all__ = [
     "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "compute_edges",
     "create_detector_params",
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
-    "evaluate_detections", "forward_scenes", "generate",
+    "evaluate_detections", "generate",
     "grad_check", "gru_backward", "gru_forward", "gru_init", "gru_params", "init_param", "iou",
     "load_checkpoint", "load_dataset", "main", "multi_task_loss",
-    "relation_report", "run_ablation", "run_gradcheck", "sample_at",
-    "save_checkpoint", "save_dataset", "seed_for", "sin_backward",
+    "relation_report", "run_ablation", "run_gradcheck",
+    "save_checkpoint", "save_dataset", "scene_sampler", "seed_for", "sin_backward",
     "sin_infer_tapes", "sin_init", "sin_params", "sin_step_tape", "train", "world_hash",
 ]

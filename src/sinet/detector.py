@@ -16,21 +16,27 @@ Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
 (synth_data.GT_DTYPE) from the sampler to the metrics; its detections are
 another (DETECTION_DTYPE), from the detection tail to the metrics and the CSV
 writers.
-The proposal stage's work that spans scenes runs in stacks of DETECT_CHUNK:
-a training plan labels its scenes' anchors a stack at a time
-(anchor_targets), and proposals are taken for a (B, A) stack of anchor
-scores at once (_proposals), DETECT_CHUNK training iterations or detected
-scenes per call. Stage two runs on a stack of B scenes at once
-(forward_scenes, on a (B, n, 4) ROI array): node features are (B, n, d) with
-n = rois_per_image, and each product keeps its per-scene shape, so a scene's
-numbers do not depend on what it is stacked with. Training (roi_loss) runs
-stacks of one scene and records the tapes of the inference steps for the
-backward pass; detect_scenes scores each scene's anchors, then takes the
-proposals and runs stage two, forward only, on chunks of DETECT_CHUNK scenes.
-Its tail thresholds the whole chunk's (B, n, K) probabilities at once,
-refines and clips every candidate in one call, and suppresses them with one
-NMS grouped by (scene, class). A model records the arm and TrainConfig it is
-laid out for, and every stage reads its wiring from them.
+The proposal stage's work that spans scenes runs in stacks. A training plan
+labels its scenes' anchors DETECT_CHUNK scenes at a time (anchor_targets);
+anchors are scored for a (B, H, W, C) stack of grids of one shape at once
+(score_anchors: a stack of one per training iteration, a detection stack's
+scenes of each grid shape in detection); and proposals are taken for a
+(B, A) stack of anchor scores at once (_proposals), DETECT_CHUNK training
+iterations or a detection stack's scenes of one grid shape per call. Stage
+two runs on a stack of B scenes at once, from their RoiInputs record
+(roi_inputs: the (B, n, 4) ROI rows, the cells pooled under them, the scene
+means, and in training the ROIs' targets): node features are (B, n, d) with
+n = rois_per_image, and each product keeps its per-scene shape, so a
+scene's numbers do not depend on what it is stacked with. Training
+(roi_loss) runs stacks of one scene and records the tapes of the inference
+steps for the backward pass; detect_scenes runs stacks of DETECT_STACK
+scenes: it scores and proposes each grid shape's scenes, builds the stack's
+record (without targets) and spatial gate as training builds them, and
+runs stage two forward only. Its tail thresholds the whole stack's
+(B, n, K) probabilities at once, refines and clips every candidate in one
+call, and suppresses them with one NMS grouped by (scene, class). A model
+records the arm and TrainConfig it is laid out for, and every stage reads
+its wiring from them.
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -48,7 +54,7 @@ ablation learns stage one once and replays it for every arm.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -85,25 +91,30 @@ ANCHOR_RATIOS = (1.0, 1.5)
 ARM_MODES = {"baseline": None, "scene": "scene", "edge": "edge", "sin": "both"}
 ARMS = tuple(ARM_MODES)
 
-# Scenes or training iterations per stack: of anchor labelling, of proposals
-# (in stage one and in detection), of stage-two inputs and gates, and of
-# detection's stage two. Measured on 512 default-world held-out scenes
-# (a 400-iteration sin model) with one BLAS thread on a shared 2-core x86
-# host, stack sizes interleaved, process CPU time of 11 rounds in each of two
-# runs: whole detect_scenes took medians of 0.49-0.54 / 0.42-0.47 / 0.40-0.43
-# / 0.38-0.42 ms per scene in stacks of 8 / 16 / 32 / 64, and 64 was fastest
-# in 7 and 8 of the 11 rounds, short of the 9 that would justify a change.
-# Allocations of detect_scenes peak at 2.2 / 2.6 / 3.4 / 5.0 MB (tracemalloc,
-# which counts the detections of all 512 scenes too): stage two holds about
-# 50 KB per stacked scene (120 KB while detection kept every step's tape and
-# built the (B, n, n, d) message products). So the stack stays at 16: 64's medians
-# were 9-11% lower, but not round after round, and it holds twice the memory.
+# Training iterations or scenes per stack of a training run: of anchor
+# labelling, of stage one's proposals, and of stage-two inputs and gates.
 # Labelling 400 default scenes peaks 0.9 MB above what it returns in stacks
 # of 16 and 4.5 MB in stacks of 64 (tracemalloc; a test bounds it), and a
 # 400-iteration baseline training peaked at 69.7 MB ru_maxrss in stacks of
 # 16 and 73.3-74.0 MB in stacks of 64, against 68.8-69.0 MB before labels
-# and proposals were stacked.
+# and proposals were stacked. Its stage one took 401 / 398 us per iteration
+# in stacks of 16 / 32 (medians of 9 interleaved rounds, process time, one
+# BLAS thread on a shared 2-core x86 host), no gain, and its tracemalloc
+# peak was 9.6 / 10.7 MB, so the stacks stay at 16.
 DETECT_CHUNK = 16
+
+# Scenes per detection stack (detect_scenes, sinet relations). Measured on
+# 512 default-world held-out scenes with a 600-iteration sin model, one BLAS
+# thread on a shared 2-core x86 host, stack sizes interleaved, process CPU
+# time of 11 rounds in each of two runs: whole detect_scenes took medians
+# of 172-175 / 159-163 / 153 / 169-178 / 161-168 us per scene in stacks of
+# 16 / 24 / 32 / 48 / 64, and 32 was fastest in 9 and 7 of the 11 rounds.
+# Each stack costs a fixed part (the Python of each stage and its small
+# products) that larger stacks share; past 32 the time per scene rose
+# again. Allocations peak at 1.7 / 2.4 / 3.1 / 4.4 / 5.5 MB (tracemalloc;
+# 1.4 / 2.0 / 2.7 / 4.1 / 5.2 MB above the detections of the 512 scenes,
+# about 85 KB per stacked scene; a test bounds them).
+DETECT_STACK = 32
 
 
 class TrainingDiverged(RuntimeError):
@@ -265,24 +276,28 @@ def anchor_set(height, width):
     return out
 
 
-def score_anchors(params, sample):
-    """The grid's anchor set and its (A,) objectness scores, in anchor order.
+def score_anchors(params, grids):
+    """The anchor set of a (B, H, W, C) stack of grids of one shape and their
+    (B, A) objectness scores, each row in anchor order.
 
     An anchor's score is its type's row of the objectness map applied to the
-    mean of the cells it covers. Projection and mean commute, so the grid is
+    mean of the cells it covers. Projection and mean commute, so each grid is
     projected first, one (H, W) map per type, and each map is box-summed by
     its type's cover matrices, row_cover @ map @ col_cover^T, then divided by
-    the cell counts: no per-anchor feature is formed. A NaN cell makes every
-    anchor that covers it score NaN, and an inf cell makes them score inf or
-    NaN; others may turn NaN too, where BLAS multiplies a cover matrix's
-    zeros by it. Proposals and the objectness loss of one training iteration
-    share one call: both read the same grid and parameters."""
-    h, w, c = sample.grid.shape
+    the cell counts: no per-anchor feature is formed. Each product is one
+    stacked matmul over the whole stack, which runs one product per scene,
+    so a scene's scores are bitwise the same in any stack. A NaN cell makes
+    every anchor of its scene that covers it score NaN, and an inf cell
+    makes them score inf or NaN; others of that scene may turn NaN too,
+    where BLAS multiplies a cover matrix's zeros by it. Proposals and the
+    objectness loss of one training iteration share one call, on a stack of
+    one: both read the same grid and parameters."""
+    b, h, w, c = grids.shape
     anchors = anchor_set(h, w)
-    maps = (params.objectness.value @ sample.grid.reshape(-1, c).T).reshape(-1, h, w)
-    sums = anchors.row_cover @ maps @ anchors.col_cover.transpose(0, 2, 1)
+    maps = params.objectness.value @ grids.reshape(b, -1, c).transpose(0, 2, 1)
+    sums = anchors.row_cover @ maps.reshape(b, -1, h, w) @ anchors.col_cover.transpose(0, 2, 1)
     sums /= anchors.count
-    return anchors, sums.transpose(1, 2, 0).reshape(-1)
+    return anchors, sums.transpose(0, 2, 3, 1).reshape(b, -1)
 
 
 def _proposals(anchors, scores, n, kept=None):
@@ -388,16 +403,15 @@ def assign_targets(props, gts, num_categories):
 
 @dataclass
 class ForwardState:
-    """Stage two over a stack of B scenes of n ROIs each."""
+    """Stage two over a stack of B scenes of n ROIs each: what the backward
+    pass and the detection tail read."""
 
-    node_avg: np.ndarray        # (B, n, C) pooled cell vectors
     features0: np.ndarray       # (B, n, d) initial node features
-    scene_avg: np.ndarray       # (B, C)
     scene_feature0: np.ndarray  # (B, d)
-    graph_out: SceneGraph = None  # its boxes are the (B, n, 4) ROI rows
-    tapes: list = field(default_factory=list)   # per-step tapes; none in detection
-    probs: np.ndarray = None    # (B, n, K+1) softmax rows
-    deltas: np.ndarray = None   # (B, n, K, 4) per-class refinements
+    graph_out: SceneGraph       # its boxes are the (B, n, 4) ROI rows
+    tapes: list                 # per-step tapes; none in detection
+    probs: np.ndarray           # (B, n, K+1) softmax rows
+    deltas: np.ndarray          # (B, n, K, 4) per-class refinements
 
 
 def _softmax_rows(logits):
@@ -460,62 +474,74 @@ def _pool_rois(samples, boxes):
     return sums.reshape(boxes.shape[:2] + (c,))
 
 
+def _shape_stacks(samples):
+    """The scenes of `samples` by grid shape, in order of first appearance:
+    for each shape, its scenes' indices and the (b, H, W, C) stack of their
+    grids."""
+    shapes = [sample.grid.shape for sample in samples]
+    for shape in dict.fromkeys(shapes):
+        same = [i for i, other in enumerate(shapes) if other == shape]
+        yield same, np.stack([samples[i].grid for i in same])
+
+
 def _scene_means(samples):
-    """(B, C) mean cell vector of each scene."""
-    return np.array([sample.grid.mean(axis=(0, 1)) for sample in samples])
+    """(B, C) mean cell vector of each scene, one mean per grid shape of the
+    stack. A stack only adds an outer axis to the reduction: each scene's
+    channels are reduced over the same cells in the same order as alone, so
+    each row is bitwise the mean of its scene alone."""
+    out = np.empty((len(samples), samples[0].grid.shape[2]))
+    for same, grids in _shape_stacks(samples):
+        out[same] = grids.mean(axis=(1, 2))
+    return out
 
 
 class RoiInputs(NamedTuple):
     """What stage two reads of a stack of B scenes that no weight changes:
-    their ROI rows, the cells pooled under them, the scene means, and the
-    ROIs' targets (assign_targets)."""
+    their ROI rows, the cells pooled under them, the scene means, and, in
+    training, the ROIs' targets (assign_targets)."""
 
     boxes: np.ndarray           # (B, n, 4) center-size ROI rows
     node_avg: np.ndarray        # (B, n, C) _pool_rois
     scene_avg: np.ndarray       # (B, C)
-    labels: np.ndarray          # (B, n)
-    target_deltas: np.ndarray   # (B, n, 4)
+    labels: np.ndarray = None           # (B, n); None in detection
+    target_deltas: np.ndarray = None    # (B, n, 4); None in detection
 
 
-def roi_inputs(samples, boxes, num_categories):
-    """The RoiInputs of the scenes `samples` and their (B, n, 4) ROI rows."""
-    labels, target_deltas = assign_targets(boxes, [sample.gt for sample in samples],
-                                           num_categories)
-    return RoiInputs(boxes, _pool_rois(samples, boxes), _scene_means(samples), labels,
-                     target_deltas)
+def roi_inputs(samples, boxes, num_categories=None):
+    """The RoiInputs of the scenes `samples` and their (B, n, 4) ROI rows,
+    with the ROIs' targets against the scenes' ground truth when
+    `num_categories` is given."""
+    targets = () if num_categories is None else \
+        assign_targets(boxes, [sample.gt for sample in samples], num_categories)
+    return RoiInputs(boxes, _pool_rois(samples, boxes), _scene_means(samples), *targets)
 
 
-def forward_scenes(params, samples, boxes, steps, record):
-    """Stage two over a stack of scenes: pool each scene's ROIs (boxes is a
-    (B, n, 4) array whose boxes[b] holds the center-size rows of samples[b]),
-    run `steps` inference steps of the model's graph (none for the baseline)
-    and apply both heads. Returns the forward state; it holds the inference
-    steps' tapes, which the backward pass needs, only if `record`. Its
-    graph_out holds the last step's edges, or None when no step computed
-    them."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    if boxes.ndim != 3 or boxes.shape[0] != len(samples) or boxes.shape[2] != 4:
-        raise ValueError(f"forward_scenes: {len(samples)} scenes need a ({len(samples)}, n, 4) "
-                         f"ROI array, got shape {boxes.shape}")
-    return _forward(params, boxes, _pool_rois(samples, boxes), _scene_means(samples), steps,
-                    record)
+def _reads_gate(params, steps):
+    """Whether `steps` inference steps of the model read the spatial gate."""
+    return params.sin.mode in ("edge", "both") and steps > 0
 
 
-def _forward(params, boxes, node_avg, scene_avg, steps, record, gate=None):
-    """forward_scenes on pooled ROI cells and scene means; `gate`, if given,
-    is the (B, n, n) spatial gate of the boxes (structure_inference.spatial_gate)."""
-    features0 = np.tanh(node_avg @ params.feat_proj.value.T)
+def _forward(params, rois, steps, record, gate=None):
+    """Stage two over a stack of scenes from their RoiInputs `rois` (its
+    targets unread): project the pooled ROI cells and the scene means, run
+    `steps` inference steps of the model's graph (none for the baseline)
+    and apply both heads. `gate`, if given, is the (B, n, n) spatial gate
+    of the ROIs (structure_inference.spatial_gate). Returns the forward
+    state; it holds the inference steps' tapes, which the backward pass
+    needs, only if `record`. Its graph_out holds the last step's edges, or
+    None when no step computed them."""
+    features0 = np.tanh(rois.node_avg @ params.feat_proj.value.T)
     # one (d, C) by (C,) product per scene, the same as for a lone scene
-    scene0 = np.tanh(np.matmul(params.feat_proj.value, scene_avg[:, :, None])[:, :, 0])
+    scene0 = np.tanh(np.matmul(params.feat_proj.value, rois.scene_avg[:, :, None])[:, :, 0])
 
-    graph = SceneGraph(node_features=features0, boxes=boxes, scene_feature=scene0, gate=gate)
+    graph = SceneGraph(node_features=features0, boxes=rois.boxes, scene_feature=scene0,
+                       gate=gate)
     graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, record)
     feats = graph_out.node_features
-    deltas = (feats @ params.reg_head.value.T).reshape(*boxes.shape[:2], -1, 4)
-    return ForwardState(node_avg=node_avg, features0=features0,
-                        scene_avg=scene_avg, scene_feature0=scene0,
-                        graph_out=graph_out, tapes=tapes,
-                        probs=_softmax_rows(feats @ params.cls_head.value.T), deltas=deltas)
+    deltas = (feats @ params.reg_head.value.T).reshape(*rois.boxes.shape[:2], -1, 4)
+    return ForwardState(features0=features0, scene_feature0=scene0, graph_out=graph_out,
+                        tapes=tapes, probs=_softmax_rows(feats @ params.cls_head.value.T),
+                        deltas=deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +600,12 @@ def multi_task_loss(probs, deltas, labels, target_deltas):
                            parts={"cls": cls_loss, "reg": reg_loss})
 
 
-def detector_backward(params, state, grads):
+def detector_backward(params, rois, state, grads):
     """Push one scene's head gradients through the inference steps and the
-    feature projection, accumulating into the parameter store. `state` is a
-    one-scene stack forward_scenes recorded. Proposal boxes are constants
-    here. Returns the (n, d) gradient on the initial node features."""
+    feature projection, accumulating into the parameter store. `state` is
+    the one-scene stack _forward recorded from the RoiInputs `rois`.
+    Proposal boxes are constants here. Returns the (n, d) gradient on the
+    initial node features."""
     b, n = state.probs.shape[:2]
     if b != 1:
         raise ValueError(f"detector_backward: expected a one-scene stack, got {b} scenes")
@@ -591,9 +618,9 @@ def detector_backward(params, state, grads):
 
     dfeat0, dscene = sin_backward(params.sin, state.tapes, dfeats[None])
     da = (1.0 - state.features0[0] ** 2) * dfeat0[0]
-    params.feat_proj.grad += da.T @ state.node_avg[0]
+    params.feat_proj.grad += da.T @ rois.node_avg[0]
     ds = (1.0 - state.scene_feature0[0] ** 2) * dscene[0]
-    params.feat_proj.grad += np.outer(ds, state.scene_avg[0])
+    params.feat_proj.grad += np.outer(ds, rois.scene_avg[0])
     return dfeat0[0]
 
 
@@ -601,10 +628,10 @@ def roi_loss(params, rois, steps, gate=None):
     """One scene's stage-two loss after `steps` inference steps, from its
     one-scene RoiInputs `rois` and, if given, the (1, n, n) spatial gate of
     its ROIs; its gradient goes into the store."""
-    state = _forward(params, rois.boxes, rois.node_avg, rois.scene_avg, steps, True, gate)
+    state = _forward(params, rois, steps, True, gate)
     loss, grads = multi_task_loss(state.probs[0], state.deltas[0], rois.labels[0],
                                   rois.target_deltas[0])
-    detector_backward(params, state, grads)
+    detector_backward(params, rois, state, grads)
     return loss
 
 
@@ -907,9 +934,9 @@ def stage_one(world, cfg, n_train, data_seed):
     for it in range(cfg.iters):
         sample = plan.scenes[it]
         obj.grad[...] = 0.0
-        scored = score_anchors(params, sample)
-        scores[it - start] = scored[1]
-        losses.append(objectness_loss(params, sample, scored, plan.targets[it]))
+        row = score_anchors(params, sample.grid[None])[1][0]    # the grid, a stack of one
+        scores[it - start] = row
+        losses.append(objectness_loss(params, sample, (anchors, row), plan.targets[it]))
         decays.append(apply_weight_decay(store, [obj.name], cfg.weight_decay))
         if not math.isfinite(losses[-1] + decays[-1]):
             break       # the full loss diverges here too; stage two raises
@@ -973,7 +1000,7 @@ def learn(world, cfg, arm, stage1, callback=None):
     k, n = stage1.rois.labels.shape
     warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
     gates = None
-    if params.sin.mode in ("edge", "both") and cfg.T > 0:
+    if _reads_gate(params, cfg.T):
         gates = np.empty((k, n, n))
         for start in range(warmup, k, DETECT_CHUNK):
             gates[start:start + DETECT_CHUNK] = spatial_gate(
@@ -1032,24 +1059,26 @@ DETECTION_DTYPE = np.dtype([("box", np.float64, (4,)), ("category", np.intp),
 
 
 def _detect_stack(params, samples, score_thresh):
-    """Each scene's anchors scored, the proposals of the stack's scenes of
-    one grid shape in one call (_proposals with no injected box: detection
-    never reads the ground truth), stage two once over the stack, then the
-    tail on the whole stack: every (scene, class, ROI) score that clears the
-    threshold is refined and clipped to its scene's grid, and all of them
-    go through one NMS grouped by (scene, class). Returns the detections
-    of each scene, a DETECTION_DTYPE array sorted by class, then score
-    descending, then box, and the stack's forward state, which holds no
-    tapes. A scene's detections do not depend on its stack or on ROI order
-    (modulo exact score ties)."""
-    n = params.cfg.rois_per_image
-    objectness = [score_anchors(params, sample)[1] for sample in samples]
-    shapes = [sample.grid.shape[:2] for sample in samples]
+    """Stage one and stage two of a stack of scenes, then the tail. The
+    anchors of the stack's scenes of one grid shape are scored in one call
+    (score_anchors) and their proposals taken in another (_proposals with
+    no injected box: detection never reads the ground truth). The stack's
+    stage-two inputs are built as training builds them (roi_inputs, without
+    targets), its spatial gate, when the graph reads one, by spatial_gate,
+    and stage two runs once over the stack. The tail takes the whole stack:
+    every (scene, class, ROI) score that clears the threshold is refined
+    and clipped to its scene's grid, and all of them go through one NMS
+    grouped by (scene, class). Returns the detections of each scene, a
+    DETECTION_DTYPE array sorted by class, then score descending, then box,
+    and the stack's forward state, which holds no tapes. A scene's
+    detections do not depend on its stack or on ROI order (modulo exact
+    score ties)."""
+    n, steps = params.cfg.rois_per_image, params.cfg.T
     boxes = np.empty((len(samples), n, 4))
-    for shape in dict.fromkeys(shapes):
-        same = [i for i, other in enumerate(shapes) if other == shape]
-        boxes[same] = _proposals(anchor_set(*shape), np.array([objectness[i] for i in same]), n)
-    state = forward_scenes(params, samples, boxes, params.cfg.T, record=False)
+    for same, grids in _shape_stacks(samples):
+        boxes[same] = _proposals(*score_anchors(params, grids), n)
+    gate = spatial_gate(boxes) if _reads_gate(params, steps) else None
+    state = _forward(params, roi_inputs(samples, boxes), steps, False, gate)
     k = state.deltas.shape[2]
     # by scene, then class, then ROI
     scene, cats, rois = np.nonzero(state.probs[:, :, :k].transpose(0, 2, 1) >= score_thresh)
@@ -1070,11 +1099,11 @@ def _detect_stack(params, samples, score_thresh):
 
 def detect_scenes(params, samples, score_thresh):
     """Final detections for each scene, one DETECTION_DTYPE array per sample
-    (see _detect_stack). Stage two runs on stacks of DETECT_CHUNK scenes; a
-    scene's detections are the same in any stack, alone or not."""
+    (see _detect_stack), in stacks of DETECT_STACK scenes; a scene's
+    detections are the same in any stack, alone or not."""
     dets = []
-    for start in range(0, len(samples), DETECT_CHUNK):
-        dets += _detect_stack(params, samples[start:start + DETECT_CHUNK], score_thresh)[0]
+    for start in range(0, len(samples), DETECT_STACK):
+        dets += _detect_stack(params, samples[start:start + DETECT_STACK], score_thresh)[0]
     return dets
 
 

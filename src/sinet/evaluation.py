@@ -68,13 +68,15 @@ class _Matching:
         if len(dets_by_image) != len(gts_by_image):
             raise ValueError(f"{len(dets_by_image)} detection lists vs "
                              f"{len(gts_by_image)} ground-truth lists")
-        dets = np.concatenate([np.empty(0, DETECTION_DTYPE), *dets_by_image])
+        # the dtype given, so numpy need not promote the images' dtypes pair by pair
+        dets = np.concatenate([np.empty(0, DETECTION_DTYPE), *dets_by_image],
+                              dtype=DETECTION_DTYPE)
         rank = np.argsort(-dets["score"], kind="stable")
         dets = dets[rank]
         det_img = np.repeat(np.arange(len(dets_by_image)), [len(dd) for dd in dets_by_image])[rank]
         self.score = dets["score"]
         self.det_cat = dets["category"]
-        gts = np.concatenate([np.empty(0, GT_DTYPE), *gts_by_image])
+        gts = np.concatenate([np.empty(0, GT_DTYPE), *gts_by_image], dtype=GT_DTYPE)
         self.gt_cat = gts["category"]
         # pair p of detection d is gt p - shift[d], counted over all images;
         # detections go in runs of about PAIR_CHUNK pairs

@@ -24,7 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .detector import (ARMS, DETECT_CHUNK, TrainConfig, TrainingDiverged,
+from .detector import (ARMS, DETECT_STACK, TrainConfig, TrainingDiverged,
                        apply_weight_decay, create_detector_params, detect, detect_scenes,
                        roi_inputs, roi_loss, train, validate_config)
 from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_ablation
@@ -32,7 +32,7 @@ from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
 from .structure_inference import POOLINGS, relation_report
 from .synth_data import (GT_DTYPE, WORLD_FIXTURES, SceneSample, generate,
-                         load_dataset, sample_at, save_dataset, world_from_dict,
+                         load_dataset, save_dataset, scene_sampler, world_from_dict,
                          world_hash, world_to_dict)
 
 GRADCHECK_TOL = 1e-4
@@ -431,10 +431,11 @@ def _cmd_relations(args):
     _manifest, params, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
     score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
     _validate_eval(replace(ev_cfg, score_thresh=score_thresh))
+    sample = scene_sampler(world)
     rows = []
-    for start in range(0, args.n, DETECT_CHUNK):
-        ids = range(start, min(start + DETECT_CHUNK, args.n))
-        dets, state = detect(params, [sample_at(world, args.seed, i) for i in ids], score_thresh)
+    for start in range(0, args.n, DETECT_STACK):
+        ids = range(start, min(start + DETECT_STACK, args.n))
+        dets, state = detect(params, [sample(args.seed, i) for i in ids], score_thresh)
         for i, d, edges in zip(ids, dets, state.graph_out.edges):
             # Python scalars: _fmt_cell writes a float by its repr
             for cat, score, (node, partner, weight) in zip(

@@ -289,20 +289,16 @@ def _sample_scene(draws, rng):
 
 
 def scene_sampler(world):
-    """sample_at for one world, as a function of (seed, index) that builds
-    what every draw of the world reads only once (_Draws)."""
+    """The scene sampler of one world: a function of (seed, index) that
+    draws sample `index` of the stream keyed by `seed`, and builds what
+    every draw of the world reads only once (_Draws). A scene depends on
+    nothing else, so generation parallelizes without changing output."""
     draws = _Draws(world)
 
     def sample(seed, index):
         seq = np.random.SeedSequence([int(seed), int(index)])
         return _sample_scene(draws, np.random.Generator(np.random.PCG64(seq)))
     return sample
-
-
-def sample_at(world, seed, index):
-    """Sample `index` of the stream keyed by `seed`; depends on nothing else,
-    so generation parallelizes without changing output."""
-    return scene_sampler(world)(seed, index)
 
 
 def generate(world, seed, n):

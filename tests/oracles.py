@@ -326,6 +326,13 @@ def objectness_oracle(grid, anchors, objectness, gt):
     return scores, loss, grad
 
 
+def sample_at(world, seed, index):
+    """Sample `index` of the stream keyed by `seed`, drawn alone: one
+    scene_sampler per scene."""
+    from sinet.synth_data import scene_sampler
+    return scene_sampler(world)(seed, index)
+
+
 def sample_scene_oracle(world, seed, index, events=None):
     """Scene `index` of the stream keyed by `seed`, drawn the direct way:
     rng.uniform for sizes, centers and coins, rng.choice for categories,
@@ -526,11 +533,29 @@ def proposals_per_row(anchors, scores, kept, n):
     return np.resize(rows, (n, 4))
 
 
+def score_anchors_per_scene(params, sample):
+    """One scene's anchor set and its (A,) objectness scores, as the
+    per-scene scorer made them: the grid projected to one (H, W) map per
+    type, box-summed by the type's cover matrices and divided by the cell
+    counts."""
+    from sinet.detector import anchor_set
+    h, w, c = sample.grid.shape
+    anchors = anchor_set(h, w)
+    maps = (params.objectness.value @ sample.grid.reshape(-1, c).T).reshape(-1, h, w)
+    sums = anchors.row_cover @ maps @ anchors.col_cover.transpose(0, 2, 1)
+    sums /= anchors.count
+    return anchors, sums.transpose(1, 2, 0).reshape(-1)
+
+
+def scene_means_per_scene(samples):
+    """(B, C) mean cell vector of each scene, one mean per scene."""
+    return np.array([sample.grid.mean(axis=(0, 1)) for sample in samples])
+
+
 def propose(params, sample):
     """Detection's proposals for one scene, scored and ranked on their own:
     proposals_per_row with no kept box."""
-    from sinet.detector import score_anchors
-    anchors, scores = score_anchors(params, sample)
+    anchors, scores = score_anchors_per_scene(params, sample)
     return proposals_per_row(anchors, scores, NO_BOXES, params.cfg.rois_per_image)
 
 

@@ -154,7 +154,7 @@ def _check_objectness(rng, trials):
         p.objectness.value[:] = rng.normal(size=p.objectness.value.shape)
         anchors = anchor_set(h, w)
         scores, loss, grad = objectness_oracle(grid, anchors, p.objectness.value, gt)
-        scored = score_anchors(p, sample)
+        scored = anchors, score_anchors(p, grid[None])[1][0]
         assert np.allclose(scored[1], scores, rtol=0.0, atol=1e-12)
         assert objectness_loss(p, sample, scored, anchor_targets(anchors, [gt])[0]) == pytest.approx(
             loss, abs=1e-12)

@@ -13,11 +13,11 @@ from sinet.detector import TrainConfig, create_detector_params, detect_scenes
 from sinet.evaluation import (FP_KINDS, PR_THRESHOLDS, SWEEP_GRID, _voc_ap,
                               evaluate_detections, mean_ap, run_ablation)
 from sinet.numerics import ParamStore
-from sinet.synth_data import default_world, sample_at
+from sinet.synth_data import default_world
 
 from oracles import (Box, average_precision_oracle, category_slices_oracle, detection_array,
                      fp_breakdown_oracle, gt_array, per_image_lists, pr_curve_oracle,
-                     random_box)
+                     random_box, sample_at)
 
 
 def category_ap(dets, gts):
@@ -301,8 +301,8 @@ def test_run_ablation_learns_stage_one_once():
     # the four arms and the four sweep points that train all replay one
     # stage one: the anchors are scored once per iteration in all, and
     # otherwise only for the 8 models' proposals on the test scenes; the
-    # proposals of stage one's 7 iterations, and of each model's 3 test
-    # scenes, are one stack each
+    # proposals of stage one's 7 iterations, and the scores and proposals
+    # of each model's 3 test scenes, are one stack each
     from sinet import detector
     world = default_world()
     cfg = TrainConfig(iters=7, rois_per_image=6, feat_dim=8, seed=4)
@@ -322,7 +322,7 @@ def test_run_ablation_learns_stage_one_once():
                                         sweep=True)
     assert not any(entry["failed"] for section in ("arms", "sweep")
                    for entry in summary[section].values())
-    assert counts == {"score_anchors": 7 + 8 * 3, "_proposals": 1 + 8}
+    assert counts == {"score_anchors": 7 + 8, "_proposals": 1 + 8}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

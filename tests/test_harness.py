@@ -9,6 +9,7 @@ import struct
 import tempfile
 import warnings
 from dataclasses import asdict, fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,10 +30,9 @@ from sinet.memory_cell import MAPS
 from sinet.numerics import (CHECKPOINT_MAGIC, ParamStore, derive_seed, load_checkpoint,
                             save_checkpoint)
 from sinet.structure_inference import MODE_BANKS, relation_report, sin_params
-from sinet.synth_data import (default_world, generate, sample_at, save_dataset, world_hash,
-                              world_to_dict)
+from sinet.synth_data import default_world, generate, save_dataset, world_hash, world_to_dict
 
-from oracles import with_arm
+from oracles import sample_at, with_arm
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +452,25 @@ def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
     want = tmp_path / "want.csv"
     write_csv(str(want), ("sample", "node", "category", "score", "partner", "edge_weight"), rows)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_relations_detects_in_detection_stacks(tmp_path, capsys):
+    # relations detects its scenes in stacks of detection's size; over 20
+    # scenes, stacks of that size, of 8 and of all 20 write the same bytes
+    from sinet import harness
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--arm", "scene", "--iters", "8", "--n-train", "4",
+                 "--out", run_dir]) == 0
+    ckpt = os.path.join(run_dir, "checkpoint.bin")
+    outs = []
+    for stack in (harness.DETECT_STACK, 20, 8):
+        path = tmp_path / f"relations-{stack}.csv"
+        with mock.patch.object(harness, "DETECT_STACK", stack):
+            assert main(["relations", "--checkpoint", ckpt, "--seed", "3", "--n", "20",
+                         "--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    capsys.readouterr()
+    assert outs[0] == outs[1] == outs[2] and outs[0].count(b"\n") > 1
 
 
 def _rewritten_manifest(tmp_path, manifest, **changes):

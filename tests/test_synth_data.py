@@ -10,10 +10,10 @@ from hypothesis import strategies as hst
 from sinet.synth_data import (BOAT, CAR, LAPTOP, MOUSE, Category, CooccurRule,
                               WorldSpec, cell_window, dataset_header,
                               default_world, generate, load_dataset,
-                              sample_at, save_dataset, validate_world,
+                              save_dataset, validate_world,
                               world_from_dict, world_hash, world_to_dict)
 
-from oracles import Box, covered_cells_oracle, gt_objects, sample_scene_oracle
+from oracles import Box, covered_cells_oracle, gt_objects, sample_at, sample_scene_oracle
 
 
 def tiny_world(noise=0.0, cooccur=(), n_objects=(1, 2)):
