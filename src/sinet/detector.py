@@ -25,9 +25,10 @@ scenes of each grid shape in detection); and proposals are taken for a
 iterations or a detection stack's scenes of one grid shape per call. Stage
 two runs on a stack of B scenes at once, from their RoiInputs record
 (roi_inputs: the (B, n, 4) ROI rows, the cells pooled under them, the scene
-means, and in training the ROIs' targets): node features are (B, n, d) with
-n = rois_per_image, and each product keeps its per-scene shape, so a
-scene's numbers do not depend on what it is stacked with. Training
+means, and in training what the loss reads of the ROIs' targets, gathered
+once per stack): node features are (B, n, d) with n = rois_per_image, and
+each product keeps its per-scene shape, so a scene's numbers do not depend
+on what it is stacked with. Training
 (roi_loss) runs stacks of one scene and records the tapes of the inference
 steps for the backward pass; detect_scenes runs stacks of DETECT_STACK
 scenes: it scores and proposes each grid shape's scenes, builds the stack's
@@ -47,10 +48,13 @@ changes: the scene order, the scenes, their objectness targets, and the
 jittered ground truth of every iteration with its own NMS done. Stage one
 (stage_one) learns the objectness map alone, recording each iteration's
 proposals, objectness loss and decay term, then builds every iteration's
-stage-two inputs in stacks (roi_inputs: pooled ROI cells, scene means, ROI
-targets). Stage two (learn) trains the rest of the model on those records,
-one callback per iteration, bitwise as one loop over both stages would; an
-ablation learns stage one once and replays it for every arm.
+stage-two inputs in stacks (roi_inputs: pooled ROI cells, scene means, and
+each scene's non-ignored ROI rows with their labels and positive ROI rows
+with their labels and target deltas, as flat rows with per-scene bounds, so
+the loss reads its targets ready-made and makes no label test). Stage two
+(learn) trains the rest of the model on those records, one callback per
+iteration, bitwise as one loop over both stages would; an ablation learns
+stage one once and replays it for every arm.
 """
 
 import math
@@ -474,45 +478,90 @@ def _pool_rois(samples, boxes):
     return sums.reshape(boxes.shape[:2] + (c,))
 
 
-def _shape_stacks(samples):
-    """The scenes of `samples` by grid shape, in order of first appearance:
-    for each shape, its scenes' indices and the (b, H, W, C) stack of their
-    grids."""
+def _shape_groups(samples):
+    """The indices of the scenes of `samples` of each grid shape, in order
+    of first appearance."""
     shapes = [sample.grid.shape for sample in samples]
     for shape in dict.fromkeys(shapes):
-        same = [i for i, other in enumerate(shapes) if other == shape]
-        yield same, np.stack([samples[i].grid for i in same])
+        yield [i for i, other in enumerate(shapes) if other == shape]
 
 
 def _scene_means(samples):
     """(B, C) mean cell vector of each scene, one mean per grid shape of the
-    stack. A stack only adds an outer axis to the reduction: each scene's
-    channels are reduced over the same cells in the same order as alone, so
-    each row is bitwise the mean of its scene alone."""
-    out = np.empty((len(samples), samples[0].grid.shape[2]))
-    for same, grids in _shape_stacks(samples):
-        out[same] = grids.mean(axis=(1, 2))
+    stack, each row bitwise the mean of its scene alone. A lone (H, W, C)
+    mean adds the cells one at a time when C >= 2 (validate_world requires
+    it), as a mean over the outer axis of the (H*W, B, C) stack of the
+    shape's cells does; with C == 1 it sums pairwise, as the stack's
+    (B, H, W, 1) mean over (H, W) does."""
+    c = samples[0].grid.shape[2]
+    out = np.empty((len(samples), c))
+    for same in _shape_groups(samples):
+        grids = [samples[i].grid for i in same]
+        if c > 1:
+            out[same] = np.stack(grids, axis=2).reshape(-1, len(same), c).mean(axis=0)
+        else:
+            out[same] = np.stack(grids).mean(axis=(1, 2))
     return out
+
+
+class LossTargets(NamedTuple):
+    """What the ROI loss reads of a stack of scenes' targets, as flat rows,
+    scene by scene and each scene's in ROI order: the ROIs that are not
+    ignored, with their labels, and the positive ROIs, with their labels
+    and target deltas. A row's ROI index is its own scene's. A one-scene
+    stack's are that scene's, which multi_task_loss reads."""
+
+    valid: np.ndarray           # (V,) ROI indices
+    labels: np.ndarray          # (V,) their categories or background
+    pos: np.ndarray             # (P,) ROI indices
+    pos_labels: np.ndarray      # (P,) their categories
+    pos_deltas: np.ndarray      # (P, 4) their target deltas
+
+
+def _loss_targets(labels, target_deltas, num_categories):
+    """The LossTargets of a stack of B scenes' (B, n) labels and (B, n, 4)
+    target deltas (assign_targets), and their (B + 1, 2) bounds: scene b's
+    valid rows are bounds[b, 0]:bounds[b + 1, 0], its positive rows
+    bounds[b, 1]:bounds[b + 1, 1]. A fixed number of numpy calls for any B."""
+    if labels.ndim != 2 or target_deltas.shape != labels.shape + (4,):
+        raise ValueError(f"{labels.shape} labels but {target_deltas.shape} target deltas")
+    valid = labels != IGNORE
+    pos = valid & (labels < num_categories)
+    bounds = np.zeros((len(labels) + 1, 2), dtype=np.intp)
+    np.cumsum(np.stack([valid.sum(axis=1), pos.sum(axis=1)], axis=1), axis=0, out=bounds[1:])
+    targets = LossTargets(np.nonzero(valid)[1], labels[valid], np.nonzero(pos)[1], labels[pos],
+                          target_deltas[pos])
+    return targets, bounds
 
 
 class RoiInputs(NamedTuple):
     """What stage two reads of a stack of B scenes that no weight changes:
     their ROI rows, the cells pooled under them, the scene means, and, in
-    training, the ROIs' targets (assign_targets)."""
+    training, what the loss reads of the ROIs' targets with its per-scene
+    bounds (_loss_targets)."""
 
     boxes: np.ndarray           # (B, n, 4) center-size ROI rows
     node_avg: np.ndarray        # (B, n, C) _pool_rois
     scene_avg: np.ndarray       # (B, C)
-    labels: np.ndarray = None           # (B, n); None in detection
-    target_deltas: np.ndarray = None    # (B, n, 4); None in detection
+    targets: LossTargets = None         # None in detection
+    bounds: np.ndarray = None           # (B + 1, 2); None in detection and in scene()'s
+
+    def scene(self, b):
+        """Scene b's one-scene record, of views into this one's arrays; its
+        targets are the scene's alone, so it needs no bounds."""
+        (v0, p0), (v1, p1) = self.bounds[b:b + 2].tolist()
+        t = self.targets
+        return RoiInputs(self.boxes[b:b + 1], self.node_avg[b:b + 1], self.scene_avg[b:b + 1],
+                         LossTargets(t.valid[v0:v1], t.labels[v0:v1], t.pos[p0:p1],
+                                     t.pos_labels[p0:p1], t.pos_deltas[p0:p1]))
 
 
 def roi_inputs(samples, boxes, num_categories=None):
     """The RoiInputs of the scenes `samples` and their (B, n, 4) ROI rows,
-    with the ROIs' targets against the scenes' ground truth when
-    `num_categories` is given."""
-    targets = () if num_categories is None else \
-        assign_targets(boxes, [sample.gt for sample in samples], num_categories)
+    with the loss's targets against the scenes' ground truth (assign_targets,
+    then _loss_targets, once for the stack) when `num_categories` is given."""
+    targets = () if num_categories is None else _loss_targets(
+        *assign_targets(boxes, [sample.gt for sample in samples], num_categories), num_categories)
     return RoiInputs(boxes, _pool_rois(samples, boxes), _scene_means(samples), *targets)
 
 
@@ -548,12 +597,12 @@ def _forward(params, rois, steps, record, gate=None):
 # loss
 
 def smooth_l1(u):
+    """Elementwise smooth L1 of u and its derivative, from one |u| and one
+    threshold test."""
     a = np.abs(u)
-    return np.where(a < SMOOTH_L1_THRESH, 0.5 * u * u, a - 0.5 * SMOOTH_L1_THRESH)
-
-
-def smooth_l1_grad(u):
-    return np.where(np.abs(u) < SMOOTH_L1_THRESH, u, np.sign(u))
+    small = a < SMOOTH_L1_THRESH
+    return (np.where(small, 0.5 * u * u, a - 0.5 * SMOOTH_L1_THRESH),
+            np.where(small, u, np.sign(u)))
 
 
 @dataclass
@@ -563,36 +612,33 @@ class LossGrads:
     parts: dict
 
 
-def multi_task_loss(probs, deltas, labels, target_deltas):
+def multi_task_loss(probs, deltas, targets):
     """Classification cross-entropy (mean over non-ignored ROIs) plus
     smooth-L1 regression averaged over the 4 * positives components, for one
-    scene's (n, K+1) probs and (n, K, 4) deltas against assign_targets'
-    (n,) labels and (n, 4) target deltas. Only the target class's deltas
+    scene's (n, K+1) probs and (n, K, 4) deltas against its LossTargets
+    `targets` (a one-scene RoiInputs'). Only the target class's deltas
     receive gradient. Returns (loss, grads) with grads expressed against the
     raw logits and the delta tensor."""
-    n, k1 = probs.shape
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (n,) or np.shape(target_deltas) != (n, 4):
-        raise ValueError(f"{n} ROIs but {labels.shape} labels and {np.shape(target_deltas)} deltas")
-    valid = np.where(labels != IGNORE)[0]
-    dlogits = np.zeros_like(probs)
+    valid, labels, pos, pos_labels, target = targets
+    dlogits = np.zeros(probs.shape)
     cls_loss = 0.0
-    if valid.size:
-        p_true = probs[valid, labels[valid]]
-        cls_loss = float(-np.log(p_true).sum() / valid.size)
-        dlogits[valid] = probs[valid]
-        dlogits[valid, labels[valid]] -= 1.0
-        dlogits[valid] /= valid.size
+    if len(valid):
+        p_true = probs[valid, labels]
+        cls_loss = float(-np.log(p_true).sum() / len(valid))
+        rows = probs[valid]
+        rows[np.arange(len(valid)), labels] = p_true - 1.0
+        rows /= len(valid)
+        dlogits[valid] = rows
 
-    ddeltas = np.zeros_like(deltas)
+    ddeltas = np.zeros(deltas.shape)
     reg_loss = 0.0
-    pos = valid[labels[valid] < k1 - 1]
-    if pos.size:
-        denom = 4.0 * pos.size
-        u = deltas[pos, labels[pos]] - target_deltas[pos]          # (P, 4)
+    if len(pos):
+        denom = 4.0 * len(pos)
+        terms, grad = smooth_l1(deltas[pos, pos_labels] - target)         # (P, 4)
         # each row's four-term sum, then the rows added one at a time, in order
-        acc = float(np.add.accumulate(smooth_l1(u).sum(axis=1))[-1])
-        ddeltas[pos, labels[pos]] = smooth_l1_grad(u) / denom
+        acc = float(np.add.accumulate(terms.sum(axis=1))[-1])
+        grad /= denom
+        ddeltas[pos, pos_labels] = grad
         reg_loss = acc / denom
 
     loss = cls_loss + reg_loss
@@ -629,8 +675,7 @@ def roi_loss(params, rois, steps, gate=None):
     one-scene RoiInputs `rois` and, if given, the (1, n, n) spatial gate of
     its ROIs; its gradient goes into the store."""
     state = _forward(params, rois, steps, True, gate)
-    loss, grads = multi_task_loss(state.probs[0], state.deltas[0], rois.labels[0],
-                                  rois.target_deltas[0])
+    loss, grads = multi_task_loss(state.probs[0], state.deltas[0], rois.targets)
     detector_backward(params, rois, state, grads)
     return loss
 
@@ -900,7 +945,7 @@ class StageOne:
     objectness: np.ndarray       # the map after the last iteration's update
     obj_loss: list               # each iteration's objectness loss, a float
     obj_decay: list              # and the map's weight-decay term
-    rois: RoiInputs              # (k, ...) each iteration's stage-two inputs
+    rois: RoiInputs              # each iteration's stage-two inputs; rois.scene(it) is one's
 
 
 def stage_one(world, cfg, n_train, data_seed):
@@ -916,8 +961,9 @@ def stage_one(world, cfg, n_train, data_seed):
     (_proposals over the plan's kept boxes) taken at once, each chunk's as
     it fills and the last, partial one after the loop. Then, in stacks of
     DETECT_CHUNK iterations, it builds every iteration's stage-two inputs
-    (roi_inputs). The proposals of all cfg.iters iterations are allocated
-    first, so a run too long for memory fails at once."""
+    (roi_inputs); the stacks' loss targets are joined into one run of flat
+    rows with one bounds array. The proposals of all cfg.iters iterations
+    are allocated first, so a run too long for memory fails at once."""
     validate_config(cfg)
     n = cfg.rois_per_image
     proposals = np.empty((cfg.iters, n, 4))
@@ -950,13 +996,17 @@ def stage_one(world, cfg, n_train, data_seed):
     if start < k:
         proposals[start:k] = _proposals(anchors, scores[:k - start], n, plan.kept(start, k))
     c = world.channels
-    rois = RoiInputs(proposals[:k], np.empty((k, n, c)), np.empty((k, c)),
-                     np.empty((k, n), dtype=np.intp), np.empty((k, n, 4)))
+    node_avg, scene_avg = np.empty((k, n, c)), np.empty((k, c))
+    targets, counts = [], [np.zeros((1, 2), dtype=np.intp)]
     for start in range(0, k, DETECT_CHUNK):
         stack = slice(start, min(start + DETECT_CHUNK, k))
-        part = roi_inputs(plan.scenes[stack], rois.boxes[stack], world.num_categories)
-        for whole, value in zip(rois[1:], part[1:]):      # boxes: the proposals
-            whole[stack] = value
+        part = roi_inputs(plan.scenes[stack], proposals[stack], world.num_categories)
+        node_avg[stack], scene_avg[stack] = part.node_avg, part.scene_avg
+        targets.append(part.targets)
+        counts.append(np.diff(part.bounds, axis=0))
+    rois = RoiInputs(proposals[:k], node_avg, scene_avg,
+                     LossTargets(*map(np.concatenate, zip(*targets))),
+                     np.concatenate(counts).cumsum(axis=0))
     return StageOne(cfg, obj.value.copy(), losses, decays, rois)
 
 
@@ -997,7 +1047,7 @@ def learn(world, cfg, arm, stage1, callback=None):
     obj = params.objectness.name
     updates = [(store.values[span], store.grads[span], np.zeros(span.stop - span.start))
                for span in store.spans([name for name in active if name != obj])]
-    k, n = stage1.rois.labels.shape
+    k, n = stage1.rois.boxes.shape[:2]
     warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
     gates = None
     if _reads_gate(params, cfg.T):
@@ -1008,13 +1058,12 @@ def learn(world, cfg, arm, stage1, callback=None):
     losses = []
     for it in range(k):
         store.zero_grads()
-        rois = RoiInputs(*(field[it:it + 1] for field in stage1.rois))
         graph_on = it >= warmup
         gate = gates[it:it + 1] if graph_on and gates is not None else None
-        loss = roi_loss(params, rois, cfg.T if graph_on else 0, gate)
+        loss = roi_loss(params, stage1.rois.scene(it), cfg.T if graph_on else 0, gate)
         loss += stage1.obj_loss[it]
         loss += apply_weight_decay(store, active, cfg.weight_decay, {obj: stage1.obj_decay[it]})
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingDiverged(it)
 
         lr = _rate(cfg, it)
@@ -1075,7 +1124,8 @@ def _detect_stack(params, samples, score_thresh):
     score ties)."""
     n, steps = params.cfg.rois_per_image, params.cfg.T
     boxes = np.empty((len(samples), n, 4))
-    for same, grids in _shape_stacks(samples):
+    for same in _shape_groups(samples):
+        grids = np.stack([samples[i].grid for i in same])
         boxes[same] = _proposals(*score_anchors(params, grids), n)
     gate = spatial_gate(boxes) if _reads_gate(params, steps) else None
     state = _forward(params, roi_inputs(samples, boxes), steps, False, gate)
@@ -1094,7 +1144,8 @@ def _detect_stack(params, samples, score_thresh):
     dets = np.empty(len(keep), DETECTION_DTYPE)
     dets["box"], dets["category"] = refined[keep], cats[keep]
     dets["score"], dets["roi"] = scores[keep], rois[keep]
-    return np.split(dets, np.searchsorted(scene[keep], np.arange(1, len(samples)))), state
+    ends = np.searchsorted(scene[keep], np.arange(len(samples) + 1)).tolist()
+    return [dets[lo:hi] for lo, hi in zip(ends, ends[1:])], state
 
 
 def detect_scenes(params, samples, score_thresh):

@@ -659,6 +659,49 @@ def assign_targets_oracle(props, gt, num_categories):
     return labels, deltas
 
 
+def loss_targets_per_scene(labels, target_deltas, num_categories):
+    """One scene's LossTargets, gathered from its (n,) labels and (n, 4)
+    target deltas on their own: the rows that are not IGNORE, then those of
+    them labelled below num_categories."""
+    from sinet.detector import IGNORE, LossTargets
+    labels = np.asarray(labels, dtype=np.intp)
+    valid = np.where(labels != IGNORE)[0]
+    pos = valid[labels[valid] < num_categories]
+    return LossTargets(valid, labels[valid], pos, labels[pos], target_deltas[pos])
+
+
+def multi_task_loss_oracle(probs, deltas, labels, target_deltas):
+    """The ROI loss as it was computed from one scene's (n,) labels and
+    (n, 4) target deltas, every gather made in the loss: cross-entropy over
+    the non-ignored ROIs plus smooth L1 over the positives' target-class
+    deltas, each row's four-term sum added one row at a time and divided by
+    4 * positives. Returns (loss, dlogits, ddeltas, parts)."""
+    from sinet.detector import IGNORE, SMOOTH_L1_THRESH
+    n, k1 = probs.shape
+    labels = np.asarray(labels, dtype=np.intp)
+    valid = np.where(labels != IGNORE)[0]
+    dlogits = np.zeros_like(probs)
+    cls_loss = 0.0
+    if valid.size:
+        p_true = probs[valid, labels[valid]]
+        cls_loss = float(-np.log(p_true).sum() / valid.size)
+        dlogits[valid] = probs[valid]
+        dlogits[valid, labels[valid]] -= 1.0
+        dlogits[valid] /= valid.size
+    ddeltas = np.zeros_like(deltas)
+    reg_loss = 0.0
+    pos = valid[labels[valid] < k1 - 1]
+    if pos.size:
+        denom = 4.0 * pos.size
+        u = deltas[pos, labels[pos]] - target_deltas[pos]
+        terms = np.where(np.abs(u) < SMOOTH_L1_THRESH, 0.5 * u * u,
+                         np.abs(u) - 0.5 * SMOOTH_L1_THRESH)
+        acc = float(np.add.accumulate(terms.sum(axis=1))[-1])
+        ddeltas[pos, labels[pos]] = np.where(np.abs(u) < SMOOTH_L1_THRESH, u, np.sign(u)) / denom
+        reg_loss = acc / denom
+    return cls_loss + reg_loss, dlogits, ddeltas, {"cls": cls_loss, "reg": reg_loss}
+
+
 def average_precision_oracle(dets, gts, iou_thresh=0.5):
     """Rank by score (stable), greedily match each detection to its best
     still-free gt in the same image, then integrate the monotone precision

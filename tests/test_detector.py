@@ -16,10 +16,11 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
                             PROPOSAL_NMS_THRESH, TrainConfig,
                             TrainingDiverged, _forward, _injected_boxes, _pool_rois,
-                            _proposals, _scene_means, _softmax_rows, active_param_names,
+                            _loss_targets, _proposals, _scene_means, _softmax_rows,
+                            active_param_names,
                             anchor_set, anchor_targets, assign_targets, create_detector_params,
                             detect, detect_scenes, multi_task_loss, objectness_loss,
-                            plan_training, roi_inputs, score_anchors, smooth_l1, smooth_l1_grad,
+                            plan_training, roi_inputs, score_anchors, smooth_l1,
                             train, validate_config)
 from sinet.geometry import centers_to_corners, pairwise_iou
 from sinet.numerics import ParamStore
@@ -29,8 +30,9 @@ from sinet.synth_data import SceneSample, cell_window, default_world, scene_samp
 from oracles import (NO_BOXES, Box, anchor_targets_oracle, anchor_targets_per_scene,
                      apply_deltas_oracle, assign_targets_oracle, center_rows,
                      clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
-                     gt_array, iou_oracle, nms, nms_oracle, objectness_oracle, pool_rois_oracle,
-                     proposals_per_row, sample_at, scene_means_per_scene,
+                     gt_array, iou_oracle, loss_targets_per_scene, multi_task_loss_oracle, nms,
+                     nms_oracle, objectness_oracle, pool_rois_oracle, proposals_per_row,
+                     random_box, sample_at, scene_means_per_scene,
                      score_anchors_per_scene, train_proposals_oracle, with_arm)
 from oracles import propose as propose_per_row
 
@@ -650,15 +652,20 @@ def test_assign_targets_matches_the_per_scene_oracle(n, k, scenes):
 # loss
 
 def test_smooth_l1_point_values():
-    assert smooth_l1(0.0) == 0.0
-    assert smooth_l1(0.5) == pytest.approx(0.125)
-    assert smooth_l1(1.0) == pytest.approx(0.5)
-    assert smooth_l1(-2.0) == pytest.approx(1.5)
-    assert smooth_l1_grad(0.5) == pytest.approx(0.5)
-    assert smooth_l1_grad(2.0) == 1.0
-    assert smooth_l1_grad(-2.0) == -1.0
+    assert smooth_l1(0.0)[0] == 0.0
+    assert smooth_l1(0.5)[0] == pytest.approx(0.125)
+    assert smooth_l1(1.0)[0] == pytest.approx(0.5)
+    assert smooth_l1(-2.0)[0] == pytest.approx(1.5)
+    assert smooth_l1(0.5)[1] == pytest.approx(0.5)
+    assert smooth_l1(2.0)[1] == 1.0
+    assert smooth_l1(-2.0)[1] == -1.0
     # continuous at the threshold
-    assert smooth_l1(1.0 - 1e-9) == pytest.approx(smooth_l1(1.0 + 1e-9), abs=1e-8)
+    assert smooth_l1(1.0 - 1e-9)[0] == pytest.approx(smooth_l1(1.0 + 1e-9)[0], abs=1e-8)
+
+
+def scene_targets(labels, target_deltas, k):
+    """One scene's LossTargets, as a one-scene record holds them."""
+    return _loss_targets(np.asarray(labels)[None], np.asarray(target_deltas)[None], k)[0]
 
 
 def _loss_inputs():
@@ -675,11 +682,11 @@ def _loss_inputs():
 def test_multi_task_loss_hand_value():
     logits, probs, deltas, labels, targets = _loss_inputs()
 
-    loss, grads = multi_task_loss(probs, deltas, labels, targets)
+    loss, grads = multi_task_loss(probs, deltas, scene_targets(labels, targets, 2))
 
     cls = -(np.log(probs[0, 0]) + np.log(probs[1, 2])) / 2.0
     u = deltas[0, 0] - targets[0]
-    reg = float(smooth_l1(u).sum()) / 4.0
+    reg = float(smooth_l1(u)[0].sum()) / 4.0
     assert loss == pytest.approx(cls + reg, abs=1e-12)
     assert grads.parts["cls"] == pytest.approx(cls)
     assert grads.parts["reg"] == pytest.approx(reg)
@@ -689,10 +696,13 @@ def test_multi_task_loss_hand_value():
     # background ROI has no regression gradient
     assert np.all(grads.ddeltas[1] == 0.0)
 
+    # the shapes are checked where the record is built
     with pytest.raises(ValueError):
-        multi_task_loss(probs, deltas, labels[:2], targets)
+        scene_targets(labels[:2], targets, 2)
     with pytest.raises(ValueError):
-        multi_task_loss(probs, deltas, labels, targets[:2])
+        scene_targets(labels, targets[:2], 2)
+    with pytest.raises(ValueError):
+        _loss_targets(labels, targets, 2)
 
 
 def test_multi_task_loss_matches_per_roi_loop():
@@ -706,7 +716,7 @@ def test_multi_task_loss_matches_per_roi_loop():
         labels = rng.integers(-1, k + 1, size=n)
         targets = np.where((labels >= 0) & (labels < k), 1.0, 0.0)[:, None] \
             * rng.normal(0.0, 2.0, size=(n, 4))
-        loss, grads = multi_task_loss(probs, deltas, labels, targets)
+        loss, grads = multi_task_loss(probs, deltas, scene_targets(labels, targets, k))
 
         positives = [i for i in range(n) if 0 <= labels[i] < k]
         reg, ddeltas = 0.0, np.zeros_like(deltas)
@@ -714,9 +724,9 @@ def test_multi_task_loss_matches_per_roi_loop():
             denom = 4.0 * len(positives)
             acc = 0.0
             for i in positives:
-                u = deltas[i, labels[i]] - targets[i]
-                acc += float(smooth_l1(u).sum())
-                ddeltas[i, labels[i]] = smooth_l1_grad(u) / denom
+                value, grad = smooth_l1(deltas[i, labels[i]] - targets[i])
+                acc += float(value.sum())
+                ddeltas[i, labels[i]] = grad / denom
             reg = acc / denom
         assert grads.parts["reg"] == reg, trial
         assert loss == grads.parts["cls"] + reg
@@ -725,11 +735,12 @@ def test_multi_task_loss_matches_per_roi_loop():
 
 def test_multi_task_loss_gradients_match_finite_differences():
     logits, probs, deltas, labels, targets = _loss_inputs()
+    targets = scene_targets(labels, targets, 2)
 
     def loss_at(lg, dl):
-        return multi_task_loss(det_mod._softmax_rows(lg), dl, labels, targets)[0]
+        return multi_task_loss(det_mod._softmax_rows(lg), dl, targets)[0]
 
-    _, grads = multi_task_loss(probs, deltas, labels, targets)
+    _, grads = multi_task_loss(probs, deltas, targets)
 
     eps = 1e-6
     for idx in np.ndindex(logits.shape):
@@ -744,6 +755,73 @@ def test_multi_task_loss_gradients_match_finite_differences():
         dm[idx] -= eps
         num = (loss_at(logits, dp) - loss_at(logits, dm)) / (2 * eps)
         assert grads.ddeltas[idx] == pytest.approx(num, abs=1e-6)
+
+
+_LABEL_KINDS = hst.sampled_from(("ignored", "background", "positive", "mixed"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(1, 20), k=hst.integers(1, 5), kind=_LABEL_KINDS,
+       seed=hst.integers(0, 1 << 16),
+       odd=hst.lists(hst.tuples(hst.integers(0, 1 << 10), hst.sampled_from((math.nan, 0.0))),
+                     max_size=3))
+@example(n=1, k=1, kind="positive", seed=0, odd=[])
+@example(n=1, k=1, kind="ignored", seed=0, odd=[])
+@example(n=6, k=1, kind="background", seed=1, odd=[(3, 0.0)])
+@example(n=16, k=3, kind="mixed", seed=2, odd=[(0, math.nan), (17, 0.0)])
+def test_multi_task_loss_matches_the_labels_in_oracle(n, k, kind, seed, odd):
+    # the loss over one scene's record targets is byte for byte the loss
+    # that gathered them from its labels: every ROI ignored, none positive,
+    # every one positive, one ROI, one class, NaN and zero probabilities
+    rng = np.random.default_rng(seed)
+    probs = det_mod._softmax_rows(rng.normal(0.0, 2.0, size=(n, k + 1)))
+    for at, value in odd:
+        probs.reshape(-1)[at % probs.size] = value
+    deltas = rng.normal(0.0, 2.0, size=(n, k, 4))
+    labels = {"ignored": np.full(n, IGNORE), "background": np.full(n, k),
+              "positive": rng.integers(0, k, size=n),
+              "mixed": rng.integers(-1, k + 1, size=n)}[kind]
+    targets = np.where((labels >= 0) & (labels < k), 1.0, 0.0)[:, None] \
+        * rng.normal(0.0, 2.0, size=(n, 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss, grads = multi_task_loss(probs, deltas, scene_targets(labels, targets, k))
+        want, dlogits, ddeltas, parts = multi_task_loss_oracle(probs, deltas, labels, targets)
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+    assert grads.dlogits.tobytes() == dlogits.tobytes()
+    assert grads.ddeltas.tobytes() == ddeltas.tobytes()
+    assert np.array([grads.parts["cls"], grads.parts["reg"]]).tobytes() == \
+        np.array([parts["cls"], parts["reg"]]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=hst.integers(1, 12), n=hst.integers(1, 16), k=hst.integers(1, 4),
+       empty=hst.lists(hst.integers(0, 11), max_size=4), seed=hst.integers(0, 1 << 16))
+@example(b=3, n=4, k=2, empty=[0, 1, 2], seed=0)
+def test_stack_loss_targets_are_the_per_scene_targets(b, n, k, empty, seed):
+    # the targets built once for a stack, sliced at each scene's bounds, are
+    # byte for byte the targets gathered from that scene's labels alone; a
+    # scene without ground truth has only background rows and no positive
+    rng = np.random.default_rng(seed)
+    props = np.column_stack([rng.uniform(1.0, 9.0, size=(b * n, 2)),
+                             rng.uniform(0.5, 4.0, size=(b * n, 2))]).reshape(b, n, 4)
+    gts = [gt_array([] if i in empty else
+                    [(random_box(rng), int(rng.integers(0, k)))
+                     for _ in range(int(rng.integers(0, 4)))]) for i in range(b)]
+    samples = [SceneSample(rng.normal(size=(10, 10, 3)), 0, gt) for gt in gts]
+    rois = roi_inputs(samples, props, k)
+    labels, deltas = assign_targets(props, gts, k)
+    assert rois.bounds.shape == (b + 1, 2) and rois.bounds[0].tolist() == [0, 0]
+    for i in range(b):
+        one = rois.scene(i)
+        want = loss_targets_per_scene(labels[i], deltas[i], k)
+        for got, field in zip(one.targets, want):
+            assert got.dtype == field.dtype and got.tobytes() == field.tobytes()
+        assert one.bounds is None
+        assert rois.bounds[i + 1].tolist() == (rois.bounds[i] + [len(want.valid),
+                                                                 len(want.pos)]).tolist()
+        assert one.boxes.tobytes() == props[i:i + 1].tobytes()
+        if len(gts[i]) == 0:
+            assert len(one.targets.pos) == 0 and (one.targets.labels == k).all()
 
 
 # ---------------------------------------------------------------------------
@@ -1379,7 +1457,7 @@ def test_detection_scores_each_grid_shape_once():
         for i, row in zip(same, scores):
             assert row.tobytes() == score_anchors_per_scene(params, samples[i])[1].tobytes()
     (rois,) = built
-    assert rois.labels is None and rois.target_deltas is None
+    assert rois.targets is None and rois.bounds is None
     assert rois.scene_avg.tobytes() == scene_means_per_scene(samples).tobytes()
 
 
