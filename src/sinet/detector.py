@@ -16,28 +16,29 @@ Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
 (synth_data.GT_DTYPE) from the sampler to the metrics; its detections are
 another (DETECTION_DTYPE), from the detection tail to the metrics and the CSV
 writers.
-The proposal stage's work that spans scenes runs in stacks. A training plan
+Every scene of a run comes from one world, so a stack of scenes is one
+(B, H, W, C) array of grids of the world's shape, stacked once. The
+proposal stage's work that spans scenes runs in stacks. A training plan
 labels its scenes' anchors DETECT_CHUNK scenes at a time (anchor_targets);
-anchors are scored for a (B, H, W, C) stack of grids of one shape at once
-(score_anchors: a stack of one per training iteration, a detection stack's
-scenes of each grid shape in detection); and proposals are taken for a
-(B, A) stack of anchor scores at once (_proposals), DETECT_CHUNK training
-iterations or a detection stack's scenes of one grid shape per call. Stage
-two runs on a stack of B scenes at once, from their RoiInputs record
-(roi_inputs: the (B, n, 4) ROI rows, the cells pooled under them, the scene
-means, and in training what the loss reads of the ROIs' targets, gathered
-once per stack): node features are (B, n, d) with n = rois_per_image, and
-each product keeps its per-scene shape, so a scene's numbers do not depend
-on what it is stacked with. Training
+anchors are scored for a stack of grids at once (score_anchors: a stack of
+one per training iteration, a detection stack in detection); and proposals
+are taken for a (B, A) stack of anchor scores at once (_proposals),
+DETECT_CHUNK training iterations or a detection stack per call. Stage two
+runs on a stack of B scenes at once, from their RoiInputs record
+(roi_inputs: the (B, n, 4) ROI rows, the cells pooled under them from the
+stack of grids, the scene means, and in training what the loss reads of the
+ROIs' targets, gathered once per stack): node features are (B, n, d) with
+n = rois_per_image, and each product keeps its per-scene shape, so a
+scene's numbers do not depend on what it is stacked with. Training
 (roi_loss) runs stacks of one scene and records the tapes of the inference
 steps for the backward pass; detect_scenes runs stacks of DETECT_STACK
-scenes: it scores and proposes each grid shape's scenes, builds the stack's
-record (without targets) and spatial gate as training builds them, and
-runs stage two forward only. Its tail thresholds the whole stack's
-(B, n, K) probabilities at once, refines and clips every candidate in one
-call, and suppresses them with one NMS grouped by (scene, class). A model
-records the arm and TrainConfig it is laid out for, and every stage reads
-its wiring from them.
+scenes: it stacks their grids, scores and proposes them in one call each,
+builds the stack's record (without targets) and spatial gate as training
+builds them, and runs stage two forward only. Its tail thresholds the whole
+stack's (B, n, K) probabilities at once, refines and clips every candidate
+to the grid in one call, and suppresses them with one NMS grouped by
+(scene, class). A model records the arm and TrainConfig it is laid out for,
+and every stage reads its wiring from them.
 
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
@@ -427,81 +428,61 @@ def _softmax_rows(logits):
 _EDGE_SIGN = np.array([[-1.0], [1.0]])   # low and high edges of a center-size row
 
 
-def _pool_rois(samples, boxes):
+def _pool_rois(grids, boxes):
     """(B, n, C) ROI features: for each center-size row of the (B, n, 4)
-    `boxes`, the mean of the cells of its scene whose centers it covers
-    (cell_window's rule, on the scene's own grid), or of the single nearest
-    cell center when it covers none (ties go row-major first; a NaN row
-    pools cell (0, 0)).
+    `boxes`, the mean of the cells of its scene's grid in the (B, H, W, C)
+    stack `grids` whose centers it covers (cell_window's rule), or of the
+    single nearest cell center when it covers none (ties go row-major first;
+    a NaN row pools cell (0, 0)).
 
-    One gather for the whole stack: the scenes' (h*w, C) cell rows are
-    stacked over one -0.0 pad row, and each ROI's window is laid out
-    row-major in a (max rows, max cols) block of indices, padded with the pad
-    row. -0.0 is the exact additive identity (s + -0.0 == s for every s), so
-    each block sums to its window's cells added one by one in row-major
-    order, as a slice mean adds them, and is then divided by the cell count.
-    That order relies on C >= 2 (validate_world requires it): numpy then adds
-    along axis 1 one cell at a time, where with C == 1 it sums pairwise."""
-    n, c = boxes.shape[1], samples[0].grid.shape[2]
+    One gather for the whole stack: each ROI's window is laid out row-major
+    in a (max rows, max cols) block of indices into the stack's
+    (B * H * W, C) cell rows, and the block's slots past the window are set
+    to -0.0. -0.0 is the exact additive identity (s + -0.0 == s for every
+    s), so each block sums to its window's cells added one by one in
+    row-major order, as a slice mean adds them, and is then divided by the
+    cell count. That order relies on C >= 2 (validate_world requires it):
+    numpy then adds along axis 1 one cell at a time, where with C == 1 it
+    sums pairwise."""
+    b, h, w, c = grids.shape
+    n = boxes.shape[1]
     rows = boxes.reshape(-1, 4)
-    shapes = [sample.grid.shape for sample in samples]
-    lim = np.repeat([(w, h) for h, w, _ in shapes], n, axis=0)          # (B*n, 2) w, h
+    lim = np.array([w, h])
     # cell_window on arrays, x first: the cell centers i + 0.5 below each
     # low and high edge (cx - w/2 == cx + -w/2 exactly); a NaN edge stays NaN,
     # so its window counts as empty
     edges = rows[:, None, :2] + _EDGE_SIGN * rows[:, None, 2:] / 2.0
-    win = np.minimum(np.maximum(np.ceil(edges - 0.5), 0.0), lim[:, None])
+    win = np.minimum(np.maximum(np.ceil(edges - 0.5), 0.0), lim)
     ext = win[:, 1] - win[:, 0]
     empty = ~(ext > 0.0).all(axis=1)
     if empty.any():
-        # the nearest cell center per axis, past each grid's edge inf away
-        size = lim[empty]
-        span = np.arange(size.max())
+        # the nearest cell center per axis, past the grid's edge inf away
+        span = np.arange(max(h, w))
         dist = np.abs(span + 0.5 - rows[empty, :2, None])
-        dist[span >= size[:, :, None]] = np.inf
+        dist[:, span >= lim[:, None]] = np.inf
         win[empty, 0] = dist.argmin(axis=2)
         ext[empty] = 1.0
     lo = win[:, 0].astype(np.intp)
     ext = ext.astype(np.intp)
-    width = lim[:, 0]
-    # each window's first cell in the stacked (sum of h w, C) cell rows
-    first = np.repeat(np.cumsum([0] + [h * w for h, w, _ in shapes[:-1]]), n)
-    first += lo[:, 1] * width + lo[:, 0]
+    # each window's first cell in the stack's cell rows
+    first = np.repeat(np.arange(b) * (h * w), n) + lo[:, 1] * w + lo[:, 0]
     col = np.arange(ext[:, 0].max())
     row = np.arange(ext[:, 1].max())[:, None]
-    index = first[:, None, None] + row * width[:, None, None] + col
-    index[(row >= ext[:, 1, None, None]) | (col >= ext[:, 0, None, None])] = -1   # the pad row
-    cells = np.concatenate([sample.grid.reshape(-1, c) for sample in samples]
-                           + [np.full((1, c), -0.0)])
-    sums = cells.take(index.reshape(len(rows), -1), axis=0).sum(axis=1)
+    index = first[:, None, None] + row * w + col
+    pad = (row >= ext[:, 1, None, None]) | (col >= ext[:, 0, None, None])
+    index[pad] = 0
+    cells = grids.reshape(-1, c).take(index.reshape(len(rows), -1), axis=0)
+    cells[pad.reshape(len(rows), -1)] = -0.0
+    sums = cells.sum(axis=1)
     sums /= (ext[:, 0] * ext[:, 1])[:, None]
-    return sums.reshape(boxes.shape[:2] + (c,))
+    return sums.reshape(b, n, c)
 
 
-def _shape_groups(samples):
-    """The indices of the scenes of `samples` of each grid shape, in order
-    of first appearance."""
-    shapes = [sample.grid.shape for sample in samples]
-    for shape in dict.fromkeys(shapes):
-        yield [i for i, other in enumerate(shapes) if other == shape]
-
-
-def _scene_means(samples):
-    """(B, C) mean cell vector of each scene, one mean per grid shape of the
-    stack, each row bitwise the mean of its scene alone. A lone (H, W, C)
-    mean adds the cells one at a time when C >= 2 (validate_world requires
-    it), as a mean over the outer axis of the (H*W, B, C) stack of the
-    shape's cells does; with C == 1 it sums pairwise, as the stack's
-    (B, H, W, 1) mean over (H, W) does."""
-    c = samples[0].grid.shape[2]
-    out = np.empty((len(samples), c))
-    for same in _shape_groups(samples):
-        grids = [samples[i].grid for i in same]
-        if c > 1:
-            out[same] = np.stack(grids, axis=2).reshape(-1, len(same), c).mean(axis=0)
-        else:
-            out[same] = np.stack(grids).mean(axis=(1, 2))
-    return out
+def _scene_means(grids):
+    """(B, C) mean cell vector of each grid of the (B, H, W, C) stack
+    `grids`, each row bitwise the mean of its grid alone: numpy reduces
+    each grid's H*W cells in the same order in the stack as alone."""
+    return grids.mean(axis=(1, 2))
 
 
 class LossTargets(NamedTuple):
@@ -556,13 +537,16 @@ class RoiInputs(NamedTuple):
                                      t.pos_labels[p0:p1], t.pos_deltas[p0:p1]))
 
 
-def roi_inputs(samples, boxes, num_categories=None):
-    """The RoiInputs of the scenes `samples` and their (B, n, 4) ROI rows,
-    with the loss's targets against the scenes' ground truth (assign_targets,
-    then _loss_targets, once for the stack) when `num_categories` is given."""
-    targets = () if num_categories is None else _loss_targets(
-        *assign_targets(boxes, [sample.gt for sample in samples], num_categories), num_categories)
-    return RoiInputs(boxes, _pool_rois(samples, boxes), _scene_means(samples), *targets)
+def roi_inputs(grids, boxes, gts=None, num_categories=None):
+    """The RoiInputs of a stack of scenes: their (B, H, W, C) grids (an
+    array, or B grids, which must share one shape) and (B, n, 4) ROI rows,
+    with the loss's targets against the scenes' ground truth `gts`, one
+    GT_DTYPE array per scene, when it and `num_categories` are given
+    (assign_targets, then _loss_targets, once for the stack)."""
+    grids = np.asarray(grids)
+    targets = () if gts is None else _loss_targets(
+        *assign_targets(boxes, gts, num_categories), num_categories)
+    return RoiInputs(boxes, _pool_rois(grids, boxes), _scene_means(grids), *targets)
 
 
 def _reads_gate(params, steps):
@@ -854,12 +838,13 @@ def objectness_loss(params, sample, scored, targets):
 PLAN_CHUNK = 4096
 
 
-def _injected_boxes(samples, rng, n):
+def _injected_boxes(gts, width, height, rng, n):
     """The injected ground truth of a run of training iterations, one per
-    scene of `samples`, in order. Each scene's gt boxes are jittered by
-    apply_deltas with GT_JITTER-scaled normal draws from `rng`, one (G, 4)
-    block per iteration in turn (none for a scene without gt), and clipped
-    to its grid. Then greedy NMS at PROPOSAL_NMS_THRESH runs among each
+    GT_DTYPE array of `gts`, in order, on a grid of `width` by `height`
+    cells. Each scene's gt boxes are jittered by apply_deltas with
+    GT_JITTER-scaled normal draws from `rng`, one (G, 4) block per
+    iteration in turn (none for a scene without gt), and clipped to the
+    grid. Then greedy NMS at PROPOSAL_NMS_THRESH runs among each
     iteration's boxes alone, in gt order (they tie above every anchor), and
     keeps at most n of them.
 
@@ -869,14 +854,12 @@ def _injected_boxes(samples, rng, n):
     iterations at a time; every operation is elementwise or per group, so
     the boxes are bitwise those of one iteration at a time."""
     centers, counts = [np.empty((0, 4))], [np.zeros(1, np.intp)]
-    for start in range(0, len(samples), PLAN_CHUNK):
-        chunk = samples[start:start + PLAN_CHUNK]
-        sizes = [len(sample.gt) for sample in chunk]
-        group = np.repeat(np.arange(len(chunk)), sizes)
-        hw = np.repeat([sample.grid.shape[:2] for sample in chunk], sizes, axis=0)
-        boxes = np.concatenate([sample.gt["box"] for sample in chunk])
+    for start in range(0, len(gts), PLAN_CHUNK):
+        chunk = gts[start:start + PLAN_CHUNK]
+        group = np.repeat(np.arange(len(chunk)), [len(gt) for gt in chunk])
+        boxes = np.concatenate([gt["box"] for gt in chunk])
         boxes = clip_box(apply_deltas(boxes, rng.normal(0.0, GT_JITTER, size=boxes.shape)),
-                         hw[:, 1], hw[:, 0])
+                         width, height)
         keep = nms_by_group(centers_to_corners(boxes), np.zeros(len(boxes)), group,
                             PROPOSAL_NMS_THRESH)
         g = group[keep]                     # keep runs by group, each in gt order
@@ -926,7 +909,8 @@ def plan_training(world, cfg, n_train, data_seed):
                                            [scene.gt for scene in seen.values()])))
     scenes = [seen[idx] for idx in order]
     return TrainPlan(scenes, [labels[idx] for idx in order],
-                     *_injected_boxes(scenes, jitter_rng, cfg.rois_per_image))
+                     *_injected_boxes([scene.gt for scene in scenes], world.width,
+                                      world.height, jitter_rng, cfg.rois_per_image))
 
 
 def _rate(cfg, it):
@@ -960,10 +944,11 @@ def stage_one(world, cfg, n_train, data_seed):
     The scores of DETECT_CHUNK iterations are held, and their proposals
     (_proposals over the plan's kept boxes) taken at once, each chunk's as
     it fills and the last, partial one after the loop. Then, in stacks of
-    DETECT_CHUNK iterations, it builds every iteration's stage-two inputs
-    (roi_inputs); the stacks' loss targets are joined into one run of flat
-    rows with one bounds array. The proposals of all cfg.iters iterations
-    are allocated first, so a run too long for memory fails at once."""
+    DETECT_CHUNK iterations, each with its scenes' grids stacked once, it
+    builds every iteration's stage-two inputs (roi_inputs); the stacks'
+    loss targets are joined into one run of flat rows with one bounds
+    array. The proposals of all cfg.iters iterations are allocated first,
+    so a run too long for memory fails at once."""
     validate_config(cfg)
     n = cfg.rois_per_image
     proposals = np.empty((cfg.iters, n, 4))
@@ -1000,7 +985,9 @@ def stage_one(world, cfg, n_train, data_seed):
     targets, counts = [], [np.zeros((1, 2), dtype=np.intp)]
     for start in range(0, k, DETECT_CHUNK):
         stack = slice(start, min(start + DETECT_CHUNK, k))
-        part = roi_inputs(plan.scenes[stack], proposals[stack], world.num_categories)
+        scenes = plan.scenes[stack]
+        part = roi_inputs(np.stack([scene.grid for scene in scenes]), proposals[stack],
+                          [scene.gt for scene in scenes], world.num_categories)
         node_avg[stack], scene_avg[stack] = part.node_avg, part.scene_avg
         targets.append(part.targets)
         counts.append(np.diff(part.bounds, axis=0))
@@ -1109,33 +1096,31 @@ DETECTION_DTYPE = np.dtype([("box", np.float64, (4,)), ("category", np.intp),
 
 def _detect_stack(params, samples, score_thresh):
     """Stage one and stage two of a stack of scenes, then the tail. The
-    anchors of the stack's scenes of one grid shape are scored in one call
-    (score_anchors) and their proposals taken in another (_proposals with
-    no injected box: detection never reads the ground truth). The stack's
-    stage-two inputs are built as training builds them (roi_inputs, without
-    targets), its spatial gate, when the graph reads one, by spatial_gate,
-    and stage two runs once over the stack. The tail takes the whole stack:
-    every (scene, class, ROI) score that clears the threshold is refined
-    and clipped to its scene's grid, and all of them go through one NMS
-    grouped by (scene, class). Returns the detections of each scene, a
+    scenes' grids, which must share one shape (else ValueError), are
+    stacked once; their anchors are scored in one call (score_anchors) and
+    their proposals taken in another (_proposals with no injected box:
+    detection never reads the ground truth). The stack's stage-two inputs
+    are built as training builds them (roi_inputs, without targets), its
+    spatial gate, when the graph reads one, by spatial_gate, and stage two
+    runs once over the stack. The tail takes the whole stack: every
+    (scene, class, ROI) score that clears the threshold is refined and
+    clipped to the grid, and all of them go through one NMS grouped by
+    (scene, class). Returns the detections of each scene, a
     DETECTION_DTYPE array sorted by class, then score descending, then box,
     and the stack's forward state, which holds no tapes. A scene's
     detections do not depend on its stack or on ROI order (modulo exact
     score ties)."""
     n, steps = params.cfg.rois_per_image, params.cfg.T
-    boxes = np.empty((len(samples), n, 4))
-    for same in _shape_groups(samples):
-        grids = np.stack([samples[i].grid for i in same])
-        boxes[same] = _proposals(*score_anchors(params, grids), n)
+    grids = np.stack([sample.grid for sample in samples])
+    boxes = _proposals(*score_anchors(params, grids), n)
     gate = spatial_gate(boxes) if _reads_gate(params, steps) else None
-    state = _forward(params, roi_inputs(samples, boxes), steps, False, gate)
+    state = _forward(params, roi_inputs(grids, boxes), steps, False, gate)
     k = state.deltas.shape[2]
     # by scene, then class, then ROI
     scene, cats, rois = np.nonzero(state.probs[:, :, :k].transpose(0, 2, 1) >= score_thresh)
     scores = state.probs[scene, rois, cats]
-    hw = np.array([sample.grid.shape[:2] for sample in samples], dtype=np.float64)[scene]
-    refined = clip_box(apply_deltas(boxes[scene, rois], state.deltas[scene, rois, cats]),
-                       hw[:, 1], hw[:, 0])
+    h, w = grids.shape[1:3]
+    refined = clip_box(apply_deltas(boxes[scene, rois], state.deltas[scene, rois, cats]), w, h)
     keep = nms_by_group(centers_to_corners(refined), scores, scene * k + cats,
                         FINAL_NMS_THRESH)
     r = refined[keep]

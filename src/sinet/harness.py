@@ -31,9 +31,8 @@ from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_a
 from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
 from .structure_inference import POOLINGS, relation_report
-from .synth_data import (GT_DTYPE, WORLD_FIXTURES, SceneSample, generate,
-                         load_dataset, save_dataset, scene_sampler, world_from_dict,
-                         world_hash, world_to_dict)
+from .synth_data import (GT_DTYPE, WORLD_FIXTURES, generate, load_dataset, save_dataset,
+                         scene_sampler, world_from_dict, world_hash, world_to_dict)
 
 GRADCHECK_TOL = 1e-4
 # weight decay in the gradient-check loss, so its term is checked too
@@ -214,7 +213,6 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
     rng = np.random.default_rng(seed)
     grid = rng.normal(0.0, 0.6, size=(8, 8, channels))
     gt = np.array([((2.5, 3.0, 2.2, 1.8), 0), ((5.8, 4.6, 1.9, 2.4), 1)], dtype=GT_DTYPE)
-    sample = SceneSample(grid=grid, scene_type=0, gt=gt)
     boxes = [(2.4, 3.1, 2.1, 1.7), (5.7, 4.5, 2.0, 2.3), (3.9, 6.1, 2.6, 2.0)]
     while len(boxes) < n:
         boxes.append((rng.uniform(2.0, 6.0), rng.uniform(2.0, 6.0),
@@ -224,7 +222,7 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
     store = ParamStore()
     params = create_detector_params(store, channels, 2, cfg, "sin", derive_seed(seed, "init"))
     names = [nm for nm in store.names() if nm != "det/objectness"]
-    rois = roi_inputs([sample], boxes[None], 2)
+    rois = roi_inputs(grid[None], boxes[None], [gt], 2)
 
     def loss_fn():
         store.zero_grads()

@@ -32,8 +32,8 @@ from oracles import (NO_BOXES, Box, anchor_targets_oracle, anchor_targets_per_sc
                      clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
                      gt_array, iou_oracle, loss_targets_per_scene, multi_task_loss_oracle, nms,
                      nms_oracle, objectness_oracle, pool_rois_oracle, proposals_per_row,
-                     random_box, sample_at, scene_means_per_scene,
-                     score_anchors_per_scene, train_proposals_oracle, with_arm)
+                     random_box, sample_at, scene_means_per_scene, score_anchors_per_scene,
+                     smooth_l1_oracle, softmax_oracle, train_proposals_oracle, with_arm)
 from oracles import propose as propose_per_row
 
 
@@ -49,7 +49,7 @@ def make_params(channels=5, k=3, d=6, pooling="mean", seed=0, arm="sin", **cfg):
 def forward_one(params, sample, boxes, steps):
     """Stage two on the one-scene stack of `sample` and its (n, 4) ROI rows,
     recording tapes as training does."""
-    return _forward(params, roi_inputs([sample], np.asarray(boxes)[None]), steps, True)
+    return _forward(params, roi_inputs(sample.grid[None], np.asarray(boxes)[None]), steps, True)
 
 
 def make_sample(rng, h=10, w=10, c=5, gt=()):
@@ -88,8 +88,9 @@ def label_one(anchors, gt):
 def train_proposals(params, sample, n, rng):
     """One training step's proposals for a one-iteration plan of `sample`,
     its gt jittered by draws from rng."""
+    h, w = sample.grid.shape[:2]
     anchors, scores = score_anchors(params, sample.grid[None])
-    return _proposals(anchors, scores, n, _injected_boxes([sample], rng, n))[0]
+    return _proposals(anchors, scores, n, _injected_boxes([sample.gt], w, h, rng, n))[0]
 
 
 def dense_targets(targets, a):
@@ -226,23 +227,24 @@ _roi_odd = hst.sampled_from([(_nan, _nan, _nan, _nan), (2.0, 3.0, _nan, 1.0),
 
 
 @settings(max_examples=200, deadline=None)
-@given(shapes=hst.lists(hst.tuples(hst.integers(1, 7), hst.integers(1, 7)),
-                        min_size=1, max_size=4),
+@given(b=hst.integers(1, 4), shape=hst.tuples(hst.integers(1, 7), hst.integers(1, 7)),
        c=hst.integers(2, 8), n=hst.integers(1, 6), seed=hst.integers(0, 2**32 - 1),
        neg_zero=hst.sampled_from((0.0, 0.3, 1.0)),
        rois=hst.lists(hst.one_of(_roi_quarter, _roi_free, _roi_odd), min_size=1, max_size=24))
-@example(shapes=[(4, 5)], c=2, n=3, seed=0, neg_zero=0.0,
+@example(b=1, shape=(4, 5), c=2, n=3, seed=0, neg_zero=0.0,
          rois=[(2.0, 3.0, 0.5, 0.5), (3.0, 2.0, 0.25, 4.0), (2.0, 2.0, 4.0, 0.0)])
-@example(shapes=[(7, 7), (2, 3), (5, 1)], c=3, n=2, seed=1, neg_zero=0.0,
+@example(b=3, shape=(5, 1), c=3, n=2, seed=1, neg_zero=0.0,
          rois=[(3.5, 3.5, 7.0, 7.0), (2.75, 1.25, 2.5, 2.5), (9.0, -2.0, 1.0, 1.0)])
-def test_pool_rois_matches_oracle(shapes, c, n, seed, neg_zero, rois):
+@example(b=4, shape=(2, 3), c=2, n=1, seed=2, neg_zero=1.0,
+         rois=[(1.5, 1.0, 3.0, 2.0), (_nan, _nan, _nan, _nan), (0.0, 0.0, 0.0, 0.0)])
+def test_pool_rois_matches_oracle(b, shape, c, n, seed, neg_zero, rois):
     # bitwise: the padded gather adds each window's cells in the oracle's
-    # row-major order, on each scene's own grid, and the array fallback
-    # picks the oracle's nearest cell, ties and NaN to the lower one
-    samples = [SceneSample(grid=_grid(seed + b, h, w, c, neg_zero), scene_type=0, gt=[])
-               for b, (h, w) in enumerate(shapes)]
-    boxes = np.array([rois[i % len(rois)] for i in range(len(shapes) * n)]).reshape(-1, n, 4)
-    assert _pool_rois(samples, boxes).tobytes() == pool_rois_oracle(samples, boxes).tobytes()
+    # row-major order, on its own scene's grid of the stack, and the array
+    # fallback picks the oracle's nearest cell, ties and NaN to the lower one
+    grids = np.stack([_grid(seed + i, *shape, c, neg_zero) for i in range(b)])
+    samples = [SceneSample(grid=grid, scene_type=0, gt=[]) for grid in grids]
+    boxes = np.array([rois[i % len(rois)] for i in range(b * n)]).reshape(b, n, 4)
+    assert _pool_rois(grids, boxes).tobytes() == pool_rois_oracle(samples, boxes).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +368,7 @@ def test_proposals_without_injection_are_nms_over_the_anchors(h, w, n, levels):
     # detection injects nothing; neither does a training iteration on a
     # scene without ground truth, which draws no jitter either
     rng = np.random.default_rng(0)
-    centers, corners, bounds = _injected_boxes(
-        [SceneSample(np.zeros((h, w, 5)), 0, gt_array([]))], rng, n)
+    centers, corners, bounds = _injected_boxes([gt_array([])], w, h, rng, n)
     assert bounds.tolist() == [0, 0] and rng.random() == np.random.default_rng(0).random()
     for kept in (None, (centers, corners, bounds)):
         assert _proposals(anchors, scores[None], n, kept)[0].tolist() == want
@@ -400,7 +401,8 @@ def test_plan_and_step_match_the_per_iteration_oracle(shape, n, scenes, levels, 
     samples = [SceneSample(np.zeros((h, w, 2)), 0, gt_array((b, 0) for b in boxes))
                for boxes in scenes]
     with mock.patch.object(det_mod, "PLAN_CHUNK", chunk):
-        centers, corners, bounds = _injected_boxes(samples, np.random.default_rng(seed), n)
+        centers, corners, bounds = _injected_boxes([sample.gt for sample in samples], w, h,
+                                                   np.random.default_rng(seed), n)
     assert bounds[0] == 0 and len(bounds) == len(samples) + 1
     assert corners.tobytes() == centers_to_corners(centers).tobytes()
     replay = np.random.default_rng(seed)
@@ -663,6 +665,42 @@ def test_smooth_l1_point_values():
     assert smooth_l1(1.0 - 1e-9)[0] == pytest.approx(smooth_l1(1.0 + 1e-9)[0], abs=1e-8)
 
 
+# signed zeros, the threshold itself, values either side of it, and values
+# large enough that subtracting 0.5 loses them
+_l1_edge = hst.sampled_from((0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0),
+                             -np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e300, -1e300,
+                             2.0**53, -2.0**53))
+_l1_value = hst.one_of(_l1_edge, hst.floats(-1e6, 1e6), hst.floats(-3.0, 3.0),
+                       hst.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=hst.lists(_l1_value, min_size=1, max_size=40))
+@example(u=[0.0, -0.0, 1.0, -1.0, 1e300, -1e300])
+def test_smooth_l1_matches_the_scalar_oracle(u):
+    # the values summed in order, as multi_task_loss sums them, are the
+    # scalar loop's total byte for byte; the derivative is u inside the
+    # threshold and sign(u) outside it
+    u = np.array(u)
+    with np.errstate(over="ignore"):      # 0.5 * u * u off its branch; sums past 1e308
+        value, grad = smooth_l1(u)
+        total = np.add.accumulate(value)[-1]
+    assert np.float64(smooth_l1_oracle(u)).tobytes() == total.tobytes()
+    inside = np.abs(u) < det_mod.SMOOTH_L1_THRESH
+    assert grad[inside].tobytes() == u[inside].tobytes()
+    assert grad[~inside].tobytes() == np.sign(u[~inside]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=hst.integers(1, 6), k=hst.integers(1, 8), scale=hst.sampled_from((0.1, 1.0, 30.0)),
+       seed=hst.integers(0, 2**32 - 1))
+def test_softmax_rows_match_the_scalar_oracle(rows, k, scale, seed):
+    logits = np.random.default_rng(seed).normal(0.0, scale, size=(rows, k))
+    got = _softmax_rows(logits)
+    for row, want in zip(got, map(softmax_oracle, logits)):
+        assert np.allclose(row, want, rtol=0.0, atol=1e-12)
+
+
 def scene_targets(labels, target_deltas, k):
     """One scene's LossTargets, as a one-scene record holds them."""
     return _loss_targets(np.asarray(labels)[None], np.asarray(target_deltas)[None], k)[0]
@@ -807,8 +845,7 @@ def test_stack_loss_targets_are_the_per_scene_targets(b, n, k, empty, seed):
     gts = [gt_array([] if i in empty else
                     [(random_box(rng), int(rng.integers(0, k)))
                      for _ in range(int(rng.integers(0, 4)))]) for i in range(b)]
-    samples = [SceneSample(rng.normal(size=(10, 10, 3)), 0, gt) for gt in gts]
-    rois = roi_inputs(samples, props, k)
+    rois = roi_inputs(rng.normal(size=(b, 10, 10, 3)), props, gts, k)
     labels, deltas = assign_targets(props, gts, k)
     assert rois.bounds.shape == (b + 1, 2) and rois.bounds[0].tolist() == [0, 0]
     for i in range(b):
@@ -857,7 +894,7 @@ def test_forward_node_avg_is_gather_mean_over_covered_cells():
     covers_none = [Box(0.2, 0.2, 0.1, 0.1), Box(4.9, 3.0, 0.05, 2.0), Box(3.0, 6.0, 2.0, 0.8),
                    Box(12.0, -3.0, 1.0, 1.0), Box(5.0, 5.0, 0.9, 0.9)]   # last: a tie
     boxes += covers_none
-    node_avg = roi_inputs([sample], center_rows(boxes)[None]).node_avg
+    node_avg = roi_inputs(sample.grid[None], center_rows(boxes)[None]).node_avg
     for i, b in enumerate(boxes):
         rows, cols = covered_cells_oracle(b, h, w)
         if rows.size == 0 or cols.size == 0:
@@ -1093,7 +1130,7 @@ def test_objectness_loss_with_shared_scores_matches_own():
     own_grad = params.objectness.grad.copy()
     scored = score_one(params, sample)
     _proposals(scored[0], scored[1][None], 16,
-               _injected_boxes([sample], np.random.default_rng(0), 16))
+               _injected_boxes([sample.gt], 9, 9, np.random.default_rng(0), 16))
     params.objectness.grad[:] = start
     shared = objectness_loss(params, sample, scored, targets)
     assert shared == own
@@ -1354,19 +1391,20 @@ def test_detect_output_contract():
 
 
 def test_detection_proposals_are_the_per_row_proposals():
-    # one stack of grids of three shapes: _detect_stack takes each shape's
-    # proposals in one call, and each scene's are byte for byte those of
-    # ranking its own scores alone (the baseline arm: no graph step to
-    # reject the NaN cell's features)
+    # one stack per grid shape, some with fewer anchors than proposals:
+    # _detect_stack takes the stack's proposals in one call, and each
+    # scene's are byte for byte those of ranking its own scores alone (the
+    # baseline arm: no graph step to reject the NaN cell's features)
     rng = np.random.default_rng(66)
     _, params = make_params(arm="baseline", rois_per_image=12, T=0)
     params.objectness.value[:] = rng.normal(size=params.objectness.value.shape)
-    samples = [make_sample(rng, h=h, w=w) for h, w in ((10, 10), (3, 2), (10, 10), (1, 1))]
-    samples[2].grid[4, 4, 0] = math.nan      # a NaN cell: NaN scores rank last
-    with np.errstate(invalid="ignore"):
-        _, state = det_mod._detect_stack(params, samples, 0.05)
-    for sample, boxes in zip(samples, state.graph_out.boxes):
-        assert boxes.tobytes() == propose_per_row(params, sample).tobytes()
+    for h, w in ((10, 10), (3, 2), (1, 1)):
+        samples = [make_sample(rng, h=h, w=w) for _ in range(3)]
+        samples[1].grid[h // 2, w // 2, 0] = math.nan   # a NaN cell: NaN scores rank last
+        with np.errstate(invalid="ignore"):
+            _, state = det_mod._detect_stack(params, samples, 0.05)
+        for sample, boxes in zip(samples, state.graph_out.boxes):
+            assert boxes.tobytes() == propose_per_row(params, sample).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1409,54 +1447,52 @@ def test_score_stack_is_the_per_scene_scores(b, h, w, c, seed, odd):
 
 
 @settings(max_examples=120, deadline=None)
-@given(shapes=hst.lists(hst.sampled_from(((4, 4), (3, 5), (5, 3), (1, 1), (1, 7), (16, 16))),
-                        min_size=1, max_size=8),
-       c=hst.integers(1, 6), seed=hst.integers(0, 1 << 16), odd=_odd_cells)
-@example(shapes=[(4, 4)], c=5, seed=0, odd=[])
-@example(shapes=[(16, 16), (3, 5), (16, 16), (1, 1), (3, 5)], c=8, seed=1,
-         odd=[(100, math.nan), (7, math.inf)])
-def test_scene_means_are_the_per_scene_means(shapes, c, seed, odd):
-    # one mean per grid shape of the stack, each row byte for byte the
-    # scene's own mean
+@given(b=hst.integers(1, 8),
+       shape=hst.sampled_from(((4, 4), (3, 5), (5, 3), (1, 1), (1, 7), (16, 16))),
+       c=hst.integers(2, 8), seed=hst.integers(0, 1 << 16), odd=_odd_cells)
+@example(b=1, shape=(4, 4), c=5, seed=0, odd=[])
+@example(b=5, shape=(16, 16), c=8, seed=1, odd=[(100, math.nan), (7, math.inf)])
+@example(b=3, shape=(1, 1), c=2, seed=2, odd=[(0, -0.0), (1, -math.inf)])
+def test_scene_means_are_the_per_scene_means(b, shape, c, seed, odd):
+    # one mean over the stack, each row byte for byte the scene's own mean
     rng = np.random.default_rng(seed)
-    samples = [SceneSample(rng.normal(size=(h, w, c)), 0, gt_array([])) for h, w in shapes]
-    for k, cell in enumerate(odd):
-        _set_cells(samples[k % len(samples)].grid, [cell])
+    grids = rng.normal(size=(b, *shape, c))
+    _set_cells(grids, odd)
+    samples = [SceneSample(grid, 0, gt_array([])) for grid in grids]
     with np.errstate(invalid="ignore"):
-        assert _scene_means(samples).tobytes() == scene_means_per_scene(samples).tobytes()
+        assert _scene_means(grids).tobytes() == scene_means_per_scene(samples).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_detection_scores_each_grid_shape_once():
-    # one detection stack of three grid shapes, with a NaN and an inf cell:
-    # each shape's scenes are scored in one call, and each scene's scores
-    # and mean are byte for byte its own; the stage-two inputs are built
-    # without targets
+def test_detection_scores_and_builds_inputs_once_per_stack():
+    # one detection stack, with a NaN and an inf cell: its scenes are scored
+    # in one call and their stage-two inputs built in one, without targets,
+    # from the same stack of grids; each scene's scores and mean are byte
+    # for byte its own
     rng = np.random.default_rng(68)
     _, params = make_params(arm="baseline", rois_per_image=12, T=0)
     params.objectness.value[:] = rng.normal(size=params.objectness.value.shape)
-    samples = [make_sample(rng, h=h, w=w) for h, w in ((10, 10), (3, 2), (10, 10), (1, 1), (3, 2))]
+    samples = [make_sample(rng, h=10, w=7) for _ in range(5)]
     samples[2].grid[4, 4, 0] = math.nan
     samples[4].grid[1, 0, 3] = math.inf
     calls, built = [], []
 
     def scored(p, grids):
-        calls.append(score_anchors(p, grids))
-        return calls[-1]
+        calls.append((grids, score_anchors(p, grids)))
+        return calls[-1][1]
 
-    def inputs(*args):
-        built.append(roi_inputs(*args))
-        return built[-1]
+    def inputs(grids, boxes):
+        built.append((grids, roi_inputs(grids, boxes)))
+        return built[-1][1]
 
     with mock.patch.object(det_mod, "score_anchors", scored), \
             mock.patch.object(det_mod, "roi_inputs", inputs):
         det_mod._detect_stack(params, samples, 0.05)
-    assert [(anchors.count.shape[1:], len(scores)) for anchors, scores in calls] == \
-        [((10, 10), 2), ((3, 2), 2), ((1, 1), 1)]
-    for (_, scores), same in zip(calls, ([0, 2], [1, 4], [3])):
-        for i, row in zip(same, scores):
-            assert row.tobytes() == score_anchors_per_scene(params, samples[i])[1].tobytes()
-    (rois,) = built
+    ((grids, (anchors, scores)),), ((pooled, rois),) = calls, built
+    assert pooled is grids and grids.shape == (5, 10, 7, 5)
+    assert anchors is anchor_set(10, 7) and len(scores) == 5
+    for sample, row in zip(samples, scores):
+        assert row.tobytes() == score_anchors_per_scene(params, sample)[1].tobytes()
     assert rois.targets is None and rois.bounds is None
     assert rois.scene_avg.tobytes() == scene_means_per_scene(samples).tobytes()
 
@@ -1485,7 +1521,8 @@ def test_detection_state_is_the_recording_path_without_tapes():
     boxes = np.array([propose(params, sample) for sample in samples])
     for arm in ARMS:
         model = with_arm(store, params, arm)
-        taped = _forward(model, roi_inputs(samples, boxes), 2, True)
+        taped = _forward(model, roi_inputs([sample.grid for sample in samples], boxes), 2,
+                         True)
         _, state = det_mod._detect_stack(model, samples, 0.05)
         # the baseline's net runs no step, whatever the step count
         assert len(taped.tapes) == (0 if arm == "baseline" else 2) and state.tapes == []
@@ -1660,20 +1697,16 @@ def test_detection_temporaries_are_one_stack():
     assert max(few, many) < 4_500_000 < temporaries(512, 2 * stack)
 
 
-def test_detect_scenes_clips_each_scene_to_its_own_grid():
-    # one stack mixing grid shapes (tall, wide, the world's own): each scene's
-    # boxes are clipped to its own width and height, as when detected alone
+def test_detection_rejects_a_stack_of_two_grid_shapes():
+    # a stack is one (B, H, W, C) array: grids of two shapes do not stack,
+    # in detection or in the stage-two inputs, whatever their order
     params = _composition_model("mean", 16, "sin")
-    samples = []
-    for i, (h, w) in enumerate(((16, 16), (9, 14), (13, 6), (16, 16), (7, 7))):
-        s = _composition_scene(i)
-        samples.append(SceneSample(grid=s.grid[:h, :w], scene_type=s.scene_type, gt=s.gt))
-    for thresh in (0.0, 0.05):
-        stacked = detect_scenes(params, samples, thresh)
-        for sample, dets in zip(samples, stacked):
-            assert _exact(dets) == _exact(detect(params, [sample], thresh)[0][0])
-            h, w = sample.grid.shape[:2]
-            assert (dets["box"][:, 2:] > 0).all()
-            for x1, y1, x2, y2 in centers_to_corners(dets["box"]):
-                assert -1e-9 <= x1 and x2 <= w + 1e-9 and -1e-9 <= y1 and y2 <= h + 1e-9
-        assert sum(map(len, stacked)) > 0
+    samples = [_composition_scene(i) for i in range(3)]
+    s = samples[1]
+    samples[1] = SceneSample(grid=s.grid[:9, :14], scene_type=s.scene_type, gt=s.gt)
+    boxes = np.tile([8.0, 8.0, 2.0, 2.0], (3, 16, 1))
+    for stack in (samples, samples[::-1], samples[:2]):
+        with pytest.raises(ValueError):
+            detect_scenes(params, stack, 0.05)
+        with pytest.raises(ValueError):
+            roi_inputs([sample.grid for sample in stack], boxes[:len(stack)])

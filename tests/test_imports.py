@@ -1,7 +1,8 @@
 """Every name a sinet module imports is used in that module, every public
 function or class it defines is used by some sinet module, and every
-parameter of its functions is read. No lint tool ships with the project, so
-the checks walk each module's syntax tree."""
+parameter of its functions is read; every reference function of
+tests/oracles.py is read by some test or by another reference. No lint tool
+ships with the project, so the checks walk each module's syntax tree."""
 
 import ast
 import pathlib
@@ -89,3 +90,42 @@ def test_unread_parameters_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_parameter(module):
     assert unread_parameters((SRC / module).read_text(encoding="utf-8")) == []
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def unnamed_oracles(oracles, tests):
+    """Top-level functions of the oracle module source `oracles` that no
+    test module of `tests` ({module: source}) reads, by bare name (under
+    its own name or the alias it is imported as) or as an attribute, and
+    that no other top-level statement of the oracle module reads by bare
+    name."""
+    tree = ast.parse(oracles)
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    named = {node.id for stmt in tree.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and not (isinstance(stmt, ast.FunctionDef)
+                                                    and stmt.name == node.id)}
+    for source in tests.values():
+        nodes = list(ast.walk(ast.parse(source)))
+        read = {n.id for n in nodes if isinstance(n, ast.Name)}
+        named |= read | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        named |= {alias.name for n in nodes
+                  if isinstance(n, ast.ImportFrom) and n.module == "oracles"
+                  for alias in n.names if alias.asname in read}
+    return sorted(node.name for node in defs if node.name not in named)
+
+
+def test_unnamed_oracles_are_found():
+    oracles = ("def f(x):\n    return f(x)\n\ndef g():\n    return h()\n\n"
+               "def h():\n    pass\n\ndef k():\n    pass\n\ndef m():\n    pass\n")
+    tests = {"test_a.py": "from oracles import k as kk, m\nimport oracles\n\n"
+                          "def test_one():\n    assert kk() == oracles.g()\n"}
+    assert unnamed_oracles(oracles, tests) == ["f", "m"]
+
+
+def test_every_oracle_is_named_by_a_test_or_another_oracle():
+    tests = {p.name: p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")
+             if p.name != "oracles.py"}
+    oracles = (TESTS / "oracles.py").read_text(encoding="utf-8")
+    assert unnamed_oracles(oracles, tests) == []
