@@ -18,13 +18,13 @@ another (DETECTION_DTYPE), from the detection tail to the metrics and the CSV
 writers.
 Every scene of a run comes from one world, so a stack of scenes is one
 (B, H, W, C) array of grids of the world's shape, stacked once. The
-proposal stage's work that spans scenes runs in stacks. A training plan
-labels its scenes' anchors DETECT_CHUNK scenes at a time (anchor_targets);
-anchors are scored for a stack of grids at once (score_anchors: a stack of
-one per training iteration, a detection stack in detection); and proposals
-are taken for a (B, A) stack of anchor scores at once (_proposals),
-DETECT_CHUNK training iterations or a detection stack per call. Stage two
-runs on a stack of B scenes at once, from their RoiInputs record
+proposal stage's work that spans scenes runs in stacks. Stage one of a
+training labels a window of DETECT_CHUNK scenes' anchors at a time
+(anchor_targets); anchors are scored for a stack of grids at once
+(score_anchors: a stack of one per training iteration, a detection stack in
+detection); and proposals are taken for a (B, A) stack of anchor scores at
+once (_proposals), a window of training iterations or a detection stack per
+call. Stage two runs on a stack of B scenes at once, from their RoiInputs record
 (roi_inputs: the (B, n, 4) ROI rows, the cells pooled under them from the
 stack of grids, the scene means, and in training what the loss reads of the
 ROIs' targets, gathered once per stack): node features are (B, n, d) with
@@ -43,19 +43,19 @@ and every stage reads its wiring from them.
 Everything trains end to end with hand-derived gradients, except the proposal
 stage: proposals are treated as fixed inputs by the loss (standard two-stage
 practice) and the objectness map learns from its own binary target instead.
-So a training run (train) has three parts, each done for the whole run
-before the next. The plan (plan_training) is the part of stage one no weight
-changes: the scene order, the scenes, their objectness targets, and the
-jittered ground truth of every iteration with its own NMS done. Stage one
-(stage_one) learns the objectness map alone, recording each iteration's
-proposals, objectness loss and decay term, then builds every iteration's
-stage-two inputs in stacks (roi_inputs: pooled ROI cells, scene means, and
-each scene's non-ignored ROI rows with their labels and positive ROI rows
-with their labels and target deltas, as flat rows with per-scene bounds, so
-the loss reads its targets ready-made and makes no label test). Stage two
-(learn) trains the rest of the model on those records, one callback per
-iteration, bitwise as one loop over both stages would; an ablation learns
-stage one once and replays it for every arm.
+So a training run (train) has two parts, each done for the whole run before
+the next. Stage one (stage_one) learns the objectness map alone, in one
+pass over windows of DETECT_CHUNK iterations: it samples and labels a
+window's scenes, learns the map over them iteration by iteration, jitters
+their ground truth, takes their proposals, and records the window's
+objectness losses, decay terms and stage-two inputs (roi_inputs: pooled ROI
+cells, scene means, and each scene's non-ignored ROI rows with their labels
+and positive ROI rows with their labels and target deltas, as flat rows
+with per-scene bounds, so the loss reads its targets ready-made and makes
+no label test); then the window's scenes are dropped. Stage two (learn)
+trains the rest of the model on that record, one callback per iteration,
+bitwise as one loop over both stages would; an ablation learns stage one
+once and replays it for every arm.
 """
 
 import math
@@ -96,16 +96,17 @@ ANCHOR_RATIOS = (1.0, 1.5)
 ARM_MODES = {"baseline": None, "scene": "scene", "edge": "edge", "sin": "both"}
 ARMS = tuple(ARM_MODES)
 
-# Training iterations or scenes per stack of a training run: of anchor
-# labelling, of stage one's proposals, and of stage-two inputs and gates.
-# Labelling 400 default scenes peaks 0.9 MB above what it returns in stacks
-# of 16 and 4.5 MB in stacks of 64 (tracemalloc; a test bounds it), and a
-# 400-iteration baseline training peaked at 69.7 MB ru_maxrss in stacks of
-# 16 and 73.3-74.0 MB in stacks of 64, against 68.8-69.0 MB before labels
-# and proposals were stacked. Its stage one took 401 / 398 us per iteration
-# in stacks of 16 / 32 (medians of 9 interleaved rounds, process time, one
-# BLAS thread on a shared 2-core x86 host), no gain, and its tracemalloc
-# peak was 9.6 / 10.7 MB, so the stacks stay at 16.
+# Training iterations per window of stage one, and per stack of stage two's
+# spatial gates. Stage one samples, stacks, labels (anchor_targets), jitters
+# (_injected_boxes), proposes and builds the stage-two inputs of one window
+# at a time, and holds no scene past its window: its tracemalloc peak grows
+# by its record alone, about 3.0 KB per iteration (a test bounds it), and a
+# 4000-iteration baseline training peaks at 69 MB ru_maxrss. Labelling a
+# window of 16 default scenes peaks 1.0 MB above what it returns (64
+# scenes: 3.7 MB). Each window pays a fixed cost in those calls: a
+# 400-iteration baseline stage one took medians of 183.5 / 171.7 / 178.9 ms
+# in windows of 16 / 32 / 64 (40 interleaved rounds, process time, one BLAS
+# thread on a shared 2-core x86 host).
 DETECT_CHUNK = 16
 
 # Scenes per detection stack (detect_scenes, sinet relations). Measured on
@@ -498,6 +499,12 @@ class LossTargets(NamedTuple):
     pos_labels: np.ndarray      # (P,) their categories
     pos_deltas: np.ndarray      # (P, 4) their target deltas
 
+    def rows(self, valid, pos):
+        """Views of the valid rows of slice `valid` and the positive rows of
+        slice `pos`."""
+        return LossTargets(self.valid[valid], self.labels[valid], self.pos[pos],
+                           self.pos_labels[pos], self.pos_deltas[pos])
+
 
 def _loss_targets(labels, target_deltas, num_categories):
     """The LossTargets of a stack of B scenes' (B, n) labels and (B, n, 4)
@@ -531,10 +538,8 @@ class RoiInputs(NamedTuple):
         """Scene b's one-scene record, of views into this one's arrays; its
         targets are the scene's alone, so it needs no bounds."""
         (v0, p0), (v1, p1) = self.bounds[b:b + 2].tolist()
-        t = self.targets
         return RoiInputs(self.boxes[b:b + 1], self.node_avg[b:b + 1], self.scene_avg[b:b + 1],
-                         LossTargets(t.valid[v0:v1], t.labels[v0:v1], t.pos[p0:p1],
-                                     t.pos_labels[p0:p1], t.pos_deltas[p0:p1]))
+                         self.targets.rows(slice(v0, v1), slice(p0, p1)))
 
 
 def roi_inputs(grids, boxes, gts=None, num_categories=None):
@@ -716,23 +721,6 @@ class ObjectnessTargets(NamedTuple):
     w_neg: float
 
 
-def anchor_targets(anchors, gts):
-    """Binary anchor labels of scenes on one grid, one ObjectnessTargets per
-    GT_DTYPE array of `gts`: 1 over OBJ_IOU_POS, 0 under OBJ_IOU_NEG,
-    ignore between; every gt forces its best anchor positive (ties to the
-    lowest anchor index, anchor 0 for a gt that meets none). The band is
-    looser than the ROI one: anchors sit on a unit-stride grid, so demanding
-    0.5 overlap would leave most objects with a single forced positive.
-    Positives and negatives get half the loss each (each positive weighs
-    0.5 / positives, each negative 0.5 / negatives), otherwise the handful
-    of positives would drown in ~1500 negatives. The scenes are labelled in
-    stacks of DETECT_CHUNK (_label_stack)."""
-    out = []
-    for start in range(0, len(gts), DETECT_CHUNK):
-        out += _label_stack(anchors, gts[start:start + DETECT_CHUNK])
-    return out
-
-
 def _axis_overlaps(extent, lo, hi):
     """Each of R gts' overlaps along one axis with the anchors of the rows
     (or columns) it meets: `extent` holds the (n, T, 2) low and high edges
@@ -754,18 +742,27 @@ def _axis_overlaps(extent, lo, hi):
                              - np.maximum(e[..., 0], lo[:, None, None]))
 
 
-def _label_stack(anchors, gts):
-    """anchor_targets of one stack of B scenes, from windowed overlaps.
+def anchor_targets(anchors, gts):
+    """Binary anchor labels of a stack of B scenes on one grid, one
+    ObjectnessTargets per GT_DTYPE array of `gts`: 1 over OBJ_IOU_POS, 0
+    under OBJ_IOU_NEG, ignore between; every gt forces its best anchor
+    positive (ties to the lowest anchor index, anchor 0 for a gt that meets
+    none). The band is looser than the ROI one: anchors sit on a unit-stride
+    grid, so demanding 0.5 overlap would leave most objects with a single
+    forced positive. Positives and negatives get half the loss each (each
+    positive weighs 0.5 / positives, each negative 0.5 / negatives),
+    otherwise the handful of positives would drown in ~1500 negatives.
 
-    A gt overlaps an anchor only in the rows and columns where some anchor
-    type's extent overlaps it along y and along x. Each gt's per-axis
-    overlaps are taken over that window alone (_axis_overlaps), into one
-    (R, rows, cols, T) block for the stack's R gts, and the IoUs come from
-    them with pairwise_iou's float operations, so each is bitwise
-    pairwise_iou's for its (anchor, gt) pair. Every other IoU is zero. The
-    IoUs are scatter-maxed into a (B, A) array of best IoUs; a gt's forced
-    anchor is the argmax over its window, where each anchor first appears
-    in anchor order."""
+    The labels come from windowed overlaps. A gt overlaps an anchor only in
+    the rows and columns where some anchor type's extent overlaps it along y
+    and along x. Each gt's per-axis overlaps are taken over that window alone
+    (_axis_overlaps), into one (R, rows, cols, T) block for the stack's R
+    gts, and the IoUs come from them with pairwise_iou's float operations, so
+    each is bitwise pairwise_iou's for its (anchor, gt) pair. Every other IoU
+    is zero. The IoUs are scatter-maxed into a (B, A) array of best IoUs; a
+    gt's forced anchor is the argmax over its window, where each anchor
+    first appears in anchor order. A scene's labels are its own in any
+    stack."""
     b, a = len(gts), len(anchors.corners)
     t, _, w = anchors.count.shape
     scene = np.repeat(np.arange(b), [len(gt) for gt in gts])
@@ -802,11 +799,12 @@ def _label_stack(anchors, gts):
     return out
 
 
-def objectness_loss(params, sample, scored, targets):
-    """Binary cross-entropy of the anchor scores against the scene's
-    objectness targets (anchor_targets), its gradient accumulated into the
-    objectness map; the only supervision the proposal scores receive.
-    `scored` is score_anchors' result for this sample and params. The
+def objectness_loss(params, grid, scored, targets):
+    """Binary cross-entropy of the anchor scores of one scene's (H, W, C)
+    `grid` against its objectness targets (anchor_targets), its gradient
+    accumulated into the objectness map; the only supervision the proposal
+    scores receive. `scored` is the grid's anchor set and (A,) scores under
+    these params (score_anchors, one row of its stack). The
     labels and weights are laid out over every anchor, and the loss sums
     all of them.
 
@@ -823,20 +821,15 @@ def objectness_loss(params, sample, scored, targets):
     weights[targets.pos] = targets.w_pos
     bce = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
     ds = OBJ_LOSS_WEIGHT * weights * (expit(s) - y)
-    h, w, c = sample.grid.shape
+    h, w, c = grid.shape
     per_type = ds.reshape(h, w, -1).transpose(2, 0, 1) / anchors.count
     cells = anchors.row_cover.transpose(0, 2, 1) @ per_type @ anchors.col_cover
-    params.objectness.grad += cells.reshape(len(cells), -1) @ sample.grid.reshape(-1, c)
+    params.objectness.grad += cells.reshape(len(cells), -1) @ grid.reshape(-1, c)
     return OBJ_LOSS_WEIGHT * float((weights * bce).sum())
 
 
 # ---------------------------------------------------------------------------
 # training
-
-# Training iterations per pass of _injected_boxes' bulk arithmetic, which
-# bounds its temporaries on long runs.
-PLAN_CHUNK = 4096
-
 
 def _injected_boxes(gts, width, height, rng, n):
     """The injected ground truth of a run of training iterations, one per
@@ -850,67 +843,21 @@ def _injected_boxes(gts, width, height, rng, n):
 
     Returns (centers, corners, bounds): the kept boxes of every iteration as
     (R, 4) center-size and corner rows, iteration i's being rows
-    bounds[i]:bounds[i + 1]. The arithmetic runs in bulk, PLAN_CHUNK
-    iterations at a time; every operation is elementwise or per group, so
-    the boxes are bitwise those of one iteration at a time."""
-    centers, counts = [np.empty((0, 4))], [np.zeros(1, np.intp)]
-    for start in range(0, len(gts), PLAN_CHUNK):
-        chunk = gts[start:start + PLAN_CHUNK]
-        group = np.repeat(np.arange(len(chunk)), [len(gt) for gt in chunk])
-        boxes = np.concatenate([gt["box"] for gt in chunk])
-        boxes = clip_box(apply_deltas(boxes, rng.normal(0.0, GT_JITTER, size=boxes.shape)),
-                         width, height)
-        keep = nms_by_group(centers_to_corners(boxes), np.zeros(len(boxes)), group,
-                            PROPOSAL_NMS_THRESH)
-        g = group[keep]                     # keep runs by group, each in gt order
-        keep = keep[np.arange(len(keep)) - np.searchsorted(g, g) < n]
-        centers.append(boxes[keep])
-        counts.append(np.bincount(group[keep], minlength=len(chunk)))
-    centers = np.concatenate(centers)
-    return centers, centers_to_corners(centers), np.cumsum(np.concatenate(counts))
-
-
-@dataclass
-class TrainPlan:
-    """What a training run's stage one does not learn, for every iteration:
-    its scene, the scene's objectness targets and the injected boxes that
-    survive their own NMS (_injected_boxes' centers, corners and bounds)."""
-
-    scenes: list             # the SceneSample of each iteration
-    targets: list            # its ObjectnessTargets, one object per scene
-    centers: np.ndarray
-    corners: np.ndarray
-    bounds: np.ndarray
-
-    def kept(self, start, stop):
-        """The kept injected boxes of iterations start..stop - 1, as
-        _proposals takes them."""
-        lo, hi = self.bounds[start], self.bounds[stop]
-        return self.centers[lo:hi], self.corners[lo:hi], self.bounds[start:stop + 1] - lo
-
-
-def plan_training(world, cfg, n_train, data_seed):
-    """The weight-independent stage-one work of a training run, done once
-    before its first step. The order draws one permutation of the n_train
-    scenes from the shuffle stream per pass over them; each scene it uses
-    is sampled once (one scene_sampler for the run) and labelled once, in
-    stacks (anchor_targets; an n_train < iters run revisits them), and the
-    gt-jitter stream covers every iteration's ground truth in iteration
-    order (_injected_boxes). The draws are those a scene-by-scene loop
-    would make, so the plan is bitwise the same."""
-    shuffle_rng = np.random.default_rng(seed_for(cfg.seed, "shuffle"))
-    jitter_rng = np.random.default_rng(seed_for(cfg.seed, "gt-jitter"))
-    passes = -(-cfg.iters // n_train)
-    order = np.concatenate([shuffle_rng.permutation(n_train) for _ in range(passes)])[:cfg.iters]
-    order = order.tolist()
-    sample = scene_sampler(world)
-    seen = {idx: sample(data_seed, idx) for idx in dict.fromkeys(order)}
-    labels = dict(zip(seen, anchor_targets(anchor_set(world.height, world.width),
-                                           [scene.gt for scene in seen.values()])))
-    scenes = [seen[idx] for idx in order]
-    return TrainPlan(scenes, [labels[idx] for idx in order],
-                     *_injected_boxes([scene.gt for scene in scenes], world.width,
-                                      world.height, jitter_rng, cfg.rois_per_image))
+    bounds[i]:bounds[i + 1]. Every operation is elementwise or per group,
+    and the draws are one block per iteration in order, so calls on
+    consecutive runs of iterations that share `rng` give bitwise the boxes
+    of one call on all of them."""
+    group = np.repeat(np.arange(len(gts)), [len(gt) for gt in gts])
+    boxes = np.concatenate([gt["box"] for gt in gts])
+    boxes = clip_box(apply_deltas(boxes, rng.normal(0.0, GT_JITTER, size=boxes.shape)),
+                     width, height)
+    corners = centers_to_corners(boxes)
+    keep = nms_by_group(corners, np.zeros(len(boxes)), group, PROPOSAL_NMS_THRESH)
+    g = group[keep]                         # keep runs by group, each in gt order
+    keep = keep[np.arange(len(keep)) - np.searchsorted(g, g) < n]
+    bounds = np.zeros(len(gts) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(group[keep], minlength=len(gts)), out=bounds[1:])
+    return boxes[keep], corners[keep], bounds
 
 
 def _rate(cfg, it):
@@ -933,67 +880,82 @@ class StageOne:
 
 
 def stage_one(world, cfg, n_train, data_seed):
-    """Stage one of a training run, learned on its own, ahead of stage two.
+    """Stage one of a training run, learned on its own, ahead of stage two,
+    in one pass over windows of DETECT_CHUNK iterations.
 
-    The objectness map gets gradient only from its own loss, and its decay,
-    rate and momentum act elementwise on it, so it learns alone exactly as
-    it does inside the full loop: each iteration scores the anchors of the
-    plan's scene (plan_training), adds the objectness loss and the map's
-    decay term, and takes the momentum step on the map. The map is a fresh
-    model's (create_detector_params), which every arm initialises alike.
-    The scores of DETECT_CHUNK iterations are held, and their proposals
-    (_proposals over the plan's kept boxes) taken at once, each chunk's as
-    it fills and the last, partial one after the loop. Then, in stacks of
-    DETECT_CHUNK iterations, each with its scenes' grids stacked once, it
-    builds every iteration's stage-two inputs (roi_inputs); the stacks'
-    loss targets are joined into one run of flat rows with one bounds
-    array. The proposals of all cfg.iters iterations are allocated first,
-    so a run too long for memory fails at once."""
+    The order draws one permutation of the n_train scenes from the shuffle
+    stream per pass over them. For each window, the scenes of its
+    iterations are sampled (one scene_sampler for the run; a scene that an
+    n_train < iters run revisits is sampled again) and their grids stacked
+    once, and they are labelled in one call (anchor_targets). Then each
+    iteration scores its scene's anchors, adds the objectness loss and the
+    map's decay term, and takes the momentum step on the map: the map gets
+    gradient only from its own loss, and its decay, rate and momentum act
+    elementwise on it, so it learns alone exactly as it does inside the
+    full loop. The map is a fresh model's (create_detector_params), which
+    every arm initialises alike. Then the ground truth of the window's
+    iterations is jittered from the run's one gt-jitter stream
+    (_injected_boxes), their proposals are taken in one call (_proposals)
+    and their stage-two inputs built in another (roi_inputs), and the
+    window's scenes are dropped. Scenes are
+    index-addressed and every draw comes in iteration order, so the record
+    is bitwise that of a scene-by-scene loop.
+
+    The record of all cfg.iters iterations (RoiInputs: ROI rows, pooled
+    cells, scene means, and every loss-target row an iteration can have) is
+    allocated first, so a run too long for memory fails at once."""
     validate_config(cfg)
-    n = cfg.rois_per_image
-    proposals = np.empty((cfg.iters, n, 4))
+    n, iters, c = cfg.rois_per_image, cfg.iters, world.channels
+    cap = iters * n                         # every ROI of the run is a loss-target row at most
+    record = RoiInputs(np.empty((iters, n, 4)), np.empty((iters, n, c)), np.empty((iters, c)),
+                       LossTargets(*(np.empty(cap, dtype=np.intp) for _ in range(4)),
+                                   np.empty((cap, 4))),
+                       np.zeros((iters + 1, 2), dtype=np.intp))
     store = ParamStore()
-    params = create_detector_params(store, world.channels, world.num_categories, cfg,
+    params = create_detector_params(store, c, world.num_categories, cfg,
                                     "baseline", derive_seed(cfg.seed, "init"))
     obj = params.objectness
     velocity = np.zeros_like(obj.value)
-    plan = plan_training(world, cfg, n_train, data_seed)
+    shuffle_rng = np.random.default_rng(seed_for(cfg.seed, "shuffle"))
+    jitter_rng = np.random.default_rng(seed_for(cfg.seed, "gt-jitter"))
+    passes = -(-iters // n_train)
+    order = np.concatenate([shuffle_rng.permutation(n_train) for _ in range(passes)])[:iters]
+    sample = scene_sampler(world)
     anchors = anchor_set(world.height, world.width)
     scores = np.empty((DETECT_CHUNK, len(anchors.centers)))
     losses, decays = [], []
-    start = 0                   # the first iteration whose proposals are not taken
-    for it in range(cfg.iters):
-        sample = plan.scenes[it]
-        obj.grad[...] = 0.0
-        row = score_anchors(params, sample.grid[None])[1][0]    # the grid, a stack of one
-        scores[it - start] = row
-        losses.append(objectness_loss(params, sample, (anchors, row), plan.targets[it]))
-        decays.append(apply_weight_decay(store, [obj.name], cfg.weight_decay))
+    for start in range(0, iters, DETECT_CHUNK):
+        scenes = [sample(data_seed, idx) for idx in order[start:start + DETECT_CHUNK]]
+        grids = np.stack([scene.grid for scene in scenes])
+        gts = [scene.gt for scene in scenes]
+        targets = anchor_targets(anchors, gts)
+        for j, grid in enumerate(grids):
+            obj.grad[...] = 0.0
+            scores[j] = score_anchors(params, grid[None])[1][0]     # a stack of one
+            losses.append(objectness_loss(params, grid, (anchors, scores[j]), targets[j]))
+            decays.append(apply_weight_decay(store, [obj.name], cfg.weight_decay))
+            if not math.isfinite(losses[-1] + decays[-1]):
+                break       # the full loss diverges here too; stage two raises
+            velocity *= cfg.momentum
+            velocity -= _rate(cfg, start + j) * obj.grad
+            obj.value += velocity
+        stop = len(losses)
+        b = stop - start                    # the window's iterations that ran
+        boxes = record.boxes[start:stop]
+        boxes[...] = _proposals(anchors, scores[:b], n, _injected_boxes(
+            gts[:b], world.width, world.height, jitter_rng, n))
+        part = roi_inputs(grids[:b], boxes, gts[:b], world.num_categories)
+        record.node_avg[start:stop], record.scene_avg[start:stop] = part.node_avg, part.scene_avg
+        record.bounds[start + 1:stop + 1] = record.bounds[start] + part.bounds[1:]
+        (v0, p0), (v1, p1) = record.bounds[[start, stop]].tolist()
+        for out, got in zip(record.targets.rows(slice(v0, v1), slice(p0, p1)), part.targets):
+            out[...] = got
         if not math.isfinite(losses[-1] + decays[-1]):
-            break       # the full loss diverges here too; stage two raises
-        velocity *= cfg.momentum
-        velocity -= _rate(cfg, it) * obj.grad
-        obj.value += velocity
-        if it + 1 - start == len(scores):
-            proposals[start:it + 1] = _proposals(anchors, scores, n, plan.kept(start, it + 1))
-            start = it + 1
+            break
     k = len(losses)
-    if start < k:
-        proposals[start:k] = _proposals(anchors, scores[:k - start], n, plan.kept(start, k))
-    c = world.channels
-    node_avg, scene_avg = np.empty((k, n, c)), np.empty((k, c))
-    targets, counts = [], [np.zeros((1, 2), dtype=np.intp)]
-    for start in range(0, k, DETECT_CHUNK):
-        stack = slice(start, min(start + DETECT_CHUNK, k))
-        scenes = plan.scenes[stack]
-        part = roi_inputs(np.stack([scene.grid for scene in scenes]), proposals[stack],
-                          [scene.gt for scene in scenes], world.num_categories)
-        node_avg[stack], scene_avg[stack] = part.node_avg, part.scene_avg
-        targets.append(part.targets)
-        counts.append(np.diff(part.bounds, axis=0))
-    rois = RoiInputs(proposals[:k], node_avg, scene_avg,
-                     LossTargets(*map(np.concatenate, zip(*targets))),
-                     np.concatenate(counts).cumsum(axis=0))
+    v, p = record.bounds[k].tolist()
+    rois = RoiInputs(record.boxes[:k], record.node_avg[:k], record.scene_avg[:k],
+                     record.targets.rows(slice(v), slice(p)), record.bounds[:k + 1])
     return StageOne(cfg, obj.value.copy(), losses, decays, rois)
 
 
@@ -1066,9 +1028,8 @@ def learn(world, cfg, arm, stage1, callback=None):
 
 
 def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
-    """SGD with momentum over scenes drawn from the world, in three parts:
-    the plan (plan_training) does the weight-independent part of stage one,
-    stage one (stage_one) learns the objectness map alone and builds every
+    """SGD with momentum over scenes drawn from the world, in two parts:
+    stage one (stage_one) learns the objectness map alone and records every
     iteration's stage-two inputs, and stage two (learn) trains the rest of
     the model, with one callback per iteration. The result is bitwise that
     of one loop that runs both stages in every iteration.

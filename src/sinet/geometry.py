@@ -170,11 +170,15 @@ def clip_box(boxes, width, height):
     """Clamp the extents of (k, 4) center-size rows into [0, width] x
     [0, height], keeping sides at least MIN_SIDE even for a box that started
     wholly outside the grid; returns center-size rows. width and height are
-    both numbers or both (k,) arrays of per-row bounds."""
+    numbers (ValueError otherwise: a (4,) array would broadcast as per-edge
+    bounds)."""
+    if np.ndim(width) or np.ndim(height):
+        raise ValueError(f"clip_box: width and height must be numbers, got shapes "
+                         f"{np.shape(width)} and {np.shape(height)}")
     corners = centers_to_corners(*_check_rows("clip_box", boxes))
     # max(0.0, min(v, hi)) per corner, picking the operands the builtins
     # pick: -0.0 and NaN clamp to 0.0
-    hi = np.array([width, height, width, height], dtype=np.float64).T
+    hi = np.array([width, height, width, height], dtype=np.float64)
     corners = np.where(hi < corners, hi, corners)
     corners = np.where(corners > 0.0, corners, 0.0)
     sides = corners[:, 2:] - corners[:, :2]

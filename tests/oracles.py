@@ -442,8 +442,8 @@ def nms_oracle(boxes, scores, iou_thresh, max_keep, overlap=iou_oracle):
 
 def nms(boxes, scores, iou_thresh, max_keep):
     """Greedy non-maximum suppression over a (k, 4) corner array: the array
-    kernel training's proposals ran once per iteration before the run-level
-    plan. It is kept as a reference: nms_by_group's groups and detection's
+    kernel training's proposals ran once per iteration before they were
+    taken in stacks. It is kept as a reference: nms_by_group's groups and detection's
     proposals are checked against it, and it against nms_oracle.
 
     Repeatedly keeps the highest-scoring remaining box (score ties go to the

@@ -29,8 +29,7 @@ from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
 from sinet.structure_inference import (SceneGraph, _compute_edges,
                                        _integrate_all, _max_messages, _relation_tensor,
                                        sin_step_tape)
-from sinet.synth_data import (SceneSample, default_world, generate,
-                              load_dataset, save_dataset, world_hash)
+from sinet.synth_data import default_world, generate, load_dataset, save_dataset, world_hash
 
 from oracles import (Box, average_precision_oracle, bank_maps, center_rows, corner_rows,
                      create_gru_params, create_sin_params,
@@ -147,7 +146,6 @@ def _check_objectness(rng, trials):
         grid = rng.normal(size=(h, w, c))
         grid[rng.random(grid.shape) < 0.2] = -0.0
         gt = gt_array((random_box(rng, span=12.0), 0) for _ in range(int(rng.integers(0, 4))))
-        sample = SceneSample(grid=grid, scene_type=0, gt=gt)
         st = ParamStore()
         p = create_detector_params(st, c, 2, TrainConfig(feat_dim=3), "sin",
                                    int(rng.integers(1 << 30)))
@@ -156,7 +154,7 @@ def _check_objectness(rng, trials):
         scores, loss, grad = objectness_oracle(grid, anchors, p.objectness.value, gt)
         scored = anchors, score_anchors(p, grid[None])[1][0]
         assert np.allclose(scored[1], scores, rtol=0.0, atol=1e-12)
-        assert objectness_loss(p, sample, scored, anchor_targets(anchors, [gt])[0]) == pytest.approx(
+        assert objectness_loss(p, grid, scored, anchor_targets(anchors, [gt])[0]) == pytest.approx(
             loss, abs=1e-12)
         assert np.allclose(p.objectness.grad, grad, rtol=0.0, atol=1e-12)
 

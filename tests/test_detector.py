@@ -20,7 +20,7 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
                             active_param_names,
                             anchor_set, anchor_targets, assign_targets, create_detector_params,
                             detect, detect_scenes, multi_task_loss, objectness_loss,
-                            plan_training, roi_inputs, score_anchors, smooth_l1,
+                            roi_inputs, score_anchors, smooth_l1, stage_one,
                             train, validate_config)
 from sinet.geometry import centers_to_corners, pairwise_iou
 from sinet.numerics import ParamStore
@@ -86,8 +86,8 @@ def label_one(anchors, gt):
 
 
 def train_proposals(params, sample, n, rng):
-    """One training step's proposals for a one-iteration plan of `sample`,
-    its gt jittered by draws from rng."""
+    """One training iteration's proposals for `sample` alone, its gt
+    jittered by draws from rng."""
     h, w = sample.grid.shape[:2]
     anchors, scores = score_anchors(params, sample.grid[None])
     return _proposals(anchors, scores, n, _injected_boxes([sample.gt], w, h, rng, n))[0]
@@ -182,7 +182,7 @@ def test_anchor_scores_and_objectness_gradient_match_oracle(h, w, c, seed, neg_z
     # the gradient accumulates onto what was there
     start = rng.normal(size=params.objectness.value.shape)
     params.objectness.grad[:] = start
-    loss = objectness_loss(params, sample, (anchors, scores), label_one(anchors, sample.gt))
+    loss = objectness_loss(params, sample.grid, (anchors, scores), label_one(anchors, sample.gt))
     assert loss == pytest.approx(want_loss, rel=0.0, abs=1e-12)
     assert np.allclose(params.objectness.grad - start, want_grad, rtol=0.0, atol=1e-12)
 
@@ -208,7 +208,7 @@ def test_non_finite_cells_raise_nothing_and_proposals_still_come(bad):
     props = propose(params, sample)
     order = np.argsort(-scores, kind="stable")
     assert props.tolist() == anchors.centers[order[:16]].tolist()
-    loss = objectness_loss(params, sample, (anchors, scores), label_one(anchors, sample.gt))
+    loss = objectness_loss(params, sample.grid, (anchors, scores), label_one(anchors, sample.gt))
     assert not np.isfinite(loss) and not np.isfinite(params.objectness.grad).all()
 
 
@@ -260,7 +260,7 @@ def test_propose_exact_count():
 
 
 def test_propose_injects_ground_truth():
-    # training's plan jitters the gt boxes with its rng's draws and the step
+    # stage one jitters the gt boxes with its rng's draws and the step
     # puts them ahead of every anchor, so they lead the proposals
     rng = np.random.default_rng(9)
     store, params = make_params()
@@ -281,7 +281,7 @@ def test_propose_injects_ground_truth():
 
 
 def test_propose_matches_oracle_over_injected_and_anchors():
-    # the plan and step work on corner arrays; the oracle scans Box objects,
+    # stage one works on corner arrays; the oracle scans Box objects,
     # with the (jittered) gt boxes injected ahead of the anchors in training
     rng = np.random.default_rng(21)
     store, params = make_params()
@@ -385,34 +385,40 @@ _gt_box = hst.builds(Box, hst.integers(-4, 20).map(lambda v: v / 4.0),
 @given(shape=hst.tuples(hst.integers(1, 4), hst.integers(1, 4)), n=hst.integers(1, 20),
        scenes=hst.lists(hst.lists(_gt_box, max_size=24), min_size=1, max_size=5),
        levels=hst.lists(_levels, min_size=96, max_size=96),
-       chunk=hst.sampled_from((1, 2, det_mod.PLAN_CHUNK)), seed=hst.integers(0, 2**32 - 1))
+       chunk=hst.sampled_from((1, 2, None)), seed=hst.integers(0, 2**32 - 1))
 @example(shape=(1, 1), n=3, scenes=[[Box(0.5, 0.5, 1.0, 1.0)] * 5, []],
-         levels=[math.nan] * 96, chunk=det_mod.PLAN_CHUNK, seed=0)
+         levels=[math.nan] * 96, chunk=None, seed=0)
 @example(shape=(1, 1), n=16, scenes=[[Box(0.5, 0.5, 1.0 + i / 4.0, 1.0) for i in range(20)]],
          levels=[0.0] * 96, chunk=2, seed=1)
 def test_plan_and_step_match_the_per_iteration_oracle(shape, n, scenes, levels, chunk, seed):
-    # the plan jitters every iteration's gt in one stream (chunked or not)
-    # and suppresses each iteration's boxes among themselves; the step adds
-    # the anchors its kept boxes leave. Per iteration, that is the old
+    # stage one jitters each window's gt from one stream shared by its
+    # windows (here chunks of 1, 2 or the whole list, in separate calls) and
+    # suppresses each iteration's boxes among themselves; the step adds the
+    # anchors its kept boxes leave. Per iteration, that is the old
     # per-iteration path: jitter, clip, NMS over gt and anchors, cycle to n.
     # Tied and NaN scores, 1x1 grids, and up to 24 gts, as many as n or more
     h, w = shape
     anchors = anchor_set(h, w)
     samples = [SceneSample(np.zeros((h, w, 2)), 0, gt_array((b, 0) for b in boxes))
                for boxes in scenes]
-    with mock.patch.object(det_mod, "PLAN_CHUNK", chunk):
-        centers, corners, bounds = _injected_boxes([sample.gt for sample in samples], w, h,
-                                                   np.random.default_rng(seed), n)
-    assert bounds[0] == 0 and len(bounds) == len(samples) + 1
-    assert corners.tobytes() == centers_to_corners(centers).tobytes()
+    gts = [sample.gt for sample in samples]
+    rng = np.random.default_rng(seed)
+    chunk = chunk or len(gts)
+    parts = [_injected_boxes(gts[start:start + chunk], w, h, rng, n)
+             for start in range(0, len(gts), chunk)]
     replay = np.random.default_rng(seed)
-    for i, sample in enumerate(samples):
-        # a different score order each iteration, from the same levels
-        scores = np.roll(np.array(levels), i)[:len(anchors.centers)]
-        kept = centers[bounds[i]:bounds[i + 1]], corners[bounds[i]:bounds[i + 1]]
-        assert len(kept[0]) <= min(n, len(sample.gt))
-        want = train_proposals_oracle(anchors, scores, sample, replay, n)
-        assert proposals_one(anchors, scores, kept, n).tobytes() == want.tobytes()
+    for start, (centers, corners, bounds) in zip(range(0, len(gts), chunk), parts):
+        assert bounds[0] == 0 and len(bounds) == len(gts[start:start + chunk]) + 1
+        assert corners.tobytes() == centers_to_corners(centers).tobytes()
+        for j, sample in enumerate(samples[start:start + chunk]):
+            # a different score order each iteration, from the same levels
+            scores = np.roll(np.array(levels), start + j)[:len(anchors.centers)]
+            kept = centers[bounds[j]:bounds[j + 1]], corners[bounds[j]:bounds[j + 1]]
+            assert len(kept[0]) <= min(n, len(sample.gt))
+            want = train_proposals_oracle(anchors, scores, sample, replay, n)
+            assert proposals_one(anchors, scores, kept, n).tobytes() == want.tobytes()
+    # every draw was taken, in order
+    assert rng.random() == replay.random()
 
 
 def test_proposals_widen_past_the_prefix_when_kept_boxes_suppress_it():
@@ -508,30 +514,44 @@ def test_proposal_stack_rows_take_their_own_fallbacks():
         assert_stack_is_per_row(anchors, scores, n, kept)
 
 
-def test_plan_is_the_scene_by_scene_draws():
+def test_stage_one_windows_are_the_scene_by_scene_draws():
     # the order is one shuffle permutation per pass over the n_train scenes;
-    # each scene is sampled and labelled once; every iteration's kept boxes
-    # come from its own jitter draws, in iteration order
+    # each window samples its scenes by index (a revisited scene is sampled
+    # again) and labels them, each as alone; every iteration's proposals
+    # come from its own scores and its own jitter draws, in iteration order
+    # across windows, and its record row is its one-scene stage-two inputs.
+    # 40 iterations over 7 scenes are three windows, each revisiting scenes
     world = default_world()
-    cfg = TrainConfig(iters=7, seed=5)
-    plan = plan_training(world, cfg, 3, data_seed=8)
+    cfg = TrainConfig(iters=40, seed=5)
     shuffle = np.random.default_rng(det_mod.seed_for(5, "shuffle"))
-    want = np.concatenate([shuffle.permutation(3) for _ in range(3)])[:7]
-    assert len(plan.scenes) == len(plan.targets) == 7
+    want = np.concatenate([shuffle.permutation(7) for _ in range(6)])[:40].tolist()
+    labels, scores = [], []
+    real_targets, real_proposals = det_mod.anchor_targets, det_mod._proposals
+
+    def label(anchors, gts):
+        labels.extend(real_targets(anchors, gts))
+        return labels[-len(gts):]
+
+    def propose_window(anchors, window_scores, n, kept):
+        scores.extend(window_scores.copy())
+        return real_proposals(anchors, window_scores, n, kept)
+
+    with mock.patch.object(det_mod, "anchor_targets", label), \
+            mock.patch.object(det_mod, "_proposals", propose_window):
+        one = stage_one(world, cfg, 7, 8)
+    assert len(labels) == len(scores) == len(one.rois.boxes) == 40
+    anchors = anchor_set(world.height, world.width)
     jitter = np.random.default_rng(det_mod.seed_for(5, "gt-jitter"))
-    for it, idx in enumerate(want.tolist()):
-        sample = plan.scenes[it]
-        assert sample is plan.scenes[want.tolist().index(idx)]
-        assert plan.targets[it] is plan.targets[want.tolist().index(idx)]
+    for it, idx in enumerate(want):
         fresh = sample_at(world, 8, idx)
-        assert sample.grid.tobytes() == fresh.grid.tobytes()
-        anchors = anchor_set(*sample.grid.shape[:2])
         assert all(np.array_equal(a, b) for a, b in
-                   zip(plan.targets[it], anchor_targets_per_scene(anchors, sample.gt)))
-        scores = np.zeros(len(anchors.centers))
-        want_props = train_proposals_oracle(anchors, scores, sample, jitter, cfg.rois_per_image)
-        got = _proposals(anchors, scores[None], cfg.rois_per_image, plan.kept(it, it + 1))[0]
-        assert got.tobytes() == want_props.tobytes()
+                   zip(labels[it], anchor_targets_per_scene(anchors, fresh.gt)))
+        props = train_proposals_oracle(anchors, scores[it], fresh, jitter, cfg.rois_per_image)
+        assert one.rois.boxes[it].tobytes() == props.tobytes()
+        got, alone = one.rois.scene(it), roi_inputs(fresh.grid[None], props[None], [fresh.gt],
+                                                    world.num_categories)
+        for a, b in zip(got[:3] + got.targets, alone[:3] + alone.targets):
+            assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1006,9 +1026,8 @@ def _gt_flush(h, w):
                       side, side, hst.sampled_from(("left", "right", "top", "bottom")), at)
 
 
-def assert_labels_are_per_scene(anchors, gts, chunk):
-    with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
-        got = anchor_targets(anchors, gts)
+def assert_labels_are_per_scene(anchors, gts):
+    got = anchor_targets(anchors, gts)
     assert len(got) == len(gts)
     for gt, targets in zip(gts, got):
         want = anchor_targets_per_scene(anchors, gt)
@@ -1018,10 +1037,9 @@ def assert_labels_are_per_scene(anchors, gts, chunk):
 
 
 @settings(max_examples=150, deadline=None)
-@given(h=hst.integers(1, 9), w=hst.integers(1, 9), data=hst.data(),
-       chunk=hst.sampled_from((1, 2, 3, det_mod.DETECT_CHUNK)))
-@example(h=4, w=4, data=None, chunk=det_mod.DETECT_CHUNK)
-def test_label_stack_is_the_per_scene_labels(h, w, data, chunk):
+@given(h=hst.integers(1, 9), w=hst.integers(1, 9), data=hst.data())
+@example(h=4, w=4, data=None)
+def test_label_stack_is_the_per_scene_labels(h, w, data):
     # stacks of scenes with no gt, gts flush with a grid edge, smaller
     # than a cell, larger than any anchor, off the grid, a stack of one
     anchors = anchor_set(h, w)
@@ -1031,35 +1049,35 @@ def test_label_stack_is_the_per_scene_labels(h, w, data, chunk):
         box = hst.one_of(_gt_quarter, _gt_free, _gt_tiny, _gt_huge, _gt_flush(h, w))
         scenes = data.draw(hst.lists(hst.lists(box, max_size=5), min_size=1, max_size=7))
     gts = [gt_array((b, i % 3) for i, b in enumerate(boxes)) for boxes in scenes]
-    assert_labels_are_per_scene(anchors, gts, chunk)
+    assert_labels_are_per_scene(anchors, gts)
 
 
 def test_label_stack_of_default_scenes_is_the_per_scene_labels():
     world = default_world()
     sample = scene_sampler(world)
     gts = [sample(17, i).gt for i in range(40)]
-    assert_labels_are_per_scene(anchor_set(world.height, world.width), gts, det_mod.DETECT_CHUNK)
-    assert_labels_are_per_scene(anchor_set(world.height, world.width), gts[:1], 1)
+    assert_labels_are_per_scene(anchor_set(world.height, world.width), gts)
+    assert_labels_are_per_scene(anchor_set(world.height, world.width), gts[:1])
 
 
 def test_labelling_temporaries_are_one_stack():
-    # anchor_targets holds one stack's temporaries at a time: over 400
-    # default scenes its allocations peak about 0.9 MB above what it
-    # returns in stacks of 16, and 4.5 MB in stacks of 64
+    # stage one labels one window of scenes per anchor_targets call: over a
+    # stack of DETECT_CHUNK default scenes its allocations peak about 1.0 MB
+    # above what it returns, and 3.7 MB over a stack of 64 (that stage one
+    # holds one window at a time is test_stage_one_memory_grows_by_its_record)
     world = default_world()
     sample = scene_sampler(world)
-    gts = [sample(5, i).gt for i in range(400)]
+    gts = [sample(5, i).gt for i in range(64)]
     anchors = anchor_set(world.height, world.width)
 
-    def temporaries(chunk):
-        with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
-            tracemalloc.start()
-            try:
-                out = anchor_targets(anchors, gts)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert len(out) == len(gts)
+    def temporaries(b):
+        tracemalloc.start()
+        try:
+            out = anchor_targets(anchors, gts[:b])
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == b
         return peak - kept
 
     assert temporaries(det_mod.DETECT_CHUNK) < 1_500_000 < temporaries(64)
@@ -1086,7 +1104,7 @@ def test_anchor_cache_is_read_only():
 
 
 def test_objectness_loss_gradient_matches_finite_differences():
-    # the loss a training step takes, on the targets its plan labelled
+    # the loss a training step takes, on the targets stage one labels
     rng = np.random.default_rng(51)
     store, params = make_params(channels=4, k=2, d=4)
     gt = [(Box(3.0, 3.0, 2.4, 2.4), 0), (Box(7.0, 6.0, 2.0, 2.8), 1)]
@@ -1094,7 +1112,7 @@ def test_objectness_loss_gradient_matches_finite_differences():
     targets = label_one(anchor_set(9, 9), sample.gt)
 
     def loss():
-        return objectness_loss(params, sample, score_one(params, sample), targets)
+        return objectness_loss(params, sample.grid, score_one(params, sample), targets)
 
     store.zero_grads()
     base = loss()
@@ -1126,13 +1144,13 @@ def test_objectness_loss_with_shared_scores_matches_own():
     # loss; the proposals must leave the shared result as the loss would
     # compute it
     params.objectness.grad[:] = start
-    own = objectness_loss(params, sample, score_one(params, sample), targets)
+    own = objectness_loss(params, sample.grid, score_one(params, sample), targets)
     own_grad = params.objectness.grad.copy()
     scored = score_one(params, sample)
     _proposals(scored[0], scored[1][None], 16,
                _injected_boxes([sample.gt], 9, 9, np.random.default_rng(0), 16))
     params.objectness.grad[:] = start
-    shared = objectness_loss(params, sample, scored, targets)
+    shared = objectness_loss(params, sample.grid, scored, targets)
     assert shared == own
     assert np.array_equal(params.objectness.grad, own_grad)
 
@@ -1151,7 +1169,7 @@ def test_objectness_loss_with_shared_scores_matches_own():
     assert np.allclose(own_grad - start, want_grad, rtol=0.0, atol=1e-12)
     # the gradient accumulates onto what was there
     store.zero_grads()
-    objectness_loss(params, sample, scored, targets)
+    objectness_loss(params, sample.grid, scored, targets)
     assert np.allclose(own_grad, start + params.objectness.grad, rtol=0.0, atol=1e-12)
 
 
@@ -1226,7 +1244,7 @@ def test_train_is_deterministic():
 
 def test_stage_one_is_the_same_in_every_arm():
     # the objectness map learns only from its own loss, with the same decay,
-    # rate and momentum in every arm, and the plan rests on the seeds alone,
+    # rate and momentum in every arm, and its draws rest on the seeds alone,
     # so the four arms and the sweep's max-T2, mean-T3 and concat-T2 points
     # train bitwise the same stage one: the same map after every step and
     # the same proposals in every iteration. Sharing stage one across the
@@ -1280,11 +1298,12 @@ def test_train_divergence_is_reported():
     assert "non-finite" in str(exc.value)
 
 
-@pytest.mark.parametrize("k", [0, 1, 17, 39])
+@pytest.mark.parametrize("k", [0, 1, 15, 17, 39])
 def test_divergence_in_stage_one_is_raised_at_its_iteration(k):
-    # an objectness loss of inf at iteration k stops stage one there; stage
-    # two then runs iterations 0..k-1, calling back after each, and raises
-    # at k, as the one loop that ran both stages did
+    # an objectness loss of inf at iteration k stops stage one there (k = 15
+    # ends its window: no later window runs); stage two then runs iterations
+    # 0..k-1, calling back after each, and raises at k, as the one loop that
+    # ran both stages did
     world = default_world()
     real = det_mod.objectness_loss
     calls, callbacks = [], []
@@ -1315,6 +1334,28 @@ def test_stack_size_does_not_change_a_training():
     (a, b) = runs
     assert a.losses == b.losses
     assert a.store.values.tobytes() == b.store.values.tobytes()
+
+
+def test_stage_one_memory_grows_by_its_record():
+    # stage one holds its record of every iteration and one window of
+    # scenes: its allocations peak about 3.0 KB per iteration higher at 640
+    # iterations than at 160 (the record's ROI rows, pooled cells, scene
+    # mean and loss-target rows, allocated up front, and two floats). A
+    # stage one that held every iteration's scene grew about 21 KB
+    world = default_world()
+    anchor_set(world.height, world.width)       # cached, so in neither run
+
+    def peak(iters):
+        tracemalloc.start()
+        try:
+            one = stage_one(world, TrainConfig(iters=iters, seed=3), iters, 4)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(one.obj_loss) == iters
+        return top
+
+    assert (peak(640) - peak(160)) / 480 < 4_000
 
 
 def test_stage_two_replays_stage_one_for_its_run_config_only():
@@ -1592,28 +1633,33 @@ def test_detections_are_pinned(arm):
 # 1.1e-14 and the losses by 8.9e-16, the objectness map's low bits changed,
 # and every other parameter kept its bits (no proposal changed). The sin-max,
 # scene and edge entries cover the other fusion and the one-bank arms; they
-# were recorded before the two GRU banks ran as one stacked call.
+# were recorded before the two GRU banks ran as one stacked call. Each entry
+# is (arm, pooling, n_train, digest); sin-revisit trains on 20 scenes, so
+# each is revisited in a later window of stage one. It was recorded while
+# stage one still sampled and labelled each scene once, ahead of its loop.
 PINNED_TRAINING = {
-    "baseline": ("baseline", "mean",
+    "baseline": ("baseline", "mean", 60,
                  "579ad598b1a9a9e629fcabb818c1f8bc824dee8adcad9dccbe0b3ea9be74d966"),
-    "sin-mean": ("sin", "mean",
+    "sin-mean": ("sin", "mean", 60,
                  "61d7be6673a13fa028d3129c875ef45f8f4525399f86a57e03518ca0bed2500e"),
-    "sin-concat": ("sin", "concat",
+    "sin-concat": ("sin", "concat", 60,
                    "d64db6a73a7c7dbfbf5f074b0e9e8dfabfad689c7325aba3cd2ac85fa7be4c21"),
-    "sin-max": ("sin", "max",
+    "sin-max": ("sin", "max", 60,
                 "3c76d1fe95140588899a58012db984bf4338af8218444866df90b97192940872"),
-    "scene": ("scene", "mean",
+    "scene": ("scene", "mean", 60,
               "fedf5c8d7d78959142ed3810121d6fea4cfd29290356aa36e9e0a824f11ad73b"),
-    "edge": ("edge", "mean",
+    "edge": ("edge", "mean", 60,
              "41dae8490e174b5e7f14892a950f4a681be2da617a866e25bc298617eebb1c20"),
+    "sin-revisit": ("sin", "mean", 20,
+                    "e5ba4212e49c703ca262a43aaf8e6a1b0c210f18f0058e562f5c1918d4998399"),
 }
 
 
 @pytest.mark.parametrize("arm", PINNED_TRAINING)
 def test_training_is_pinned(arm):
-    model_arm, pooling, want = PINNED_TRAINING[arm]
+    model_arm, pooling, n_train, want = PINNED_TRAINING[arm]
     cfg = TrainConfig(iters=60, seed=4, pooling=pooling)
-    result = train(default_world(), cfg, arm=model_arm, n_train=60)
+    result = train(default_world(), cfg, arm=model_arm, n_train=n_train)
     digest = hashlib.sha256()
     for loss in result.losses:
         digest.update(float(loss).hex().encode())

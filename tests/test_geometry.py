@@ -481,12 +481,12 @@ def test_nms_groups_validation_and_proposal_default():
         nms(boxes, [0.9, 0.8], 0.5, 4, groups=[0, 1])
 
 
-def test_clip_box_per_row_bounds_match_one_grid_at_a_time():
-    rng = np.random.default_rng(29)
-    rows = np.column_stack([rng.uniform(-10, 30, 40), rng.uniform(-10, 30, 40),
-                            rng.uniform(0.1, 25, 40), rng.uniform(0.1, 25, 40)])
-    widths = rng.integers(1, 24, 40).astype(float)
-    heights = rng.integers(1, 24, 40).astype(float)
-    got = clip_box(rows, widths, heights)
-    for i in range(40):
-        assert got[i].tolist() == clip_box(rows[i:i + 1], widths[i], heights[i])[0].tolist()
+def test_clip_box_refuses_array_bounds():
+    # a grid is one (width, height); a (4,) bound would broadcast over the
+    # four corner columns into wrong bounds, and per-row bounds are not taken
+    rows = np.array([[2.0, 2.0, 3.0, 3.0]] * 4)
+    for width, height in ((np.full(4, 3.0), 3.0), (3.0, np.full(4, 3.0)),
+                          (np.full(4, 3.0), np.full(4, 3.0)), ([3.0], 3.0)):
+        with pytest.raises(ValueError, match="must be numbers"):
+            clip_box(rows, width, height)
+    assert clip_box(rows, np.float64(3.0), 3).tolist() == clip_box(rows, 3.0, 3.0).tolist()
