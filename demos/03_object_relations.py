@@ -45,7 +45,7 @@ for i in range(20):
     shown += 1
     print(f"scene {i} ({world.scene_names[sample.scene_type]}), "
           f"{len(sample.gt)} objects, {len(dets)} detections:")
-    boxes, edges = state.graph_out.boxes[0], state.graph_out.edges[0]   # the one-scene stack
+    boxes, edges = state.boxes[0], state.edges[0]   # the one-scene stack
     # each detection is a row of a structured array; "roi" is its graph node
     report = relation_report(edges, dets["roi"])
     for det, (node, partner, weight) in zip(dets, report):
@@ -60,7 +60,7 @@ for i in range(20):
 
 sample = draw(9090, 3)
 _, state = detect(tr.params, [sample], score_thresh=0.3)
-boxes, edges = state.graph_out.boxes[0], state.graph_out.edges[0]   # (n, 4) rows of (cx, cy, w, h)
+boxes, edges = state.boxes[0], state.edges[0]   # (n, 4) rows of (cx, cy, w, h)
 n = len(boxes)
 buckets = {}
 for i in range(n):

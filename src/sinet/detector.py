@@ -10,6 +10,10 @@ the top-scoring anchors it does not suppress. Stage two builds a detection
 graph over the proposals (node features pooled from covered cells, one
 scene node pooled globally), runs the structure inference steps, and reads
 class probabilities and per-class box deltas off the final node states.
+A forward that runs no inference step (every step of the baseline arm, and
+every arm's steps during the graph warm-up) is the detector alone: it reads
+the heads off the projected ROI cells, builds no scene node and no graph,
+and its backward pass runs no graph code (_forward, detector_backward).
 
 Anchors, proposals, regression targets and ROIs are (k, 4) center-size rows
 (cx, cy, w, h). A scene's ground truth is one structured array
@@ -410,11 +414,15 @@ def assign_targets(props, gts, num_categories):
 @dataclass
 class ForwardState:
     """Stage two over a stack of B scenes of n ROIs each: what the backward
-    pass and the detection tail read."""
+    pass and the detection tail read. A forward that runs no inference step
+    has no scene node and no graph: its scene_feature0 and edges are None,
+    its tapes empty, and its final node features are features0 itself."""
 
+    boxes: np.ndarray           # (B, n, 4) center-size ROI rows
     features0: np.ndarray       # (B, n, d) initial node features
-    scene_feature0: np.ndarray  # (B, d)
-    graph_out: SceneGraph       # its boxes are the (B, n, 4) ROI rows
+    scene_feature0: np.ndarray  # (B, d) scene node; None without a step
+    features: np.ndarray        # (B, n, d) final node features, which the heads read
+    edges: np.ndarray           # (B, n, n) the last step's edges; None if it computed none
     tapes: list                 # per-step tapes; none in detection
     probs: np.ndarray           # (B, n, K+1) softmax rows
     deltas: np.ndarray          # (B, n, K, 4) per-class refinements
@@ -561,25 +569,30 @@ def _reads_gate(params, steps):
 
 def _forward(params, rois, steps, record, gate=None):
     """Stage two over a stack of scenes from their RoiInputs `rois` (its
-    targets unread): project the pooled ROI cells and the scene means, run
-    `steps` inference steps of the model's graph (none for the baseline)
-    and apply both heads. `gate`, if given, is the (B, n, n) spatial gate
-    of the ROIs (structure_inference.spatial_gate). Returns the forward
-    state; it holds the inference steps' tapes, which the backward pass
-    needs, only if `record`. Its graph_out holds the last step's edges, or
-    None when no step computed them."""
+    targets unread): project the pooled ROI cells, run `steps` inference
+    steps of the model's graph and apply both heads. Only a forward that
+    runs a step (steps > 0 and an arm with a message mode) projects the
+    scene means into the scene node, builds the graph and runs it; one that
+    runs none (every step of the baseline, and every arm's graph warm-up)
+    reads the heads off the projected ROI cells, as the detector alone
+    would. `gate`, if given, is the (B, n, n) spatial gate of the ROIs
+    (structure_inference.spatial_gate). Returns the forward state; it holds
+    the inference steps' tapes, which the backward pass needs, only if
+    `record`, and the last step's edges, or None when no step computed
+    them."""
     features0 = np.tanh(rois.node_avg @ params.feat_proj.value.T)
-    # one (d, C) by (C,) product per scene, the same as for a lone scene
-    scene0 = np.tanh(np.matmul(params.feat_proj.value, rois.scene_avg[:, :, None])[:, :, 0])
-
-    graph = SceneGraph(node_features=features0, boxes=rois.boxes, scene_feature=scene0,
-                       gate=gate)
-    graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, record)
-    feats = graph_out.node_features
+    feats, scene0, edges, tapes = features0, None, None, []
+    if steps and params.sin.mode is not None:
+        # one (d, C) by (C,) product per scene, the same as for a lone scene
+        scene0 = np.tanh(np.matmul(params.feat_proj.value, rois.scene_avg[:, :, None])[:, :, 0])
+        graph = SceneGraph(node_features=features0, boxes=rois.boxes, scene_feature=scene0,
+                           gate=gate)
+        graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, record)
+        feats, edges = graph_out.node_features, graph_out.edges
     deltas = (feats @ params.reg_head.value.T).reshape(*rois.boxes.shape[:2], -1, 4)
-    return ForwardState(features0=features0, scene_feature0=scene0, graph_out=graph_out,
-                        tapes=tapes, probs=_softmax_rows(feats @ params.cls_head.value.T),
-                        deltas=deltas)
+    return ForwardState(boxes=rois.boxes, features0=features0, scene_feature0=scene0,
+                        features=feats, edges=edges, tapes=tapes,
+                        probs=_softmax_rows(feats @ params.cls_head.value.T), deltas=deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -639,24 +652,28 @@ def detector_backward(params, rois, state, grads):
     """Push one scene's head gradients through the inference steps and the
     feature projection, accumulating into the parameter store. `state` is
     the one-scene stack _forward recorded from the RoiInputs `rois`.
-    Proposal boxes are constants here. Returns the (n, d) gradient on the
-    initial node features."""
+    Proposal boxes are constants here. A state with no tapes ran no step,
+    so it has no graph and no scene node to push through: the head gradient
+    goes straight through the projection's tanh into det/feat_proj."""
     b, n = state.probs.shape[:2]
     if b != 1:
         raise ValueError(f"detector_backward: expected a one-scene stack, got {b} scenes")
-    feats = state.graph_out.node_features[0]
+    feats = state.features[0]
     params.cls_head.grad += grads.dlogits.T @ feats
     dfeats = grads.dlogits @ params.cls_head.value
     dd = grads.ddeltas.reshape(n, -1)
     params.reg_head.grad += dd.T @ feats
     dfeats = dfeats + dd @ params.reg_head.value
 
-    dfeat0, dscene = sin_backward(params.sin, state.tapes, dfeats[None])
-    da = (1.0 - state.features0[0] ** 2) * dfeat0[0]
+    dscene = None
+    if state.tapes:
+        dfeat0, dscene = sin_backward(params.sin, state.tapes, dfeats[None])
+        dfeats = dfeat0[0]
+    da = (1.0 - state.features0[0] ** 2) * dfeats
     params.feat_proj.grad += da.T @ rois.node_avg[0]
-    ds = (1.0 - state.scene_feature0[0] ** 2) * dscene[0]
-    params.feat_proj.grad += np.outer(ds, rois.scene_avg[0])
-    return dfeat0[0]
+    if dscene is not None:
+        ds = (1.0 - state.scene_feature0[0] ** 2) * dscene[0]
+        params.feat_proj.grad += np.outer(ds, rois.scene_avg[0])
 
 
 def roi_loss(params, rois, steps, gate=None):
@@ -669,30 +686,41 @@ def roi_loss(params, rois, steps, gate=None):
     return loss
 
 
-def apply_weight_decay(store, names, wd, done=None):
-    """L2 term 0.5 * wd * ||p||^2 per named parameter of a laid-out store,
-    summed over them in the order given; adds wd * p to their gradients, one
-    numpy call per span of them in the store's buffers (ParamStore.spans).
-    Only those spans of the value buffer are squared, and each ||p||^2 adds
-    up the parameter's slice of them, in the order a sum over the
-    contiguous parameter itself takes. `done`
-    maps names whose term was taken elsewhere, with its gradient, to that
-    term: it is added in the name's place, and the name's gradient is left
+class WeightDecay:
+    """The L2 term 0.5 * wd * ||p||^2 per named parameter of a laid-out
+    store, summed over them in the order given, with its bookkeeping
+    resolved once, ahead of a training's steps: the names' spans of the
+    store's buffers, merged (ParamStore.spans), one squares buffer, and
+    each name's slice of it. A call adds wd * p to their gradients, one
+    numpy call per span, and returns the term. Only those spans of the
+    value buffer are squared, and each ||p||^2 adds up the parameter's
+    slice of them, in the order a sum over the contiguous parameter itself
+    takes. The terms of the `done` names were taken elsewhere, with their
+    gradients: a call is given them, in the order their names come in
+    `names`, adds each in its name's place, and leaves the name's gradient
     alone."""
-    if wd == 0.0:
-        return 0.0
-    done = done or {}
-    spans = store.spans([name for name in names if name not in done])
-    squares = np.empty_like(store.values)       # filled on those spans only
-    for span in spans:
-        np.square(store.values[span], out=squares[span])
-    loss = 0.0
-    for name in names:
-        loss += done[name] if name in done else \
-            0.5 * wd * float(np.add.reduce(squares[store.span(name)]))
-    for span in spans:
-        store.grads[span] += wd * store.values[span]
-    return loss
+
+    def __init__(self, store, names, wd, done=()):
+        self.wd, self.half = wd, 0.5 * wd
+        spans = store.spans([name for name in names if name not in done])
+        squares = np.empty_like(store.values)       # written on those spans only
+        self.spans = [(store.values[span], store.grads[span], squares[span]) for span in spans]
+        # each name's squares, or None for a done name
+        self.terms = [None if name in done else squares[store.span(name)] for name in names]
+
+    def __call__(self, *done):
+        if self.wd == 0.0:
+            return 0.0
+        for values, _, squares in self.spans:
+            np.square(values, out=squares)
+        done = iter(done)
+        loss = 0.0
+        for squares in self.terms:
+            loss += next(done) if squares is None else \
+                self.half * float(np.add.reduce(squares))
+        for values, grads, _ in self.spans:
+            grads += self.wd * values
+        return loss
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +734,9 @@ OBJ_LOSS_WEIGHT = 4.0
 # fraction of training spent with the graph disabled: messages computed from
 # untrained features are pure noise, and the cheapest way for SGD to remove
 # that noise is to slam the edge gate shut for good. Let the appearance
-# features settle first, then switch the graph on.
+# features settle first, then switch the graph on. A warm-up step runs no
+# inference step, so it runs no graph code either: no scene node, no graph
+# and no graph backward, as a baseline step.
 GRAPH_WARMUP_FRAC = 0.25
 
 
@@ -923,6 +953,7 @@ def stage_one(world, cfg, n_train, data_seed):
     sample = scene_sampler(world)
     anchors = anchor_set(world.height, world.width)
     scores = np.empty((DETECT_CHUNK, len(anchors.centers)))
+    decay = WeightDecay(store, [obj.name], cfg.weight_decay)
     losses, decays = [], []
     for start in range(0, iters, DETECT_CHUNK):
         scenes = [sample(data_seed, idx) for idx in order[start:start + DETECT_CHUNK]]
@@ -933,7 +964,7 @@ def stage_one(world, cfg, n_train, data_seed):
             obj.grad[...] = 0.0
             scores[j] = score_anchors(params, grid[None])[1][0]     # a stack of one
             losses.append(objectness_loss(params, grid, (anchors, scores[j]), targets[j]))
-            decays.append(apply_weight_decay(store, [obj.name], cfg.weight_decay))
+            decays.append(decay())
             if not math.isfinite(losses[-1] + decays[-1]):
                 break       # the full loss diverges here too; stage two raises
             velocity *= cfg.momentum
@@ -970,13 +1001,17 @@ def learn(world, cfg, arm, stage1, callback=None):
     """Stage two of a training run over its StageOne record `stage1`
     (stage_one), which any arm and any (pooling, T, feat_dim) of the same
     run config can replay: SGD with momentum on every other active
-    parameter, one callback per iteration. An iteration runs features, graph, heads, loss and
-    backward on its recorded inputs, then adds the recorded objectness loss
-    and the weight decay, over the sorted active names with the recorded
+    parameter, one callback per iteration. An iteration runs features,
+    graph, heads, loss and backward on its recorded inputs, then adds the
+    recorded objectness loss and the weight decay (WeightDecay, resolved
+    once for the run), over the sorted active names with the recorded
     det/objectness term in its place: the sum the full loop adds, bitwise.
-    A mode with edges builds the spatial gates of every iteration past the
-    graph warm-up in bulk, before the first step. The model ends with
-    stage one's map.
+    An iteration of the graph warm-up, and every iteration of the
+    baseline, runs no inference step and so no graph code: features,
+    heads, loss and backward of the detector alone (_forward). A mode with
+    edges builds the spatial gates of every iteration past the graph
+    warm-up in bulk, before the first step. The model ends with stage one's
+    map.
 
     Raises TrainingDiverged at the first iteration whose loss is not
     finite; where stage one stopped, that is its last iteration at the
@@ -996,6 +1031,7 @@ def learn(world, cfg, arm, stage1, callback=None):
     obj = params.objectness.name
     updates = [(store.values[span], store.grads[span], np.zeros(span.stop - span.start))
                for span in store.spans([name for name in active if name != obj])]
+    decay = WeightDecay(store, active, cfg.weight_decay, (obj,))
     k, n = stage1.rois.boxes.shape[:2]
     warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
     gates = None
@@ -1011,7 +1047,7 @@ def learn(world, cfg, arm, stage1, callback=None):
         gate = gates[it:it + 1] if graph_on and gates is not None else None
         loss = roi_loss(params, stage1.rois.scene(it), cfg.T if graph_on else 0, gate)
         loss += stage1.obj_loss[it]
-        loss += apply_weight_decay(store, active, cfg.weight_decay, {obj: stage1.obj_decay[it]})
+        loss += decay(stage1.obj_decay[it])
         if not math.isfinite(loss):
             raise TrainingDiverged(it)
 
@@ -1107,9 +1143,10 @@ def detect_scenes(params, samples, score_thresh):
 def detect(params, samples, score_thresh):
     """Final detections of one stack of scenes, one DETECTION_DTYPE array per
     sample as detect_scenes gives them, and the stack's forward state, with
-    graph_out.edges always filled: arms whose last step computed no edges
-    get them from the final node features."""
+    its edges always filled: a model whose last step computed no edges, or
+    that runs no step, gets them from the final node features and the
+    boxes' spatial gate."""
     dets, state = _detect_stack(params, samples, score_thresh)
-    if state.graph_out.edges is None:
-        state.graph_out.edges = compute_edges(params.sin, state.graph_out)
+    if state.edges is None:
+        state.edges = compute_edges(params.sin, state.features, spatial_gate(state.boxes))
     return dets, state

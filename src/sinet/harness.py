@@ -24,9 +24,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .detector import (ARMS, DETECT_STACK, TrainConfig, TrainingDiverged,
-                       apply_weight_decay, create_detector_params, detect, detect_scenes,
-                       roi_inputs, roi_loss, train, validate_config)
+from .detector import (ARMS, DETECT_STACK, TrainConfig, TrainingDiverged, WeightDecay,
+                       create_detector_params, detect, detect_scenes, roi_inputs, roi_loss,
+                       train, validate_config)
 from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_ablation
 from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
@@ -223,10 +223,11 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
     params = create_detector_params(store, channels, 2, cfg, "sin", derive_seed(seed, "init"))
     names = [nm for nm in store.names() if nm != "det/objectness"]
     rois = roi_inputs(grid[None], boxes[None], [gt], 2)
+    decay = WeightDecay(store, names, GRADCHECK_WD)
 
     def loss_fn():
         store.zero_grads()
-        return roi_loss(params, rois, steps) + apply_weight_decay(store, names, GRADCHECK_WD)
+        return roi_loss(params, rois, steps) + decay()
 
     return grad_check(loss_fn, store, names, eps=eps)
 
@@ -434,7 +435,7 @@ def _cmd_relations(args):
     for start in range(0, args.n, DETECT_STACK):
         ids = range(start, min(start + DETECT_STACK, args.n))
         dets, state = detect(params, [sample(args.seed, i) for i in ids], score_thresh)
-        for i, d, edges in zip(ids, dets, state.graph_out.edges):
+        for i, d, edges in zip(ids, dets, state.edges):
             # Python scalars: _fmt_cell writes a float by its repr
             for cat, score, (node, partner, weight) in zip(
                     d["category"].tolist(), d["score"].tolist(),

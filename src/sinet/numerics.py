@@ -90,7 +90,6 @@ class ParamStore:
     def __init__(self):
         self._entries = {}
         self._spans = {}          # name -> its slice of the buffers, once laid out
-        self._merged = {}         # names -> spans(names)
         self.values = self.grads = None
 
     def lay_out(self, entries):
@@ -116,18 +115,14 @@ class ParamStore:
 
     def spans(self, names):
         """The buffer slices the named parameters of a laid-out store cover,
-        adjacent ones merged, in layout order. Kept per list of names, so a
-        training step asks for them at no cost."""
-        key = tuple(names)
-        if key not in self._merged:
-            merged = []
-            for span in sorted((self._spans[name] for name in names), key=lambda s: s.start):
-                if merged and merged[-1].stop == span.start:
-                    merged[-1] = slice(merged[-1].start, span.stop)
-                else:
-                    merged.append(span)
-            self._merged[key] = merged
-        return self._merged[key]
+        adjacent ones merged, in layout order."""
+        merged = []
+        for span in sorted((self._spans[name] for name in names), key=lambda s: s.start):
+            if merged and merged[-1].stop == span.start:
+                merged[-1] = slice(merged[-1].start, span.stop)
+            else:
+                merged.append(span)
+        return merged
 
     def stack(self, names):
         """A ParamStack over same-shaped parameters of a laid-out store whose

@@ -893,3 +893,55 @@ def smooth_l1_oracle(diff):
 def random_box(rng, span=10.0):
     return Box(rng.uniform(1.0, span), rng.uniform(1.0, span),
                rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
+
+
+def roi_loss_through_an_empty_graph(params, rois, steps):
+    """One scene's stage-two loss, its gradient added into the store, down
+    the generic path for a step that runs no inference step (steps == 0, or
+    a model with no message mode): it projects the scene node, wraps the
+    features in a graph that no step changes, runs sin_backward over no
+    tapes and adds the outer product of the all-zero scene gradient to
+    det/feat_proj's gradient. detector.roi_loss skips all of that, and must
+    give the same loss and the same gradient bits."""
+    from sinet.detector import _softmax_rows, multi_task_loss
+    from sinet.structure_inference import SceneGraph, sin_backward, sin_infer_tapes
+    features0 = np.tanh(rois.node_avg @ params.feat_proj.value.T)
+    scene0 = np.tanh(np.matmul(params.feat_proj.value, rois.scene_avg[:, :, None])[:, :, 0])
+    graph = SceneGraph(node_features=features0, boxes=rois.boxes, scene_feature=scene0)
+    graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, True)
+    assert tapes == []
+    feats = graph_out.node_features
+    n = feats.shape[1]
+    deltas = (feats @ params.reg_head.value.T).reshape(1, n, -1, 4)
+    loss, grads = multi_task_loss(_softmax_rows(feats @ params.cls_head.value.T)[0], deltas[0],
+                                  rois.targets)
+    params.cls_head.grad += grads.dlogits.T @ feats[0]
+    dfeats = grads.dlogits @ params.cls_head.value
+    dd = grads.ddeltas.reshape(n, -1)
+    params.reg_head.grad += dd.T @ feats[0]
+    dfeats = dfeats + dd @ params.reg_head.value
+    dfeat0, dscene = sin_backward(params.sin, tapes, dfeats[None])
+    da = (1.0 - features0[0] ** 2) * dfeat0[0]
+    params.feat_proj.grad += da.T @ rois.node_avg[0]
+    ds = (1.0 - scene0[0] ** 2) * dscene[0]
+    params.feat_proj.grad += np.outer(ds, rois.scene_avg[0])
+    return loss
+
+
+def weight_decay_oracle(store, names, wd, done):
+    """The L2 term 0.5 * wd * ||p||^2 of each named parameter, each summed
+    over the parameter's own array, added up one name at a time in the
+    order given; a name of the mapping `done` adds its given term instead.
+    Also returns the gradients the term leaves: wd * p added to each named
+    parameter's that is not done, every other gradient as it was."""
+    grads = store.grads.copy()
+    loss = 0.0
+    for name in names:
+        if name in done:
+            loss += done[name]
+            continue
+        p = store[name].value
+        loss += 0.5 * wd * float((p * p).sum())
+        span = store.span(name)
+        grads[span] = grads[span] + wd * p.reshape(-1)
+    return loss, grads

@@ -12,19 +12,19 @@ from hypothesis import strategies as hst
 
 from sinet import detector as det_mod
 from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
-                            FINAL_NMS_THRESH,
+                            FINAL_NMS_THRESH, GRAPH_WARMUP_FRAC,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
                             PROPOSAL_NMS_THRESH, TrainConfig,
-                            TrainingDiverged, _forward, _injected_boxes, _pool_rois,
-                            _loss_targets, _proposals, _scene_means, _softmax_rows,
+                            TrainingDiverged, WeightDecay, _forward, _injected_boxes,
+                            _pool_rois, _loss_targets, _proposals, _scene_means, _softmax_rows,
                             active_param_names,
                             anchor_set, anchor_targets, assign_targets, create_detector_params,
-                            detect, detect_scenes, multi_task_loss, objectness_loss,
-                            roi_inputs, score_anchors, smooth_l1, stage_one,
+                            detect, detect_scenes, learn, multi_task_loss, objectness_loss,
+                            roi_inputs, roi_loss, score_anchors, smooth_l1, stage_one,
                             train, validate_config)
 from sinet.geometry import centers_to_corners, pairwise_iou
 from sinet.numerics import ParamStore
-from sinet.structure_inference import compute_edges
+from sinet.structure_inference import POOLINGS, compute_edges, spatial_gate
 from sinet.synth_data import SceneSample, cell_window, default_world, scene_sampler
 
 from oracles import (NO_BOXES, Box, anchor_targets_oracle, anchor_targets_per_scene,
@@ -32,8 +32,9 @@ from oracles import (NO_BOXES, Box, anchor_targets_oracle, anchor_targets_per_sc
                      clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
                      gt_array, iou_oracle, loss_targets_per_scene, multi_task_loss_oracle, nms,
                      nms_oracle, objectness_oracle, pool_rois_oracle, proposals_per_row,
-                     random_box, sample_at, scene_means_per_scene, score_anchors_per_scene,
-                     smooth_l1_oracle, softmax_oracle, train_proposals_oracle, with_arm)
+                     random_box, roi_loss_through_an_empty_graph, sample_at,
+                     scene_means_per_scene, score_anchors_per_scene, smooth_l1_oracle,
+                     softmax_oracle, train_proposals_oracle, weight_decay_oracle, with_arm)
 from oracles import propose as propose_per_row
 
 
@@ -890,7 +891,7 @@ def test_forward_probs_are_softmax_rows():
     sample = make_sample(rng)
     state = forward_one(params, sample, propose(params, sample), 2)
     assert state.probs.shape == (1, 6, 4)
-    probs, logits = state.probs[0], state.graph_out.node_features[0] @ params.cls_head.value.T
+    probs, logits = state.probs[0], state.features[0] @ params.cls_head.value.T
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs > 0.0)
     z = logits - logits.max(axis=1, keepdims=True)
@@ -932,12 +933,12 @@ def test_forward_zero_steps_reads_heads_off_raw_features():
     sample = make_sample(rng)
     boxes = center_rows([Box(3, 3, 2, 2), Box(6, 6, 2, 3), Box(8, 2, 1.5, 1.5)])
     state = forward_one(params, sample, boxes, 0)
-    assert np.array_equal(state.graph_out.node_features, state.features0)
+    assert np.array_equal(state.features, state.features0)
     assert np.array_equal(state.probs,
                           _softmax_rows(state.features0 @ params.cls_head.value.T))
     # with steps > 0 the graph must actually move the features
     moved = forward_one(params, sample, boxes, 2)
-    assert not np.allclose(moved.graph_out.node_features, state.features0)
+    assert not np.allclose(moved.features, state.features0)
 
 
 def test_forward_edges_square_and_zero_diagonal():
@@ -945,17 +946,118 @@ def test_forward_edges_square_and_zero_diagonal():
     store, params = make_params(rois_per_image=5, T=1)
     sample = make_sample(rng)
     props = propose(params, sample)
-    edges = forward_one(params, sample, props, 1).graph_out.edges
+    edges = forward_one(params, sample, props, 1).edges
     assert edges.shape == (1, 5, 5)
     assert np.all(np.diag(edges[0]) == 0.0)
     # without a step that computes edges, _forward leaves them to detect
-    assert forward_one(params, sample, props, 0).graph_out.edges is None
+    assert forward_one(params, sample, props, 0).edges is None
     for arm in ("baseline", "scene"):
         model = with_arm(store, params, arm)
-        assert forward_one(model, sample, props, 1).graph_out.edges is None
+        assert forward_one(model, sample, props, 1).edges is None
         _, state = detect(model, [sample], 0.05)
-        assert np.array_equal(state.graph_out.edges,
-                              compute_edges(params.sin, state.graph_out))
+        assert np.array_equal(state.edges,
+                              compute_edges(params.sin, state.features,
+                                            spatial_gate(state.boxes)))
+
+
+# ---------------------------------------------------------------------------
+# graph-free steps and weight decay
+
+# every arm at zero steps, and the baseline at a config's T: no step runs
+_GRAPH_FREE = [(arm, False) for arm in ARMS] + [("baseline", True)]
+
+
+@pytest.mark.parametrize("arm, at_config_t", _GRAPH_FREE)
+@settings(max_examples=40, deadline=None)
+@given(pooling=hst.sampled_from(POOLINGS), n=hst.integers(1, 8), k=hst.integers(1, 4),
+       d=hst.integers(1, 8), c=hst.integers(2, 6), objects=hst.integers(0, 4),
+       seed=hst.integers(0, 1 << 16), accumulated=hst.booleans())
+@example(pooling="concat", n=1, k=1, d=1, c=2, objects=0, seed=0, accumulated=False)
+def test_graph_free_step_is_the_generic_path(arm, at_config_t, pooling, n, k, d, c, objects,
+                                             seed, accumulated):
+    # a step that runs no inference step builds no scene node and no graph
+    # and runs no graph backward; on a random one-scene record its loss and
+    # every gradient bit, signs of zeros included, are those of the generic
+    # path through an empty graph, from zeroed gradients (as training gives
+    # them) or from accumulated ones
+    rng = np.random.default_rng(seed)
+    steps = int(rng.integers(1, 4)) if at_config_t else 0
+    grid = rng.normal(0.0, 1.0, size=(8, 8, c))
+    grid[rng.random(grid.shape) < 0.2] = -0.0
+    boxes = center_rows([random_box(rng, 8.0) for _ in range(n)])
+    gt = gt_array([(random_box(rng, 8.0), int(rng.integers(k))) for _ in range(objects)])
+    rois = roi_inputs(grid[None], boxes[None], [gt], k)
+    got = []
+    for path in (roi_loss, roi_loss_through_an_empty_graph):
+        store, params = make_params(channels=c, k=k, d=d, pooling=pooling, seed=seed, arm=arm,
+                                    T=steps)
+        if accumulated:
+            store.grads[:] = np.random.default_rng(seed + 1).normal(size=store.grads.shape)
+        got.append((float(path(params, rois, steps)).hex(), store.grads.copy()))
+    (loss, grads), (want_loss, want) = got
+    assert loss == want_loss
+    assert grads.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(grads), np.signbit(want))
+
+
+@pytest.mark.parametrize("arm", ARMS)
+def test_graph_free_steps_run_no_graph_code(arm):
+    # the baseline's steps and every arm's warm-up steps run no inference
+    # step: they build no graph and run no graph backward, so in a training
+    # SceneGraph and sin_backward are called once per step past the warm-up
+    # and never on the baseline, and the weight decay and the update are
+    # resolved before the first step (two ParamStore.spans calls in all)
+    world = default_world()
+    cfg = validate_config(TrainConfig(iters=12, rois_per_image=6, feat_dim=8, seed=3))
+    stage1 = stage_one(world, cfg, 12, 5)
+    graph_steps = 0 if arm == "baseline" else cfg.iters - int(GRAPH_WARMUP_FRAC * cfg.iters)
+    with mock.patch.object(det_mod, "SceneGraph", wraps=det_mod.SceneGraph) as graph, \
+            mock.patch.object(det_mod, "sin_backward", wraps=det_mod.sin_backward) as backward, \
+            mock.patch.object(ParamStore, "spans", autospec=True,
+                              side_effect=ParamStore.spans) as spans:
+        learn(world, cfg, arm, stage1)
+    assert graph.call_count == backward.call_count == graph_steps
+    assert spans.call_count == 2
+    # nor does such a step project its scene mean into a scene node
+    _, params = make_params(channels=world.channels, k=world.num_categories, d=8, arm=arm)
+    rois = stage1.rois.scene(0)._replace(scene_avg=mock.MagicMock())
+    roi_loss(params, rois, cfg.T if arm == "baseline" else 0)
+    assert rois.scene_avg.mock_calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(pooling=hst.sampled_from(POOLINGS), wd=hst.sampled_from((0.0, 5e-4, 0.37, 3.0)),
+       seed=hst.integers(0, 1 << 16), data=hst.data())
+@example(pooling="mean", wd=0.0, seed=0, data=None)
+def test_weight_decay_is_the_per_name_sum(pooling, wd, seed, data):
+    # each named parameter's 0.5 * wd * ||p||^2 summed over its own array,
+    # added up in the order given, with each done name's term added in its
+    # place and its gradient left alone; wd * p lands on the gradients of
+    # the other named parameters and nowhere else. A wd of zero is a term
+    # of 0.0 and no gradient. The bookkeeping is resolved once, so later
+    # calls read the values the store holds by then
+    store, _ = make_params(pooling=pooling, seed=seed)
+    rng = np.random.default_rng(seed)
+    if data is None:                                    # every name, sorted, none done
+        names, done_names = store.names(), []
+    else:
+        names = data.draw(hst.permutations(store.names()))
+        names = names[:data.draw(hst.integers(0, len(names)))]
+        done_names = data.draw(hst.lists(hst.sampled_from(names), unique=True)) if names else []
+    decay = WeightDecay(store, names, wd, tuple(done_names))
+    for _ in range(2):
+        store.values[:] = rng.normal(size=store.values.shape)
+        store.grads[:] = rng.normal(size=store.grads.shape)
+        store.values[rng.random(store.values.shape) < 0.1] = -0.0
+        store.grads[rng.random(store.grads.shape) < 0.1] = -0.0
+        done = {name: float(rng.normal()) for name in done_names}
+        want, want_grads = weight_decay_oracle(store, names, wd, done)
+        if wd == 0.0:
+            want, want_grads = 0.0, store.grads.copy()
+        got = decay(*(done[name] for name in names if name in done))
+        assert float(got).hex() == float(want).hex()
+        assert store.grads.tobytes() == want_grads.tobytes()
+        assert np.array_equal(np.signbit(store.grads), np.signbit(want_grads))
 
 
 # ---------------------------------------------------------------------------
@@ -1284,7 +1386,7 @@ def test_single_roi_trains_and_detects_on_sin_arm():
     assert trained.tapes[-1].gru.xh.shape == (2, 1, 1, 2 * cfg.feat_dim)   # both banks
     (dets,), state = detect(result.params, [sample], score_thresh=0.0)
     assert state.tapes == []
-    assert state.graph_out.edges.shape == (1, 1, 1)
+    assert state.edges.shape == (1, 1, 1)
     assert len(dets) and (dets["roi"] == 0).all()
 
 
@@ -1444,7 +1546,7 @@ def test_detection_proposals_are_the_per_row_proposals():
         samples[1].grid[h // 2, w // 2, 0] = math.nan   # a NaN cell: NaN scores rank last
         with np.errstate(invalid="ignore"):
             _, state = det_mod._detect_stack(params, samples, 0.05)
-        for sample, boxes in zip(samples, state.graph_out.boxes):
+        for sample, boxes in zip(samples, state.boxes):
             assert boxes.tobytes() == propose_per_row(params, sample).tobytes()
 
 
@@ -1570,9 +1672,9 @@ def test_detection_state_is_the_recording_path_without_tapes():
         assert np.array_equal(state.probs, taped.probs)
         assert np.array_equal(state.deltas, taped.deltas)
         if arm in ("baseline", "scene"):
-            assert state.graph_out.edges is None and taped.graph_out.edges is None
+            assert state.edges is None and taped.edges is None
         else:
-            assert np.array_equal(state.graph_out.edges, taped.graph_out.edges)
+            assert np.array_equal(state.edges, taped.edges)
 
 
 def test_detect_arms_share_proposals():
@@ -1585,10 +1687,10 @@ def test_detect_arms_share_proposals():
     for arm in ARMS:
         model = with_arm(store, params, arm)
         states[arm] = forward_one(model, sample, propose(model, sample), 2)
-    ref = states["baseline"].graph_out.boxes
+    ref = states["baseline"].boxes
     assert ref.shape == (1, 6, 4)
     for arm in ARMS[1:]:
-        assert np.array_equal(states[arm].graph_out.boxes, ref)
+        assert np.array_equal(states[arm].boxes, ref)
 
 
 # Digests of what `sinet eval` scores: the detections of a 60-iteration model

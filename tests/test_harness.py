@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
-from sinet.detector import (ARMS, DETECT_CHUNK, DETECTION_DTYPE, TrainConfig,
+from sinet.detector import (ARMS, DETECT_STACK, DETECTION_DTYPE, TrainConfig,
                             active_param_names, create_detector_params, detect, detect_scenes,
                             train)
 from sinet.evaluation import evaluate_detections
@@ -426,29 +426,32 @@ def test_cli_train_eval_relations_pipeline(tmp_path, capsys):
 
 @pytest.mark.parametrize("arm", ["baseline", "scene"])
 def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
-    # 20 scenes span two detection stacks. On these arms no step computes
-    # edges, so detect takes them from compute_edges over the whole stack;
-    # every row must still be that of detecting the scene alone
-    assert DETECT_CHUNK < 20
+    # `sinet relations` detects in stacks of DETECT_STACK scenes, and these
+    # n scenes fill one stack and start a second. On these arms no step
+    # computes edges (the baseline runs none), so detect takes them from
+    # compute_edges over each whole stack; every row, those of the second
+    # stack included, must be that of detecting the scene alone
+    n = DETECT_STACK + 4
+    assert DETECT_STACK < n
     run_dir = str(tmp_path / "run")
     assert main(["train", "--arm", arm, "--iters", "8", "--n-train", "4",
                  "--out", run_dir]) == 0
     ckpt = os.path.join(run_dir, "checkpoint.bin")
     got = tmp_path / "relations.csv"
-    assert main(["relations", "--checkpoint", ckpt, "--seed", "3", "--n", "20",
+    assert main(["relations", "--checkpoint", ckpt, "--seed", "3", "--n", str(n),
                  "--out", str(got)]) == 0
     capsys.readouterr()
 
     _manifest, params, _ev_cfg, world = _load_trained(ckpt)
     assert params.arm == arm
     rows = []
-    for i in range(20):
+    for i in range(n):
         (dets,), state = detect(params, [sample_at(world, 3, i)], 0.05)
         for cat, score, (node, partner, weight) in zip(
                 dets["category"].tolist(), dets["score"].tolist(),
-                relation_report(state.graph_out.edges[0], dets["roi"].tolist())):
+                relation_report(state.edges[0], dets["roi"].tolist())):
             rows.append((i, node, cat, score, partner, weight))
-    assert {row[0] for row in rows} & set(range(DETECT_CHUNK, 20))
+    assert {row[0] for row in rows} & set(range(DETECT_STACK, n))     # the second stack
     want = tmp_path / "want.csv"
     write_csv(str(want), ("sample", "node", "category", "score", "partner", "edge_weight"), rows)
     assert got.read_bytes() == want.read_bytes()

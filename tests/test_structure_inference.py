@@ -161,7 +161,7 @@ def test_compute_edges_matches_pairwise_loop():
     _, p = make_params(4, seed=2)
     w_p = rng.normal(0, 0.5, size=(1, 12))
     g = gated(random_graph(rng, 5, 4), w_p)
-    e = compute_edges(p, g)
+    e = compute_edges(p, g.node_features, g.gate)
     assert e.shape == (1, 5, 5)
     e, boxes, feats = e[0], scene_boxes(g), g.node_features[0]
     assert np.all(np.diag(e) == 0.0)
