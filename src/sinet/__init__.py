@@ -13,9 +13,8 @@ from .memory_cell import GruParams, gru_backward, gru_forward, gru_init, gru_par
 from .inputs import FileError
 from .numerics import (Param, ParamStack, ParamStore, ShapeError, derive_seed, grad_check,
                        init_param, load_checkpoint, save_checkpoint, seed_for)
-from .structure_inference import (SceneGraph, SinParams, compute_edges, relation_report,
-                                  sin_backward, sin_infer_tapes, sin_init, sin_params,
-                                  sin_step_tape)
+from .structure_inference import (SinParams, compute_edges, relation_report, sin_backward,
+                                  sin_infer_tapes, sin_init, sin_params, sin_step_tape)
 from .synth_data import (GT_DTYPE, Category, CooccurRule, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
                          save_dataset, scene_sampler, world_hash)
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARMS", "Category", "CooccurRule",
     "DETECTION_DTYPE", "DetectorParams", "EvalConfig", "EvalResult", "FileError",
-    "GT_DTYPE", "GruParams", "Param", "ParamStack", "ParamStore", "RunConfig", "SceneGraph",
+    "GT_DTYPE", "GruParams", "Param", "ParamStack", "ParamStore", "RunConfig",
     "SceneSample", "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
     "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "compute_edges",
     "create_detector_params",

@@ -7,9 +7,10 @@ transposed), and keeps a fixed number of proposals: the top-scoring anchors
 in detection, where no two anchors overlap enough to suppress one another;
 in training, the jittered ground truth that survives NMS among itself, then
 the top-scoring anchors it does not suppress. Stage two builds a detection
-graph over the proposals (node features pooled from covered cells, one
-scene node pooled globally), runs the structure inference steps, and reads
-class probabilities and per-class box deltas off the final node states.
+graph over the proposals (node features pooled from covered cells, and a
+scene node pooled globally if the scene bank reads one), runs the
+structure inference steps, and reads class probabilities and per-class box
+deltas off the final node states.
 A forward that runs no inference step (every step of the baseline arm, and
 every arm's steps during the graph warm-up) is the detector alone: it reads
 the heads off the projected ROI cells, builds no scene node and no graph,
@@ -73,7 +74,7 @@ from .geometry import (_sorted_prefixes, apply_deltas, centers_to_corners, clip_
                        encode_deltas, nms_by_group, pairwise_iou)
 from .memory_cell import MAPS
 from .numerics import ParamStore, derive_seed, init_param, seed_for
-from .structure_inference import (MODE_BANKS, POOLINGS, SceneGraph, compute_edges,
+from .structure_inference import (EDGE_BANK, POOLINGS, SCENE_BANK, compute_edges,
                                   sin_backward, sin_infer_tapes, sin_init, sin_params,
                                   spatial_gate)
 from .synth_data import cell_window, scene_sampler
@@ -212,14 +213,13 @@ def active_param_names(params):
     see exactly zero gradient (including weight decay). They depend on the
     arm alone, not on T: at T = 0 a graph arm's banks still take weight
     decay."""
+    banks = params.sin.banks
     names = [params.feat_proj.name, params.cls_head.name,
              params.reg_head.name, params.objectness.name]
-    mode = params.sin.mode
-    if mode is not None:
-        names += [f"{bank}/{m}" for bank in MODE_BANKS[mode] for m in MAPS]
-    if mode in ("edge", "both"):
+    names += [f"{bank}/{m}" for bank in banks for m in MAPS]
+    if EDGE_BANK in banks:
         names.append(params.sin.w_v.name)
-    if mode == "both" and params.sin.w_a is not None:
+    if len(banks) > 1 and params.sin.w_a is not None:
         names.append(params.sin.w_a.name)
     return sorted(names)
 
@@ -415,12 +415,13 @@ def assign_targets(props, gts, num_categories):
 class ForwardState:
     """Stage two over a stack of B scenes of n ROIs each: what the backward
     pass and the detection tail read. A forward that runs no inference step
-    has no scene node and no graph: its scene_feature0 and edges are None,
-    its tapes empty, and its final node features are features0 itself."""
+    has no graph: its edges are None, its tapes empty, and its final node
+    features are features0 itself; neither it nor a forward whose steps do
+    not read the scene bank has a scene node (scene_feature0 is None)."""
 
     boxes: np.ndarray           # (B, n, 4) center-size ROI rows
     features0: np.ndarray       # (B, n, d) initial node features
-    scene_feature0: np.ndarray  # (B, d) scene node; None without a step
+    scene_feature0: np.ndarray  # (B, d) scene node, or None
     features: np.ndarray        # (B, n, d) final node features, which the heads read
     edges: np.ndarray           # (B, n, n) the last step's edges; None if it computed none
     tapes: list                 # per-step tapes; none in detection
@@ -564,31 +565,27 @@ def roi_inputs(grids, boxes, gts=None, num_categories=None):
 
 def _reads_gate(params, steps):
     """Whether `steps` inference steps of the model read the spatial gate."""
-    return params.sin.mode in ("edge", "both") and steps > 0
+    return steps > 0 and EDGE_BANK in params.sin.banks
 
 
 def _forward(params, rois, steps, record, gate=None):
     """Stage two over a stack of scenes from their RoiInputs `rois` (its
     targets unread): project the pooled ROI cells, run `steps` inference
-    steps of the model's graph and apply both heads. Only a forward that
-    runs a step (steps > 0 and an arm with a message mode) projects the
-    scene means into the scene node, builds the graph and runs it; one that
-    runs none (every step of the baseline, and every arm's graph warm-up)
-    reads the heads off the projected ROI cells, as the detector alone
-    would. `gate`, if given, is the (B, n, n) spatial gate of the ROIs
-    (structure_inference.spatial_gate). Returns the forward state; it holds
-    the inference steps' tapes, which the backward pass needs, only if
-    `record`, and the last step's edges, or None when no step computed
-    them."""
+    steps of the model's graph on them and apply both heads. Only a forward
+    whose steps read the scene bank projects the scene means into the scene
+    node; one that runs no step (every step of the baseline, and every
+    arm's graph warm-up) reads the heads off the projected ROI cells, as the
+    detector alone would. `gate` is the (B, n, n) spatial gate of the ROIs
+    (structure_inference.spatial_gate), None if no step reads it. Returns
+    the forward state; it holds the inference steps' tapes, which the
+    backward pass needs, only if `record`, and the last step's edges, or
+    None when no step computed them."""
     features0 = np.tanh(rois.node_avg @ params.feat_proj.value.T)
-    feats, scene0, edges, tapes = features0, None, None, []
-    if steps and params.sin.mode is not None:
+    scene0 = None
+    if steps and SCENE_BANK in params.sin.banks:
         # one (d, C) by (C,) product per scene, the same as for a lone scene
         scene0 = np.tanh(np.matmul(params.feat_proj.value, rois.scene_avg[:, :, None])[:, :, 0])
-        graph = SceneGraph(node_features=features0, boxes=rois.boxes, scene_feature=scene0,
-                           gate=gate)
-        graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, record)
-        feats, edges = graph_out.node_features, graph_out.edges
+    feats, edges, tapes = sin_infer_tapes(params.sin, features0, scene0, gate, steps, record)
     deltas = (feats @ params.reg_head.value.T).reshape(*rois.boxes.shape[:2], -1, 4)
     return ForwardState(boxes=rois.boxes, features0=features0, scene_feature0=scene0,
                         features=feats, edges=edges, tapes=tapes,
@@ -653,8 +650,9 @@ def detector_backward(params, rois, state, grads):
     feature projection, accumulating into the parameter store. `state` is
     the one-scene stack _forward recorded from the RoiInputs `rois`.
     Proposal boxes are constants here. A state with no tapes ran no step,
-    so it has no graph and no scene node to push through: the head gradient
-    goes straight through the projection's tanh into det/feat_proj."""
+    so it has no graph to push through: the head gradient goes straight
+    through the projection's tanh into det/feat_proj. Only a state with a
+    scene node pushes a scene gradient into det/feat_proj."""
     b, n = state.probs.shape[:2]
     if b != 1:
         raise ValueError(f"detector_backward: expected a one-scene stack, got {b} scenes")
@@ -678,8 +676,8 @@ def detector_backward(params, rois, state, grads):
 
 def roi_loss(params, rois, steps, gate=None):
     """One scene's stage-two loss after `steps` inference steps, from its
-    one-scene RoiInputs `rois` and, if given, the (1, n, n) spatial gate of
-    its ROIs; its gradient goes into the store."""
+    one-scene RoiInputs `rois` and the (1, n, n) spatial gate of its ROIs
+    (None if no step reads it); its gradient goes into the store."""
     state = _forward(params, rois, steps, True, gate)
     loss, grads = multi_task_loss(state.probs[0], state.deltas[0], rois.targets)
     detector_backward(params, rois, state, grads)

@@ -30,7 +30,7 @@ from .detector import (ARMS, DETECT_STACK, TrainConfig, TrainingDiverged, Weight
 from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_ablation
 from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
-from .structure_inference import POOLINGS, relation_report
+from .structure_inference import POOLINGS, relation_report, spatial_gate
 from .synth_data import (GT_DTYPE, WORLD_FIXTURES, generate, load_dataset, save_dataset,
                          scene_sampler, world_from_dict, world_hash, world_to_dict)
 
@@ -224,10 +224,11 @@ def run_gradcheck(d=3, n=3, steps=2, seed=11, pooling="mean", eps=1e-5):
     names = [nm for nm in store.names() if nm != "det/objectness"]
     rois = roi_inputs(grid[None], boxes[None], [gt], 2)
     decay = WeightDecay(store, names, GRADCHECK_WD)
+    gate = spatial_gate(rois.boxes)
 
     def loss_fn():
         store.zero_grads()
-        return roi_loss(params, rois, steps) + decay()
+        return roi_loss(params, rois, steps, gate) + decay()
 
     return grad_check(loss_fn, store, names, eps=eps)
 

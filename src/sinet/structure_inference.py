@@ -11,22 +11,22 @@ For node i with feature f_i, one step computes
     f_i'     = fuse(h_s_i, h_e_i)        # mean (default), max, or concat
 
 W_P is a fixed locality prior, not a learned weight, so the spatial gate
-relu(W_P . R) depends on the boxes alone (spatial_gate): a graph may arrive
-with it, as training builds the gates of a whole run in bulk before its
-first step, and otherwise the first step that needs it computes it once for
-the stack. The appearance factor, and with it the edges,
-is recomputed from the current features at every step; both banks take the
+relu(W_P . R) depends on the boxes alone (spatial_gate): the caller builds
+it once per stack (training builds the gates of a whole run in bulk before
+its first step). The appearance factor, and with it the edges, is
+recomputed from the current features at every step; both banks take the
 fused node state of the previous step as their hidden state. Ablation arms
 drop one bank and use the remaining output alone. A step makes one GRU call
 in every mode, forward and back, on the stack of its mode's banks
-(MODE_BANKS, memory_cell's bank axis): with both banks it pools the
-messages first and runs the two stacked, scene bank first. The message mode
-and the fusion are fixed when the net is built (sin_params) and every step
-reads them from its SinParams.
+(SinParams.banks, memory_cell's bank axis; the scene bank reads the scene
+features, the edge bank the gate and w_v), scene bank first: with both
+banks it pools the messages first. The message mode and the fusion are
+fixed when the net is built (sin_params) and every step reads them from
+its SinParams.
 
-A step runs on a stack of B scenes with n nodes each: node features are
-(B, n, d), boxes (B, n, 4), the spatial gate and the edges (B, n, n) and
-scene features (B, d). Messages are pooled within each scene only. Every
+A step runs on arrays, a stack of B scenes with n nodes each: node features
+are (B, n, d), the spatial gate and the edges (B, n, n) and scene features
+(B, d). Messages are pooled within each scene only. Every
 product keeps its per-scene shape (a stacked matmul runs one product per
 scene), so a scene's numbers are bitwise the same whatever it is stacked
 with; training runs stacks of one scene.
@@ -69,30 +69,6 @@ W_P.flags.writeable = False
 
 
 @dataclass
-class SceneGraph:
-    """A stack of B per-image graphs of n nodes each: node features, node
-    boxes as (cx, cy, w, h) rows, and one scene vector per image. The boxes'
-    spatial gate, unless given, is computed by the first step that needs it,
-    and is passed on to the graphs that step produces; a graph a step
-    produced also holds that step's edges."""
-
-    node_features: np.ndarray      # (B, n, d)
-    boxes: np.ndarray              # (B, n, 4)
-    scene_feature: np.ndarray      # (B, d)
-    gate: np.ndarray = None        # (B, n, n) relu(_relation_tensor(boxes) @ W_P)
-    edges: np.ndarray = None       # (B, n, n) edges of the step that produced it, if any
-
-    def __post_init__(self):
-        self.node_features = np.asarray(self.node_features, dtype=np.float64)
-        self.boxes = np.asarray(self.boxes, dtype=np.float64)
-        self.scene_feature = np.asarray(self.scene_feature, dtype=np.float64)
-        f, b, s = self.node_features.shape, self.boxes.shape, self.scene_feature.shape
-        if len(f) != 3 or b != f[:2] + (4,) or s != (f[0], f[2]):
-            raise ValueError(f"graph: node features {f}, boxes {b} and scene features {s} "
-                             f"are not a (B, n, d), (B, n, 4), (B, d) stack")
-
-
-@dataclass
 class SinParams:
     """One model's inference net: its message mode (None runs no step), its
     fusion of the two banks' outputs, and the weights they read."""
@@ -102,6 +78,10 @@ class SinParams:
     gru: object                 # GruParams of MODE_BANKS[mode], stacked; None without a mode
     w_v: object                 # (1, 2d)
     w_a: object = None          # (d, 2d), only under concat fusion
+
+    @property
+    def banks(self):    # the banks a step runs, in stacking order; none without a mode
+        return MODE_BANKS[self.mode] if self.mode else ()
 
 
 def sin_init(d, seed):
@@ -207,17 +187,11 @@ def spatial_gate(boxes):
     return np.maximum(_relation_tensor(boxes) @ W_P, 0.0)
 
 
-def _gate(g):
-    if g.gate is None:
-        g.gate = spatial_gate(g.boxes)
-    return g.gate
-
-
 def _edges_backward(p, cache, de, features):
-    """Push gradient of the (B, n, n) edge matrices back to w_v and the
-    (B, n, d) features. The spatial gate is a constant of the boxes, so no
-    gradient flows into it."""
-    de = np.array(de, dtype=np.float64)
+    """Push gradient of the (B, n, n) edge matrices, a contiguous array whose
+    diagonal this zeroes in place, back to w_v and the (B, n, d) features.
+    The spatial gate is a constant of the boxes, so no gradient flows into
+    it."""
     _diagonal(de)[...] = 0.0
     dlin_v = de * cache.spatial * (1.0 - cache.visual * cache.visual)
     row = dlin_v.sum(axis=2)   # receiver-side sums, (B, n)
@@ -292,8 +266,8 @@ class StepTape:
     edge_cache: EdgeCache = None
     msgs: np.ndarray = None
     senders: np.ndarray = None
-    h: np.ndarray = None        # (k, B, n, d) bank outputs, in MODE_BANKS[mode] order
-    fused: np.ndarray = None
+    h: np.ndarray = None        # (k, B, n, d) bank outputs, in SinParams.banks order
+    fused: np.ndarray = None    # (B, n, d) the step's output
 
 
 def _fuse(p, h_scene, h_edge):
@@ -305,51 +279,71 @@ def _fuse(p, h_scene, h_edge):
     return np.concatenate([h_scene, h_edge], axis=2) @ p.w_a.value.T
 
 
-def sin_step_tape(p, g, record):
-    """One inference step over a stack of graphs, in p's message mode;
-    returns the updated stack and, if `record` (the caller will run
-    sin_backward), the tape for backward, else None. A step that records
-    pools messages with _integrate_all for its winning senders; one that
-    does not pools them with _max_messages and drops its intermediates on
-    return. Either way the updated stack carries the step's edges. Each step
-    makes one GRU call, on the stack of its mode's banks (SinParams.gru): in
-    "both" mode the messages are pooled first. A "scene" step's x is a
-    broadcast view of the scene features."""
-    feats = g.node_features
-    tape = StepTape(features_in=feats)
-    if p.mode == "scene":
-        x = np.broadcast_to(g.scene_feature[:, None, :], feats.shape)[None]
-    else:
-        tape.edge_cache = _compute_edges(p, feats, _gate(g))
+def sin_step_tape(p, features, scene, gate, record):
+    """One inference step, in p's message mode, over a stack of graphs:
+    (B, n, d) node features, (B, d) scene features and the (B, n, n)
+    spatial gate, the last two read only by the bank that needs them.
+    Returns the step's tape: its `fused` are the updated node features and
+    its edge_cache.e the step's edges. A step that records (the caller will
+    run sin_backward) pools messages with _integrate_all for their winning
+    senders; one that does not pools them with _max_messages. Each step
+    makes one GRU call, on the stack of its banks (SinParams.gru), with
+    their x stacked in one (k, B, n, d) array: the scene features repeated
+    over the nodes, then the messages."""
+    tape = StepTape(features_in=features)
+    x = np.empty((len(p.banks),) + features.shape)
+    if SCENE_BANK in p.banks:
+        x[0] = scene[:, None, :]
+    if EDGE_BANK in p.banks:
+        tape.edge_cache = _compute_edges(p, features, gate)
         if record:
-            tape.msgs, tape.senders = _integrate_all(feats, tape.edge_cache.e)
+            tape.msgs, tape.senders = _integrate_all(features, tape.edge_cache.e)
         else:
-            tape.msgs = _max_messages(feats, tape.edge_cache.e)
-        if p.mode == "edge":
-            x = tape.msgs[None]
-        else:
-            x = np.empty((2,) + feats.shape)
-            x[0] = g.scene_feature[:, None, :]
-            x[1] = tape.msgs
-    tape.h, tape.gru = gru_forward(p.gru, x, feats)
-    tape.fused = tape.h[0] if p.mode != "both" else _fuse(p, tape.h[0], tape.h[1])
-    out = SceneGraph(node_features=tape.fused, boxes=g.boxes, scene_feature=g.scene_feature,
-                     gate=g.gate, edges=None if tape.edge_cache is None else tape.edge_cache.e)
-    return out, tape if record else None
+            tape.msgs = _max_messages(features, tape.edge_cache.e)
+        x[-1] = tape.msgs
+    tape.h, tape.gru = gru_forward(p.gru, x, features)
+    tape.fused = tape.h[0] if len(x) == 1 else _fuse(p, *tape.h)
+    return tape
 
 
-def sin_infer_tapes(p, g, steps, record):
-    """Iterate sin_step_tape `steps` times; returns the final stack and the
-    tapes, one per step if `record` and none otherwise. steps=0, or a net
-    with no message mode (the baseline's), returns the graph unchanged."""
+def _check_stack(p, features, scene, gate):
+    """ValueError unless the arrays fit together and p's banks get what they read."""
+    f = features.shape
+    if len(f) != 3:
+        raise ValueError(f"graph: node features {f} are not a (B, n, d) stack")
+    for what, bank, a, shape in (("scene features", SCENE_BANK, scene, (f[0], f[2])),
+                                 ("spatial gate", EDGE_BANK, gate, (f[0], f[1], f[1]))):
+        if a is None:
+            if bank in p.banks:
+                raise ValueError(f"graph: {p.mode} mode reads the {what}, and none is given")
+        elif a.shape != shape:
+            raise ValueError(f"graph: {what} {a.shape} do not fit node features {f}; "
+                             f"expected {shape}")
+
+
+def sin_infer_tapes(p, features, scene, gate, steps, record):
+    """Iterate sin_step_tape `steps` times from (B, n, d) node features,
+    with the stack's (B, d) scene features and (B, n, n) spatial gate,
+    either None where no bank reads it; checks them first (ValueError).
+    Returns the final node features, the last step's edges (None if it
+    computed none) and the tapes, one per step if `record` and none
+    otherwise. steps=0, or a net with no message mode (the baseline's),
+    returns the features as given at once."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not steps or not p.banks:
+        return features, None, []
+    _check_stack(p, features, scene, gate)
     tapes = []
-    for _ in range(steps if p.mode else 0):
-        g, tape = sin_step_tape(p, g, record)
+    for _ in range(steps):
+        tape = sin_step_tape(p, features, scene, gate, record)
+        features, edges = tape.fused, None if tape.edge_cache is None else tape.edge_cache.e
         if record:
             tapes.append(tape)
-    return g, tapes
+        # a tape that is not kept frees the step's intermediates before the
+        # next step allocates its own
+        del tape
+    return features, edges, tapes
 
 
 def _banks_backward(p, tape, dfeat):
@@ -357,7 +351,7 @@ def _banks_backward(p, tape, dfeat):
     gradients on each bank's x (the scene rows, the messages) and on its
     hidden state, as lists over the banks the step ran, scene bank first."""
     b, n, d = dfeat.shape
-    if p.mode != "both":
+    if len(p.banks) == 1:
         dh_banks = dfeat[None]
     elif p.pooling == "mean":
         half = dfeat / 2.0
@@ -374,35 +368,31 @@ def _banks_backward(p, tape, dfeat):
 
 
 def sin_backward(p, tapes, d_out_features):
-    """Reverse-mode pass through all recorded steps.
+    """Reverse-mode pass through all recorded steps (at least one).
 
     Accumulates parameter gradients, summed over the scenes of the stack,
     into the store and returns (d_input_features, d_scene_feature) as
-    (B, n, d) and (B, d).
+    (B, n, d) and (B, d); d_scene_feature is None without the scene bank,
+    which alone reads the scene features.
     """
-    dfeat = np.array(d_out_features, dtype=np.float64)
-    if tapes and dfeat.shape != tapes[-1].fused.shape:
+    dfeat = np.asarray(d_out_features, dtype=np.float64)
+    if dfeat.shape != tapes[-1].fused.shape:
         raise ValueError(
             f"sin_backward: upstream grad shape {dfeat.shape} does not match "
             f"final features {tapes[-1].fused.shape}")
-    dscene = None
+    b, n, d = dfeat.shape
+    dscene = np.zeros((b, d)) if SCENE_BANK in p.banks else None
     for tape in reversed(tapes):
-        b, n, d = tape.features_in.shape
-        if dscene is None:
-            dscene = np.zeros((b, d))
         dx, parts = _banks_backward(p, tape, dfeat)
-        if p.mode != "edge":
+        if dscene is not None:
             dscene += dx[0].sum(axis=1)
-        if p.mode != "scene":
+        if EDGE_BANK in p.banks:
             de, dfeat_msg = _messages_backward(tape.features_in, tape.edge_cache.e,
                                                tape.senders, dx[-1])
             parts += [dfeat_msg, _edges_backward(p, tape.edge_cache, de, tape.features_in)]
         dfeat = np.zeros((b, n, d))
         for part in parts:
             dfeat += part
-    if dscene is None:
-        b, _n, d = dfeat.shape
-        dscene = np.zeros((b, d))
     return dfeat, dscene
 
 

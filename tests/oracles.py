@@ -895,22 +895,21 @@ def random_box(rng, span=10.0):
                rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
 
 
-def roi_loss_through_an_empty_graph(params, rois, steps):
+def generic_roi_loss(params, rois, steps, gate):
     """One scene's stage-two loss, its gradient added into the store, down
-    the generic path for a step that runs no inference step (steps == 0, or
-    a model with no message mode): it projects the scene node, wraps the
-    features in a graph that no step changes, runs sin_backward over no
-    tapes and adds the outer product of the all-zero scene gradient to
-    det/feat_proj's gradient. detector.roi_loss skips all of that, and must
+    one generic path for every arm and step count: it projects the scene
+    node, runs `steps` inference steps of the model's graph under the
+    (1, n, n) spatial gate `gate` (none for a model with no message mode),
+    runs sin_backward over their tapes, if any, and adds the outer product
+    of the scene gradient, all zeros where no bank reads the scene node, to
+    det/feat_proj's gradient. detector.roi_loss skips the graph of a step
+    that runs none, and the scene node of one that reads none, and must
     give the same loss and the same gradient bits."""
     from sinet.detector import _softmax_rows, multi_task_loss
-    from sinet.structure_inference import SceneGraph, sin_backward, sin_infer_tapes
+    from sinet.structure_inference import sin_backward, sin_infer_tapes
     features0 = np.tanh(rois.node_avg @ params.feat_proj.value.T)
     scene0 = np.tanh(np.matmul(params.feat_proj.value, rois.scene_avg[:, :, None])[:, :, 0])
-    graph = SceneGraph(node_features=features0, boxes=rois.boxes, scene_feature=scene0)
-    graph_out, tapes = sin_infer_tapes(params.sin, graph, steps, True)
-    assert tapes == []
-    feats = graph_out.node_features
+    feats, _, tapes = sin_infer_tapes(params.sin, features0, scene0, gate, steps, True)
     n = feats.shape[1]
     deltas = (feats @ params.reg_head.value.T).reshape(1, n, -1, 4)
     loss, grads = multi_task_loss(_softmax_rows(feats @ params.cls_head.value.T)[0], deltas[0],
@@ -920,7 +919,11 @@ def roi_loss_through_an_empty_graph(params, rois, steps):
     dd = grads.ddeltas.reshape(n, -1)
     params.reg_head.grad += dd.T @ feats[0]
     dfeats = dfeats + dd @ params.reg_head.value
-    dfeat0, dscene = sin_backward(params.sin, tapes, dfeats[None])
+    dfeat0, dscene = dfeats[None], None
+    if tapes:
+        dfeat0, dscene = sin_backward(params.sin, tapes, dfeats[None])
+    if dscene is None:
+        dscene = np.zeros(scene0.shape)
     da = (1.0 - features0[0] ** 2) * dfeat0[0]
     params.feat_proj.grad += da.T @ rois.node_avg[0]
     ds = (1.0 - scene0[0] ** 2) * dscene[0]

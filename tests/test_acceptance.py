@@ -26,9 +26,8 @@ from sinet.geometry import nms_by_group
 from sinet.harness import EvalConfig, main, run_gradcheck
 from sinet.memory_cell import gru_forward
 from sinet.numerics import ParamStore, load_checkpoint, save_checkpoint
-from sinet.structure_inference import (SceneGraph, _compute_edges,
-                                       _integrate_all, _max_messages, _relation_tensor,
-                                       sin_step_tape)
+from sinet.structure_inference import (_compute_edges, _integrate_all, _max_messages,
+                                       _relation_tensor, sin_step_tape)
 from sinet.synth_data import default_world, generate, load_dataset, save_dataset, world_hash
 
 from oracles import (Box, average_precision_oracle, bank_maps, center_rows, corner_rows,
@@ -121,12 +120,10 @@ def _check_sin_step(rng, trials):
         feats = rng.normal(size=(n, d))
         boxes = [random_box(rng, span=8.0) for _ in range(n)]
         scene = rng.normal(size=d)
-        centers = center_rows(boxes)[None]
-        g = SceneGraph(node_features=feats[None], boxes=centers, scene_feature=scene[None],
-                       gate=_gate_of(centers, w_p))
-        out, _ = sin_step_tape(p, g, record=True)
+        gate = _gate_of(center_rows(boxes)[None], w_p)
+        tape = sin_step_tape(p, feats[None], scene[None], gate, record=True)
         want = sin_step_oracle(p, w_p, feats, boxes, scene)
-        assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
+        assert np.allclose(tape.fused[0], np.array(want), atol=1e-12)
 
 
 def _check_nms(rng, trials):
@@ -313,17 +310,14 @@ def _invariant_permutation_equivariance(rng):
         st = ParamStore()
         p = create_sin_params(st, d, trial, pooling)
         w_p = rng.normal(0, 0.4, size=(1, 12))
-        g = SceneGraph(node_features=rng.normal(size=(n, d))[None],
-                       boxes=center_rows([random_box(rng, span=8.0)
-                                               for _ in range(n)])[None],
-                       scene_feature=rng.normal(size=d)[None])
-        g.gate = _gate_of(g.boxes, w_p)
+        feats = rng.normal(size=(n, d))[None]
+        boxes = center_rows([random_box(rng, span=8.0) for _ in range(n)])[None]
+        scene = rng.normal(size=d)[None]
         perm = rng.permutation(n)
-        gp = SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
-                        scene_feature=g.scene_feature, gate=_gate_of(g.boxes[:, perm], w_p))
-        out, _ = sin_step_tape(p, g, record=True)
-        outp, _ = sin_step_tape(p, gp, record=True)
-        assert np.allclose(outp.node_features, out.node_features[:, perm], atol=1e-12)
+        out = sin_step_tape(p, feats, scene, _gate_of(boxes, w_p), record=True).fused
+        outp = sin_step_tape(p, feats[:, perm], scene, _gate_of(boxes[:, perm], w_p),
+                             record=True).fused
+        assert np.allclose(outp, out[:, perm], atol=1e-12)
 
 
 def _invariant_nms_postconditions(rng):

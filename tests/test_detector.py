@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from sinet import detector as det_mod
+from sinet import structure_inference as si_mod
 from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
                             FINAL_NMS_THRESH, GRAPH_WARMUP_FRAC,
                             GT_JITTER, IGNORE, IOU_NEG, IOU_POS,
@@ -30,9 +31,9 @@ from sinet.synth_data import SceneSample, cell_window, default_world, scene_samp
 from oracles import (NO_BOXES, Box, anchor_targets_oracle, anchor_targets_per_scene,
                      apply_deltas_oracle, assign_targets_oracle, center_rows,
                      clip_box_oracle, corner_rows, covered_cells_oracle, encode_deltas_oracle,
-                     gt_array, iou_oracle, loss_targets_per_scene, multi_task_loss_oracle, nms,
-                     nms_oracle, objectness_oracle, pool_rois_oracle, proposals_per_row,
-                     random_box, roi_loss_through_an_empty_graph, sample_at,
+                     generic_roi_loss, gt_array, iou_oracle, loss_targets_per_scene,
+                     multi_task_loss_oracle, nms, nms_oracle, objectness_oracle,
+                     pool_rois_oracle, proposals_per_row, random_box, sample_at,
                      scene_means_per_scene, score_anchors_per_scene, smooth_l1_oracle,
                      softmax_oracle, train_proposals_oracle, weight_decay_oracle, with_arm)
 from oracles import propose as propose_per_row
@@ -49,8 +50,10 @@ def make_params(channels=5, k=3, d=6, pooling="mean", seed=0, arm="sin", **cfg):
 
 def forward_one(params, sample, boxes, steps):
     """Stage two on the one-scene stack of `sample` and its (n, 4) ROI rows,
-    recording tapes as training does."""
-    return _forward(params, roi_inputs(sample.grid[None], np.asarray(boxes)[None]), steps, True)
+    under their spatial gate, recording tapes as training does."""
+    boxes = np.asarray(boxes)[None]
+    return _forward(params, roi_inputs(sample.grid[None], boxes), steps, True,
+                    spatial_gate(boxes))
 
 
 def make_sample(rng, h=10, w=10, c=5, gt=()):
@@ -963,11 +966,12 @@ def test_forward_edges_square_and_zero_diagonal():
 # ---------------------------------------------------------------------------
 # graph-free steps and weight decay
 
-# every arm at zero steps, and the baseline at a config's T: no step runs
-_GRAPH_FREE = [(arm, False) for arm in ARMS] + [("baseline", True)]
+# every arm at zero steps, and the baseline at a config's T: no step runs;
+# the edge arm at a config's T: its steps read no scene node
+_SKIPPED_WORK = [(arm, False) for arm in ARMS] + [("baseline", True), ("edge", True)]
 
 
-@pytest.mark.parametrize("arm, at_config_t", _GRAPH_FREE)
+@pytest.mark.parametrize("arm, at_config_t", _SKIPPED_WORK)
 @settings(max_examples=40, deadline=None)
 @given(pooling=hst.sampled_from(POOLINGS), n=hst.integers(1, 8), k=hst.integers(1, 4),
        d=hst.integers(1, 8), c=hst.integers(2, 6), objects=hst.integers(0, 4),
@@ -976,10 +980,12 @@ _GRAPH_FREE = [(arm, False) for arm in ARMS] + [("baseline", True)]
 def test_graph_free_step_is_the_generic_path(arm, at_config_t, pooling, n, k, d, c, objects,
                                              seed, accumulated):
     # a step that runs no inference step builds no scene node and no graph
-    # and runs no graph backward; on a random one-scene record its loss and
+    # and runs no graph backward, and an edge step builds no scene node and
+    # adds no scene gradient; on a random one-scene record its loss and
     # every gradient bit, signs of zeros included, are those of the generic
-    # path through an empty graph, from zeroed gradients (as training gives
-    # them) or from accumulated ones
+    # path, which projects the scene node, runs the graph and adds the
+    # outer product of its (zero) scene gradient, from zeroed gradients (as
+    # training gives them) or from accumulated ones
     rng = np.random.default_rng(seed)
     steps = int(rng.integers(1, 4)) if at_config_t else 0
     grid = rng.normal(0.0, 1.0, size=(8, 8, c))
@@ -987,13 +993,14 @@ def test_graph_free_step_is_the_generic_path(arm, at_config_t, pooling, n, k, d,
     boxes = center_rows([random_box(rng, 8.0) for _ in range(n)])
     gt = gt_array([(random_box(rng, 8.0), int(rng.integers(k))) for _ in range(objects)])
     rois = roi_inputs(grid[None], boxes[None], [gt], k)
+    gate = spatial_gate(rois.boxes)
     got = []
-    for path in (roi_loss, roi_loss_through_an_empty_graph):
+    for path in (roi_loss, generic_roi_loss):
         store, params = make_params(channels=c, k=k, d=d, pooling=pooling, seed=seed, arm=arm,
                                     T=steps)
         if accumulated:
             store.grads[:] = np.random.default_rng(seed + 1).normal(size=store.grads.shape)
-        got.append((float(path(params, rois, steps)).hex(), store.grads.copy()))
+        got.append((float(path(params, rois, steps, gate)).hex(), store.grads.copy()))
     (loss, grads), (want_loss, want) = got
     assert loss == want_loss
     assert grads.tobytes() == want.tobytes()
@@ -1004,24 +1011,29 @@ def test_graph_free_step_is_the_generic_path(arm, at_config_t, pooling, n, k, d,
 def test_graph_free_steps_run_no_graph_code(arm):
     # the baseline's steps and every arm's warm-up steps run no inference
     # step: they build no graph and run no graph backward, so in a training
-    # SceneGraph and sin_backward are called once per step past the warm-up
-    # and never on the baseline, and the weight decay and the update are
-    # resolved before the first step (two ParamStore.spans calls in all)
+    # sin_backward is called once per iteration past the warm-up, and
+    # sin_step_tape cfg.T times, and neither on the baseline; the weight
+    # decay and the update are resolved before the first step (two
+    # ParamStore.spans calls in all)
     world = default_world()
     cfg = validate_config(TrainConfig(iters=12, rois_per_image=6, feat_dim=8, seed=3))
     stage1 = stage_one(world, cfg, 12, 5)
     graph_steps = 0 if arm == "baseline" else cfg.iters - int(GRAPH_WARMUP_FRAC * cfg.iters)
-    with mock.patch.object(det_mod, "SceneGraph", wraps=det_mod.SceneGraph) as graph, \
+    with mock.patch.object(si_mod, "sin_step_tape", wraps=si_mod.sin_step_tape) as step, \
             mock.patch.object(det_mod, "sin_backward", wraps=det_mod.sin_backward) as backward, \
             mock.patch.object(ParamStore, "spans", autospec=True,
                               side_effect=ParamStore.spans) as spans:
         learn(world, cfg, arm, stage1)
-    assert graph.call_count == backward.call_count == graph_steps
+    assert step.call_count == cfg.T * graph_steps
+    assert backward.call_count == graph_steps
     assert spans.call_count == 2
-    # nor does such a step project its scene mean into a scene node
+    # nor does such a step project its scene mean into a scene node, and
+    # neither does an edge step past the warm-up, which reads none
     _, params = make_params(channels=world.channels, k=world.num_categories, d=8, arm=arm)
     rois = stage1.rois.scene(0)._replace(scene_avg=mock.MagicMock())
     roi_loss(params, rois, cfg.T if arm == "baseline" else 0)
+    if arm == "edge":
+        roi_loss(params, rois, cfg.T, spatial_gate(rois.boxes))
     assert rois.scene_avg.mock_calls == []
 
 
@@ -1665,7 +1677,7 @@ def test_detection_state_is_the_recording_path_without_tapes():
     for arm in ARMS:
         model = with_arm(store, params, arm)
         taped = _forward(model, roi_inputs([sample.grid for sample in samples], boxes), 2,
-                         True)
+                         True, spatial_gate(boxes))
         _, state = det_mod._detect_stack(model, samples, 0.05)
         # the baseline's net runs no step, whatever the step count
         assert len(taped.tapes) == (0 if arm == "baseline" else 2) and state.tapes == []

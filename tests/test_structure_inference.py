@@ -1,16 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
+import sinet.structure_inference as si_mod
 from sinet.memory_cell import gru_forward
 from sinet.numerics import ParamStore, grad_check
-from sinet.structure_inference import (W_P, SceneGraph, _compute_edges,
-                                       _integrate_all, _max_messages, _relation_tensor,
-                                       compute_edges, relation_report, sin_backward,
-                                       sin_infer_tapes, sin_params, sin_step_tape)
+from sinet.structure_inference import (EDGE_BANK, MODE_BANKS, MODES, SCENE_BANK, W_P,
+                                       _compute_edges, _integrate_all, _max_messages,
+                                       _relation_tensor, compute_edges, relation_report,
+                                       sin_backward, sin_infer_tapes, sin_params,
+                                       sin_step_tape, spatial_gate)
 
 from oracles import (Box, center_rows, create_gru_params, create_sin_params,
                      edge_weight_oracle, integrate_messages_oracle, random_box,
@@ -23,10 +26,11 @@ def make_params(d, seed=0, pooling="mean", mode="both"):
 
 
 def one_scene(features, boxes, scene_feature):
-    """A one-scene stack from (n, d) features, n Boxes and a (d,) scene vector."""
-    return SceneGraph(node_features=np.asarray(features)[None],
-                      boxes=center_rows(boxes)[None],
-                      scene_feature=np.asarray(scene_feature)[None])
+    """A one-scene stack from (n, d) features, n Boxes and a (d,) scene
+    vector: its (1, n, d) features, (1, n, 4) boxes and (1, d) scene
+    features."""
+    return (np.asarray(features, dtype=np.float64)[None], center_rows(boxes)[None],
+            np.asarray(scene_feature, dtype=np.float64)[None])
 
 
 def random_graph(rng, n, d):
@@ -43,14 +47,9 @@ def gate_of(boxes, w_p):
     return np.maximum(_relation_tensor(boxes) @ w_p[0], 0.0)
 
 
-def gated(g, w_p):
-    g.gate = gate_of(g.boxes, w_p)
-    return g
-
-
-def scene_boxes(g, k=0):
-    """Scene k's node boxes as Box objects."""
-    return [Box(*row) for row in g.boxes[k].tolist()]
+def scene_boxes(boxes, k=0):
+    """Scene k's node boxes, of a (B, n, 4) stack, as Box objects."""
+    return [Box(*row) for row in boxes[k].tolist()]
 
 
 def test_param_layout():
@@ -78,18 +77,22 @@ def test_sin_params_checks_its_wiring_when_built():
             sin_params(store, mode, pooling)
     assert sin_params(mean_st, None, "mean").gru is None
     assert sin_params(mean_st, "scene", "max").gru.w.value.shape[0] == 1
+    # the banks a step runs are the mode's, none without a mode
+    assert sin_params(mean_st, None, "mean").banks == ()
+    assert all(sin_params(mean_st, mode, "mean").banks == MODE_BANKS[mode] for mode in MODES)
 
 
 @pytest.mark.parametrize("record", [True, False])
 def test_net_without_a_mode_runs_no_step(record):
     # the baseline's net: no step runs for any T, so no GRU call, no edges
-    # and no tape, and the graph comes back as it went in
+    # and no tape, and the features come back as they went in; it reads no
+    # gate and no scene features
     st, _ = make_params(3, seed=2)
     p = sin_params(st, None, "mean")
-    g = random_graph(np.random.default_rng(39), 4, 3)
+    feats, _, _ = random_graph(np.random.default_rng(39), 4, 3)
     for steps in (0, 1, 3):
-        out, tapes = sin_infer_tapes(p, g, steps, record)
-        assert out is g and tapes == [] and g.edges is None and g.gate is None
+        out, edges, tapes = sin_infer_tapes(p, feats, None, None, steps, record)
+        assert out is feats and tapes == [] and edges is None
 
 
 def test_relation_tensor_identical_boxes():
@@ -160,10 +163,10 @@ def test_compute_edges_matches_pairwise_loop():
     rng = np.random.default_rng(33)
     _, p = make_params(4, seed=2)
     w_p = rng.normal(0, 0.5, size=(1, 12))
-    g = gated(random_graph(rng, 5, 4), w_p)
-    e = compute_edges(p, g.node_features, g.gate)
+    feats, boxes, _ = random_graph(rng, 5, 4)
+    e = compute_edges(p, feats, gate_of(boxes, w_p))
     assert e.shape == (1, 5, 5)
-    e, boxes, feats = e[0], scene_boxes(g), g.node_features[0]
+    e, boxes, feats = e[0], scene_boxes(boxes), feats[0]
     assert np.all(np.diag(e) == 0.0)
     for i in range(5):
         for j in range(5):
@@ -174,20 +177,21 @@ def test_compute_edges_matches_pairwise_loop():
 
 
 def test_shipped_gate_is_the_locality_prior_once_per_stack():
-    # every step's gate is relu(W_P . R) of the boxes, computed by the first
-    # step that needs it and shared by the steps after it
+    # the shipped gate is relu(W_P . R) of the boxes (spatial_gate), which
+    # the caller computes once for the stack, and every step reads that one
     rng = np.random.default_rng(38)
     _, p = make_params(3, seed=4)
-    g = random_graph(rng, 6, 3)
-    out, tapes = sin_infer_tapes(p, g, steps=2, record=True)
-    boxes = scene_boxes(g)
+    feats, rows, scene = random_graph(rng, 6, 3)
+    gate = spatial_gate(rows)
+    out, edges, tapes = sin_infer_tapes(p, feats, scene, gate, steps=2, record=True)
+    boxes = scene_boxes(rows)
     want = np.array([[spatial_gate_oracle(W_P[None], bi, bj) for bj in boxes]
                      for bi in boxes])
     assert 0 < np.count_nonzero(want) < want.size    # open and closed pairs
-    assert g.gate.shape == (1, 6, 6)
-    assert np.allclose(g.gate[0], want, rtol=0.0, atol=1e-12)
-    assert all(t.edge_cache.spatial is g.gate for t in tapes) and out.gate is g.gate
-    assert out.edges is tapes[-1].edge_cache.e
+    assert gate.shape == (1, 6, 6)
+    assert np.allclose(gate[0], want, rtol=0.0, atol=1e-12)
+    assert all(t.edge_cache.spatial is gate for t in tapes) and out is tapes[-1].fused
+    assert edges is tapes[-1].edge_cache.e
     assert not W_P.flags.writeable
 
 
@@ -275,43 +279,46 @@ def test_sin_step_matches_composed_oracle(pooling, mode):
         d = int(rng.integers(2, 6))
         _, p = make_params(d, seed=trial, pooling=pooling, mode=mode)
         w_p = rng.normal(0, 0.4, size=(1, 12))
-        g = gated(random_graph(rng, n, d), w_p)
-        out, tape = sin_step_tape(p, g, record=True)
-        want = sin_step_oracle(p, w_p, g.node_features[0], scene_boxes(g), g.scene_feature[0])
-        assert np.allclose(out.node_features[0], np.array(want), atol=1e-12)
-        # the forward-only step gives the same bits and keeps no tape
-        bare, none = sin_step_tape(p, g, record=False)
-        assert none is None
-        assert np.array_equal(bare.node_features, out.node_features)
+        feats, boxes, scene = random_graph(rng, n, d)
+        gate = gate_of(boxes, w_p)
+        tape = sin_step_tape(p, feats, scene, gate, record=True)
+        want = sin_step_oracle(p, w_p, feats[0], scene_boxes(boxes), scene[0])
+        assert np.allclose(tape.fused[0], np.array(want), atol=1e-12)
+        # the forward-only step gives the same bits and records no senders
+        bare = sin_step_tape(p, feats, scene, gate, record=False)
+        assert bare.senders is None
+        assert np.array_equal(bare.fused, tape.fused)
         if mode == "scene":
-            assert bare.edges is None and out.edges is None
+            assert bare.edge_cache is None and tape.edge_cache is None
         else:
-            assert np.array_equal(bare.edges, out.edges) and out.edges is tape.edge_cache.e
+            assert np.array_equal(bare.edge_cache.e, tape.edge_cache.e)
+            assert tape.senders is not None
 
 
 def test_sin_infer_t0_is_identity():
     rng = np.random.default_rng(36)
     _, p = make_params(3, seed=1)
-    g = random_graph(rng, 4, 3)
+    feats, boxes, scene = random_graph(rng, 4, 3)
+    gate = spatial_gate(boxes)
     for record in (True, False):
-        out, tapes = sin_infer_tapes(p, g, steps=0, record=record)
-        assert np.array_equal(out.node_features, g.node_features) and tapes == []
+        out, edges, tapes = sin_infer_tapes(p, feats, scene, gate, steps=0, record=record)
+        assert np.array_equal(out, feats) and edges is None and tapes == []
         with pytest.raises(ValueError):
-            sin_infer_tapes(p, g, steps=-1, record=record)
+            sin_infer_tapes(p, feats, scene, gate, steps=-1, record=record)
 
 
 def test_sin_infer_permutation_equivariance():
     rng = np.random.default_rng(37)
     _, p = make_params(4, seed=3)
     w_p = rng.normal(0, 0.4, size=(1, 12))
-    g = gated(random_graph(rng, 5, 4), w_p)
+    feats, boxes, scene = random_graph(rng, 5, 4)
     perm = rng.permutation(5)
-    gp = gated(SceneGraph(node_features=g.node_features[:, perm], boxes=g.boxes[:, perm],
-                          scene_feature=g.scene_feature), w_p)
     for record in (True, False):
-        out, _ = sin_infer_tapes(p, g, steps=2, record=record)
-        out_p, _ = sin_infer_tapes(p, gp, steps=2, record=record)
-        assert np.allclose(out.node_features[:, perm], out_p.node_features, atol=1e-12)
+        out, _, _ = sin_infer_tapes(p, feats, scene, gate_of(boxes, w_p), steps=2,
+                                    record=record)
+        out_p, _, _ = sin_infer_tapes(p, feats[:, perm], scene, gate_of(boxes[:, perm], w_p),
+                                      steps=2, record=record)
+        assert np.allclose(out[:, perm], out_p, atol=1e-12)
 
 
 def test_max_pool_tie_resolves_to_scene():
@@ -321,10 +328,11 @@ def test_max_pool_tie_resolves_to_scene():
     st, p = make_params(3, seed=9, pooling="max")
     for m in p.gru.entries():
         m.value[1] = m.value[0]
-    g = one_scene([[0.3, -0.2, 0.8]], [Box(2, 2, 2, 2)], np.zeros(3))
-    out, _ = sin_step_tape(p, g, record=False)
-    scene_only, _ = sin_step_tape(sin_params(st, "scene", "max"), g, record=False)
-    assert np.array_equal(out.node_features, scene_only.node_features)
+    feats, boxes, scene = one_scene([[0.3, -0.2, 0.8]], [Box(2, 2, 2, 2)], np.zeros(3))
+    out = sin_step_tape(p, feats, scene, spatial_gate(boxes), record=False)
+    scene_only = sin_step_tape(sin_params(st, "scene", "max"), feats, scene, None,
+                               record=False)
+    assert np.array_equal(out.fused, scene_only.fused)
 
 
 def test_sin_backward_against_finite_differences():
@@ -340,9 +348,9 @@ def test_sin_backward_against_finite_differences():
         w_out = rng.normal(size=(3, 3))
 
         def loss_fn():
-            g = gated(one_scene(feats.copy(), boxes, scene.copy()), w_p)
-            out, tapes = sin_infer_tapes(p, g, steps=2, record=True)
-            loss = float(np.sum(w_out * out.node_features[0]))
+            f, rows, s = one_scene(feats.copy(), boxes, scene.copy())
+            out, _, tapes = sin_infer_tapes(p, f, s, gate_of(rows, w_p), steps=2, record=True)
+            loss = float(np.sum(w_out * out[0]))
             sin_backward(p, tapes, w_out[None])
             return loss
 
@@ -359,9 +367,9 @@ def test_sin_backward_input_grads():
     w_out = rng.normal(size=(4, 3))
 
     def run(f, s):
-        out, tapes = sin_infer_tapes(p, gated(one_scene(f, boxes, s), w_p), steps=2,
-                                     record=True)
-        return float(np.sum(w_out * out.node_features[0])), tapes
+        f, rows, s = one_scene(f, boxes, s)
+        out, _, tapes = sin_infer_tapes(p, f, s, gate_of(rows, w_p), steps=2, record=True)
+        return float(np.sum(w_out * out[0])), tapes
 
     base, tapes = run(feats, scene)
     dfeat, dscene = sin_backward(p, tapes, w_out[None])
@@ -400,10 +408,8 @@ def test_sin_backward_two_scene_stack(pooling, mode):
     w_out = rng.normal(size=(2, 3, 3))
 
     def run(k):
-        g = SceneGraph(node_features=feats[k], boxes=boxes[k], scene_feature=scene[k],
-                       gate=gate[k])
-        out, tapes = sin_infer_tapes(p, g, steps=2, record=True)
-        return float(np.sum(w_out[k] * out.node_features)), tapes
+        out, _, tapes = sin_infer_tapes(p, feats[k], scene[k], gate[k], steps=2, record=True)
+        return float(np.sum(w_out[k] * out)), tapes
 
     def loss_fn():
         loss, tapes = run(slice(None))
@@ -421,6 +427,11 @@ def test_sin_backward_two_scene_stack(pooling, mode):
         assert np.allclose(stacked[name], q.grad, rtol=0.0, atol=1e-12), name
 
     dfeat, dscene = sin_backward(p, run(slice(None))[1], w_out)
+    if mode == "edge":
+        # no bank reads the scene features, so no gradient reaches them,
+        # and their central differences below must be zero
+        assert dscene is None
+        dscene = np.zeros(scene.shape)
     assert dfeat.shape == (2, 3, 3) and dscene.shape == (2, 3)
     eps = 1e-6
     for arr, grad in ((feats, dfeat), (scene, dscene)):
@@ -447,18 +458,17 @@ def test_stacked_step_is_bitwise_per_scene(pooling):
         boxes = np.stack([center_rows([random_box(rng) for _ in range(n)])
                           for _ in range(5)])
         scene = rng.normal(size=(5, 4))
-        out, tapes = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),
-                                     steps=2, record=True)
-        bare, _ = sin_infer_tapes(p, SceneGraph(feats, boxes, scene, gate_of(boxes, w_p)),
-                                  steps=2, record=False)
-        assert np.array_equal(bare.node_features, out.node_features)
-        assert np.array_equal(bare.edges, out.edges)
+        out, edges, tapes = sin_infer_tapes(p, feats, scene, gate_of(boxes, w_p),
+                                            steps=2, record=True)
+        bare, bare_edges, _ = sin_infer_tapes(p, feats, scene, gate_of(boxes, w_p),
+                                              steps=2, record=False)
+        assert np.array_equal(bare, out)
+        assert np.array_equal(bare_edges, edges)
         for k in range(5):
-            alone, alone_tapes = sin_infer_tapes(
-                p, SceneGraph(feats[k:k + 1], boxes[k:k + 1], scene[k:k + 1],
-                              gate_of(boxes[k:k + 1], w_p)),
+            alone, _, alone_tapes = sin_infer_tapes(
+                p, feats[k:k + 1], scene[k:k + 1], gate_of(boxes[k:k + 1], w_p),
                 steps=2, record=True)
-            assert np.array_equal(out.node_features[k], alone.node_features[0])
+            assert np.array_equal(out[k], alone[0])
             for t, a in zip(tapes, alone_tapes):
                 assert np.array_equal(t.edge_cache.e[k], a.edge_cache.e[0])
                 assert np.array_equal(t.msgs[k], a.msgs[0])
@@ -466,12 +476,42 @@ def test_stacked_step_is_bitwise_per_scene(pooling):
 
 
 def test_scene_graph_rejects_unstacked_shapes():
-    with pytest.raises(ValueError):
-        SceneGraph(np.zeros((3, 2)), np.ones((3, 4)), np.zeros(2))
-    with pytest.raises(ValueError):
-        SceneGraph(np.zeros((2, 3, 2)), np.ones((1, 3, 4)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        SceneGraph(np.zeros((2, 3, 2)), np.ones((2, 3, 4)), np.zeros((2, 3)))
+    # the graph's one entry, sin_infer_tapes, checks that its node features,
+    # scene features and gate are one (B, n, d), (B, d), (B, n, n) stack
+    # before any step runs
+    _, p = make_params(2)
+    feats, scene, gate = np.zeros((2, 3, 2)), np.zeros((2, 2)), np.zeros((2, 3, 3))
+    for f, s, g in ((np.zeros((3, 2)), np.zeros(2), np.zeros((3, 3))),
+                    (feats, scene, np.zeros((1, 3, 3))),
+                    (feats, scene, np.zeros((2, 3, 2))),
+                    (feats, np.zeros((1, 2)), gate),
+                    (feats, np.zeros((2, 3)), gate)):
+        with mock.patch.object(si_mod, "sin_step_tape") as step, \
+                pytest.raises(ValueError, match="graph: "):
+            sin_infer_tapes(p, f, s, g, steps=1, record=True)
+        assert step.call_count == 0
+    assert sin_infer_tapes(p, feats, scene, gate, steps=1, record=True)[0].shape == (2, 3, 2)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_graph_entry_needs_what_its_banks_read(mode):
+    # a mode with the edge bank needs the spatial gate and one with the
+    # scene bank the scene features: a call that runs a step without them is
+    # refused at the entry, and what no bank reads may be None; a call that
+    # runs no step reads neither
+    _, p = make_params(3, seed=5, mode=mode)
+    feats, boxes, scene = random_graph(np.random.default_rng(41), 4, 3)
+    gate = spatial_gate(boxes)
+    for bank, args, what in ((EDGE_BANK, (scene, None), "spatial gate"),
+                             (SCENE_BANK, (None, gate), "scene features")):
+        if bank in MODE_BANKS[mode]:
+            with pytest.raises(ValueError, match=f"{mode} mode reads the {what}"):
+                sin_infer_tapes(p, feats, *args, steps=2, record=True)
+    read = (scene if SCENE_BANK in p.banks else None, gate if EDGE_BANK in p.banks else None)
+    out, _, tapes = sin_infer_tapes(p, feats, *read, steps=2, record=True)
+    want, _, _ = sin_infer_tapes(p, feats, scene, gate, steps=2, record=True)
+    assert len(tapes) == 2 and np.array_equal(out, want)
+    assert sin_infer_tapes(p, feats, None, None, steps=0, record=True)[0] is feats
 
 
 def test_relation_report_contract():
