@@ -13,8 +13,8 @@ from .memory_cell import GruParams, gru_backward, gru_forward, gru_init, gru_par
 from .inputs import FileError
 from .numerics import (Param, ParamStack, ParamStore, ShapeError, derive_seed, grad_check,
                        init_param, load_checkpoint, save_checkpoint, seed_for)
-from .structure_inference import (SinParams, compute_edges, relation_report, sin_backward,
-                                  sin_infer_tapes, sin_init, sin_params, sin_step_tape)
+from .structure_inference import (SinParams, relation_report, sin_backward, sin_infer_tapes,
+                                  sin_init, sin_params, sin_step_tape)
 from .synth_data import (GT_DTYPE, Category, CooccurRule, SceneSample,
                          WorldSpec, default_world, generate, load_dataset,
                          save_dataset, scene_sampler, world_hash)
@@ -31,8 +31,7 @@ __all__ = [
     "DETECTION_DTYPE", "DetectorParams", "EvalConfig", "EvalResult", "FileError",
     "GT_DTYPE", "GruParams", "Param", "ParamStack", "ParamStore", "RunConfig",
     "SceneSample", "ShapeError", "SinParams", "TrainConfig", "TrainingDiverged", "WorldSpec",
-    "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "compute_edges",
-    "create_detector_params",
+    "apply_deltas", "assign_targets", "centers_to_corners", "clip_box", "create_detector_params",
     "default_world", "derive_seed", "detect", "detect_scenes", "encode_deltas",
     "evaluate_detections", "generate",
     "grad_check", "gru_backward", "gru_forward", "gru_init", "gru_params", "init_param", "iou",

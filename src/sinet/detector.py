@@ -24,7 +24,7 @@ writers.
 Every scene of a run comes from one world, so a stack of scenes is one
 (B, H, W, C) array of grids of the world's shape, stacked once. The
 proposal stage's work that spans scenes runs in stacks. Stage one of a
-training labels a window of DETECT_CHUNK scenes' anchors at a time
+training labels a window of TRAIN_WINDOW scenes' anchors at a time
 (anchor_targets); anchors are scored for a stack of grids at once
 (score_anchors: a stack of one per training iteration, a detection stack in
 detection); and proposals are taken for a (B, A) stack of anchor scores at
@@ -50,17 +50,17 @@ stage: proposals are treated as fixed inputs by the loss (standard two-stage
 practice) and the objectness map learns from its own binary target instead.
 So a training run (train) has two parts, each done for the whole run before
 the next. Stage one (stage_one) learns the objectness map alone, in one
-pass over windows of DETECT_CHUNK iterations: it samples and labels a
+pass over windows of TRAIN_WINDOW iterations: it samples and labels a
 window's scenes, learns the map over them iteration by iteration, jitters
-their ground truth, takes their proposals, and records the window's
+their ground truth, takes their proposals, and keeps the window's
 objectness losses, decay terms and stage-two inputs (roi_inputs: pooled ROI
 cells, scene means, and each scene's non-ignored ROI rows with their labels
 and positive ROI rows with their labels and target deltas, as flat rows
 with per-scene bounds, so the loss reads its targets ready-made and makes
 no label test); then the window's scenes are dropped. Stage two (learn)
-trains the rest of the model on that record, one callback per iteration,
-bitwise as one loop over both stages would; an ablation learns stage one
-once and replays it for every arm.
+trains the rest of the model on those windows, one callback per
+iteration, bitwise as one loop over both stages would; an ablation learns
+stage one once and replays it for every arm.
 """
 
 import math
@@ -74,9 +74,8 @@ from .geometry import (_sorted_prefixes, apply_deltas, centers_to_corners, clip_
                        encode_deltas, nms_by_group, pairwise_iou)
 from .memory_cell import MAPS
 from .numerics import ParamStore, derive_seed, init_param, seed_for
-from .structure_inference import (EDGE_BANK, POOLINGS, SCENE_BANK, compute_edges,
-                                  sin_backward, sin_infer_tapes, sin_init, sin_params,
-                                  spatial_gate)
+from .structure_inference import (EDGE_BANK, POOLINGS, SCENE_BANK, sin_backward,
+                                  sin_infer_tapes, sin_init, sin_params, spatial_gate)
 from .synth_data import cell_window, scene_sampler
 
 IOU_POS = 0.5
@@ -101,18 +100,19 @@ ANCHOR_RATIOS = (1.0, 1.5)
 ARM_MODES = {"baseline": None, "scene": "scene", "edge": "edge", "sin": "both"}
 ARMS = tuple(ARM_MODES)
 
-# Training iterations per window of stage one, and per stack of stage two's
-# spatial gates. Stage one samples, stacks, labels (anchor_targets), jitters
-# (_injected_boxes), proposes and builds the stage-two inputs of one window
-# at a time, and holds no scene past its window: its tracemalloc peak grows
-# by its record alone, about 3.0 KB per iteration (a test bounds it), and a
-# 4000-iteration baseline training peaks at 69 MB ru_maxrss. Labelling a
-# window of 16 default scenes peaks 1.0 MB above what it returns (64
-# scenes: 3.7 MB). Each window pays a fixed cost in those calls: a
-# 400-iteration baseline stage one took medians of 183.5 / 171.7 / 178.9 ms
-# in windows of 16 / 32 / 64 (40 interleaved rounds, process time, one BLAS
-# thread on a shared 2-core x86 host).
-DETECT_CHUNK = 16
+# Training iterations per window of stage one, and so per RoiInputs record
+# that stage two replays and per spatial-gate call of stage two. Stage one
+# samples, stacks, labels (anchor_targets), jitters (_injected_boxes),
+# proposes and builds the stage-two inputs of one window at a time, and
+# holds no scene past its window; it keeps each window's record as
+# roi_inputs returns it, and no array spans the run. An edge-arm training's
+# tracemalloc peak grows by those records, about 2.5 KB per iteration (a
+# test bounds it). Labelling a window of 16 default scenes peaks 1.0 MB
+# above what it returns (64 scenes: 3.7 MB). Each window pays a fixed cost
+# in those calls: a 400-iteration baseline stage one took medians of
+# 183.5 / 171.7 / 178.9 ms in windows of 16 / 32 / 64 (40 interleaved
+# rounds, process time, one BLAS thread on a shared 2-core x86 host).
+TRAIN_WINDOW = 16
 
 # Scenes per detection stack (detect_scenes, sinet relations). Measured on
 # 512 default-world held-out scenes with a 600-iteration sin model, one BLAS
@@ -508,12 +508,6 @@ class LossTargets(NamedTuple):
     pos_labels: np.ndarray      # (P,) their categories
     pos_deltas: np.ndarray      # (P, 4) their target deltas
 
-    def rows(self, valid, pos):
-        """Views of the valid rows of slice `valid` and the positive rows of
-        slice `pos`."""
-        return LossTargets(self.valid[valid], self.labels[valid], self.pos[pos],
-                           self.pos_labels[pos], self.pos_deltas[pos])
-
 
 def _loss_targets(labels, target_deltas, num_categories):
     """The LossTargets of a stack of B scenes' (B, n) labels and (B, n, 4)
@@ -547,8 +541,10 @@ class RoiInputs(NamedTuple):
         """Scene b's one-scene record, of views into this one's arrays; its
         targets are the scene's alone, so it needs no bounds."""
         (v0, p0), (v1, p1) = self.bounds[b:b + 2].tolist()
+        valid, labels, pos, pos_labels, pos_deltas = self.targets
         return RoiInputs(self.boxes[b:b + 1], self.node_avg[b:b + 1], self.scene_avg[b:b + 1],
-                         self.targets.rows(slice(v0, v1), slice(p0, p1)))
+                         LossTargets(valid[v0:v1], labels[v0:v1], pos[p0:p1], pos_labels[p0:p1],
+                                     pos_deltas[p0:p1]))
 
 
 def roi_inputs(grids, boxes, gts=None, num_categories=None):
@@ -904,12 +900,12 @@ class StageOne:
     objectness: np.ndarray       # the map after the last iteration's update
     obj_loss: list               # each iteration's objectness loss, a float
     obj_decay: list              # and the map's weight-decay term
-    rois: RoiInputs              # each iteration's stage-two inputs; rois.scene(it) is one's
+    windows: list                # each window's stage-two inputs (RoiInputs), in order
 
 
 def stage_one(world, cfg, n_train, data_seed):
     """Stage one of a training run, learned on its own, ahead of stage two,
-    in one pass over windows of DETECT_CHUNK iterations.
+    in one pass over windows of TRAIN_WINDOW iterations.
 
     The order draws one permutation of the n_train scenes from the shuffle
     stream per pass over them. For each window, the scenes of its
@@ -924,21 +920,16 @@ def stage_one(world, cfg, n_train, data_seed):
     every arm initialises alike. Then the ground truth of the window's
     iterations is jittered from the run's one gt-jitter stream
     (_injected_boxes), their proposals are taken in one call (_proposals)
-    and their stage-two inputs built in another (roi_inputs), and the
-    window's scenes are dropped. Scenes are
-    index-addressed and every draw comes in iteration order, so the record
-    is bitwise that of a scene-by-scene loop.
-
-    The record of all cfg.iters iterations (RoiInputs: ROI rows, pooled
-    cells, scene means, and every loss-target row an iteration can have) is
-    allocated first, so a run too long for memory fails at once."""
+    and their stage-two inputs built in another (roi_inputs), which is
+    kept as the window's record (its scene(j) is the window's iteration
+    j's; the window where stage one stops holds the iterations that ran),
+    and the window's scenes are dropped. Scenes are index-addressed and
+    every draw comes in iteration order, so the records are bitwise those
+    of a scene-by-scene loop."""
     validate_config(cfg)
+    if n_train < 1:
+        raise ValueError("n_train must be >= 1")
     n, iters, c = cfg.rois_per_image, cfg.iters, world.channels
-    cap = iters * n                         # every ROI of the run is a loss-target row at most
-    record = RoiInputs(np.empty((iters, n, 4)), np.empty((iters, n, c)), np.empty((iters, c)),
-                       LossTargets(*(np.empty(cap, dtype=np.intp) for _ in range(4)),
-                                   np.empty((cap, 4))),
-                       np.zeros((iters + 1, 2), dtype=np.intp))
     store = ParamStore()
     params = create_detector_params(store, c, world.num_categories, cfg,
                                     "baseline", derive_seed(cfg.seed, "init"))
@@ -950,11 +941,11 @@ def stage_one(world, cfg, n_train, data_seed):
     order = np.concatenate([shuffle_rng.permutation(n_train) for _ in range(passes)])[:iters]
     sample = scene_sampler(world)
     anchors = anchor_set(world.height, world.width)
-    scores = np.empty((DETECT_CHUNK, len(anchors.centers)))
+    scores = np.empty((TRAIN_WINDOW, len(anchors.centers)))
     decay = WeightDecay(store, [obj.name], cfg.weight_decay)
-    losses, decays = [], []
-    for start in range(0, iters, DETECT_CHUNK):
-        scenes = [sample(data_seed, idx) for idx in order[start:start + DETECT_CHUNK]]
+    losses, decays, windows = [], [], []
+    for start in range(0, iters, TRAIN_WINDOW):
+        scenes = [sample(data_seed, idx) for idx in order[start:start + TRAIN_WINDOW]]
         grids = np.stack([scene.grid for scene in scenes])
         gts = [scene.gt for scene in scenes]
         targets = anchor_targets(anchors, gts)
@@ -968,24 +959,13 @@ def stage_one(world, cfg, n_train, data_seed):
             velocity *= cfg.momentum
             velocity -= _rate(cfg, start + j) * obj.grad
             obj.value += velocity
-        stop = len(losses)
-        b = stop - start                    # the window's iterations that ran
-        boxes = record.boxes[start:stop]
-        boxes[...] = _proposals(anchors, scores[:b], n, _injected_boxes(
+        b = len(losses) - start             # the window's iterations that ran
+        boxes = _proposals(anchors, scores[:b], n, _injected_boxes(
             gts[:b], world.width, world.height, jitter_rng, n))
-        part = roi_inputs(grids[:b], boxes, gts[:b], world.num_categories)
-        record.node_avg[start:stop], record.scene_avg[start:stop] = part.node_avg, part.scene_avg
-        record.bounds[start + 1:stop + 1] = record.bounds[start] + part.bounds[1:]
-        (v0, p0), (v1, p1) = record.bounds[[start, stop]].tolist()
-        for out, got in zip(record.targets.rows(slice(v0, v1), slice(p0, p1)), part.targets):
-            out[...] = got
+        windows.append(roi_inputs(grids[:b], boxes, gts[:b], world.num_categories))
         if not math.isfinite(losses[-1] + decays[-1]):
             break
-    k = len(losses)
-    v, p = record.bounds[k].tolist()
-    rois = RoiInputs(record.boxes[:k], record.node_avg[:k], record.scene_avg[:k],
-                     record.targets.rows(slice(v), slice(p)), record.bounds[:k + 1])
-    return StageOne(cfg, obj.value.copy(), losses, decays, rois)
+    return StageOne(cfg, obj.value.copy(), losses, decays, windows)
 
 
 @dataclass
@@ -996,20 +976,21 @@ class TrainResult:
 
 
 def learn(world, cfg, arm, stage1, callback=None):
-    """Stage two of a training run over its StageOne record `stage1`
-    (stage_one), which any arm and any (pooling, T, feat_dim) of the same
-    run config can replay: SGD with momentum on every other active
-    parameter, one callback per iteration. An iteration runs features,
-    graph, heads, loss and backward on its recorded inputs, then adds the
-    recorded objectness loss and the weight decay (WeightDecay, resolved
-    once for the run), over the sorted active names with the recorded
-    det/objectness term in its place: the sum the full loop adds, bitwise.
-    An iteration of the graph warm-up, and every iteration of the
-    baseline, runs no inference step and so no graph code: features,
-    heads, loss and backward of the detector alone (_forward). A mode with
-    edges builds the spatial gates of every iteration past the graph
-    warm-up in bulk, before the first step. The model ends with stage one's
-    map.
+    """Stage two of a training run over its StageOne `stage1` (stage_one),
+    which any arm and any (pooling, T, feat_dim) of the same run config can
+    replay: SGD with momentum on every other active parameter, one callback
+    per iteration. It steps through stage one's windows in order; an
+    iteration runs features, graph, heads, loss and backward on its
+    window's record of it, then adds the recorded objectness loss and the
+    weight decay (WeightDecay, resolved once for the run), over the sorted
+    active names with the recorded det/objectness term in its place: the
+    sum the full loop adds, bitwise. An iteration of the graph warm-up, and
+    every iteration of the baseline, runs no inference step and so no graph
+    code: features, heads, loss and backward of the detector alone
+    (_forward). A mode with edges builds the spatial gates of a window that
+    holds an iteration past the graph warm-up in one call (spatial_gate),
+    before the window's first step; a scene's gate is the same in any
+    stack. The model ends with stage one's map.
 
     Raises TrainingDiverged at the first iteration whose loss is not
     finite; where stage one stopped, that is its last iteration at the
@@ -1030,43 +1011,43 @@ def learn(world, cfg, arm, stage1, callback=None):
     updates = [(store.values[span], store.grads[span], np.zeros(span.stop - span.start))
                for span in store.spans([name for name in active if name != obj])]
     decay = WeightDecay(store, active, cfg.weight_decay, (obj,))
-    k, n = stage1.rois.boxes.shape[:2]
     warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
-    gates = None
-    if _reads_gate(params, cfg.T):
-        gates = np.empty((k, n, n))
-        for start in range(warmup, k, DETECT_CHUNK):
-            gates[start:start + DETECT_CHUNK] = spatial_gate(
-                stage1.rois.boxes[start:start + DETECT_CHUNK])
     losses = []
-    for it in range(k):
-        store.zero_grads()
-        graph_on = it >= warmup
-        gate = gates[it:it + 1] if graph_on and gates is not None else None
-        loss = roi_loss(params, stage1.rois.scene(it), cfg.T if graph_on else 0, gate)
-        loss += stage1.obj_loss[it]
-        loss += decay(stage1.obj_decay[it])
-        if not math.isfinite(loss):
-            raise TrainingDiverged(it)
+    for window in stage1.windows:
+        first = len(losses)                 # the window's first iteration
+        gates = None
+        if _reads_gate(params, cfg.T) and first + len(window.boxes) > warmup:
+            gates = spatial_gate(window.boxes)
+        for j in range(len(window.boxes)):
+            it = first + j
+            store.zero_grads()
+            graph_on = it >= warmup
+            gate = gates[j:j + 1] if graph_on and gates is not None else None
+            loss = roi_loss(params, window.scene(j), cfg.T if graph_on else 0, gate)
+            loss += stage1.obj_loss[it]
+            loss += decay(stage1.obj_decay[it])
+            if not math.isfinite(loss):
+                raise TrainingDiverged(it)
 
-        lr = _rate(cfg, it)
-        for values, grads, velocity in updates:
-            velocity *= cfg.momentum
-            velocity -= lr * grads
-            values += velocity
-        losses.append(loss)
-        if callback is not None:
-            callback(it, loss)
+            lr = _rate(cfg, it)
+            for values, grads, velocity in updates:
+                velocity *= cfg.momentum
+                velocity -= lr * grads
+                values += velocity
+            losses.append(loss)
+            if callback is not None:
+                callback(it, loss)
     params.objectness.value[...] = stage1.objectness
     return TrainResult(store=store, params=params, losses=losses)
 
 
 def train(world, cfg, arm="sin", n_train=None, data_seed=None, callback=None):
     """SGD with momentum over scenes drawn from the world, in two parts:
-    stage one (stage_one) learns the objectness map alone and records every
-    iteration's stage-two inputs, and stage two (learn) trains the rest of
-    the model, with one callback per iteration. The result is bitwise that
-    of one loop that runs both stages in every iteration.
+    stage one (stage_one) learns the objectness map alone and keeps every
+    iteration's stage-two inputs, window by window, and stage two (learn)
+    trains the rest of the model, with one callback per iteration. The
+    result is bitwise that of one loop that runs both stages in every
+    iteration.
 
     All randomness descends from cfg.seed through fixed stream labels, so a
     rerun is bitwise identical; passing the same data_seed to different arms
@@ -1089,7 +1070,7 @@ DETECTION_DTYPE = np.dtype([("box", np.float64, (4,)), ("category", np.intp),
                             ("score", np.float64), ("roi", np.intp)])
 
 
-def _detect_stack(params, samples, score_thresh):
+def detect(params, samples, score_thresh):
     """Stage one and stage two of a stack of scenes, then the tail. The
     scenes' grids, which must share one shape (else ValueError), are
     stacked once; their anchors are scored in one call (score_anchors) and
@@ -1102,7 +1083,8 @@ def _detect_stack(params, samples, score_thresh):
     clipped to the grid, and all of them go through one NMS grouped by
     (scene, class). Returns the detections of each scene, a
     DETECTION_DTYPE array sorted by class, then score descending, then box,
-    and the stack's forward state, which holds no tapes. A scene's
+    and the stack's forward state, which holds no tapes; its edges are
+    None when no step computed them (no edge bank, or T = 0). A scene's
     detections do not depend on its stack or on ROI order (modulo exact
     score ties)."""
     n, steps = params.cfg.rois_per_image, params.cfg.T
@@ -1130,21 +1112,10 @@ def _detect_stack(params, samples, score_thresh):
 
 def detect_scenes(params, samples, score_thresh):
     """Final detections for each scene, one DETECTION_DTYPE array per sample
-    (see _detect_stack), in stacks of DETECT_STACK scenes; a scene's
+    (see detect), in stacks of DETECT_STACK scenes; a scene's
     detections are the same in any stack, alone or not."""
     dets = []
     for start in range(0, len(samples), DETECT_STACK):
-        dets += _detect_stack(params, samples[start:start + DETECT_STACK], score_thresh)[0]
+        dets += detect(params, samples[start:start + DETECT_STACK], score_thresh)[0]
     return dets
 
-
-def detect(params, samples, score_thresh):
-    """Final detections of one stack of scenes, one DETECTION_DTYPE array per
-    sample as detect_scenes gives them, and the stack's forward state, with
-    its edges always filled: a model whose last step computed no edges, or
-    that runs no step, gets them from the final node features and the
-    boxes' spatial gate."""
-    dets, state = _detect_stack(params, samples, score_thresh)
-    if state.edges is None:
-        state.edges = compute_edges(params.sin, state.features, spatial_gate(state.boxes))
-    return dets, state

@@ -30,7 +30,7 @@ from .detector import (ARMS, DETECT_STACK, TrainConfig, TrainingDiverged, Weight
 from .evaluation import FP_KINDS, MATCH_IOU, evaluate_detections, mean_ap, run_ablation
 from .inputs import PATH, FileError, checked, decode_json, members, reading
 from .numerics import ParamStore, derive_seed, grad_check, load_checkpoint, save_checkpoint
-from .structure_inference import POOLINGS, relation_report, spatial_gate
+from .structure_inference import EDGE_BANK, POOLINGS, relation_report, spatial_gate
 from .synth_data import (GT_DTYPE, WORLD_FIXTURES, generate, load_dataset, save_dataset,
                          scene_sampler, world_from_dict, world_hash, world_to_dict)
 
@@ -429,6 +429,10 @@ def _cmd_relations(args):
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     _manifest, params, ev_cfg, world = _load_trained(args.checkpoint, args.manifest)
+    if EDGE_BANK not in params.sin.banks or params.cfg.T == 0:
+        # its detections compute no edges, and its w_v was never trained
+        raise ValueError(f"the {params.arm} arm's model at T = {params.cfg.T} learns no edges; "
+                         "relations needs the edge or sin arm at T >= 1")
     score_thresh = args.score_thresh if args.score_thresh is not None else ev_cfg.score_thresh
     _validate_eval(replace(ev_cfg, score_thresh=score_thresh))
     sample = scene_sampler(world)

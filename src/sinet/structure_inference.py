@@ -170,16 +170,6 @@ def _compute_edges(p, features, gate):
     return EdgeCache(spatial=gate, visual=visual, e=e)
 
 
-def compute_edges(p, features, gate):
-    """The (B, n, n) edge matrices over ordered (receiver, sender) pairs of
-    (B, n, d) node features under the (B, n, n) spatial gate of their boxes
-    (spatial_gate).
-
-    The diagonal is never used downstream and is held at zero.
-    """
-    return _compute_edges(p, features, gate).e
-
-
 def spatial_gate(boxes):
     """The (..., n, n) spatial gate relu(W_P . R(box_i, box_j)) of each
     scene of (..., n, 4) center-size rows. Each scene's gate is its own

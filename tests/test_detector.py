@@ -23,9 +23,10 @@ from sinet.detector import (ANCHOR_RATIOS, ANCHOR_SCALES, ARMS, DETECTION_DTYPE,
                             detect, detect_scenes, learn, multi_task_loss, objectness_loss,
                             roi_inputs, roi_loss, score_anchors, smooth_l1, stage_one,
                             train, validate_config)
+from sinet.evaluation import run_ablation
 from sinet.geometry import centers_to_corners, pairwise_iou
 from sinet.numerics import ParamStore
-from sinet.structure_inference import POOLINGS, compute_edges, spatial_gate
+from sinet.structure_inference import POOLINGS, spatial_gate
 from sinet.synth_data import SceneSample, cell_window, default_world, scene_sampler
 
 from oracles import (NO_BOXES, Box, anchor_targets_oracle, anchor_targets_per_scene,
@@ -523,8 +524,9 @@ def test_stage_one_windows_are_the_scene_by_scene_draws():
     # each window samples its scenes by index (a revisited scene is sampled
     # again) and labels them, each as alone; every iteration's proposals
     # come from its own scores and its own jitter draws, in iteration order
-    # across windows, and its record row is its one-scene stage-two inputs.
-    # 40 iterations over 7 scenes are three windows, each revisiting scenes
+    # across windows, and its window's record of it is its one-scene
+    # stage-two inputs. 40 iterations over 7 scenes are three windows of
+    # TRAIN_WINDOW iterations or the rest, each revisiting scenes
     world = default_world()
     cfg = TrainConfig(iters=40, seed=5)
     shuffle = np.random.default_rng(det_mod.seed_for(5, "shuffle"))
@@ -543,7 +545,10 @@ def test_stage_one_windows_are_the_scene_by_scene_draws():
     with mock.patch.object(det_mod, "anchor_targets", label), \
             mock.patch.object(det_mod, "_proposals", propose_window):
         one = stage_one(world, cfg, 7, 8)
-    assert len(labels) == len(scores) == len(one.rois.boxes) == 40
+    assert [len(window.boxes) for window in one.windows] == [16, 16, 8] == [
+        min(det_mod.TRAIN_WINDOW, 40 - start) for start in range(0, 40, det_mod.TRAIN_WINDOW)]
+    assert len(labels) == len(scores) == 40
+    rois = [window.scene(j) for window in one.windows for j in range(len(window.boxes))]
     anchors = anchor_set(world.height, world.width)
     jitter = np.random.default_rng(det_mod.seed_for(5, "gt-jitter"))
     for it, idx in enumerate(want):
@@ -551,9 +556,9 @@ def test_stage_one_windows_are_the_scene_by_scene_draws():
         assert all(np.array_equal(a, b) for a, b in
                    zip(labels[it], anchor_targets_per_scene(anchors, fresh.gt)))
         props = train_proposals_oracle(anchors, scores[it], fresh, jitter, cfg.rois_per_image)
-        assert one.rois.boxes[it].tobytes() == props.tobytes()
-        got, alone = one.rois.scene(it), roi_inputs(fresh.grid[None], props[None], [fresh.gt],
-                                                    world.num_categories)
+        assert rois[it].boxes[0].tobytes() == props.tobytes()
+        got, alone = rois[it], roi_inputs(fresh.grid[None], props[None], [fresh.gt],
+                                          world.num_categories)
         for a, b in zip(got[:3] + got.targets, alone[:3] + alone.targets):
             assert a.tobytes() == b.tobytes()
 
@@ -952,15 +957,13 @@ def test_forward_edges_square_and_zero_diagonal():
     edges = forward_one(params, sample, props, 1).edges
     assert edges.shape == (1, 5, 5)
     assert np.all(np.diag(edges[0]) == 0.0)
-    # without a step that computes edges, _forward leaves them to detect
+    # without a step that computes edges there are none, in training or in
+    # detection
     assert forward_one(params, sample, props, 0).edges is None
     for arm in ("baseline", "scene"):
         model = with_arm(store, params, arm)
         assert forward_one(model, sample, props, 1).edges is None
-        _, state = detect(model, [sample], 0.05)
-        assert np.array_equal(state.edges,
-                              compute_edges(params.sin, state.features,
-                                            spatial_gate(state.boxes)))
+        assert detect(model, [sample], 0.05)[1].edges is None
 
 
 # ---------------------------------------------------------------------------
@@ -1014,23 +1017,32 @@ def test_graph_free_steps_run_no_graph_code(arm):
     # sin_backward is called once per iteration past the warm-up, and
     # sin_step_tape cfg.T times, and neither on the baseline; the weight
     # decay and the update are resolved before the first step (two
-    # ParamStore.spans calls in all)
+    # ParamStore.spans calls in all). An arm whose steps read the gate builds
+    # it once per window that holds an iteration past the warm-up, from the
+    # window's boxes: 72 iterations, 18 of them warm-up, are five windows,
+    # the first all warm-up; the baseline and scene arms build none
     world = default_world()
-    cfg = validate_config(TrainConfig(iters=12, rois_per_image=6, feat_dim=8, seed=3))
+    cfg = validate_config(TrainConfig(iters=72, rois_per_image=6, feat_dim=8, seed=3))
     stage1 = stage_one(world, cfg, 12, 5)
-    graph_steps = 0 if arm == "baseline" else cfg.iters - int(GRAPH_WARMUP_FRAC * cfg.iters)
+    warmup = int(GRAPH_WARMUP_FRAC * cfg.iters)
+    assert len(stage1.windows) == 5 and len(stage1.windows[0].boxes) <= warmup
+    graph_steps = 0 if arm == "baseline" else cfg.iters - warmup
     with mock.patch.object(si_mod, "sin_step_tape", wraps=si_mod.sin_step_tape) as step, \
             mock.patch.object(det_mod, "sin_backward", wraps=det_mod.sin_backward) as backward, \
+            mock.patch.object(det_mod, "spatial_gate", wraps=det_mod.spatial_gate) as gate, \
             mock.patch.object(ParamStore, "spans", autospec=True,
                               side_effect=ParamStore.spans) as spans:
         learn(world, cfg, arm, stage1)
     assert step.call_count == cfg.T * graph_steps
     assert backward.call_count == graph_steps
     assert spans.call_count == 2
+    gated = stage1.windows[1:] if arm in ("edge", "sin") else []
+    assert gate.call_count == len(gated)
+    assert all(call.args[0] is w.boxes for call, w in zip(gate.call_args_list, gated))
     # nor does such a step project its scene mean into a scene node, and
     # neither does an edge step past the warm-up, which reads none
     _, params = make_params(channels=world.channels, k=world.num_categories, d=8, arm=arm)
-    rois = stage1.rois.scene(0)._replace(scene_avg=mock.MagicMock())
+    rois = stage1.windows[0].scene(0)._replace(scene_avg=mock.MagicMock())
     roi_loss(params, rois, cfg.T if arm == "baseline" else 0)
     if arm == "edge":
         roi_loss(params, rois, cfg.T, spatial_gate(rois.boxes))
@@ -1176,7 +1188,7 @@ def test_label_stack_of_default_scenes_is_the_per_scene_labels():
 
 def test_labelling_temporaries_are_one_stack():
     # stage one labels one window of scenes per anchor_targets call: over a
-    # stack of DETECT_CHUNK default scenes its allocations peak about 1.0 MB
+    # stack of TRAIN_WINDOW default scenes its allocations peak about 1.0 MB
     # above what it returns, and 3.7 MB over a stack of 64 (that stage one
     # holds one window at a time is test_stage_one_memory_grows_by_its_record)
     world = default_world()
@@ -1194,7 +1206,7 @@ def test_labelling_temporaries_are_one_stack():
         assert len(out) == b
         return peak - kept
 
-    assert temporaries(det_mod.DETECT_CHUNK) < 1_500_000 < temporaries(64)
+    assert temporaries(det_mod.TRAIN_WINDOW) < 1_500_000 < temporaries(64)
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (3, 7), (16, 16), (9, 4)])
@@ -1437,13 +1449,13 @@ def test_divergence_in_stage_one_is_raised_at_its_iteration(k):
 
 def test_stack_size_does_not_change_a_training():
     # stage one builds stage two's inputs, and stage two the spatial gates,
-    # in stacks of DETECT_CHUNK iterations; 37 iterations, 9 of them warm-up,
-    # are no multiple of the stack
+    # in windows of TRAIN_WINDOW iterations; 37 iterations, 9 of them
+    # warm-up, are no multiple of the window
     world = default_world()
     cfg = TrainConfig(iters=37, seed=8)
     runs = []
-    for chunk in (1, det_mod.DETECT_CHUNK):
-        with mock.patch.object(det_mod, "DETECT_CHUNK", chunk):
+    for chunk in (1, det_mod.TRAIN_WINDOW):
+        with mock.patch.object(det_mod, "TRAIN_WINDOW", chunk):
             runs.append(train(world, cfg, "sin", n_train=20))
     (a, b) = runs
     assert a.losses == b.losses
@@ -1451,11 +1463,11 @@ def test_stack_size_does_not_change_a_training():
 
 
 def test_stage_one_memory_grows_by_its_record():
-    # stage one holds its record of every iteration and one window of
-    # scenes: its allocations peak about 3.0 KB per iteration higher at 640
-    # iterations than at 160 (the record's ROI rows, pooled cells, scene
-    # mean and loss-target rows, allocated up front, and two floats). A
-    # stage one that held every iteration's scene grew about 21 KB
+    # stage one holds its windows' records and one window of scenes: its
+    # allocations peak about 2.6 KB per iteration higher at 640 iterations
+    # than at 160 (each iteration's ROI rows, pooled cells, scene mean and
+    # loss-target rows, and two floats). A stage one that held every
+    # iteration's scene grew about 21 KB
     world = default_world()
     anchor_set(world.height, world.width)       # cached, so in neither run
 
@@ -1470,6 +1482,40 @@ def test_stage_one_memory_grows_by_its_record():
         return top
 
     assert (peak(640) - peak(160)) / 480 < 4_000
+
+
+def test_training_memory_grows_by_stage_ones_records():
+    # a whole training holds stage one's records and, in stage two, one
+    # window's spatial gates at a time: an edge-arm training's allocations
+    # peak about 2.5 KB per iteration higher at 1280 iterations than at 640.
+    # Gates built for the whole run before the first step grew 4.0 KB
+    world = default_world()
+    anchor_set(world.height, world.width)       # cached, so in neither run
+
+    def peak(iters):
+        tracemalloc.start()
+        try:
+            result = train(world, TrainConfig(iters=iters, seed=3), "edge", n_train=iters,
+                           data_seed=4)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.losses) == iters
+        return top
+
+    assert (peak(1280) - peak(640)) / 640 < 3_200
+
+
+@pytest.mark.parametrize("n_train", [0, -3])
+def test_stage_one_refuses_fewer_than_one_training_scene(n_train):
+    # train and run_ablation check n_train where stage one starts, as the
+    # CLI does, before a pass count divides by it or an empty order is drawn
+    world = default_world()
+    cfg = TrainConfig(iters=4)
+    with pytest.raises(ValueError, match="^n_train must be >= 1$"):
+        train(world, cfg, "sin", n_train=n_train)
+    with pytest.raises(ValueError, match="^n_train must be >= 1$"):
+        run_ablation(world, cfg, n_train, 2, 0.05)
 
 
 def test_stage_two_replays_stage_one_for_its_run_config_only():
@@ -1547,7 +1593,7 @@ def test_detect_output_contract():
 
 def test_detection_proposals_are_the_per_row_proposals():
     # one stack per grid shape, some with fewer anchors than proposals:
-    # _detect_stack takes the stack's proposals in one call, and each
+    # detect takes the stack's proposals in one call, and each
     # scene's are byte for byte those of ranking its own scores alone (the
     # baseline arm: no graph step to reject the NaN cell's features)
     rng = np.random.default_rng(66)
@@ -1557,7 +1603,7 @@ def test_detection_proposals_are_the_per_row_proposals():
         samples = [make_sample(rng, h=h, w=w) for _ in range(3)]
         samples[1].grid[h // 2, w // 2, 0] = math.nan   # a NaN cell: NaN scores rank last
         with np.errstate(invalid="ignore"):
-            _, state = det_mod._detect_stack(params, samples, 0.05)
+            _, state = detect(params, samples, 0.05)
         for sample, boxes in zip(samples, state.boxes):
             assert boxes.tobytes() == propose_per_row(params, sample).tobytes()
 
@@ -1642,7 +1688,7 @@ def test_detection_scores_and_builds_inputs_once_per_stack():
 
     with mock.patch.object(det_mod, "score_anchors", scored), \
             mock.patch.object(det_mod, "roi_inputs", inputs):
-        det_mod._detect_stack(params, samples, 0.05)
+        detect(params, samples, 0.05)
     ((grids, (anchors, scores)),), ((pooled, rois),) = calls, built
     assert pooled is grids and grids.shape == (5, 10, 7, 5)
     assert anchors is anchor_set(10, 7) and len(scores) == 5
@@ -1678,7 +1724,7 @@ def test_detection_state_is_the_recording_path_without_tapes():
         model = with_arm(store, params, arm)
         taped = _forward(model, roi_inputs([sample.grid for sample in samples], boxes), 2,
                          True, spatial_gate(boxes))
-        _, state = det_mod._detect_stack(model, samples, 0.05)
+        _, state = detect(model, samples, 0.05)
         # the baseline's net runs no step, whatever the step count
         assert len(taped.tapes) == (0 if arm == "baseline" else 2) and state.tapes == []
         assert np.array_equal(state.probs, taped.probs)

@@ -424,13 +424,12 @@ def test_cli_train_eval_relations_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("arm", ["baseline", "scene"])
+@pytest.mark.parametrize("arm", ["edge", "sin"])
 def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
     # `sinet relations` detects in stacks of DETECT_STACK scenes, and these
-    # n scenes fill one stack and start a second. On these arms no step
-    # computes edges (the baseline runs none), so detect takes them from
-    # compute_edges over each whole stack; every row, those of the second
-    # stack included, must be that of detecting the scene alone
+    # n scenes fill one stack and start a second. The edges are the last
+    # inference step's over each whole stack; every row, those of the
+    # second stack included, must be that of detecting the scene alone
     n = DETECT_STACK + 4
     assert DETECT_STACK < n
     run_dir = str(tmp_path / "run")
@@ -459,21 +458,45 @@ def test_cli_relations_in_stacks_match_scene_by_scene(tmp_path, capsys, arm):
 
 def test_cli_relations_detects_in_detection_stacks(tmp_path, capsys):
     # relations detects its scenes in stacks of detection's size; over 20
-    # scenes, stacks of that size, of 8 and of all 20 write the same bytes
+    # scenes, stacks of that size, of 8 and of all 20 write the same bytes,
+    # for each arm that learns edges
+    from sinet import harness
+    for arm in ("edge", "sin"):
+        run_dir = str(tmp_path / arm)
+        assert main(["train", "--arm", arm, "--iters", "8", "--n-train", "4",
+                     "--out", run_dir]) == 0
+        ckpt = os.path.join(run_dir, "checkpoint.bin")
+        outs = []
+        for stack in (harness.DETECT_STACK, 20, 8):
+            path = tmp_path / f"relations-{arm}-{stack}.csv"
+            with mock.patch.object(harness, "DETECT_STACK", stack):
+                assert main(["relations", "--checkpoint", ckpt, "--seed", "3", "--n", "20",
+                             "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1] == outs[2] and outs[0].count(b"\n") > 1, arm
+
+
+@pytest.mark.parametrize("arm, t", [("baseline", 2), ("scene", 2), ("sin", 0)])
+def test_cli_relations_refuses_a_model_without_edges(tmp_path, capsys, arm, t):
+    # a baseline or scene model, or any model at T = 0, computes no edges in
+    # detection and never trains sin/w_v: relations exits 1 with one error
+    # line before any detection runs, and writes no CSV
     from sinet import harness
     run_dir = str(tmp_path / "run")
-    assert main(["train", "--arm", "scene", "--iters", "8", "--n-train", "4",
+    assert main(["train", "--arm", arm, "--T", str(t), "--iters", "4", "--n-train", "2",
                  "--out", run_dir]) == 0
-    ckpt = os.path.join(run_dir, "checkpoint.bin")
-    outs = []
-    for stack in (harness.DETECT_STACK, 20, 8):
-        path = tmp_path / f"relations-{stack}.csv"
-        with mock.patch.object(harness, "DETECT_STACK", stack):
-            assert main(["relations", "--checkpoint", ckpt, "--seed", "3", "--n", "20",
-                         "--out", str(path)]) == 0
-        outs.append(path.read_bytes())
+    out = tmp_path / "relations.csv"
     capsys.readouterr()
-    assert outs[0] == outs[1] == outs[2] and outs[0].count(b"\n") > 1
+    with mock.patch.object(harness, "detect", wraps=harness.detect) as detect_spy:
+        assert main(["relations", "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                     "--out", str(out)]) == 1
+    assert detect_spy.call_count == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"sinet: error: the {arm} arm's model at T = {t} learns no edges; "
+                            "relations needs the edge or sin arm at T >= 1\n")
+    assert not out.exists()
 
 
 def _rewritten_manifest(tmp_path, manifest, **changes):

@@ -11,7 +11,7 @@ from sinet.memory_cell import gru_forward
 from sinet.numerics import ParamStore, grad_check
 from sinet.structure_inference import (EDGE_BANK, MODE_BANKS, MODES, SCENE_BANK, W_P,
                                        _compute_edges, _integrate_all, _max_messages,
-                                       _relation_tensor, compute_edges, relation_report,
+                                       _relation_tensor, relation_report,
                                        sin_backward, sin_infer_tapes, sin_params,
                                        sin_step_tape, spatial_gate)
 
@@ -164,7 +164,7 @@ def test_compute_edges_matches_pairwise_loop():
     _, p = make_params(4, seed=2)
     w_p = rng.normal(0, 0.5, size=(1, 12))
     feats, boxes, _ = random_graph(rng, 5, 4)
-    e = compute_edges(p, feats, gate_of(boxes, w_p))
+    e = _compute_edges(p, feats, gate_of(boxes, w_p)).e
     assert e.shape == (1, 5, 5)
     e, boxes, feats = e[0], scene_boxes(boxes), feats[0]
     assert np.all(np.diag(e) == 0.0)
